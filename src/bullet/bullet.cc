@@ -190,7 +190,7 @@ Result<std::vector<BulletClient::Listed>> BulletClient::list() {
   Reader r(*res);
   auto code = static_cast<Errc>(r.u8());
   if (code != Errc::ok) return Status::error(code, "bullet list failed");
-  const std::uint32_t n = r.u32();
+  const auto n = r.count<std::uint32_t>(cap::Capability::kEncodedSize + 4);
   std::vector<Listed> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

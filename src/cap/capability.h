@@ -32,6 +32,9 @@ struct Capability {
   [[nodiscard]] bool is_null() const { return port.v == 0 && object == 0; }
   auto operator<=>(const Capability&) const = default;
 
+  /// Bytes written by encode(): port, object, rights, check.
+  static constexpr std::size_t kEncodedSize = 8 + 4 + 1 + 8;
+
   void encode(Writer& w) const;
   static Capability decode(Reader& r);
 

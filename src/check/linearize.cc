@@ -1,9 +1,9 @@
 #include "check/linearize.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 namespace amoeba::check {
@@ -65,102 +65,237 @@ std::optional<Prim> primitive_for(const Event& ev) {
   return std::nullopt;
 }
 
-struct KeySearch {
-  const std::vector<KOp>& ops;
-  std::uint64_t budget;
-  std::uint64_t visited = 0;
-  bool capped = false;
-  std::vector<std::uint64_t> mask;
-  std::size_t chosen = 0;
-  std::size_t definite_total = 0;
-  std::size_t definite_done = 0;
-  std::unordered_set<std::string> memo;
-
-  explicit KeySearch(const std::vector<KOp>& o, std::uint64_t b)
-      : ops(o), budget(b), mask((o.size() + 63) / 64, 0) {
-    for (const auto& op : ops) definite_total += op.definite() ? 1 : 0;
-  }
-
-  [[nodiscard]] bool taken(std::size_t i) const {
-    return (mask[i / 64] >> (i % 64)) & 1u;
-  }
-  void set_taken(std::size_t i, bool v) {
-    if (v) {
-      mask[i / 64] |= (1ull << (i % 64));
-    } else {
-      mask[i / 64] &= ~(1ull << (i % 64));
-    }
-  }
-
-  [[nodiscard]] std::string memo_key(bool state) const {
-    std::string k(reinterpret_cast<const char*>(mask.data()),
-                  mask.size() * sizeof(std::uint64_t));
-    k.push_back(state ? 1 : 0);
-    return k;
-  }
-
-  /// DFS over linearization orders. Returns true iff every definite op can
-  /// be placed; sets `capped` when the state budget ran out.
-  bool search(bool state) {
-    if (definite_done == definite_total) return true;
-    if (++visited > budget) {
-      capped = true;
-      return true;  // give up on this key: treat as unchecked, not failed
-    }
-    if (!memo.insert(memo_key(state)).second) return false;
-
-    // Real-time precedence: an op may linearize next only if no pending op
-    // finished before it was invoked.
-    sim::Time minr = sim::kTimeMax;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (!taken(i)) minr = std::min(minr, ops[i].response);
-    }
-
-    // Definite candidates first (they make progress toward acceptance);
-    // ambiguous candidates of the same primitive are interchangeable —
-    // candidacy is monotone, so trying only the first of each kind loses
-    // no schedules.
-    bool tried_maybe_set = false, tried_maybe_clear = false;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (taken(i) || ops[i].invoke > minr) continue;
-      bool next = state;
-      switch (ops[i].prim) {
-        case Prim::set:
-          if (state) continue;
-          next = true;
-          break;
-        case Prim::clear:
-          if (!state) continue;
-          next = false;
-          break;
-        case Prim::read_true:
-          if (!state) continue;
-          break;
-        case Prim::read_false:
-          if (state) continue;
-          break;
-        case Prim::maybe_set:
-          if (state || tried_maybe_set) continue;
-          tried_maybe_set = true;
-          next = true;
-          break;
-        case Prim::maybe_clear:
-          if (!state || tried_maybe_clear) continue;
-          tried_maybe_clear = true;
-          next = false;
-          break;
+/// Insert-only hash set of variable-length word strings. Keys are stored
+/// back to back in one arena (a length word, then the key), so a visited
+/// search state costs a few words and no allocation of its own.
+class MemoSet {
+ public:
+  /// True iff `key` was not yet present.
+  bool insert(const std::vector<std::uint64_t>& key) {
+    const std::uint64_t h = hash(key);
+    std::size_t i = h & (slots_.size() - 1);
+    for (; slots_[i].at != 0; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& s = slots_[i];
+      if (s.hash == h && arena_[s.at - 1] == key.size() &&
+          std::equal(key.begin(), key.end(), arena_.begin() + s.at)) {
+        return false;
       }
-      set_taken(i, true);
-      chosen++;
-      if (ops[i].definite()) definite_done++;
-      const bool found = search(next);
-      if (ops[i].definite()) definite_done--;
-      chosen--;
-      set_taken(i, false);
-      if (found || capped) return found || capped;
+    }
+    if ((size_ + 1) * 2 > slots_.size()) {
+      grow();
+      i = h & (slots_.size() - 1);
+      while (slots_[i].at != 0) i = (i + 1) & (slots_.size() - 1);
+    }
+    arena_.push_back(key.size());
+    slots_[i] = {h, arena_.size()};
+    arena_.insert(arena_.end(), key.begin(), key.end());
+    ++size_;
+    return true;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t at = 0;  // arena offset of the key's first word; 0 = empty
+  };
+
+  static std::uint64_t hash(const std::vector<std::uint64_t>& key) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull * (key.size() + 1);
+    for (std::uint64_t w : key) {
+      h = (h ^ w) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.at == 0) continue;
+      std::size_t i = s.hash & (slots_.size() - 1);
+      while (slots_[i].at != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<std::uint64_t> arena_;
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  std::size_t size_ = 0;
+};
+
+/// Wing & Gong DFS over one key's linearization orders, with the frontier
+/// and cursor bookkeeping described in linearize.h. `ops` must be sorted by
+/// invoke time, every definite op must respond no earlier than it was
+/// invoked, and ambiguous ops respond "never".
+class KeySearch {
+ public:
+  KeySearch(const std::vector<KOp>& ops, std::uint64_t budget)
+      : budget_(budget) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const KOp& op = ops[i];
+      switch (op.prim) {
+        case Prim::maybe_set: maybe_[0].push_back({i, op.invoke}); break;
+        case Prim::maybe_clear: maybe_[1].push_back({i, op.invoke}); break;
+        default: def_.push_back({op.invoke, op.response, i, op.prim}); break;
+      }
+    }
+    mask_.assign((def_.size() + 63) / 64, 0);
+  }
+
+  /// True iff every definite op can be placed, or the budget ran out
+  /// (`capped`): a capped key counts as unchecked, not failed.
+  bool run() {
+    switch (enter(false)) {
+      case Entered::accept: return true;
+      case Entered::reject: return false;
+      case Entered::expand: break;
+    }
+    while (!stack_.empty()) {
+      Frame& f = stack_.back();
+      undo(f);
+      bool next = false;
+      if (!take_next(f, next)) {
+        stack_.pop_back();  // every candidate failed: this state fails
+        continue;
+      }
+      if (enter(next) == Entered::accept) return true;
     }
     return false;
   }
+
+  std::uint64_t visited = 0;
+  bool capped = false;
+
+ private:
+  struct Def {
+    sim::Time invoke;
+    sim::Time response;
+    std::size_t at;  // position in the key's sorted op list
+    Prim prim;
+  };
+  struct Maybe {
+    std::size_t at;
+    sim::Time invoke;
+  };
+  static constexpr std::size_t kNoMove = SIZE_MAX;
+  static constexpr std::size_t kMaybeMove = SIZE_MAX - 1;
+  /// One search state whose candidates are being tried.
+  struct Frame {
+    sim::Time minr;
+    std::size_t lo, hi;  // frontier on entry, restored after each move
+    std::size_t next;    // first definite op not yet tried as a candidate
+    std::size_t moved;   // the move in progress: a definite op or kMaybeMove
+    bool state;
+    bool maybe_pending;  // this state's ambiguous candidate is untried
+  };
+  enum class Entered { accept, reject, expand };
+
+  [[nodiscard]] bool taken(std::size_t d) const {
+    return (mask_[d / 64] >> (d % 64)) & 1u;
+  }
+
+  /// Visit the state reached by the moves on the stack, with register
+  /// value `state`; push a frame for it unless it settles immediately.
+  Entered enter(bool state) {
+    if (lo_ == def_.size()) return Entered::accept;
+    if (++visited > budget_) {
+      capped = true;
+      return Entered::accept;
+    }
+    key_.clear();
+    key_.push_back(static_cast<std::uint64_t>(lo_) << 1 | (state ? 1 : 0));
+    key_.push_back(static_cast<std::uint64_t>(cursor_[0]) << 32 | cursor_[1]);
+    if (hi_ > lo_) {
+      const auto first = static_cast<std::ptrdiff_t>(lo_ / 64);
+      const auto last = static_cast<std::ptrdiff_t>((hi_ - 1) / 64);
+      key_.insert(key_.end(), mask_.begin() + first, mask_.begin() + last + 1);
+    }
+    if (!memo_.insert(key_)) return Entered::reject;
+
+    // Real-time precedence: an op may linearize next only if no pending op
+    // finished before it was invoked. Past the first op invoked after the
+    // running minimum, no response can be lower (response >= invoke).
+    sim::Time minr = sim::kTimeMax;
+    for (std::size_t d = lo_; d < def_.size() && def_[d].invoke <= minr; ++d) {
+      if (!taken(d)) minr = std::min(minr, def_[d].response);
+    }
+    // Only maybe_set can apply to an absent name, only maybe_clear to a
+    // present one, and of each kind only the first untaken is tried.
+    const std::size_t c = cursor_[state];
+    const bool maybe =
+        c < maybe_[state].size() && maybe_[state][c].invoke <= minr;
+    stack_.push_back({minr, lo_, hi_, lo_, kNoMove, state, maybe});
+    return Entered::expand;
+  }
+
+  /// Take back frame `f`'s move in progress, if any.
+  void undo(Frame& f) {
+    if (f.moved == kNoMove) return;
+    if (f.moved == kMaybeMove) {
+      --cursor_[f.state];
+    } else {
+      mask_[f.moved / 64] &= ~(1ull << (f.moved % 64));
+    }
+    lo_ = f.lo;
+    hi_ = f.hi;
+    f.moved = kNoMove;
+  }
+
+  /// Make `f`'s next candidate move, in sorted-op order; false when none is
+  /// left. Sets `next` to the register value after the move.
+  bool take_next(Frame& f, bool& next) {
+    const std::size_t maybe_at =
+        f.maybe_pending ? maybe_[f.state][cursor_[f.state]].at : kNoMove;
+    for (std::size_t d = f.next; d < def_.size() && def_[d].invoke <= f.minr;
+         ++d) {
+      if (taken(d)) continue;
+      switch (def_[d].prim) {
+        case Prim::set:
+        case Prim::read_false:
+          if (f.state) continue;
+          break;
+        case Prim::clear:
+        case Prim::read_true:
+          if (!f.state) continue;
+          break;
+        default: break;
+      }
+      if (maybe_at < def_[d].at) {
+        f.next = d;
+        break;  // the ambiguous candidate sorts first
+      }
+      f.next = d + 1;
+      f.moved = d;
+      mask_[d / 64] |= 1ull << (d % 64);
+      if (d == lo_) {
+        while (lo_ < def_.size() && taken(lo_)) ++lo_;
+      }
+      hi_ = std::max(hi_, d + 1);
+      next = def_[d].prim == Prim::set ||
+             (def_[d].prim != Prim::clear && f.state);
+      return true;
+    }
+    if (!f.maybe_pending) return false;
+    f.maybe_pending = false;
+    f.moved = kMaybeMove;
+    ++cursor_[f.state];
+    next = !f.state;
+    return true;
+  }
+
+  std::uint64_t budget_;
+  std::vector<Def> def_;                // definite ops, in sorted order
+  // Indexed by register value: maybe_set ops apply to an absent name (0),
+  // maybe_clear ops to a present one (1).
+  std::vector<Maybe> maybe_[2];
+  std::vector<std::uint64_t> mask_;     // taken definite ops
+  std::size_t lo_ = 0;                  // first untaken definite op
+  std::size_t hi_ = 0;                  // one past the last taken one
+  std::size_t cursor_[2] = {0, 0};      // taken prefix of each maybe_ list
+  std::vector<Frame> stack_;
+  std::vector<std::uint64_t> key_;      // scratch memo key
+  MemoSet memo_;
 };
 
 }  // namespace
@@ -225,7 +360,8 @@ CheckResult check_linearizable(const std::vector<Event>& events,
     out.keys_checked++;
     out.ops_checked += ops.size();
     KeySearch search(ops, opts.max_states_per_key);
-    const bool linearizable = search.search(false);
+    const bool linearizable = search.run();
+    out.states_visited += search.visited;
     if (search.capped) {
       out.complete = false;
       continue;

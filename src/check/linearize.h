@@ -30,6 +30,34 @@
 // (linearized-set, register state). Ambiguous operations never block other
 // operations (their response time is "never") and may be left out of the
 // linearization entirely.
+//
+// Each search state is handled in time proportional to the operations
+// concurrent with its frontier, not to the whole sub-history (Lowe's
+// "just-in-time" linearization, "Testing for linearizability", CCPE 2017):
+//
+//   frontier   The key's operations are sorted by invocation. `lo` is the
+//              first definite operation not yet linearized; every earlier
+//              one is. The minimum pending response `minr` and the
+//              candidates are found by scanning from `lo` up to the first
+//              operation invoked after `minr`: a later one can neither be a
+//              candidate nor lower `minr`, since it responds after it was
+//              invoked. Every linearized operation past `lo` was invoked
+//              before `lo`'s response, so all of them lie in that window.
+//   cursors    Ambiguous operations of one kind are interchangeable
+//              (candidacy is monotone in invocation time), so only the
+//              earliest untaken one is ever tried. By induction the taken
+//              ones form a prefix of that kind's list, and undoing a move
+//              removes the newest, i.e. the end of the prefix. Two indices
+//              therefore describe them, and an ambiguous operation that
+//              never linearizes does not pin the frontier.
+//   memo key   (lo, both cursors, register state, the taken-bits of the
+//              definite operations in [lo, one past the last taken one)):
+//              a few words, and equal exactly when the full linearized set
+//              is equal.
+//
+// Per key the cost is O(n·w) for n operations and at most w concurrent
+// with the frontier, instead of O(n²). The states visited, their order and
+// the memo hits are those of the plain algorithm.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +87,7 @@ struct CheckResult {
   std::vector<Violation> violations;
   int keys_checked = 0;
   std::size_t ops_checked = 0;
+  std::uint64_t states_visited = 0;  // search states, summed over keys
 
   [[nodiscard]] std::string summary() const;
 };

@@ -554,7 +554,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   report.ops_ok = history.count(Outcome::ok);
   report.ops_negative = history.count(Outcome::negative);
   report.ops_ambiguous = history.count(Outcome::ambiguous);
-  report.lin = check_linearizable(history.events());
+  report.lin = check_linearizable(history.events(), opts.check);
   report.history = history.events();
 
   std::string fail;
@@ -563,7 +563,11 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
   if (!verify_fail.empty()) fail += "[verify] " + verify_fail + " ";
   if (!report.replicas_agree) fail += "[replicas] states diverge ";
-  if (!report.lin.ok) fail += "[history] " + report.lin.summary() + " ";
+  if (!report.lin.ok) {
+    fail += "[history] " + report.lin.summary() + " ";
+  } else if (!report.lin.complete) {
+    fail += "[history] search capped ";
+  }
   for (const auto& e : sim.process_errors()) {
     fail += "[process] " + e + " ";
   }

@@ -66,6 +66,9 @@ struct FuzzOptions {
   /// and leave them down, so the tail makes no progress and the watchdog
   /// must fire.
   bool debug_stall = false;
+  /// Linearizability search budget. A key whose search runs out of it is
+  /// unchecked, and an unchecked key fails the run ("search capped").
+  CheckOptions check;
   /// When nonempty, dump debugging artifacts when the run ends (whatever
   /// the verdict): <prefix>.trace.json holds the whole run's causal trace
   /// (Chrome trace_event format) and <prefix>.metrics.json the final

@@ -77,6 +77,19 @@ class Reader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool boolean() { return u8() != 0; }
 
+  /// Reads an element count (T = std::uint16_t or std::uint32_t) for
+  /// elements of at least `min_size` encoded bytes each, and throws unless
+  /// that many can still follow. A corrupt count therefore fails here
+  /// instead of reaching an allocator through reserve().
+  template <typename T>
+  T count(std::size_t min_size) {
+    const auto n = static_cast<T>(get_le(sizeof(T)));
+    if (static_cast<std::uint64_t>(n) * min_size > remaining()) {
+      throw DecodeError("element count exceeds message");
+    }
+    return n;
+  }
+
   Buffer bytes() {
     std::size_t n = u32();
     need(n);

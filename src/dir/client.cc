@@ -258,11 +258,11 @@ Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
   if (!res.is_ok()) return res.status();
   try {
     Reader r(*res);
-    const std::uint16_t n = r.u16();
+    const auto n = r.count<std::uint16_t>(2);  // column count
     std::vector<std::vector<cap::Capability>> out;
     out.reserve(n);
     for (std::uint16_t i = 0; i < n; ++i) {
-      const std::uint16_t nc = r.u16();
+      const auto nc = r.count<std::uint16_t>(cap::Capability::kEncodedSize);
       std::vector<cap::Capability> cols;
       cols.reserve(nc);
       for (std::uint16_t k = 0; k < nc; ++k) {

@@ -855,7 +855,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     try {
       Reader r(msg.payload);
       if (msg.kind == group::MsgKind::batch) {
-        const std::uint32_t n = r.u32();
+        const auto n = r.count<std::uint32_t>(2 + 8 + 4);  // origin, id, body
         subs.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) {
           const net::MachineId origin{r.u16()};

@@ -52,7 +52,7 @@ std::vector<Record> decode_any(const Buffer& b) {
   if (!is_batch(b)) return {decode(b)};
   Reader r(b);
   const std::uint64_t seqno = r.u64() & ~kBatchFlag;
-  const std::uint32_t n = r.u32();
+  const auto n = r.count<std::uint32_t>(8 + 4 + 4);  // secret, hint, request
   std::vector<Record> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -30,15 +30,15 @@ void Directory::encode(Writer& w) const {
 
 Directory Directory::decode(Reader& r) {
   Directory d;
-  const std::uint16_t ncols = r.u16();
+  const auto ncols = r.count<std::uint16_t>(4);  // length-prefixed name
   d.columns.reserve(ncols);
   for (std::uint16_t i = 0; i < ncols; ++i) d.columns.push_back(r.str());
-  const std::uint32_t nrows = r.u32();
+  const auto nrows = r.count<std::uint32_t>(4 + 2);  // name, column count
   d.rows.reserve(nrows);
   for (std::uint32_t i = 0; i < nrows; ++i) {
     DirRow row;
     row.name = r.str();
-    const std::uint16_t nc = r.u16();
+    const auto nc = r.count<std::uint16_t>(cap::Capability::kEncodedSize);
     row.cols.reserve(nc);
     for (std::uint16_t k = 0; k < nc; ++k) {
       row.cols.push_back(cap::Capability::decode(r));

@@ -82,7 +82,7 @@ Result<std::vector<std::pair<std::uint32_t, Buffer>>> DiskClient::scan(
   Reader r(*res);
   auto code = static_cast<Errc>(r.u8());
   if (code != Errc::ok) return Status::error(code, "remote scan failed");
-  const std::uint32_t n = r.u32();
+  const auto n = r.count<std::uint32_t>(4 + 4);  // block number, data
   std::vector<std::pair<std::uint32_t, Buffer>> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -357,7 +357,7 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
       // delivered. Survivors go to the application as ONE message, in
       // batch order, re-encoded in the same sub format.
       Reader br(rec.payload);
-      const std::uint32_t n = br.u32();
+      const auto n = br.count<std::uint32_t>(2 + 8 + 4);  // origin, id, sub
       std::vector<std::tuple<std::uint16_t, std::uint64_t, Buffer>> kept;
       kept.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -1009,7 +1009,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
     case WireType::newgroup: {
       const std::uint32_t attempt = r.u32();
       const MachineId seq = MachineId{r.u16()};
-      const std::uint16_t n = r.u16();
+      const auto n = r.count<std::uint16_t>(2);
       std::vector<MachineId> mem;
       mem.reserve(n);
       for (std::uint16_t i = 0; i < n; ++i) mem.push_back(MachineId{r.u16()});

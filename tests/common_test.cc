@@ -101,6 +101,23 @@ TEST(BufferTest, TruncatedStringThrows) {
   EXPECT_THROW(r.str(), DecodeError);
 }
 
+TEST(BufferTest, CountMustFitTheRemainingBytes) {
+  // Three 4-byte elements follow the count: a count of 3 fits exactly, and
+  // one more than the message can hold is refused before any allocation.
+  for (std::uint32_t declared : {3u, 4u, 0xffffffffu}) {
+    Writer w;
+    w.u32(declared);
+    for (int i = 0; i < 3; ++i) w.u32(0);
+    Buffer b = w.take();
+    Reader r(b);
+    if (declared == 3) {
+      EXPECT_EQ(r.count<std::uint32_t>(4), 3u);
+    } else {
+      EXPECT_THROW(r.count<std::uint32_t>(4), DecodeError) << declared;
+    }
+  }
+}
+
 TEST(BufferTest, TrailingBytesDetected) {
   Writer w;
   w.u8(1);

@@ -1,0 +1,423 @@
+// The linearizability checker against a reference: the plain Wing & Gong
+// search that rescans every op of a key at every state is kept here
+// verbatim as an oracle, and the frontier-windowed search must agree with it
+// on verdicts AND on the number of states visited, for thousands of random
+// single-key histories (valid, broken and budget-capped). A 50,000-op
+// history pins that the windowed search stays linear in practice.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "check/linearize.h"
+#include "common/rand.h"
+
+namespace amoeba::check {
+namespace {
+
+// ------------------------------------------------------ reference oracle
+//
+// The search as it was before the frontier rewrite: O(n) per state, with
+// an n-bit memo key. Only `states_visited` accounting was added.
+namespace reference {
+
+enum class Prim : std::uint8_t {
+  set,
+  clear,
+  read_true,
+  read_false,
+  maybe_set,
+  maybe_clear,
+};
+
+struct KOp {
+  Prim prim;
+  sim::Time invoke;
+  sim::Time response;
+  [[nodiscard]] bool definite() const {
+    return prim != Prim::maybe_set && prim != Prim::maybe_clear;
+  }
+};
+
+using Key = std::pair<std::uint32_t, std::string>;
+
+std::optional<Prim> primitive_for(const Event& ev) {
+  switch (ev.op) {
+    case OpKind::append_row:
+    case OpKind::create_dir:
+      switch (ev.outcome) {
+        case Outcome::ok: return Prim::set;
+        case Outcome::negative: return Prim::read_true;  // exists
+        case Outcome::ambiguous:
+          return ev.op == OpKind::create_dir ? std::nullopt
+                                             : std::optional(Prim::maybe_set);
+      }
+      break;
+    case OpKind::delete_row:
+    case OpKind::delete_dir:
+      switch (ev.outcome) {
+        case Outcome::ok: return Prim::clear;
+        case Outcome::negative: return Prim::read_false;  // not_found
+        case Outcome::ambiguous: return Prim::maybe_clear;
+      }
+      break;
+    case OpKind::lookup:
+      switch (ev.outcome) {
+        case Outcome::ok: return Prim::read_true;
+        case Outcome::negative: return Prim::read_false;
+        case Outcome::ambiguous: return std::nullopt;
+      }
+      break;
+    case OpKind::list_dir:
+      return std::nullopt;  // expanded separately per key
+  }
+  return std::nullopt;
+}
+
+struct KeySearch {
+  const std::vector<KOp>& ops;
+  std::uint64_t budget;
+  std::uint64_t visited = 0;
+  bool capped = false;
+  std::vector<std::uint64_t> mask;
+  std::size_t chosen = 0;
+  std::size_t definite_total = 0;
+  std::size_t definite_done = 0;
+  std::unordered_set<std::string> memo;
+
+  explicit KeySearch(const std::vector<KOp>& o, std::uint64_t b)
+      : ops(o), budget(b), mask((o.size() + 63) / 64, 0) {
+    for (const auto& op : ops) definite_total += op.definite() ? 1 : 0;
+  }
+
+  [[nodiscard]] bool taken(std::size_t i) const {
+    return (mask[i / 64] >> (i % 64)) & 1u;
+  }
+  void set_taken(std::size_t i, bool v) {
+    if (v) {
+      mask[i / 64] |= (1ull << (i % 64));
+    } else {
+      mask[i / 64] &= ~(1ull << (i % 64));
+    }
+  }
+
+  [[nodiscard]] std::string memo_key(bool state) const {
+    std::string k(reinterpret_cast<const char*>(mask.data()),
+                  mask.size() * sizeof(std::uint64_t));
+    k.push_back(state ? 1 : 0);
+    return k;
+  }
+
+  bool search(bool state) {
+    if (definite_done == definite_total) return true;
+    if (++visited > budget) {
+      capped = true;
+      return true;
+    }
+    if (!memo.insert(memo_key(state)).second) return false;
+
+    sim::Time minr = sim::kTimeMax;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (!taken(i)) minr = std::min(minr, ops[i].response);
+    }
+
+    bool tried_maybe_set = false, tried_maybe_clear = false;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (taken(i) || ops[i].invoke > minr) continue;
+      bool next = state;
+      switch (ops[i].prim) {
+        case Prim::set:
+          if (state) continue;
+          next = true;
+          break;
+        case Prim::clear:
+          if (!state) continue;
+          next = false;
+          break;
+        case Prim::read_true:
+          if (!state) continue;
+          break;
+        case Prim::read_false:
+          if (state) continue;
+          break;
+        case Prim::maybe_set:
+          if (state || tried_maybe_set) continue;
+          tried_maybe_set = true;
+          next = true;
+          break;
+        case Prim::maybe_clear:
+          if (!state || tried_maybe_clear) continue;
+          tried_maybe_clear = true;
+          next = false;
+          break;
+      }
+      set_taken(i, true);
+      chosen++;
+      if (ops[i].definite()) definite_done++;
+      const bool found = search(next);
+      if (ops[i].definite()) definite_done--;
+      chosen--;
+      set_taken(i, false);
+      if (found || capped) return found || capped;
+    }
+    return false;
+  }
+};
+
+CheckResult check(const std::vector<Event>& events, const CheckOptions& opts) {
+  CheckResult out;
+  std::map<Key, std::vector<KOp>> keys;
+  for (const Event& ev : events) {
+    if (ev.dir_obj == 0) continue;
+    auto prim = primitive_for(ev);
+    if (!prim) continue;
+    const std::string& name =
+        (ev.op == OpKind::create_dir || ev.op == OpKind::delete_dir) ? ""
+                                                                     : ev.name;
+    const bool ambiguous =
+        *prim == Prim::maybe_set || *prim == Prim::maybe_clear;
+    keys[{ev.dir_obj, name}].push_back(
+        {*prim, ev.invoke, ambiguous ? sim::kTimeMax : ev.response});
+  }
+  for (const Event& ev : events) {
+    if (ev.op != OpKind::list_dir || ev.outcome != Outcome::ok ||
+        ev.dir_obj == 0) {
+      continue;
+    }
+    for (auto& [key, ops] : keys) {
+      if (key.first != ev.dir_obj || key.second.empty()) continue;
+      const bool present = std::find(ev.listing.begin(), ev.listing.end(),
+                                     key.second) != ev.listing.end();
+      ops.push_back({present ? Prim::read_true : Prim::read_false, ev.invoke,
+                     ev.response});
+    }
+  }
+  for (auto& [key, ops] : keys) {
+    std::sort(ops.begin(), ops.end(), [](const KOp& a, const KOp& b) {
+      if (a.invoke != b.invoke) return a.invoke < b.invoke;
+      return a.response < b.response;
+    });
+    out.keys_checked++;
+    out.ops_checked += ops.size();
+    KeySearch search(ops, opts.max_states_per_key);
+    const bool linearizable = search.search(false);
+    out.states_visited += search.visited;
+    if (search.capped) {
+      out.complete = false;
+      continue;
+    }
+    if (!linearizable) {
+      out.ok = false;
+      std::size_t ambiguous = 0;
+      for (const auto& op : ops) ambiguous += op.definite() ? 0 : 1;
+      out.violations.push_back(
+          {key.first, key.second,
+           "no valid linearization (" + std::to_string(ops.size()) + " ops, " +
+               std::to_string(ambiguous) + " ambiguous)",
+           ops.size()});
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
+// ------------------------------------------------------ history generator
+
+constexpr std::uint32_t kDir = 9;
+
+struct GenOptions {
+  int ops = 20;
+  int clients = 3;           // each runs its ops back to back
+  sim::Time max_op = 40;     // op durations are uniform in [1, max_op]
+  sim::Time grain = 1;       // times are rounded down to this: ties, and
+                             // above 1 a point may fall out of its interval
+  double reads = 0.5;        // share of lookups and listings
+  double timed_out = 0.15;   // share of updates that time out
+};
+
+/// A single-key history that is linearizable by construction: closed-loop
+/// clients each issue one op at a time, every op takes effect at a random
+/// point inside its interval, and outcomes follow from the register at
+/// that point. A timed-out update took effect there or was lost.
+std::vector<Event> valid_history(Prng& rng, const GenOptions& g) {
+  Event proto;
+  proto.dir_obj = kDir;
+  proto.name = "k";
+  std::vector<Event> h(static_cast<std::size_t>(g.ops), proto);
+  std::vector<sim::Time> point(h.size());
+  std::vector<sim::Time> clock(static_cast<std::size_t>(g.clients), 0);
+  const auto round = [&](sim::Time t) { return t - t % g.grain; };
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    const auto c = static_cast<std::size_t>(
+        std::min_element(clock.begin(), clock.end()) - clock.begin());
+    const auto dur = 1 + static_cast<sim::Time>(rng.below(g.max_op));
+    Event& e = h[i];
+    e.client = static_cast<int>(c);
+    e.outcome = Outcome::ok;  // placeholder: settled in point order below
+    e.invoke = round(clock[c]);
+    e.response = round(clock[c] + dur);
+    point[i] = clock[c] + static_cast<sim::Time>(rng.below(dur + 1));
+    clock[c] += dur + static_cast<sim::Time>(rng.below(3));
+    if (rng.uniform() < g.reads) {
+      e.op = rng.below(3) == 0 ? OpKind::list_dir : OpKind::lookup;
+    } else {
+      e.op = rng.below(2) == 0 ? OpKind::append_row : OpKind::delete_row;
+      if (rng.uniform() < g.timed_out) e.outcome = Outcome::ambiguous;
+    }
+  }
+  std::vector<std::size_t> order(h.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return point[a] < point[b];
+                   });
+  bool present = false;
+  for (std::size_t i : order) {
+    Event& e = h[i];
+    const bool timed_out = e.outcome == Outcome::ambiguous;
+    const bool applied = !timed_out || rng.below(2) == 0;
+    switch (e.op) {
+      case OpKind::append_row:
+        e.outcome = present ? Outcome::negative : Outcome::ok;
+        present = present || applied;
+        break;
+      case OpKind::delete_row:
+        e.outcome = present ? Outcome::ok : Outcome::negative;
+        present = present && !applied;
+        break;
+      case OpKind::list_dir:
+        e.name.clear();
+        e.outcome = Outcome::ok;
+        if (present) e.listing = {"k"};
+        break;
+      default:
+        e.outcome = present ? Outcome::ok : Outcome::negative;
+        break;
+    }
+    if (timed_out) {
+      e.outcome = Outcome::ambiguous;
+      e.response = sim::kTimeMax;
+    }
+  }
+  return h;
+}
+
+/// Flip one definite outcome or stretch one interval: usually breaks the
+/// history, sometimes not, and both kinds must be judged identically.
+void perturb(Prng& rng, std::vector<Event>& h) {
+  Event& e = h[rng.below(h.size())];
+  if (e.outcome == Outcome::ambiguous) return;
+  if (rng.below(2) == 0) {
+    e.invoke = e.response + 1 + static_cast<sim::Time>(rng.below(30));
+    e.response = e.invoke + static_cast<sim::Time>(rng.below(30));
+  } else if (e.op == OpKind::list_dir) {
+    e.listing = e.listing.empty() ? std::vector<std::string>{"k"}
+                                  : std::vector<std::string>{};
+  } else {
+    e.outcome = e.outcome == Outcome::ok ? Outcome::negative : Outcome::ok;
+  }
+}
+
+void expect_same(const CheckResult& want, const CheckResult& got,
+                 const std::string& what) {
+  EXPECT_EQ(got.ok, want.ok) << what;
+  EXPECT_EQ(got.complete, want.complete) << what;
+  EXPECT_EQ(got.states_visited, want.states_visited) << what;
+  EXPECT_EQ(got.keys_checked, want.keys_checked) << what;
+  EXPECT_EQ(got.ops_checked, want.ops_checked) << what;
+  ASSERT_EQ(got.violations.size(), want.violations.size()) << what;
+  for (std::size_t i = 0; i < want.violations.size(); ++i) {
+    EXPECT_EQ(got.violations[i].dir_obj, want.violations[i].dir_obj) << what;
+    EXPECT_EQ(got.violations[i].name, want.violations[i].name) << what;
+    EXPECT_EQ(got.violations[i].detail, want.violations[i].detail) << what;
+    EXPECT_EQ(got.violations[i].ops, want.violations[i].ops) << what;
+  }
+}
+
+// ------------------------------------------------------ differential
+
+TEST(LinearizeOracle, MatchesReferenceOnRandomHistories) {
+  Prng rng(12);
+  int failed = 0, capped = 0, passed = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    GenOptions g;
+    g.ops = 1 + static_cast<int>(rng.below(26));
+    g.clients = 1 + static_cast<int>(rng.below(5));
+    g.max_op = 1 + static_cast<sim::Time>(rng.below(60));
+    g.grain = rng.below(3) == 0 ? 15 : 1;
+    g.reads = rng.below(2) == 0 ? 0.25 : 0.6;
+    g.timed_out = static_cast<double>(rng.below(3)) * 0.2;
+    std::vector<Event> h = valid_history(rng, g);
+    const int perturbations = static_cast<int>(rng.below(3));
+    for (int i = 0; i < perturbations; ++i) perturb(rng, h);
+
+    CheckOptions opts;
+    opts.max_states_per_key =
+        rng.below(4) == 0 ? 1 + rng.below(40) : 200'000;
+    const CheckResult want = reference::check(h, opts);
+    const CheckResult got = check_linearizable(h, opts);
+    expect_same(want, got, "trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) return;
+    failed += want.ok ? 0 : 1;
+    capped += want.complete ? 0 : 1;
+    passed += want.ok && want.complete ? 1 : 0;
+  }
+  // The generator must exercise every verdict, or the agreement is vacuous.
+  EXPECT_GT(failed, 200);
+  EXPECT_GT(capped, 100);
+  EXPECT_GT(passed, 1000);
+}
+
+TEST(LinearizeOracle, MatchesReferenceOnCrowdedWindows) {
+  // Wide intervals and many timed-out updates: the frontier window holds
+  // most of the key, and the ambiguous cursors advance far past it.
+  Prng rng(34);
+  for (int trial = 0; trial < 300; ++trial) {
+    GenOptions g;
+    g.ops = 8 + static_cast<int>(rng.below(10));
+    g.clients = 8;
+    g.max_op = 80;
+    g.timed_out = 0.5;
+    std::vector<Event> h = valid_history(rng, g);
+    if (rng.below(2) == 0) perturb(rng, h);
+    const CheckResult want = reference::check(h, {});
+    const CheckResult got = check_linearizable(h, {});
+    expect_same(want, got, "trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// ------------------------------------------------------ scaling
+
+TEST(LinearizeScale, FiftyThousandOpKeyStaysLinear) {
+  // One key, 50,000 ops from 8 closed-loop clients (so about 8 in flight
+  // at any time), three reads per update, 5 % of all ops timed out. The
+  // plain search rescans all n ops and keeps an n-bit memo key at every
+  // state; the windowed one touches only the ops in flight.
+  Prng rng(56);
+  GenOptions g;
+  g.ops = 50'000;
+  g.clients = 8;
+  g.max_op = 80;
+  g.reads = 0.75;
+  g.timed_out = 0.2;
+  const std::vector<Event> h = valid_history(rng, g);
+  const CheckResult r = check_linearizable(h);
+  EXPECT_TRUE(r.ok) << r.summary();
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.ops_checked, h.size());
+  // Measured at 39.3 states per op (the timed-out updates that never took
+  // effect stay candidates and cost dead-end branches). The bound leaves
+  // headroom, not room for a blow-up.
+  EXPECT_LE(r.states_visited, 50 * r.ops_checked);
+  EXPECT_GE(r.states_visited, r.ops_checked);
+}
+
+}  // namespace
+}  // namespace amoeba::check

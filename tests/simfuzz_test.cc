@@ -187,6 +187,21 @@ TEST(SimFuzz, RpcFlavorPasses) { short_fuzz(harness::Flavor::rpc); }
 TEST(SimFuzz, RpcNvramFlavorPasses) { short_fuzz(harness::Flavor::rpc_nvram); }
 TEST(SimFuzz, NfsFlavorPasses) { short_fuzz(harness::Flavor::nfs); }
 
+TEST(SimFuzz, CappedSearchFailsTheRun) {
+  // A key the checker gave up on is unchecked, not passed: the same run
+  // that passes with the default budget must fail with a starved one.
+  FuzzOptions opts;
+  opts.flavor = harness::Flavor::group;
+  opts.seed = 3;
+  opts.check.max_states_per_key = 2;
+  FuzzReport r = run_one(opts);
+  EXPECT_TRUE(r.lin.ok);
+  EXPECT_FALSE(r.lin.complete);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.failure.find("[history] search capped"), std::string::npos)
+      << r.failure;
+}
+
 TEST(SimFuzz, InjectedStaleReadsAreCaughtAndShrink) {
   FuzzOptions opts;
   opts.flavor = harness::Flavor::group;
