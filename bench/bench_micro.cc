@@ -5,7 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include "cap/capability.h"
+#include "dir/nvram_log.h"
 #include "dir/proto.h"
+#include "nvram/nvram.h"
 #include "sim/mailbox.h"
 #include "sim/simulator.h"
 
@@ -29,6 +31,60 @@ void BM_CodecDirectoryRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CodecDirectoryRoundTrip)->Arg(1)->Arg(16)->Arg(256);
+
+void BM_CapabilityEncode(benchmark::State& state) {
+  // 64 capabilities into one buffer: the inner loop of Directory::encode,
+  // which every NVRAM flush and every disk copy runs.
+  cap::Capability c;
+  c.port = net::Port{0xf11e};
+  c.object = 0xabcdef;
+  c.rights = cap::kRightsAll;
+  c.check = 0x123456789abcULL;
+  benchmark::DoNotOptimize(c);  // not a compile-time constant
+  constexpr int kCaps = 64;
+  for (auto _ : state) {
+    Writer w;
+    for (int i = 0; i < kCaps; ++i) c.encode(w);
+    Buffer b = w.take();
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCaps);
+}
+BENCHMARK(BM_CapabilityEncode);
+
+void BM_NvlogTryCancelFullLog(benchmark::State& state) {
+  // A delete whose append was flushed long ago: try_cancel scans the whole
+  // 24 KiB log, newest first, and finds nothing (the write_heavy case).
+  sim::Simulator s;
+  nvram::Nvram nv(s);
+  cap::Capability dcap;
+  dcap.port = net::Port{1};
+  dcap.object = 40;
+  dcap.rights = cap::kRightsAll;
+  s.spawn("fill", [&] {
+    for (std::uint64_t seq = 1;; ++seq) {
+      dir::nvlog::Record rec;
+      rec.seqno = seq;
+      rec.secret = seq;
+      rec.request = dir::make_append_row(dcap, "row-" + std::to_string(seq),
+                                         {dcap});
+      Buffer b = dir::nvlog::encode(rec);
+      if (!nv.would_fit(b.size())) return;
+      (void)nv.append(1, std::move(b));
+    }
+  });
+  s.run();
+  const Buffer del = dir::make_delete_row(dcap, "row-flushed-long-ago");
+  const dir::DirState::ApplyEffect effect;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir::nvlog::try_cancel(nv, del, effect));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(nv.record_count()));
+  state.counters["records"] = static_cast<double>(nv.record_count());
+}
+BENCHMARK(BM_NvlogTryCancelFullLog)->Unit(benchmark::kMicrosecond);
 
 void BM_CapabilityVerify(benchmark::State& state) {
   const std::uint64_t secret = 0x123456789abcULL;

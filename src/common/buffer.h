@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +20,9 @@ namespace amoeba {
 /// on every network event, and the pool keeps those churn allocations off
 /// the global heap (see pool.h).
 using Buffer = std::vector<std::uint8_t, PoolAllocator<std::uint8_t>>;
+
+/// Read-only view of encoded bytes: a whole Buffer or a range inside one.
+using ByteSpan = std::span<const std::uint8_t>;
 
 /// Thrown by Reader when the input is truncated or malformed.
 class DecodeError : public std::runtime_error {
@@ -57,18 +61,21 @@ class Writer {
   [[nodiscard]] const Buffer& view() const { return buf_; }
 
  private:
+  /// One bulk insert per integer: a push_back per byte re-checks capacity
+  /// and bumps the end pointer n times.
   void put_le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    std::uint8_t le[8];
+    for (int i = 0; i < n; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), le, le + n);
   }
   Buffer buf_;
 };
 
-/// Consumes a Buffer front-to-back; throws DecodeError on underflow.
+/// Consumes a byte range front-to-back; throws DecodeError on underflow.
+/// The range (a whole Buffer converts implicitly) must outlive the Reader.
 class Reader {
  public:
-  explicit Reader(const Buffer& buf) : buf_(buf) {}
+  explicit Reader(ByteSpan in) : data_(in.data()), size_(in.size()) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(get_le(1)); }
   std::uint16_t u16() { return static_cast<std::uint16_t>(get_le(2)); }
@@ -90,28 +97,33 @@ class Reader {
     return n;
   }
 
-  Buffer bytes() {
-    std::size_t n = u32();
+  /// Length-prefixed (u32) byte string, as a view into the input: nothing
+  /// is copied, so a nested message can be decoded where it lies.
+  ByteSpan view() {
+    const std::size_t n = u32();
     need(n);
-    Buffer out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const ByteSpan out(data_ + pos_, n);
     pos_ += n;
     return out;
   }
+  Buffer bytes() {
+    const ByteSpan v = view();
+    return Buffer(v.begin(), v.end());
+  }
   std::string str() {
-    Buffer b = bytes();
-    return std::string(b.begin(), b.end());
+    const ByteSpan v = view();
+    return std::string(v.begin(), v.end());
   }
 
   /// Everything not yet consumed, without a length prefix.
   Buffer rest() {
-    Buffer out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), buf_.end());
-    pos_ = buf_.size();
+    Buffer out(data_ + pos_, data_ + size_);
+    pos_ = size_;
     return out;
   }
 
-  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == buf_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
+  [[nodiscard]] bool done() const { return pos_ == size_; }
 
   /// Throws unless the whole buffer was consumed; guards against trailing
   /// garbage in wire messages.
@@ -121,20 +133,21 @@ class Reader {
 
  private:
   void need(std::size_t n) const {
-    if (buf_.size() - pos_ < n) throw DecodeError("message truncated");
+    if (size_ - pos_ < n) throw DecodeError("message truncated");
   }
   std::uint64_t get_le(int n) {
     need(static_cast<std::size_t>(n));
     std::uint64_t v = 0;
     for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(buf_[pos_ + static_cast<std::size_t>(i)])
+      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
            << (8 * i);
     }
     pos_ += static_cast<std::size_t>(n);
     return v;
   }
 
-  const Buffer& buf_;
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t pos_ = 0;
 };
 

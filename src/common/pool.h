@@ -57,8 +57,11 @@ inline Cache& cache() {
 }
 
 /// Index of the smallest class that fits `bytes` (bytes <= kMaxClass).
+/// Rounds max(bytes, kMinClass), not `bytes | kMinClass`: the OR would
+/// move every power of two above 16 up a class, and kMaxClass itself to
+/// index kNumClasses, one past the freelist heads.
 inline std::size_t class_index(std::size_t bytes) {
-  const std::size_t sz = std::bit_ceil(bytes | kMinClass);
+  const std::size_t sz = std::bit_ceil(bytes < kMinClass ? kMinClass : bytes);
   return static_cast<std::size_t>(std::countr_zero(sz)) - 4;
 }
 

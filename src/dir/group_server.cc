@@ -233,20 +233,8 @@ void flush_all(ServerCtx& ctx, Storage& st) {
 
   // Snapshot which objects the log mentions; anything appended during the
   // disk writes below stays in the log for the next flush.
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> objs;
-  for (const auto& rec : ctx.nv->records()) {
-    ids.push_back(rec.id);
-    for (const nvlog::Record& d : nvlog::decode_any(rec.data)) {
-      std::uint32_t obj =
-          d.objhint != 0 ? d.objhint : request_target(d.request);
-      if (obj != 0 &&
-          std::find(objs.begin(), objs.end(), obj) == objs.end()) {
-        objs.push_back(obj);
-      }
-    }
-  }
-  for (std::uint32_t obj : objs) {
+  const nvlog::FlushSet fs = nvlog::flush_set(*ctx.nv);
+  for (std::uint32_t obj : fs.objs) {
     if (ctx.state.entry(obj) != nullptr) {
       auto old = persist_object(ctx, st, obj);
       if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
@@ -259,7 +247,7 @@ void flush_all(ServerCtx& ctx, Storage& st) {
   }
   ctx.pending_commit_seqno = 0;
   (void)write_commit_block(ctx, st);
-  for (std::uint64_t id : ids) (void)ctx.nv->cancel(id);
+  for (std::uint64_t id : fs.ids) (void)ctx.nv->cancel(id);
   ctx.stats->flushes++;
   ++ctx.mx_flushes;
 }

@@ -42,31 +42,32 @@ Buffer encode_batch(std::uint64_t seqno, const std::vector<Record>& subs) {
   return w.take();
 }
 
-bool is_batch(const Buffer& b) {
-  if (b.size() < 8) return false;
-  Reader r(b);
-  return (r.u64() & kBatchFlag) != 0;
+bool is_batch(ByteSpan b) {
+  return b.size() >= 8 && (b[7] & 0x80) != 0;  // kBatchFlag, little-endian
 }
 
 std::vector<Record> decode_any(const Buffer& b) {
-  if (!is_batch(b)) return {decode(b)};
-  Reader r(b);
-  const std::uint64_t seqno = r.u64() & ~kBatchFlag;
-  const auto n = r.count<std::uint32_t>(8 + 4 + 4);  // secret, hint, request
   std::vector<Record> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Record rec;
-    rec.seqno = seqno;
-    rec.secret = r.u64();
-    rec.objhint = r.u32();
-    rec.request = r.bytes();
-    out.push_back(std::move(rec));
+  if (!for_each_sub(b, [&out](const SubView& s) {
+        out.push_back({s.seqno, s.secret, s.objhint,
+                       Buffer(s.request.begin(), s.request.end())});
+      })) {
+    throw DecodeError("undecodable NVRAM record");
   }
   return out;
 }
 
-std::uint32_t request_target(const Buffer& request) {
+bool well_formed(ByteSpan rec) {
+  try {
+    auto skip = [](const SubView&) {};
+    detail::parse(rec, skip);
+    return true;
+  } catch (const DecodeError&) {
+    return false;
+  }
+}
+
+std::uint32_t request_target(ByteSpan request) {
   try {
     Reader r(request);
     auto op = static_cast<DirOp>(r.u8());
@@ -77,7 +78,7 @@ std::uint32_t request_target(const Buffer& request) {
   }
 }
 
-std::string request_row(const Buffer& request) {
+std::string_view request_row(ByteSpan request) {
   try {
     Reader r(request);
     auto op = static_cast<DirOp>(r.u8());
@@ -86,45 +87,32 @@ std::string request_row(const Buffer& request) {
       return {};
     }
     (void)cap::Capability::decode(r);
-    return r.str();
+    const ByteSpan name = r.view();
+    return {reinterpret_cast<const char*>(name.data()), name.size()};
   } catch (const DecodeError&) {
     return {};
   }
 }
 
 namespace {
-bool decodes(const Buffer& b) {
-  try {
-    (void)decode_any(b);
-    return true;
-  } catch (const DecodeError&) {
-    return false;
-  }
-}
-
-/// Does any sub of a (decodable) batch record target `obj`? Used as an
-/// ordering guard by try_cancel: a batch record cannot be cancelled
-/// piecemeal, and cancelling a *plain* record ordered before batch ops on
-/// the same object would reorder replay. Plain records report false.
-bool batch_touches(const Buffer& b, std::uint32_t obj) {
-  if (!is_batch(b)) return false;
-  for (const auto& d : decode_any(b)) {
-    if (d.objhint == obj) return true;
-    if (request_target(d.request) == obj) return true;
-  }
-  return false;
+bool has_op(ByteSpan request, DirOp op) {
+  return !request.empty() && request[0] == static_cast<std::uint8_t>(op);
 }
 }  // namespace
 
 std::size_t truncate_torn(nvram::Nvram& nv) {
   std::size_t dropped = 0;
-  while (!nv.records().empty() && !decodes(nv.records().back().data)) {
+  while (!nv.records().empty() && !well_formed(nv.records().back().data)) {
     nv.cancel(nv.records().back().id);
     ++dropped;
   }
   return dropped;
 }
 
+// Both branches refuse (return 0) once a batch record has a sub on the
+// object: a batch record cannot be cancelled piecemeal, and cancelling a
+// plain record ordered before batch ops on the same object would reorder
+// replay. Torn records are skipped: they are not cancellable.
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
                        const DirState::ApplyEffect& effect) {
   auto op_res = peek_op(request);
@@ -132,16 +120,26 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
 
   if (*op_res == DirOp::delete_row) {
     const std::uint32_t obj = request_target(request);
-    const std::string name = request_row(request);
+    const std::string_view name = request_row(request);
     const auto& recs = nv.records();
     for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
-      if (!decodes(it->data)) continue;  // torn tail: not cancellable
-      if (batch_touches(it->data, obj)) return 0;  // see batch_touches
-      if (is_batch(it->data)) continue;
-      Record d = decode(it->data);
-      auto rop = peek_op(d.request);
-      if (rop.is_ok() && *rop == DirOp::append_row &&
-          request_target(d.request) == obj && request_row(d.request) == name) {
+      const bool batch = is_batch(it->data);
+      bool refuse = false;
+      bool match = false;
+      if (!for_each_sub(it->data, [&](const SubView& s) {
+            if (batch) {
+              refuse = refuse || s.objhint == obj ||
+                       request_target(s.request) == obj;
+            } else {
+              match = has_op(s.request, DirOp::append_row) &&
+                      request_target(s.request) == obj &&
+                      request_row(s.request) == name;
+            }
+          })) {
+        continue;
+      }
+      if (refuse) return 0;
+      if (match) {
         nv.cancel(it->id);
         return 2;  // the append and the delete both elided
       }
@@ -150,29 +148,32 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
   }
 
   if (*op_res == DirOp::delete_dir && !effect.deleted.empty()) {
+    // Cancel every plain record on the directory, but only if the
+    // directory was created inside the log.
     const std::uint32_t obj = effect.deleted.front();
     bool born_in_nvram = false;
-    for (const auto& rec : nv.records()) {
-      if (!decodes(rec.data)) continue;
-      // A batch record touching this object cannot be cancelled piecemeal
-      // (its other subs share the NVRAM append); log the delete instead.
-      if (batch_touches(rec.data, obj)) return 0;
-      if (is_batch(rec.data)) continue;
-      Record d = decode(rec.data);
-      auto rop = peek_op(d.request);
-      if (rop.is_ok() && *rop == DirOp::create_dir && d.objhint == obj) {
-        born_in_nvram = true;
-      }
-    }
-    if (!born_in_nvram) return 0;
     std::vector<std::uint64_t> to_cancel;
     for (const auto& rec : nv.records()) {
-      if (!decodes(rec.data) || is_batch(rec.data)) continue;
-      Record d = decode(rec.data);
-      std::uint32_t target =
-          d.objhint != 0 ? d.objhint : request_target(d.request);
-      if (target == obj) to_cancel.push_back(rec.id);
+      const bool batch = is_batch(rec.data);
+      bool refuse = false;
+      if (!for_each_sub(rec.data, [&](const SubView& s) {
+            if (batch) {
+              refuse = refuse || s.objhint == obj ||
+                       request_target(s.request) == obj;
+              return;
+            }
+            if (has_op(s.request, DirOp::create_dir) && s.objhint == obj) {
+              born_in_nvram = true;
+            }
+            const std::uint32_t target =
+                s.objhint != 0 ? s.objhint : request_target(s.request);
+            if (target == obj) to_cancel.push_back(rec.id);
+          })) {
+        continue;
+      }
+      if (refuse) return 0;
     }
+    if (!born_in_nvram) return 0;
     for (auto id : to_cancel) nv.cancel(id);
     return to_cancel.size() + 1;
   }
@@ -217,13 +218,32 @@ void replay(DirState& state, const nvram::Nvram& nv) {
 std::uint64_t max_seqno(const nvram::Nvram& nv) {
   std::uint64_t m = 0;
   for (const auto& rec : nv.records()) {
-    try {
-      for (const Record& d : decode_any(rec.data)) m = std::max(m, d.seqno);
-    } catch (const DecodeError&) {
+    if (!for_each_sub(rec.data, [&m](const SubView& s) {
+          m = std::max(m, s.seqno);
+        })) {
       break;  // torn tail record: the log cleanly ends here
     }
   }
   return m;
+}
+
+FlushSet flush_set(const nvram::Nvram& nv) {
+  FlushSet out;
+  out.ids.reserve(nv.record_count());
+  for (const auto& rec : nv.records()) {
+    out.ids.push_back(rec.id);
+    if (!for_each_sub(rec.data, [&out](const SubView& s) {
+          const std::uint32_t obj =
+              s.objhint != 0 ? s.objhint : request_target(s.request);
+          if (obj != 0 && std::find(out.objs.begin(), out.objs.end(), obj) ==
+                              out.objs.end()) {
+            out.objs.push_back(obj);
+          }
+        })) {
+      throw DecodeError("torn NVRAM record");
+    }
+  }
+  return out;
 }
 
 }  // namespace amoeba::dir::nvlog

@@ -136,17 +136,6 @@ void traced_cpu(RpcServerCtx& ctx, sim::Duration d, obs::TraceContext parent) {
   }
 }
 
-std::uint32_t request_target_rpc(const Buffer& request) {
-  try {
-    Reader r(request);
-    auto op = static_cast<DirOp>(r.u8());
-    if (op == DirOp::create_dir) return 0;
-    return cap::Capability::decode(r).object;
-  } catch (const DecodeError&) {
-    return 0;
-  }
-}
-
 /// Self-describing on-disk form of a directory: object number, check
 /// secret, contents (which already embed the seqno).
 Buffer wrap_dir(std::uint32_t obj, std::uint64_t secret, const Directory& d) {
@@ -215,23 +204,13 @@ void flush_all_rpc(RpcServerCtx& ctx, Storage& st) {
     }
   } guard{&ctx};
 
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> objs;
-  for (const auto& rec : ctx.nv->records()) {
-    ids.push_back(rec.id);
-    nvlog::Record d = nvlog::decode(rec.data);
-    std::uint32_t obj =
-        d.objhint != 0 ? d.objhint : nvlog::request_target(d.request);
-    if (obj != 0 && std::find(objs.begin(), objs.end(), obj) == objs.end()) {
-      objs.push_back(obj);
-    }
-  }
-  for (std::uint32_t obj : objs) {
+  const nvlog::FlushSet fs = nvlog::flush_set(*ctx.nv);
+  for (std::uint32_t obj : fs.objs) {
     if (ctx.state.entry(obj) == nullptr) continue;  // deleted meanwhile
     auto old = write_copy(ctx, st, obj);
     if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
   }
-  for (std::uint64_t id : ids) (void)ctx.nv->cancel(id);
+  for (std::uint64_t id : fs.ids) (void)ctx.nv->cancel(id);
   ctx.stats->flushes++;
   ++ctx.mx_flushes;
 }
@@ -376,7 +355,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Storage& st, const Buffer& request,
         if (auto pop = peek_op(dir_request);
             pop.is_ok() && *pop == DirOp::delete_dir) {
           if (ObjectEntry* e =
-                  ctx.state.entry(request_target_rpc(dir_request))) {
+                  ctx.state.entry(nvlog::request_target(dir_request))) {
             obsolete = e->bullet;
           }
         }
@@ -533,7 +512,7 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
       // Peer committed the intentions: perform the update.
       cap::Capability deleted_file = cap::kNullCap;
       if (*op_res == DirOp::delete_dir) {
-        if (ObjectEntry* e = ctx.state.entry(request_target_rpc(req.data))) {
+        if (ObjectEntry* e = ctx.state.entry(nvlog::request_target(req.data))) {
           deleted_file = e->bullet;
         }
       }

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "cap/capability.h"
 #include "common/buffer.h"
 #include "common/log.h"
+#include "common/pool.h"
 #include "common/rand.h"
 #include "common/status.h"
+#include "dir/types.h"
 
 namespace amoeba {
 namespace {
@@ -137,6 +144,161 @@ TEST(BufferTest, RestConsumesRemainder) {
   r.u8();
   EXPECT_EQ(to_string(r.rest()), "tail");
   EXPECT_TRUE(r.done());
+}
+
+TEST(BufferTest, ViewReadsInPlaceAndReaderTakesSubranges) {
+  Writer w;
+  w.str("outer");
+  w.u32(7);
+  const Buffer b = w.take();
+  Reader r(b);
+  const ByteSpan v = r.view();
+  ASSERT_EQ(v.size(), 5u);
+  EXPECT_EQ(v.data(), b.data() + 4);  // a view into the input, not a copy
+  EXPECT_EQ(r.u32(), 7u);
+  // A Reader over a subrange stops at the subrange's end.
+  Reader sub(ByteSpan(b).subspan(4, 2));
+  EXPECT_EQ(sub.u16(), 0x756fu);  // "ou"
+  EXPECT_THROW(sub.u8(), DecodeError);
+  // view() checks its length prefix like bytes() does.
+  Reader bad(ByteSpan(b).first(6));
+  EXPECT_THROW((void)bad.view(), DecodeError);
+}
+
+// Golden wire bytes, spelled out: the encoder's byte order and widths are
+// the on-disk and on-wire format, so they must never drift.
+TEST(BufferTest, WriterGoldenBytesForEveryWidth) {
+  using Bytes = std::vector<std::uint8_t>;
+  auto bytes_of = [](auto put) {
+    Writer w;
+    put(w);
+    const Buffer b = w.take();
+    return Bytes(b.begin(), b.end());
+  };
+  constexpr auto kMin64 = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax64 = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u8(0); }), Bytes({0x00}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u8(0x7f); }), Bytes({0x7f}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u8(0x80); }), Bytes({0x80}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u8(0xff); }), Bytes({0xff}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.boolean(false); }), Bytes({0x00}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.boolean(true); }), Bytes({0x01}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u16(0); }), Bytes({0x00, 0x00}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u16(0x7fff); }), Bytes({0xff, 0x7f}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u16(0x8000); }), Bytes({0x00, 0x80}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u16(0xffff); }), Bytes({0xff, 0xff}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u16(0x1234); }), Bytes({0x34, 0x12}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u32(0); }), Bytes({0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u32(0x7fffffff); }),
+            Bytes({0xff, 0xff, 0xff, 0x7f}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u32(0x80000000); }),
+            Bytes({0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u32(0xffffffff); }),
+            Bytes({0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u32(0x12345678); }),
+            Bytes({0x78, 0x56, 0x34, 0x12}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u64(0); }), Bytes(8, 0x00));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u64(0x7fffffffffffffffULL); }),
+            Bytes({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u64(0x8000000000000000ULL); }),
+            Bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u64(~0ULL); }), Bytes(8, 0xff));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.u64(0x0123456789abcdefULL); }),
+            Bytes({0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.i64(0); }), Bytes(8, 0x00));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.i64(-1); }), Bytes(8, 0xff));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.i64(-2); }),
+            Bytes({0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(bytes_of([&](Writer& w) { w.i64(kMin64); }),
+            Bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(bytes_of([&](Writer& w) { w.i64(kMax64); }),
+            Bytes({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.str(""); }), Bytes({0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](Writer& w) { w.str("ab"); }),
+            Bytes({0x02, 0x00, 0x00, 0x00, 'a', 'b'}));
+  // Appending after an odd-sized prefix: each integer lands right after it.
+  EXPECT_EQ(bytes_of([](Writer& w) {
+              w.u8(0xaa);
+              w.u16(0x0102);
+              w.u32(0x03040506);
+              w.u64(0x0708090a0b0c0d0eULL);
+              w.u8(0xbb);
+            }),
+            Bytes({0xaa, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0e, 0x0d,
+                   0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07, 0xbb}));
+}
+
+TEST(BufferTest, CapabilityAndDirectoryGoldenBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  cap::Capability c1;
+  c1.port = net::Port{0x0000f11e00c0ffeeULL};
+  c1.object = 0x00abcdef;
+  c1.rights = cap::kRightsAll;
+  c1.check = 0x0000123456789abcULL;
+  cap::Capability c2;
+  c2.port = net::Port{1};
+  c2.rights = cap::kRightRead;
+  cap::Capability c3;
+  c3.port = net::Port{~0ULL};
+  c3.object = 0xffffffff;
+  c3.rights = 0x80;
+  c3.check = cap::CheckScheme::kCheckMask;
+
+  Writer cw;
+  c1.encode(cw);
+  const Buffer cb = cw.take();
+  EXPECT_EQ(Bytes(cb.begin(), cb.end()),
+            Bytes({0xee, 0xff, 0xc0, 0x00, 0x1e, 0xf1, 0x00, 0x00, 0xef, 0xcd,
+                   0xab, 0x00, 0xff, 0xbc, 0x9a, 0x78, 0x56, 0x34, 0x12, 0x00,
+                   0x00}));
+  EXPECT_EQ(cb.size(), cap::Capability::kEncodedSize);
+
+  dir::Directory d;
+  d.columns = {"name", "owner"};
+  d.rows = {{"alpha", {c1, c2}}, {"", {c3}}, {"zeta-row", {}}};
+  d.seqno = 0x8000000000000001ULL;
+  const Buffer db = d.serialize();
+  EXPECT_EQ(
+      Bytes(db.begin(), db.end()),
+      Bytes({0x02, 0x00, 0x04, 0x00, 0x00, 0x00, 0x6e, 0x61, 0x6d, 0x65,
+             0x05, 0x00, 0x00, 0x00, 0x6f, 0x77, 0x6e, 0x65, 0x72, 0x03,
+             0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x70,
+             0x68, 0x61, 0x02, 0x00, 0xee, 0xff, 0xc0, 0x00, 0x1e, 0xf1,
+             0x00, 0x00, 0xef, 0xcd, 0xab, 0x00, 0xff, 0xbc, 0x9a, 0x78,
+             0x56, 0x34, 0x12, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+             0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+             0xff, 0xff, 0xff, 0xff, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff,
+             0xff, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x7a, 0x65, 0x74,
+             0x61, 0x2d, 0x72, 0x6f, 0x77, 0x00, 0x00, 0x01, 0x00, 0x00,
+             0x00, 0x00, 0x00, 0x00, 0x80}));
+  const dir::Directory back = dir::Directory::deserialize(db);
+  EXPECT_EQ(back.rows.size(), 3u);
+  EXPECT_EQ(back.rows[0].cols[0], c1);
+  EXPECT_EQ(back.seqno, d.seqno);
+}
+
+TEST(PoolTest, EverySizeMapsToTheSmallestClassThatFitsIt) {
+  // 4096 used to map one past the last class, onto the thread_local that
+  // follows the freelist heads (see EngineRegression in
+  // engine_stress_test.cc for the crash it caused).
+  using namespace pool_detail;
+  for (std::size_t n = 0; n <= kMaxClass; ++n) {
+    const std::size_t idx = class_index(n);
+    ASSERT_LT(idx, kNumClasses) << n;
+    EXPECT_GE(class_size(idx), n) << n;
+    if (idx > 0) {
+      EXPECT_LT(class_size(idx - 1), n) << n;
+    }
+  }
+  void* p = allocate(kMaxClass);
+  deallocate(p, kMaxClass);
+  void* q = allocate(kMaxClass);
+#if !AMOEBA_POOL_PASSTHROUGH
+  EXPECT_EQ(q, p);  // recycled through its own class
+#endif
+  deallocate(q, kMaxClass);
 }
 
 TEST(PrngTest, DeterministicForSeed) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "bench_common.h"
 #include "dir/client.h"
 #include "group/group.h"
@@ -23,30 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rpc/rpc.h"
-
-// Allocation probe for the hot-path tests: the replacement operator new
-// counts while armed, then delegates. Link-time replacement covers the
-// whole test binary, so arm it only around the section under test.
-namespace {
-std::size_t g_alloc_count = 0;
-bool g_count_allocs = false;
-}  // namespace
-
-// GCC flags free() on new'ed pointers without seeing that the replacement
-// operator new below is itself malloc-backed — a false positive here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  if (g_count_allocs) ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace amoeba {
 namespace {
