@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <memory>
 
-#include "bullet/bullet.h"
 #include "common/log.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
-#include "disk/disk_server.h"
-#include "nvram/nvram.h"
+#include "dir/replica_store.h"
 #include "rpc/rpc.h"
 #include "sim/waitq.h"
 
@@ -21,6 +19,17 @@ using net::MachineId;
 using net::Port;
 
 using AdminOp = GroupAdminOp;
+using Io = ReplicaStore::Io;
+
+// Calibrated Sun3/60-era CPU costs (see DESIGN.md).
+constexpr sim::Duration kCpuRead = sim::msec(3);
+constexpr sim::Duration kCpuWrite = sim::msec(3);
+constexpr sim::Duration kCpuApply = sim::msec(4);
+
+// Recovery pacing.
+constexpr sim::Duration kMajorityWait = sim::msec(500);
+constexpr sim::Duration kRecoveryBackoff = sim::msec(150);
+constexpr sim::Duration kReadBarrierTimeout = sim::msec(1000);
 
 /// Everything the server's processes share. Allocated in the service-main
 /// frame; worker processes are spawned afterwards, so the reverse-order
@@ -30,7 +39,8 @@ struct ServerCtx {
   GroupDirOptions opts;
   int my_index;
   DirState state;
-  CommitBlock cblock;
+  ReplicaStore store;
+  CommitBlock& cblock;  // the store's copy of the on-disk commit block
   std::uint64_t my_seqno = 0;
 
   std::unique_ptr<group::GroupMember> gm;
@@ -41,12 +51,6 @@ struct ServerCtx {
   std::uint64_t next_opid = 1;
   bool in_recovery = true;
   bool continuously_up = false;
-  sim::Time last_client_op = 0;
-  std::uint64_t pending_commit_seqno = 0;  // delete-dir seqno awaiting flush
-
-  nvram::Nvram* nv = nullptr;
-  bool flushing = false;
-  sim::WaitQueue flush_wq;
 
   GroupDirStats* stats = nullptr;
 
@@ -72,7 +76,6 @@ struct ServerCtx {
   obs::Counter& mx_writes;
   obs::Counter& mx_applies;
   obs::Counter& mx_refused;
-  obs::Counter& mx_flushes;
   obs::Counter& mx_lease_grants;
   obs::Counter& mx_lease_invals;
   obs::Counter& mx_group_commits;
@@ -84,14 +87,16 @@ struct ServerCtx {
         opts(std::move(o)),
         my_index(idx),
         state(opts.dir_port),
+        store(m, state,
+              {StoreFormat::object_table, "dir.group", idx, opts.bullet_port,
+               opts.disk_port, opts.use_nvram, opts.nvram_bytes}),
+        cblock(store.commit_block()),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
-        flush_wq(m.sim()),
         mx_reads(m.metrics().counter("dir.group", "reads")),
         mx_writes(m.metrics().counter("dir.group", "writes")),
         mx_applies(m.metrics().counter("dir.group", "applies")),
         mx_refused(m.metrics().counter("dir.group", "refused_no_majority")),
-        mx_flushes(m.metrics().counter("dir.group", "flushes")),
         mx_lease_grants(m.metrics().counter("dir.group", "lease_grants")),
         mx_lease_invals(m.metrics().counter("dir.group", "lease_invals")),
         mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")),
@@ -120,269 +125,9 @@ struct ServerCtx {
   }
 };
 
-/// Per-process handles to this server's bullet and raw-partition servers.
-/// RpcClients are stateful, so every process owns its own Storage.
-struct Storage {
-  rpc::RpcClient rpc;
-  bullet::BulletClient bullet;
-  disk::DiskClient disk;
-  explicit Storage(ServerCtx& ctx)
-      : rpc(ctx.machine),
-        bullet(rpc, ctx.opts.bullet_port),
-        disk(rpc, ctx.opts.disk_port) {}
-};
-
 Port admin_port(const ServerCtx& ctx, int index) {
   return Port{ctx.opts.admin_port_base.v +
               ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
-
-// --------------------------------------------------------- persistence
-
-/// Charge CPU and, when tracing, record the burst as a cpu-leg span under
-/// `parent` (the span covers queueing for the core plus the burst itself).
-void traced_cpu(ServerCtx& ctx, sim::Duration d, obs::TraceContext parent) {
-  const sim::Time t0 = ctx.now();
-  ctx.machine.cpu().use(d);
-  if (parent.active()) {
-    obs::Trace& tr = ctx.machine.trace();
-    tr.complete(t0, ctx.now() - t0, "cpu", "use", ctx.machine.id().v, 0,
-                parent.trace, tr.new_span_id(), parent.span, obs::Leg::cpu);
-  }
-}
-
-Status write_commit_block(ServerCtx& ctx, Storage& st,
-                          obs::TraceContext tctx = {}) {
-  return st.disk.write_block(0, ctx.cblock.serialize(), tctx);
-}
-
-/// Write one directory's current contents to stable storage: a new Bullet
-/// file plus the object-table block. Returns the superseded Bullet cap so
-/// the caller can remove it after waking the initiator (Fig. 5).
-Result<cap::Capability> persist_object(ServerCtx& ctx, Storage& st,
-                                       std::uint32_t obj,
-                                       obs::TraceContext tctx = {}) {
-  Directory* d = ctx.state.directory(obj);
-  if (ctx.state.entry(obj) == nullptr || d == nullptr) {
-    return Status::error(Errc::internal, "persist of unknown object");
-  }
-  Buffer contents = d->serialize();
-  auto file = st.bullet.create(contents, tctx);
-  if (!file.is_ok()) return file.status();
-  // The Bullet create yields to the simulator; the group thread may have
-  // applied a delete_dir for this very object while we slept, invalidating
-  // any pointer into the table. Re-look the object up before touching it —
-  // if it is gone, drop the fresh file and report it; the caller's next
-  // flush sees the deletion record and clears the disk block.
-  ObjectEntry* e = ctx.state.entry(obj);
-  if (e == nullptr || ctx.state.directory(obj) == nullptr) {
-    (void)st.bullet.del(*file);
-    return Status::error(Errc::not_found, "object deleted during persist");
-  }
-  cap::Capability old = e->bullet;
-  e->bullet = *file;
-  Writer w;
-  e->encode(w);
-  Status ws = st.disk.write_block(obj, w.take(), tctx);
-  if (!ws.is_ok()) return ws;
-  return old;
-}
-
-/// Persist a directory deletion: clear the object-table block and advance
-/// the commit-block sequence number (the paper's Fig. 4 corner case).
-Status persist_delete(ServerCtx& ctx, Storage& st, std::uint32_t obj,
-                      std::uint64_t seqno, const cap::Capability& old_file,
-                      obs::TraceContext tctx = {}) {
-  Status ws = st.disk.write_block(obj, Buffer{}, tctx);
-  if (!ws.is_ok()) return ws;
-  ctx.cblock.seqno = std::max(ctx.cblock.seqno, seqno);
-  Status cs = write_commit_block(ctx, st, tctx);
-  if (!cs.is_ok()) return cs;
-  if (!old_file.is_null()) (void)st.bullet.del(old_file);
-  return Status::ok();
-}
-
-/// Write the entire current database to this server's own storage (state
-/// transfer install, and NVRAM flush-all).
-Status persist_everything(ServerCtx& ctx, Storage& st) {
-  for (const auto& [obj, e] : ctx.state.table()) {
-    auto old = persist_object(ctx, st, obj);
-    if (!old.is_ok()) return old.status();
-    if (!old->is_null()) (void)st.bullet.del(*old);
-  }
-  return write_commit_block(ctx, st);
-}
-
-// --------------------------------------------------------- NVRAM backend
-
-using nvlog::request_target;
-
-void flush_all(ServerCtx& ctx, Storage& st) {
-  // Single-flight: a group thread blocked on a full NVRAM waits for the
-  // flusher (or vice versa).
-  while (ctx.flushing) ctx.flush_wq.wait();
-  if (ctx.nv->empty() && ctx.pending_commit_seqno == 0) return;
-  ctx.flushing = true;
-  struct Guard {
-    ServerCtx* c;
-    ~Guard() {
-      c->flushing = false;
-      c->flush_wq.notify_all();
-    }
-  } guard{&ctx};
-
-  // Snapshot which objects the log mentions; anything appended during the
-  // disk writes below stays in the log for the next flush.
-  const nvlog::FlushSet fs = nvlog::flush_set(*ctx.nv);
-  for (std::uint32_t obj : fs.objs) {
-    if (ctx.state.entry(obj) != nullptr) {
-      auto old = persist_object(ctx, st, obj);
-      if (old.is_ok() && !old->is_null()) (void)st.bullet.del(*old);
-    } else {
-      (void)st.disk.write_block(obj, Buffer{});
-    }
-  }
-  if (ctx.pending_commit_seqno > ctx.cblock.seqno) {
-    ctx.cblock.seqno = ctx.pending_commit_seqno;
-  }
-  ctx.pending_commit_seqno = 0;
-  (void)write_commit_block(ctx, st);
-  for (std::uint64_t id : fs.ids) (void)ctx.nv->cancel(id);
-  ctx.stats->flushes++;
-  ++ctx.mx_flushes;
-}
-
-/// Log an update in NVRAM instead of touching the disk (Sec. 4.1). Applies
-/// the append+delete cancellation: a delete whose matching append is still
-/// in the log removes the append and logs nothing.
-void nvram_log(ServerCtx& ctx, Storage& st, const Buffer& request,
-               std::uint64_t secret, std::uint64_t seqno,
-               const DirState::ApplyEffect& effect,
-               obs::TraceContext tctx = {}) {
-  const std::size_t cancelled = nvlog::try_cancel(*ctx.nv, request, effect);
-  if (cancelled > 0) {
-    ctx.stats->nvram_cancellations += cancelled;
-    return;
-  }
-  auto op_res = peek_op(request);
-  const DirOp op = op_res.is_ok() ? *op_res : DirOp::list_dir;
-  if (op == DirOp::delete_dir) {
-    // Deletion of an on-disk directory: remember the commit-block seqno
-    // obligation for the next flush (Fig. 4).
-    ctx.pending_commit_seqno = std::max(ctx.pending_commit_seqno, seqno);
-  }
-  nvlog::Record rec;
-  rec.seqno = seqno;
-  rec.secret = secret;
-  rec.request = request;
-  if (op == DirOp::create_dir && !effect.touched.empty()) {
-    rec.objhint = effect.touched.front();
-  }
-  Buffer encoded = nvlog::encode(rec);
-  while (!ctx.nv->would_fit(encoded.size())) {
-    // NVRAM full in the critical path: the update stalls on a flush — this
-    // is the visible cost of a small NVRAM (ablated in the benchmarks).
-    flush_all(ctx, st);
-  }
-  (void)ctx.nv->append(
-      rec.objhint != 0 ? rec.objhint : request_target(request),
-      std::move(encoded), tctx);
-}
-
-/// Group commit: ONE NVRAM append covering every state-changing update of
-/// one ordered batch. The append+delete cancellation is skipped — a batch
-/// record cannot be cancelled piecemeal (nvlog::try_cancel knows to refuse
-/// matches ordered before one).
-void nvram_log_batch(ServerCtx& ctx, Storage& st,
-                     const std::vector<nvlog::Record>& subs,
-                     std::uint64_t seqno, obs::TraceContext tctx = {}) {
-  for (const auto& rec : subs) {
-    auto op = peek_op(rec.request);
-    if (op.is_ok() && *op == DirOp::delete_dir) {
-      ctx.pending_commit_seqno = std::max(ctx.pending_commit_seqno, seqno);
-    }
-  }
-  const std::uint32_t label = subs.front().objhint != 0
-                                  ? subs.front().objhint
-                                  : request_target(subs.front().request);
-  Buffer encoded = nvlog::encode_batch(seqno, subs);
-  while (!ctx.nv->would_fit(encoded.size())) {
-    flush_all(ctx, st);
-  }
-  (void)ctx.nv->append(label, std::move(encoded), tctx);
-  ctx.stats->nvram_group_commits++;
-  ++ctx.mx_group_commits;
-}
-
-// --------------------------------------------------------- boot loading
-
-void load_local_state(ServerCtx& ctx, Storage& st) {
-  auto cb = st.disk.read_block(0);
-  if (cb.is_ok()) {
-    try {
-      ctx.cblock = CommitBlock::deserialize(*cb);
-    } catch (const DecodeError&) {
-      ctx.cblock = CommitBlock{};
-    }
-  } else {
-    ctx.cblock = CommitBlock{};  // first boot: pristine partition
-    ctx.cblock.set_up(ctx.my_index, true);
-  }
-
-  // Sequentially scan the admin partition for object-table entries;
-  // deleted slots are simply blank.
-  ctx.state.clear();
-  std::vector<std::pair<std::uint32_t, ObjectEntry>> entries;
-  auto scan = st.disk.scan(1, kMaxObjects);
-  if (scan.is_ok()) {
-    for (const auto& [block, data] : *scan) {
-      try {
-        Reader r(data);
-        ObjectEntry e = ObjectEntry::decode(r);
-        if (e.in_use) entries.emplace_back(block, e);
-      } catch (const DecodeError&) {
-        continue;
-      }
-    }
-  }
-  for (auto& [obj, e] : entries) {
-    auto contents = st.bullet.read(e.bullet);
-    if (!contents.is_ok()) {
-      LOG_WARN << ctx.machine.name() << " missing bullet file for obj " << obj;
-      continue;
-    }
-    try {
-      ctx.state.put(obj, e, Directory::deserialize(*contents));
-    } catch (const DecodeError&) {
-      LOG_WARN << ctx.machine.name() << " corrupt directory obj " << obj;
-    }
-  }
-
-  std::uint64_t nv_max = 0;
-  if (ctx.nv != nullptr) {
-    // A crash mid-append leaves a torn tail record; drop it before replay.
-    const std::size_t torn = nvlog::truncate_torn(*ctx.nv);
-    if (torn > 0) {
-      LOG_WARN << ctx.machine.name() << " dropped " << torn
-               << " torn nvram tail record(s)";
-    }
-    nvlog::replay(ctx.state, *ctx.nv);
-    nv_max = nvlog::max_seqno(*ctx.nv);
-  }
-
-  if (ctx.cblock.recovering) {
-    // Crashed mid state-transfer: our mixture of old and new directories
-    // must never be used as a recovery source (paper Sec. 3).
-    LOG_WARN << ctx.machine.name()
-             << " booted with recovering flag set: seqno := 0";
-    ctx.my_seqno = 0;
-  } else {
-    ctx.my_seqno =
-        std::max({ctx.state.max_dir_seqno(), ctx.cblock.seqno, nv_max});
-    LOG_DEBUG << ctx.machine.name() << " boot: my_seqno=" << ctx.my_seqno
-              << " (dir=" << ctx.state.max_dir_seqno()
-              << " commit=" << ctx.cblock.seqno << " nvram=" << nv_max << ")";
-  }
 }
 
 // --------------------------------------------------------- admin service
@@ -444,7 +189,7 @@ group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
 
 /// One pass of the Fig. 6 loop body. Returns true when normal operation may
 /// begin.
-bool try_recover_once(ServerCtx& ctx, Storage& st) {
+bool try_recover_once(ServerCtx& ctx, Io& st) {
   sim::Simulator& sim = ctx.sim();
 
   // A kernel that reported an unrepairable history gap must not be reused:
@@ -498,9 +243,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
 
   // "while (minority && !timeout) wait"
   const sim::Time deadline =
-      ctx.now() + ctx.opts.majority_wait +
+      ctx.now() + kMajorityWait +
       static_cast<sim::Duration>(sim.rng().below(
-          static_cast<std::uint64_t>(ctx.opts.recovery_backoff)));
+          static_cast<std::uint64_t>(kRecoveryBackoff)));
   while (ctx.now() < deadline) {
     group::GroupInfo gi = ctx.gm->info();
     if (gi.state == group::MemberState::failed) {
@@ -513,9 +258,9 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     // "if (minority) try again (leave group and retry)"
     (void)ctx.gm->leave(sim::msec(200));
     ctx.gm.reset();
-    sim.sleep_for(ctx.opts.recovery_backoff +
+    sim.sleep_for(kRecoveryBackoff +
                   static_cast<sim::Duration>(sim.rng().below(
-                      static_cast<std::uint64_t>(ctx.opts.recovery_backoff))));
+                      static_cast<std::uint64_t>(kRecoveryBackoff))));
     return false;
   }
 
@@ -606,12 +351,12 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     // We need a snapshot but nobody answered the exchange; retry the loop.
     (void)ctx.gm->leave(sim::msec(200));
     ctx.gm.reset();
-    sim.sleep_for(ctx.opts.recovery_backoff);
+    sim.sleep_for(kRecoveryBackoff);
     return false;
   }
   if (behind_peer || behind_group) {
     ctx.cblock.recovering = true;
-    (void)write_commit_block(ctx, st);
+    (void)ctx.store.write_commit_block(st);
 
     Writer freq;
     freq.u8(static_cast<std::uint8_t>(AdminOp::fetch_state));
@@ -634,21 +379,17 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
           sim.sleep_for(sim::msec(20));
           continue;
         }
-        ctx.state = DirState::from_snapshot(snap, ctx.opts.dir_port);
-        ctx.machine.trace().instant(ctx.now(), "dir.group", "state_transfer",
-                                    ctx.machine.id().v, snap.size());
-        LOG_DEBUG << ctx.machine.name() << " installed snapshot from dir"
-                  << donor << ": applied=" << peer_applied
-                  << " cutoff=" << cutoff;
-        ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
-        ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
-        ctx.cblock.seqno = peer_commit_seqno;
-        if (ctx.nv != nullptr) {
-          // The snapshot supersedes anything logged locally.
-          while (!ctx.nv->empty()) ctx.nv->pop_front();
-          ctx.pending_commit_seqno = 0;
-        }
-        Status ps = persist_everything(ctx, st);
+        Status ps = ctx.store.install(st, snap, [&] {
+          ctx.machine.trace().instant(ctx.now(), "dir.group",
+                                      "state_transfer", ctx.machine.id().v,
+                                      snap.size());
+          LOG_DEBUG << ctx.machine.name() << " installed snapshot from dir"
+                    << donor << ": applied=" << peer_applied
+                    << " cutoff=" << cutoff;
+          ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
+          ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
+          ctx.cblock.seqno = peer_commit_seqno;
+        });
         installed = ps.is_ok();
       } catch (const DecodeError&) {
         break;
@@ -659,7 +400,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
       // seqno (paper Sec. 3).
       (void)ctx.gm->leave(sim::msec(200));
       ctx.gm.reset();
-      sim.sleep_for(ctx.opts.recovery_backoff);
+      sim.sleep_for(kRecoveryBackoff);
       return false;
     }
     ctx.cblock.recovering = false;
@@ -674,7 +415,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
     if (idx >= 0) ctx.cblock.set_up(idx, true);
   }
   ctx.cblock.recovering = false;
-  (void)write_commit_block(ctx, st);
+  (void)ctx.store.write_commit_block(st);
   ctx.continuously_up = true;
   ctx.in_recovery = false;
   ctx.applied_wq.notify_all();
@@ -683,7 +424,7 @@ bool try_recover_once(ServerCtx& ctx, Storage& st) {
   return true;
 }
 
-void run_recovery(ServerCtx& ctx, Storage& st) {
+void run_recovery(ServerCtx& ctx, Io& st) {
   ctx.in_recovery = true;
   ctx.stats->in_recovery = true;
   ctx.served_since_recovery = false;
@@ -703,7 +444,7 @@ void run_recovery(ServerCtx& ctx, Storage& st) {
 
 // --------------------------------------------------------- normal operation
 
-void update_config_from_group(ServerCtx& ctx, Storage& st) {
+void update_config_from_group(ServerCtx& ctx, Io& st) {
   if (!ctx.majority()) return;  // config only tracks majority configurations
   std::uint32_t cfgmask = 0;
   for (MachineId m : ctx.gm->info().members) {
@@ -711,7 +452,7 @@ void update_config_from_group(ServerCtx& ctx, Storage& st) {
     if (idx >= 0) cfgmask |= (1u << idx);
   }
   ctx.cblock.config = cfgmask;
-  (void)write_commit_block(ctx, st);
+  (void)ctx.store.write_commit_block(st);
 }
 
 // --------------------------------------------------------- leases
@@ -739,7 +480,6 @@ void grant_leases(ServerCtx& ctx, const rpc::IncomingRequest& req,
     auto& h = ctx.leases[obj][parsed->lease_port->v];
     h.client = req.client;
     h.expiry = std::max(h.expiry, expiry);  // renewal extends, never shrinks
-    ctx.stats->lease_grants++;
     ++ctx.mx_lease_grants;
   }
   append_lease_grants(reply, grants);
@@ -760,7 +500,6 @@ void invalidate_leases(ServerCtx& ctx, const DirState::ApplyEffect& effect,
       ctx.machine.net().unicast(ctx.machine.id(), h.client, Port{portv},
                                 make_lease_inval(obj, seqno), tctx,
                                 "lease_inval");
-      ctx.stats->lease_invals++;
       ++ctx.mx_lease_invals;
     }
     ctx.leases.erase(it);
@@ -771,7 +510,7 @@ void invalidate_leases(ServerCtx& ctx, const DirState::ApplyEffect& effect,
 
 // --------------------------------------------------------- group thread
 
-void group_thread_loop(ServerCtx& ctx, Storage& st) {
+void group_thread_loop(ServerCtx& ctx, Io& st) {
   while (true) {
     if (!ctx.gm || ctx.in_recovery) run_recovery(ctx, st);
 
@@ -794,7 +533,6 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
       Status rst = ctx.gm->reset_group(sim::sec(2));
       if (rst.is_ok() && ctx.majority()) {
         update_config_from_group(ctx, st);
-        ctx.stats->group_resets++;
         continue;
       }
       ctx.in_recovery = true;
@@ -840,6 +578,13 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
       bool mine = false;
     };
     std::vector<Sub> subs;
+    const auto read_sub = [&](Reader& r, net::MachineId origin) {
+      Sub& s = subs.emplace_back();
+      s.opid = r.u64();
+      s.secret = r.u64();
+      s.request = r.bytes();
+      s.mine = origin == ctx.machine.id();
+    };
     try {
       Reader r(msg.payload);
       if (msg.kind == group::MsgKind::batch) {
@@ -850,20 +595,10 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
           (void)r.u64();  // group-level msgid; identity here is the opid
           Buffer body = r.bytes();
           Reader br(body);
-          Sub s;
-          s.opid = br.u64();
-          s.secret = br.u64();
-          s.request = br.bytes();
-          s.mine = origin == ctx.machine.id();
-          subs.push_back(std::move(s));
+          read_sub(br, origin);
         }
       } else {
-        Sub s;
-        s.opid = r.u64();
-        s.secret = r.u64();
-        s.request = r.bytes();
-        s.mine = msg.sender == ctx.machine.id();
-        subs.push_back(std::move(s));
+        read_sub(r, msg.sender);
       }
     } catch (const DecodeError&) {
       ctx.applied_seqno = msg.seqno;
@@ -878,10 +613,10 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     const sim::Time apply_t0 = ctx.now();
     const std::uint64_t apply_sp = msg.ctx.active() ? tr.new_span_id() : 0;
     const obs::TraceContext actx{msg.ctx.trace, apply_sp};
-    traced_cpu(ctx, ctx.opts.cpu_apply, actx);
+    ctx.machine.use_cpu(kCpuApply, actx);
     // Any applied update counts as activity for the NVRAM idle-flush
     // heuristic, even when another server was the initiator.
-    ctx.last_client_op = ctx.now();
+    ctx.store.note_activity();
 
     // Apply every update in batch order, then persist once: objects touched
     // several times in one batch hit the disk (or the NVRAM log) once.
@@ -890,15 +625,8 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     std::vector<nvlog::Record> changed;  // NVRAM group-commit input
     DirState::ApplyEffect single_effect;  // of the lone changed sub, if any
     for (Sub& sub : subs) {
-      // For directory deletion, remember the on-disk file before apply()
-      // drops the entry, so it can be garbage collected after commit.
-      cap::Capability deleted_file = cap::kNullCap;
-      if (auto op = peek_op(sub.request);
-          op.is_ok() && *op == DirOp::delete_dir) {
-        if (ObjectEntry* e = ctx.state.entry(request_target(sub.request))) {
-          deleted_file = e->bullet;
-        }
-      }
+      // Garbage collected after commit.
+      const cap::Capability deleted_file = ctx.store.deleted_file(sub.request);
       DirState::ApplyEffect effect;
       sub.reply = ctx.state.apply(sub.request, sub.secret, msg.seqno, &effect);
       if (log::level() <= log::Level::debug) {
@@ -906,7 +634,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
         LOG_DEBUG << ctx.machine.name() << " APPLY seqno=" << msg.seqno
                   << " op="
                   << (dbg_op.is_ok() ? static_cast<int>(*dbg_op) : -1)
-                  << " obj=" << request_target(sub.request)
+                  << " obj=" << nvlog::request_target(sub.request)
                   << " touched="
                   << (effect.touched.empty() ? 0 : effect.touched.front())
                   << " deleted="
@@ -929,7 +657,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
       for (std::uint32_t obj : effect.deleted) {
         deleted_union.emplace_back(obj, deleted_file);
       }
-      if (ctx.nv != nullptr) {
+      if (ctx.store.uses_nvram()) {
         nvlog::Record rec;
         rec.seqno = msg.seqno;
         rec.secret = sub.secret;
@@ -944,24 +672,25 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     }
 
     std::vector<cap::Capability> old_files;
-    if (ctx.nv != nullptr) {
+    if (ctx.store.uses_nvram()) {
       if (changed.size() == 1) {
         // Lone changed update: the plain path keeps the append+delete
         // cancellation optimisation.
-        nvram_log(ctx, st, changed.front().request, changed.front().secret,
-                  msg.seqno, single_effect, actx);
+        ctx.store.log(st, changed.front().request, changed.front().secret,
+                      msg.seqno, single_effect, actx);
       } else if (changed.size() >= 2) {
-        nvram_log_batch(ctx, st, changed, msg.seqno, actx);
+        ctx.store.log_batch(st, changed, msg.seqno, actx);
+        ++ctx.mx_group_commits;
       }
     } else {
       for (std::uint32_t obj : touched_union) {
         // Skip objects a later update of the same batch deleted again.
         if (ctx.state.entry(obj) == nullptr) continue;
-        auto old = persist_object(ctx, st, obj, actx);
+        auto old = ctx.store.write(st, obj, actx);
         if (old.is_ok() && !old->is_null()) old_files.push_back(*old);
       }
       for (const auto& [obj, file] : deleted_union) {
-        (void)persist_delete(ctx, st, obj, msg.seqno, file, actx);
+        (void)ctx.store.remove(st, obj, msg.seqno, file, actx);
       }
     }
     if (apply_sp != 0) {
@@ -982,7 +711,7 @@ void group_thread_loop(ServerCtx& ctx, Storage& st) {
     }
     if (completed) ctx.completion_wq.notify_all();
     ctx.applied_wq.notify_all();
-    for (const auto& old : old_files) (void)st.bullet.del(old);
+    for (const auto& old : old_files) ctx.store.drop(st, old);
   }
 }
 
@@ -1015,12 +744,11 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
       }
     };
     const bool rd = is_read_op(*op_res);
-    traced_cpu(ctx, rd ? ctx.opts.cpu_read : ctx.opts.cpu_write, octx);
-    ctx.last_client_op = ctx.now();
+    ctx.machine.use_cpu(rd ? kCpuRead : kCpuWrite, octx);
+    ctx.store.note_activity();
 
     // "if (!majority()) return failure" — Fig. 5.
     if (ctx.in_recovery || !ctx.majority()) {
-      ctx.stats->refused_no_majority++;
       ++ctx.mx_refused;
       close_op("refused");
       server.put_reply(req, reply_error(Errc::no_majority), octx);
@@ -1032,7 +760,7 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
       // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
       if (!ctx.opts.debug_skip_read_barrier) {
         const std::uint64_t target = ctx.gm->info().known_latest;
-        const sim::Time deadline = ctx.now() + ctx.opts.read_barrier_timeout;
+        const sim::Time deadline = ctx.now() + kReadBarrierTimeout;
         while (ctx.applied_seqno < target && ctx.now() < deadline &&
                !ctx.in_recovery) {
           ctx.applied_wq.wait_until(deadline);
@@ -1047,7 +775,6 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
       if (ctx.opts.lease_caching && *op_res == DirOp::lookup_set) {
         grant_leases(ctx, req, reply);
       }
-      ctx.stats->reads++;
       ++ctx.mx_reads;
       ctx.mx_read_ms.push_back(sim::to_ms(ctx.now() - op_t0));
       note_served();
@@ -1085,25 +812,11 @@ void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
     }
     Buffer reply = std::move(it->second);
     ctx.completions.erase(it);
-    ctx.stats->writes++;
     ++ctx.mx_writes;
     ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));
     note_served();
     close_op("write");
     server.put_reply(req, std::move(reply), octx);
-  }
-}
-
-void flusher_loop(ServerCtx& ctx) {
-  Storage st(ctx);
-  while (true) {
-    ctx.sim().sleep_for(ctx.opts.flush_idle / 2);
-    if (ctx.nv->empty() && ctx.pending_commit_seqno == 0) continue;
-    const bool full =
-        static_cast<double>(ctx.nv->used_bytes()) >
-        ctx.opts.flush_high_water * static_cast<double>(ctx.nv->capacity());
-    const bool idle = ctx.now() - ctx.last_client_op >= ctx.opts.flush_idle;
-    if (full || idle) flush_all(ctx, st);
   }
 }
 
@@ -1123,18 +836,15 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   stats = GroupDirStats{};  // fresh counters per boot
   ctx.stats = &stats;
 
-  if (ctx.opts.use_nvram) {
-    nvram::NvramConfig nvcfg;
-    nvcfg.capacity_bytes = ctx.opts.nvram_bytes;
-    ctx.nv = &machine.persistent<nvram::Nvram>(
-        "group_dir.nvram", [&machine, nvcfg] {
-          return std::make_unique<nvram::Nvram>(machine.sim(), nvcfg);
-        });
-    ctx.nv->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
+  Io st(ctx.store);
+  ctx.store.load(st, ctx.my_seqno);
+  if (ctx.cblock.recovering) {
+    // Crashed mid state-transfer: our mixture of old and new directories
+    // must never be used as a recovery source (paper Sec. 3).
+    LOG_WARN << machine.name()
+             << " booted with recovering flag set: seqno := 0";
+    ctx.my_seqno = 0;
   }
-
-  Storage st(ctx);
-  load_local_state(ctx, st);
 
   // Admin service (recovery RPCs) — available even while recovering.
   auto admin = std::make_shared<rpc::RpcServer>(
@@ -1155,8 +865,8 @@ void service_main(Machine& machine, GroupDirOptions opts) {
                   [&ctx, server] { initiator_loop(ctx, *server); });
   }
 
-  if (ctx.nv != nullptr) {
-    machine.spawn("dir.flusher", [&ctx] { flusher_loop(ctx); });
+  if (ctx.store.uses_nvram()) {
+    machine.spawn("dir.flusher", [&ctx] { ctx.store.run_flusher(); });
   }
 
   // This process is the group thread (and runs recovery first).

@@ -13,10 +13,11 @@
 //     sets initialized from the on-disk commit block (Fig. 4), fetches the
 //     newest state from the member with the highest sequence number, and
 //     handles the recovering-flag and deleted-directory corner cases.
-//   * Persistence is pluggable: the plain backend writes a Bullet file and
-//     an object-table block per update; the NVRAM backend logs the update
-//     in 24 KB of NVRAM and lets a background flusher write the disk copy
-//     (Sec. 4.1), including the append+delete cancellation optimisation.
+//   * Persistence is pluggable (dir/replica_store.h, object_table layout):
+//     the plain backend writes a Bullet file and an object-table block per
+//     update; the NVRAM backend logs the update in 24 KB of NVRAM and lets
+//     a background flusher write the disk copy (Sec. 4.1), including the
+//     append+delete cancellation optimisation.
 #pragma once
 
 #include <cstdint>
@@ -63,20 +64,7 @@ struct GroupDirOptions {
   /// production configurations.
   bool debug_skip_read_barrier = false;
 
-  // Calibrated Sun3/60-era CPU costs (see DESIGN.md).
-  sim::Duration cpu_read = sim::msec(3);
-  sim::Duration cpu_write = sim::msec(3);
-  sim::Duration cpu_apply = sim::msec(4);
-
-  // Recovery pacing.
-  sim::Duration majority_wait = sim::msec(500);
-  sim::Duration recovery_backoff = sim::msec(150);
-  sim::Duration read_barrier_timeout = sim::msec(1000);
-
-  // NVRAM flushing.
   std::size_t nvram_bytes = 24 * 1024;
-  sim::Duration flush_idle = sim::msec(100);  // flush when idle this long
-  double flush_high_water = 0.75;             // or when this full
 
   // Group layer knobs (heartbeat etc.); port/universe/resilience are
   // overwritten from the fields above.
@@ -94,21 +82,12 @@ enum class GroupAdminOp : std::uint8_t { exchange = 1, fetch_state };
 /// restart). The machine must appear in `opts.dir_servers`.
 void install_group_dir_server(net::Machine& machine, GroupDirOptions opts);
 
-/// Observable per-server counters (for tests and benchmarks). Fetched by
-/// machine id after the simulation ran.
+/// Per-server facts the metrics registry (which sums over servers) does
+/// not hold; for tests and tools.
 struct GroupDirStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t refused_no_majority = 0;
-  std::uint64_t recoveries = 0;      // completed recovery protocol runs
-  std::uint64_t group_resets = 0;    // successful in-place group rebuilds
-  std::uint64_t nvram_cancellations = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t lease_grants = 0;
-  std::uint64_t lease_invals = 0;
-  std::uint64_t nvram_group_commits = 0;  // batch records appended to the log
   bool in_recovery = true;
   std::uint64_t applied_seqno = 0;
+  std::uint64_t recoveries = 0;  // completed recovery protocol runs
 };
 
 /// Latest stats snapshot for the server on `machine` (survives crashes; a

@@ -14,13 +14,17 @@ namespace {
 
 using net::Machine;
 
+constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
+constexpr sim::Duration kCpuWrite = sim::msec(3);
+constexpr sim::Duration kDirWriteDisk = sim::msec(40);  // synchronous metadata
+constexpr sim::Duration kFileCreateDisk = sim::msec(12);  // sync inode only
+
 struct NfsCtx {
   Machine& machine;
   NfsDirOptions opts;
   DirState state;
   std::uint64_t seqno = 0;
   disk::VirtualDisk* disk = nullptr;
-  NfsDirStats* stats = nullptr;
 
   // Local "file system" objects for the tmp-file experiment.
   struct FileEntry {
@@ -33,17 +37,6 @@ struct NfsCtx {
   NfsCtx(Machine& m, NfsDirOptions o)
       : machine(m), opts(std::move(o)), state(opts.dir_port) {}
 };
-
-void traced_cpu(NfsCtx& ctx, sim::Duration d, obs::TraceContext parent) {
-  const sim::Time t0 = ctx.machine.sim().now();
-  ctx.machine.cpu().use(d);
-  if (parent.active()) {
-    obs::Trace& tr = ctx.machine.trace();
-    tr.complete(t0, ctx.machine.sim().now() - t0, "cpu", "use",
-                ctx.machine.id().v, 0, parent.trace, tr.new_span_id(),
-                parent.span, obs::Leg::cpu);
-  }
-}
 
 void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
   obs::Metrics& mx = ctx.machine.metrics();
@@ -71,16 +64,15 @@ void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       }
     };
     if (is_read_op(*op_res)) {
-      traced_cpu(ctx, ctx.opts.cpu_read, octx);
+      ctx.machine.use_cpu(kCpuRead, octx);
       Buffer reply = ctx.state.execute_read(req.data);
-      ctx.stats->reads++;
       ++mx_reads;
       mx_read_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
       close_op("read");
       server.put_reply(req, std::move(reply), octx);
       continue;
     }
-    traced_cpu(ctx, ctx.opts.cpu_write, octx);
+    ctx.machine.use_cpu(kCpuWrite, octx);
     DirState::ApplyEffect effect;
     const std::uint64_t secret = ctx.machine.sim().rng().next();
     Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);
@@ -94,7 +86,6 @@ void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
           effect.touched.empty() ? nullptr : ctx.state.directory(block);
       (void)ctx.disk->write_block(block, d ? d->serialize() : Buffer{}, octx);
     }
-    ctx.stats->writes++;
     ++mx_writes;
     mx_write_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
     close_op("write");
@@ -118,7 +109,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
           // Data is write-behind; only the inode/indirect block is
           // synchronous — hence the smaller cost than a full disk write.
           ctx.machine.cpu().use(sim::msec(1));
-          ctx.machine.sim().sleep_for(ctx.opts.file_create_disk);
+          ctx.machine.sim().sleep_for(kFileCreateDisk);
           const std::uint32_t obj = ctx.next_file++;
           const std::uint64_t secret =
               ctx.machine.sim().rng().next() & cap::CheckScheme::kCheckMask;
@@ -161,19 +152,14 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       reply = reply_error(Errc::bad_request);
     }
     server.put_reply(req, std::move(reply));
-    ctx.stats->file_ops++;
     ++mx_file_ops;
   }
 }
 
 void service_main(Machine& machine, NfsDirOptions opts) {
   NfsCtx ctx(machine, std::move(opts));
-  auto& stats = machine.persistent<NfsDirStats>(
-      "nfs_dir.stats", [] { return std::make_unique<NfsDirStats>(); });
-  stats = NfsDirStats{};
-  ctx.stats = &stats;
   disk::DiskConfig dcfg;
-  dcfg.write_latency = ctx.opts.dir_write_disk;
+  dcfg.write_latency = kDirWriteDisk;
   ctx.disk = &machine.persistent<disk::VirtualDisk>(
       "nfs.disk", [&machine, dcfg] {
         return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk",
@@ -203,11 +189,6 @@ void service_main(Machine& machine, NfsDirOptions opts) {
 void install_nfs_dir_server(Machine& machine, NfsDirOptions opts) {
   machine.install_service("nfs_dir",
                           [opts](Machine& m) { service_main(m, opts); });
-}
-
-const NfsDirStats& nfs_dir_stats(net::Machine& machine) {
-  return machine.persistent<NfsDirStats>(
-      "nfs_dir.stats", [] { return std::make_unique<NfsDirStats>(); });
 }
 
 }  // namespace amoeba::dir

@@ -17,21 +17,8 @@ struct NfsDirOptions {
   net::Port dir_port{3000};
   net::Port file_port{3001};
   int server_threads = 4;
-
-  sim::Duration cpu_read = sim::msec(4);   // lookup 6 ms in the paper
-  sim::Duration cpu_write = sim::msec(3);
-  sim::Duration dir_write_disk = sim::msec(40);   // synchronous metadata
-  sim::Duration file_create_disk = sim::msec(12); // async data, sync inode
 };
 
 void install_nfs_dir_server(net::Machine& machine, NfsDirOptions opts);
-
-struct NfsDirStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t file_ops = 0;
-};
-
-const NfsDirStats& nfs_dir_stats(net::Machine& machine);
 
 }  // namespace amoeba::dir

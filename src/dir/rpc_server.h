@@ -34,20 +34,12 @@ struct RpcDirOptions {
   std::vector<net::MachineId> dir_servers;  // exactly two
   int server_threads = 3;
 
-  sim::Duration cpu_read = sim::msec(3);
-  sim::Duration cpu_write = sim::msec(5);   // includes intentions bookkeeping
-  sim::Duration cpu_apply = sim::msec(6);   // peer-side intent handling
-  sim::Duration peer_timeout = sim::msec(400);
-  int update_retries = 60;  // on conflicting-update refusals
-
   /// The extension the paper predicts would help ("If the RPC service had
   /// been implemented with NVRAM, one could expect similar performance
   /// improvements", Sec. 4.1): intentions and local copies go to a 24 KB
   /// NVRAM log; a background flusher writes the disk copies.
   bool use_nvram = false;
   std::size_t nvram_bytes = 24 * 1024;
-  sim::Duration flush_idle = sim::msec(100);
-  double flush_high_water = 0.75;
 };
 
 /// Peer protocol served on `admin_port_base + machine id` (exposed so tests
@@ -65,20 +57,5 @@ struct RpcDirOptions {
 enum class RpcPeerOp : std::uint8_t { intent = 1, resync, push_state };
 
 void install_rpc_dir_server(net::Machine& machine, RpcDirOptions opts);
-
-struct RpcDirStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t intents_received = 0;
-  std::uint64_t lazy_finalizes = 0;   // background disk copies completed
-  std::uint64_t peer_down_writes = 0; // updates committed without the peer
-  std::uint64_t conflicts = 0;        // intent refusals observed
-  std::uint64_t resyncs = 0;
-  std::uint64_t state_pushes = 0;     // push_state exchanges initiated
-  std::uint64_t nvram_cancellations = 0;
-  std::uint64_t flushes = 0;
-};
-
-const RpcDirStats& rpc_dir_stats(net::Machine& machine);
 
 }  // namespace amoeba::dir

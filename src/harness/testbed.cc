@@ -3,6 +3,7 @@
 #include "bullet/bullet.h"
 #include "disk/disk_server.h"
 #include "dir/proto.h"
+#include "dir/replica_store.h"
 
 namespace amoeba::harness {
 
@@ -15,17 +16,22 @@ constexpr net::Port kBulletBase{1200};
 constexpr net::Port kDiskBase{1300};
 constexpr net::Port kNfsFilePort{3001};
 
+/// The Wren IV disk a storage machine's servers share.
+disk::VirtualDisk& storage_disk(net::Machine& m) {
+  return m.persistent<disk::VirtualDisk>("disk", [&m] {
+    disk::DiskConfig cfg;
+    cfg.write_latency = sim::msec(48);  // raw partition: seek + write
+    return std::make_unique<disk::VirtualDisk>(m.sim(), m.name() + ".disk",
+                                               cfg);
+  });
+}
+
 /// Storage machine: a Bullet server and a raw-partition disk server sharing
 /// one Wren IV disk (paper Fig. 3).
 void install_storage(net::Machine& m, net::Port bullet_port,
                      net::Port disk_port) {
   m.install_service("storage", [bullet_port, disk_port](net::Machine& mm) {
-    auto& vdisk = mm.persistent<disk::VirtualDisk>("disk", [&mm] {
-      disk::DiskConfig cfg;
-      cfg.write_latency = sim::msec(48);  // raw partition: seek + write
-      return std::make_unique<disk::VirtualDisk>(mm.sim(), mm.name() + ".disk",
-                                                 cfg);
-    });
+    auto& vdisk = storage_disk(mm);
     vdisk.attach_obs(&mm.metrics(), &mm.trace(), mm.id().v);
     bullet::BulletServer bullet_srv(mm, bullet_port, vdisk, /*threads=*/2);
     disk::DiskServer disk_srv(mm, disk_port, vdisk, dir::kMaxObjects + 8,
@@ -153,27 +159,14 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
   }
 }
 
-disk::VirtualDisk& Testbed::vdisk(int i) {
-  net::Machine& m = storage(i);
-  return m.persistent<disk::VirtualDisk>("disk", [&m] {
-    disk::DiskConfig cfg;
-    cfg.write_latency = sim::msec(48);
-    return std::make_unique<disk::VirtualDisk>(m.sim(), m.name() + ".disk",
-                                               cfg);
-  });
-}
+disk::VirtualDisk& Testbed::vdisk(int i) { return storage_disk(storage(i)); }
 
 nvram::Nvram* Testbed::nvram_of(int i) {
-  const char* key = nullptr;
-  if (opts_.flavor == Flavor::group_nvram) key = "group_dir.nvram";
-  if (opts_.flavor == Flavor::rpc_nvram) key = "rpc_dir.nvram";
-  if (key == nullptr) return nullptr;
-  net::Machine& m = dir_server(i);
-  nvram::NvramConfig nvcfg;
-  nvcfg.capacity_bytes = opts_.nvram_bytes;
-  return &m.persistent<nvram::Nvram>(key, [&m, nvcfg] {
-    return std::make_unique<nvram::Nvram>(m.sim(), nvcfg);
-  });
+  if (opts_.flavor != Flavor::group_nvram &&
+      opts_.flavor != Flavor::rpc_nvram) {
+    return nullptr;
+  }
+  return &dir::ReplicaStore::nvram_device(dir_server(i), opts_.nvram_bytes);
 }
 
 net::Port Testbed::admin_port(int i) const {
@@ -202,12 +195,7 @@ bool Testbed::wait_ready(sim::Duration limit) {
 
 std::uint64_t Testbed::total_disk_writes() const {
   std::uint64_t n = 0;
-  for (auto* m : storage_) {
-    auto& d = m->persistent<disk::VirtualDisk>("disk", [m] {
-      return std::make_unique<disk::VirtualDisk>(m->sim(), "disk");
-    });
-    n += d.writes();
-  }
+  for (auto* m : storage_) n += storage_disk(*m).writes();
   if (opts_.flavor == Flavor::nfs) {
     auto* m = dir_servers_.front();
     disk::DiskConfig dcfg;

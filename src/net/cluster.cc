@@ -35,6 +35,16 @@ obs::Trace& Machine::trace() { return cluster_.trace(); }
 obs::Timeline& Machine::timeline() { return cluster_.timeline(); }
 obs::HealthMonitor& Machine::health() { return cluster_.health(); }
 
+void Machine::use_cpu(sim::Duration d, obs::TraceContext parent) {
+  const sim::Time t0 = sim().now();
+  cpu_.use(d);
+  if (parent.active()) {
+    obs::Trace& tr = trace();
+    tr.complete(t0, sim().now() - t0, "cpu", "use", id_.v, 0, parent.trace,
+                tr.new_span_id(), parent.span, obs::Leg::cpu);
+  }
+}
+
 void Machine::reap_finished() {
   std::erase_if(live_, [](sim::Process* p) { return p->finished(); });
 }

@@ -84,6 +84,9 @@ class Machine {
   obs::Timeline& timeline();
   obs::HealthMonitor& health();
   sim::FifoResource& cpu() { return cpu_; }
+  /// Charge `d` of CPU; when `parent` is active, record the burst (queueing
+  /// for the core included) as a cpu-leg span under it.
+  void use_cpu(sim::Duration d, obs::TraceContext parent);
 
   /// Spawn a process that dies with the machine. Only valid while up.
   sim::Process* spawn(const std::string& name, std::function<void()> body);

@@ -36,6 +36,9 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalMeasurements) {
 TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 61});
   ASSERT_TRUE(bed.wait_ready());
+  obs::Metrics& mx = bed.metrics();
+  const std::uint64_t writes_before = mx.counter("dir.group", "writes");
+  const std::uint64_t reads_before = mx.counter("dir.group", "reads");
   bool done = false;
   net::Machine& cm = bed.client(0);
   cm.spawn("load", [&] {
@@ -51,18 +54,16 @@ TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
   });
   while (!done) bed.sim().run_for(sim::msec(100));
 
-  std::uint64_t reads = 0, writes = 0;
-  for (int i = 0; i < 3; ++i) {
-    reads += dir::group_dir_stats(bed.dir_server(i)).reads;
-    writes += dir::group_dir_stats(bed.dir_server(i)).writes;
-  }
-  EXPECT_EQ(writes, 6u);  // create + 5 appends
-  EXPECT_EQ(reads, 5u);
+  EXPECT_EQ(bed.metrics().counter("dir.group", "writes") - writes_before,
+            6u);  // create + 5 appends
+  EXPECT_EQ(bed.metrics().counter("dir.group", "reads") - reads_before, 5u);
 
   // Refusals are counted once the majority is gone.
   bed.cluster().crash(bed.dir_server(1).id());
   bed.cluster().crash(bed.dir_server(2).id());
   bed.sim().run_for(sim::sec(2));
+  const std::uint64_t refused_before =
+      bed.metrics().counter("dir.group", "refused_no_majority");
   done = false;
   cm.spawn("refused", [&] {
     rpc::RpcClient rpc(cm);
@@ -71,12 +72,17 @@ TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
     done = true;
   });
   while (!done) bed.sim().run_for(sim::msec(100));
-  EXPECT_GE(dir::group_dir_stats(bed.dir_server(0)).refused_no_majority, 1u);
+  // Server 0 is the only one up, so every refusal is its own.
+  EXPECT_GE(bed.metrics().counter("dir.group", "refused_no_majority") -
+                refused_before,
+            1u);
 }
 
 TEST(Counters, RpcServiceLazyReplicationCatchesUp) {
   Testbed bed({.flavor = Flavor::rpc, .clients = 1, .seed = 62});
   ASSERT_TRUE(bed.wait_ready());
+  const std::uint64_t intents_before =
+      bed.metrics().counter("dir.rpc", "intents_received");
   bool done = false;
   net::Machine& cm = bed.client(0);
   cm.spawn("load", [&] {
@@ -92,14 +98,12 @@ TEST(Counters, RpcServiceLazyReplicationCatchesUp) {
   while (!done) bed.sim().run_for(sim::msec(100));
   bed.sim().run_for(sim::sec(3));  // drain the background copies
 
-  std::uint64_t intents = 0, lazies = 0;
-  for (int i = 0; i < 2; ++i) {
-    intents += dir::rpc_dir_stats(bed.dir_server(i)).intents_received;
-    lazies += dir::rpc_dir_stats(bed.dir_server(i)).lazy_finalizes;
-  }
-  EXPECT_EQ(intents, 5u);  // every update crossed to the peer
-  EXPECT_GE(lazies, 1u);   // background copies ran (coalescing may merge)
-  // Both replicas end up holding a bullet file for the directory.
+  // Every update crossed to the peer.
+  EXPECT_EQ(bed.metrics().counter("dir.rpc", "intents_received") -
+                intents_before,
+            5u);
+  // Both replicas end up holding a bullet file for the directory: the
+  // peer's comes from a background copy.
   for (int i = 0; i < 2; ++i) {
     auto& store = bed.storage(i).persistent<bullet::BulletStore>(
         "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); });
@@ -138,9 +142,12 @@ TEST(Counters, RpcResyncAfterRestart) {
   });
   while (!done) bed.sim().run_for(sim::msec(100));
 
+  // Server 0 is never behind, so every snapshot install is server 1's.
+  const std::uint64_t resyncs_before =
+      bed.metrics().counter("dir.rpc", "resyncs");
   bed.cluster().restart(bed.dir_server(1).id());
   bed.sim().run_for(sim::sec(5));
-  EXPECT_GE(dir::rpc_dir_stats(bed.dir_server(1)).resyncs, 1u)
+  EXPECT_GE(bed.metrics().counter("dir.rpc", "resyncs") - resyncs_before, 1u)
       << "restarted replica should fetch the missed update";
 }
 
