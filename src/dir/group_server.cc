@@ -658,10 +658,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
         deleted_union.emplace_back(obj, deleted_file);
       }
       if (ctx.store.uses_nvram()) {
-        nvlog::Record rec;
-        rec.seqno = msg.seqno;
-        rec.secret = sub.secret;
-        rec.request = sub.request;
+        nvlog::Record rec{msg.seqno, sub.secret, 0, sub.request};
         if (auto op = peek_op(sub.request); op.is_ok() &&
             *op == DirOp::create_dir && !effect.touched.empty()) {
           rec.objhint = effect.touched.front();

@@ -15,11 +15,6 @@ constexpr std::uint32_t kIntentBlock = 0;
 
 }  // namespace
 
-ReplicaStore::Io::Io(const ReplicaStore& s)
-    : rpc(s.machine_),
-      bullet(rpc, s.cfg_.bullet_port),
-      disk(rpc, s.cfg_.disk_port) {}
-
 ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
                            StoreConfig cfg)
     : machine_(machine),
@@ -54,7 +49,16 @@ void ReplicaStore::load(Io& io, std::uint64_t& seqno) {
   } else {
     load_self_describing(io, seqno);
   }
-  if (nv_ != nullptr) replay_nvram(seqno);
+  if (nv_ != nullptr) {
+    // A crash mid-append leaves a torn tail record; drop it before replay.
+    const std::size_t torn = nvlog::truncate_torn(*nv_);
+    if (torn > 0) {
+      LOG_WARN << machine_.name() << " dropped " << torn
+               << " torn nvram tail record(s)";
+    }
+    nvlog::replay(state_, *nv_);
+    seqno = std::max(seqno, nvlog::max_seqno(*nv_));
+  }
   if (!object_table()) replay_intent(io, seqno);
 }
 
@@ -123,17 +127,6 @@ void ReplicaStore::load_self_describing(Io& io, std::uint64_t& seqno) {
   seqno = std::max(seqno, state_.max_dir_seqno());
 }
 
-void ReplicaStore::replay_nvram(std::uint64_t& seqno) {
-  // A crash mid-append leaves a torn tail record; drop it before replay.
-  const std::size_t torn = nvlog::truncate_torn(*nv_);
-  if (torn > 0) {
-    LOG_WARN << machine_.name() << " dropped " << torn
-             << " torn nvram tail record(s)";
-  }
-  nvlog::replay(state_, *nv_);
-  seqno = std::max(seqno, nvlog::max_seqno(*nv_));
-}
-
 void ReplicaStore::replay_intent(Io& io, std::uint64_t& seqno) {
   // Replay a pending intention (we may have crashed after acking it).
   auto intent = io.disk.read_block(kIntentBlock);
@@ -164,17 +157,13 @@ Result<cap::Capability> ReplicaStore::write(Io& io, std::uint32_t obj,
   if (e == nullptr || d == nullptr) {
     return Status::error(Errc::internal, "persist of unknown object");
   }
-  Buffer contents;
-  if (object_table()) {
-    contents = d->serialize();
-  } else {
-    Writer w;
+  Writer w;
+  if (!object_table()) {  // self-describing: object number and secret first
     w.u32(obj);
     w.u64(e->secret);
-    d->encode(w);
-    contents = w.take();
   }
-  auto file = io.bullet.create(std::move(contents), tctx);
+  d->encode(w);
+  auto file = io.bullet.create(w.take(), tctx);
   if (!file.is_ok()) return file.status();
   // The Bullet create yields to the simulator; another process may have
   // applied a delete_dir for this very object while we slept, freeing the
@@ -189,9 +178,9 @@ Result<cap::Capability> ReplicaStore::write(Io& io, std::uint32_t obj,
   const cap::Capability old = e->bullet;
   e->bullet = *file;
   if (object_table()) {
-    Writer w;
-    e->encode(w);
-    Status ws = io.disk.write_block(obj, w.take(), tctx);
+    Writer tw;
+    e->encode(tw);
+    Status ws = io.disk.write_block(obj, tw.take(), tctx);
     if (!ws.is_ok()) return ws;
   }
   return old;
@@ -243,10 +232,7 @@ void ReplicaStore::log(Io& io, const Buffer& request, std::uint64_t secret,
                        obs::TraceContext tctx) {
   if (nvlog::try_cancel(*nv_, request, effect) > 0) return;
   auto op = peek_op(request);
-  nvlog::Record rec;
-  rec.seqno = seqno;
-  rec.secret = secret;
-  rec.request = request;
+  nvlog::Record rec{seqno, secret, 0, request};
   if (op.is_ok() && *op == DirOp::create_dir && !effect.touched.empty()) {
     rec.objhint = effect.touched.front();
   }

@@ -48,7 +48,9 @@ class ReplicaStore {
     rpc::RpcClient rpc;
     bullet::BulletClient bullet;
     disk::DiskClient disk;
-    explicit Io(const ReplicaStore& s);
+    explicit Io(const ReplicaStore& s)
+        : rpc(s.machine_), bullet(rpc, s.cfg_.bullet_port),
+          disk(rpc, s.cfg_.disk_port) {}
   };
 
   /// Flush when the log has been idle this long, or is this full.
@@ -118,7 +120,6 @@ class ReplicaStore {
   }
   void load_object_table(Io& io, std::uint64_t& seqno);
   void load_self_describing(Io& io, std::uint64_t& seqno);
-  void replay_nvram(std::uint64_t& seqno);
   void replay_intent(Io& io, std::uint64_t& seqno);
   void append(Io& io, std::uint32_t tag, Buffer encoded,
               obs::TraceContext tctx);

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/log.h"
-#include "dir/nvram_log.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "rpc/rpc.h"
@@ -148,7 +147,12 @@ void lazy_loop(RpcServerCtx& ctx) {
 // ------------------------------------------------------------ peer service
 
 void install_snapshot(RpcServerCtx& ctx, Io& st, const Buffer& snap,
-                      std::uint64_t peer_seqno);
+                      std::uint64_t peer_seqno) {
+  (void)ctx.store.install(st, snap, [&] { ctx.last_seqno = peer_seqno; });
+  ctx.machine.metrics().counter("dir.rpc", "resyncs")++;
+  ctx.machine.trace().instant(ctx.now(), "dir.rpc", "resync",
+                              ctx.machine.id().v);
+}
 
 Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
                    obs::TraceContext tctx = {}) {
@@ -364,14 +368,6 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
 }
 
 // ------------------------------------------------------------- boot/resync
-
-void install_snapshot(RpcServerCtx& ctx, Io& st, const Buffer& snap,
-                      std::uint64_t peer_seqno) {
-  (void)ctx.store.install(st, snap, [&] { ctx.last_seqno = peer_seqno; });
-  ctx.machine.metrics().counter("dir.rpc", "resyncs")++;
-  ctx.machine.trace().instant(ctx.now(), "dir.rpc", "resync",
-                              ctx.machine.id().v);
-}
 
 /// Exchange state with the peer so the replicas converge after a
 /// missed-update window (a restart, or writes committed while the peer was
