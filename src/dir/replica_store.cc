@@ -1,6 +1,7 @@
 #include "dir/replica_store.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/log.h"
 
@@ -318,10 +319,19 @@ void ReplicaStore::run_flusher() {
 
 Status ReplicaStore::install(Io& io, const Buffer& snap,
                              const std::function<void()>& adopted) {
-  if (!object_table()) {
-    auto existing = io.bullet.list();
-    if (existing.is_ok()) {
-      for (const auto& f : *existing) drop(io, f.cap);
+  // The snapshot's entries name the donor's files, never ours: drop all of
+  // this replica's own files first.
+  auto own = io.bullet.list();
+  if (own.is_ok()) {
+    for (const auto& f : *own) drop(io, f.cap);
+  }
+  // object_table: every table block this replica may hold; those of
+  // directories the snapshot lacks are cleared below.
+  std::set<std::uint32_t> held;
+  if (object_table()) {
+    for (const auto& [obj, e] : state_.table()) held.insert(obj);
+    if (nv_ != nullptr) {
+      for (std::uint32_t obj : nvlog::flush_set(*nv_).objs) held.insert(obj);
     }
   }
   state_ = DirState::from_snapshot(snap, state_.port());
@@ -331,14 +341,15 @@ Status ReplicaStore::install(Io& io, const Buffer& snap,
     while (!nv_->empty()) nv_->pop_front();
     pending_commit_seqno_ = 0;
   }
-  if (!object_table()) {
-    for (const auto& [obj, e] : state_.table()) (void)write(io, obj);
-    return Status::ok();
-  }
   for (const auto& [obj, e] : state_.table()) {
-    auto old = write(io, obj);
-    if (!old.is_ok()) return old.status();
-    drop(io, *old);
+    auto w = write(io, obj);
+    if (!w.is_ok()) return w.status();
+  }
+  if (!object_table()) return Status::ok();
+  for (std::uint32_t obj : held) {
+    if (state_.entry(obj) != nullptr) continue;
+    Status cs = io.disk.write_block(obj, Buffer{});
+    if (!cs.is_ok()) return cs;
   }
   return write_commit_block(io);
 }

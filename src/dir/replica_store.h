@@ -108,9 +108,11 @@ class ReplicaStore {
   /// The idle flush waits kFlushIdle from now.
   void note_activity() { last_activity_ = machine_.sim().now(); }
 
-  /// Replace the replica with a peer's snapshot and write it out. `adopted`
-  /// runs as the snapshot becomes the state, before anything yields, so the
-  /// caller's seqnos change together with it.
+  /// Replace the replica with a peer's snapshot: drop this replica's own
+  /// files, adopt the snapshot, discard the log and write a full copy
+  /// (object_table: clearing the blocks of directories the snapshot lacks).
+  /// `adopted` runs as the snapshot becomes the state, before anything
+  /// yields, so the caller's seqnos change together with it.
   Status install(Io& io, const Buffer& snap,
                  const std::function<void()>& adopted);
 

@@ -6,6 +6,8 @@
 
 #include "bullet/bullet.h"
 #include "dir/client.h"
+#include "dir/group_server.h"
+#include "dir/proto.h"
 #include "dir/types.h"
 #include "disk/vdisk.h"
 #include "harness/workload.h"
@@ -93,6 +95,32 @@ struct Driver {
     return last;
   }
 };
+
+std::size_t bullet_files(Testbed& bed, int storage) {
+  return bed.storage(storage)
+      .persistent<bullet::BulletStore>(
+          "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); })
+      .files.size();
+}
+
+/// A group replica's state, fetched through the admin protocol (from a
+/// client process).
+Result<dir::DirState> fetch_group_replica(Testbed& bed, rpc::RpcClient& rpc,
+                                          int server) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state));
+  auto res = rpc.trans(bed.admin_port(server), w.take(),
+                       {.timeout = sim::sec(2)});
+  if (!res.is_ok()) return res.status();
+  Reader r(*res);
+  if (static_cast<Errc>(r.u8()) != Errc::ok) {
+    return Status::error(Errc::refused, "fetch_state failed");
+  }
+  (void)r.u64();  // seqno
+  (void)r.u64();  // applied
+  (void)r.u64();  // commit seqno
+  return dir::DirState::from_snapshot(r.bytes(), bed.dir_port());
+}
 
 bool group_ready(Testbed& bed, std::initializer_list<int> servers) {
   for (int i : servers) {
@@ -280,6 +308,87 @@ TEST(GroupFault, CrashedServerRecoversWithStateTransfer) {
     d.rpc->flush_port_cache(bed.dir_port());
     auto res = d.lookup_retry(dcap, "while-down");
     EXPECT_TRUE(res.is_ok()) << res.status().to_string();
+  });
+}
+
+TEST(GroupFault, StateTransferReplacesTheRecoveringReplicasFiles) {
+  // The same run as CrashedServerRecoversWithStateTransfer. The snapshot
+  // names the donor's Bullet files; the recovering server must end up with
+  // one file of its own per directory, not its old one as well.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 14});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+  });
+
+  bed.cluster().crash(bed.dir_server(2).id());
+  bed.sim().run_for(sim::sec(1));
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "while-down").is_ok()); });
+  const std::uint64_t& recoveries =
+      bed.metrics().counter("dir.group", "recoveries");
+  const std::uint64_t recoveries_before = recoveries;
+
+  bed.cluster().restart(bed.dir_server(2).id());
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  ASSERT_EQ(recoveries, recoveries_before + 1);  // server 2's, nobody else's
+  bed.sim().run_for(sim::sec(1));
+  EXPECT_EQ(bullet_files(bed, 0), 1u);
+  EXPECT_EQ(bullet_files(bed, 2), bullet_files(bed, 0));
+}
+
+TEST(GroupFault, DirectoryDeletedWhileDownStaysDeletedAfterTotalCrash) {
+  // Server 2 misses a delete_dir, catches up by state transfer, then the
+  // whole group crashes. Its disk copy must not bring the directory back.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 29});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability keep, doomed;
+  d.step([&] {
+    auto k = d.create_retry();
+    ASSERT_TRUE(k.is_ok());
+    keep = *k;
+    auto g = d.create_retry();
+    ASSERT_TRUE(g.is_ok());
+    doomed = *g;
+  });
+
+  bed.cluster().crash(bed.dir_server(2).id());
+  bed.sim().run_for(sim::sec(1));
+  d.step([&] {
+    Status st = Status::error(Errc::internal, "unset");
+    for (int i = 0; i < 80 && !st.is_ok(); ++i) {
+      st = d.dc->delete_dir(doomed);
+      if (st.code() == Errc::not_found) break;  // an earlier try committed
+      if (!st.is_ok()) bed.sim().sleep_for(sim::msec(150));
+    }
+    ASSERT_TRUE(st.is_ok() || st.code() == Errc::not_found)
+        << st.to_string();
+  });
+  bed.cluster().restart(bed.dir_server(2).id());
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+
+  for (int i = 0; i < 3; ++i) bed.cluster().crash(bed.dir_server(i).id());
+  bed.sim().run_for(sim::msec(300));
+  for (int i = 0; i < 3; ++i) bed.cluster().restart(bed.dir_server(i).id());
+  run_until_ready(bed, {0, 1, 2});
+  ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+
+  d.step([&] {
+    for (int i = 0; i < 3; ++i) {
+      auto st = fetch_group_replica(bed, *d.rpc, i);
+      ASSERT_TRUE(st.is_ok()) << "server " << i << ": "
+                              << st.status().to_string();
+      EXPECT_EQ(st->table().size(), 1u) << "server " << i;
+      EXPECT_EQ(st->entry(doomed.object), nullptr)
+          << "deleted directory came back on server " << i;
+      EXPECT_NE(st->entry(keep.object), nullptr) << "server " << i;
+    }
   });
 }
 
