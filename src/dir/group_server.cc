@@ -679,6 +679,9 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
         ctx.store.log_batch(st, changed, msg.seqno, actx);
         ++ctx.mx_group_commits;
       }
+      // The log holds the deletion; the directory's file goes like any
+      // superseded one (a stale table block naming it is skipped at boot).
+      for (const auto& [obj, file] : deleted_union) old_files.push_back(file);
     } else {
       for (std::uint32_t obj : touched_union) {
         // Skip objects a later update of the same batch deleted again.

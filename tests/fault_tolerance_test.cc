@@ -763,5 +763,48 @@ TEST(GroupFault, OldBulletFilesGarbageCollected) {
   }
 }
 
+std::string flavor_param_name(const ::testing::TestParamInfo<Flavor>& info) {
+  switch (info.param) {
+    case Flavor::group: return "group";
+    case Flavor::group_nvram: return "group_nvram";
+    case Flavor::rpc: return "rpc";
+    case Flavor::rpc_nvram: return "rpc_nvram";
+    case Flavor::nfs: return "nfs";
+  }
+  return "unknown";
+}
+
+class StorageGc : public ::testing::TestWithParam<Flavor> {};
+
+TEST_P(StorageGc, DeletedDirectoryLeavesNoBulletFile) {
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 30});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+    ASSERT_TRUE(d.append_retry(dcap, "row").is_ok());
+  });
+  bed.sim().run_for(sim::sec(2));  // idle flush / lazy peer copy
+  for (int i = 0; i < bed.num_storage(); ++i) {
+    ASSERT_EQ(bullet_files(bed, i), 1u) << "storage " << i;
+  }
+  d.step([&] {
+    Status st = d.dc->delete_dir(dcap);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+  });
+  bed.sim().run_for(sim::sec(2));
+  for (int i = 0; i < bed.num_storage(); ++i) {
+    EXPECT_EQ(bullet_files(bed, i), 0u) << "storage " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Flavors, StorageGc,
+                         ::testing::Values(Flavor::group, Flavor::group_nvram,
+                                           Flavor::rpc, Flavor::rpc_nvram),
+                         flavor_param_name);
+
 }  // namespace
 }  // namespace amoeba::harness
