@@ -285,20 +285,28 @@ void ReplicaStore::flush(Io& io) {
   } guard{this};
 
   // Snapshot which objects the log mentions; anything appended during the
-  // disk writes below stays in the log for the next flush.
+  // disk writes below stays in the log for the next flush. If any write
+  // fails, no record is retired: until a disk copy exists they are the only
+  // durable one, and the next flush rewrites idempotently.
   const nvlog::FlushSet fs = nvlog::flush_set(*nv_);
+  bool written = true;
   for (std::uint32_t obj : fs.objs) {
     if (state_.entry(obj) != nullptr) {
-      rewrite(io, obj);
+      auto old = write(io, obj);
+      if (old.is_ok()) drop(io, *old);
+      // not_found: deleted meanwhile; its own record clears it later.
+      written = written && (old.is_ok() || old.code() == Errc::not_found);
     } else if (object_table()) {
-      (void)io.disk.write_block(obj, Buffer{});  // deleted: clear its block
+      // Deleted: clear its block.
+      written = io.disk.write_block(obj, Buffer{}).is_ok() && written;
     }
   }
   if (object_table()) {
     cblock_.seqno = std::max(cblock_.seqno, pending_commit_seqno_);
     pending_commit_seqno_ = 0;
-    (void)write_commit_block(io);
+    written = write_commit_block(io).is_ok() && written;
   }
+  if (!written) return;
   for (std::uint64_t id : fs.ids) (void)nv_->cancel(id);
   ++mx_flushes_;
 }

@@ -100,8 +100,9 @@ class ReplicaStore {
   /// Group commit: one record for a whole ordered batch.
   void log_batch(Io& io, const std::vector<nvlog::Record>& subs,
                  std::uint64_t seqno, obs::TraceContext tctx = {});
-  /// Write every directory the log mentions and retire the records written.
-  /// Single-flight: a caller waits for a flush in progress.
+  /// Write every directory the log mentions and retire the records written,
+  /// or none if a write failed. Single-flight: a caller waits for a flush
+  /// in progress.
   void flush(Io& io);
   /// The background flusher process (idle or high-water flushes).
   [[noreturn]] void run_flusher();

@@ -806,5 +806,40 @@ INSTANTIATE_TEST_SUITE_P(Flavors, StorageGc,
                                            Flavor::rpc, Flavor::rpc_nvram),
                          flavor_param_name);
 
+class NvramFlush : public ::testing::TestWithParam<Flavor> {};
+
+TEST_P(NvramFlush, KeepsTheLogWhileItsStorageIsDown) {
+  // A flush whose disk copy fails must not retire the records: until the
+  // storage machine is back they are the only durable copy.
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 31});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+  });
+  bed.sim().run_for(sim::sec(2));  // flush the create
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "logged").is_ok()); });
+  bed.cluster().crash(bed.storage(0).id());
+  // Long enough for several flushes to time out on the dead machine.
+  bed.sim().run_for(sim::sec(10));
+  EXPECT_FALSE(nv->empty()) << "flush retired records it never wrote";
+
+  bed.cluster().restart(bed.storage(0).id());
+  bed.sim().run_for(sim::sec(10));
+  EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
+}
+
+INSTANTIATE_TEST_SUITE_P(Flavors, NvramFlush,
+                         ::testing::Values(Flavor::group_nvram,
+                                           Flavor::rpc_nvram),
+                         flavor_param_name);
+
 }  // namespace
 }  // namespace amoeba::harness
