@@ -31,6 +31,11 @@ constexpr sim::Duration kMajorityWait = sim::msec(500);
 constexpr sim::Duration kRecoveryBackoff = sim::msec(150);
 constexpr sim::Duration kReadBarrierTimeout = sim::msec(1000);
 
+GroupDirStats& stats_of(Machine& machine) {
+  return machine.persistent<GroupDirStats>(
+      "group_dir.stats", [] { return std::make_unique<GroupDirStats>(); });
+}
+
 /// Everything the server's processes share. Allocated in the service-main
 /// frame; worker processes are spawned afterwards, so the reverse-order
 /// crash unwind tears them down before this goes away.
@@ -40,19 +45,17 @@ struct ServerCtx {
   int my_index;
   DirState state;
   ReplicaStore store;
-  CommitBlock& cblock;  // the store's copy of the on-disk commit block
   std::uint64_t my_seqno = 0;
+  GroupDirStats& stats;  // reset per boot; read by tests and tools
+  bool& in_recovery = stats.in_recovery;
 
   std::unique_ptr<group::GroupMember> gm;
-  std::uint64_t applied_seqno = 0;
+  std::uint64_t& applied_seqno = stats.applied_seqno;
   sim::WaitQueue applied_wq;
   std::map<std::uint64_t, Buffer> completions;
   sim::WaitQueue completion_wq;
   std::uint64_t next_opid = 1;
-  bool in_recovery = true;
   bool continuously_up = false;
-
-  GroupDirStats* stats = nullptr;
 
   /// Lease-holder table: directory object -> (holder lease port -> holder).
   /// Filled by the initiator when it grants a lease on a lookup reply;
@@ -90,7 +93,7 @@ struct ServerCtx {
         store(m, state,
               {StoreFormat::object_table, "dir.group", idx, opts.bullet_port,
                opts.disk_port, opts.use_nvram, opts.nvram_bytes}),
-        cblock(store.commit_block()),
+        stats(stats_of(m) = GroupDirStats{}),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
         mx_reads(m.metrics().counter("dir.group", "reads")),
@@ -123,6 +126,15 @@ struct ServerCtx {
     }
     return -1;
   }
+  /// The configured servers in the current group view, as a bitmask.
+  [[nodiscard]] std::uint32_t members_mask() const {
+    std::uint32_t mask = 0;
+    for (MachineId m : gm->info().members) {
+      const int idx = index_of(m);
+      if (idx >= 0) mask |= 1u << idx;
+    }
+    return mask;
+  }
 };
 
 Port admin_port(const ServerCtx& ctx, int index) {
@@ -143,7 +155,7 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
         // the continuously-up flag for the Sec. 3.2 rule.
         Writer w;
         w.u8(static_cast<std::uint8_t>(Errc::ok));
-        w.u32(~ctx.cblock.config & ctx.all_mask());
+        w.u32(~ctx.store.commit_block().config & ctx.all_mask());
         w.u64(ctx.my_seqno);
         w.boolean(ctx.continuously_up);
         return w.take();
@@ -158,7 +170,7 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
         // instantly; report the max so a joiner installing this snapshot
         // skips everything the snapshot already contains.
         w.u64(std::max(ctx.my_seqno, ctx.applied_seqno));
-        w.u64(ctx.cblock.seqno);
+        w.u64(ctx.store.commit_block().seqno);
         w.bytes(ctx.state.snapshot());
         return w.take();
       }
@@ -266,7 +278,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
 
   // Skeen's algorithm over the group members.
   std::uint32_t newgroup = 1u << ctx.my_index;
-  std::uint32_t mourned = ~ctx.cblock.config & ctx.all_mask();
+  std::uint32_t mourned = ~ctx.store.commit_block().config & ctx.all_mask();
   std::map<int, std::uint64_t> seqnos{{ctx.my_index, ctx.my_seqno}};
   std::map<int, bool> cont_up{{ctx.my_index, ctx.continuously_up}};
 
@@ -355,8 +367,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     return false;
   }
   if (behind_peer || behind_group) {
-    ctx.cblock.recovering = true;
-    (void)ctx.store.write_commit_block(st);
+    (void)ctx.store.mark_recovering(st);
 
     Writer freq;
     freq.u8(static_cast<std::uint8_t>(AdminOp::fetch_state));
@@ -379,7 +390,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
           sim.sleep_for(sim::msec(20));
           continue;
         }
-        Status ps = ctx.store.install(st, snap, [&] {
+        Status ps = ctx.store.install(st, snap, peer_commit_seqno, [&] {
           ctx.machine.trace().instant(ctx.now(), "dir.group",
                                       "state_transfer", ctx.machine.id().v,
                                       snap.size());
@@ -388,7 +399,6 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
                     << " cutoff=" << cutoff;
           ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
           ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
-          ctx.cblock.seqno = peer_commit_seqno;
         });
         installed = ps.is_ok();
       } catch (const DecodeError&) {
@@ -403,30 +413,22 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       sim.sleep_for(kRecoveryBackoff);
       return false;
     }
-    ctx.cblock.recovering = false;
   }
 
   // "write commit block (store configuration vector); enter normal op".
-  ctx.cblock.config = newgroup;
   // Also include any current group members beyond the exchange set (they
   // were listed in the group view).
-  for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
-    if (idx >= 0) ctx.cblock.set_up(idx, true);
-  }
-  ctx.cblock.recovering = false;
-  (void)ctx.store.write_commit_block(st);
+  (void)ctx.store.set_config(st, newgroup | ctx.members_mask());
   ctx.continuously_up = true;
   ctx.in_recovery = false;
   ctx.applied_wq.notify_all();
   LOG_INFO << ctx.machine.name() << " recovery complete: seqno="
-           << ctx.my_seqno << " config=" << ctx.cblock.config;
+           << ctx.my_seqno << " config=" << ctx.store.commit_block().config;
   return true;
 }
 
 void run_recovery(ServerCtx& ctx, Io& st) {
   ctx.in_recovery = true;
-  ctx.stats->in_recovery = true;
   ctx.served_since_recovery = false;
   const sim::Time t0 = ctx.now();
   ctx.machine.trace().instant(t0, "dir.group", "recovery_begin",
@@ -434,8 +436,7 @@ void run_recovery(ServerCtx& ctx, Io& st) {
   while (!try_recover_once(ctx, st)) {
     // Loop until a majority with the last-to-fail set is assembled.
   }
-  ctx.stats->in_recovery = false;
-  ctx.stats->recoveries++;
+  ctx.stats.recoveries++;
   ctx.machine.metrics().counter("dir.group", "recoveries")++;
   ctx.machine.trace().complete(t0, ctx.now() - t0, "dir.group", "recovery",
                                ctx.machine.id().v);
@@ -445,14 +446,8 @@ void run_recovery(ServerCtx& ctx, Io& st) {
 // --------------------------------------------------------- normal operation
 
 void update_config_from_group(ServerCtx& ctx, Io& st) {
-  if (!ctx.majority()) return;  // config only tracks majority configurations
-  std::uint32_t cfgmask = 0;
-  for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
-    if (idx >= 0) cfgmask |= (1u << idx);
-  }
-  ctx.cblock.config = cfgmask;
-  (void)ctx.store.write_commit_block(st);
+  // config only tracks majority configurations
+  if (ctx.majority()) (void)ctx.store.set_config(st, ctx.members_mask());
 }
 
 // --------------------------------------------------------- leases
@@ -620,13 +615,8 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
 
     // Apply every update in batch order, then persist once: objects touched
     // several times in one batch hit the disk (or the NVRAM log) once.
-    std::vector<std::uint32_t> touched_union;
-    std::vector<std::pair<std::uint32_t, cap::Capability>> deleted_union;
-    std::vector<nvlog::Record> changed;  // NVRAM group-commit input
-    DirState::ApplyEffect single_effect;  // of the lone changed sub, if any
+    std::vector<ReplicaStore::Update> changed;
     for (Sub& sub : subs) {
-      // Garbage collected after commit.
-      const cap::Capability deleted_file = ctx.store.deleted_file(sub.request);
       DirState::ApplyEffect effect;
       sub.reply = ctx.state.apply(sub.request, sub.secret, msg.seqno, &effect);
       if (log::level() <= log::Level::debug) {
@@ -647,52 +637,14 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       if (ctx.opts.lease_caching && effect.any_change) {
         invalidate_leases(ctx, effect, msg.seqno, actx);
       }
-      if (!effect.any_change) continue;
-      for (std::uint32_t obj : effect.touched) {
-        if (std::find(touched_union.begin(), touched_union.end(), obj) ==
-            touched_union.end()) {
-          touched_union.push_back(obj);
-        }
-      }
-      for (std::uint32_t obj : effect.deleted) {
-        deleted_union.emplace_back(obj, deleted_file);
-      }
-      if (ctx.store.uses_nvram()) {
-        nvlog::Record rec{msg.seqno, sub.secret, 0, sub.request};
-        if (auto op = peek_op(sub.request); op.is_ok() &&
-            *op == DirOp::create_dir && !effect.touched.empty()) {
-          rec.objhint = effect.touched.front();
-        }
-        changed.push_back(std::move(rec));
-        single_effect = effect;
+      if (effect.any_change) {
+        changed.push_back({sub.request, sub.secret, std::move(effect)});
       }
     }
-
-    std::vector<cap::Capability> old_files;
-    if (ctx.store.uses_nvram()) {
-      if (changed.size() == 1) {
-        // Lone changed update: the plain path keeps the append+delete
-        // cancellation optimisation.
-        ctx.store.log(st, changed.front().request, changed.front().secret,
-                      msg.seqno, single_effect, actx);
-      } else if (changed.size() >= 2) {
-        ctx.store.log_batch(st, changed, msg.seqno, actx);
-        ++ctx.mx_group_commits;
-      }
-      // The log holds the deletion; the directory's file goes like any
-      // superseded one (a stale table block naming it is skipped at boot).
-      for (const auto& [obj, file] : deleted_union) old_files.push_back(file);
-    } else {
-      for (std::uint32_t obj : touched_union) {
-        // Skip objects a later update of the same batch deleted again.
-        if (ctx.state.entry(obj) == nullptr) continue;
-        auto old = ctx.store.write(st, obj, actx);
-        if (old.is_ok() && !old->is_null()) old_files.push_back(*old);
-      }
-      for (const auto& [obj, file] : deleted_union) {
-        (void)ctx.store.remove(st, obj, msg.seqno, file, actx);
-      }
-    }
+    const bool batch = ctx.store.uses_nvram() && changed.size() >= 2;
+    const std::vector<cap::Capability> old_files =
+        ctx.store.persist(st, std::move(changed), msg.seqno, actx);
+    if (batch) ++ctx.mx_group_commits;
     if (apply_sp != 0) {
       tr.complete(apply_t0, ctx.now() - apply_t0, "dir.group", "apply",
                   ctx.machine.id().v, msg.seqno, actx.trace, apply_sp,
@@ -701,7 +653,6 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
 
     // Commit: wake the initiators, then clean up old bullet files (Fig. 5).
     ctx.applied_seqno = msg.seqno;
-    ctx.stats->applied_seqno = msg.seqno;
     ctx.mx_applies += subs.size();
     bool completed = false;
     for (Sub& sub : subs) {
@@ -831,14 +782,9 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   }
 
   ServerCtx ctx(machine, std::move(opts), my_index);
-  auto& stats = machine.persistent<GroupDirStats>(
-      "group_dir.stats", [] { return std::make_unique<GroupDirStats>(); });
-  stats = GroupDirStats{};  // fresh counters per boot
-  ctx.stats = &stats;
-
   Io st(ctx.store);
   ctx.store.load(st, ctx.my_seqno);
-  if (ctx.cblock.recovering) {
+  if (ctx.store.commit_block().recovering) {
     // Crashed mid state-transfer: our mixture of old and new directories
     // must never be used as a recovery source (paper Sec. 3).
     LOG_WARN << machine.name()
@@ -882,8 +828,7 @@ void install_group_dir_server(Machine& machine, GroupDirOptions opts) {
 }
 
 const GroupDirStats& group_dir_stats(net::Machine& machine) {
-  return machine.persistent<GroupDirStats>(
-      "group_dir.stats", [] { return std::make_unique<GroupDirStats>(); });
+  return stats_of(machine);
 }
 
 }  // namespace amoeba::dir

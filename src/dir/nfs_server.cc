@@ -16,7 +16,7 @@ using net::Machine;
 
 constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
 constexpr sim::Duration kCpuWrite = sim::msec(3);
-constexpr sim::Duration kDirWriteDisk = sim::msec(40);  // synchronous metadata
+constexpr sim::Duration kDirWriteDisk = sim::msec(40);
 constexpr sim::Duration kFileCreateDisk = sim::msec(12);  // sync inode only
 
 struct NfsCtx {
@@ -158,13 +158,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
 
 void service_main(Machine& machine, NfsDirOptions opts) {
   NfsCtx ctx(machine, std::move(opts));
-  disk::DiskConfig dcfg;
-  dcfg.write_latency = kDirWriteDisk;
-  ctx.disk = &machine.persistent<disk::VirtualDisk>(
-      "nfs.disk", [&machine, dcfg] {
-        return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk",
-                                                   dcfg);
-      });
+  ctx.disk = &nfs_disk(machine);
   ctx.disk->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
   ctx.files = &machine.persistent<std::map<std::uint32_t, NfsCtx::FileEntry>>(
       "nfs.files",
@@ -189,6 +183,14 @@ void service_main(Machine& machine, NfsDirOptions opts) {
 void install_nfs_dir_server(Machine& machine, NfsDirOptions opts) {
   machine.install_service("nfs_dir",
                           [opts](Machine& m) { service_main(m, opts); });
+}
+
+disk::VirtualDisk& nfs_disk(Machine& machine) {
+  return machine.persistent<disk::VirtualDisk>("nfs.disk", [&machine] {
+    disk::DiskConfig cfg;
+    cfg.write_latency = kDirWriteDisk;  // synchronous metadata
+    return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk", cfg);
+  });
 }
 
 }  // namespace amoeba::dir

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "disk/vdisk.h"
 #include "net/cluster.h"
 #include "sim/time.h"
 
@@ -20,5 +21,8 @@ struct NfsDirOptions {
 };
 
 void install_nfs_dir_server(net::Machine& machine, NfsDirOptions opts);
+
+/// The server's disk; it survives crashes.
+disk::VirtualDisk& nfs_disk(net::Machine& machine);
 
 }  // namespace amoeba::dir

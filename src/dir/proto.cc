@@ -295,6 +295,7 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightDelete);
         if (!obj.is_ok()) return reply_error(obj.code());
+        effect->deleted_file = entry(*obj)->bullet;
         erase(*obj);
         effect->deleted.push_back(*obj);
         effect->any_change = true;

@@ -130,6 +130,7 @@ class DirState {
   struct ApplyEffect {
     std::vector<std::uint32_t> touched;  // objects whose contents changed
     std::vector<std::uint32_t> deleted;  // objects removed
+    cap::Capability deleted_file;        // the removed object's Bullet file
     bool any_change = false;
   };
 

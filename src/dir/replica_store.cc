@@ -14,6 +14,24 @@ namespace {
 /// operations: intentions at the peer, the local copy, the lazy peer copy.
 constexpr std::uint32_t kIntentBlock = 0;
 
+/// self_describing: put the directory a Bullet file holds (object number,
+/// check secret, contents) into `state`; false for any other file, such as
+/// a client's.
+bool put_dir_file(DirState& state, const bullet::BulletClient::Listed& f) {
+  try {
+    Reader r(f.data);
+    const std::uint32_t obj = r.u32();
+    ObjectEntry e{
+        .in_use = true, .secret = r.u64(), .seqno = 0, .bullet = f.cap};
+    Directory d = Directory::decode(r);
+    e.seqno = d.seqno;
+    state.put(obj, e, std::move(d));
+    return true;
+  } catch (const DecodeError&) {
+    return false;
+  }
+}
+
 }  // namespace
 
 ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
@@ -40,6 +58,17 @@ nvram::Nvram& ReplicaStore::nvram_device(net::Machine& machine,
 
 Status ReplicaStore::write_commit_block(Io& io, obs::TraceContext tctx) {
   return io.disk.write_block(0, cblock_.serialize(), tctx);
+}
+
+Status ReplicaStore::mark_recovering(Io& io) {
+  cblock_.recovering = true;
+  return write_commit_block(io);
+}
+
+Status ReplicaStore::set_config(Io& io, std::uint32_t mask) {
+  cblock_.config = mask;
+  cblock_.recovering = false;
+  return write_commit_block(io);
 }
 
 // ------------------------------------------------------------ boot loading
@@ -109,21 +138,7 @@ void ReplicaStore::load_self_describing(Io& io, std::uint64_t& seqno) {
   // files are self-describing.
   auto files = io.bullet.list();
   if (files.is_ok()) {
-    for (const auto& f : *files) {
-      try {
-        Reader r(f.data);
-        const std::uint32_t obj = r.u32();
-        ObjectEntry e;
-        e.in_use = true;
-        e.secret = r.u64();
-        Directory d = Directory::decode(r);
-        e.seqno = d.seqno;
-        e.bullet = f.cap;
-        state_.put(obj, e, std::move(d));
-      } catch (const DecodeError&) {
-        continue;  // not a directory file
-      }
-    }
+    for (const auto& f : *files) put_dir_file(state_, f);
   }
   seqno = std::max(seqno, state_.max_dir_seqno());
 }
@@ -196,25 +211,6 @@ void ReplicaStore::drop(Io& io, const cap::Capability& file) {
   if (!file.is_null()) (void)io.bullet.del(file);
 }
 
-cap::Capability ReplicaStore::deleted_file(const Buffer& request) {
-  auto op = peek_op(request);
-  if (!op.is_ok() || *op != DirOp::delete_dir) return cap::kNullCap;
-  const ObjectEntry* e = state_.entry(nvlog::request_target(request));
-  return e != nullptr ? e->bullet : cap::kNullCap;
-}
-
-Status ReplicaStore::remove(Io& io, std::uint32_t obj, std::uint64_t seqno,
-                            const cap::Capability& old_file,
-                            obs::TraceContext tctx) {
-  Status ws = io.disk.write_block(obj, Buffer{}, tctx);
-  if (!ws.is_ok()) return ws;
-  cblock_.seqno = std::max(cblock_.seqno, seqno);
-  Status cs = write_commit_block(io, tctx);
-  if (!cs.is_ok()) return cs;
-  drop(io, old_file);
-  return Status::ok();
-}
-
 Status ReplicaStore::write_intent(Io& io, std::uint64_t seqno,
                                   std::uint64_t secret, const Buffer& request,
                                   obs::TraceContext tctx) {
@@ -225,46 +221,75 @@ Status ReplicaStore::write_intent(Io& io, std::uint64_t seqno,
   return io.disk.write_block(kIntentBlock, w.take(), tctx);
 }
 
-// ------------------------------------------------------------ NVRAM log
-
-void ReplicaStore::log(Io& io, const Buffer& request, std::uint64_t secret,
-                       std::uint64_t seqno,
-                       const DirState::ApplyEffect& effect,
-                       obs::TraceContext tctx) {
-  if (nvlog::try_cancel(*nv_, request, effect) > 0) return;
-  auto op = peek_op(request);
-  nvlog::Record rec{seqno, secret, 0, request};
-  if (op.is_ok() && *op == DirOp::create_dir && !effect.touched.empty()) {
-    rec.objhint = effect.touched.front();
+std::vector<cap::Capability> ReplicaStore::persist(Io& io,
+                                                   std::vector<Update> updates,
+                                                   std::uint64_t seqno,
+                                                   obs::TraceContext tctx) {
+  std::vector<cap::Capability> old_files;
+  if (nv_ != nullptr) {
+    // The log holds a deletion; the directory's file goes like any
+    // superseded one (a stale table block naming it is skipped at boot).
+    for (const Update& u : updates) {
+      if (!u.effect.deleted.empty()) old_files.push_back(u.effect.deleted_file);
+    }
+    if (!updates.empty()) log(io, std::move(updates), seqno, tctx);
+    return old_files;
   }
-  if (op.is_ok() && *op == DirOp::delete_dir && object_table()) {
-    // Deletion of an on-disk directory: remember the commit-block seqno
-    // obligation for the next flush (Fig. 4).
-    pending_commit_seqno_ = std::max(pending_commit_seqno_, seqno);
-  }
-  append(io, rec.objhint != 0 ? rec.objhint : nvlog::request_target(request),
-         nvlog::encode(rec), tctx);
-}
-
-void ReplicaStore::log_batch(Io& io, const std::vector<nvlog::Record>& subs,
-                             std::uint64_t seqno, obs::TraceContext tctx) {
-  for (const auto& rec : subs) {
-    auto op = peek_op(rec.request);
-    if (op.is_ok() && *op == DirOp::delete_dir && object_table()) {
-      pending_commit_seqno_ = std::max(pending_commit_seqno_, seqno);
+  std::vector<std::uint32_t> touched;  // each once, in first-touch order
+  for (const Update& u : updates) {
+    for (std::uint32_t obj : u.effect.touched) {
+      if (std::find(touched.begin(), touched.end(), obj) == touched.end()) {
+        touched.push_back(obj);
+      }
     }
   }
-  const std::uint32_t tag = subs.front().objhint != 0
-                                ? subs.front().objhint
-                                : nvlog::request_target(subs.front().request);
-  append(io, tag, nvlog::encode_batch(seqno, subs), tctx);
+  for (std::uint32_t obj : touched) {
+    // Skip objects a later update of the same batch deleted again.
+    if (state_.entry(obj) == nullptr) continue;
+    auto old = write(io, obj, tctx);
+    if (old.is_ok() && !old->is_null()) old_files.push_back(*old);
+  }
+  for (const Update& u : updates) {
+    for (std::uint32_t obj : u.effect.deleted) {
+      if (!io.disk.write_block(obj, Buffer{}, tctx).is_ok()) continue;
+      cblock_.seqno = std::max(cblock_.seqno, seqno);
+      if (write_commit_block(io, tctx).is_ok()) drop(io, u.effect.deleted_file);
+    }
+  }
+  return old_files;
 }
 
-void ReplicaStore::append(Io& io, std::uint32_t tag, Buffer encoded,
-                          obs::TraceContext tctx) {
+// ------------------------------------------------------------ NVRAM log
+
+void ReplicaStore::log(Io& io, std::vector<Update> updates,
+                       std::uint64_t seqno, obs::TraceContext tctx) {
+  if (updates.size() == 1 &&
+      nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect) > 0) {
+    return;
+  }
+  std::vector<nvlog::Record> recs;
+  for (Update& u : updates) {
+    auto op = peek_op(u.request);
+    nvlog::Record rec{seqno, u.secret, 0, std::move(u.request)};
+    if (op.is_ok() && *op == DirOp::create_dir && !u.effect.touched.empty()) {
+      rec.objhint = u.effect.touched.front();
+    }
+    if (op.is_ok() && *op == DirOp::delete_dir && object_table()) {
+      // Deletion of an on-disk directory: remember the commit-block seqno
+      // obligation for the next flush (Fig. 4).
+      pending_commit_seqno_ = std::max(pending_commit_seqno_, seqno);
+    }
+    recs.push_back(std::move(rec));
+  }
+  const nvlog::Record& first = recs.front();
+  const std::uint32_t tag =
+      first.objhint != 0 ? first.objhint : nvlog::request_target(first.request);
+  Buffer encoded = recs.size() == 1 ? nvlog::encode(first)
+                                    : nvlog::encode_batch(seqno, recs);
   while (!nv_->would_fit(encoded.size())) {
     // NVRAM full in the critical path: the update stalls on a flush. This
-    // is the visible cost of a small NVRAM (ablated in the benchmarks).
+    // is the visible cost of a small NVRAM (ablated in the benchmarks), and
+    // lasts while the storage machine is down.
     flush(io);
   }
   (void)nv_->append(tag, std::move(encoded), tctx);
@@ -326,6 +351,7 @@ void ReplicaStore::run_flusher() {
 // ------------------------------------------------------------ state transfer
 
 Status ReplicaStore::install(Io& io, const Buffer& snap,
+                             std::uint64_t commit_seqno,
                              const std::function<void()>& adopted) {
   // The snapshot's entries name the donor's files, never ours: drop all of
   // this replica's own files first.
@@ -343,6 +369,7 @@ Status ReplicaStore::install(Io& io, const Buffer& snap,
     }
   }
   state_ = DirState::from_snapshot(snap, state_.port());
+  cblock_.seqno = commit_seqno;
   adopted();
   if (nv_ != nullptr) {
     // The snapshot supersedes anything logged locally.

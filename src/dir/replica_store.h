@@ -65,44 +65,53 @@ class ReplicaStore {
                                     std::size_t capacity);
 
   [[nodiscard]] bool uses_nvram() const { return nv_ != nullptr; }
-  /// object_table only: the Fig. 4 commit block, read by load().
-  CommitBlock& commit_block() { return cblock_; }
-  Status write_commit_block(Io& io, obs::TraceContext tctx = {});
+  /// object_table: the Fig. 4 commit block, as last read or written.
+  [[nodiscard]] const CommitBlock& commit_block() const { return cblock_; }
+  /// object_table: write the commit block with the recovering flag set
+  /// (Sec. 3), before a state transfer starts.
+  Status mark_recovering(Io& io);
+  /// object_table: write the commit block with configuration `mask` and the
+  /// recovering flag clear.
+  Status set_config(Io& io, std::uint32_t mask);
 
   /// Rebuild the state from disk, drop a torn NVRAM tail and replay the log
   /// (self_describing: then a pending intention). Raises `seqno` as each
   /// part loads, so handlers running meanwhile see a matching seqno.
   void load(Io& io, std::uint64_t& seqno);
 
-  /// Write `obj` as a new Bullet file; returns the superseded file.
-  Result<cap::Capability> write(Io& io, std::uint32_t obj,
-                                obs::TraceContext tctx = {});
-  /// write(), then drop the superseded file.
+  /// Write `obj` as a new Bullet file, then drop the superseded one.
   void rewrite(Io& io, std::uint32_t obj, obs::TraceContext tctx = {});
   /// Delete one of this replica's Bullet files (no-op for a null cap).
   void drop(Io& io, const cap::Capability& file);
-  /// The file a delete_dir `request` leaves behind (null for other
-  /// requests); read it before apply() erases the entry.
-  cap::Capability deleted_file(const Buffer& request);
-  /// object_table: clear `obj`'s table block, raise the commit-block seqno
-  /// to `seqno` (Fig. 4), then drop `old_file`.
-  Status remove(Io& io, std::uint32_t obj, std::uint64_t seqno,
-                const cap::Capability& old_file, obs::TraceContext tctx = {});
   /// self_describing: record a peer's update before applying it.
   Status write_intent(Io& io, std::uint64_t seqno, std::uint64_t secret,
                       const Buffer& request, obs::TraceContext tctx = {});
 
-  /// Log an applied update in NVRAM; a delete whose append is still logged
-  /// cancels both (Sec. 4.1). Stalls on flushes while the log is full.
-  void log(Io& io, const Buffer& request, std::uint64_t secret,
-           std::uint64_t seqno, const DirState::ApplyEffect& effect,
+  /// One applied update that changed the state.
+  struct Update {
+    Buffer request;
+    std::uint64_t secret;
+    DirState::ApplyEffect effect;
+  };
+  /// Log the updates applied under one seqno in NVRAM. A lone update gets a
+  /// plain record, and a delete whose append is still logged cancels both
+  /// (Sec. 4.1); several share one group-commit batch record. Stalls on
+  /// flushes while the log is full.
+  void log(Io& io, std::vector<Update> updates, std::uint64_t seqno,
            obs::TraceContext tctx = {});
-  /// Group commit: one record for a whole ordered batch.
-  void log_batch(Io& io, const std::vector<nvlog::Record>& subs,
-                 std::uint64_t seqno, obs::TraceContext tctx = {});
+  /// object_table: persist the updates applied under one seqno, each
+  /// directory once. Logs them in NVRAM, or writes each touched directory
+  /// and clears the table block of each deleted one, raising the
+  /// commit-block seqno to `seqno` (Fig. 4). Returns the files the updates
+  /// superseded, for the caller to drop once they are committed.
+  std::vector<cap::Capability> persist(Io& io, std::vector<Update> updates,
+                                       std::uint64_t seqno,
+                                       obs::TraceContext tctx = {});
   /// Write every directory the log mentions and retire the records written,
-  /// or none if a write failed. Single-flight: a caller waits for a flush
-  /// in progress.
+  /// or none if a write failed: until their disk copy exists the records
+  /// are the only durable one. Single-flight: a caller waits for a flush in
+  /// progress. So while the storage machine is unreachable a full log
+  /// stalls every update until it returns.
   void flush(Io& io);
   /// The background flusher process (idle or high-water flushes).
   [[noreturn]] void run_flusher();
@@ -110,11 +119,12 @@ class ReplicaStore {
   void note_activity() { last_activity_ = machine_.sim().now(); }
 
   /// Replace the replica with a peer's snapshot: drop this replica's own
-  /// files, adopt the snapshot, discard the log and write a full copy
-  /// (object_table: clearing the blocks of directories the snapshot lacks).
-  /// `adopted` runs as the snapshot becomes the state, before anything
-  /// yields, so the caller's seqnos change together with it.
-  Status install(Io& io, const Buffer& snap,
+  /// files, adopt the snapshot, discard the log and write a full copy. The
+  /// object_table format also clears the blocks of directories the
+  /// snapshot lacks and takes the donor's `commit_seqno`. `adopted` runs as
+  /// the snapshot becomes the state, before anything yields, so the
+  /// caller's seqnos change together with it.
+  Status install(Io& io, const Buffer& snap, std::uint64_t commit_seqno,
                  const std::function<void()>& adopted);
 
  private:
@@ -124,8 +134,10 @@ class ReplicaStore {
   void load_object_table(Io& io, std::uint64_t& seqno);
   void load_self_describing(Io& io, std::uint64_t& seqno);
   void replay_intent(Io& io, std::uint64_t& seqno);
-  void append(Io& io, std::uint32_t tag, Buffer encoded,
-              obs::TraceContext tctx);
+  /// Write `obj` as a new Bullet file; returns the superseded file.
+  Result<cap::Capability> write(Io& io, std::uint32_t obj,
+                                obs::TraceContext tctx = {});
+  Status write_commit_block(Io& io, obs::TraceContext tctx = {});
 
   net::Machine& machine_;
   DirState& state_;

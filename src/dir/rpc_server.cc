@@ -148,7 +148,7 @@ void lazy_loop(RpcServerCtx& ctx) {
 
 void install_snapshot(RpcServerCtx& ctx, Io& st, const Buffer& snap,
                       std::uint64_t peer_seqno) {
-  (void)ctx.store.install(st, snap, [&] { ctx.last_seqno = peer_seqno; });
+  (void)ctx.store.install(st, snap, 0, [&] { ctx.last_seqno = peer_seqno; });
   ctx.machine.metrics().counter("dir.rpc", "resyncs")++;
   ctx.machine.trace().instant(ctx.now(), "dir.rpc", "resync",
                               ctx.machine.id().v);
@@ -204,20 +204,21 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
                                              ictx);
           if (!ds.is_ok()) return close(reply_error(ds.code()));
         }
-        const cap::Capability obsolete = ctx.store.deleted_file(dir_request);
         DirState::ApplyEffect effect;
         (void)ctx.state.apply(dir_request, secret, seqno, &effect);
         ctx.last_seqno = std::max(ctx.last_seqno, seqno);
         if (ctx.store.uses_nvram()) {
           // NVRAM intentions double as the deferred local copy.
-          ctx.store.log(st, dir_request, secret, seqno, effect, ictx);
-          ctx.store.drop(st, obsolete);
+          ctx.store.log(st, {{dir_request, secret, effect}}, seqno, ictx);
+          ctx.store.drop(st, effect.deleted_file);
           return close(reply_ok());
         }
         for (std::uint32_t obj : effect.touched) {
           ctx.lazy_q.push_back({obj, cap::kNullCap});
         }
-        if (!obsolete.is_null()) ctx.lazy_q.push_back({0, obsolete});
+        if (!effect.deleted_file.is_null()) {
+          ctx.lazy_q.push_back({0, effect.deleted_file});
+        }
         ctx.lazy_wq.notify_one();
         return close(reply_ok());
       }
@@ -343,19 +344,18 @@ void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
       }
 
       // Peer committed the intentions: perform the update.
-      const cap::Capability deleted_file = ctx.store.deleted_file(req.data);
       DirState::ApplyEffect effect;
       reply = ctx.state.apply(req.data, secret, seqno, &effect);
       ctx.last_seqno = seqno;
       if (ctx.store.uses_nvram()) {
         // Local copy deferred: the NVRAM record is the durability.
-        ctx.store.log(st, req.data, secret, seqno, effect, octx);
+        ctx.store.log(st, {{req.data, secret, effect}}, seqno, octx);
       } else {
         for (std::uint32_t obj : effect.touched) {
           ctx.store.rewrite(st, obj, octx);
         }
       }
-      ctx.store.drop(st, deleted_file);
+      ctx.store.drop(st, effect.deleted_file);
       ctx.unlock();
       ++ctx.mx_writes;
       ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));

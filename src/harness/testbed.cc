@@ -197,12 +197,7 @@ std::uint64_t Testbed::total_disk_writes() const {
   std::uint64_t n = 0;
   for (auto* m : storage_) n += storage_disk(*m).writes();
   if (opts_.flavor == Flavor::nfs) {
-    auto* m = dir_servers_.front();
-    disk::DiskConfig dcfg;
-    auto& d = m->persistent<disk::VirtualDisk>("nfs.disk", [m, dcfg] {
-      return std::make_unique<disk::VirtualDisk>(m->sim(), "nfs.disk", dcfg);
-    });
-    n += d.writes();
+    n += dir::nfs_disk(*dir_servers_.front()).writes();
   }
   return n;
 }

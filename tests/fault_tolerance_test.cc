@@ -7,6 +7,7 @@
 #include "bullet/bullet.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
+#include "dir/rpc_server.h"
 #include "dir/proto.h"
 #include "dir/types.h"
 #include "disk/vdisk.h"
@@ -103,22 +104,27 @@ std::size_t bullet_files(Testbed& bed, int storage) {
       .files.size();
 }
 
-/// A group replica's state, fetched through the admin protocol (from a
-/// client process).
-Result<dir::DirState> fetch_group_replica(Testbed& bed, rpc::RpcClient& rpc,
-                                          int server) {
+/// A replica's state, fetched through the group admin protocol or the RPC
+/// service's peer protocol (from a client process).
+Result<dir::DirState> fetch_replica(Testbed& bed, rpc::RpcClient& rpc,
+                                    int server) {
+  const bool group = bed.options().flavor == Flavor::group ||
+                     bed.options().flavor == Flavor::group_nvram;
   Writer w;
-  w.u8(static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state));
+  w.u8(group ? static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state)
+             : static_cast<std::uint8_t>(dir::RpcPeerOp::resync));
   auto res = rpc.trans(bed.admin_port(server), w.take(),
                        {.timeout = sim::sec(2)});
   if (!res.is_ok()) return res.status();
   Reader r(*res);
   if (static_cast<Errc>(r.u8()) != Errc::ok) {
-    return Status::error(Errc::refused, "fetch_state failed");
+    return Status::error(Errc::refused, "state fetch failed");
   }
   (void)r.u64();  // seqno
-  (void)r.u64();  // applied
-  (void)r.u64();  // commit seqno
+  if (group) {
+    (void)r.u64();  // applied
+    (void)r.u64();  // commit seqno
+  }
   return dir::DirState::from_snapshot(r.bytes(), bed.dir_port());
 }
 
@@ -381,7 +387,7 @@ TEST(GroupFault, DirectoryDeletedWhileDownStaysDeletedAfterTotalCrash) {
 
   d.step([&] {
     for (int i = 0; i < 3; ++i) {
-      auto st = fetch_group_replica(bed, *d.rpc, i);
+      auto st = fetch_replica(bed, *d.rpc, i);
       ASSERT_TRUE(st.is_ok()) << "server " << i << ": "
                               << st.status().to_string();
       EXPECT_EQ(st->table().size(), 1u) << "server " << i;
@@ -798,6 +804,29 @@ TEST_P(StorageGc, DeletedDirectoryLeavesNoBulletFile) {
   bed.sim().run_for(sim::sec(2));
   for (int i = 0; i < bed.num_storage(); ++i) {
     EXPECT_EQ(bullet_files(bed, i), 0u) << "storage " << i;
+  }
+}
+
+TEST_P(StorageGc, RefusedDeleteKeepsTheBulletFile) {
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 34});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+    ASSERT_TRUE(d.append_retry(dcap, "row").is_ok());
+  });
+  bed.sim().run_for(sim::sec(2));  // idle flush / lazy peer copy
+  d.step([&] {
+    cap::Capability forged = dcap;
+    forged.check ^= 1;
+    EXPECT_FALSE(d.dc->delete_dir(forged).is_ok());
+  });
+  bed.sim().run_for(sim::sec(2));
+  for (int i = 0; i < bed.num_storage(); ++i) {
+    EXPECT_EQ(bullet_files(bed, i), 1u) << "storage " << i;
   }
 }
 
