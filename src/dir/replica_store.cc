@@ -353,21 +353,28 @@ void ReplicaStore::run_flusher() {
 Status ReplicaStore::install(Io& io, const Buffer& snap,
                              std::uint64_t commit_seqno,
                              const std::function<void()>& adopted) {
-  // The snapshot's entries name the donor's files, never ours: drop all of
-  // this replica's own files first.
-  auto own = io.bullet.list();
-  if (own.is_ok()) {
-    for (const auto& f : *own) drop(io, f.cap);
-  }
+  // The snapshot's entries name the donor's files, never ours: drop this
+  // replica's own directory files first. Clients may keep files on the
+  // same Bullet server; those stay.
+  std::vector<cap::Capability> own;
   // object_table: every table block this replica may hold; those of
   // directories the snapshot lacks are cleared below.
   std::set<std::uint32_t> held;
   if (object_table()) {
-    for (const auto& [obj, e] : state_.table()) held.insert(obj);
+    for (const auto& [obj, e] : state_.table()) {
+      own.push_back(e.bullet);
+      held.insert(obj);
+    }
     if (nv_ != nullptr) {
       for (std::uint32_t obj : nvlog::flush_set(*nv_).objs) held.insert(obj);
     }
+  } else if (auto files = io.bullet.list(); files.is_ok()) {
+    DirState listed(state_.port());  // what load() would read back
+    for (const auto& f : *files) {
+      if (put_dir_file(listed, f)) own.push_back(f.cap);
+    }
   }
+  for (const auto& file : own) drop(io, file);
   state_ = DirState::from_snapshot(snap, state_.port());
   cblock_.seqno = commit_seqno;
   adopted();

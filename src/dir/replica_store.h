@@ -119,7 +119,8 @@ class ReplicaStore {
   void note_activity() { last_activity_ = machine_.sim().now(); }
 
   /// Replace the replica with a peer's snapshot: drop this replica's own
-  /// files, adopt the snapshot, discard the log and write a full copy. The
+  /// directory files (other files on its Bullet server are not its own),
+  /// adopt the snapshot, discard the log and write a full copy. The
   /// object_table format also clears the blocks of directories the
   /// snapshot lacks and takes the donor's `commit_seqno`. `adopted` runs as
   /// the snapshot becomes the state, before anything yields, so the

@@ -835,6 +835,58 @@ INSTANTIATE_TEST_SUITE_P(Flavors, StorageGc,
                                            Flavor::rpc, Flavor::rpc_nvram),
                          flavor_param_name);
 
+class ClientFiles : public ::testing::TestWithParam<Flavor> {};
+
+TEST_P(ClientFiles, SurviveAStateTransferOnTheirStorageMachine) {
+  // Clients keep their files on storage machine 0, the Bullet server that
+  // dir server 0 keeps its directories on. A state transfer to dir server 0
+  // replaces its own directory files and nothing else.
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 32});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const Buffer data{'d', 'a', 't', 'a'};
+  cap::Capability dcap;
+  d.step([&] {
+    bullet::BulletClient fc(*d.rpc, bed.file_port());
+    auto file = fc.create(data);
+    ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+    ASSERT_TRUE(d.dc->append_row(dcap, "file", {*file}).is_ok());
+  });
+  bed.sim().run_for(sim::sec(2));  // idle flush / lazy peer copy
+
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "while-down").is_ok()); });
+  bed.cluster().restart(bed.dir_server(0).id());
+  if (GetParam() == Flavor::group || GetParam() == Flavor::group_nvram) {
+    run_until_ready(bed, {0, 1, 2});
+    ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  }
+  bed.sim().run_for(sim::sec(5));
+
+  d.step([&] {
+    // Server 0 holds the update it missed, so it installed a snapshot.
+    auto st = fetch_replica(bed, *d.rpc, 0);
+    ASSERT_TRUE(st.is_ok()) << st.status().to_string();
+    ASSERT_NE(st->directory(dcap.object), nullptr);
+    EXPECT_TRUE(st->directory(dcap.object)->has("while-down"));
+    auto row = d.lookup_retry(dcap, "file");
+    ASSERT_TRUE(row.is_ok()) << row.status().to_string();
+    bullet::BulletClient fc(*d.rpc, bed.file_port());
+    auto contents = fc.read(*row);
+    ASSERT_TRUE(contents.is_ok()) << contents.status().to_string();
+    EXPECT_EQ(*contents, data);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Flavors, ClientFiles,
+                         ::testing::Values(Flavor::group, Flavor::group_nvram,
+                                           Flavor::rpc, Flavor::rpc_nvram),
+                         flavor_param_name);
+
 class NvramFlush : public ::testing::TestWithParam<Flavor> {};
 
 TEST_P(NvramFlush, KeepsTheLogWhileItsStorageIsDown) {
