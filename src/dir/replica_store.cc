@@ -232,7 +232,7 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
     for (const Update& u : updates) {
       if (!u.effect.deleted.empty()) old_files.push_back(u.effect.deleted_file);
     }
-    if (!updates.empty()) log(io, std::move(updates), seqno, tctx);
+    log(io, std::move(updates), seqno, tctx);
     return old_files;
   }
   std::vector<std::uint32_t> touched;  // each once, in first-touch order
@@ -263,6 +263,7 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
 
 void ReplicaStore::log(Io& io, std::vector<Update> updates,
                        std::uint64_t seqno, obs::TraceContext tctx) {
+  if (updates.empty()) return;
   if (updates.size() == 1 &&
       nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect) > 0) {
     return;

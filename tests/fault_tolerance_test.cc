@@ -917,6 +917,60 @@ TEST_P(NvramFlush, KeepsTheLogWhileItsStorageIsDown) {
   EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
 }
 
+TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
+  // With its storage machine down no flush can retire a record, so once
+  // server 0's log is full its updates wait until the machine returns. The
+  // other replicas keep serving meanwhile.
+  Testbed bed({.flavor = GetParam(), .clients = 2, .seed = 33,
+               .nvram_bytes = 512});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  cap::Capability dcap;
+  d.step([&] {
+    auto res = d.create_retry();
+    ASSERT_TRUE(res.is_ok());
+    dcap = *res;
+  });
+  bed.sim().run_for(sim::sec(2));  // flush the create
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+
+  bed.cluster().crash(bed.storage(0).id());
+  constexpr int kRows = 12;  // about three times what the log holds
+  int appended = 0;
+  bed.client(0).spawn("appender", [&] {
+    for (int i = 0; i < kRows; ++i) {
+      if (d.append_retry(dcap, "row" + std::to_string(i)).is_ok()) ++appended;
+    }
+  });
+  bed.sim().run_for(sim::sec(20));
+  // The log is full and holds fewer updates than were acknowledged: server
+  // 0 waits while the others serve.
+  EXPECT_FALSE(nv->would_fit(nv->capacity() / 4))
+      << nv->used_bytes() << " of " << nv->capacity() << " bytes logged";
+  EXPECT_LT(nv->record_count(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(appended, kRows);
+  Driver reader(bed, 1);
+  reader.step([&] {
+    auto res = reader.lookup_retry(dcap, "row" + std::to_string(kRows - 1));
+    EXPECT_TRUE(res.is_ok()) << res.status().to_string();
+  });
+
+  bed.cluster().restart(bed.storage(0).id());
+  bed.sim().run_for(sim::sec(10));
+  EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
+  reader.step([&] {
+    auto st = fetch_replica(bed, *reader.rpc, 0);
+    ASSERT_TRUE(st.is_ok()) << st.status().to_string();
+    const dir::Directory* dir = st->directory(dcap.object);
+    ASSERT_NE(dir, nullptr);
+    for (int i = 0; i < kRows; ++i) {
+      EXPECT_TRUE(dir->has("row" + std::to_string(i))) << "row" << i;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Flavors, NvramFlush,
                          ::testing::Values(Flavor::group_nvram,
                                            Flavor::rpc_nvram),
