@@ -258,6 +258,22 @@ void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
             static_cast<double>(agg.nvram_ops) * inv,
             ms(agg.nvram_derived) * inv);
   }
+
+  // The run's whole metrics registry, so a same-seed diff sees every
+  // counter and histogram of every layer and server flavor.
+  appendf(out, "  registry counters:\n");
+  for (const auto& [key, v] : bed.metrics().snapshot()) {
+    appendf(out, "    %-40s %llu\n", key.c_str(),
+            static_cast<unsigned long long>(v));
+  }
+  appendf(out, "  registry histograms (count, sum ms, max ms):\n");
+  for (const auto& [key, xs] : bed.metrics().hists()) {
+    double sum = 0;
+    double mx = 0;
+    for (double x : xs) sum += x, mx = std::max(mx, x);
+    appendf(out, "    %-40s %6zu %12.3f %10.3f\n", key.c_str(), xs.size(),
+            sum, mx);
+  }
   appendf(out, "\n");
 }
 
