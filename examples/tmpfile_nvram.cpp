@@ -16,7 +16,8 @@ namespace {
 
 void run_phase(harness::Testbed& bed, const cap::Capability& home,
                const char* label, int pairs) {
-  const std::uint64_t disk_before = bed.total_disk_writes();
+  const std::uint64_t& disk_writes = bed.metrics().counter("disk", "writes");
+  const std::uint64_t disk_before = disk_writes;
   // Each delete that cancels its append removes the append's log record.
   const std::uint64_t& cancels = bed.metrics().counter("nvram", "cancels");
   const std::uint64_t cancels_before = cancels;
@@ -52,8 +53,7 @@ void run_phase(harness::Testbed& bed, const cap::Capability& home,
               "%llu appends cancelled in NVRAM\n",
               label, pairs, sim::to_ms(t1 - t0),
               sim::to_ms(t1 - t0) / pairs,
-              static_cast<unsigned long long>(bed.total_disk_writes() -
-                                              disk_before),
+              static_cast<unsigned long long>(disk_writes - disk_before),
               static_cast<unsigned long long>(cancels_after - cancels_before));
 }
 

@@ -548,7 +548,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
   report.state_digest = kFnvOffset;
   for (const Buffer& s : snaps) report.state_digest = fnv1a(s, report.state_digest);
-  report.wire_packets = bed.cluster().net().stats().wire_packets;
+  report.wire_packets = bed.metrics().counter("net", "wire_packets");
   report.end_time = sim.now();
   report.events = history.size();
   report.ops_ok = history.count(Outcome::ok);

@@ -48,7 +48,6 @@ Status VirtualDisk::write_block(std::uint32_t block, const Buffer& data,
       blocks_[block] = Buffer(data.begin(),
                               data.begin() + static_cast<std::ptrdiff_t>(keep));
       ++torn_;
-      ++writes_;
       note_io("torn_write", t0, true, ctx);
       throw;
     }
@@ -60,7 +59,6 @@ Status VirtualDisk::write_block(std::uint32_t block, const Buffer& data,
   // reaches this line, leaving the previous contents intact (unless torn
   // writes are enabled above).
   blocks_[block] = data;
-  ++writes_;
   note_io("write", t0, true, ctx);
   return Status::ok();
 }
@@ -74,7 +72,6 @@ Result<Buffer> VirtualDisk::read_block(std::uint32_t block,
   }
   spindle_.use(slowed(cfg_.read_latency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  ++reads_;
   note_io("read", t0, false, ctx);
   if (!blocks_[block]) {
     return Status::error(Errc::not_found, "block never written");
@@ -87,7 +84,6 @@ Status VirtualDisk::data_write(obs::TraceContext ctx) {
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   spindle_.use(slowed(cfg_.data_write_latency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  ++writes_;
   note_io("data_write", t0, true, ctx);
   return Status::ok();
 }
@@ -97,7 +93,6 @@ Status VirtualDisk::data_read(obs::TraceContext ctx) {
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   spindle_.use(slowed(cfg_.read_latency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  ++reads_;
   note_io("data_read", t0, false, ctx);
   return Status::ok();
 }
@@ -111,7 +106,6 @@ Result<std::vector<std::pair<std::uint32_t, Buffer>>> VirtualDisk::scan(
   const sim::Time t0 = sim_.now();
   spindle_.use(slowed(cfg_.read_latency * (1 + span / 32)));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  ++reads_;
   note_io("scan", t0, false, ctx);
   std::vector<std::pair<std::uint32_t, Buffer>> out;
   for (std::uint32_t b = lo; b < hi; ++b) {

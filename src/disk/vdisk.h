@@ -88,12 +88,6 @@ class VirtualDisk {
   [[nodiscard]] std::optional<Buffer> peek(std::uint32_t block) const;
 
   [[nodiscard]] std::size_t num_blocks() const { return cfg_.num_blocks; }
-  [[nodiscard]] std::uint64_t writes() const { return writes_; }
-  [[nodiscard]] std::uint64_t reads() const { return reads_; }
-  void reset_stats() {
-    writes_ = 0;
-    reads_ = 0;
-  }
 
   /// Hook the disk into the cluster-wide observability layer: every op
   /// mirrors into the "disk" counters and records an I/O span against
@@ -139,8 +133,6 @@ class VirtualDisk {
   bool torn_writes_ = false;
   double slow_factor_ = 1.0;
   std::uint64_t torn_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t reads_ = 0;
   obs::Metrics* mx_ = nullptr;
   obs::Trace* tr_ = nullptr;
   std::uint64_t* mx_reads_ = nullptr;

@@ -154,7 +154,6 @@ struct GroupMember::Ctx {
   /// application must rejoin with an explicit state transfer.
   bool needs_state_transfer = false;
   std::optional<net::Endpoint> endpoint;
-  GroupStats stats;
 
   // Cluster-wide observability (cached counter refs: the wire helpers are
   // the hottest path in the protocol).
@@ -207,13 +206,11 @@ struct GroupMember::Ctx {
   // -- wire helpers ------------------------------------------------------
   void send_pkt(MachineId dst, Buffer b, bool data,
                 obs::TraceContext ctx = {}, const char* what = nullptr) {
-    (data ? stats.data_packets : stats.control_packets)++;
     (*(data ? mx_data : mx_ctrl))++;
     machine.net().unicast(me, dst, cfg.port, std::move(b), ctx, what);
   }
   void multicast_pkt(const std::vector<MachineId>& dsts, Buffer b, bool data,
                      obs::TraceContext ctx = {}, const char* what = nullptr) {
-    (data ? stats.data_packets : stats.control_packets)++;
     (*(data ? mx_data : mx_ctrl))++;
     if (data) (*mx_data_mcast)++;
     machine.net().multicast(me, dsts, cfg.port, std::move(b), ctx, what);
@@ -417,7 +414,7 @@ void GroupMember::Ctx::buffer_accept(const AcceptRecord& rec, MachineId from) {
     w.u64(gid);
     w.u64(next_buffer);
     send_pkt(from, w.take(), false);
-    stats.retransmissions++, (*mx_retrans)++;
+    (*mx_retrans)++;
   }
 }
 
@@ -520,8 +517,6 @@ void GroupMember::Ctx::flush_batch() {
     }
     return;
   }
-  stats.batches++;
-  stats.batched_msgs += subs.size();
   seq_assign_batch(std::move(subs));
 }
 
@@ -687,7 +682,7 @@ void GroupMember::Ctx::do_tick() {
       w.u64(gid);
       w.u64(next_buffer);
       send_pkt(sequencer, w.take(), false);
-      stats.retransmissions++, (*mx_retrans)++;
+      (*mx_retrans)++;
     }
   }
 }
@@ -814,7 +809,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
         w.u64(gid);
         w.u64(next_buffer);
         send_pkt(pkt.src, w.take(), false);
-        stats.retransmissions++, (*mx_retrans)++;
+        (*mx_retrans)++;
         return;
       }
       rec.payload = it->second;
@@ -865,7 +860,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
         w.u64(gid);
         w.u64(next_buffer);
         send_pkt(sequencer, w.take(), false);
-        stats.retransmissions++, (*mx_retrans)++;
+        (*mx_retrans)++;
       }
       Writer w;
       w.u8(static_cast<std::uint8_t>(WireType::alive));
@@ -1038,7 +1033,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
         w.u64(gid);
         w.u64(next_buffer);
         send_pkt(sequencer, w.take(), false);
-        stats.retransmissions++, (*mx_retrans)++;
+        (*mx_retrans)++;
       }
       (*mx_views)++;
       tr->instant(now(), "group", "view", me.v, incarnation);
@@ -1153,7 +1148,6 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
 
   bool installed = false;
   while (sim.now() < deadline && !installed) {
-    ctx->stats.control_packets++;
     machine.net().broadcast(ctx->me, ctx->cfg.port, join_req);
     const sim::Time round_end =
         std::min(deadline, sim.now() + sim::msec(20));
@@ -1235,7 +1229,6 @@ Status GroupMember::send_to_group(Buffer payload, obs::TraceContext ctx) {
   const std::uint64_t sp = ctx.active() ? c.tr->new_span_id() : 0;
   const obs::TraceContext sctx{ctx.trace, sp};
   const auto finish_ok = [&] {
-    c.stats.sends++;
     (*c.mx_sends)++;
     c.mx_send_ms->push_back(sim::to_ms(c.now() - t0));
     c.tr->complete(t0, c.now() - t0, "group", "send", c.me.v, msgid,
@@ -1438,7 +1431,6 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   c.votes.clear();
   c.install_member_alive();
   c.state = MemberState::normal;
-  c.stats.resets++;
   (*c.mx_resets)++;
   c.tr->instant(c.now(), "group", "reset", c.me.v, c.incarnation);
 
@@ -1485,7 +1477,6 @@ Status GroupMember::leave(sim::Duration timeout) {
   return Status::ok();
 }
 
-const GroupStats& GroupMember::stats() const { return ctx_->stats; }
 MachineId GroupMember::self() const { return ctx_->me; }
 
 }  // namespace amoeba::group

@@ -127,16 +127,6 @@ struct GroupInfo {
   }
 };
 
-struct GroupStats {
-  std::uint64_t sends = 0;           // completed SendToGroup calls
-  std::uint64_t data_packets = 0;    // REQ/ACCEPT/ACK/COMMIT wire packets
-  std::uint64_t control_packets = 0; // heartbeats, reset protocol, ...
-  std::uint64_t resets = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t batches = 0;          // multi-message ACCEPTs sent (sequencer)
-  std::uint64_t batched_msgs = 0;     // messages that rode those ACCEPTs
-};
-
 /// One member's kernel + API handle. Create on the machine that should be
 /// the founding member, or join an existing group. Must be used only by
 /// processes of the same machine.
@@ -181,7 +171,6 @@ class GroupMember {
   /// LeaveGroup.
   Status leave(sim::Duration timeout);
 
-  [[nodiscard]] const GroupStats& stats() const;
   [[nodiscard]] MachineId self() const;
 
  private:

@@ -193,13 +193,4 @@ bool Testbed::wait_ready(sim::Duration limit) {
   return false;
 }
 
-std::uint64_t Testbed::total_disk_writes() const {
-  std::uint64_t n = 0;
-  for (auto* m : storage_) n += storage_disk(*m).writes();
-  if (opts_.flavor == Flavor::nfs) {
-    n += dir::nfs_disk(*dir_servers_.front()).writes();
-  }
-  return n;
-}
-
 }  // namespace amoeba::harness

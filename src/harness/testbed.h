@@ -108,10 +108,6 @@ class Testbed {
   /// recovery (service ready). Returns false if it never became ready.
   bool wait_ready(sim::Duration limit = sim::sec(30));
 
-  /// Aggregate count of disk writes across all storage machines + the NFS
-  /// local disk (for the Sec. 3.1 disk-op analysis).
-  [[nodiscard]] std::uint64_t total_disk_writes() const;
-
  private:
   TestbedOptions opts_;
   std::unique_ptr<sim::Simulator> sim_;

@@ -124,8 +124,7 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
                           Buffer payload, std::uint32_t size,
                           obs::TraceContext pkt_ctx, std::uint64_t wire) {
   if (cfg_.drop_prob > 0 && sim_.rng().uniform() < cfg_.drop_prob) {
-    stats_.dropped_loss++;
-    if (mx_dropped_loss_ != nullptr) (*mx_dropped_loss_)++;
+    ++mx_dropped_loss_;
     if (tr_ != nullptr) tr_->instant(sim_.now(), "net", "drop_loss", dst.v);
     return;
   }
@@ -141,8 +140,7 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
       extra_drop = std::max(extra_drop, it->second.extra_drop);
     }
     if (extra_drop > 0 && sim_.rng().uniform() < extra_drop) {
-      stats_.dropped_loss++;
-      if (mx_dropped_loss_ != nullptr) (*mx_dropped_loss_)++;
+      ++mx_dropped_loss_;
       if (tr_ != nullptr) tr_->instant(sim_.now(), "net", "drop_loss", dst.v);
       return;
     }
@@ -156,14 +154,12 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
   if (cfg_.reorder_prob > 0 && sim_.rng().uniform() < cfg_.reorder_prob) {
     lat += cfg_.base_latency *
            static_cast<sim::Duration>(2 + sim_.rng().below(5));
-    stats_.reordered++;
-    if (mx_reordered_ != nullptr) (*mx_reordered_)++;
+    ++mx_reordered_;
   }
   // Duplicate delivery: the datalink layer retransmitted after a lost ack;
   // the second copy trails the first by its own (usually longer) latency.
   if (cfg_.dup_prob > 0 && sim_.rng().uniform() < cfg_.dup_prob) {
-    stats_.duplicated++;
-    if (mx_duplicated_ != nullptr) (*mx_duplicated_)++;
+    ++mx_duplicated_;
     sim::Duration dup_lat = latency(size) + cfg_.base_latency * 3;
     if (lat_mult != 1.0) {
       dup_lat =
@@ -189,23 +185,19 @@ void Network::schedule_delivery(MachineId src, MachineId dst, Port port,
     // Connectivity and liveness are evaluated at delivery time.
     Machine& m = cluster_.machine(dst);
     if (!m.up()) {
-      stats_.dropped_down++;
-      if (mx_dropped_down_ != nullptr) (*mx_dropped_down_)++;
+      ++mx_dropped_down_;
       return;
     }
     if (!connected(src, dst)) {
-      stats_.dropped_part++;
-      if (mx_dropped_part_ != nullptr) (*mx_dropped_part_)++;
+      ++mx_dropped_part_;
       return;
     }
     const PacketHandler* handler = m.handler_for(port);
     if (handler == nullptr) {
-      stats_.dropped_noport++;
-      if (mx_dropped_noport_ != nullptr) (*mx_dropped_noport_)++;
+      ++mx_dropped_noport_;
       return;
     }
-    stats_.deliveries++;
-    if (mx_deliveries_ != nullptr) (*mx_deliveries_)++;
+    ++mx_deliveries_;
     if (tr_ != nullptr) {
       // arg = payload bytes, not the port: client reply ports embed a
       // process-global salt, which would make traces differ across two
@@ -226,12 +218,8 @@ void Network::schedule_delivery(MachineId src, MachineId dst, Port port,
 
 void Network::unicast(MachineId src, MachineId dst, Port port, Buffer payload,
                       obs::TraceContext ctx, const char* what) {
-  stats_.wire_packets++;
-  stats_.unicasts++;
-  if (mx_wire_ != nullptr) {
-    (*mx_wire_)++;
-    (*mx_unicasts_)++;
-  }
+  ++mx_wire_;
+  ++mx_unicasts_;
   auto size = static_cast<std::uint32_t>(payload.size() + 64);  // headers
   const std::uint64_t wire = open_wire_span(src, ctx, what, "unicast", size);
   // The delivered packet's header carries {trace, this hop's span}: the
@@ -244,12 +232,8 @@ void Network::unicast(MachineId src, MachineId dst, Port port, Buffer payload,
 void Network::multicast(MachineId src, const std::vector<MachineId>& dsts,
                         Port port, Buffer payload, obs::TraceContext ctx,
                         const char* what) {
-  stats_.wire_packets++;
-  stats_.multicasts++;
-  if (mx_wire_ != nullptr) {
-    (*mx_wire_)++;
-    (*mx_multicasts_)++;
-  }
+  ++mx_wire_;
+  ++mx_multicasts_;
   auto size = static_cast<std::uint32_t>(payload.size() + 64);
   const std::uint64_t wire = open_wire_span(src, ctx, what, "multicast", size);
   for (MachineId dst : dsts) {
@@ -261,12 +245,8 @@ void Network::multicast(MachineId src, const std::vector<MachineId>& dsts,
 
 void Network::broadcast(MachineId src, Port port, Buffer payload,
                         obs::TraceContext ctx, const char* what) {
-  stats_.wire_packets++;
-  stats_.broadcasts++;
-  if (mx_wire_ != nullptr) {
-    (*mx_wire_)++;
-    (*mx_broadcasts_)++;
-  }
+  ++mx_wire_;
+  ++mx_broadcasts_;
   auto size = static_cast<std::uint32_t>(payload.size() + 64);
   const std::uint64_t wire = open_wire_span(src, ctx, what, "broadcast", size);
   for (MachineId dst : cluster_.machine_ids()) {

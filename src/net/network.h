@@ -34,44 +34,26 @@ struct NetConfig {
   int segments = 1;
 };
 
-struct NetStats {
-  std::uint64_t wire_packets = 0;   // unicast + multicast + broadcast sends
-  std::uint64_t unicasts = 0;
-  std::uint64_t multicasts = 0;
-  std::uint64_t broadcasts = 0;
-  std::uint64_t deliveries = 0;     // packets handed to an endpoint
-  std::uint64_t dropped_loss = 0;   // lost by injected loss
-  std::uint64_t dropped_down = 0;   // destination machine down
-  std::uint64_t dropped_part = 0;   // blocked by a partition
-  std::uint64_t dropped_noport = 0; // no endpoint registered
-  std::uint64_t duplicated = 0;     // extra copies injected by dup_prob
-  std::uint64_t reordered = 0;      // deliveries delayed by reorder_prob
-};
-
 class Network {
  public:
   Network(sim::Simulator& sim, Cluster& cluster, NetConfig cfg,
-          obs::Metrics* metrics = nullptr, obs::Trace* trace = nullptr)
+          obs::Metrics& metrics, obs::Trace* trace = nullptr)
       : sim_(sim),
         cluster_(cluster),
         cfg_(cfg),
         seg_groups_(static_cast<std::size_t>(std::max(1, cfg.segments))),
-        mx_(metrics),
-        tr_(trace) {
-    if (mx_ != nullptr) {
-      mx_wire_ = &mx_->counter("net", "wire_packets");
-      mx_unicasts_ = &mx_->counter("net", "unicasts");
-      mx_multicasts_ = &mx_->counter("net", "multicasts");
-      mx_broadcasts_ = &mx_->counter("net", "broadcasts");
-      mx_deliveries_ = &mx_->counter("net", "deliveries");
-      mx_dropped_loss_ = &mx_->counter("net", "dropped_loss");
-      mx_dropped_down_ = &mx_->counter("net", "dropped_down");
-      mx_dropped_part_ = &mx_->counter("net", "dropped_part");
-      mx_dropped_noport_ = &mx_->counter("net", "dropped_noport");
-      mx_duplicated_ = &mx_->counter("net", "duplicated");
-      mx_reordered_ = &mx_->counter("net", "reordered");
-    }
-  }
+        tr_(trace),
+        mx_wire_(metrics.counter("net", "wire_packets")),
+        mx_unicasts_(metrics.counter("net", "unicasts")),
+        mx_multicasts_(metrics.counter("net", "multicasts")),
+        mx_broadcasts_(metrics.counter("net", "broadcasts")),
+        mx_deliveries_(metrics.counter("net", "deliveries")),
+        mx_dropped_loss_(metrics.counter("net", "dropped_loss")),
+        mx_dropped_down_(metrics.counter("net", "dropped_down")),
+        mx_dropped_part_(metrics.counter("net", "dropped_part")),
+        mx_dropped_noport_(metrics.counter("net", "dropped_noport")),
+        mx_duplicated_(metrics.counter("net", "duplicated")),
+        mx_reordered_(metrics.counter("net", "reordered")) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -102,9 +84,6 @@ class Network {
   [[nodiscard]] bool connected(MachineId a, MachineId b) const;
   [[nodiscard]] bool partitioned() const;
   [[nodiscard]] int segments() const { return cfg_.segments; }
-
-  [[nodiscard]] const NetStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Attach or detach tracing mid-run. Detaching (nullptr) drops every
   /// in-flight wire span: their delivery closures still resolve via
@@ -186,10 +165,7 @@ class Network {
   /// Degraded machines (fail-slow). Empty in healthy runs, so the hot
   /// delivery path pays one branch and no RNG draws.
   std::unordered_map<std::uint32_t, LinkDegrade> degraded_;
-  NetStats stats_;
-  /// Cluster-wide observability (owned by the Cluster). Null only when a
-  /// Network is built standalone in a unit test.
-  obs::Metrics* mx_ = nullptr;
+  /// Cluster-wide tracing (owned by the Cluster); null while detached.
   obs::Trace* tr_ = nullptr;
   /// Traced wire packets in flight, keyed by their span id. Pooled nodes:
   /// spans open and close on every traced wire packet.
@@ -198,17 +174,18 @@ class Network {
       std::equal_to<std::uint64_t>,
       PoolAllocator<std::pair<const std::uint64_t, WireSpan>>>
       wire_spans_;
-  std::uint64_t* mx_wire_ = nullptr;
-  std::uint64_t* mx_unicasts_ = nullptr;
-  std::uint64_t* mx_multicasts_ = nullptr;
-  std::uint64_t* mx_broadcasts_ = nullptr;
-  std::uint64_t* mx_deliveries_ = nullptr;
-  std::uint64_t* mx_dropped_loss_ = nullptr;
-  std::uint64_t* mx_dropped_down_ = nullptr;
-  std::uint64_t* mx_dropped_part_ = nullptr;
-  std::uint64_t* mx_dropped_noport_ = nullptr;
-  std::uint64_t* mx_duplicated_ = nullptr;
-  std::uint64_t* mx_reordered_ = nullptr;
+  /// The "net" counters of the Cluster's metrics registry.
+  obs::Counter& mx_wire_;
+  obs::Counter& mx_unicasts_;
+  obs::Counter& mx_multicasts_;
+  obs::Counter& mx_broadcasts_;
+  obs::Counter& mx_deliveries_;
+  obs::Counter& mx_dropped_loss_;
+  obs::Counter& mx_dropped_down_;
+  obs::Counter& mx_dropped_part_;
+  obs::Counter& mx_dropped_noport_;
+  obs::Counter& mx_duplicated_;
+  obs::Counter& mx_reordered_;
 };
 
 }  // namespace amoeba::net

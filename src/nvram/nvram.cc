@@ -45,7 +45,6 @@ Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
   used_ += footprint(data.size());
   rec.data = std::move(data);
   log_.push_back(std::move(rec));
-  ++appends_;
   if (mx_appends_ != nullptr) (*mx_appends_)++;
   if (tr_ != nullptr) {
     const std::uint64_t sp = ctx.active() ? tr_->new_span_id() : 0;
@@ -72,7 +71,6 @@ bool Nvram::cancel(std::uint64_t id) {
   if (it == log_.end()) return false;
   used_ -= footprint(it->data.size());
   log_.erase(it);
-  ++cancels_;
   if (mx_cancels_ != nullptr) (*mx_cancels_)++;
   return true;
 }
@@ -88,7 +86,6 @@ std::size_t Nvram::cancel_tag(std::uint64_t tag) {
       ++it;
     }
   }
-  cancels_ += n;
   if (mx_cancels_ != nullptr) *mx_cancels_ += n;
   return n;
 }

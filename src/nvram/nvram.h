@@ -78,9 +78,6 @@ class Nvram {
   /// All records, oldest first (crash-recovery replay).
   [[nodiscard]] const std::deque<Record>& records() const { return log_; }
 
-  [[nodiscard]] std::uint64_t appends() const { return appends_; }
-  [[nodiscard]] std::uint64_t cancels() const { return cancels_; }
-
   /// Hook into the cluster-wide observability layer (see
   /// VirtualDisk::attach_obs — same after-construction pattern, because
   /// NVRAM is built by Machine::persistent factories).
@@ -111,8 +108,6 @@ class Nvram {
   double slow_factor_ = 1.0;
   std::uint64_t torn_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t appends_ = 0;
-  std::uint64_t cancels_ = 0;
   obs::Metrics* mx_ = nullptr;
   obs::Trace* tr_ = nullptr;
   std::uint64_t* mx_appends_ = nullptr;

@@ -53,7 +53,6 @@ void RpcServer::on_packet(Packet pkt) {
         // another server.
         const DedupKey key{pkt.src.v, reply_port.v, xid};
         if (auto it = done_.find(key); it != done_.end()) {
-          ++dups_;
           ++mx_dups_;
           Writer w;
           w.u8(static_cast<std::uint8_t>(MsgType::reply));
@@ -64,8 +63,7 @@ void RpcServer::on_packet(Packet pkt) {
           return;
         }
         if (in_flight_.count(key) != 0) {
-          ++dups_;  // queued or being served: its reply is on the way
-          ++mx_dups_;
+          ++mx_dups_;  // queued or being served: its reply is on the way
           return;
         }
         // NOTHERE when every service thread is busy (paper Sec. 4.2).
@@ -101,7 +99,6 @@ IncomingRequest RpcServer::get_request() {
     ~Guard() { --*n; }
   } guard{&idle_threads_};
   IncomingRequest req = pending_.recv();
-  ++served_;
   ++mx_served_;
   return req;
 }

@@ -70,11 +70,6 @@ class RpcServer {
                  obs::TraceContext ctx = {});
 
   [[nodiscard]] Machine& machine() const { return machine_; }
-  [[nodiscard]] std::uint64_t requests_served() const { return served_; }
-  /// Duplicate requests absorbed by the at-most-once filter (retransmits
-  /// or network-duplicated packets; each was dropped or answered from the
-  /// reply cache instead of being executed again).
-  [[nodiscard]] std::uint64_t duplicates_filtered() const { return dups_; }
 
  private:
   /// At-most-once identity of a transaction: (client machine, reply port,
@@ -89,11 +84,9 @@ class RpcServer {
   Port port_;
   sim::Mailbox<IncomingRequest> pending_;
   int idle_threads_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t dups_ = 0;
   // Pre-interned counter handles: the packet handler and get_request are
   // hot paths, so string lookups are done once at construction.
-  obs::Counter& mx_dups_;
+  obs::Counter& mx_dups_;  // absorbed by the at-most-once filter
   obs::Counter& mx_nothere_;
   obs::Counter& mx_served_;
   std::set<DedupKey> in_flight_;       // queued or being served

@@ -31,10 +31,6 @@ class FifoResource {
 
   [[nodiscard]] std::uint64_t ops() const { return ops_; }
   [[nodiscard]] Duration busy_time() const { return busy_time_; }
-  void reset_stats() {
-    ops_ = 0;
-    busy_time_ = 0;
-  }
 
   /// Fail-slow injection: every use() occupies the resource for
   /// `factor` times the requested duration (a thermally-throttled CPU, a

@@ -251,10 +251,11 @@ TEST_F(EdgeFixture, StatsCountSendsAndResets) {
     }
   });
   sim.run_for(sim::sec(1));
-  EXPECT_EQ(ms[1]->stats().sends, 3u);
+  obs::Metrics& mx = cluster.metrics();
+  EXPECT_EQ(mx.counter("group", "sends"), 3u);
   cluster.crash(MachineId{0});
   sim.run_for(sim::sec(2));
-  EXPECT_GE(ms[1]->stats().resets, 1u);
+  EXPECT_GE(mx.counter("group", "resets"), 1u);
 }
 
 TEST_F(EdgeFixture, PrunedHistoryGapEscalatesToStateTransfer) {

@@ -235,12 +235,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_F(GroupFixture, FivePacketsForNonSequencerSend) {
   boot(3);
   sim.run_until(sim::msec(200));  // let join traffic settle
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  const std::uint64_t& data_packets =
+      cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data_packets;
   send_from(1, {"x"});
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
+  const std::uint64_t after = data_packets;
   // REQ + multicast ACCEPT + 2 ACK + COMMIT = 5 (paper Sec. 3.1).
   EXPECT_EQ(after - before, 5u);
 }
@@ -248,12 +248,12 @@ TEST_F(GroupFixture, FivePacketsForNonSequencerSend) {
 TEST_F(GroupFixture, ThreePacketsForSequencerSend) {
   boot(3);
   sim.run_until(sim::msec(200));
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  const std::uint64_t& data_packets =
+      cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data_packets;
   send_from(0, {"x"});  // machine 0 is the sequencer
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
+  const std::uint64_t after = data_packets;
   // multicast ACCEPT + 2 ACK = 3.
   EXPECT_EQ(after - before, 3u);
 }
@@ -489,12 +489,12 @@ TEST_F(BbFixture, BbTotalOrderConcurrentSenders) {
 TEST_F(BbFixture, BbFivePacketsPerSend) {
   boot_bb(3);
   sim.run_until(sim::msec(200));
-  std::uint64_t before = 0;
-  for (auto& node : nodes) before += node->gm->stats().data_packets;
+  const std::uint64_t& data_packets =
+      cluster.metrics().counter("group", "data_packets");
+  const std::uint64_t before = data_packets;
   send_from(1, {"x"});
   sim.run_until(sim::msec(400));
-  std::uint64_t after = 0;
-  for (auto& node : nodes) after += node->gm->stats().data_packets;
+  const std::uint64_t after = data_packets;
   // bb_data multicast + bb_order multicast + 2 ACK + COMMIT = 5, but the
   // payload crosses the wire only once (vs. twice with PB).
   EXPECT_EQ(after - before, 5u);

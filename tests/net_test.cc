@@ -69,8 +69,9 @@ TEST_F(NetFixture, MulticastReachesAllButSender) {
   });
   sim.run_until(sim::msec(50));
   EXPECT_EQ(received, 2);
-  EXPECT_EQ(cluster.net().stats().wire_packets, 1u);  // one Ethernet packet
-  EXPECT_EQ(cluster.net().stats().deliveries, 2u);
+  // One Ethernet packet.
+  EXPECT_EQ(cluster.metrics().counter("net", "wire_packets"), 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "deliveries"), 2u);
 }
 
 TEST_F(NetFixture, BroadcastReachesEveryListener) {
@@ -110,7 +111,7 @@ TEST_F(NetFixture, PartitionBlocksAcrossGroups) {
   sim.run_until(sim::msec(100));
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(c_got, 0);
-  EXPECT_EQ(cluster.net().stats().dropped_part, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "dropped_part"), 1u);
   EXPECT_TRUE(cluster.net().connected(a.id(), b.id()));
   EXPECT_FALSE(cluster.net().connected(a.id(), c.id()));
 }
@@ -153,7 +154,7 @@ TEST_F(NetFixture, CrashDropsInFlightAndStopsProcesses) {
   sim.run_until(sim::msec(50));
   EXPECT_FALSE(got);
   EXPECT_FALSE(b.up());
-  EXPECT_EQ(cluster.net().stats().dropped_down, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "dropped_down"), 1u);
 }
 
 TEST_F(NetFixture, ServicesRespawnOnRestart) {
@@ -202,7 +203,7 @@ TEST_F(NetFixture, NoEndpointMeansDrop) {
     a.net().unicast(a.id(), b.id(), Port{999}, to_buffer("x"));
   });
   sim.run_until(sim::msec(50));
-  EXPECT_EQ(cluster.net().stats().dropped_noport, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "dropped_noport"), 1u);
 }
 
 TEST_F(NetFixture, LossInjectionDropsPackets) {
@@ -221,7 +222,7 @@ TEST_F(NetFixture, LossInjectionDropsPackets) {
   });
   sim.run_until(sim::msec(200));
   EXPECT_EQ(got, 0);
-  EXPECT_EQ(cluster.net().stats().dropped_loss, 5u);
+  EXPECT_EQ(cluster.metrics().counter("net", "dropped_loss"), 5u);
 }
 
 TEST_F(NetFixture, DuplicateInjectionDeliversTwice) {
@@ -240,9 +241,9 @@ TEST_F(NetFixture, DuplicateInjectionDeliversTwice) {
   });
   sim.run_until(sim::msec(300));
   EXPECT_EQ(got, 10);
-  EXPECT_EQ(cluster.net().stats().duplicated, 5u);
+  EXPECT_EQ(cluster.metrics().counter("net", "duplicated"), 5u);
   // One Ethernet transmission per copy: duplicates are real wire traffic.
-  EXPECT_EQ(cluster.net().stats().deliveries, 10u);
+  EXPECT_EQ(cluster.metrics().counter("net", "deliveries"), 10u);
 }
 
 TEST_F(NetFixture, ReorderInjectionDelaysDelivery) {
@@ -261,7 +262,7 @@ TEST_F(NetFixture, ReorderInjectionDelaysDelivery) {
   // Normal delivery lands well under 2ms (DeliveryTakesLatency); a
   // reordered packet is held back at least two extra base latencies.
   EXPECT_GE(arrival, 2000);
-  EXPECT_EQ(cluster.net().stats().reordered, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "reordered"), 1u);
 }
 
 TEST_F(NetFixture, RedundantSegmentsMaskOnePartition) {

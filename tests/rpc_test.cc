@@ -76,7 +76,7 @@ TEST_F(RpcFixture, LocateCachesServer) {
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(*chosen, s.id());
   // Exactly one broadcast (the single locate).
-  EXPECT_EQ(cluster.net().stats().broadcasts, 1u);
+  EXPECT_EQ(cluster.metrics().counter("net", "broadcasts"), 1u);
 }
 
 TEST_F(RpcFixture, UnreachableWhenNoServer) {
@@ -194,7 +194,7 @@ TEST_F(RpcFixture, DuplicateDeliveryExecutesAtMostOnce) {
   EXPECT_EQ(ok, kCalls + 1);
   EXPECT_EQ(executions, kCalls + 1);
   ASSERT_NE(srv, nullptr);
-  EXPECT_GT(srv->duplicates_filtered(), 0u);
+  EXPECT_GT(cluster.metrics().counter("rpc", "duplicates_filtered"), 0u);
 }
 
 TEST_F(RpcFixture, ManyConcurrentClients) {

@@ -292,12 +292,14 @@ TEST_F(StorageFixture, BulletCreateCostsOneDiskWritePerBlock) {
     auto& d = s.persistent<VirtualDisk>("disk", [&] {
       return std::make_unique<VirtualDisk>(sim, "disk");
     });
-    d.reset_stats();
+    d.attach_obs(&cluster.metrics(), nullptr, s.id().v);
+    const std::uint64_t& writes = cluster.metrics().counter("disk", "writes");
+    std::uint64_t before = writes;
     (void)bc.create(to_buffer("small"));
-    writes_small = d.writes();
-    d.reset_stats();
+    writes_small = writes - before;
+    before = writes;
     (void)bc.create(Buffer(3000, 1));  // 3 blocks
-    writes_big = d.writes();
+    writes_big = writes - before;
   });
   sim.run_until(sim::sec(2));
   EXPECT_EQ(writes_small, 1u);
@@ -363,6 +365,7 @@ TEST_F(StorageFixture, NvramCancelByIdAndTag) {
   Machine& m = cluster.add_machine("m");
   m.spawn("p", [&] {
     nvram::Nvram nv(sim);
+    nv.attach_obs(&cluster.metrics(), nullptr, m.id().v);
     auto id1 = nv.append(10, to_buffer("a"));
     (void)nv.append(10, to_buffer("b"));
     (void)nv.append(11, to_buffer("c"));
@@ -373,7 +376,7 @@ TEST_F(StorageFixture, NvramCancelByIdAndTag) {
     EXPECT_EQ(nv.record_count(), 1u);
     EXPECT_EQ(to_string(nv.front()->data), "c");
     // Cancelling frees space.
-    EXPECT_EQ(nv.cancels(), 2u);
+    EXPECT_EQ(cluster.metrics().counter("nvram", "cancels"), 2u);
   });
   sim.run_until(sim::sec(1));
 }
