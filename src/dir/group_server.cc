@@ -1,12 +1,14 @@
 #include "dir/group_server.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "common/log.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
+#include "dir/serve.h"
 #include "rpc/rpc.h"
 #include "sim/waitq.h"
 
@@ -73,17 +75,14 @@ struct ServerCtx {
   /// it records the "first_op_served" timeline instant.
   bool served_since_recovery = false;
 
+  OpSkeleton ops;
   // Hot-path counter handles, interned once at construction so the request
   // loops never hash a metric name.
-  obs::Counter& mx_reads;
-  obs::Counter& mx_writes;
   obs::Counter& mx_applies;
   obs::Counter& mx_refused;
   obs::Counter& mx_lease_grants;
   obs::Counter& mx_lease_invals;
   obs::Counter& mx_group_commits;
-  obs::Hist& mx_read_ms;
-  obs::Hist& mx_write_ms;
 
   ServerCtx(Machine& m, GroupDirOptions o, int idx)
       : machine(m),
@@ -96,15 +95,12 @@ struct ServerCtx {
         stats(stats_of(m) = GroupDirStats{}),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
-        mx_reads(m.metrics().counter("dir.group", "reads")),
-        mx_writes(m.metrics().counter("dir.group", "writes")),
+        ops(m, "dir.group", kCpuRead, kCpuWrite, &store),
         mx_applies(m.metrics().counter("dir.group", "applies")),
         mx_refused(m.metrics().counter("dir.group", "refused_no_majority")),
         mx_lease_grants(m.metrics().counter("dir.group", "lease_grants")),
         mx_lease_invals(m.metrics().counter("dir.group", "lease_invals")),
-        mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")),
-        mx_read_ms(m.metrics().histogram("dir.group", "read_ms")),
-        mx_write_ms(m.metrics().histogram("dir.group", "write_ms")) {}
+        mx_group_commits(m.metrics().counter("dir.group", "nvram_group_commits")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
@@ -666,109 +662,80 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
   }
 }
 
-void initiator_loop(ServerCtx& ctx, rpc::RpcServer& server) {
-  obs::Trace& tr = ctx.machine.trace();
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree; put_reply threads it
-    // on to the reply wire span.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.now() - op_t0, "dir.group", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    const auto note_served = [&] {
-      if (!ctx.served_since_recovery) {
-        ctx.served_since_recovery = true;
-        tr.instant(ctx.now(), "dir.group", "first_op_served",
-                   ctx.machine.id().v, 0, octx.trace);
-      }
-    };
-    const bool rd = is_read_op(*op_res);
-    ctx.machine.use_cpu(rd ? kCpuRead : kCpuWrite, octx);
-    ctx.store.note_activity();
+/// "if (!majority()) return failure" — Fig. 5. True when the op must be
+/// refused.
+bool refuse_without_majority(ServerCtx& ctx) {
+  if (!ctx.in_recovery && ctx.majority()) return false;
+  ++ctx.mx_refused;
+  return true;
+}
 
-    // "if (!majority()) return failure" — Fig. 5.
-    if (ctx.in_recovery || !ctx.majority()) {
-      ++ctx.mx_refused;
-      close_op("refused");
-      server.put_reply(req, reply_error(Errc::no_majority), octx);
-      continue;
-    }
-
-    if (rd) {
-      // Buffered-messages barrier: before reading, apply everything the
-      // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
-      if (!ctx.opts.debug_skip_read_barrier) {
-        const std::uint64_t target = ctx.gm->info().known_latest;
-        const sim::Time deadline = ctx.now() + kReadBarrierTimeout;
-        while (ctx.applied_seqno < target && ctx.now() < deadline &&
-               !ctx.in_recovery) {
-          ctx.applied_wq.wait_until(deadline);
-        }
-        if (ctx.applied_seqno < target) {
-          close_op("read");
-          server.put_reply(req, reply_error(Errc::refused), octx);
-          continue;
-        }
-      }
-      Buffer reply = ctx.state.execute_read(req.data);
-      if (ctx.opts.lease_caching && *op_res == DirOp::lookup_set) {
-        grant_leases(ctx, req, reply);
-      }
-      ++ctx.mx_reads;
-      ctx.mx_read_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      note_served();
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
-    }
-
-    // Write: generate the check field here so all replicas agree (Sec. 3.1),
-    // broadcast, and wait for the group thread to execute the request.
-    const std::uint64_t opid = ctx.next_opid++;
-    const std::uint64_t secret = ctx.sim().rng().next();
-    Writer w;
-    w.u64(opid);
-    w.u64(secret);
-    w.bytes(req.data);
-    Status st = ctx.gm->send_to_group(w.take(), octx);
-    if (!st.is_ok()) {
-      close_op("write");
-      server.put_reply(req, reply_error(st.code() == Errc::group_failure
-                                            ? Errc::no_majority
-                                            : st.code()),
-                       octx);
-      continue;
-    }
-    const sim::Time deadline = ctx.now() + sim::sec(3);
-    while (!ctx.completions.contains(opid) && ctx.now() < deadline) {
-      ctx.completion_wq.wait_until(deadline);
-    }
-    auto it = ctx.completions.find(opid);
-    if (it == ctx.completions.end()) {
-      close_op("write");
-      server.put_reply(req, reply_error(Errc::timeout), octx);
-      continue;
-    }
-    Buffer reply = std::move(it->second);
-    ctx.completions.erase(it);
-    ++ctx.mx_writes;
-    ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-    note_served();
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
+/// See served_since_recovery.
+void note_served(ServerCtx& ctx, obs::TraceContext octx) {
+  if (!ctx.served_since_recovery) {
+    ctx.served_since_recovery = true;
+    ctx.machine.trace().instant(ctx.now(), "dir.group", "first_op_served",
+                                ctx.machine.id().v, 0, octx.trace);
   }
+}
+
+OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
+                     DirOp op, obs::TraceContext octx) {
+  if (refuse_without_majority(ctx)) {
+    return {reply_error(Errc::no_majority), "refused", false};
+  }
+  // Buffered-messages barrier: before reading, apply everything the
+  // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
+  if (!ctx.opts.debug_skip_read_barrier) {
+    const std::uint64_t target = ctx.gm->info().known_latest;
+    const sim::Time deadline = ctx.now() + kReadBarrierTimeout;
+    while (ctx.applied_seqno < target && ctx.now() < deadline &&
+           !ctx.in_recovery) {
+      ctx.applied_wq.wait_until(deadline);
+    }
+    if (ctx.applied_seqno < target) {
+      return {reply_error(Errc::refused), "read", false};
+    }
+  }
+  Buffer reply = ctx.state.execute_read(req.data);
+  if (ctx.opts.lease_caching && op == DirOp::lookup_set) {
+    grant_leases(ctx, req, reply);
+  }
+  note_served(ctx, octx);
+  return {std::move(reply), "read", true};
+}
+
+OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
+                       DirOp /*op*/, obs::TraceContext octx) {
+  if (refuse_without_majority(ctx)) {
+    return {reply_error(Errc::no_majority), "refused", false};
+  }
+  // Generate the check field here so all replicas agree (Sec. 3.1),
+  // broadcast, and wait for the group thread to execute the request.
+  const std::uint64_t opid = ctx.next_opid++;
+  const std::uint64_t secret = ctx.sim().rng().next();
+  Writer w;
+  w.u64(opid);
+  w.u64(secret);
+  w.bytes(req.data);
+  Status st = ctx.gm->send_to_group(w.take(), octx);
+  if (!st.is_ok()) {
+    return {reply_error(st.code() == Errc::group_failure ? Errc::no_majority
+                                                         : st.code()),
+            "write", false};
+  }
+  const sim::Time deadline = ctx.now() + sim::sec(3);
+  while (!ctx.completions.contains(opid) && ctx.now() < deadline) {
+    ctx.completion_wq.wait_until(deadline);
+  }
+  auto it = ctx.completions.find(opid);
+  if (it == ctx.completions.end()) {
+    return {reply_error(Errc::timeout), "write", false};
+  }
+  Buffer reply = std::move(it->second);
+  ctx.completions.erase(it);
+  note_served(ctx, octx);
+  return {std::move(reply), "write", true};
 }
 
 void service_main(Machine& machine, GroupDirOptions opts) {
@@ -807,8 +774,10 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   // Client-facing initiator threads.
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   for (int i = 0; i < ctx.opts.server_threads; ++i) {
-    machine.spawn("dir.svr" + std::to_string(i),
-                  [&ctx, server] { initiator_loop(ctx, *server); });
+    machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
+      serve_ops(ctx.ops, *server, std::bind_front(serve_read, std::ref(ctx)),
+                std::bind_front(serve_update, std::ref(ctx)));
+    });
   }
 
   if (ctx.store.uses_nvram()) {

@@ -5,6 +5,7 @@
 #include "bullet/bullet.h"
 #include "common/log.h"
 #include "dir/proto.h"
+#include "dir/serve.h"
 #include "disk/vdisk.h"
 #include "rpc/rpc.h"
 
@@ -34,63 +35,38 @@ struct NfsCtx {
   std::map<std::uint32_t, FileEntry>* files = nullptr;
   std::uint32_t next_file = 1;
 
+  OpSkeleton ops;
+
   NfsCtx(Machine& m, NfsDirOptions o)
-      : machine(m), opts(std::move(o)), state(opts.dir_port) {}
+      : machine(m),
+        opts(std::move(o)),
+        state(opts.dir_port),
+        ops(m, "dir.nfs", kCpuRead, kCpuWrite) {}
 };
 
 void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
-  obs::Metrics& mx = ctx.machine.metrics();
-  obs::Trace& tr = ctx.machine.trace();
-  obs::Counter& mx_reads = mx.counter("dir.nfs", "reads");
-  obs::Counter& mx_writes = mx.counter("dir.nfs", "writes");
-  obs::Hist& mx_read_ms = mx.histogram("dir.nfs", "read_ms");
-  obs::Hist& mx_write_ms = mx.histogram("dir.nfs", "write_ms");
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.machine.sim().now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.machine.sim().now() - op_t0, "dir.nfs", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    if (is_read_op(*op_res)) {
-      ctx.machine.use_cpu(kCpuRead, octx);
-      Buffer reply = ctx.state.execute_read(req.data);
-      ++mx_reads;
-      mx_read_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
-    }
-    ctx.machine.use_cpu(kCpuWrite, octx);
-    DirState::ApplyEffect effect;
-    const std::uint64_t secret = ctx.machine.sim().rng().next();
-    Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);
-    if (effect.any_change) {
-      // One synchronous metadata write, as SunOS does for directories.
-      std::uint32_t block =
-          effect.touched.empty()
-              ? (effect.deleted.empty() ? 0 : effect.deleted.front())
-              : effect.touched.front();
-      Directory* d =
-          effect.touched.empty() ? nullptr : ctx.state.directory(block);
-      (void)ctx.disk->write_block(block, d ? d->serialize() : Buffer{}, octx);
-    }
-    ++mx_writes;
-    mx_write_ms.push_back(sim::to_ms(ctx.machine.sim().now() - op_t0));
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
-  }
+  serve_ops(
+      ctx.ops, server,
+      [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext) {
+        return OpOutcome{ctx.state.execute_read(req.data), "read", true};
+      },
+      [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext octx) {
+        DirState::ApplyEffect effect;
+        const std::uint64_t secret = ctx.machine.sim().rng().next();
+        Buffer reply = ctx.state.apply(req.data, secret, ++ctx.seqno, &effect);
+        if (effect.any_change) {
+          // One synchronous metadata write, as SunOS does for directories.
+          std::uint32_t block =
+              effect.touched.empty()
+                  ? (effect.deleted.empty() ? 0 : effect.deleted.front())
+                  : effect.touched.front();
+          Directory* d =
+              effect.touched.empty() ? nullptr : ctx.state.directory(block);
+          (void)ctx.disk->write_block(block, d ? d->serialize() : Buffer{},
+                                      octx);
+        }
+        return OpOutcome{std::move(reply), "write", true};
+      });
 }
 
 void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {

@@ -6,6 +6,7 @@
 #include "common/log.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
+#include "dir/serve.h"
 #include "rpc/rpc.h"
 #include "sim/waitq.h"
 
@@ -48,14 +49,11 @@ struct RpcServerCtx {
   std::deque<LazyTask> lazy_q;
   sim::WaitQueue lazy_wq;
 
+  OpSkeleton ops;
   // Hot-path counter handles, interned once at construction so the request
   // loops never hash a metric name.
-  obs::Counter& mx_reads;
-  obs::Counter& mx_writes;
   obs::Counter& mx_intents;
   obs::Counter& mx_conflicts;
-  obs::Hist& mx_read_ms;
-  obs::Hist& mx_write_ms;
 
   RpcServerCtx(Machine& m, RpcDirOptions o, int idx)
       : machine(m),
@@ -68,12 +66,9 @@ struct RpcServerCtx {
                opts.disk_port, opts.use_nvram, opts.nvram_bytes}),
         lock_wq(m.sim()),
         lazy_wq(m.sim()),
-        mx_reads(m.metrics().counter("dir.rpc", "reads")),
-        mx_writes(m.metrics().counter("dir.rpc", "writes")),
+        ops(m, "dir.rpc", kCpuRead, kCpuWrite, &store),
         mx_intents(m.metrics().counter("dir.rpc", "intents_received")),
-        mx_conflicts(m.metrics().counter("dir.rpc", "conflicts")),
-        mx_read_ms(m.metrics().histogram("dir.rpc", "read_ms")),
-        mx_write_ms(m.metrics().histogram("dir.rpc", "write_ms")) {}
+        mx_conflicts(m.metrics().counter("dir.rpc", "conflicts")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
@@ -257,114 +252,71 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
 
 bool sync_with_peer(RpcServerCtx& ctx, Io& st);
 
-void initiator_loop(RpcServerCtx& ctx, rpc::RpcServer& server) {
-  Io st(ctx.store);
-  obs::Trace& tr = ctx.machine.trace();
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
-    const sim::Time op_t0 = ctx.now();
-    auto op_res = peek_op(req.data);
-    if (!op_res.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
-      continue;
-    }
-    // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree; put_reply threads it
-    // on to the reply wire span.
-    const std::uint64_t op_sp = req.ctx.active() ? tr.new_span_id() : 0;
-    const obs::TraceContext octx{req.ctx.trace, op_sp};
-    const auto close_op = [&](const char* name) {
-      if (op_sp != 0) {
-        tr.complete(op_t0, ctx.now() - op_t0, "dir.rpc", name,
-                    ctx.machine.id().v, 0, octx.trace, op_sp, req.ctx.span);
-      }
-    };
-    const bool rd = is_read_op(*op_res);
-    ctx.machine.use_cpu(rd ? kCpuRead : kCpuWrite, octx);
-    ctx.store.note_activity();
+/// Update: serialize locally, get the peer's intentions ack, apply.
+OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
+                       const rpc::IncomingRequest& req, obs::TraceContext octx) {
+  for (int attempt = 0; attempt <= kUpdateRetries; ++attempt) {
+    ctx.lock_traced(octx);
+    const std::uint64_t seqno = ctx.last_seqno + 1;
+    const std::uint64_t secret = ctx.sim().rng().next();
 
-    if (rd) {
-      Buffer reply = ctx.state.execute_read(req.data);
-      ++ctx.mx_reads;
-      ctx.mx_read_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      close_op("read");
-      server.put_reply(req, std::move(reply), octx);
-      continue;
-    }
-
-    // Update: serialize locally, get the peer's intentions ack, apply.
-    Buffer reply;
-    bool done = false;
-    for (int attempt = 0; attempt <= kUpdateRetries && !done;
-         ++attempt) {
-      ctx.lock_traced(octx);
-      const std::uint64_t seqno = ctx.last_seqno + 1;
-      const std::uint64_t secret = ctx.sim().rng().next();
-
-      Status peer_st = Status::ok();
-      if (!ctx.peer_down) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(PeerOp::intent));
-        w.u64(seqno);
-        w.u64(secret);
-        w.bytes(req.data);
-        auto res = st.rpc.trans(
-            admin_port(ctx, ctx.peer_index), w.take(),
-            {.timeout = kPeerTimeout}, octx);
-        if (res.is_ok()) {
-          peer_st = reply_status(*res);
-        } else {
-          // Peer unreachable: carry on alone (no partition tolerance).
-          ctx.peer_down = true;
-        }
-      }
-
-      if (!peer_st.is_ok() && peer_st.code() == Errc::refused) {
-        // Conflicting update initiated at the peer; back off and retry.
-        // Asymmetric backoff (higher-indexed server defers longer) breaks
-        // the livelock when both servers initiate simultaneously.
-        ctx.unlock();
-        ctx.sim().sleep_for(
-            sim::msec(4) + sim::msec(8) * ctx.my_index +
-            static_cast<sim::Duration>(ctx.sim().rng().below(8000)));
-        continue;
-      }
-      if (!peer_st.is_ok() && peer_st.code() == Errc::conflict) {
-        // The peer missed updates (it restarted, or we wrote while it was
-        // unreachable): converge states, then retry with a fresh seqno.
-        (void)sync_with_peer(ctx, st);
-        ctx.unlock();
-        continue;
-      }
-      if (!peer_st.is_ok()) {
-        ctx.unlock();
-        reply = reply_error(peer_st.code());
-        done = true;
-        break;
-      }
-
-      // Peer committed the intentions: perform the update.
-      DirState::ApplyEffect effect;
-      reply = ctx.state.apply(req.data, secret, seqno, &effect);
-      ctx.last_seqno = seqno;
-      if (ctx.store.uses_nvram()) {
-        // Local copy deferred: the NVRAM record is the durability.
-        ctx.store.log(st, {{req.data, secret, effect}}, seqno, octx);
+    Status peer_st = Status::ok();
+    if (!ctx.peer_down) {
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(PeerOp::intent));
+      w.u64(seqno);
+      w.u64(secret);
+      w.bytes(req.data);
+      auto res = st.rpc.trans(
+          admin_port(ctx, ctx.peer_index), w.take(),
+          {.timeout = kPeerTimeout}, octx);
+      if (res.is_ok()) {
+        peer_st = reply_status(*res);
       } else {
-        for (std::uint32_t obj : effect.touched) {
-          ctx.store.rewrite(st, obj, octx);
-        }
+        // Peer unreachable: carry on alone (no partition tolerance).
+        ctx.peer_down = true;
       }
-      ctx.store.drop(st, effect.deleted_file);
-      ctx.unlock();
-      ++ctx.mx_writes;
-      ctx.mx_write_ms.push_back(sim::to_ms(ctx.now() - op_t0));
-      done = true;
     }
-    if (!done) reply = reply_error(Errc::refused);
-    close_op("write");
-    server.put_reply(req, std::move(reply), octx);
+
+    if (!peer_st.is_ok() && peer_st.code() == Errc::refused) {
+      // Conflicting update initiated at the peer; back off and retry.
+      // Asymmetric backoff (higher-indexed server defers longer) breaks
+      // the livelock when both servers initiate simultaneously.
+      ctx.unlock();
+      ctx.sim().sleep_for(
+          sim::msec(4) + sim::msec(8) * ctx.my_index +
+          static_cast<sim::Duration>(ctx.sim().rng().below(8000)));
+      continue;
+    }
+    if (!peer_st.is_ok() && peer_st.code() == Errc::conflict) {
+      // The peer missed updates (it restarted, or we wrote while it was
+      // unreachable): converge states, then retry with a fresh seqno.
+      (void)sync_with_peer(ctx, st);
+      ctx.unlock();
+      continue;
+    }
+    if (!peer_st.is_ok()) {
+      ctx.unlock();
+      return {reply_error(peer_st.code()), "write", false};
+    }
+
+    // Peer committed the intentions: perform the update.
+    DirState::ApplyEffect effect;
+    Buffer reply = ctx.state.apply(req.data, secret, seqno, &effect);
+    ctx.last_seqno = seqno;
+    if (ctx.store.uses_nvram()) {
+      // Local copy deferred: the NVRAM record is the durability.
+      ctx.store.log(st, {{req.data, secret, effect}}, seqno, octx);
+    } else {
+      for (std::uint32_t obj : effect.touched) {
+        ctx.store.rewrite(st, obj, octx);
+      }
+    }
+    ctx.store.drop(st, effect.deleted_file);
+    ctx.unlock();
+    return {std::move(reply), "write", true};
   }
+  return {reply_error(Errc::refused), "write", false};
 }
 
 // ------------------------------------------------------------- boot/resync
@@ -453,8 +405,17 @@ void service_main(Machine& machine, RpcDirOptions opts) {
 
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   for (int i = 0; i < ctx.opts.server_threads; ++i) {
-    machine.spawn("rdir.svr" + std::to_string(i),
-                  [&ctx, server] { initiator_loop(ctx, *server); });
+    machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
+      Io st(ctx.store);
+      serve_ops(
+          ctx.ops, *server,
+          [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext) {
+            return OpOutcome{ctx.state.execute_read(req.data), "read", true};
+          },
+          [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext octx) {
+            return serve_update(ctx, st, req, octx);
+          });
+    });
   }
 
   // Peer liveness probe: when the peer returns, converge state and

@@ -179,6 +179,50 @@ TEST_P(AllFlavors, ChmodRestrictsStoredCapability) {
   });
 }
 
+TEST_P(AllFlavors, MalformedRequestsGetBadRequest) {
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 9});
+  ASSERT_TRUE(bed.wait_ready());
+  const std::string cat = GetParam() == Flavor::nfs ? "dir.nfs"
+                          : GetParam() == Flavor::rpc ||
+                                  GetParam() == Flavor::rpc_nvram
+                              ? "dir.rpc"
+                              : "dir.group";
+  obs::Metrics& mx = bed.metrics();
+  const auto counts = [&] {
+    return std::vector<std::size_t>{mx.counter(cat, "reads"),
+                                    mx.counter(cat, "writes"),
+                                    mx.histogram(cat, "read_ms").size(),
+                                    mx.histogram(cat, "write_ms").size()};
+  };
+  run_client(bed, 0, [&](DirClient& dc) {
+    auto dcap = create_with_retry(dc, bed.sim());
+    ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
+    const auto send = [&](Buffer request) {
+      auto res = dc.rpc().trans(bed.dir_port(), std::move(request));
+      return res.is_ok() ? dir::reply_status(*res).code() : res.code();
+    };
+
+    const std::vector<std::size_t> before = counts();
+    EXPECT_EQ(send(Buffer{}), Errc::bad_request);
+    const auto past_last =
+        static_cast<std::uint8_t>(static_cast<int>(dir::DirOp::replace_set) + 1);
+    EXPECT_EQ(send(Buffer{past_last}), Errc::bad_request);
+    EXPECT_EQ(counts(), before) << "undecodable ops must not be counted";
+
+    // A valid op byte with a body cut inside the looked-up name.
+    Buffer lookup = dir::make_lookup_set({{*dcap, "name"}});
+    lookup.pop_back();
+    EXPECT_EQ(send(std::move(lookup)), Errc::bad_request);
+
+    auto fresh = dc.create_dir({"owner"});
+    ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+    ASSERT_TRUE(dc.append_row(*fresh, "f", {*dcap}).is_ok());
+    auto got = dc.lookup(*fresh, "f");
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got->object, dcap->object);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Impl, AllFlavors,
                          ::testing::Values(Flavor::group, Flavor::group_nvram,
                                            Flavor::rpc, Flavor::rpc_nvram,
