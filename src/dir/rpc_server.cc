@@ -78,16 +78,19 @@ struct RpcServerCtx {
     update_lock = true;
   }
 
-  /// lock() that records the contended wait as a lock_wait-leg span.
+  /// Record a lock wait that began at `t0`, if contended, as a
+  /// lock_wait-leg span under `parent`.
+  void trace_wait(sim::Time t0, obs::TraceContext parent) {
+    if (!parent.active() || now() == t0) return;
+    obs::Trace& tr = machine.trace();
+    tr.complete(t0, now() - t0, "lock", "update_lock", machine.id().v, 0,
+                parent.trace, tr.new_span_id(), parent.span,
+                obs::Leg::lock_wait);
+  }
   void lock_traced(obs::TraceContext parent) {
     const sim::Time t0 = now();
     lock();
-    if (parent.active() && now() > t0) {
-      obs::Trace& tr = machine.trace();
-      tr.complete(t0, now() - t0, "lock", "update_lock", machine.id().v, 0,
-                  parent.trace, tr.new_span_id(), parent.span,
-                  obs::Leg::lock_wait);
-    }
+    trace_wait(t0, parent);
   }
   void unlock() {
     update_lock = false;
@@ -103,13 +106,15 @@ struct RpcServerCtx {
   /// server 1 waits a bounded time, which gives server 0's updates priority
   /// and breaks the symmetric-initiation livelock without deadlock (0's
   /// refusal unwinds the cycle). Returns false on refusal.
-  bool lock_for_peer() {
-    const sim::Time deadline = now() + (my_index == 0 ? 0 : sim::msec(120));
+  bool lock_for_peer(obs::TraceContext parent = {}) {
+    const sim::Time t0 = now();
+    const sim::Time deadline = t0 + (my_index == 0 ? 0 : sim::msec(120));
     while (update_lock) {
       if (now() >= deadline) return false;
       lock_wq.wait_until(deadline);
     }
     update_lock = true;
+    trace_wait(t0, parent);
     return true;
   }
 };
@@ -173,14 +178,9 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
           }
           return reply;
         };
-        if (!ctx.lock_for_peer()) {
+        if (!ctx.lock_for_peer(ictx)) {
           ++ctx.mx_conflicts;
           return close(reply_error(Errc::refused));
-        }
-        if (sp != 0 && ctx.now() > t0) {
-          tr.complete(t0, ctx.now() - t0, "lock", "update_lock",
-                      ctx.machine.id().v, 0, ictx.trace, tr.new_span_id(), sp,
-                      obs::Leg::lock_wait);
         }
         RpcServerCtx::Unlock unlock{&ctx};
         ctx.peer_down = false;  // peer traffic proves the peer is alive
