@@ -135,7 +135,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
 void service_main(Machine& machine, NfsDirOptions opts) {
   NfsCtx ctx(machine, std::move(opts));
   ctx.disk = &nfs_disk(machine);
-  ctx.disk->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
+  ctx.disk->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
   ctx.files = &machine.persistent<std::map<std::uint32_t, NfsCtx::FileEntry>>(
       "nfs.files",
       [] { return std::make_unique<std::map<std::uint32_t, NfsCtx::FileEntry>>(); });

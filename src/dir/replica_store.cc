@@ -43,7 +43,7 @@ ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
       mx_flushes_(machine.metrics().counter(cfg.layer, "flushes")) {
   if (cfg_.use_nvram) {
     nv_ = &nvram_device(machine, cfg_.nvram_bytes);
-    nv_->attach_obs(&machine.metrics(), &machine.trace(), machine.id().v);
+    nv_->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
   }
 }
 

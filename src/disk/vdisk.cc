@@ -15,7 +15,7 @@ bool VirtualDisk::transient_fault() {
 
 void VirtualDisk::note_io(const char* name, sim::Time t0, bool is_write,
                           obs::TraceContext ctx) {
-  if (mx_ != nullptr) (*(is_write ? mx_writes_ : mx_reads_))++;
+  if (mx_writes_ != nullptr) (*(is_write ? mx_writes_ : mx_reads_))++;
   if (tr_ != nullptr) {
     const std::uint64_t sp = ctx.active() ? tr_->new_span_id() : 0;
     tr_->complete(t0, sim_.now() - t0, "disk", name, pid_, 0, ctx.trace, sp,

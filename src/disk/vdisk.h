@@ -90,21 +90,16 @@ class VirtualDisk {
   [[nodiscard]] std::size_t num_blocks() const { return cfg_.num_blocks; }
 
   /// Hook the disk into the cluster-wide observability layer: every op
-  /// mirrors into the "disk" counters and records an I/O span against
+  /// counts in the "disk" counters and records an I/O span against
   /// machine `pid`. Disks are built by Machine::persistent factories that
   /// have no Cluster in scope, so this is attached after construction;
   /// unattached disks (standalone unit tests) skip it.
-  void attach_obs(obs::Metrics* metrics, obs::Trace* trace,
+  void attach_obs(obs::Metrics& metrics, obs::Trace* trace,
                   std::uint32_t pid) {
-    mx_ = metrics;
     tr_ = trace;
     pid_ = pid;
-    if (mx_ != nullptr) {
-      mx_reads_ = &mx_->counter("disk", "reads");
-      mx_writes_ = &mx_->counter("disk", "writes");
-    } else {
-      mx_reads_ = mx_writes_ = nullptr;
-    }
+    mx_reads_ = &metrics.counter("disk", "reads");
+    mx_writes_ = &metrics.counter("disk", "writes");
   }
 
  private:
@@ -133,7 +128,6 @@ class VirtualDisk {
   bool torn_writes_ = false;
   double slow_factor_ = 1.0;
   std::uint64_t torn_ = 0;
-  obs::Metrics* mx_ = nullptr;
   obs::Trace* tr_ = nullptr;
   std::uint64_t* mx_reads_ = nullptr;
   std::uint64_t* mx_writes_ = nullptr;

@@ -157,7 +157,6 @@ struct GroupMember::Ctx {
 
   // Cluster-wide observability (cached counter refs: the wire helpers are
   // the hottest path in the protocol).
-  obs::Metrics* mx;
   obs::Trace* tr;
   std::uint64_t* mx_data;
   std::uint64_t* mx_ctrl;
@@ -178,18 +177,17 @@ struct GroupMember::Ctx {
         recv_wq(m.sim()),
         send_wq(m.sim()),
         reset_wq(m.sim()),
-        mx(&m.metrics()),
         tr(&m.trace()),
-        mx_data(&mx->counter("group", "data_packets")),
-        mx_ctrl(&mx->counter("group", "control_packets")),
-        mx_data_mcast(&mx->counter("group", "data_multicasts")),
-        mx_retrans(&mx->counter("group", "retransmissions")),
-        mx_sends(&mx->counter("group", "sends")),
-        mx_views(&mx->counter("group", "views_installed")),
-        mx_failures(&mx->counter("group", "failures")),
-        mx_resets(&mx->counter("group", "resets")),
-        mx_send_ms(&mx->histogram("group", "send_ms")),
-        mx_batch_size(&mx->histogram("group", "batch_size")) {}
+        mx_data(&m.metrics().counter("group", "data_packets")),
+        mx_ctrl(&m.metrics().counter("group", "control_packets")),
+        mx_data_mcast(&m.metrics().counter("group", "data_multicasts")),
+        mx_retrans(&m.metrics().counter("group", "retransmissions")),
+        mx_sends(&m.metrics().counter("group", "sends")),
+        mx_views(&m.metrics().counter("group", "views_installed")),
+        mx_failures(&m.metrics().counter("group", "failures")),
+        mx_resets(&m.metrics().counter("group", "resets")),
+        mx_send_ms(&m.metrics().histogram("group", "send_ms")),
+        mx_batch_size(&m.metrics().histogram("group", "batch_size")) {}
 
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }

@@ -32,7 +32,7 @@ void install_storage(net::Machine& m, net::Port bullet_port,
                      net::Port disk_port) {
   m.install_service("storage", [bullet_port, disk_port](net::Machine& mm) {
     auto& vdisk = storage_disk(mm);
-    vdisk.attach_obs(&mm.metrics(), &mm.trace(), mm.id().v);
+    vdisk.attach_obs(mm.metrics(), &mm.trace(), mm.id().v);
     bullet::BulletServer bullet_srv(mm, bullet_port, vdisk, /*threads=*/2);
     disk::DiskServer disk_srv(mm, disk_port, vdisk, dir::kMaxObjects + 8,
                               /*threads=*/2);

@@ -81,18 +81,13 @@ class Nvram {
   /// Hook into the cluster-wide observability layer (see
   /// VirtualDisk::attach_obs — same after-construction pattern, because
   /// NVRAM is built by Machine::persistent factories).
-  void attach_obs(obs::Metrics* metrics, obs::Trace* trace,
+  void attach_obs(obs::Metrics& metrics, obs::Trace* trace,
                   std::uint32_t pid) {
-    mx_ = metrics;
     tr_ = trace;
     pid_ = pid;
-    if (mx_ != nullptr) {
-      mx_appends_ = &mx_->counter("nvram", "appends");
-      mx_cancels_ = &mx_->counter("nvram", "cancels");
-      mx_full_rejects_ = &mx_->counter("nvram", "full_rejects");
-    } else {
-      mx_appends_ = mx_cancels_ = mx_full_rejects_ = nullptr;
-    }
+    mx_appends_ = &metrics.counter("nvram", "appends");
+    mx_cancels_ = &metrics.counter("nvram", "cancels");
+    mx_full_rejects_ = &metrics.counter("nvram", "full_rejects");
   }
 
  private:
@@ -108,7 +103,6 @@ class Nvram {
   double slow_factor_ = 1.0;
   std::uint64_t torn_ = 0;
   std::uint64_t next_id_ = 1;
-  obs::Metrics* mx_ = nullptr;
   obs::Trace* tr_ = nullptr;
   std::uint64_t* mx_appends_ = nullptr;
   std::uint64_t* mx_cancels_ = nullptr;

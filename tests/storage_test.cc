@@ -292,7 +292,7 @@ TEST_F(StorageFixture, BulletCreateCostsOneDiskWritePerBlock) {
     auto& d = s.persistent<VirtualDisk>("disk", [&] {
       return std::make_unique<VirtualDisk>(sim, "disk");
     });
-    d.attach_obs(&cluster.metrics(), nullptr, s.id().v);
+    d.attach_obs(cluster.metrics(), nullptr, s.id().v);
     const std::uint64_t& writes = cluster.metrics().counter("disk", "writes");
     std::uint64_t before = writes;
     (void)bc.create(to_buffer("small"));
@@ -365,7 +365,7 @@ TEST_F(StorageFixture, NvramCancelByIdAndTag) {
   Machine& m = cluster.add_machine("m");
   m.spawn("p", [&] {
     nvram::Nvram nv(sim);
-    nv.attach_obs(&cluster.metrics(), nullptr, m.id().v);
+    nv.attach_obs(cluster.metrics(), nullptr, m.id().v);
     auto id1 = nv.append(10, to_buffer("a"));
     (void)nv.append(10, to_buffer("b"));
     (void)nv.append(11, to_buffer("c"));
