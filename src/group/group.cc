@@ -1146,6 +1146,7 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
 
   bool installed = false;
   while (sim.now() < deadline && !installed) {
+    (*ctx->mx_ctrl)++;
     machine.net().broadcast(ctx->me, ctx->cfg.port, join_req);
     const sim::Time round_end =
         std::min(deadline, sim.now() + sim::msec(20));

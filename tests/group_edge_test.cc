@@ -36,6 +36,29 @@ TEST_F(EdgeFixture, JoinWithoutGroupFails) {
   EXPECT_EQ(st.code(), Errc::unreachable);
 }
 
+TEST_F(EdgeFixture, JoinBroadcastsCountAsControlPackets) {
+  // Regression: join_req broadcasts bypassed group.control_packets.
+  net::Machine& m = cluster.add_machine("m");
+  const std::uint64_t& ctrl =
+      cluster.metrics().counter("group", "control_packets");
+  const std::uint64_t& broadcasts =
+      cluster.metrics().counter("net", "broadcasts");
+  Status st = Status::ok();
+  std::uint64_t ctrl_delta = 0;
+  std::uint64_t broadcast_delta = 0;
+  m.spawn("join", [&] {
+    const std::uint64_t ctrl0 = ctrl;
+    const std::uint64_t broadcasts0 = broadcasts;
+    st = GroupMember::join(m, cfg_for(1)).status();
+    ctrl_delta = ctrl - ctrl0;
+    broadcast_delta = broadcasts - broadcasts0;
+  });
+  sim.run_for(sim::sec(1));
+  ASSERT_EQ(st.code(), Errc::unreachable);
+  EXPECT_GT(broadcast_delta, 0u);
+  EXPECT_EQ(ctrl_delta, broadcast_delta);
+}
+
 TEST_F(EdgeFixture, SingletonGroupDeliversToItself) {
   net::Machine& m = cluster.add_machine("m");
   std::vector<std::string> got;
