@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "common/log.h"
 #include "dir/nvram_log.h"
@@ -662,12 +663,11 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
   }
 }
 
-/// "if (!majority()) return failure" — Fig. 5. True when the op must be
-/// refused.
-bool refuse_without_majority(ServerCtx& ctx) {
-  if (!ctx.in_recovery && ctx.majority()) return false;
+/// "if (!majority()) return failure" — Fig. 5.
+std::optional<OpOutcome> refuse_without_majority(ServerCtx& ctx) {
+  if (!ctx.in_recovery && ctx.majority()) return std::nullopt;
   ++ctx.mx_refused;
-  return true;
+  return OpOutcome{reply_error(Errc::no_majority), "refused", false};
 }
 
 /// See served_since_recovery.
@@ -681,9 +681,7 @@ void note_served(ServerCtx& ctx, obs::TraceContext octx) {
 
 OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
                      DirOp op, obs::TraceContext octx) {
-  if (refuse_without_majority(ctx)) {
-    return {reply_error(Errc::no_majority), "refused", false};
-  }
+  if (auto refused = refuse_without_majority(ctx)) return std::move(*refused);
   // Buffered-messages barrier: before reading, apply everything the
   // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
   if (!ctx.opts.debug_skip_read_barrier) {
@@ -707,9 +705,7 @@ OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
 
 OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
                        DirOp /*op*/, obs::TraceContext octx) {
-  if (refuse_without_majority(ctx)) {
-    return {reply_error(Errc::no_majority), "refused", false};
-  }
+  if (auto refused = refuse_without_majority(ctx)) return std::move(*refused);
   // Generate the check field here so all replicas agree (Sec. 3.1),
   // broadcast, and wait for the group thread to execute the request.
   const std::uint64_t opid = ctx.next_opid++;

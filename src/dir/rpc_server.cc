@@ -1,6 +1,7 @@
 #include "dir/rpc_server.h"
 
 #include <deque>
+#include <functional>
 #include <memory>
 
 #include "common/log.h"
@@ -254,7 +255,8 @@ bool sync_with_peer(RpcServerCtx& ctx, Io& st);
 
 /// Update: serialize locally, get the peer's intentions ack, apply.
 OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
-                       const rpc::IncomingRequest& req, obs::TraceContext octx) {
+                       const rpc::IncomingRequest& req, DirOp /*op*/,
+                       obs::TraceContext octx) {
   for (int attempt = 0; attempt <= kUpdateRetries; ++attempt) {
     ctx.lock_traced(octx);
     const std::uint64_t seqno = ctx.last_seqno + 1;
@@ -412,9 +414,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
           [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext) {
             return OpOutcome{ctx.state.execute_read(req.data), "read", true};
           },
-          [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext octx) {
-            return serve_update(ctx, st, req, octx);
-          });
+          std::bind_front(serve_update, std::ref(ctx), std::ref(st)));
     });
   }
 

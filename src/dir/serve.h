@@ -25,8 +25,7 @@ struct OpOutcome {
 struct OpSkeleton {
   OpSkeleton(net::Machine& m, const char* category, sim::Duration read_cost,
              sim::Duration write_cost, ReplicaStore* replica = nullptr)
-      : machine(m),
-        cat(category),
+      : cat(category),
         cpu_read(read_cost),
         cpu_write(write_cost),
         store(replica),
@@ -35,7 +34,6 @@ struct OpSkeleton {
         read_ms(m.metrics().histogram(category, "read_ms")),
         write_ms(m.metrics().histogram(category, "write_ms")) {}
 
-  net::Machine& machine;
   const char* cat;  // "dir.group", "dir.rpc" or "dir.nfs"
   sim::Duration cpu_read;
   sim::Duration cpu_write;
@@ -53,7 +51,7 @@ struct OpSkeleton {
 template <class Read, class Update>
 [[noreturn]] void serve_ops(OpSkeleton& sk, rpc::RpcServer& server, Read read,
                             Update update) {
-  net::Machine& m = sk.machine;
+  net::Machine& m = server.machine();
   obs::Trace& tr = m.trace();
   while (true) {
     rpc::IncomingRequest req = server.get_request();
