@@ -117,27 +117,16 @@ struct ServerCtx {
     return gi.state == group::MemberState::normal &&
            2 * static_cast<int>(gi.members.size()) > nservers();
   }
-  [[nodiscard]] int index_of(MachineId m) const {
-    for (int i = 0; i < nservers(); ++i) {
-      if (opts.dir_servers[static_cast<std::size_t>(i)] == m) return i;
-    }
-    return -1;
-  }
   /// The configured servers in the current group view, as a bitmask.
   [[nodiscard]] std::uint32_t members_mask() const {
     std::uint32_t mask = 0;
     for (MachineId m : gm->info().members) {
-      const int idx = index_of(m);
+      const int idx = server_index(opts.dir_servers, m);
       if (idx >= 0) mask |= 1u << idx;
     }
     return mask;
   }
 };
-
-Port admin_port(const ServerCtx& ctx, int index) {
-  return Port{ctx.opts.admin_port_base.v +
-              ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
 
 // --------------------------------------------------------- admin service
 
@@ -235,7 +224,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       preq.u8(static_cast<std::uint8_t>(AdminOp::exchange));
       for (int idx = 0; idx < ctx.nservers(); ++idx) {
         if (idx == ctx.my_index) continue;
-        auto res = st.rpc.trans(admin_port(ctx, idx), preq.view(),
+        auto res = st.rpc.trans(admin_port(ctx.opts, idx), preq.view(),
                                 {.timeout = sim::msec(200)});
         if (!res.is_ok()) continue;
         try {
@@ -282,9 +271,9 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
   Writer req;
   req.u8(static_cast<std::uint8_t>(AdminOp::exchange));
   for (MachineId m : ctx.gm->info().members) {
-    const int idx = ctx.index_of(m);
+    const int idx = server_index(ctx.opts.dir_servers, m);
     if (idx < 0 || idx == ctx.my_index) continue;
-    auto res = st.rpc.trans(admin_port(ctx, idx), req.view(),
+    auto res = st.rpc.trans(admin_port(ctx.opts, idx), req.view(),
                             {.timeout = sim::msec(500)});
     if (!res.is_ok()) continue;
     try {
@@ -371,7 +360,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     bool installed = false;
     const sim::Time fetch_deadline = ctx.now() + sim::sec(2);
     do {
-      auto res = st.rpc.trans(admin_port(ctx, donor), freq.view(),
+      auto res = st.rpc.trans(admin_port(ctx.opts, donor), freq.view(),
                               {.timeout = sim::sec(5)});
       if (!res.is_ok()) break;
       try {
@@ -735,10 +724,7 @@ OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
 }
 
 void service_main(Machine& machine, GroupDirOptions opts) {
-  int my_index = -1;
-  for (std::size_t i = 0; i < opts.dir_servers.size(); ++i) {
-    if (opts.dir_servers[i] == machine.id()) my_index = static_cast<int>(i);
-  }
+  const int my_index = server_index(opts.dir_servers, machine.id());
   if (my_index < 0) {
     LOG_ERROR << machine.name() << " not in dir_servers";
     return;
@@ -757,7 +743,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
 
   // Admin service (recovery RPCs) — available even while recovering.
   auto admin = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx, ctx.my_index));
+      machine, admin_port(ctx.opts, ctx.my_index));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("dir.admin" + std::to_string(i), [&ctx, admin] {
       while (true) {

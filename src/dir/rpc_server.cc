@@ -120,11 +120,6 @@ struct RpcServerCtx {
   }
 };
 
-Port admin_port(const RpcServerCtx& ctx, int index) {
-  return Port{ctx.opts.admin_port_base.v +
-              ctx.opts.dir_servers[static_cast<std::size_t>(index)].v};
-}
-
 // ------------------------------------------------------------ lazy worker
 
 void lazy_loop(RpcServerCtx& ctx) {
@@ -270,7 +265,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
       w.u64(secret);
       w.bytes(req.data);
       auto res = st.rpc.trans(
-          admin_port(ctx, ctx.peer_index), w.take(),
+          admin_port(ctx.opts, ctx.peer_index), w.take(),
           {.timeout = kPeerTimeout}, octx);
       if (res.is_ok()) {
         peer_st = reply_status(*res);
@@ -333,7 +328,7 @@ bool sync_with_peer(RpcServerCtx& ctx, Io& st) {
   w.u8(static_cast<std::uint8_t>(PeerOp::push_state));
   w.u64(ctx.last_seqno);
   w.bytes(ctx.state.snapshot());
-  auto res = st.rpc.trans(admin_port(ctx, ctx.peer_index), w.take(),
+  auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
                           {.timeout = kPeerTimeout});
   if (!res.is_ok()) return false;
   try {
@@ -372,10 +367,7 @@ void load_and_resync(RpcServerCtx& ctx, Io& st) {
 }
 
 void service_main(Machine& machine, RpcDirOptions opts) {
-  int my_index = -1;
-  for (std::size_t i = 0; i < opts.dir_servers.size(); ++i) {
-    if (opts.dir_servers[i] == machine.id()) my_index = static_cast<int>(i);
-  }
+  const int my_index = server_index(opts.dir_servers, machine.id());
   if (my_index < 0 || opts.dir_servers.size() != 2) {
     LOG_ERROR << machine.name() << " rpc dir server misconfigured";
     return;
@@ -386,7 +378,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   // Peer-facing service (intent / resync) comes up before the boot resync:
   // when both servers boot together each must be able to answer the other.
   auto peer_srv = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx, ctx.my_index));
+      machine, admin_port(ctx.opts, ctx.my_index));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("rdir.peer" + std::to_string(i), [&ctx, peer_srv] {
       Io pst(ctx.store);

@@ -2,16 +2,34 @@
 // flavors answer clients with the same loop: take a request, decode its
 // op, open the server-side op span, charge the op's CPU, run the flavor's
 // read or update body, count the op, close the span and reply. serve_ops
-// is that loop; a flavor supplies only the two bodies.
+// is that loop; a flavor supplies only the two bodies. The replicated
+// flavors also share how a server finds its index and its peers' ports.
 #pragma once
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "rpc/rpc.h"
 
 namespace amoeba::dir {
+
+/// Position of `m` in a server list, or -1 when it is not listed.
+inline int server_index(const std::vector<net::MachineId>& servers,
+                        net::MachineId m) {
+  const auto it = std::find(servers.begin(), servers.end(), m);
+  return it == servers.end() ? -1 : static_cast<int>(it - servers.begin());
+}
+
+/// The admin port of server `index` of a replicated flavor's options:
+/// `admin_port_base` plus the server's machine id.
+template <class Options>
+net::Port admin_port(const Options& opts, int index) {
+  return net::Port{opts.admin_port_base.v +
+                   opts.dir_servers[static_cast<std::size_t>(index)].v};
+}
 
 /// What a read or update body hands back to serve_ops.
 struct OpOutcome {
