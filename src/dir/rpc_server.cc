@@ -88,6 +88,7 @@ struct RpcServerCtx {
                 parent.trace, tr.new_span_id(), parent.span,
                 obs::Leg::lock_wait);
   }
+  /// lock() that records the contended wait as a lock_wait-leg span.
   void lock_traced(obs::TraceContext parent) {
     const sim::Time t0 = now();
     lock();
