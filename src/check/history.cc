@@ -1,6 +1,10 @@
 #include "check/history.h"
 
+#include <algorithm>
+
 namespace amoeba::check {
+
+static_assert(sizeof(Event) <= 64, "one Event is kept per recorded call");
 
 const char* op_kind_name(OpKind k) {
   switch (k) {
@@ -54,7 +58,11 @@ void History::set_dir_obj(std::size_t idx, std::uint32_t obj) {
 }
 
 void History::set_listing(std::size_t idx, std::vector<std::string> names) {
-  events_[idx].listing = std::move(names);
+  // Calls complete out of order: keep the listings sorted by event.
+  const auto at = std::upper_bound(
+      listings_.begin(), listings_.end(), idx,
+      [](std::size_t i, const Listing& l) { return i < l.event; });
+  listings_.insert(at, {idx, std::move(names)});
 }
 
 void History::set_invoke(std::size_t idx, sim::Time t) {

@@ -40,17 +40,25 @@ enum class Outcome : std::uint8_t { ok, negative, ambiguous };
 /// unexpected is conservatively ambiguous.
 Outcome classify(OpKind op, Errc e);
 
+/// One recorded call. Fields are ordered by size: 64 bytes, since a long
+/// run records one per call and keeps them all for the check.
 struct Event {
-  int client = 0;
-  OpKind op = OpKind::lookup;
-  std::uint32_t dir_obj = 0;  // directory object number; 0 = unknown
   std::string name;           // row name; empty for dir-level ops
-  Outcome outcome = Outcome::ambiguous;
-  Errc errc = Errc::timeout;
   sim::Time invoke = 0;
   sim::Time response = sim::kTimeMax;  // kTimeMax: never returned
-  /// For a successful list_dir: every row name present in the listing.
-  std::vector<std::string> listing;
+  std::uint32_t dir_obj = 0;  // directory object number; 0 = unknown
+  int client = 0;
+  Errc errc = Errc::timeout;
+  OpKind op = OpKind::lookup;
+  Outcome outcome = Outcome::ambiguous;
+};
+
+/// What a successful list_dir returned: every row name present in the
+/// listing, by the index of its event. Kept apart from Event because only
+/// list_dir has one.
+struct Listing {
+  std::size_t event = 0;
+  std::vector<std::string> names;
 };
 
 /// A per-run append-only log of events. begin() records the invocation
@@ -63,6 +71,7 @@ class History {
                     std::string name, sim::Time now);
   void end(std::size_t idx, Outcome outcome, Errc errc, sim::Time now);
   void set_dir_obj(std::size_t idx, std::uint32_t obj);
+  /// Record the listing of the list_dir event `idx`.
   void set_listing(std::size_t idx, std::vector<std::string> names);
   /// Lease-cache widening: a lookup served from a client's lease cache
   /// returns the value some earlier RPC observed. Moving the invocation
@@ -73,12 +82,17 @@ class History {
   void set_invoke(std::size_t idx, sim::Time t);
 
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  /// Listings of successful list_dir events, sorted by event index.
+  [[nodiscard]] const std::vector<Listing>& listings() const {
+    return listings_;
+  }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
 
   [[nodiscard]] int count(Outcome o) const;
 
  private:
   std::vector<Event> events_;
+  std::vector<Listing> listings_;
 };
 
 /// dir::DirClient wrapper that records every call into a History. One per

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 namespace amoeba::check {
@@ -27,8 +27,6 @@ struct KOp {
     return prim != Prim::maybe_set && prim != Prim::maybe_clear;
   }
 };
-
-using Key = std::pair<std::uint32_t, std::string>;
 
 /// Translate one event into a primitive op for its key, or nullopt when the
 /// event contributes no constraint (e.g. a failed lookup).
@@ -316,43 +314,79 @@ std::string CheckResult::summary() const {
 }
 
 CheckResult check_linearizable(const std::vector<Event>& events,
+                               const std::vector<Listing>& listings,
                                const CheckOptions& opts) {
   CheckResult out;
-  std::map<Key, std::vector<KOp>> keys;
-
-  for (const Event& ev : events) {
+  const auto key_name = [&events](std::uint32_t i) -> std::string_view {
+    const Event& ev = events[i];
+    return ev.op == OpKind::create_dir || ev.op == OpKind::delete_dir
+               ? std::string_view()
+               : std::string_view(ev.name);
+  };
+  // Every event that constrains a key, grouped by key in (directory, name)
+  // order and in history order within a key.
+  std::vector<std::uint32_t> keyed;
+  // Every successful listing as (directory, event), in that order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> listed;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    const Event& ev = events[i];
     if (ev.dir_obj == 0) continue;
-    auto prim = primitive_for(ev);
-    if (!prim) continue;
-    const std::string& name =
-        (ev.op == OpKind::create_dir || ev.op == OpKind::delete_dir) ? ""
-                                                                     : ev.name;
-    // An ambiguous operation's effect can land after the client gave up on
-    // it (the request may still be queued in the network), so it must not
-    // precede anything: its response is "never".
-    const bool ambiguous =
-        *prim == Prim::maybe_set || *prim == Prim::maybe_clear;
-    keys[{ev.dir_obj, name}].push_back(
-        {*prim, ev.invoke, ambiguous ? sim::kTimeMax : ev.response});
-  }
-
-  // A successful listing pins every *tracked* key of that directory to the
-  // presence/absence it showed.
-  for (const Event& ev : events) {
-    if (ev.op != OpKind::list_dir || ev.outcome != Outcome::ok ||
-        ev.dir_obj == 0) {
-      continue;
-    }
-    for (auto& [key, ops] : keys) {
-      if (key.first != ev.dir_obj || key.second.empty()) continue;
-      const bool present = std::find(ev.listing.begin(), ev.listing.end(),
-                                     key.second) != ev.listing.end();
-      ops.push_back({present ? Prim::read_true : Prim::read_false, ev.invoke,
-                     ev.response});
+    if (primitive_for(ev)) keyed.push_back(i);
+    if (ev.op == OpKind::list_dir && ev.outcome == Outcome::ok) {
+      listed.emplace_back(ev.dir_obj, i);
     }
   }
+  std::sort(keyed.begin(), keyed.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (events[a].dir_obj != events[b].dir_obj) {
+                return events[a].dir_obj < events[b].dir_obj;
+              }
+              const int c = key_name(a).compare(key_name(b));
+              return c != 0 ? c < 0 : a < b;
+            });
+  std::sort(listed.begin(), listed.end());
+  const std::vector<std::string> none;
+  const auto rows_of = [&](std::uint32_t i) -> const std::vector<std::string>& {
+    const auto it = std::lower_bound(
+        listings.begin(), listings.end(), i,
+        [](const Listing& l, std::size_t e) { return l.event < e; });
+    return it != listings.end() && it->event == i ? it->names : none;
+  };
 
-  for (auto& [key, ops] : keys) {
+  std::vector<KOp> ops;
+  for (auto first = keyed.begin(); first != keyed.end();) {
+    const std::uint32_t dir = events[*first].dir_obj;
+    const std::string_view name = key_name(*first);
+    ops.clear();
+    auto last = first;
+    for (; last != keyed.end() && events[*last].dir_obj == dir &&
+           key_name(*last) == name;
+         ++last) {
+      const Event& ev = events[*last];
+      const Prim prim = *primitive_for(ev);
+      // An ambiguous operation's effect can land after the client gave up
+      // on it (the request may still be queued in the network), so it must
+      // not precede anything: its response is "never".
+      const bool ambiguous =
+          prim == Prim::maybe_set || prim == Prim::maybe_clear;
+      ops.push_back({prim, ev.invoke, ambiguous ? sim::kTimeMax : ev.response});
+    }
+    first = last;
+    if (!name.empty()) {
+      // A successful listing pins every *tracked* key of that directory to
+      // the presence/absence it showed.
+      for (auto it = std::lower_bound(listed.begin(), listed.end(),
+                                      std::pair{dir, std::uint32_t{0}});
+           it != listed.end() && it->first == dir; ++it) {
+        const Event& ev = events[it->second];
+        const auto& rows = rows_of(it->second);
+        const bool present =
+            std::find(rows.begin(), rows.end(), name) != rows.end();
+        ops.push_back({present ? Prim::read_true : Prim::read_false,
+                       ev.invoke, ev.response});
+      }
+    }
+
     std::sort(ops.begin(), ops.end(), [](const KOp& a, const KOp& b) {
       if (a.invoke != b.invoke) return a.invoke < b.invoke;
       return a.response < b.response;
@@ -371,13 +405,18 @@ CheckResult check_linearizable(const std::vector<Event>& events,
       std::size_t ambiguous = 0;
       for (const auto& op : ops) ambiguous += op.definite() ? 0 : 1;
       out.violations.push_back(
-          {key.first, key.second,
+          {dir, std::string(name),
            "no valid linearization (" + std::to_string(ops.size()) + " ops, " +
                std::to_string(ambiguous) + " ambiguous)",
            ops.size()});
     }
   }
   return out;
+}
+
+CheckResult check_linearizable(const std::vector<Event>& events,
+                               const CheckOptions& opts) {
+  return check_linearizable(events, {}, opts);
 }
 
 }  // namespace amoeba::check

@@ -94,6 +94,14 @@ struct CheckResult {
 
 /// Check a recorded history for per-key linearizability. Events with
 /// dir_obj == 0 (operations whose target was never learned) are ignored.
+/// `listings` (sorted by event, as History keeps them) gives each
+/// successful list_dir its rows; one without an entry listed none. Keys are
+/// built and searched one at a time, in (directory, name) order, so memory
+/// beyond the events is one index per event and one key's operations.
+CheckResult check_linearizable(const std::vector<Event>& events,
+                               const std::vector<Listing>& listings,
+                               const CheckOptions& opts = {});
+/// A history without listings.
 CheckResult check_linearizable(const std::vector<Event>& events,
                                const CheckOptions& opts = {});
 

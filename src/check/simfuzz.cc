@@ -273,6 +273,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   to.group_history_limit = opts.group_history_limit;
   to.lease_caching = opts.lease_caching && is_group(opts.flavor);
   to.batching = opts.batching && is_group(opts.flavor);
+  to.nvram_bytes = opts.nvram_bytes;
   Testbed bed(to);
   sim::Simulator& sim = bed.sim();
   const int nservers = bed.num_dir_servers();
@@ -554,8 +555,10 @@ FuzzReport run_one(const FuzzOptions& opts) {
   report.ops_ok = history.count(Outcome::ok);
   report.ops_negative = history.count(Outcome::negative);
   report.ops_ambiguous = history.count(Outcome::ambiguous);
-  report.lin = check_linearizable(history.events(), opts.check);
+  report.lin =
+      check_linearizable(history.events(), history.listings(), opts.check);
   report.history = history.events();
+  report.listings = history.listings();
 
   std::string fail;
   if (report.stalled) {
@@ -617,6 +620,9 @@ std::string repro_command(const FuzzOptions& opts,
   if (opts.legacy_faults) cmd += " --faults legacy";
   if (opts.lease_caching) cmd += " --leases";
   if (opts.batching) cmd += " --batching";
+  if (opts.nvram_bytes != FuzzOptions{}.nvram_bytes) {
+    cmd += " --nvram-bytes " + std::to_string(opts.nvram_bytes);
+  }
   if (opts.debug_stall) cmd += " --debug-stall";
   if (schedule.empty()) {
     cmd += " --steps 0";

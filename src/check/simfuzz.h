@@ -52,6 +52,9 @@ struct FuzzOptions {
   bool lease_caching = false;
   /// Sequencer update batching + NVRAM group commit under fire.
   bool batching = false;
+  /// NVRAM log size of the nvram flavors. A small log fills within a few
+  /// updates, so flushes and full-log stalls interleave with the faults.
+  std::size_t nvram_bytes = harness::TestbedOptions{}.nvram_bytes;
   std::vector<FaultStep> schedule;  // empty => make_schedule(seed)
   sim::Duration workload_tail = sim::sec(3);  // client time after the storm
   /// Online progress watchdog: while the nemesis is quiet (the post-storm
@@ -102,6 +105,7 @@ struct FuzzReport {
   std::vector<FaultStep> schedule_used;
   /// The full recorded history (for debugging failures and for tests).
   std::vector<Event> history;
+  std::vector<Listing> listings;
 };
 
 FuzzReport run_one(const FuzzOptions& opts);

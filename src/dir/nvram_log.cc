@@ -229,20 +229,31 @@ std::uint64_t max_seqno(const nvram::Nvram& nv) {
 
 FlushSet flush_set(const nvram::Nvram& nv) {
   FlushSet out;
-  out.ids.reserve(nv.record_count());
+  out.recs.reserve(nv.record_count());
   for (const auto& rec : nv.records()) {
-    out.ids.push_back(rec.id);
-    if (!for_each_sub(rec.data, [&out](const SubView& s) {
+    FlushSet::Rec r{rec.id, FlushSet::kEnd,
+                    static_cast<std::uint32_t>(out.mentions.size()), 0};
+    if (!for_each_sub(rec.data, [&out, &r](const SubView& s) {
           const std::uint32_t obj =
               s.objhint != 0 ? s.objhint : request_target(s.request);
-          if (obj != 0 && std::find(out.objs.begin(), out.objs.end(), obj) ==
-                              out.objs.end()) {
-            out.objs.push_back(obj);
-          }
+          if (obj == 0) return;
+          const auto at = static_cast<std::uint32_t>(
+              std::find(out.objs.begin(), out.objs.end(), obj) -
+              out.objs.begin());
+          if (at == out.objs.size()) out.objs.push_back(obj);
+          out.mentions.push_back(at);
+          r.point = r.point == FlushSet::kEnd ? at : std::max(r.point, at);
         })) {
       throw DecodeError("torn NVRAM record");
     }
+    r.end = static_cast<std::uint32_t>(out.mentions.size());
+    out.recs.push_back(r);
   }
+  // Ids grow in log order.
+  std::sort(out.recs.begin(), out.recs.end(),
+            [](const FlushSet::Rec& a, const FlushSet::Rec& b) {
+              return a.point != b.point ? a.point < b.point : a.id < b.id;
+            });
   return out;
 }
 

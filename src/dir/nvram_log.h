@@ -141,14 +141,26 @@ void replay(DirState& state, const nvram::Nvram& nv);
 /// Highest seqno recorded in the log (contributes to the recovery seqno).
 std::uint64_t max_seqno(const nvram::Nvram& nv);
 
-/// What one flush covers: the ids of every record in the log, and each
-/// object those records mention (create_dir's objhint, else the request's
-/// target), in the order first mentioned. That order is the flush's disk
-/// write order. Throws DecodeError on a torn record, which boot-time
-/// truncate_torn() has already removed.
+/// What one flush covers, from one walk of the log. `objs` holds each
+/// object the records mention (create_dir's objhint, else the request's
+/// target) in the order first mentioned; that order is the flush's disk
+/// write order. `recs` holds every record with its retirement point: the
+/// position in `objs` of the last object it mentions, so that the record
+/// may retire once that object's disk copy is written, or kEnd for a
+/// record that mentions none. `recs` is sorted by point, then log order. A
+/// record's mentions are `mentions[begin, end)`, positions in `objs`.
+/// Throws DecodeError on a torn record, which boot-time truncate_torn()
+/// has already removed.
 struct FlushSet {
-  std::vector<std::uint64_t> ids;
+  static constexpr std::uint32_t kEnd = UINT32_MAX;
+  struct Rec {
+    std::uint64_t id;
+    std::uint32_t point;
+    std::uint32_t begin, end;
+  };
   std::vector<std::uint32_t> objs;
+  std::vector<Rec> recs;
+  std::vector<std::uint32_t> mentions;
 };
 FlushSet flush_set(const nvram::Nvram& nv);
 

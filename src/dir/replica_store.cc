@@ -39,11 +39,13 @@ ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
     : machine_(machine),
       state_(state),
       cfg_(cfg),
+      flusher_wq_(machine.sim()),
       flush_wq_(machine.sim()),
       mx_flushes_(machine.metrics().counter(cfg.layer, "flushes")) {
   if (cfg_.use_nvram) {
     nv_ = &nvram_device(machine, cfg_.nvram_bytes);
     nv_->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
+    mx_full_rejects_ = &machine.metrics().counter("nvram", "full_rejects");
   }
 }
 
@@ -232,7 +234,7 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
     for (const Update& u : updates) {
       if (!u.effect.deleted.empty()) old_files.push_back(u.effect.deleted_file);
     }
-    log(io, std::move(updates), seqno, tctx);
+    log(std::move(updates), seqno, tctx);
     return old_files;
   }
   std::vector<std::uint32_t> touched;  // each once, in first-touch order
@@ -261,8 +263,8 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
 
 // ------------------------------------------------------------ NVRAM log
 
-void ReplicaStore::log(Io& io, std::vector<Update> updates,
-                       std::uint64_t seqno, obs::TraceContext tctx) {
+void ReplicaStore::log(std::vector<Update> updates, std::uint64_t seqno,
+                       obs::TraceContext tctx) {
   if (updates.empty()) return;
   if (updates.size() == 1 &&
       nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect) > 0) {
@@ -287,65 +289,90 @@ void ReplicaStore::log(Io& io, std::vector<Update> updates,
       first.objhint != 0 ? first.objhint : nvlog::request_target(first.request);
   Buffer encoded = recs.size() == 1 ? nvlog::encode(first)
                                     : nvlog::encode_batch(seqno, recs);
-  while (!nv_->would_fit(encoded.size())) {
-    // NVRAM full in the critical path: the update stalls on a flush. This
-    // is the visible cost of a small NVRAM (ablated in the benchmarks), and
-    // lasts while the storage machine is down.
-    flush(io);
+  if (!nv_->would_fit(encoded.size())) {
+    // NVRAM full in the critical path: the update stalls until the flusher
+    // retires enough records. This is the visible cost of a small NVRAM
+    // (ablated in the benchmarks), and lasts while the storage machine is
+    // down.
+    ++*mx_full_rejects_;
+    while (!nv_->would_fit(encoded.size())) {
+      flusher_wq_.notify_one();  // start a flush now if none is running
+      flush_wq_.wait();
+    }
   }
   (void)nv_->append(tag, std::move(encoded), tctx);
 }
 
 void ReplicaStore::flush(Io& io) {
-  // Single-flight: an update stalled on a full log waits for the flusher
-  // (or vice versa).
-  while (flushing_) flush_wq_.wait();
   if (nv_->empty() && pending_commit_seqno_ == 0) return;
-  flushing_ = true;
-  struct Guard {
-    ReplicaStore* s;
-    ~Guard() {
-      s->flushing_ = false;
-      s->flush_wq_.notify_all();
-    }
-  } guard{this};
-
-  // Snapshot which objects the log mentions; anything appended during the
-  // disk writes below stays in the log for the next flush. If any write
-  // fails, no record is retired: until a disk copy exists they are the only
-  // durable one, and the next flush rewrites idempotently.
+  // One walk of the log gives the objects to write and where each record
+  // retires; anything appended during the disk writes below stays in the
+  // log for the next flush.
   const nvlog::FlushSet fs = nvlog::flush_set(*nv_);
+  std::vector<bool> failed(fs.objs.size());
+  std::vector<bool> deleted(fs.objs.size());  // object_table: block cleared
+  std::vector<std::uint64_t> after_commit;
   bool written = true;
-  for (std::uint32_t obj : fs.objs) {
+  auto next = fs.recs.begin();
+  // Retire every record whose last object is at or before `point`, unless
+  // a write it depends on failed; object_table records that mention a
+  // deleted directory wait for the commit block.
+  auto retire_through = [&](std::uint32_t point) {
+    bool retired = false;
+    for (; next != fs.recs.end() && next->point <= point; ++next) {
+      bool keep = false;
+      bool defer = false;
+      for (std::uint32_t m = next->begin; m < next->end; ++m) {
+        keep = keep || failed[fs.mentions[m]];
+        defer = defer || deleted[fs.mentions[m]];
+      }
+      if (keep) continue;
+      if (defer) {
+        after_commit.push_back(next->id);
+      } else {
+        retired = nv_->cancel(next->id) || retired;
+      }
+    }
+    if (retired) flush_wq_.notify_all();
+  };
+  for (std::uint32_t i = 0; i < fs.objs.size(); ++i) {
+    const std::uint32_t obj = fs.objs[i];
     if (state_.entry(obj) != nullptr) {
       auto old = write(io, obj);
       if (old.is_ok()) drop(io, *old);
       // not_found: deleted meanwhile; its own record clears it later.
-      written = written && (old.is_ok() || old.code() == Errc::not_found);
+      failed[i] = !old.is_ok() && old.code() != Errc::not_found;
     } else if (object_table()) {
-      // Deleted: clear its block.
-      written = io.disk.write_block(obj, Buffer{}).is_ok() && written;
+      deleted[i] = true;
+      failed[i] = !io.disk.write_block(obj, Buffer{}).is_ok();
     }
+    written = written && !failed[i];
+    retire_through(i);
   }
   if (object_table()) {
     cblock_.seqno = std::max(cblock_.seqno, pending_commit_seqno_);
     pending_commit_seqno_ = 0;
-    written = write_commit_block(io).is_ok() && written;
+    if (write_commit_block(io).is_ok()) {
+      for (std::uint64_t id : after_commit) (void)nv_->cancel(id);
+      if (!after_commit.empty()) flush_wq_.notify_all();
+    } else {
+      written = false;
+    }
   }
-  if (!written) return;
-  for (std::uint64_t id : fs.ids) (void)nv_->cancel(id);
-  ++mx_flushes_;
+  retire_through(nvlog::FlushSet::kEnd);
+  if (written) ++mx_flushes_;
 }
 
 void ReplicaStore::run_flusher() {
   Io io(*this);
   while (true) {
-    machine_.sim().sleep_for(kFlushIdle / 2);
+    (void)flusher_wq_.wait_for(kFlushIdle / 2);
     if (nv_->empty() && pending_commit_seqno_ == 0) continue;
     const bool full = static_cast<double>(nv_->used_bytes()) >
                       kFlushHighWater * static_cast<double>(nv_->capacity());
     const bool idle = machine_.sim().now() - last_activity_ >= kFlushIdle;
-    if (full || idle) flush(io);
+    const bool stalled = flush_wq_.waiter_count() > 0;
+    if (full || idle || stalled) flush(io);
   }
 }
 
@@ -383,6 +410,7 @@ Status ReplicaStore::install(Io& io, const Buffer& snap,
     // The snapshot supersedes anything logged locally.
     while (!nv_->empty()) nv_->pop_front();
     pending_commit_seqno_ = 0;
+    flush_wq_.notify_all();
   }
   for (const auto& [obj, e] : state_.table()) {
     auto w = write(io, obj);

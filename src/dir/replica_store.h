@@ -95,9 +95,12 @@ class ReplicaStore {
   };
   /// Log the updates applied under one seqno in NVRAM. A lone update gets a
   /// plain record, and a delete whose append is still logged cancels both
-  /// (Sec. 4.1); several share one group-commit batch record. Stalls on
-  /// flushes while the log is full.
-  void log(Io& io, std::vector<Update> updates, std::uint64_t seqno,
+  /// (Sec. 4.1); several share one group-commit batch record. An update
+  /// that finds the log full wakes the flusher and waits until enough
+  /// records retire; it never flushes itself. Since the flusher retires
+  /// each directory's records as its disk copy lands, that wait lasts
+  /// about one directory write, unless the storage machine is down.
+  void log(std::vector<Update> updates, std::uint64_t seqno,
            obs::TraceContext tctx = {});
   /// object_table: persist the updates applied under one seqno, each
   /// directory once. Logs them in NVRAM, or writes each touched directory
@@ -107,13 +110,8 @@ class ReplicaStore {
   std::vector<cap::Capability> persist(Io& io, std::vector<Update> updates,
                                        std::uint64_t seqno,
                                        obs::TraceContext tctx = {});
-  /// Write every directory the log mentions and retire the records written,
-  /// or none if a write failed: until their disk copy exists the records
-  /// are the only durable one. Single-flight: a caller waits for a flush in
-  /// progress. So while the storage machine is unreachable a full log
-  /// stalls every update until it returns.
-  void flush(Io& io);
-  /// The background flusher process (idle or high-water flushes).
+  /// The background flusher process: idle or high-water flushes, and a
+  /// flush as soon as an update stalls on a full log.
   [[noreturn]] void run_flusher();
   /// The idle flush waits kFlushIdle from now.
   void note_activity() { last_activity_ = machine_.sim().now(); }
@@ -139,6 +137,18 @@ class ReplicaStore {
   Result<cap::Capability> write(Io& io, std::uint32_t obj,
                                 obs::TraceContext tctx = {});
   Status write_commit_block(Io& io, obs::TraceContext tctx = {});
+  /// Write every directory the log mentions, in the order first mentioned,
+  /// and retire each record as soon as every object it mentions has its
+  /// disk copy: a live directory's records once its Bullet file (and
+  /// object_table: its table block) is written and the superseded file
+  /// dropped; object_table records that mention a deleted directory only
+  /// after the commit block is. A failed write keeps exactly the records
+  /// that mention its object: until a disk copy exists they are the only
+  /// durable one, and the next flush rewrites idempotently. So while the
+  /// storage machine is unreachable a full log stalls every update until
+  /// it returns. Runs only on the flusher process, so at most one flush
+  /// runs at a time.
+  void flush(Io& io);
 
   net::Machine& machine_;
   DirState& state_;
@@ -146,10 +156,11 @@ class ReplicaStore {
   nvram::Nvram* nv_ = nullptr;
   CommitBlock cblock_;
   std::uint64_t pending_commit_seqno_ = 0;  // delete-dir seqno awaiting flush
-  bool flushing_ = false;
-  sim::WaitQueue flush_wq_;
+  sim::WaitQueue flusher_wq_;  // the flusher sleeps here between checks
+  sim::WaitQueue flush_wq_;    // updates stalled on a full log wait here
   sim::Time last_activity_ = 0;
   obs::Counter& mx_flushes_;
+  obs::Counter* mx_full_rejects_ = nullptr;  // with NVRAM only
 };
 
 }  // namespace amoeba::dir

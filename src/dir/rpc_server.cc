@@ -201,7 +201,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
         ctx.last_seqno = std::max(ctx.last_seqno, seqno);
         if (ctx.store.uses_nvram()) {
           // NVRAM intentions double as the deferred local copy.
-          ctx.store.log(st, {{dir_request, secret, effect}}, seqno, ictx);
+          ctx.store.log({{dir_request, secret, effect}}, seqno, ictx);
           ctx.store.drop(st, effect.deleted_file);
           return close(reply_ok());
         }
@@ -304,7 +304,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
     ctx.last_seqno = seqno;
     if (ctx.store.uses_nvram()) {
       // Local copy deferred: the NVRAM record is the durability.
-      ctx.store.log(st, {{req.data, secret, effect}}, seqno, octx);
+      ctx.store.log({{req.data, secret, effect}}, seqno, octx);
     } else {
       for (std::uint32_t obj : effect.touched) {
         ctx.store.rewrite(st, obj, octx);

@@ -42,7 +42,11 @@ void expect_identical(const FuzzReport& a, const FuzzReport& b) {
     EXPECT_EQ(x.errc, y.errc) << i;
     EXPECT_EQ(x.invoke, y.invoke) << i;
     EXPECT_EQ(x.response, y.response) << i;
-    EXPECT_EQ(x.listing, y.listing) << i;
+  }
+  ASSERT_EQ(a.listings.size(), b.listings.size());
+  for (std::size_t i = 0; i < a.listings.size(); ++i) {
+    EXPECT_EQ(a.listings[i].event, b.listings[i].event) << i;
+    EXPECT_EQ(a.listings[i].names, b.listings[i].names) << i;
   }
 }
 

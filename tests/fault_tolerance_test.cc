@@ -971,6 +971,196 @@ TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
   });
 }
 
+/// The store's metrics layer in `bed`'s flavor ("<cat>.flushes").
+std::string store_layer(const Testbed& bed) {
+  return bed.options().flavor == Flavor::group_nvram ? "dir.group" : "dir.rpc";
+}
+
+/// Create `n` directories through `d`, then let the idle flush write them.
+std::vector<cap::Capability> create_dirs(Testbed& bed, Driver& d, int n) {
+  std::vector<cap::Capability> dirs;
+  d.step([&] {
+    for (int i = 0; i < n; ++i) {
+      auto res = d.create_retry();
+      ASSERT_TRUE(res.is_ok());
+      dirs.push_back(*res);
+    }
+  });
+  bed.sim().run_for(sim::sec(2));
+  return dirs;
+}
+
+TEST_P(NvramFlush, AFullLogWaitsForOneDirectory) {
+  // One writer fills a small log with long rows spread over kDirs
+  // directories, so the log fills while a flush runs. A flush retires each
+  // directory's records as soon as its disk copy is written, so an update
+  // that finds the log full waits for about one directory write: here
+  // 25-200 ms (a Bullet create, a table block and the superseded file's
+  // deletion, behind what the storage disk is doing), where a whole flush
+  // of kDirs takes over 400 ms. The
+  // writer never flushes itself, so each replica completes at most one
+  // flush while any one update waits.
+  constexpr int kDirs = 5;
+  constexpr int kUpdates = 150;
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 34,
+               .nvram_bytes = 2048});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs = create_dirs(bed, d, kDirs);
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+
+  obs::Metrics& mx = bed.metrics();
+  const std::uint64_t& flushes = mx.counter(store_layer(bed), "flushes");
+  const std::uint64_t& full = mx.counter("nvram", "full_rejects");
+  const std::uint64_t full0 = full;
+  sim::Duration worst = 0;
+  std::uint64_t most_flushes = 0;  // most flushes completed during one
+  d.step([&] {
+    for (int i = 0; i < kUpdates; ++i) {
+      const sim::Time t0 = bed.sim().now();
+      const std::uint64_t f0 = flushes;
+      const std::string name = std::string(48, 'r') + std::to_string(i);
+      ASSERT_TRUE(d.append_retry(dirs[i % kDirs], name).is_ok());
+      worst = std::max(worst, bed.sim().now() - t0);
+      most_flushes = std::max(most_flushes, flushes - f0);
+    }
+  });
+  EXPECT_GT(full - full0, 0u) << "no update found the log full";
+  EXPECT_LE(worst, sim::msec(300)) << sim::to_ms(worst) << " ms";
+  EXPECT_LE(most_flushes,
+            static_cast<std::uint64_t>(bed.num_dir_servers()));
+}
+
+/// Every replica holds `rows` in each of `dirs`, and none of `gone`.
+void expect_on_every_replica(Testbed& bed, Driver& d,
+                             const std::vector<cap::Capability>& dirs,
+                             const std::vector<std::string>& rows,
+                             const std::vector<cap::Capability>& gone = {}) {
+  d.step([&] {
+    for (int s = 0; s < bed.num_dir_servers(); ++s) {
+      auto st = fetch_replica(bed, *d.rpc, s);
+      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
+                              << st.status().to_string();
+      for (const cap::Capability& dcap : dirs) {
+        const dir::Directory* dir = st->directory(dcap.object);
+        ASSERT_NE(dir, nullptr) << "server " << s << " obj " << dcap.object;
+        for (const std::string& row : rows) {
+          EXPECT_TRUE(dir->has(row))
+              << "server " << s << " obj " << dcap.object << " lost " << row;
+        }
+      }
+      for (const cap::Capability& dcap : gone) {
+        EXPECT_EQ(st->directory(dcap.object), nullptr)
+            << "server " << s << ": deleted obj " << dcap.object
+            << " came back";
+      }
+    }
+  });
+}
+
+/// Restart dir server 0 and wait until it serves again.
+void restart_server0(Testbed& bed) {
+  bed.cluster().restart(bed.dir_server(0).id());
+  if (bed.options().flavor == Flavor::group_nvram) {
+    run_until_ready(bed, {0, 1, 2});
+    ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  }
+  bed.sim().run_for(sim::sec(5));
+}
+
+TEST_P(NvramFlush, CrashBetweenDirectoryWritesLosesNothing) {
+  // A flush retires each directory's records once its disk copy is
+  // written. Crash server 0 after some, but not all, of one flush's
+  // directories are written: the disk holds the new copies of those, and
+  // the log still holds every record of the others, so after the restart
+  // every acknowledged row is on every replica.
+  constexpr int kDirs = 5;
+  const std::vector<std::string> rows = {"x0", "x1", "x2"};
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 35});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs = create_dirs(bed, d, kDirs);
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+
+  d.step([&] {
+    for (const std::string& row : rows) {
+      for (const cap::Capability& dcap : dirs) {
+        ASSERT_TRUE(d.append_retry(dcap, row).is_ok());
+      }
+    }
+  });
+  const std::size_t logged = nv->record_count();
+  ASSERT_GE(logged, rows.size() * kDirs);
+  // The idle flush starts within 150 ms; stop at its first retirement.
+  bool partial = false;
+  for (int ms = 0; ms < 2000 && !partial; ++ms) {
+    bed.sim().run_for(sim::msec(1));
+    partial = !nv->empty() && nv->record_count() < logged;
+  }
+  ASSERT_TRUE(partial) << "no flush retired some directories but not all";
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
+  expect_on_every_replica(bed, d, dirs, rows);
+}
+
+TEST(GroupNvramFlush, CrashBeforeTheCommitBlockKeepsADeletion) {
+  // A deleted directory's records retire only after the commit block is
+  // written (Fig. 4). Crash server 0 and its storage machine after the
+  // flush cleared the directory's table block, while the commit block
+  // write is still in flight: the directory stays deleted, and the rows
+  // logged before it are kept.
+  const std::vector<std::string> rows = {"x0", "x1"};
+  Testbed bed({.flavor = Flavor::group_nvram, .clients = 1, .seed = 36});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  std::vector<cap::Capability> dirs = create_dirs(bed, d, 4);
+  // On disk, so its deletion is logged, not cancelled.
+  const cap::Capability doomed = dirs.back();
+  dirs.pop_back();
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+  disk::VirtualDisk& disk = bed.vdisk(0);
+  const std::optional<Buffer> commit = disk.peek(0);
+  ASSERT_TRUE(disk.peek(doomed.object).has_value());
+
+  d.step([&] {
+    for (const std::string& row : rows) {
+      for (const cap::Capability& dcap : dirs) {
+        ASSERT_TRUE(d.append_retry(dcap, row).is_ok());
+      }
+    }
+    Status st = d.dc->delete_dir(doomed);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+  });
+  ASSERT_FALSE(nv->empty());
+  // The deleted directory is mentioned last, so its block is cleared after
+  // every other directory is written, just before the commit block.
+  bool cleared = false;
+  for (int ms = 0; ms < 3000 && !cleared; ++ms) {
+    bed.sim().run_for(sim::msec(1));
+    const std::optional<Buffer> blk = disk.peek(doomed.object);
+    cleared = blk.has_value() && blk->empty();
+  }
+  ASSERT_TRUE(cleared) << "the flush never cleared the deleted block";
+  ASSERT_EQ(disk.peek(0), commit) << "the commit block was already written";
+  EXPECT_FALSE(nv->empty()) << "the deletion retired before the commit block";
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.cluster().crash(bed.storage(0).id());  // the commit write is lost
+  bed.sim().run_for(sim::sec(1));
+  ASSERT_EQ(disk.peek(0), commit);
+  bed.cluster().restart(bed.storage(0).id());
+  restart_server0(bed);
+  EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
+  expect_on_every_replica(bed, d, dirs, rows, {doomed});
+}
+
 INSTANTIATE_TEST_SUITE_P(Flavors, NvramFlush,
                          ::testing::Values(Flavor::group_nvram,
                                            Flavor::rpc_nvram),

@@ -2,7 +2,10 @@
 // search that rescans every op of a key at every state is kept here
 // verbatim as an oracle, and the frontier-windowed search must agree with it
 // on verdicts AND on the number of states visited, for thousands of random
-// single-key histories (valid, broken and budget-capped). A 50,000-op
+// single-key histories (valid, broken and budget-capped). The oracle's
+// driver is the map-based one that built every key's sub-history up front;
+// the per-key walk that replaced it must give the same result, violations
+// in the same order, on multi-key histories with listings. A 50,000-op
 // history pins that the windowed search stays linear in practice.
 #include <gtest/gtest.h>
 
@@ -169,7 +172,21 @@ struct KeySearch {
   }
 };
 
-CheckResult check(const std::vector<Event>& events, const CheckOptions& opts) {
+/// The rows a list_dir event listed (none without an entry).
+const std::vector<std::string>& listing_of(const std::vector<Listing>& ls,
+                                           std::size_t event) {
+  static const std::vector<std::string> kNone;
+  for (const Listing& l : ls) {
+    if (l.event == event) return l.names;
+  }
+  return kNone;
+}
+
+/// The map-based driver verbatim, except that a listing is looked up by
+/// its event's index now that Event no longer carries it.
+CheckResult check(const std::vector<Event>& events,
+                  const std::vector<Listing>& listings,
+                  const CheckOptions& opts) {
   CheckResult out;
   std::map<Key, std::vector<KOp>> keys;
   for (const Event& ev : events) {
@@ -184,15 +201,17 @@ CheckResult check(const std::vector<Event>& events, const CheckOptions& opts) {
     keys[{ev.dir_obj, name}].push_back(
         {*prim, ev.invoke, ambiguous ? sim::kTimeMax : ev.response});
   }
-  for (const Event& ev : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& ev = events[i];
     if (ev.op != OpKind::list_dir || ev.outcome != Outcome::ok ||
         ev.dir_obj == 0) {
       continue;
     }
+    const std::vector<std::string>& listing = listing_of(listings, i);
     for (auto& [key, ops] : keys) {
       if (key.first != ev.dir_obj || key.second.empty()) continue;
-      const bool present = std::find(ev.listing.begin(), ev.listing.end(),
-                                     key.second) != ev.listing.end();
+      const bool present = std::find(listing.begin(), listing.end(),
+                                     key.second) != listing.end();
       ops.push_back({present ? Prim::read_true : Prim::read_false, ev.invoke,
                      ev.response});
     }
@@ -241,15 +260,33 @@ struct GenOptions {
   double timed_out = 0.15;   // share of updates that time out
 };
 
+/// A generated history: its events, and per event the rows a list_dir
+/// listed.
+struct Hist {
+  std::vector<Event> events;
+  std::vector<std::vector<std::string>> rows;
+
+  [[nodiscard]] std::vector<Listing> listings() const {
+    std::vector<Listing> out;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].op == OpKind::list_dir) out.push_back({i, rows[i]});
+    }
+    return out;
+  }
+};
+
 /// A single-key history that is linearizable by construction: closed-loop
 /// clients each issue one op at a time, every op takes effect at a random
 /// point inside its interval, and outcomes follow from the register at
 /// that point. A timed-out update took effect there or was lost.
-std::vector<Event> valid_history(Prng& rng, const GenOptions& g) {
+Hist valid_history(Prng& rng, const GenOptions& g) {
   Event proto;
   proto.dir_obj = kDir;
   proto.name = "k";
-  std::vector<Event> h(static_cast<std::size_t>(g.ops), proto);
+  Hist out{std::vector<Event>(static_cast<std::size_t>(g.ops), proto),
+           std::vector<std::vector<std::string>>(
+               static_cast<std::size_t>(g.ops))};
+  std::vector<Event>& h = out.events;
   std::vector<sim::Time> point(h.size());
   std::vector<sim::Time> clock(static_cast<std::size_t>(g.clients), 0);
   const auto round = [&](sim::Time t) { return t - t % g.grain; };
@@ -294,7 +331,7 @@ std::vector<Event> valid_history(Prng& rng, const GenOptions& g) {
       case OpKind::list_dir:
         e.name.clear();
         e.outcome = Outcome::ok;
-        if (present) e.listing = {"k"};
+        if (present) out.rows[i] = {"k"};
         break;
       default:
         e.outcome = present ? Outcome::ok : Outcome::negative;
@@ -305,19 +342,20 @@ std::vector<Event> valid_history(Prng& rng, const GenOptions& g) {
       e.response = sim::kTimeMax;
     }
   }
-  return h;
+  return out;
 }
 
 /// Flip one definite outcome or stretch one interval: usually breaks the
 /// history, sometimes not, and both kinds must be judged identically.
-void perturb(Prng& rng, std::vector<Event>& h) {
-  Event& e = h[rng.below(h.size())];
+void perturb(Prng& rng, Hist& h) {
+  const std::size_t i = rng.below(h.events.size());
+  Event& e = h.events[i];
   if (e.outcome == Outcome::ambiguous) return;
   if (rng.below(2) == 0) {
     e.invoke = e.response + 1 + static_cast<sim::Time>(rng.below(30));
     e.response = e.invoke + static_cast<sim::Time>(rng.below(30));
   } else if (e.op == OpKind::list_dir) {
-    e.listing = e.listing.empty() ? std::vector<std::string>{"k"}
+    h.rows[i] = h.rows[i].empty() ? std::vector<std::string>{"k"}
                                   : std::vector<std::string>{};
   } else {
     e.outcome = e.outcome == Outcome::ok ? Outcome::negative : Outcome::ok;
@@ -353,15 +391,16 @@ TEST(LinearizeOracle, MatchesReferenceOnRandomHistories) {
     g.grain = rng.below(3) == 0 ? 15 : 1;
     g.reads = rng.below(2) == 0 ? 0.25 : 0.6;
     g.timed_out = static_cast<double>(rng.below(3)) * 0.2;
-    std::vector<Event> h = valid_history(rng, g);
+    Hist h = valid_history(rng, g);
     const int perturbations = static_cast<int>(rng.below(3));
     for (int i = 0; i < perturbations; ++i) perturb(rng, h);
 
     CheckOptions opts;
     opts.max_states_per_key =
         rng.below(4) == 0 ? 1 + rng.below(40) : 200'000;
-    const CheckResult want = reference::check(h, opts);
-    const CheckResult got = check_linearizable(h, opts);
+    const std::vector<Listing> listings = h.listings();
+    const CheckResult want = reference::check(h.events, listings, opts);
+    const CheckResult got = check_linearizable(h.events, listings, opts);
     expect_same(want, got, "trial " + std::to_string(trial));
     if (::testing::Test::HasFailure()) return;
     failed += want.ok ? 0 : 1;
@@ -384,13 +423,80 @@ TEST(LinearizeOracle, MatchesReferenceOnCrowdedWindows) {
     g.clients = 8;
     g.max_op = 80;
     g.timed_out = 0.5;
-    std::vector<Event> h = valid_history(rng, g);
+    Hist h = valid_history(rng, g);
     if (rng.below(2) == 0) perturb(rng, h);
-    const CheckResult want = reference::check(h, {});
-    const CheckResult got = check_linearizable(h, {});
+    const std::vector<Listing> listings = h.listings();
+    const CheckResult want = reference::check(h.events, listings, {});
+    const CheckResult got = check_linearizable(h.events, listings);
     expect_same(want, got, "trial " + std::to_string(trial));
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+TEST(LinearizeOracle, MatchesMapBasedCheckOnMultiKeyHistories) {
+  // Single-key histories merged into one, over three directories and five
+  // names. The name "" is the directory-existence key: its appends and
+  // deletes become create_dir and delete_dir, whose own name the key
+  // ignores. A listing names only its own key's row, so it also pins the
+  // other tracked rows of its directory absent, which breaks many keys.
+  // Events are shuffled, and some lose their directory. The walk must
+  // build each key exactly as the map did and report the same violations
+  // in the same order.
+  static const char* const kNames[] = {"k", "", "a", "k1", "b"};
+  Prng rng(78);
+  int failed = 0;
+  int several = 0;  // trials with more than one violation
+  for (int trial = 0; trial < 800; ++trial) {
+    std::vector<std::pair<Event, std::vector<std::string>>> merged;
+    const int keys = 1 + static_cast<int>(rng.below(6));
+    for (int k = 0; k < keys; ++k) {
+      GenOptions g;
+      g.ops = 1 + static_cast<int>(rng.below(12));
+      g.clients = 1 + static_cast<int>(rng.below(3));
+      g.max_op = 1 + static_cast<sim::Time>(rng.below(40));
+      g.reads = rng.below(2) == 0 ? 0.25 : 0.6;
+      g.timed_out = static_cast<double>(rng.below(3)) * 0.2;
+      Hist one = valid_history(rng, g);
+      if (rng.below(3) == 0) perturb(rng, one);
+      const auto dir = static_cast<std::uint32_t>(1 + rng.below(3));
+      const std::string name = kNames[rng.below(5)];
+      for (std::size_t i = 0; i < one.events.size(); ++i) {
+        Event e = one.events[i];
+        e.dir_obj = rng.below(25) == 0 ? 0 : dir;
+        std::vector<std::string> rows;
+        if (e.op == OpKind::list_dir) {
+          if (!one.rows[i].empty()) rows = {name};
+        } else if (name.empty()) {
+          if (e.op == OpKind::append_row) e.op = OpKind::create_dir;
+          if (e.op == OpKind::delete_row) e.op = OpKind::delete_dir;
+          if (e.op != OpKind::lookup) e.name = "ignored";
+          else e.name.clear();
+        } else {
+          e.name = name;
+        }
+        merged.emplace_back(std::move(e), std::move(rows));
+      }
+    }
+    for (std::size_t i = merged.size(); i > 1; --i) {
+      std::swap(merged[i - 1], merged[rng.below(i)]);
+    }
+    Hist h;
+    for (auto& [e, rows] : merged) {
+      h.events.push_back(std::move(e));
+      h.rows.push_back(std::move(rows));
+    }
+    CheckOptions opts;
+    opts.max_states_per_key = rng.below(5) == 0 ? 1 + rng.below(30) : 200'000;
+    const std::vector<Listing> listings = h.listings();
+    const CheckResult want = reference::check(h.events, listings, opts);
+    const CheckResult got = check_linearizable(h.events, listings, opts);
+    expect_same(want, got, "trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) return;
+    failed += want.ok ? 0 : 1;
+    several += want.violations.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(failed, 100);
+  EXPECT_GT(several, 50);
 }
 
 // ------------------------------------------------------ scaling
@@ -407,11 +513,11 @@ TEST(LinearizeScale, FiftyThousandOpKeyStaysLinear) {
   g.max_op = 80;
   g.reads = 0.75;
   g.timed_out = 0.2;
-  const std::vector<Event> h = valid_history(rng, g);
-  const CheckResult r = check_linearizable(h);
+  const Hist h = valid_history(rng, g);
+  const CheckResult r = check_linearizable(h.events, h.listings());
   EXPECT_TRUE(r.ok) << r.summary();
   ASSERT_TRUE(r.complete);
-  EXPECT_EQ(r.ops_checked, h.size());
+  EXPECT_EQ(r.ops_checked, h.events.size());
   // Measured at 39.3 states per op (the timed-out updates that never took
   // effect stay candidates and cost dead-end branches). The bound leaves
   // headroom, not room for a blow-up.

@@ -282,6 +282,12 @@ std::uint64_t max_seqno(const nvram::Nvram& nv) {
   return m;
 }
 
+/// What the scan returned: every record id, and the objects to write.
+struct FlushSet {
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint32_t> objs;
+};
+
 /// The loop flush_all carried (flush_all_rpc's differed only in decoding
 /// plain records alone, and the RPC service never logs batches).
 FlushSet flush_set(const nvram::Nvram& nv) {
@@ -436,22 +442,59 @@ std::vector<std::uint64_t> ids_of(const nvram::Nvram& nv) {
   return ids;
 }
 
-std::optional<FlushSet> try_flush_set(const nvram::Nvram& nv, bool old) {
+template <typename Fn>
+auto try_scan(Fn&& scan) -> std::optional<decltype(scan())> {
   try {
-    return old ? oracle::flush_set(nv) : flush_set(nv);
+    return scan();
   } catch (const DecodeError&) {
     return std::nullopt;
   }
 }
 
+/// The in-place flush set must write the oracle's objects in the oracle's
+/// order and cover every record once. Each record retires at the last of
+/// the objects it mentions (kEnd when it mentions none), in point order
+/// and then log order.
 void expect_same_flush_set(const nvram::Nvram& a, const nvram::Nvram& b,
                            const std::string& where) {
-  const auto fa = try_flush_set(a, true);
-  const auto fb = try_flush_set(b, false);
+  const auto fa = try_scan([&a] { return oracle::flush_set(a); });
+  const auto fb = try_scan([&b] { return flush_set(b); });
   ASSERT_EQ(fa.has_value(), fb.has_value()) << where;
   if (!fa) return;
-  EXPECT_EQ(fa->ids, fb->ids) << where;
   EXPECT_EQ(fa->objs, fb->objs) << where;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < fb->recs.size(); ++i) {
+    const FlushSet::Rec& r = fb->recs[i];
+    ids.push_back(r.id);
+    if (i > 0) {
+      const FlushSet::Rec& prev = fb->recs[i - 1];
+      EXPECT_TRUE(prev.point < r.point ||
+                  (prev.point == r.point && prev.id < r.id))
+          << where;
+    }
+    const auto rec = std::find_if(
+        b.records().begin(), b.records().end(),
+        [&r](const nvram::Record& x) { return x.id == r.id; });
+    ASSERT_NE(rec, b.records().end()) << where;
+    std::vector<std::uint32_t> want;  // positions of its objects in objs
+    for (const Record& d : decode_any(rec->data)) {
+      const std::uint32_t obj =
+          d.objhint != 0 ? d.objhint : request_target(d.request);
+      if (obj == 0) continue;
+      want.push_back(static_cast<std::uint32_t>(
+          std::find(fa->objs.begin(), fa->objs.end(), obj) -
+          fa->objs.begin()));
+    }
+    const std::vector<std::uint32_t> got(fb->mentions.begin() + r.begin,
+                                         fb->mentions.begin() + r.end);
+    EXPECT_EQ(got, want) << where;
+    EXPECT_EQ(r.point, want.empty() ? FlushSet::kEnd
+                                    : *std::max_element(want.begin(),
+                                                        want.end()))
+        << where;
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(fa->ids, ids) << where;
 }
 
 /// Runs every scan on two copies of the same log, the oracle on `a` and the

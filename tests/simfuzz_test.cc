@@ -130,20 +130,18 @@ TEST(Linearize, DirectoryExistenceIsAKey) {
 }
 
 TEST(Linearize, ListingContributesPerKeyReads) {
-  Event listing = ev(OpKind::list_dir, "", Outcome::ok, 20, 30);
-  listing.listing = {};  // row "k" missing although its append committed
   std::vector<Event> h = {
       ev(OpKind::append_row, "k", Outcome::ok, 0, 10),
-      listing,
+      ev(OpKind::list_dir, "", Outcome::ok, 20, 30),
   };
+  // Row "k" missing although its append committed.
+  const std::vector<Listing> missing = {{1, {}}};
+  EXPECT_FALSE(check_linearizable(h, missing).ok);
+  // A list_dir without a recorded listing listed no rows.
   EXPECT_FALSE(check_linearizable(h).ok);
 
-  listing.listing = {"k"};
-  std::vector<Event> ok_h = {
-      ev(OpKind::append_row, "k", Outcome::ok, 0, 10),
-      listing,
-  };
-  EXPECT_TRUE(check_linearizable(ok_h).ok);
+  const std::vector<Listing> present = {{1, {"k"}}};
+  EXPECT_TRUE(check_linearizable(h, present).ok);
 }
 
 TEST(Linearize, UnknownTargetsAreIgnored) {

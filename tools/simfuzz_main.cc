@@ -43,6 +43,8 @@ struct CliOptions {
   bool legacy_faults = false;  // --faults legacy
   bool leases = false;         // --leases: lease caching (group flavors)
   bool batching = false;       // --batching: sequencer update batching
+  /// --nvram-bytes N: NVRAM log size of the nvram flavors.
+  std::size_t nvram_bytes = check::FuzzOptions{}.nvram_bytes;
   std::string schedule;
   /// --watchdog MS: livelock watchdog threshold in simulated milliseconds
   /// (0 disables). Default matches FuzzOptions.
@@ -60,7 +62,8 @@ void usage(const char* argv0) {
       "usage: %s [--flavor NAME|all] [--seeds N] [--seed-base B] [--seed S]\n"
       "          [--clients C] [--keys K] [--zipf S] [--steps S] [--schedule STR]\n"
       "          [--faults legacy|all] [--inject-bug] [--shrink-runs N]\n"
-      "          [--leases] [--batching] [--dump-dir PATH|none]\n"
+      "          [--leases] [--batching] [--nvram-bytes N]\n"
+      "          [--dump-dir PATH|none]\n"
       "          [--watchdog MS] [--debug-stall]\n"
       "flavors: group group_nvram rpc rpc_nvram nfs all\n",
       argv0);
@@ -153,6 +156,14 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
       cli.leases = true;
     } else if (a == "--batching") {
       cli.batching = true;
+    } else if (a == "--nvram-bytes") {
+      const char* v = next();
+      if (v == nullptr) return false;
+      cli.nvram_bytes = std::strtoull(v, nullptr, 10);
+      if (cli.nvram_bytes == 0) {
+        std::fprintf(stderr, "--nvram-bytes must be at least 1\n");
+        return false;
+      }
     } else if (a == "--watchdog") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -190,6 +201,7 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
   o.legacy_faults = cli.legacy_faults;
   o.lease_caching = cli.leases;
   o.batching = cli.batching;
+  o.nvram_bytes = cli.nvram_bytes;
   o.watchdog = sim::msec(cli.watchdog_ms);
   o.debug_stall = cli.debug_stall;
   if (!cli.schedule.empty()) {
