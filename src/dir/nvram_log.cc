@@ -114,7 +114,8 @@ std::size_t truncate_torn(nvram::Nvram& nv) {
 // plain record ordered before batch ops on the same object would reorder
 // replay. Torn records are skipped: they are not cancellable.
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
-                       const DirState::ApplyEffect& effect) {
+                       const DirState::ApplyEffect& effect,
+                       std::uint64_t on_disk) {
   auto op_res = peek_op(request);
   if (!op_res.is_ok()) return 0;
 
@@ -134,6 +135,7 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
               match = has_op(s.request, DirOp::append_row) &&
                       request_target(s.request) == obj &&
                       request_row(s.request) == name;
+              refuse = match && s.seqno <= on_disk;
             }
           })) {
         continue;
@@ -173,7 +175,7 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
       }
       if (refuse) return 0;
     }
-    if (!born_in_nvram) return 0;
+    if (!born_in_nvram || on_disk > 0) return 0;
     for (auto id : to_cancel) nv.cancel(id);
     return to_cancel.size() + 1;
   }

@@ -125,8 +125,14 @@ std::string_view request_row(ByteSpan request);
 /// append (or created directory) still sits in the log, remove the matched
 /// records and report how many operations were elided (the delete itself
 /// included). Returns 0 when the caller should log the request instead.
+/// `on_disk` is the highest seqno that a disk copy of the target
+/// directory holds or is being written with (0: none). An append at or
+/// below it, or a created directory with any disk copy, may be on disk
+/// already, and cancelling it would bring the row or directory back after
+/// a crash; the delete is logged instead.
 std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
-                       const DirState::ApplyEffect& effect);
+                       const DirState::ApplyEffect& effect,
+                       std::uint64_t on_disk = 0);
 
 /// A crash mid-append leaves a truncated tail record. Treat it as a clean
 /// log end: drop undecodable records from the tail. Servers call this at

@@ -82,6 +82,7 @@ void ReplicaStore::load(Io& io, std::uint64_t& seqno) {
     load_self_describing(io, seqno);
   }
   if (nv_ != nullptr) {
+    for (const auto& [obj, e] : state_.table()) on_disk_seqno_[obj] = e.seqno;
     // A crash mid-append leaves a torn tail record; drop it before replay.
     const std::size_t torn = nvlog::truncate_torn(*nv_);
     if (torn > 0) {
@@ -175,6 +176,11 @@ Result<cap::Capability> ReplicaStore::write(Io& io, std::uint32_t obj,
   if (e == nullptr || d == nullptr) {
     return Status::error(Errc::internal, "persist of unknown object");
   }
+  // From here a disk copy at this seqno may exist, even if the writes
+  // below fail: a logged update at or below it is no longer cancellable.
+  const std::uint64_t seqno = e->seqno;
+  std::uint64_t& on_disk = on_disk_seqno_[obj];
+  on_disk = std::max(on_disk, seqno);
   Writer w;
   if (!object_table()) {  // self-describing: object number and secret first
     w.u32(obj);
@@ -196,8 +202,13 @@ Result<cap::Capability> ReplicaStore::write(Io& io, std::uint32_t obj,
   const cap::Capability old = e->bullet;
   e->bullet = *file;
   if (object_table()) {
+    // The table block carries the seqno of the contents just written, not
+    // the entry's current one: updates applied during the create are not
+    // in the file, and boot replays the log records above this seqno.
+    ObjectEntry written = *e;
+    written.seqno = seqno;
     Writer tw;
-    e->encode(tw);
+    written.encode(tw);
     Status ws = io.disk.write_block(obj, tw.take(), tctx);
     if (!ws.is_ok()) return ws;
   }
@@ -265,10 +276,20 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
 
 void ReplicaStore::log(std::vector<Update> updates, std::uint64_t seqno,
                        obs::TraceContext tctx) {
+  // An update that changed nothing has nothing to persist, and a logged
+  // no-op append could be paired with a later delete of the row's real
+  // append by the cancellation below.
+  std::erase_if(updates, [](const Update& u) { return !u.effect.any_change; });
   if (updates.empty()) return;
-  if (updates.size() == 1 &&
-      nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect) > 0) {
-    return;
+  if (updates.size() == 1) {
+    const auto it =
+        on_disk_seqno_.find(nvlog::request_target(updates[0].request));
+    const std::uint64_t on_disk =
+        it == on_disk_seqno_.end() ? 0 : it->second;
+    if (nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect,
+                          on_disk) > 0) {
+      return;
+    }
   }
   std::vector<nvlog::Record> recs;
   for (Update& u : updates) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "bullet/bullet.h"
@@ -93,8 +94,9 @@ class ReplicaStore {
     std::uint64_t secret;
     DirState::ApplyEffect effect;
   };
-  /// Log the updates applied under one seqno in NVRAM. A lone update gets a
-  /// plain record, and a delete whose append is still logged cancels both
+  /// Log the updates applied under one seqno in NVRAM; those that changed
+  /// nothing are left out. A lone update gets a plain record, and a delete
+  /// whose append is still logged, and not yet on disk, cancels both
   /// (Sec. 4.1); several share one group-commit batch record. An update
   /// that finds the log full wakes the flusher and waits until enough
   /// records retire; it never flushes itself. Since the flusher retires
@@ -156,6 +158,11 @@ class ReplicaStore {
   nvram::Nvram* nv_ = nullptr;
   CommitBlock cblock_;
   std::uint64_t pending_commit_seqno_ = 0;  // delete-dir seqno awaiting flush
+  /// Per directory, the highest seqno a disk copy of it holds or is being
+  /// written with. Log records at or below it may be on disk already, so
+  /// a delete must not cancel them (the Sec. 4.1 cancellation assumes the
+  /// log holds the only copy).
+  std::map<std::uint32_t, std::uint64_t> on_disk_seqno_;
   sim::WaitQueue flusher_wq_;  // the flusher sleeps here between checks
   sim::WaitQueue flush_wq_;    // updates stalled on a full log wait here
   sim::Time last_activity_ = 0;

@@ -1109,6 +1109,127 @@ TEST_P(NvramFlush, CrashBetweenDirectoryWritesLosesNothing) {
   expect_on_every_replica(bed, d, dirs, rows);
 }
 
+TEST_P(NvramFlush, ADeleteDuringTheFlushOfItsAppendStaysDeleted) {
+  // The Sec. 4.1 cancellation may drop a logged append and its delete only
+  // while the log holds the append's only copy. Once a flush has started
+  // writing the directory, its new disk copy may hold the row, so a delete
+  // that arrives before the append's record retires must be logged. If it
+  // cancelled the pair instead, a crash would bring the row back on server
+  // 0 while its seqno, raised by the later update, claims it is current.
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 37});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs = create_dirs(bed, d, 2);
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+
+  d.step([&] { ASSERT_TRUE(d.append_retry(dirs[0], "doomed").is_ok()); });
+  // The flush has created the directory's new Bullet file (holding the
+  // row) but not yet retired the append's record.
+  const std::size_t files = bullet_files(bed, 0);
+  bool writing = false;
+  for (int ms = 0; ms < 2000 && !writing; ++ms) {
+    bed.sim().run_for(sim::msec(1));
+    writing = bullet_files(bed, 0) > files && !nv->empty();
+  }
+  ASSERT_TRUE(writing) << "the flush never wrote the directory";
+  d.step([&] {
+    Status st = d.dc->delete_row(dirs[0], "doomed");
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    ASSERT_TRUE(d.append_retry(dirs[1], "later").is_ok());
+  });
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  d.step([&] {
+    for (int s = 0; s < bed.num_dir_servers(); ++s) {
+      auto st = fetch_replica(bed, *d.rpc, s);
+      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
+                              << st.status().to_string();
+      ASSERT_NE(st->directory(dirs[0].object), nullptr);
+      EXPECT_FALSE(st->directory(dirs[0].object)->has("doomed"))
+          << "server " << s << " brought the deleted row back";
+      ASSERT_NE(st->directory(dirs[1].object), nullptr);
+      EXPECT_TRUE(st->directory(dirs[1].object)->has("later"))
+          << "server " << s;
+    }
+  });
+}
+
+TEST_P(NvramFlush, UpdatesDuringAFlushSurviveACrash) {
+  // Updates keep arriving while a small log is flushed, so some land on a
+  // directory while its new Bullet file is being created. The file holds
+  // the directory as it was before them; their records stay in the log.
+  // The table block must carry the file's seqno, not a later one, or boot
+  // skips those records as already on disk. Crash server 0 right after
+  // the last update, before an idle flush rewrites the directory.
+  constexpr int kRows = 40;
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 38,
+               .nvram_bytes = 1024});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs = create_dirs(bed, d, 1);
+  std::vector<std::string> rows;
+  d.step([&] {
+    for (int i = 0; i < kRows; ++i) {
+      rows.push_back("r" + std::to_string(i));
+      ASSERT_TRUE(d.append_retry(dirs[0], rows.back()).is_ok());
+      if (i % 3 == 2) {  // deletes too, so a lost record shows either way
+        ASSERT_TRUE(d.dc->delete_row(dirs[0], rows.back()).is_ok());
+        rows.pop_back();
+      }
+    }
+  });
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  expect_on_every_replica(bed, d, dirs, rows);
+  d.step([&] {
+    for (int s = 0; s < bed.num_dir_servers(); ++s) {
+      auto st = fetch_replica(bed, *d.rpc, s);
+      ASSERT_TRUE(st.is_ok());
+      EXPECT_EQ(st->directory(dirs[0].object)->rows.size(), rows.size())
+          << "server " << s;
+    }
+  });
+}
+
+TEST_P(NvramFlush, ARefusedAppendCancelsNothing) {
+  // An append that answers `exists` changed nothing, so it is not logged.
+  // Logged, it would be the newest append of its row, and the next delete
+  // would cancel it instead of the append that took effect: after a crash,
+  // replay would bring the deleted row back, and the later update's seqno
+  // would tell the peers the replica is current.
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 39});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs = create_dirs(bed, d, 1);
+  d.step([&] {
+    const cap::Capability col{};
+    ASSERT_TRUE(d.dc->append_row(dirs[0], "x", {col}).is_ok());
+    EXPECT_EQ(d.dc->append_row(dirs[0], "x", {col}).code(), Errc::exists);
+    ASSERT_TRUE(d.dc->delete_row(dirs[0], "x").is_ok());
+    // Logged after the delete, so the replayed seqno covers it.
+    ASSERT_TRUE(d.dc->append_row(dirs[0], "y", {col}).is_ok());
+  });
+  // Before the idle flush writes the directory.
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  d.step([&] {
+    for (int s = 0; s < bed.num_dir_servers(); ++s) {
+      auto st = fetch_replica(bed, *d.rpc, s);
+      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
+                              << st.status().to_string();
+      ASSERT_NE(st->directory(dirs[0].object), nullptr);
+      EXPECT_FALSE(st->directory(dirs[0].object)->has("x"))
+          << "server " << s << " brought the deleted row back";
+      EXPECT_TRUE(st->directory(dirs[0].object)->has("y")) << "server " << s;
+    }
+  });
+}
+
 TEST(GroupNvramFlush, CrashBeforeTheCommitBlockKeepsADeletion) {
   // A deleted directory's records retire only after the commit block is
   // written (Fig. 4). Crash server 0 and its storage machine after the
