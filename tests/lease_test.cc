@@ -626,6 +626,35 @@ TEST(NvlogBatch, TryCancelStillElidesWhenNoBatchIntervenes) {
   ASSERT_TRUE(checked);
 }
 
+TEST(NvlogBatch, TryCancelLeavesAnAppendADiskCopyMayHold) {
+  // `on_disk` is the highest seqno a disk copy of the directory holds or
+  // is being written with: an append at or below it may be on disk, so
+  // the delete must be logged, not cancelled against it.
+  sim::Simulator sim(65);
+  nvram::Nvram nv(sim);
+  bool checked = false;
+  sim.spawn("t", [&] {
+    dir::DirState st(net::Port{1});
+    const cap::Capability dcap = create_dir_in(st, 1000, 1);
+    const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
+    apply_ok(st, append, 0, 2);
+    dir::nvlog::Record arec;
+    arec.seqno = 2;
+    arec.request = append;
+    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(arec)).is_ok());
+
+    const Buffer del = dir::make_delete_row(dcap, "k");
+    const auto eff = apply_ok(st, del, 0, 3);
+    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff, 2), 0u);
+    EXPECT_EQ(nv.record_count(), 1u);
+    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff, 1), 2u);
+    EXPECT_EQ(nv.record_count(), 0u);
+    checked = true;
+  });
+  sim.run_until(sim::sec(1));
+  ASSERT_TRUE(checked);
+}
+
 // -------------------------------------------------- client retry backoff
 
 struct BackoffRun {
