@@ -88,18 +88,14 @@ double update_pairs_per_sec(harness::TestbedOptions opts) {
   return r.ok ? r.ops_per_sec : -1;
 }
 
-double lookup_latency_ms(harness::TestbedOptions opts) {
+/// Fig. 7 latencies on a fresh testbed; the means the ablations print are
+/// -1 when the run failed.
+harness::LatencyResult latencies(harness::TestbedOptions opts) {
   harness::Testbed bed(opts);
-  if (!bed.wait_ready()) return -1;
-  auto r = harness::measure_latencies(bed, 3, 10);
-  return r.ok ? r.lookup_ms : -1;
-}
-
-double append_delete_ms(harness::TestbedOptions opts) {
-  harness::Testbed bed(opts);
-  if (!bed.wait_ready()) return -1;
-  auto r = harness::measure_latencies(bed, 3, 10);
-  return r.ok ? r.append_delete_ms : -1;
+  harness::LatencyResult r;
+  if (bed.wait_ready()) r = harness::measure_latencies(bed, 3, 10);
+  if (!r.ok) r.append_delete_ms = r.lookup_ms = -1;
+  return r;
 }
 
 void ablate_resilience() {
@@ -111,7 +107,7 @@ void ablate_resilience() {
     o.clients = 1;
     o.seed = 31;
     o.resilience = r;
-    std::printf("     %d   %17.1f   %s\n", r, append_delete_ms(o),
+    std::printf("     %d   %17.1f   %s\n", r, latencies(o).append_delete_ms,
                 r == 2 ? "paper's setting: survives 2 crashes"
                        : "faster commit, weaker guarantee");
   }
@@ -126,8 +122,9 @@ void ablate_replicas() {
     o.clients = 1;
     o.seed = 33;
     o.replicas = n;
-    std::printf("     %8d   %17.1f   %10.2f\n", n, append_delete_ms(o),
-                lookup_latency_ms(o));
+    const harness::LatencyResult lat = latencies(o);
+    std::printf("     %8d   %17.1f   %10.2f\n", n, lat.append_delete_ms,
+                lat.lookup_ms);
   }
   std::printf("     (updates stay flat: one multicast reaches any number of\n"
               "      replicas — the paper's scaling argument for multicast)\n");
@@ -208,7 +205,7 @@ void ablate_rpc_nvram() {
     o.clients = 1;
     o.seed = 39;
     std::printf("     %-18s %14.1f\n", harness::flavor_name(f),
-                append_delete_ms(o));
+                latencies(o).append_delete_ms);
   }
 }
 

@@ -183,17 +183,26 @@ inline obs::Json timeline_slo_json(const obs::Timeline& tl,
   return o;
 }
 
+/// The fields every BENCH_*.json starts with; "seeds" only when nonempty.
+inline obs::Json report_root(const char* bench, const char* paper_ref,
+                             const BenchArgs& args,
+                             const std::vector<std::uint64_t>& seeds = {}) {
+  obs::Json root = obs::Json::object();
+  root.set("bench", obs::Json::str(bench));
+  root.set("paper_ref", obs::Json::str(paper_ref));
+  root.set("quick", obs::Json::boolean(args.quick));
+  if (!seeds.empty()) {
+    obs::Json seeds_j = obs::Json::array();
+    for (std::uint64_t s : seeds) seeds_j.push(obs::Json::uinteger(s));
+    root.set("seeds", std::move(seeds_j));
+  }
+  return root;
+}
+
 /// Write the report; returns false (and complains) when the file cannot
 /// be created, so CI fails loudly instead of uploading nothing.
 inline bool write_json(const std::string& path, const obs::Json& root) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string text = root.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  if (!obs::write_file(path, root.dump())) return false;
   std::printf("\nwrote %s\n", path.c_str());
   return true;
 }

@@ -113,13 +113,7 @@ void run(const BenchArgs& args) {
   }
 
   if (args.json_path.empty()) return;
-  obs::Json root = obs::Json::object();
-  root.set("bench", obs::Json::str("fig7_latency"));
-  root.set("paper_ref", obs::Json::str("Kaashoek et al. 1993, Fig. 7"));
-  root.set("quick", obs::Json::boolean(args.quick));
-  obs::Json seeds_j = obs::Json::array();
-  for (std::uint64_t s : seeds) seeds_j.push(obs::Json::uinteger(s));
-  root.set("seeds", std::move(seeds_j));
+  obs::Json root = report_root("fig7_latency", "Kaashoek et al. 1993, Fig. 7", args, seeds);
   obs::Json flavors_j = obs::Json::object();
   for (int f = 0; f < kFlavors; ++f) {
     obs::Json fj = obs::Json::object();

@@ -100,13 +100,7 @@ void run(const BenchArgs& args) {
       "curves rise roughly linearly until server capacity is reached.\n");
 
   if (args.json_path.empty()) return;
-  obs::Json root = obs::Json::object();
-  root.set("bench", obs::Json::str("fig8_lookup_throughput"));
-  root.set("paper_ref", obs::Json::str("Kaashoek et al. 1993, Fig. 8"));
-  root.set("quick", obs::Json::boolean(args.quick));
-  obs::Json seeds_j = obs::Json::array();
-  for (std::uint64_t s : seeds) seeds_j.push(obs::Json::uinteger(s));
-  root.set("seeds", std::move(seeds_j));
+  obs::Json root = report_root("fig8_lookup_throughput", "Kaashoek et al. 1993, Fig. 8", args, seeds);
   root.set("flavors", std::move(flavors_j));
   write_json(args.json_path, root);
 }

@@ -55,11 +55,7 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
     if (leases) dc.enable_leases();
-    auto hot = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !hot.is_ok(); ++i) {
-      sim.sleep_for(sim::msec(100));
-      hot = dc.create_dir({"c"});
-    }
+    auto hot = harness::create_dir_retry(dc, sim, {"c"});
     if (!hot.is_ok()) return;
     auto scratch = dc.create_dir({"c"});
     if (!scratch.is_ok()) return;
@@ -94,12 +90,8 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
 
   sim.run_for(sim::sec(15));
   if (!ready) return out;
-  sim.run_for(warmup);
-  const obs::Metrics::Snapshot before = bed.metrics().snapshot();
-  measuring = true;
-  sim.run_for(window);
-  measuring = false;
-  out.window_counters = obs::Metrics::delta(bed.metrics().snapshot(), before);
+  out.window_counters =
+      harness::measured_window(bed, warmup, window, measuring);
   out.availability = timeline_slo_json(bed.timeline());
   out.ok = !out.lookup_ms.empty();
   return out;
@@ -239,14 +231,9 @@ void run(const BenchArgs& args) {
       "the same seeds pass simfuzz with both flags on.\n");
 
   if (args.json_path.empty()) return;
-  obs::Json root = obs::Json::object();
-  root.set("bench", obs::Json::str("lease_batch"));
-  root.set("paper_ref",
-           obs::Json::str("Kaashoek et al. 1993, Table 4 mix / Fig. 9 load"));
-  root.set("quick", obs::Json::boolean(args.quick));
-  obs::Json seeds_j = obs::Json::array();
-  for (std::uint64_t s : seeds) seeds_j.push(obs::Json::uinteger(s));
-  root.set("seeds", std::move(seeds_j));
+  obs::Json root = report_root(
+      "lease_batch", "Kaashoek et al. 1993, Table 4 mix / Fig. 9 load", args,
+      seeds);
   root.set("lease", std::move(lease_j));
   root.set("batching", std::move(batch_j));
   write_json(args.json_path, root);

@@ -77,24 +77,10 @@ DiskPerOp disk_writes_per_update(harness::Flavor f) {
   DiskPerOp out;
   harness::Testbed bed({.flavor = f, .clients = 1, .seed = 9});
   if (!bed.wait_ready()) return out;
-  cap::Capability dcap;
-  bool ready = false;
+  const Result<cap::Capability> setup = harness::setup_dir(bed, sim::sec(10));
+  if (!setup.is_ok()) return out;
+  const cap::Capability dcap = *setup;
   net::Machine& cm = bed.client(0);
-  cm.spawn("setup", [&] {
-    rpc::RpcClient rpc(cm);
-    dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
-    }
-  });
-  bed.sim().run_for(sim::sec(10));
-  if (!ready) return out;
   bed.sim().run_for(sim::sec(3));  // drain lazy work from the create
 
   const obs::Metrics::Snapshot before = bed.metrics().snapshot();
@@ -164,10 +150,8 @@ void run(const BenchArgs& args) {
   }
 
   if (args.json_path.empty()) return;
-  obs::Json root = obs::Json::object();
-  root.set("bench", obs::Json::str("msg_disk_counts"));
-  root.set("paper_ref", obs::Json::str("Kaashoek et al. 1993, Sec. 3.1"));
-  root.set("quick", obs::Json::boolean(args.quick));
+  obs::Json root =
+      report_root("msg_disk_counts", "Kaashoek et al. 1993, Sec. 3.1", args);
 
   obs::Json pk = obs::Json::object();
   {

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "dir/client.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 
 using namespace amoeba;
 
@@ -39,24 +39,10 @@ int main() {
   show(bed, "service up (3 replicas)");
 
   // Setup: one directory, through any server.
-  cap::Capability home;
-  bool ok = false;
+  const Result<cap::Capability> setup = harness::setup_dir(bed, sim::sec(8));
+  if (!setup.is_ok()) return 1;
+  const cap::Capability home = *setup;
   net::Machine& cm = bed.client(0);
-  cm.spawn("setup", [&] {
-    rpc::RpcClient rpc(cm);
-    dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ok; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        home = *res;
-        ok = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
-    }
-  });
-  bed.sim().run_for(sim::sec(8));
-  if (!ok) return 1;
 
   bed.cluster().crash(bed.dir_server(2).id());
   bed.sim().run_for(sim::sec(1));

@@ -8,7 +8,7 @@
 
 #include "bullet/bullet.h"
 #include "dir/client.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 
 using namespace amoeba;
 
@@ -64,26 +64,10 @@ int main() {
   for (auto flavor : {harness::Flavor::group, harness::Flavor::group_nvram}) {
     harness::Testbed bed({.flavor = flavor, .clients = 1, .seed = 41});
     if (!bed.wait_ready()) return 1;
-    cap::Capability home;
-    bool ok = false;
-    net::Machine& cm = bed.client(0);
-    cm.spawn("setup", [&] {
-      rpc::RpcClient rpc(cm);
-      dir::DirClient dc(rpc, bed.dir_port());
-      for (int i = 0; i < 50 && !ok; ++i) {
-        auto res = dc.create_dir({"c"});
-        if (res.is_ok()) {
-          home = *res;
-          ok = true;
-        } else {
-          bed.sim().sleep_for(sim::msec(100));
-        }
-      }
-    });
-    bed.sim().run_for(sim::sec(8));
-    if (!ok) return 1;
+    const Result<cap::Capability> home = harness::setup_dir(bed, sim::sec(8));
+    if (!home.is_ok()) return 1;
     bed.sim().run_for(sim::sec(1));  // flush the create itself
-    run_phase(bed, home, harness::flavor_name(flavor), 20);
+    run_phase(bed, *home, harness::flavor_name(flavor), 20);
   }
   std::printf(
       "\nThe NVRAM service runs the cycle ~4x faster and — because each\n"

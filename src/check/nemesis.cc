@@ -407,11 +407,10 @@ void run_step(harness::Testbed& bed, const FaultStep& step) {
       break;
     }
     case FaultStep::Kind::loss: {
-      const double base = bed.options().drop_prob;
       inject(bed.dir_server(0).id().v, -1);
-      bed.cluster().net().set_drop_prob(std::min(0.9, base + step.prob));
+      bed.cluster().net().set_drop_prob(std::min(0.9, step.prob));
       sim.run_for(step.fault);
-      bed.cluster().net().set_drop_prob(base);
+      bed.cluster().net().set_drop_prob(0.0);
       heal();
       break;
     }

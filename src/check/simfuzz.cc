@@ -26,17 +26,6 @@ bool is_group(Flavor f) {
   return f == Flavor::group || f == Flavor::group_nvram;
 }
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    LOG_WARN << "simfuzz: cannot write " << path;
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 /// FuzzOptions::dump_prefix — the run's causal trace plus the final metric
 /// counters (and, for a stalled run, the watchdog's stall report), for
 /// post-mortem inspection of a failing schedule.
@@ -44,12 +33,11 @@ void dump_artifacts(const FuzzOptions& opts, Testbed& bed,
                     const std::string& stall_json = {}) {
   if (opts.dump_prefix.empty()) return;
   if (!stall_json.empty()) {
-    write_file(opts.dump_prefix + ".stall.json", stall_json);
+    obs::write_file(opts.dump_prefix + ".stall.json", stall_json);
   }
-  write_file(opts.dump_prefix + ".trace.json",
-             bed.trace().to_chrome_json());
+  obs::write_file(opts.dump_prefix + ".trace.json", bed.chrome_json());
   obs::Json root = obs::Json::object();
-  root.set("flavor", obs::Json::str(flavor_token(opts.flavor)));
+  root.set("flavor", obs::Json::str(harness::flavor_token(opts.flavor)));
   root.set("seed", obs::Json::uinteger(opts.seed));
   root.set("end_time_us", obs::Json::uinteger(
                               static_cast<std::uint64_t>(bed.sim().now())));
@@ -60,7 +48,7 @@ void dump_artifacts(const FuzzOptions& opts, Testbed& bed,
     counters.set(key, obs::Json::uinteger(value));
   }
   root.set("counters", std::move(counters));
-  write_file(opts.dump_prefix + ".metrics.json", root.dump());
+  obs::write_file(opts.dump_prefix + ".metrics.json", root.dump());
 }
 /// Replica state reduced to what must agree across replicas: object
 /// identity, secrets, seqnos and row layout. Bullet capabilities are
@@ -230,25 +218,6 @@ std::uint64_t fnv1a(const Buffer& b, std::uint64_t h) {
   return h;
 }
 
-const char* flavor_token(harness::Flavor f) {
-  switch (f) {
-    case Flavor::group: return "group";
-    case Flavor::group_nvram: return "group_nvram";
-    case Flavor::rpc: return "rpc";
-    case Flavor::rpc_nvram: return "rpc_nvram";
-    case Flavor::nfs: return "nfs";
-  }
-  return "?";
-}
-
-Result<harness::Flavor> parse_flavor(const std::string& token) {
-  for (Flavor f : {Flavor::group, Flavor::group_nvram, Flavor::rpc,
-                   Flavor::rpc_nvram, Flavor::nfs}) {
-    if (token == flavor_token(f)) return f;
-  }
-  return Status::error(Errc::bad_request, "unknown flavor: " + token);
-}
-
 FuzzReport run_one(const FuzzOptions& opts) {
   FuzzReport report;
 
@@ -410,7 +379,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   // agreement is only meaningful once no operation is in flight.
   stop = true;
   bed.cluster().heal();
-  bed.cluster().net().set_drop_prob(bed.options().drop_prob);
+  bed.cluster().net().set_drop_prob(0.0);
   bed.cluster().net().set_dup_prob(0.0);
   bed.cluster().net().set_reorder_prob(0.0);
   bed.cluster().net().clear_link_degrades();
@@ -607,7 +576,7 @@ std::vector<FaultStep> shrink(const FuzzOptions& failing,
 std::string repro_command(const FuzzOptions& opts,
                           const std::vector<FaultStep>& schedule) {
   std::string cmd = std::string("simfuzz --flavor ") +
-                    flavor_token(opts.flavor) + " --seed " +
+                    harness::flavor_token(opts.flavor) + " --seed " +
                     std::to_string(opts.seed) + " --clients " +
                     std::to_string(opts.clients) + " --keys " +
                     std::to_string(opts.keys);

@@ -74,7 +74,8 @@ struct FuzzOptions {
   CheckOptions check;
   /// When nonempty, dump debugging artifacts when the run ends (whatever
   /// the verdict): <prefix>.trace.json holds the whole run's causal trace
-  /// (Chrome trace_event format) and <prefix>.metrics.json the final
+  /// with its counter tracks (Testbed::chrome_json, the same export as
+  /// simreport --chrome-json) and <prefix>.metrics.json the final
   /// counter snapshot. The CLI sets this when replaying a shrunk failing
   /// schedule, so the artifacts land next to the repro command.
   std::string dump_prefix;
@@ -118,11 +119,6 @@ std::vector<FaultStep> shrink(const FuzzOptions& failing,
 /// The exact CLI invocation that replays this run.
 std::string repro_command(const FuzzOptions& opts,
                           const std::vector<FaultStep>& schedule);
-
-/// CLI-friendly flavor names ("group", "rpc_nvram", ...), round-trippable
-/// through parse_flavor (unlike harness::flavor_name's display strings).
-const char* flavor_token(harness::Flavor f);
-Result<harness::Flavor> parse_flavor(const std::string& token);
 
 /// FNV-1a 64-bit, used for replica-state digests.
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;

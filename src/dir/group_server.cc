@@ -29,6 +29,9 @@ constexpr sim::Duration kCpuRead = sim::msec(3);
 constexpr sim::Duration kCpuWrite = sim::msec(3);
 constexpr sim::Duration kCpuApply = sim::msec(4);
 
+// Client-facing initiator threads per server.
+constexpr int kServerThreads = 3;
+
 // Recovery pacing.
 constexpr sim::Duration kMajorityWait = sim::msec(500);
 constexpr sim::Duration kRecoveryBackoff = sim::msec(150);
@@ -175,8 +178,6 @@ group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
   cfg.universe = ctx.opts.dir_servers;
   cfg.resilience = ctx.opts.resilience;
   cfg.batching = ctx.opts.batching;
-  cfg.batch_window = ctx.opts.batch_window;
-  cfg.batch_max = ctx.opts.batch_max;
   // If this server ends up *creating* the group (e.g. after a total group
   // collapse), the new lineage must continue the sequence numbering: peers
   // that kept state from the old lineage compare record seqnos against
@@ -755,7 +756,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
 
   // Client-facing initiator threads.
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
       serve_ops(ctx.ops, *server, std::bind_front(serve_read, std::ref(ctx)),
                 std::bind_front(serve_update, std::ref(ctx)));

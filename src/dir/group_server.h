@@ -36,7 +36,6 @@ struct GroupDirOptions {
   net::Port bullet_port{1200};      // this server's bullet server
   net::Port disk_port{1300};        // this server's raw-partition server
   std::vector<net::MachineId> dir_servers;  // all servers, fixed order
-  int server_threads = 3;
   int resilience = 2;
   bool use_nvram = false;
   bool improved_recovery = false;  // Sec. 3.2's relaxed 2-server rule
@@ -54,8 +53,6 @@ struct GroupDirOptions {
   /// logged as ONE NVRAM append, so the per-update log-write cost is
   /// amortised across the batch.
   bool batching = false;
-  sim::Duration batch_window = sim::msec(2);
-  std::size_t batch_max = 8;
 
   /// Debug fault injection (simfuzz only): serve reads WITHOUT the
   /// buffered-messages barrier, so this server can return state that

@@ -19,6 +19,7 @@ constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
 constexpr sim::Duration kCpuWrite = sim::msec(3);
 constexpr sim::Duration kDirWriteDisk = sim::msec(40);
 constexpr sim::Duration kFileCreateDisk = sim::msec(12);  // sync inode only
+constexpr int kServerThreads = 3;  // directory server threads
 
 struct NfsCtx {
   Machine& machine;
@@ -143,7 +144,7 @@ void service_main(Machine& machine, NfsDirOptions opts) {
   auto dir_srv = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
   auto file_srv =
       std::make_shared<rpc::RpcServer>(machine, ctx.opts.file_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("nfs.dir" + std::to_string(i),
                   [&ctx, dir_srv] { dir_loop(ctx, *dir_srv); });
   }

@@ -17,7 +17,6 @@ namespace amoeba::dir {
 struct NfsDirOptions {
   net::Port dir_port{3000};
   net::Port file_port{3001};
-  int server_threads = 4;
 };
 
 void install_nfs_dir_server(net::Machine& machine, NfsDirOptions opts);

@@ -27,6 +27,7 @@ constexpr sim::Duration kCpuWrite = sim::msec(5);  // includes intentions
 constexpr sim::Duration kCpuApply = sim::msec(6);  // peer-side intent handling
 constexpr sim::Duration kPeerTimeout = sim::msec(400);
 constexpr int kUpdateRetries = 60;  // on conflicting-update refusals
+constexpr int kServerThreads = 3;   // client-facing server threads
 
 struct RpcServerCtx {
   Machine& machine;
@@ -399,7 +400,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
   }
 
   auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
-  for (int i = 0; i < ctx.opts.server_threads; ++i) {
+  for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
       Io st(ctx.store);
       serve_ops(

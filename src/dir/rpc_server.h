@@ -32,7 +32,6 @@ struct RpcDirOptions {
   net::Port bullet_port{2200};      // this server's bullet server
   net::Port disk_port{2300};        // this server's raw partition
   std::vector<net::MachineId> dir_servers;  // exactly two
-  int server_threads = 3;
 
   /// The extension the paper predicts would help ("If the RPC service had
   /// been implemented with NVRAM, one could expect similar performance

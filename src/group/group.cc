@@ -9,6 +9,11 @@ namespace amoeba::group {
 
 namespace {
 
+// Sequencer batching (GroupConfig::batching): the coalescing window and
+// the batch size that flushes at once.
+constexpr sim::Duration kBatchWindow = sim::msec(2);
+constexpr std::size_t kBatchMax = 8;
+
 enum class WireType : std::uint8_t {
   req = 1,      // sender -> sequencer: please order this message (PB)
   bb_data,      // sender -> members: unordered payload (BB method)
@@ -480,12 +485,12 @@ void GroupMember::Ctx::enqueue_batch(MachineId origin, std::uint64_t msgid,
     if (s.origin == origin && s.msgid == msgid) return;  // retry while parked
   }
   pending_batch.push_back({origin, msgid, std::move(payload), ctx});
-  if (pending_batch.size() >= cfg.batch_max) {
+  if (pending_batch.size() >= kBatchMax) {
     flush_batch();
     return;
   }
   if (batch_deadline == 0) {
-    batch_deadline = now() + cfg.batch_window;
+    batch_deadline = now() + kBatchWindow;
     // The kernel may be asleep until its next heartbeat tick (a
     // sequencer-local send parks subs from an application process); poke
     // its mailbox so it re-arms its wakeup to the batch deadline.

@@ -93,13 +93,11 @@ struct GroupConfig {
   /// Sequencer update batching: REQs that arrive while earlier ones are
   /// still inside the coalescing window ride the same ACCEPT multicast
   /// (one seqno, one kernel CPU charge, and — for the directory service —
-  /// one group-commit NVRAM append). batch_window bounds the extra latency
-  /// a lone update pays; batch_max flushes a full batch immediately.
+  /// one group-commit NVRAM append). A 2 ms window bounds the extra
+  /// latency a lone update pays; a batch of 8 is flushed immediately.
   /// Messages keep their per-origin identity (origin, msgid) inside the
   /// batch so commit fan-out and duplicate suppression are unchanged.
   bool batching = false;
-  sim::Duration batch_window = sim::msec(2);
-  std::size_t batch_max = 8;
   /// First sequence number a freshly *created* group assigns, minus one.
   /// An application that survives a total group collapse passes its own
   /// recovery sequence number here so the replacement group continues the

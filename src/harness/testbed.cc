@@ -53,11 +53,28 @@ const char* flavor_name(Flavor f) {
   return "?";
 }
 
+const char* flavor_token(Flavor f) {
+  switch (f) {
+    case Flavor::group: return "group";
+    case Flavor::group_nvram: return "group_nvram";
+    case Flavor::rpc: return "rpc";
+    case Flavor::rpc_nvram: return "rpc_nvram";
+    case Flavor::nfs: return "nfs";
+  }
+  return "?";
+}
+
+Result<Flavor> parse_flavor(const std::string& token) {
+  for (Flavor f : kAllFlavors) {
+    if (token == flavor_token(f)) return f;
+  }
+  return Status::error(Errc::bad_request, "unknown flavor: " + token);
+}
+
 Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
   sim_ = std::make_unique<sim::Simulator>(opts.seed);
   net::NetConfig net_cfg;
   net_cfg.segments = opts.network_segments;
-  net_cfg.drop_prob = opts.drop_prob;
   cluster_ = std::make_unique<net::Cluster>(*sim_, net_cfg);
   cluster_->set_tracing(opts.tracing);
 
@@ -78,7 +95,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
     dir::NfsDirOptions no;
     no.dir_port = kDirPort;
     no.file_port = kNfsFilePort;
-    no.server_threads = opts.dir_server_threads;
     dir::install_nfs_dir_server(m, no);
     file_port_ = kNfsFilePort;
   } else {
@@ -105,7 +121,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         ro.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
         ro.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
         ro.dir_servers = ids;
-        ro.server_threads = opts.dir_server_threads;
         ro.use_nvram = (opts.flavor == Flavor::rpc_nvram);
         ro.nvram_bytes = opts.nvram_bytes;
         dir::install_rpc_dir_server(dir_server(i), ro);
@@ -119,7 +134,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         go.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
         go.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
         go.dir_servers = ids;
-        go.server_threads = opts.dir_server_threads;
         go.resilience = opts.resilience;
         go.use_nvram = (opts.flavor == Flavor::group_nvram);
         go.nvram_bytes = opts.nvram_bytes;
@@ -127,8 +141,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         go.lease_caching = opts.lease_caching;
         go.lease_duration = opts.lease_duration;
         go.batching = opts.batching;
-        go.batch_window = opts.batch_window;
-        go.batch_max = opts.batch_max;
         go.debug_skip_read_barrier = (i == opts.debug_stale_reads_server);
         if (opts.group_history_limit > 0) {
           go.group_base.history_limit = opts.group_history_limit;
@@ -157,6 +169,19 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
       hm.add_peer(storage_[i]->id().v, "storage", static_cast<int>(i));
     }
   }
+}
+
+std::string Testbed::chrome_json() {
+  std::string json = trace().to_chrome_json();
+  // Counter fragments lead with ",\n"; splice them into traceEvents.
+  std::string counters;
+  timeline().chrome_counter_events(counters);
+  cluster().health().chrome_counter_events(counters);
+  const std::size_t close = json.rfind("\n]");
+  if (!counters.empty() && close != std::string::npos) {
+    json.insert(close, counters);
+  }
+  return json;
 }
 
 disk::VirtualDisk& Testbed::vdisk(int i) { return storage_disk(storage(i)); }

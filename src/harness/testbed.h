@@ -5,8 +5,10 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "dir/group_server.h"
 #include "dir/nfs_server.h"
 #include "dir/rpc_server.h"
@@ -25,19 +27,26 @@ enum class Flavor {
   nfs,          // single server baseline
 };
 
+inline constexpr Flavor kAllFlavors[] = {Flavor::group, Flavor::group_nvram,
+                                         Flavor::rpc, Flavor::rpc_nvram,
+                                         Flavor::nfs};
+
+/// Display name for reports ("group+NVRAM(3)").
 const char* flavor_name(Flavor f);
+/// CLI-friendly name ("group", "rpc_nvram", ...), round-trippable through
+/// parse_flavor.
+const char* flavor_token(Flavor f);
+Result<Flavor> parse_flavor(const std::string& token);
 
 struct TestbedOptions {
   Flavor flavor = Flavor::group;
   int clients = 1;
   std::uint64_t seed = 1;
-  int dir_server_threads = 3;
   bool improved_recovery = false;
   int resilience = 2;
   int replicas = 0;  // 0 => flavor default (3 group / 2 rpc / 1 nfs)
   std::size_t nvram_bytes = 24 * 1024;
   int network_segments = 1;  // >1: redundant Ethernets (paper Sec. 2)
-  double drop_prob = 0.0;    // baseline packet-loss probability
   /// Fault injection for the simfuzz harness: when >= 0, the group dir
   /// server with this index serves reads without the buffered-messages
   /// barrier (GroupDirOptions::debug_skip_read_barrier).
@@ -53,8 +62,6 @@ struct TestbedOptions {
   /// Sequencer update batching + NVRAM group commit (group flavors). See
   /// GroupDirOptions::batching.
   bool batching = false;
-  sim::Duration batch_window = sim::msec(2);
-  std::size_t batch_max = 8;
   /// Record a per-event trace ring (Cluster::set_tracing). Defaults on so
   /// existing tests/tools see identical traces; throughput benchmarks turn
   /// it off to measure the engine without trace recording.
@@ -72,6 +79,11 @@ class Testbed {
   obs::Metrics& metrics() { return cluster_->metrics(); }
   obs::Trace& trace() { return cluster_->trace(); }
   obs::Timeline& timeline() { return cluster_->timeline(); }
+
+  /// The run as Chrome trace_event JSON: the event lanes plus the timeline
+  /// and health-score counter tracks. Sim-time stamps and static strings
+  /// only, so a same-seed run exports byte-identical JSON.
+  [[nodiscard]] std::string chrome_json();
 
   [[nodiscard]] int num_dir_servers() const {
     return static_cast<int>(dir_servers_.size());

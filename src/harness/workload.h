@@ -14,8 +14,10 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "dir/client.h"
 #include "harness/testbed.h"
 #include "obs/metrics.h"
 
@@ -111,6 +113,47 @@ ThroughputResult update_throughput(Testbed& bed,
 ThroughputResult append_throughput(Testbed& bed,
                                    sim::Duration warmup = sim::sec(2),
                                    sim::Duration window = sim::sec(15));
+
+/// Run `warmup`, then `window` with `measuring` set; returns the counter
+/// delta over the window alone, so warmup never leaks into a count.
+obs::Metrics::Snapshot measured_window(Testbed& bed, sim::Duration warmup,
+                                       sim::Duration window, bool& measuring);
+
+/// Create a directory, retrying every 100 ms (at most `retries` times)
+/// while the service comes up. Returns the last attempt's result.
+Result<cap::Capability> create_dir_retry(dir::DirClient& dc,
+                                         sim::Simulator& sim,
+                                         const std::vector<std::string>& columns,
+                                         int retries = 40);
+
+/// create_dir_retry({"c"}, 50 attempts) from client 0, then run the
+/// simulation for `settle`. Returns the directory or the last failure.
+Result<cap::Capability> setup_dir(Testbed& bed, sim::Duration settle);
+
+/// One op of a pinned observer on key `key` of the shared directory `home`;
+/// `pick` is a uniform draw in [0, 100).
+using ObserverOp =
+    std::function<Status(dir::DirClient& dc, const cap::Capability& home,
+                         const std::string& key, std::uint64_t pick)>;
+
+/// The gray-failure scenario of simreport --slo / --health: a 2 s healthy
+/// baseline, `fault` (which runs the simulation), a quiet `tail`, then a
+/// 200 ms drain after the load stops. Returns false, skipping the fault,
+/// when client 0 never created the shared directory.
+///
+/// Client c's worker starts on replica c: locate tends to elect one
+/// fastest responder for every client, and only spread observers give the
+/// differential health detector an opinion about *each* server. A worker
+/// loops over keys "k0".."k7" with a pause under 20 ms, and flushes its
+/// port cache on infrastructure failures only (a flush on every negative
+/// would re-elect the fastest responder and lose the slow peer's vantage).
+/// With `probers`, each client also runs two probers of its own RpcClient
+/// that re-pin its replica before every lookup, undoing trans()'s silent
+/// NOTHERE failover; two, because one prober's cadence against a replica
+/// dragged to hundreds of ms leaves its digest below qualifying weight.
+bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
+                        const std::function<void()>& fault,
+                        sim::Duration tail);
 
 /// Summary statistics over a sample vector — an alias for the shared
 /// obs::HistSummary, so the harness, the bench binaries and the timeline

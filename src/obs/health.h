@@ -83,7 +83,7 @@ struct HealthEvent {
   double baseline = 0;  // fleet baseline at the transition
 };
 
-/// Per-evaluation peer score, for the simtrace counter tracks.
+/// Per-evaluation peer score, for the Chrome-export counter tracks.
 struct ScoreSample {
   sim::Time ts = 0;
   std::uint16_t peer = 0;  // index into peers()

@@ -342,4 +342,15 @@ std::optional<Json> Json::parse(std::string_view text) {
   return v;
 }
 
+bool write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return true;
+}
+
 }  // namespace amoeba::obs

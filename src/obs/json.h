@@ -117,4 +117,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> obj_;
 };
 
+/// Write `text` (a dump, a report) to `path`. Returns false, after saying
+/// so on stderr, when the file cannot be created.
+bool write_file(const std::string& path, const std::string& text);
+
 }  // namespace amoeba::obs

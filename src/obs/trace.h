@@ -3,7 +3,7 @@
 // Layers record spans (operation begin/end, message send->deliver, disk
 // and NVRAM I/O) and instants (view change, group reset, recovery phase,
 // drops) against the simulated clock. The ring keeps the newest
-// `capacity` events; `tools/simtrace` exports them as Chrome trace_event
+// `capacity` events; `simreport --chrome-json` exports them as Chrome trace_event
 // JSON for chrome://tracing / Perfetto.
 //
 // On top of the flat event stream, events may carry causal identity: a

@@ -91,10 +91,7 @@ TEST(Determinism, DistinctSeedsDiverge) {
 TEST(Determinism, ScheduleRoundTripsThroughText) {
   // Every flavor's generated schedules (which between them draw every
   // fault kind the flavor admits) must survive encode -> decode -> encode.
-  for (harness::Flavor f :
-       {harness::Flavor::group, harness::Flavor::group_nvram,
-        harness::Flavor::rpc, harness::Flavor::rpc_nvram,
-        harness::Flavor::nfs}) {
+  for (harness::Flavor f : harness::kAllFlavors) {
     NemesisOptions nopts = default_nemesis(f, 3, 6);
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       std::vector<FaultStep> steps = make_schedule(seed, nopts);

@@ -4,7 +4,7 @@
 
 #include "bullet/bullet.h"
 #include "dir/client.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 
 namespace amoeba::harness {
 namespace {
@@ -32,14 +32,8 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim,
-                                          int tries = 50) {
-  for (int i = 0; i < tries; ++i) {
-    auto res = dc.create_dir({"owner", "group", "other"});
-    if (res.is_ok()) return res;
-    sim.sleep_for(sim::msec(100));
-  }
-  return Status::error(Errc::unreachable, "create_dir never succeeded");
+Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim) {
+  return harness::create_dir_retry(dc, sim, {"owner", "group", "other"}, 50);
 }
 
 class AllFlavors : public ::testing::TestWithParam<Flavor> {};

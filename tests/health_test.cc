@@ -13,7 +13,7 @@
 
 #include "check/nemesis.h"
 #include "dir/client.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 #include "obs/health.h"
 
 namespace amoeba {
@@ -218,11 +218,7 @@ std::uint64_t healthy_run_suspicions(std::uint64_t seed) {
       rpc::RpcClient rpc(cm2);
       dir::DirClient dc(rpc, bed.dir_port());
       if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          bed.sim().sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
+        auto res = harness::create_dir_retry(dc, bed.sim(), {"c"});
         if (!res.is_ok()) return;
         home = *res;
         setup_ok = true;
@@ -260,7 +256,7 @@ TEST(HealthFleet, FiftyHealthySeedsZeroFalseSuspicions) {
 
 // --------------------------------------------- end-to-end slow replica
 
-/// Pinned observers + probers (the simreport --health arrangement), one
+/// The simreport --health run on the shared pinned-observer load, one
 /// dragged replica. Returns the health JSON; optionally reports the first
 /// suspicion of the victim relative to fault injection.
 std::string slow_replica_run(std::uint64_t seed, sim::Time* injected_at,
@@ -271,70 +267,24 @@ std::string slow_replica_run(std::uint64_t seed, sim::Time* injected_at,
     ADD_FAILURE() << "service not ready";
     return {};
   }
-  sim::Simulator& sim = bed.sim();
-  bool stop = false;
-  cap::Capability home;
-  bool setup_ok = false;
-  for (int c = 0; c < 3; ++c) {
-    net::Machine& cm = bed.client(c);
-    cm.spawn("w" + std::to_string(c), [&, c, &cm2 = cm] {
-      rpc::RpcClient rpc(cm2);
-      rpc.prefer_server(bed.dir_port(),
-                        bed.dir_server(c % bed.num_dir_servers()).id());
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          sim.sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
-        if (!res.is_ok()) return;
-        home = *res;
-        setup_ok = true;
-      } else {
-        while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      }
-      auto& rng = sim.rng();
-      while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(8));
-        if (rng.below(2) == 0) {
-          (void)dc.append_row(home, key, {home});
-        } else {
-          (void)dc.lookup(home, key);
-        }
-        sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-      }
-    });
-    // Vantage prober: keeps the dragged replica observed even when
-    // trans() fails over on NOTHERE (see tools/simreport_main.cc).
-    cm.spawn("p" + std::to_string(c), [&, c, &cm2 = cm] {
-      rpc::RpcClient prpc(cm2);
-      dir::DirClient pdc(prpc, bed.dir_port());
-      const net::MachineId vantage =
-          bed.dir_server(c % bed.num_dir_servers()).id();
-      while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      while (!stop) {
-        prpc.flush_port_cache(bed.dir_port());
-        prpc.prefer_server(bed.dir_port(), vantage);
-        (void)pdc.lookup(home, "k0");
-        sim.sleep_for(sim::msec(50));
-      }
-    });
-  }
-  sim.run_for(sim::sec(2));  // healthy baseline
-  EXPECT_TRUE(setup_ok);
-
-  check::FaultStep step;
-  step.kind = check::FaultStep::Kind::slow_replica;
-  step.victim = 1;
-  step.factor = 8.0;
-  step.fault = sim::msec(2500);
-  step.settle = sim::msec(500);
-  const sim::Time t0 = sim.now();
-  check::run_step(bed, step);
-  sim.run_for(sim::sec(2));
-  stop = true;
-  sim.run_for(sim::msec(200));
+  const check::FaultStep slow{.kind = check::FaultStep::Kind::slow_replica,
+                              .victim = 1,
+                              .factor = 8.0,
+                              .fault = sim::msec(2500)};
+  sim::Time t0 = -1;
+  EXPECT_TRUE(harness::run_observed_fault(
+      bed,
+      [](dir::DirClient& dc, const cap::Capability& home,
+         const std::string& key, std::uint64_t pick) {
+        return pick < 50 ? dc.append_row(home, key, {home})
+                         : dc.lookup(home, key).status();
+      },
+      /*probers=*/true,
+      [&] {
+        t0 = bed.sim().now();
+        check::run_step(bed, slow);
+      },
+      sim::sec(2)));
 
   const obs::HealthMonitor& hm = bed.cluster().health();
   if (injected_at != nullptr) *injected_at = t0;

@@ -33,6 +33,27 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalMeasurements) {
   EXPECT_NE(a.append_delete_ms, c.append_delete_ms);
 }
 
+TEST(Harness, CreateDirRetryReturnsErrorWhenEveryServerIsDown) {
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 5});
+  ASSERT_TRUE(bed.wait_ready());
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    bed.cluster().crash(bed.dir_server(i).id());
+  }
+  Result<cap::Capability> res = Status::error(Errc::internal, "not run");
+  bool done = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("create", [&] {
+    rpc::RpcClient rpc(cm);
+    dir::DirClient dc(rpc, bed.dir_port());
+    res = create_dir_retry(dc, bed.sim(), {"c"}, 3);
+    done = true;
+  });
+  for (int i = 0; i < 120 && !done; ++i) bed.sim().run_for(sim::sec(1));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(res.is_ok());
+  EXPECT_NE(res.status().code(), Errc::internal);
+}
+
 TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 61});
   ASSERT_TRUE(bed.wait_ready());

@@ -26,7 +26,7 @@
 #include "check/simfuzz.h"
 #include "dir/client.h"
 #include "dir/nvram_log.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 
 namespace amoeba::harness {
 namespace {
@@ -55,14 +55,8 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim,
-                                          int tries = 50) {
-  for (int i = 0; i < tries; ++i) {
-    auto res = dc.create_dir({"owner"});
-    if (res.is_ok()) return res;
-    sim.sleep_for(sim::msec(100));
-  }
-  return Status::error(Errc::unreachable, "create_dir never succeeded");
+Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim) {
+  return harness::create_dir_retry(dc, sim, {"owner"}, 50);
 }
 
 /// Append with retries; an `exists` refusal after an ambiguous round means

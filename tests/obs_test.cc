@@ -343,23 +343,9 @@ TEST(CostModel, NvramModeAppendTouchesNvramNotDisk) {
       {.flavor = harness::Flavor::group_nvram, .clients = 1, .seed = 21});
   ASSERT_TRUE(bed.wait_ready());
   net::Machine& cm = bed.client(0);
-  cap::Capability dcap;
-  bool ready = false;
-  cm.spawn("setup", [&] {
-    rpc::RpcClient rpc(cm);
-    dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
-    }
-  });
-  bed.sim().run_for(sim::sec(10));
-  ASSERT_TRUE(ready);
+  const Result<cap::Capability> setup = harness::setup_dir(bed, sim::sec(10));
+  ASSERT_TRUE(setup.is_ok());
+  const cap::Capability dcap = *setup;
   bed.sim().run_for(sim::sec(3));  // let the create's log record flush
 
   const obs::Metrics::Snapshot before = bed.metrics().snapshot();
@@ -387,23 +373,9 @@ obs::Metrics::Snapshot measured_append_window(int warmup_ops, int measured_ops) 
       {.flavor = harness::Flavor::group, .clients = 1, .seed = 33});
   if (!bed.wait_ready()) return {};
   net::Machine& cm = bed.client(0);
-  cap::Capability dcap;
-  bool ready = false;
-  cm.spawn("setup", [&] {
-    rpc::RpcClient rpc(cm);
-    dir::DirClient dc(rpc, bed.dir_port());
-    for (int i = 0; i < 50 && !ready; ++i) {
-      auto res = dc.create_dir({"c"});
-      if (res.is_ok()) {
-        dcap = *res;
-        ready = true;
-      } else {
-        bed.sim().sleep_for(sim::msec(100));
-      }
-    }
-  });
-  bed.sim().run_for(sim::sec(10));
-  if (!ready) return {};
+  const Result<cap::Capability> setup = harness::setup_dir(bed, sim::sec(10));
+  if (!setup.is_ok()) return {};
+  const cap::Capability dcap = *setup;
 
   bool warm_done = false;
   cm.spawn("warmup", [&] {
@@ -475,11 +447,7 @@ ScenarioResult run_scenario(std::uint64_t seed) {
   cm.spawn("scenario", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < 3; ++i) {
       (void)dc.append_row(*dcap, "e" + std::to_string(i), {});

@@ -386,15 +386,12 @@ TEST(SimFuzz, TinyHistoryLimitStillConverges) {
 }
 
 TEST(SimFuzz, FlavorTokensRoundTrip) {
-  for (harness::Flavor f :
-       {harness::Flavor::group, harness::Flavor::group_nvram,
-        harness::Flavor::rpc, harness::Flavor::rpc_nvram,
-        harness::Flavor::nfs}) {
-    auto back = parse_flavor(flavor_token(f));
+  for (harness::Flavor f : harness::kAllFlavors) {
+    auto back = harness::parse_flavor(flavor_token(f));
     ASSERT_TRUE(back.is_ok()) << flavor_token(f);
     EXPECT_EQ(*back, f);
   }
-  EXPECT_FALSE(parse_flavor("bogus").is_ok());
+  EXPECT_FALSE(harness::parse_flavor("bogus").is_ok());
 }
 
 }  // namespace

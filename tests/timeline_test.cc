@@ -15,7 +15,7 @@
 #include "check/nemesis.h"
 #include "check/simfuzz.h"
 #include "dir/client.h"
-#include "harness/testbed.h"
+#include "harness/workload.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
@@ -230,10 +230,12 @@ TEST(Slo, CleanRunHasPerfectAvailabilityAndNoFaults) {
 // ------------------------------------------------------------ integration
 
 /// Run a short crash schedule against a group+NVRAM testbed while one
-/// client hammers the service; returns the timeline JSON dump.
+/// client hammers the service; returns the timeline JSON dump and, with
+/// `chrome`, the run's Chrome trace export.
 std::string nemesis_run_timeline_json(std::uint64_t seed,
                                       bool* complete_phase,
-                                      bool* nemesis_span) {
+                                      bool* nemesis_span,
+                                      std::string* chrome = nullptr) {
   harness::Testbed bed(
       {.flavor = harness::Flavor::group_nvram, .clients = 1, .seed = seed});
   if (!bed.wait_ready()) return {};
@@ -242,11 +244,7 @@ std::string nemesis_run_timeline_json(std::uint64_t seed,
   cm.spawn("load", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    auto dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     int i = 0;
     while (!stop) {
@@ -278,6 +276,7 @@ std::string nemesis_run_timeline_json(std::uint64_t seed,
       if (std::string_view(ev.cat) == "nemesis") *nemesis_span = true;
     }
   }
+  if (chrome != nullptr) *chrome = bed.chrome_json();
   return bed.timeline().to_json().dump();
 }
 
@@ -292,6 +291,24 @@ TEST(TimelineIntegration, SameSeedRunsSerializeByteIdenticalJson) {
   // and the nemesis left a fault bar in the trace.
   EXPECT_TRUE(complete);
   EXPECT_TRUE(span);
+}
+
+TEST(ChromeExport, SplicesCounterTracksAndFaultBarByteIdentically) {
+  std::string a;
+  std::string b;
+  ASSERT_FALSE(nemesis_run_timeline_json(7, nullptr, nullptr, &a).empty());
+  (void)nemesis_run_timeline_json(7, nullptr, nullptr, &b);
+  EXPECT_EQ(a, b);
+  // The timeline and health counter tracks are spliced into traceEvents,
+  // and the crash step left its fault bar.
+  const std::size_t close = a.rfind("\n]");
+  ASSERT_NE(close, std::string::npos);
+  const auto counter = [&a](const std::string& name) {
+    return a.find("{\"ph\":\"C\",\"pid\":0,\"name\":\"" + name);
+  };
+  EXPECT_LT(counter("timeline.ops_ok\""), close);
+  EXPECT_LT(counter("health."), close);
+  EXPECT_NE(a.find("\"cat\":\"nemesis\""), std::string::npos);
 }
 
 TEST(Watchdog, ConvertsLivelockIntoStructuredStallReport) {

@@ -31,11 +31,7 @@ std::map<std::string, obs::TraceTree> run_one_of_each(harness::Flavor flavor,
   cm.spawn("ops", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"c"});
     ASSERT_TRUE(dcap.is_ok());
     // One capability column: a zero-column row reads back as not_found.
     ASSERT_TRUE(dc.append_row(*dcap, "e0", {*dcap}).is_ok());

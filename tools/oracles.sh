@@ -57,5 +57,11 @@ done
   --slo-json "$out/SLO.json" >/dev/null
 "$bin/tools/simreport" --health --out "$out/HEALTH.txt" >/dev/null
 
+# Chrome trace exports: the plain run and one under a fault schedule.
+"$bin/tools/simreport" --chrome-json "$out/trace_group.json" \
+  --flavor group --seed 1 >/dev/null
+"$bin/tools/simreport" --chrome-json "$out/trace_nemesis.json" \
+  --flavor group_nvram --nemesis c1/800/500 >/dev/null
+
 # Fuzzing verdicts: one line per run.
 "$bin/tools/simfuzz" --flavor all --seeds 5 --dump-dir none >"$out/simfuzz.txt"

@@ -79,11 +79,10 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
       const char* v = next();
       if (v == nullptr) return false;
       if (std::strcmp(v, "all") == 0) {
-        cli.flavors = {harness::Flavor::group, harness::Flavor::group_nvram,
-                       harness::Flavor::rpc, harness::Flavor::rpc_nvram,
-                       harness::Flavor::nfs};
+        cli.flavors.assign(std::begin(harness::kAllFlavors),
+                           std::end(harness::kAllFlavors));
       } else {
-        auto f = check::parse_flavor(v);
+        auto f = harness::parse_flavor(v);
         if (!f.is_ok()) {
           std::fprintf(stderr, "%s\n", f.status().message().c_str());
           return false;
@@ -216,7 +215,7 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
   check::FuzzReport r = check::run_one(o);
   std::printf("%-12s seed=%-6llu events=%-5zu ok=%d neg=%d amb=%d "
               "keys=%d schedule=%s %s\n",
-              check::flavor_token(flavor),
+              harness::flavor_token(flavor),
               static_cast<unsigned long long>(seed), r.events, r.ops_ok,
               r.ops_negative, r.ops_ambiguous, r.lin.keys_checked,
               check::encode_schedule(r.schedule_used).c_str(),
@@ -262,7 +261,7 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
     check::FuzzOptions d = o;
     d.schedule = minimal;
     d.steps = static_cast<int>(minimal.size());
-    d.dump_prefix = cli.dump_dir + "/simfuzz_" + check::flavor_token(flavor) +
+    d.dump_prefix = cli.dump_dir + "/simfuzz_" + harness::flavor_token(flavor) +
                     "_seed" + std::to_string(seed);
     (void)check::run_one(d);
     std::printf("failure artifacts:\n  %s.trace.json\n  %s.metrics.json\n",

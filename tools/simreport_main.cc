@@ -5,10 +5,22 @@
 // a recovery timeline reconstructed from instant events.
 //
 //   simreport [--seed N] [--ops N] [--out PATH]
+//   simreport --slo [--slo-json PATH] [--seed N] [--out PATH]
+//   simreport --health [--seed N] [--out PATH]
+//   simreport --chrome-json PATH [--flavor group|group_nvram|rpc|rpc_nvram|nfs]
+//             [--nemesis SCHEDULE] [--seed N] [--ops N]
 //
-// The report is deterministic: same seed + ops => byte-identical output
-// (everything printed comes from sim-time stamps, span counts and static
-// strings — never wall clock or addresses).
+// --chrome-json runs the report's steady-state workload on one flavor and
+// exports the cluster's event trace as Chrome trace_event JSON (load it in
+// chrome://tracing or https://ui.perfetto.dev). With --nemesis, the encoded
+// fault schedule (see check/nemesis.h, e.g. "c1/800/500") runs while the
+// workload loops, so the export shows fault bars on the victim's lane plus
+// the phase-annotated availability counter tracks (timeline.ops_ok /
+// ops_err / p99_ms) under the event lanes.
+//
+// Every output is deterministic: same seed + ops (+ flavor + schedule) =>
+// byte-identical output (everything printed comes from sim-time stamps,
+// span counts and static strings — never wall clock or addresses).
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
@@ -25,29 +37,6 @@
 #include "obs/slo.h"
 
 namespace {
-
-/// True when a client-visible failure indicates sick infrastructure rather
-/// than a semantic negative (not_found on a random key is successful
-/// service). Only infrastructure failures make a workload client abandon
-/// its pinned replica -- flushing on every negative would re-elect the
-/// fastest first-responder and strip the health detector of its vantage
-/// on the slow peer.
-bool infra_failure(const amoeba::Status& st) {
-  using amoeba::Errc;
-  switch (st.code()) {
-    case Errc::timeout:
-    case Errc::unreachable:
-    case Errc::refused:
-    case Errc::no_majority:
-    case Errc::group_failure:
-    case Errc::io_error:
-    case Errc::aborted:
-    case Errc::internal:
-      return true;
-    default:
-      return false;
-  }
-}
 
 using namespace amoeba;
 
@@ -131,47 +120,56 @@ std::string derived_packets(harness::Flavor f, bool is_write,
   return head + formula;
 }
 
-void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
-                std::string& out) {
-  harness::TestbedOptions topts;
-  topts.flavor = flavor;
-  topts.clients = 1;
-  topts.seed = seed;
-  harness::Testbed bed(topts);
+/// The steady-state workload on client 0: one directory, then `ops` rounds
+/// of append / lookup / delete — enough traces to average each op kind.
+/// With a fault `schedule` the rounds keep cycling over eight names, 5 ms
+/// apart, through a 500 ms baseline, the schedule and a 2 s post-heal tail,
+/// so the timeline has client completions in every fault phase. Then 2 s of
+/// lazy work drains into the trace. Returns false when the service never
+/// became ready or the workload did not finish, with the reason in `out`.
+bool run_ops(harness::Testbed& bed, int ops,
+             const std::vector<check::FaultStep>& schedule, std::string& out) {
+  const char* name = harness::flavor_name(bed.options().flavor);
   if (!bed.wait_ready()) {
-    appendf(out, "--- %s: service never became ready ---\n",
-            harness::flavor_name(flavor));
-    return;
+    appendf(out, "--- %s: service never became ready ---\n", name);
+    return false;
   }
-  // The steady-state workload: one directory, then `ops` rounds of
-  // append / lookup / delete — enough traces to average each op kind.
   bool done = false;
+  bool stop = false;
   net::Machine& cm = bed.client(0);
-  cm.spawn("simreport", [&] {
+  cm.spawn("ops", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const Result<cap::Capability> dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
-    for (int i = 0; i < ops; ++i) {
-      const std::string name = "e" + std::to_string(i);
-      (void)dc.append_row(*dcap, name, {});
-      (void)dc.lookup(*dcap, name);
-      (void)dc.delete_row(*dcap, name);
+    for (int i = 0; i < ops || (!schedule.empty() && !stop); ++i) {
+      const std::string row =
+          "e" + std::to_string(schedule.empty() ? i : i % 8);
+      (void)dc.append_row(*dcap, row, {});
+      (void)dc.lookup(*dcap, row);
+      (void)dc.delete_row(*dcap, row);
+      if (!schedule.empty()) bed.sim().sleep_for(sim::msec(5));
     }
     done = true;
   });
+  if (!schedule.empty()) {
+    bed.sim().run_for(sim::msec(500));  // baseline before the first fault
+    check::run_schedule(bed, schedule);
+    bed.sim().run_for(sim::sec(2));  // post-heal tail: recovery marks land
+    stop = true;
+  }
   const sim::Time deadline = bed.sim().now() + sim::sec(120);
   while (!done && bed.sim().now() < deadline) bed.sim().run_for(sim::msec(200));
   bed.sim().run_for(sim::sec(2));  // drain lazy work into the trace
-  if (!done) {
-    appendf(out, "--- %s: workload did not finish ---\n",
-            harness::flavor_name(flavor));
-    return;
-  }
+  if (!done) appendf(out, "--- %s: workload did not finish ---\n", name);
+  return done;
+}
+
+void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
+                std::string& out) {
+  harness::Testbed bed({.flavor = flavor, .clients = 1, .seed = seed});
+  if (!run_ops(bed, ops, {}, out)) return;
 
   // Rebuild every operation's tree and bucket by the root span's name.
   const obs::Trace& trace = bed.trace();
@@ -306,11 +304,7 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
     rpc::RpcClient rpc(rm);
     dir::DirClient dc(rpc, bed.dir_port());
     dc.enable_leases();
-    shared = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !shared.is_ok(); ++i) {
-      sim.sleep_for(sim::msec(100));
-      shared = dc.create_dir({"c"});
-    }
+    shared = harness::create_dir_retry(dc, sim, {"c"});
     if (!shared.is_ok()) return;
     for (int r = 0; r < 8; ++r) {
       (void)dc.append_row(*shared, "h" + std::to_string(r), {});
@@ -411,11 +405,8 @@ void run_recovery(std::uint64_t seed, std::string& out) {
   cm.spawn("load", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    Result<cap::Capability> dcap = dc.create_dir({"c"});
-    for (int i = 0; i < 40 && !dcap.is_ok(); ++i) {
-      bed.sim().sleep_for(sim::msec(100));
-      dcap = dc.create_dir({"c"});
-    }
+    const Result<cap::Capability> dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; !stop; ++i) {
       const std::string name = "e" + std::to_string(i);
@@ -537,108 +528,16 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
                "---\n",
           static_cast<unsigned long long>(seed));
   for (const FaultCase& fc : cases) {
-    harness::TestbedOptions topts;
-    topts.flavor = fc.flavor;
-    topts.clients = 3;
-    topts.seed = seed;
-    harness::Testbed bed(topts);
+    harness::Testbed bed({.flavor = fc.flavor, .clients = 3, .seed = seed});
     if (!bed.wait_ready()) {
       appendf(out, "  %s: service never became ready\n",
               check::fault_kind_name(fc.kind));
       continue;
     }
-    sim::Simulator& sim = bed.sim();
-    bool stop = false;
-    int started = 0;
-    cap::Capability home;
-    bool setup_ok = false;
     const bool gray = fc.kind == check::FaultStep::Kind::slow_disk ||
                       fc.kind == check::FaultStep::Kind::slow_link ||
                       fc.kind == check::FaultStep::Kind::slow_replica ||
                       fc.kind == check::FaultStep::Kind::slow_nvram;
-    for (int c = 0; c < 3; ++c) {
-      bed.client(c).spawn("slo" + std::to_string(c), [&, c] {
-        net::Machine& m = bed.client(c);
-        rpc::RpcClient rpc(m);
-        // Seed the port cache so client c starts on replica c. Locate
-        // broadcasts tend to elect one fastest first-responder for every
-        // client; spreading the observers is what gives the differential
-        // health detector an opinion about *each* server.
-        rpc.prefer_server(bed.dir_port(),
-                        bed.dir_server(c % bed.num_dir_servers()).id());
-        dir::DirClient dc(rpc, bed.dir_port());
-        ++started;
-        if (c == 0) {
-          auto res = dc.create_dir({"c"});
-          for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-            sim.sleep_for(sim::msec(100));
-            res = dc.create_dir({"c"});
-          }
-          if (!res.is_ok()) return;
-          home = *res;
-          setup_ok = true;
-        } else {
-          while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-        }
-        auto& rng = m.sim().rng();
-        while (!stop) {
-          const std::string key = "k" + std::to_string(rng.below(8));
-          const std::uint64_t pick = rng.below(100);
-          Status st;
-          if (pick < 40) {
-            st = dc.append_row(home, key, {home});
-          } else if (pick < 80) {
-            st = dc.lookup(home, key).status();
-          } else {
-            st = dc.delete_row(home, key);
-          }
-          if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
-          sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-        }
-      });
-    }
-    // Gray faults degrade without failing, so detection lives or dies by
-    // observation coverage: a replica nobody talks to cannot be scored.
-    // Each client runs a low-rate prober dedicated to its vantage replica
-    // (DIR-Net-style active monitoring). Re-seeding the cache before every
-    // probe undoes trans()'s silent NOTHERE failover, so a saturated
-    // replica keeps producing refusal (error) observations and a slow one
-    // keeps producing inflated round-trips. Separate RpcClient: probers
-    // must not share a reply mailbox with the workload loop.
-    if (gray) {
-      // Two probers per vantage: a heavily dragged replica answers each
-      // probe in hundreds of ms, and one prober's cadence (bounded by its
-      // own round trip) would leave the victim's digest below the
-      // detector's qualifying weight exactly when it matters.
-      for (int c = 0; c < 3; ++c) {
-        for (int pr = 0; pr < 2; ++pr) {
-          bed.client(c).spawn(
-              "probe" + std::to_string(c) + "_" + std::to_string(pr),
-              [&, c] {
-                net::Machine& m = bed.client(c);
-                rpc::RpcClient prpc(m);
-                dir::DirClient pdc(prpc, bed.dir_port());
-                const net::MachineId vantage =
-                    bed.dir_server(c % bed.num_dir_servers()).id();
-                while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-                while (!stop) {
-                  prpc.flush_port_cache(bed.dir_port());
-                  prpc.prefer_server(bed.dir_port(), vantage);
-                  (void)pdc.lookup(home, "k0");
-                  sim.sleep_for(sim::msec(50));
-                }
-              });
-        }
-      }
-    }
-    sim.run_for(sim::sec(2));  // healthy baseline
-    if (!setup_ok) {
-      stop = true;
-      sim.run_for(sim::sec(2));
-      appendf(out, "  %s: workload setup never succeeded\n",
-              check::fault_kind_name(fc.kind));
-      continue;
-    }
     check::FaultStep step;
     step.kind = fc.kind;
     step.victim = 1;
@@ -646,12 +545,25 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
     step.factor = fc.factor;
     step.fault = fc.fault;
     step.settle = sim::msec(500);
-    check::run_step(bed, step);
-    // Quiet tail long enough for recovery AND for clients stuck in RPC
-    // timeout backoff to land their post-heal ops in the series.
-    sim.run_for(sim::sec(4));
-    stop = true;
-    sim.run_for(sim::msec(200));
+    // Gray faults degrade without failing, so detection lives or dies by
+    // observation coverage: a replica nobody talks to cannot be scored,
+    // hence the vantage probers. The 4 s quiet tail is long enough for
+    // recovery AND for clients stuck in RPC timeout backoff to land their
+    // post-heal ops in the series.
+    if (!harness::run_observed_fault(
+            bed,
+            [](dir::DirClient& dc, const cap::Capability& home,
+               const std::string& key, std::uint64_t pick) {
+              if (pick < 40) return dc.append_row(home, key, {home});
+              if (pick < 80) return dc.lookup(home, key).status();
+              return dc.delete_row(home, key);
+            },
+            /*probers=*/gray, [&] { check::run_step(bed, step); },
+            sim::sec(4))) {
+      appendf(out, "  %s: workload setup never succeeded\n",
+              check::fault_kind_name(fc.kind));
+      continue;
+    }
 
     const obs::SloReport rep = obs::evaluate_slo(bed.timeline());
     print_slo(rep, out);
@@ -729,88 +641,27 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
 /// while, and print the per-peer health score table plus the detector's
 /// full suspect / confirm / clear event log.
 void run_health(std::uint64_t seed, std::string& out) {
-  harness::TestbedOptions topts;
-  topts.flavor = harness::Flavor::group_nvram;
-  topts.clients = 3;
-  topts.seed = seed;
-  harness::Testbed bed(topts);
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group_nvram, .clients = 3, .seed = seed});
   if (!bed.wait_ready()) {
     appendf(out, "--- health: service never became ready ---\n");
     return;
   }
-  sim::Simulator& sim = bed.sim();
-  bool stop = false;
-  cap::Capability home;
-  bool setup_ok = false;
-  for (int c = 0; c < 3; ++c) {
-    bed.client(c).spawn("health" + std::to_string(c), [&, c] {
-      net::Machine& m = bed.client(c);
-      rpc::RpcClient rpc(m);
-      rpc.prefer_server(bed.dir_port(),
-                      bed.dir_server(c % bed.num_dir_servers()).id());
-      dir::DirClient dc(rpc, bed.dir_port());
-      if (c == 0) {
-        auto res = dc.create_dir({"c"});
-        for (int i = 0; i < 40 && !res.is_ok(); ++i) {
-          sim.sleep_for(sim::msec(100));
-          res = dc.create_dir({"c"});
-        }
-        if (!res.is_ok()) return;
-        home = *res;
-        setup_ok = true;
-      } else {
-        while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-      }
-      auto& rng = m.sim().rng();
-      while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(8));
-        const Status st = rng.below(100) < 50
-                              ? dc.append_row(home, key, {home})
-                              : dc.lookup(home, key).status();
-        if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
-        sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
-      }
-    });
-  }
-  // Same per-vantage probers as the gray SLO cases (see run_slo): without
-  // them a degraded replica loses its observers to silent failover and the
-  // detector has nothing to score.
-  for (int c = 0; c < 3; ++c) {
-    for (int pr = 0; pr < 2; ++pr) {
-      bed.client(c).spawn(
-          "probe" + std::to_string(c) + "_" + std::to_string(pr), [&, c] {
-            net::Machine& m = bed.client(c);
-            rpc::RpcClient prpc(m);
-            dir::DirClient pdc(prpc, bed.dir_port());
-            const net::MachineId vantage =
-                bed.dir_server(c % bed.num_dir_servers()).id();
-            while (!setup_ok && !stop) sim.sleep_for(sim::msec(50));
-            while (!stop) {
-              prpc.flush_port_cache(bed.dir_port());
-              prpc.prefer_server(bed.dir_port(), vantage);
-              (void)pdc.lookup(home, "k0");
-              sim.sleep_for(sim::msec(50));
-            }
-          });
-    }
-  }
-  sim.run_for(sim::sec(2));  // healthy baseline
-  if (!setup_ok) {
-    stop = true;
-    sim.run_for(sim::sec(2));
+  const check::FaultStep slow{.kind = check::FaultStep::Kind::slow_replica,
+                              .victim = 1,
+                              .factor = 8.0,
+                              .fault = sim::msec(2500)};
+  if (!harness::run_observed_fault(
+          bed,
+          [](dir::DirClient& dc, const cap::Capability& home,
+             const std::string& key, std::uint64_t pick) {
+            return pick < 50 ? dc.append_row(home, key, {home})
+                             : dc.lookup(home, key).status();
+          },
+          /*probers=*/true, [&] { check::run_step(bed, slow); }, sim::sec(2))) {
     appendf(out, "--- health: workload setup never succeeded ---\n");
     return;
   }
-  check::FaultStep step;
-  step.kind = check::FaultStep::Kind::slow_replica;
-  step.victim = 1;
-  step.factor = 8.0;
-  step.fault = sim::msec(2500);
-  step.settle = sim::msec(500);
-  check::run_step(bed, step);
-  sim.run_for(sim::sec(2));
-  stop = true;
-  sim.run_for(sim::msec(200));
 
   const obs::HealthMonitor& hm = bed.cluster().health();
   appendf(out,
@@ -856,6 +707,44 @@ void run_health(std::uint64_t seed, std::string& out) {
   appendf(out, "\n");
 }
 
+/// --chrome-json: the steady-state workload on one flavor (under an
+/// optional fault schedule), exported as Chrome trace_event JSON.
+int export_chrome(harness::Flavor flavor, std::uint64_t seed, int ops,
+                  const std::vector<check::FaultStep>& schedule,
+                  const std::string& path, std::string& out) {
+  harness::Testbed bed({.flavor = flavor, .clients = 1, .seed = seed});
+  if (!run_ops(bed, ops, schedule, out)) {
+    std::fputs(out.c_str(), stderr);
+    return 1;
+  }
+  if (!obs::write_file(path, bed.chrome_json())) return 1;
+  const obs::Trace& trace = bed.trace();
+  appendf(out, "%s: %zu events (%llu dropped), digest %016llx -> %s\n",
+          harness::flavor_name(flavor), trace.size(),
+          static_cast<unsigned long long>(trace.dropped()),
+          static_cast<unsigned long long>(trace.digest()), path.c_str());
+  if (trace.dropped() != 0) {
+    std::fprintf(stderr,
+                 "WARNING: %llu trace events dropped (ring capacity %zu); "
+                 "the export is missing the oldest events\n",
+                 static_cast<unsigned long long>(trace.dropped()),
+                 trace.capacity());
+  }
+  return 0;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--seed N] [--ops N] [--out PATH]\n"
+               "          [--slo [--slo-json PATH] | --health |\n"
+               "           --chrome-json PATH [--flavor F] [--nemesis "
+               "SCHEDULE]]\n"
+               "  --slo, --health and --chrome-json are exclusive modes;\n"
+               "  F is group|group_nvram|rpc|rpc_nvram|nfs\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -865,6 +754,10 @@ int main(int argc, char** argv) {
   bool slo = false;
   bool health = false;
   std::string slo_json_path;
+  std::string chrome_path;
+  harness::Flavor flavor = harness::Flavor::group;
+  bool flavor_set = false;
+  std::string nemesis;
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s == "--seed" && i + 1 < argc) {
@@ -880,17 +773,41 @@ int main(int argc, char** argv) {
     } else if (s == "--slo-json" && i + 1 < argc) {
       slo = true;
       slo_json_path = argv[++i];
+    } else if (s == "--chrome-json" && i + 1 < argc) {
+      chrome_path = argv[++i];
+    } else if (s == "--flavor" && i + 1 < argc) {
+      const Result<harness::Flavor> f = harness::parse_flavor(argv[++i]);
+      if (!f.is_ok()) {
+        std::fprintf(stderr, "%s\n", f.status().message().c_str());
+        return usage(argv[0]);
+      }
+      flavor = *f;
+      flavor_set = true;
+    } else if (s == "--nemesis" && i + 1 < argc) {
+      nemesis = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--ops N] [--out PATH] [--slo] "
-                   "[--slo-json PATH] [--health]\n",
-                   argv[0]);
+      return usage(argv[0]);
+    }
+  }
+  const bool chrome = !chrome_path.empty();
+  if (int{slo} + int{health} + int{chrome} > 1) return usage(argv[0]);
+  if (!chrome && (flavor_set || !nemesis.empty())) return usage(argv[0]);
+  std::vector<check::FaultStep> schedule;
+  if (!nemesis.empty()) {
+    Result<std::vector<check::FaultStep>> dec =
+        check::decode_schedule(nemesis);
+    if (!dec.is_ok()) {
+      std::fprintf(stderr, "bad --nemesis schedule '%s'\n", nemesis.c_str());
       return 2;
     }
+    schedule = std::move(*dec);
   }
 
   std::string out;
-  if (health) {
+  if (chrome) {
+    const int rc = export_chrome(flavor, seed, ops, schedule, chrome_path, out);
+    if (rc != 0) return rc;
+  } else if (health) {
     // Health mode stands alone, like SLO mode: a per-peer score table and
     // the detector event log for one canonical slow-replica run.
     appendf(out, "amoeba simreport --health (seed %llu)\n\n",
@@ -908,14 +825,7 @@ int main(int argc, char** argv) {
       root.set("seed", obs::Json::uinteger(seed));
       root.set("flavor", obs::Json::str("group_nvram"));
       root.set("faults", std::move(json));
-      const std::string text = root.dump();
-      std::FILE* f = std::fopen(slo_json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", slo_json_path.c_str());
-        return 1;
-      }
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
+      if (!obs::write_file(slo_json_path, root.dump())) return 1;
     }
   } else {
     appendf(out, "amoeba simreport (seed %llu, %d ops per flavor)\n",
@@ -923,9 +833,7 @@ int main(int argc, char** argv) {
     appendf(out,
             "cost model: disk write 40 ms / read 25 ms / data write 24 ms, "
             "nvram append 0.10 ms\n\n");
-    using harness::Flavor;
-    for (Flavor f : {Flavor::group, Flavor::group_nvram, Flavor::rpc,
-                     Flavor::rpc_nvram, Flavor::nfs}) {
+    for (harness::Flavor f : harness::kAllFlavors) {
       run_flavor(f, seed, ops, out);
     }
     run_lease_batch(seed, out);
@@ -933,14 +841,6 @@ int main(int argc, char** argv) {
   }
 
   std::fwrite(out.data(), 1, out.size(), stdout);
-  if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  }
+  if (!out_path.empty() && !obs::write_file(out_path, out)) return 1;
   return 0;
 }
