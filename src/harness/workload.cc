@@ -230,12 +230,12 @@ obs::Metrics::Snapshot measured_window(Testbed& bed, sim::Duration warmup,
   return obs::Metrics::delta(bed.metrics().snapshot(), before);
 }
 
-Result<cap::Capability> create_dir_retry(dir::DirClient& dc,
-                                         sim::Simulator& sim,
-                                         const std::vector<std::string>& columns,
-                                         int retries) {
+Result<cap::Capability> create_dir_retry(
+    dir::DirClient& dc, sim::Simulator& sim,
+    const std::vector<std::string>& columns) {
+  constexpr int kRetries = 40;
   Result<cap::Capability> res = dc.create_dir(columns);
-  for (int i = 0; i < retries && !res.is_ok(); ++i) {
+  for (int i = 0; i < kRetries && !res.is_ok(); ++i) {
     sim.sleep_for(sim::msec(100));
     res = dc.create_dir(columns);
   }
@@ -250,7 +250,7 @@ Result<cap::Capability> setup_dir(Testbed& bed, sim::Duration settle) {
   cm.spawn("setup", [&bed, &cm, res] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    *res = create_dir_retry(dc, bed.sim(), {"c"}, 49);
+    *res = create_dir_retry(dc, bed.sim(), {"c"});
   });
   bed.sim().run_for(settle);
   return *res;

@@ -119,14 +119,13 @@ ThroughputResult append_throughput(Testbed& bed,
 obs::Metrics::Snapshot measured_window(Testbed& bed, sim::Duration warmup,
                                        sim::Duration window, bool& measuring);
 
-/// Create a directory, retrying every 100 ms (at most `retries` times)
-/// while the service comes up. Returns the last attempt's result.
-Result<cap::Capability> create_dir_retry(dir::DirClient& dc,
-                                         sim::Simulator& sim,
-                                         const std::vector<std::string>& columns,
-                                         int retries = 40);
+/// Create a directory, retrying every 100 ms (at most 40 times) while the
+/// service comes up. Returns the last attempt's result.
+Result<cap::Capability> create_dir_retry(
+    dir::DirClient& dc, sim::Simulator& sim,
+    const std::vector<std::string>& columns);
 
-/// create_dir_retry({"c"}, 50 attempts) from client 0, then run the
+/// create_dir_retry({"c"}) from client 0, then run the
 /// simulation for `settle`. Returns the directory or the last failure.
 Result<cap::Capability> setup_dir(Testbed& bed, sim::Duration settle);
 

@@ -32,17 +32,14 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim) {
-  return harness::create_dir_retry(dc, sim, {"owner", "group", "other"}, 50);
-}
-
 class AllFlavors : public ::testing::TestWithParam<Flavor> {};
 
 TEST_P(AllFlavors, CrudLifecycle) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 5});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
 
     cap::Capability file;
@@ -77,7 +74,8 @@ TEST_P(AllFlavors, CapabilityEnforcement) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 6});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok());
     cap::Capability forged = *dcap;
     forged.check ^= 1;
@@ -93,7 +91,8 @@ TEST_P(AllFlavors, ReplaceSetIsAtomic) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 7});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto d1 = create_with_retry(dc, bed.sim());
+    auto d1 =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     auto d2 = dc.create_dir({"c"});
     ASSERT_TRUE(d1.is_ok());
     ASSERT_TRUE(d2.is_ok());
@@ -124,7 +123,8 @@ TEST_P(AllFlavors, LookupSetIsAllOrNothing) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 7});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto d1 = create_with_retry(dc, bed.sim());
+    auto d1 =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     auto d2 = dc.create_dir({"c"});
     ASSERT_TRUE(d1.is_ok());
     ASSERT_TRUE(d2.is_ok());
@@ -160,7 +160,8 @@ TEST_P(AllFlavors, ChmodRestrictsStoredCapability) {
   Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 8});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok());
     cap::Capability stored;
     stored.object = 5;
@@ -189,7 +190,8 @@ TEST_P(AllFlavors, MalformedRequestsGetBadRequest) {
                                     mx.histogram(cat, "write_ms").size()};
   };
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
     const auto send = [&](Buffer request) {
       auto res = dc.rpc().trans(bed.dir_port(), std::move(request));
@@ -239,7 +241,8 @@ TEST(GroupDirService, ReadYourWritesAcrossServers) {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 9});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap =
+        harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok());
     // Force different servers for consecutive ops by flushing the client's
     // port cache between them.

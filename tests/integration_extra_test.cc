@@ -45,10 +45,10 @@ TEST(Harness, CreateDirRetryReturnsErrorWhenEveryServerIsDown) {
   cm.spawn("create", [&] {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
-    res = create_dir_retry(dc, bed.sim(), {"c"}, 3);
+    res = create_dir_retry(dc, bed.sim(), {"c"});
     done = true;
   });
-  for (int i = 0; i < 120 && !done; ++i) bed.sim().run_for(sim::sec(1));
+  for (int i = 0; i < 600 && !done; ++i) bed.sim().run_for(sim::sec(1));
   ASSERT_TRUE(done);
   EXPECT_FALSE(res.is_ok());
   EXPECT_NE(res.status().code(), Errc::internal);

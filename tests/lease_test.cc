@@ -55,10 +55,6 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
-Result<cap::Capability> create_with_retry(DirClient& dc, sim::Simulator& sim) {
-  return harness::create_dir_retry(dc, sim, {"owner"}, 50);
-}
-
 /// Append with retries; an `exists` refusal after an ambiguous round means
 /// the earlier attempt applied, which is success for these workloads.
 Status append_until_applied(DirClient& dc, sim::Simulator& sim,
@@ -104,7 +100,7 @@ TEST(LeaseCache, RepeatLookupIsAZeroPacketCacheHit) {
                .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
 
@@ -135,7 +131,7 @@ TEST(LeaseCache, OwnUpdateForgetsTheCachedCopy) {
                .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
-    auto dcap = create_with_retry(dc, bed.sim());
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
     ASSERT_TRUE(dc.lookup(*dcap, "k").is_ok());  // fill
@@ -164,7 +160,7 @@ TEST(LeaseCache, UpdateByAnotherClientInvalidatesTheLease) {
     rpc::RpcClient rpc(ma);
     DirClient dc(rpc, bed.dir_port());
     dc.enable_leases();
-    auto d = create_with_retry(dc, bed.sim());
+    auto d = harness::create_dir_retry(dc, bed.sim(), {"owner"});
     ASSERT_TRUE(d.is_ok()) << d.status().to_string();
     dcap = *d;
     ASSERT_TRUE(dc.append_row(dcap, "k", {payload_cap(9)}).is_ok());
@@ -212,7 +208,7 @@ TEST(LeaseCache, ExpiryExactlyAtTheSimTimeBoundary) {
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
-    auto dcap = create_with_retry(dc, sim);
+    auto dcap = harness::create_dir_retry(dc, sim, {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
 
@@ -262,7 +258,7 @@ TEST(LeaseCache, PartitionBoundsStalenessToTheLeaseDuration) {
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
-    auto dcap = create_with_retry(dc, sim);
+    auto dcap = harness::create_dir_retry(dc, sim, {"owner"});
     ASSERT_TRUE(dcap.is_ok());
     ASSERT_TRUE(dc.append_row(*dcap, "k", {payload_cap(9)}).is_ok());
     ASSERT_TRUE(dc.lookup(*dcap, "k").is_ok());  // fill
@@ -300,7 +296,7 @@ TEST(LeaseCache, SameSeedRunsProduceIdenticalHitCounters) {
                  .lease_caching = true});
     EXPECT_TRUE(bed.wait_ready());
     run_client(bed, 0, [&](DirClient& dc) {
-      auto dcap = create_with_retry(dc, bed.sim());
+      auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
       ASSERT_TRUE(dcap.is_ok());
       for (int i = 0; i < 4; ++i) {
         std::string name = "k" + std::to_string(i);
@@ -379,7 +375,7 @@ void concurrent_append_load(Testbed& bed, int n, int per_client) {
       rpc::RpcClient rpc(cm);
       DirClient dc(rpc, bed.dir_port());
       if (c == 0) {
-        auto d = create_with_retry(dc, bed.sim());
+        auto d = harness::create_dir_retry(dc, bed.sim(), {"owner"});
         ASSERT_TRUE(d.is_ok()) << d.status().to_string();
         dcap = *d;
         start_at = bed.sim().now() + sim::msec(50);
