@@ -63,5 +63,14 @@ done
 "$bin/tools/simreport" --chrome-json "$out/trace_nemesis.json" \
   --flavor group_nvram --nemesis c1/800/500 >/dev/null
 
-# Fuzzing verdicts: one line per run.
+# Design ablations (resilience, replica count, NVRAM size, recovery rule,
+# PB vs BB ordering): its tables print simulated time only.
+"$bin/bench/bench_ablations" >"$out/ablations.txt"
+
+# Fuzzing verdicts: one line per run, plus the group flavors with leases
+# and sequencer batching, so batched sequencing under faults is compared.
 "$bin/tools/simfuzz" --flavor all --seeds 5 --dump-dir none >"$out/simfuzz.txt"
+for f in group group_nvram; do
+  "$bin/tools/simfuzz" --flavor "$f" --seeds 5 --leases --batching \
+    --dump-dir none >"$out/simfuzz_${f}_batching.txt"
+done
