@@ -173,11 +173,12 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
 // --------------------------------------------------------- recovery (Fig 6)
 
 group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
-  group::GroupConfig cfg = ctx.opts.group_base;
+  group::GroupConfig cfg;
   cfg.port = ctx.opts.group_port;
   cfg.universe = ctx.opts.dir_servers;
   cfg.resilience = ctx.opts.resilience;
   cfg.batching = ctx.opts.batching;
+  cfg.history_limit = ctx.opts.history_limit;
   // If this server ends up *creating* the group (e.g. after a total group
   // collapse), the new lineage must continue the sequence numbering: peers
   // that kept state from the old lineage compare record seqnos against
@@ -209,7 +210,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     auto join = group::GroupMember::join(ctx.machine, make_group_cfg(ctx));
     for (int attempt = 0; !join.is_ok() && attempt < 2 * ctx.my_index;
          ++attempt) {
-      sim.sleep_for(ctx.opts.group_base.join_timeout);
+      sim.sleep_for(group::kJoinTimeout);
       join = group::GroupMember::join(ctx.machine, make_group_cfg(ctx));
     }
     if (join.is_ok()) {
@@ -560,7 +561,8 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       bool mine = false;
     };
     std::vector<Sub> subs;
-    const auto read_sub = [&](Reader& r, net::MachineId origin) {
+    const auto read_sub = [&](net::MachineId origin, const Buffer& body) {
+      Reader r(body);
       Sub& s = subs.emplace_back();
       s.opid = r.u64();
       s.secret = r.u64();
@@ -568,19 +570,10 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       s.mine = origin == ctx.machine.id();
     };
     try {
-      Reader r(msg.payload);
       if (msg.kind == group::MsgKind::batch) {
-        const auto n = r.count<std::uint32_t>(2 + 8 + 4);  // origin, id, body
-        subs.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const net::MachineId origin{r.u16()};
-          (void)r.u64();  // group-level msgid; identity here is the opid
-          Buffer body = r.bytes();
-          Reader br(body);
-          read_sub(br, origin);
-        }
+        for (const auto& sub : msg.subs) read_sub(sub.origin, sub.payload);
       } else {
-        read_sub(r, msg.sender);
+        read_sub(msg.sender, msg.payload);
       }
     } catch (const DecodeError&) {
       ctx.applied_seqno = msg.seqno;

@@ -63,9 +63,9 @@ struct GroupDirOptions {
 
   std::size_t nvram_bytes = 24 * 1024;
 
-  // Group layer knobs (heartbeat etc.); port/universe/resilience are
-  // overwritten from the fields above.
-  group::GroupConfig group_base;
+  /// Sequenced records each group member keeps for retransmission
+  /// (GroupConfig::history_limit).
+  std::size_t history_limit = 8192;
 };
 
 /// Admin protocol served on `admin_port_base + machine id` (used by the

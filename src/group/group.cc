@@ -9,6 +9,15 @@ namespace amoeba::group {
 
 namespace {
 
+// Calibrated protocol timing (DESIGN.md lists the table).
+constexpr sim::Duration kHeartbeat = sim::msec(50);
+/// CPU charged per group-protocol packet handled by the kernel thread — on
+/// the sequencer this is what bounds update throughput (Fig. 9).
+constexpr sim::Duration kKernelCpu = sim::msec(1);
+constexpr sim::Duration kVoteWindow = sim::msec(8);
+constexpr sim::Duration kSendRetry = sim::msec(80);
+constexpr int kSendRetries = 4;
+
 // Sequencer batching (GroupConfig::batching): the coalescing window and
 // the batch size that flushes at once.
 constexpr sim::Duration kBatchWindow = sim::msec(2);
@@ -50,12 +59,39 @@ struct AcceptRecord {
   obs::TraceContext ctx;
 };
 
-void encode_accept_body(Writer& w, const AcceptRecord& rec) {
-  w.u64(rec.seqno);
-  w.u8(static_cast<std::uint8_t>(rec.kind));
-  w.u16(rec.origin.v);
-  w.u64(rec.origin_msgid);
-  w.bytes(rec.payload);
+/// A data message waiting to be sequenced; a join or leave record is one
+/// with an empty payload.
+struct Sub {
+  MachineId origin;
+  std::uint64_t msgid = 0;
+  Buffer payload;
+  obs::TraceContext ctx;
+};
+
+/// A batch record's payload: u32 n, then per sub u16 origin, u64 msgid,
+/// bytes payload. Only this file knows the layout.
+Buffer encode_batch(const std::vector<Sub>& subs) {
+  Writer w;
+  w.u32(static_cast<std::uint32_t>(subs.size()));
+  for (const auto& s : subs) {
+    w.u16(s.origin.v);
+    w.u64(s.msgid);
+    w.bytes(s.payload);
+  }
+  return w.take();
+}
+
+void write_members(Writer& w, const std::vector<MachineId>& members) {
+  w.u16(static_cast<std::uint16_t>(members.size()));
+  for (MachineId m : members) w.u16(m.v);
+}
+
+std::vector<MachineId> read_members(Reader& r) {
+  const auto n = r.count<std::uint16_t>(2);
+  std::vector<MachineId> members;
+  members.reserve(n);
+  for (std::uint16_t i = 0; i < n; ++i) members.push_back(MachineId{r.u16()});
+  return members;
 }
 
 AcceptRecord decode_accept_body(Reader& r) {
@@ -111,14 +147,12 @@ struct GroupMember::Ctx {
 
   // Sequencer bookkeeping.
   struct PendingCommit {
-    MachineId origin;
-    std::uint64_t origin_msgid = 0;
     std::set<std::uint16_t> acked;
     int needed = 0;
     obs::TraceContext ctx;  // parents the COMMIT's wire span
-    /// Batch records: every coalesced (origin, msgid) that must hear about
-    /// the commit — one COMMIT unicast (or local completion) per sub.
-    std::vector<std::pair<MachineId, std::uint64_t>> batch_origins;
+    /// Every (origin, msgid) the record carries that must hear about the
+    /// commit — one COMMIT unicast (or local completion) each.
+    std::vector<std::pair<MachineId, std::uint64_t>> waiters;
   };
   std::map<std::uint64_t, PendingCommit> commits;  // seqno ->
   std::map<std::pair<std::uint16_t, std::uint64_t>, std::uint64_t> req_dedup;
@@ -127,13 +161,7 @@ struct GroupMember::Ctx {
 
   // Sequencer batching (cfg.batching): REQs parked until the coalescing
   // window closes or the batch fills, then sequenced under one seqno.
-  struct PendingSub {
-    MachineId origin;
-    std::uint64_t msgid = 0;
-    Buffer payload;
-    obs::TraceContext ctx;
-  };
-  std::vector<PendingSub> pending_batch;
+  std::vector<Sub> pending_batch;
   sim::Time batch_deadline = 0;  // 0 = nothing parked
 
   // Reset protocol.
@@ -218,29 +246,84 @@ struct GroupMember::Ctx {
     if (data) (*mx_data_mcast)++;
     machine.net().multicast(me, dsts, cfg.port, std::move(b), ctx, what);
   }
+  /// Packet header: type and lineage id. `msg` adds our incarnation; the
+  /// packets that carry no incarnation, or another u32 there (an attempt
+  /// number), start from `hdr`.
+  [[nodiscard]] Writer hdr(WireType t) const {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(t));
+    w.u64(gid);
+    return w;
+  }
+  [[nodiscard]] Writer msg(WireType t) const {
+    Writer w = hdr(t);
+    w.u32(incarnation);
+    return w;
+  }
+  [[nodiscard]] Buffer accept_pkt(const AcceptRecord& rec) const {
+    Writer w = msg(WireType::accept);
+    w.u64(rec.seqno);
+    w.u8(static_cast<std::uint8_t>(rec.kind));
+    w.u16(rec.origin.v);
+    w.u64(rec.origin_msgid);
+    w.bytes(rec.payload);
+    return w.take();
+  }
+  /// Asks `to` for every record from next_buffer on. The reset
+  /// coordinator's sync request is not counted as a retransmission.
+  void send_retrans_req(MachineId to, bool counted = true) {
+    Writer w = hdr(WireType::retrans_req);
+    w.u64(next_buffer);
+    send_pkt(to, w.take(), false);
+    if (counted) (*mx_retrans)++;
+  }
+  /// Repairs known gaps: asks the sequencer for records below known_latest.
+  void repair_gap() {
+    if (watermark() < known_latest) send_retrans_req(sequencer);
+  }
+  void send_commit(MachineId origin, std::uint64_t msgid,
+                   obs::TraceContext ctx) {
+    Writer w = msg(WireType::commit);
+    w.u64(msgid);
+    send_pkt(origin, w.take(), true, ctx, "commit");
+  }
+  void send_stale_note(MachineId to) {
+    Writer w = hdr(WireType::stale_note);
+    w.u32(std::max(incarnation, max_attempt_seen));
+    send_pkt(to, w.take(), false);
+  }
 
   // -- protocol ----------------------------------------------------------
   void kernel_main();
   void on_packet(const net::Packet& pkt);
   void do_tick();
   void go_failed(const std::string& why);
+  void drop_sequencer_state();
   void buffer_accept(const AcceptRecord& rec, MachineId from);
   void process_in_order(const AcceptRecord& rec);
-  std::uint64_t seq_assign(MsgKind kind, MachineId origin,
-                           std::uint64_t msgid, Buffer payload,
-                           bool announce_bb = false,
-                           obs::TraceContext ctx = {});
-  void enqueue_batch(MachineId origin, std::uint64_t msgid, Buffer payload,
-                     obs::TraceContext ctx);
+  /// Assigns the next seqno to one record, multicasts it and self-delivers
+  /// it. One sub is a plain record of `kind`; several (data only) are a
+  /// batch record. announce_bb: the members hold the payload already
+  /// (bb_data), so only the ordering goes out.
+  std::uint64_t sequence(MsgKind kind, std::vector<Sub> subs,
+                         bool announce_bb = false);
+  /// Sequences a data message now, or parks it for the next batch.
+  void sequence_data(Sub s);
   void flush_batch();
-  std::uint64_t seq_assign_batch(std::vector<PendingSub> subs);
+  bool admit(MachineId origin, std::uint64_t msgid, obs::TraceContext ctx);
   void stash_bb(MachineId origin, std::uint64_t msgid, Buffer payload);
+  /// accept/bb_order from the sequencer of incarnation `inc`: false unless
+  /// it belongs to our view.
+  bool current_view(std::uint32_t inc, const char* what);
   /// Common tail of accept/bb_order handling: buffer + ack.
   void take_accept(const AcceptRecord& rec, MachineId from);
   void seq_maybe_commit(std::uint64_t seqno);
   void complete_send(std::uint64_t msgid, Status st);
+  std::optional<Status> take_done(std::uint64_t msgid);
+  GroupMsg pop_ready();
   void serve_retrans(MachineId who, std::uint64_t from);
-  void note_dedup(MachineId origin, std::uint64_t msgid);
+  bool first_delivery(MachineId origin, std::uint64_t msgid);
+  void forget_origin(std::uint16_t ov);
   void wake_all();
   void install_member_alive();
   void prune();
@@ -270,25 +353,41 @@ void GroupMember::Ctx::go_failed(const std::string& why) {
   const bool was_sequencer = i_am_sequencer() && state == MemberState::normal;
   state = MemberState::failed;
   if (was_sequencer) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::failed_note));
-    w.u64(gid);
-    w.u32(incarnation);
-    multicast_pkt(members, w.take(), false);
+    multicast_pkt(members, msg(WireType::failed_note).take(), false);
   }
-  commits.clear();
-  pending_batch.clear();  // parked subs are dropped; senders retry
-  batch_deadline = 0;
+  drop_sequencer_state();
   wake_all();
 }
 
-void GroupMember::Ctx::note_dedup(MachineId origin, std::uint64_t msgid) {
-  delivered_ids.emplace(origin.v, msgid);
+/// A view change ends the sequencer role: pending commits are forgotten and
+/// parked subs are dropped (their senders retry against the new view).
+void GroupMember::Ctx::drop_sequencer_state() {
+  commits.clear();
+  pending_batch.clear();
+  batch_deadline = 0;
+}
+
+bool GroupMember::Ctx::first_delivery(MachineId origin, std::uint64_t msgid) {
+  if (!delivered_ids.emplace(origin.v, msgid).second) return false;
   delivered_fifo.emplace_back(origin.v, msgid);
   while (delivered_fifo.size() > 8192) {
     delivered_ids.erase(delivered_fifo.front());
     delivered_fifo.pop_front();
   }
+  return true;
+}
+
+/// The origin rebooted: its msgid space restarted at 1, so dedup entries
+/// from its previous incarnation would silently swallow its new messages
+/// (delivered everywhere else, dropped here — a lost acked write).
+void GroupMember::Ctx::forget_origin(std::uint16_t ov) {
+  const auto of = [ov](const auto& k) { return k.first == ov; };
+  const auto keyed = [ov](const auto& kv) { return kv.first.first == ov; };
+  std::erase_if(delivered_ids, of);
+  std::erase_if(delivered_fifo, of);
+  std::erase_if(req_dedup, keyed);
+  std::erase_if(bb_stash, keyed);
+  std::erase_if(bb_fifo, of);
 }
 
 void GroupMember::Ctx::prune() {
@@ -298,6 +397,7 @@ void GroupMember::Ctx::prune() {
 void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
   history[rec.seqno] = rec;
   prune();
+  GroupMsg out;
   switch (rec.kind) {
     case MsgKind::join: {
       if (!is_member(rec.origin)) {
@@ -305,21 +405,8 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
         std::sort(members.begin(), members.end());
       }
       if (member_nonce[rec.origin.v] != rec.origin_msgid) {
-        // The origin rebooted: its msgid space restarted at 1, so dedup
-        // entries from its previous incarnation would silently swallow its
-        // new messages (delivered everywhere else, dropped here — a lost
-        // acked write). Forget everything keyed by this origin.
         member_nonce[rec.origin.v] = rec.origin_msgid;
-        const std::uint16_t ov = rec.origin.v;
-        std::erase_if(delivered_ids,
-                      [ov](const auto& k) { return k.first == ov; });
-        std::erase_if(delivered_fifo,
-                      [ov](const auto& k) { return k.first == ov; });
-        std::erase_if(req_dedup,
-                      [ov](const auto& kv) { return kv.first.first == ov; });
-        std::erase_if(bb_stash,
-                      [ov](const auto& kv) { return kv.first.first == ov; });
-        std::erase_if(bb_fifo, [ov](const auto& k) { return k.first == ov; });
+        forget_origin(rec.origin.v);
       }
       if (i_am_sequencer()) member_alive[rec.origin.v] = now();
       break;
@@ -340,12 +427,11 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
       }
       break;
     }
-    case MsgKind::data: {
-      auto key = std::make_pair(rec.origin.v, rec.origin_msgid);
-      if (delivered_ids.contains(key)) return;  // sequencer-failover dup
-      note_dedup(rec.origin, rec.origin_msgid);
+    case MsgKind::data:
+      if (!first_delivery(rec.origin, rec.origin_msgid)) {
+        return;  // sequencer-failover dup
+      }
       break;
-    }
     case MsgKind::view:
       // Synthetic view notes are enqueued directly on NEWGROUP install;
       // they never travel as sequenced records.
@@ -353,47 +439,28 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
     case MsgKind::batch: {
       // Unpack the coalesced subs; drop any already delivered solo (a
       // pre-failover sequencer may have sequenced a sub on its own before a
-      // retry landed in a successor's batch) and mark the survivors
-      // delivered. Survivors go to the application as ONE message, in
-      // batch order, re-encoded in the same sub format.
+      // retry landed in a successor's batch). The survivors go to the
+      // application as ONE message, in batch order.
       Reader br(rec.payload);
       const auto n = br.count<std::uint32_t>(2 + 8 + 4);  // origin, id, sub
-      std::vector<std::tuple<std::uint16_t, std::uint64_t, Buffer>> kept;
-      kept.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint16_t ov = br.u16();
-        const std::uint64_t mid = br.u64();
+        const MachineId origin{br.u16()};
+        const std::uint64_t msgid = br.u64();
         Buffer sub = br.bytes();
-        if (delivered_ids.contains({ov, mid})) continue;
-        note_dedup(MachineId{ov}, mid);
-        kept.emplace_back(ov, mid, std::move(sub));
+        if (first_delivery(origin, msgid)) {
+          out.subs.push_back({origin, std::move(sub)});
+        }
       }
-      if (kept.empty()) return;  // all dups; history entry kept for retrans
-      Writer w;
-      w.u32(static_cast<std::uint32_t>(kept.size()));
-      for (auto& [ov, mid, sub] : kept) {
-        w.u16(ov);
-        w.u64(mid);
-        w.bytes(sub);
-      }
-      GroupMsg msg;
-      msg.seqno = rec.seqno;
-      msg.kind = MsgKind::batch;
-      msg.sender = rec.origin;
-      msg.payload = w.take();
-      msg.ctx = rec.ctx;
-      ready.push_back(std::move(msg));
-      recv_wq.notify_all();
-      return;
+      if (out.subs.empty()) return;  // all dups; history entry kept
+      break;
     }
   }
-  GroupMsg msg;
-  msg.seqno = rec.seqno;
-  msg.kind = rec.kind;
-  msg.sender = rec.origin;
-  msg.payload = rec.payload;
-  msg.ctx = rec.ctx;
-  ready.push_back(std::move(msg));
+  out.seqno = rec.seqno;
+  out.kind = rec.kind;
+  out.sender = rec.origin;
+  if (rec.kind != MsgKind::batch) out.payload = rec.payload;
+  out.ctx = rec.ctx;
+  ready.push_back(std::move(out));
   recv_wq.notify_all();
 }
 
@@ -412,12 +479,7 @@ void GroupMember::Ctx::buffer_accept(const AcceptRecord& rec, MachineId from) {
   }
   // Gap: ask the source (normally the sequencer) for the missing prefix.
   if (!out_of_order.empty() && next_buffer < out_of_order.begin()->first) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-    w.u64(gid);
-    w.u64(next_buffer);
-    send_pkt(from, w.take(), false);
-    (*mx_retrans)++;
+    send_retrans_req(from);
   }
 }
 
@@ -433,45 +495,43 @@ void GroupMember::Ctx::stash_bb(MachineId origin, std::uint64_t msgid,
   }
 }
 
-std::uint64_t GroupMember::Ctx::seq_assign(MsgKind kind, MachineId origin,
-                                           std::uint64_t msgid,
-                                           Buffer payload, bool announce_bb,
-                                           obs::TraceContext ctx) {
+std::uint64_t GroupMember::Ctx::sequence(MsgKind kind, std::vector<Sub> subs,
+                                         bool announce_bb) {
   AcceptRecord rec;
   rec.seqno = next_seqno++;
   rec.kind = kind;
-  rec.origin = origin;
-  rec.origin_msgid = msgid;
-  rec.payload = std::move(payload);
-  rec.ctx = ctx;
-
-  if (kind == MsgKind::data) {
-    req_dedup[{origin.v, msgid}] = rec.seqno;
-  }
+  rec.ctx = subs.front().ctx;
   PendingCommit pc;
-  pc.origin = origin;
-  pc.origin_msgid = msgid;
   pc.needed = needed_acks();
-  pc.ctx = ctx;
+  pc.ctx = rec.ctx;
+  for (const auto& s : subs) {
+    if (kind == MsgKind::data) req_dedup[{s.origin.v, s.msgid}] = rec.seqno;
+    if (s.msgid != 0) pc.waiters.emplace_back(s.origin, s.msgid);
+  }
   commits[rec.seqno] = std::move(pc);
+  if (subs.size() == 1) {
+    rec.origin = subs.front().origin;
+    rec.origin_msgid = subs.front().msgid;
+    rec.payload = std::move(subs.front().payload);
+  } else {
+    // The batch as a record is sequencer-authored; per-sub identity rides
+    // inside the payload.
+    rec.kind = MsgKind::batch;
+    rec.origin = me;
+    rec.payload = encode_batch(subs);
+  }
 
-  Writer w;
+  Buffer pkt;
   if (announce_bb) {
-    // BB method: the members already hold the payload (bb_data); announce
-    // only the ordering.
-    w.u8(static_cast<std::uint8_t>(WireType::bb_order));
-    w.u64(gid);
-    w.u32(incarnation);
+    Writer w = msg(WireType::bb_order);
     w.u64(rec.seqno);
     w.u16(rec.origin.v);
     w.u64(rec.origin_msgid);
+    pkt = w.take();
   } else {
-    w.u8(static_cast<std::uint8_t>(WireType::accept));
-    w.u64(gid);
-    w.u32(incarnation);
-    encode_accept_body(w, rec);
+    pkt = accept_pkt(rec);
   }
-  multicast_pkt(members, w.take(), kind == MsgKind::data, ctx,
+  multicast_pkt(members, std::move(pkt), kind == MsgKind::data, rec.ctx,
                 announce_bb ? "order" : "accept");
 
   buffer_accept(rec, me);        // self-delivery (immediate, in order)
@@ -479,12 +539,17 @@ std::uint64_t GroupMember::Ctx::seq_assign(MsgKind kind, MachineId origin,
   return rec.seqno;
 }
 
-void GroupMember::Ctx::enqueue_batch(MachineId origin, std::uint64_t msgid,
-                                     Buffer payload, obs::TraceContext ctx) {
-  for (const auto& s : pending_batch) {
-    if (s.origin == origin && s.msgid == msgid) return;  // retry while parked
+void GroupMember::Ctx::sequence_data(Sub s) {
+  if (!cfg.batching) {
+    std::vector<Sub> one;
+    one.push_back(std::move(s));
+    sequence(MsgKind::data, std::move(one));
+    return;
   }
-  pending_batch.push_back({origin, msgid, std::move(payload), ctx});
+  for (const auto& p : pending_batch) {
+    if (p.origin == s.origin && p.msgid == s.msgid) return;  // retry, parked
+  }
+  pending_batch.push_back(std::move(s));
   if (pending_batch.size() >= kBatchMax) {
     flush_batch();
     return;
@@ -501,7 +566,7 @@ void GroupMember::Ctx::enqueue_batch(MachineId origin, std::uint64_t msgid,
 void GroupMember::Ctx::flush_batch() {
   batch_deadline = 0;
   if (pending_batch.empty()) return;
-  std::vector<PendingSub> subs = std::move(pending_batch);
+  std::vector<Sub> subs = std::move(pending_batch);
   pending_batch.clear();
   if (state != MemberState::normal || !i_am_sequencer()) {
     // The view changed under the parked ops: drop them. Senders retry
@@ -510,66 +575,39 @@ void GroupMember::Ctx::flush_batch() {
     return;
   }
   mx_batch_size->push_back(static_cast<double>(subs.size()));
-  if (subs.size() == 1) {
-    // A lone op takes the plain path: wire format identical to batching
-    // off, so mixed-version members interoperate.
-    PendingSub s = std::move(subs.front());
-    if (!req_dedup.contains({s.origin.v, s.msgid})) {
-      seq_assign(MsgKind::data, s.origin, s.msgid, std::move(s.payload),
-                 /*announce_bb=*/false, s.ctx);
-    }
-    return;
-  }
-  seq_assign_batch(std::move(subs));
+  // A lone op goes out as a plain data ACCEPT: wire format identical to
+  // batching off, so mixed-version members interoperate.
+  sequence(MsgKind::data, std::move(subs));
 }
 
-std::uint64_t GroupMember::Ctx::seq_assign_batch(std::vector<PendingSub> subs) {
-  AcceptRecord rec;
-  rec.seqno = next_seqno++;
-  rec.kind = MsgKind::batch;
-  rec.origin = me;       // the batch as a record is sequencer-authored;
-  rec.origin_msgid = 0;  // per-sub identity rides inside the payload
-  rec.ctx = subs.front().ctx;
-  Writer pw;
-  pw.u32(static_cast<std::uint32_t>(subs.size()));
-  for (const auto& s : subs) {
-    pw.u16(s.origin.v);
-    pw.u64(s.msgid);
-    pw.bytes(s.payload);
+/// Sequencer intake of a member's data message (req or bb_data): true when
+/// it is new. A retry of one already committed gets its COMMIT again.
+bool GroupMember::Ctx::admit(MachineId origin, std::uint64_t msgid,
+                             obs::TraceContext ctx) {
+  if (!is_member(origin)) return false;
+  member_alive[origin.v] = now();
+  auto it = req_dedup.find({origin.v, msgid});
+  if (it == req_dedup.end()) return true;
+  if (!commits.contains(it->second)) send_commit(origin, msgid, ctx);
+  return false;
+}
+
+bool GroupMember::Ctx::current_view(std::uint32_t inc, const char* what) {
+  if (state == MemberState::left || inc < incarnation) return false;
+  if (inc > incarnation) {
+    // We missed a view change; we cannot safely interpret this.
+    max_attempt_seen = std::max(max_attempt_seen, inc);
+    go_failed(std::string("saw ") + what + " from newer incarnation");
+    return false;
   }
-  rec.payload = pw.take();
-
-  PendingCommit pc;
-  pc.origin = me;
-  pc.origin_msgid = 0;
-  pc.needed = needed_acks();
-  pc.ctx = rec.ctx;
-  for (const auto& s : subs) {
-    req_dedup[{s.origin.v, s.msgid}] = rec.seqno;
-    pc.batch_origins.emplace_back(s.origin, s.msgid);
-  }
-  commits[rec.seqno] = std::move(pc);
-
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireType::accept));
-  w.u64(gid);
-  w.u32(incarnation);
-  encode_accept_body(w, rec);
-  multicast_pkt(members, w.take(), true, rec.ctx, "accept");
-
-  buffer_accept(rec, me);
-  seq_maybe_commit(rec.seqno);
-  return rec.seqno;
+  return true;
 }
 
 void GroupMember::Ctx::take_accept(const AcceptRecord& rec, MachineId from) {
   last_heartbeat_seen = now();
   buffer_accept(rec, from);
   if (state == MemberState::normal && !i_am_sequencer()) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::ack));
-    w.u64(gid);
-    w.u32(incarnation);
+    Writer w = msg(WireType::ack);
     w.u64(rec.seqno);
     w.u16(me.v);
     send_pkt(sequencer, w.take(), true, rec.ctx, "ack");
@@ -582,27 +620,11 @@ void GroupMember::Ctx::seq_maybe_commit(std::uint64_t seqno) {
   PendingCommit& pc = it->second;
   if (static_cast<int>(pc.acked.size()) < pc.needed) return;
   // Committed: r other members buffer the message.
-  if (pc.origin == me && pc.origin_msgid != 0) {
-    complete_send(pc.origin_msgid, Status::ok());
-  } else if (pc.origin != me && pc.origin_msgid != 0) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::commit));
-    w.u64(gid);
-    w.u32(incarnation);
-    w.u64(pc.origin_msgid);
-    send_pkt(pc.origin, w.take(), true, pc.ctx, "commit");
-  }
-  // Batch records: fan the commit out to every coalesced origin.
-  for (const auto& [origin, msgid] : pc.batch_origins) {
+  for (const auto& [origin, msgid] : pc.waiters) {
     if (origin == me) {
       complete_send(msgid, Status::ok());
     } else {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::commit));
-      w.u64(gid);
-      w.u32(incarnation);
-      w.u64(msgid);
-      send_pkt(origin, w.take(), true, pc.ctx, "commit");
+      send_commit(origin, msgid, pc.ctx);
     }
   }
   commits.erase(it);
@@ -611,6 +633,21 @@ void GroupMember::Ctx::seq_maybe_commit(std::uint64_t seqno) {
 void GroupMember::Ctx::complete_send(std::uint64_t msgid, Status st) {
   send_done[msgid] = std::move(st);
   send_wq.notify_all();
+}
+
+std::optional<Status> GroupMember::Ctx::take_done(std::uint64_t msgid) {
+  auto it = send_done.find(msgid);
+  if (it == send_done.end()) return std::nullopt;
+  Status st = std::move(it->second);
+  send_done.erase(it);
+  return st;
+}
+
+GroupMsg GroupMember::Ctx::pop_ready() {
+  GroupMsg out = std::move(ready.front());
+  ready.pop_front();
+  if (out.seqno > last_delivered) last_delivered = out.seqno;
+  return out;
 }
 
 void GroupMember::Ctx::serve_retrans(MachineId who, std::uint64_t from) {
@@ -625,9 +662,7 @@ void GroupMember::Ctx::serve_retrans(MachineId who, std::uint64_t from) {
       // sits above it and would only pile up out of order. Say so
       // explicitly, so the requester escalates to an app-level state
       // transfer instead of retrying forever.
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::gap_note));
-      w.u64(gid);
+      Writer w = hdr(WireType::gap_note);
       w.u64(oldest);
       send_pkt(who, w.take(), false);
       return;
@@ -635,34 +670,23 @@ void GroupMember::Ctx::serve_retrans(MachineId who, std::uint64_t from) {
   }
   for (std::uint64_t s = from; s < next_buffer; ++s) {
     auto it = history.find(s);
-    if (it == history.end()) continue;
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::accept));
-    w.u64(gid);
-    w.u32(incarnation);
-    encode_accept_body(w, it->second);
-    send_pkt(who, w.take(), false);
+    if (it != history.end()) send_pkt(who, accept_pkt(it->second), false);
   }
 }
 
 void GroupMember::Ctx::do_tick() {
+  const sim::Duration limit = kHeartbeat * cfg.miss_limit;
   if (state == MemberState::resetting) {
     // A reset someone else started never completed (their NEWGROUP did not
     // reach us, or they died). Fall to failed so the app resets again.
-    if (now() - resetting_since > cfg.heartbeat * cfg.miss_limit) {
-      go_failed("reset stalled");
-    }
+    if (now() - resetting_since > limit) go_failed("reset stalled");
     return;
   }
   if (state != MemberState::normal) return;
   if (i_am_sequencer()) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::heartbeat));
-    w.u64(gid);
-    w.u32(incarnation);
+    Writer w = msg(WireType::heartbeat);
     w.u64(next_seqno);
     multicast_pkt(members, w.take(), false);
-    const sim::Duration limit = cfg.heartbeat * cfg.miss_limit;
     for (MachineId m : members) {
       if (m == me) continue;
       auto it = member_alive.find(m.v);
@@ -672,21 +696,12 @@ void GroupMember::Ctx::do_tick() {
       }
     }
   } else {
-    const sim::Duration limit = cfg.heartbeat * cfg.miss_limit;
     if (last_heartbeat_seen == 0) last_heartbeat_seen = now();
     if (now() - last_heartbeat_seen > limit) {
       go_failed("sequencer silent");
       return;
     }
-    // Repair known gaps even when no fresh accepts arrive.
-    if (watermark() < known_latest) {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-      w.u64(gid);
-      w.u64(next_buffer);
-      send_pkt(sequencer, w.take(), false);
-      (*mx_retrans)++;
-    }
+    repair_gap();  // even when no fresh accepts arrive
   }
 }
 
@@ -708,36 +723,12 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       Buffer payload = r.bytes();
       if (state != MemberState::normal || !i_am_sequencer()) return;
       if (inc != incarnation) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::stale_note));
-        w.u64(gid);
-        w.u32(std::max(incarnation, max_attempt_seen));
-        send_pkt(pkt.src, w.take(), false);
+        send_stale_note(pkt.src);
         return;
       }
-      if (!is_member(origin)) return;
-      member_alive[origin.v] = now();
-      auto key = std::make_pair(origin.v, msgid);
-      auto it = req_dedup.find(key);
-      if (it != req_dedup.end()) {
-        // Retry of a request we already sequenced.
-        if (!commits.contains(it->second)) {
-          // Already committed: re-send the commit notification.
-          Writer w;
-          w.u8(static_cast<std::uint8_t>(WireType::commit));
-          w.u64(gid);
-          w.u32(incarnation);
-          w.u64(msgid);
-          send_pkt(origin, w.take(), true, pkt.ctx, "commit");
-        }
-        return;
+      if (admit(origin, msgid, pkt.ctx)) {
+        sequence_data({origin, msgid, std::move(payload), pkt.ctx});
       }
-      if (cfg.batching) {
-        enqueue_batch(origin, msgid, std::move(payload), pkt.ctx);
-        return;
-      }
-      seq_assign(MsgKind::data, origin, msgid, std::move(payload),
-                 /*announce_bb=*/false, pkt.ctx);
       return;
     }
 
@@ -745,15 +736,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       const std::uint32_t inc = r.u32();
       AcceptRecord rec = decode_accept_body(r);
       rec.ctx = pkt.ctx;
-      if (state == MemberState::left) return;
-      if (inc < incarnation) return;  // stale sequencer
-      if (inc > incarnation) {
-        // We missed a view change; we cannot safely interpret this.
-        max_attempt_seen = std::max(max_attempt_seen, inc);
-        go_failed("saw accept from newer incarnation");
-        return;
-      }
-      take_accept(rec, pkt.src);
+      if (current_view(inc, "accept")) take_accept(rec, pkt.src);
       return;
     }
 
@@ -766,26 +749,11 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       if (inc != incarnation) return;  // repaired via retransmission
       stash_bb(origin, msgid, std::move(payload));
       if (state != MemberState::normal || !i_am_sequencer()) return;
-      if (!is_member(origin)) return;
-      member_alive[origin.v] = now();
-      auto key = std::make_pair(origin.v, msgid);
-      auto it = req_dedup.find(key);
-      if (it != req_dedup.end()) {
-        if (!commits.contains(it->second)) {
-          Writer w;
-          w.u8(static_cast<std::uint8_t>(WireType::commit));
-          w.u64(gid);
-          w.u32(incarnation);
-          w.u64(msgid);
-          send_pkt(origin, w.take(), true);
-        }
-        return;
-      }
-      auto sit = bb_stash.find(key);
+      if (!admit(origin, msgid, {})) return;
+      auto sit = bb_stash.find({origin.v, msgid});
       if (sit == bb_stash.end()) return;
-      Buffer data = sit->second;
-      seq_assign(MsgKind::data, origin, msgid, std::move(data),
-                 /*announce_bb=*/true, pkt.ctx);
+      sequence(MsgKind::data, {{origin, msgid, sit->second, pkt.ctx}},
+               /*announce_bb=*/true);
       return;
     }
 
@@ -796,23 +764,11 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       rec.kind = MsgKind::data;
       rec.origin = MachineId{r.u16()};
       rec.origin_msgid = r.u64();
-      if (state == MemberState::left) return;
-      if (inc < incarnation) return;
-      if (inc > incarnation) {
-        max_attempt_seen = std::max(max_attempt_seen, inc);
-        go_failed("saw bb_order from newer incarnation");
-        return;
-      }
-      auto key = std::make_pair(rec.origin.v, rec.origin_msgid);
-      auto it = bb_stash.find(key);
+      if (!current_view(inc, "bb_order")) return;
+      auto it = bb_stash.find({rec.origin.v, rec.origin_msgid});
       if (it == bb_stash.end()) {
         // Payload lost or reordered: ask the sequencer for full accepts.
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-        w.u64(gid);
-        w.u64(next_buffer);
-        send_pkt(pkt.src, w.take(), false);
-        (*mx_retrans)++;
+        send_retrans_req(pkt.src);
         return;
       }
       rec.payload = it->second;
@@ -857,18 +813,8 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       if (pkt.src != sequencer) return;
       last_heartbeat_seen = now();
       if (seq_next > 0) known_latest = std::max(known_latest, seq_next - 1);
-      if (watermark() < known_latest) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-        w.u64(gid);
-        w.u64(next_buffer);
-        send_pkt(sequencer, w.take(), false);
-        (*mx_retrans)++;
-      }
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::alive));
-      w.u64(gid);
-      w.u32(incarnation);
+      repair_gap();
+      Writer w = msg(WireType::alive);
       w.u16(me.v);
       send_pkt(sequencer, w.take(), false);
       return;
@@ -904,8 +850,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       w.u32(incarnation);
       w.u64(gid);
       w.u16(sequencer.v);
-      w.u16(static_cast<std::uint16_t>(members.size()));
-      for (MachineId m : members) w.u16(m.v);
+      write_members(w, members);
       w.u64(next_seqno);
       send_pkt(joiner, w.take(), false);
       return;
@@ -924,16 +869,12 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       if (state != MemberState::normal || !i_am_sequencer()) return;
       if (is_member(joiner) && member_nonce[joiner.v] == nonce) return;
       flush_batch();  // parked data precedes the membership change
-      const std::uint64_t s = seq_assign(MsgKind::join, joiner, nonce, {});
+      const std::uint64_t s =
+          sequence(MsgKind::join, {{joiner, nonce, {}, {}}});
       // The multicast above went to the pre-join member list; hand the
       // record to the joiner directly so it does not start with a gap.
       if (auto it = history.find(s); it != history.end()) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::accept));
-        w.u64(gid);
-        w.u32(incarnation);
-        encode_accept_body(w, it->second);
-        send_pkt(joiner, w.take(), false);
+        send_pkt(joiner, accept_pkt(it->second), false);
       }
       return;
     }
@@ -947,7 +888,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       if (state != MemberState::normal || !i_am_sequencer()) return;
       if (inc != incarnation || !is_member(leaver)) return;
       flush_batch();  // parked data precedes the membership change
-      seq_assign(MsgKind::leave, leaver, 0, {});
+      sequence(MsgKind::leave, {{leaver, 0, {}, {}}});
       return;
     }
 
@@ -960,11 +901,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
         // The coordinator is behind an already-installed view (e.g. we
         // formed a group while it was still detecting the failure). Tell
         // it so it retries with a higher attempt and pulls us in.
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::stale_note));
-        w.u64(gid);
-        w.u32(std::max(incarnation, max_attempt_seen));
-        send_pkt(coord, w.take(), false);
+        send_stale_note(coord);
         return;
       }
       // Arbitration between concurrent coordinators: higher attempt wins;
@@ -981,9 +918,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
         resetting_since = now();
       }
       if (coord != me) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::vote));
-        w.u64(gid);
+        Writer w = hdr(WireType::vote);
         w.u32(attempt);
         w.u16(me.v);
         w.u64(watermark());
@@ -1007,10 +942,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
     case WireType::newgroup: {
       const std::uint32_t attempt = r.u32();
       const MachineId seq = MachineId{r.u16()};
-      const auto n = r.count<std::uint16_t>(2);
-      std::vector<MachineId> mem;
-      mem.reserve(n);
-      for (std::uint16_t i = 0; i < n; ++i) mem.push_back(MachineId{r.u16()});
+      std::vector<MachineId> mem = read_members(r);
       const std::uint64_t seq_next = r.u64();
       max_attempt_seen = std::max(max_attempt_seen, attempt);
       if (state == MemberState::left) return;
@@ -1022,22 +954,13 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       incarnation = attempt;
       members = std::move(mem);
       sequencer = seq;
-      commits.clear();
-      pending_batch.clear();
-      batch_deadline = 0;
+      drop_sequencer_state();
       votes.clear();
       my_attempt = 0;
       if (seq_next > 0) known_latest = std::max(known_latest, seq_next - 1);
       last_heartbeat_seen = now();
       state = MemberState::normal;
-      if (watermark() < known_latest) {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-        w.u64(gid);
-        w.u64(next_buffer);
-        send_pkt(sequencer, w.take(), false);
-        (*mx_retrans)++;
-      }
+      repair_gap();
       (*mx_views)++;
       tr->instant(now(), "group", "view", me.v, incarnation);
       machine.timeline().signal(obs::Signal::view_install, now());
@@ -1077,14 +1000,14 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
 }
 
 void GroupMember::Ctx::kernel_main() {
-  sim::Time next_tick = now() + cfg.heartbeat;
+  sim::Time next_tick = now() + kHeartbeat;
   while (!stopping) {
     sim::Time wake = next_tick;
     if (batch_deadline != 0) wake = std::min(wake, batch_deadline);
     auto pkt = endpoint->mailbox().recv_until(wake);
     if (stopping) break;
     if (pkt && !pkt->payload.empty()) {
-      if (cfg.kernel_cpu > 0) machine.cpu().use(cfg.kernel_cpu);
+      machine.cpu().use(kKernelCpu);
       try {
         on_packet(*pkt);
       } catch (const DecodeError& e) {
@@ -1094,7 +1017,7 @@ void GroupMember::Ctx::kernel_main() {
     if (batch_deadline != 0 && now() >= batch_deadline) flush_batch();
     if (now() >= next_tick) {
       do_tick();
-      next_tick = now() + cfg.heartbeat;
+      next_tick = now() + kHeartbeat;
     }
   }
 }
@@ -1138,7 +1061,7 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
                                                        GroupConfig cfg) {
   auto ctx = make_ctx(machine, std::move(cfg));
   sim::Simulator& sim = machine.sim();
-  const sim::Time deadline = sim.now() + ctx->cfg.join_timeout;
+  const sim::Time deadline = sim.now() + kJoinTimeout;
 
   // Boot nonce: identifies this incarnation's msgid space. Creation time
   // is strictly increasing across reboots of one machine (make_ctx waits
@@ -1164,11 +1087,7 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
         const std::uint32_t inc = r.u32();
         const std::uint64_t acked_gid = r.u64();
         const MachineId seq = MachineId{r.u16()};
-        const std::uint16_t n = r.u16();
-        std::vector<MachineId> mem;
-        for (std::uint16_t i = 0; i < n; ++i) {
-          mem.push_back(MachineId{r.u16()});
-        }
+        std::vector<MachineId> mem = read_members(r);
         const std::uint64_t next = r.u64();
         ctx->gid = acked_gid;
         ctx->incarnation = inc;
@@ -1200,14 +1119,10 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
   // we actually installed, so only it sequences our membership. Lost
   // confirms degrade safely: we never become a member, get no heartbeats,
   // fail within miss_limit beats and the application re-joins.
-  {
-    Writer c;
-    c.u8(static_cast<std::uint8_t>(WireType::join_confirm));
-    c.u64(ctx->gid);
-    c.u16(ctx->me.v);
-    c.u64(nonce);
-    ctx->send_pkt(ctx->sequencer, c.take(), false);
-  }
+  Writer c = ctx->hdr(WireType::join_confirm);
+  c.u16(ctx->me.v);
+  c.u64(nonce);
+  ctx->send_pkt(ctx->sequencer, c.take(), false);
   machine.spawn("group.kernel", [ctx] { ctx->kernel_main(); });
   LOG_INFO << machine.name() << " joined group " << ctx->cfg.port.v
            << " inc=" << ctx->incarnation;
@@ -1232,82 +1147,57 @@ Status GroupMember::send_to_group(Buffer payload, obs::TraceContext ctx) {
   // delivery work hang under it.
   const std::uint64_t sp = ctx.active() ? c.tr->new_span_id() : 0;
   const obs::TraceContext sctx{ctx.trace, sp};
-  const auto finish_ok = [&] {
-    (*c.mx_sends)++;
-    c.mx_send_ms->push_back(sim::to_ms(c.now() - t0));
-    c.tr->complete(t0, c.now() - t0, "group", "send", c.me.v, msgid,
-                   ctx.trace, sp, ctx.span);
+  const auto finish = [&](Status st) {
+    if (st.is_ok()) {
+      (*c.mx_sends)++;
+      c.mx_send_ms->push_back(sim::to_ms(c.now() - t0));
+      c.tr->complete(t0, c.now() - t0, "group", "send", c.me.v, msgid,
+                     ctx.trace, sp, ctx.span);
+    }
+    return st;
   };
 
-  for (int attempt = 0; attempt <= c.cfg.send_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kSendRetries; ++attempt) {
     if (c.state != MemberState::normal) break;
     if (c.i_am_sequencer()) {
       // Sequencer-origin sends use the PB shape under either method: one
       // full multicast is already optimal.
-      if (!c.req_dedup.contains({c.me.v, msgid})) {
-        if (c.cfg.batching) {
-          c.enqueue_batch(c.me, msgid, payload, sctx);
-        } else {
-          c.seq_assign(MsgKind::data, c.me, msgid, payload,
-                       /*announce_bb=*/false, sctx);
-        }
-      } else if (auto it = c.req_dedup.find({c.me.v, msgid});
-                 !c.commits.contains(it->second)) {
+      if (auto it = c.req_dedup.find({c.me.v, msgid});
+          it == c.req_dedup.end()) {
+        c.sequence_data({c.me, msgid, payload, sctx});
+      } else if (!c.commits.contains(it->second)) {
         c.complete_send(msgid, Status::ok());
       }
-    } else if (c.cfg.method == OrderMethod::bb) {
-      // BB: multicast the payload once; the sequencer orders it with a
-      // short bb_order multicast.
-      c.stash_bb(c.me, msgid, payload);
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::bb_data));
-      w.u64(c.gid);
-      w.u32(c.incarnation);
-      w.u16(c.me.v);
-      w.u64(msgid);
-      w.bytes(payload);
-      c.multicast_pkt(c.members, w.take(), true, sctx, "data");
     } else {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireType::req));
-      w.u64(c.gid);
-      w.u32(c.incarnation);
+      // BB: multicast the payload once; the sequencer orders it with a
+      // short bb_order multicast. PB: forward it to the sequencer.
+      const bool bb = c.cfg.method == OrderMethod::bb;
+      if (bb) c.stash_bb(c.me, msgid, payload);
+      Writer w = c.msg(bb ? WireType::bb_data : WireType::req);
       w.u16(c.me.v);
       w.u64(msgid);
       w.bytes(payload);
-      c.send_pkt(c.sequencer, w.take(), true, sctx, "req");
-    }
-    const sim::Time wait_end = c.now() + c.cfg.send_retry;
-    while (c.now() < wait_end) {
-      auto it = c.send_done.find(msgid);
-      if (it != c.send_done.end()) {
-        Status st = it->second;
-        c.send_done.erase(it);
-        if (st.is_ok()) finish_ok();
-        return st;
+      if (bb) {
+        c.multicast_pkt(c.members, w.take(), true, sctx, "data");
+      } else {
+        c.send_pkt(c.sequencer, w.take(), true, sctx, "req");
       }
+    }
+    const sim::Time wait_end = c.now() + kSendRetry;
+    while (c.now() < wait_end) {
+      if (auto st = c.take_done(msgid)) return finish(std::move(*st));
       if (c.state != MemberState::normal) break;
       c.send_wq.wait_until(wait_end);
     }
   }
-  if (auto it = c.send_done.find(msgid); it != c.send_done.end()) {
-    Status st = it->second;
-    c.send_done.erase(it);
-    if (st.is_ok()) finish_ok();
-    return st;
-  }
+  if (auto st = c.take_done(msgid)) return finish(std::move(*st));
   return Status::error(Errc::group_failure, "send not committed");
 }
 
 Result<GroupMsg> GroupMember::receive() {
   Ctx& c = *ctx_;
   while (true) {
-    if (!c.ready.empty()) {
-      GroupMsg msg = std::move(c.ready.front());
-      c.ready.pop_front();
-      if (msg.seqno > c.last_delivered) c.last_delivered = msg.seqno;
-      return msg;
-    }
+    if (!c.ready.empty()) return c.pop_ready();
     if (c.state == MemberState::failed) {
       return Status::error(Errc::group_failure, "group failed");
     }
@@ -1321,10 +1211,7 @@ Result<GroupMsg> GroupMember::receive() {
 std::optional<GroupMsg> GroupMember::try_receive() {
   Ctx& c = *ctx_;
   if (c.ready.empty()) return std::nullopt;
-  GroupMsg msg = std::move(c.ready.front());
-  c.ready.pop_front();
-  if (msg.seqno > c.last_delivered) c.last_delivered = msg.seqno;
-  return msg;
+  return c.pop_ready();
 }
 
 GroupInfo GroupMember::info() const {
@@ -1352,7 +1239,7 @@ Status GroupMember::reset_group(sim::Duration timeout) {
     // a chance before competing.
     if (c.voted_attempt > c.my_attempt && c.voted_coord != c.me) {
       c.reset_wq.wait_until(
-          std::min(deadline, c.now() + 4 * c.cfg.vote_window));
+          std::min(deadline, c.now() + 4 * kVoteWindow));
       if (c.state == MemberState::normal) return Status::ok();
       // Their reset stalled; compete from here on.
       if (c.now() >= deadline) break;
@@ -1373,14 +1260,12 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   c.votes[c.me.v] = c.watermark();
   if (c.state == MemberState::normal) c.state = MemberState::resetting;
 
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireType::invite));
-  w.u64(c.gid);
+  Writer w = c.hdr(WireType::invite);
   w.u32(c.my_attempt);
   w.u16(c.me.v);
   c.multicast_pkt(c.cfg.universe, w.take(), false);
 
-  c.sim().sleep_for(c.cfg.vote_window);
+  c.sim().sleep_for(kVoteWindow);
   if (c.state == MemberState::normal) return Status::ok();  // lost, installed
   if (c.voted_attempt > c.my_attempt ||
       (c.voted_attempt == c.my_attempt && c.voted_coord != c.me)) {
@@ -1401,11 +1286,7 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
     }
   }
   if (target > c.watermark() && source != c.me) {
-    Writer rr;
-    rr.u8(static_cast<std::uint8_t>(WireType::retrans_req));
-    rr.u64(c.gid);
-    rr.u64(c.next_buffer);
-    c.send_pkt(source, rr.take(), false);
+    c.send_retrans_req(source, /*counted=*/false);
     const sim::Time sync_end = std::min(deadline, c.now() + sim::msec(50));
     while (c.watermark() < target && c.now() < sync_end) {
       c.recv_wq.wait_until(sync_end);
@@ -1428,9 +1309,7 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   c.members = std::move(mem);
   c.sequencer = c.me;
   c.next_seqno = c.watermark() + 1;
-  c.commits.clear();
-  c.pending_batch.clear();
-  c.batch_deadline = 0;
+  c.drop_sequencer_state();
   c.my_attempt = 0;
   c.votes.clear();
   c.install_member_alive();
@@ -1438,13 +1317,9 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   (*c.mx_resets)++;
   c.tr->instant(c.now(), "group", "reset", c.me.v, c.incarnation);
 
-  Writer ng;
-  ng.u8(static_cast<std::uint8_t>(WireType::newgroup));
-  ng.u64(c.gid);
-  ng.u32(c.incarnation);
+  Writer ng = c.msg(WireType::newgroup);
   ng.u16(c.me.v);
-  ng.u16(static_cast<std::uint16_t>(c.members.size()));
-  for (MachineId m : c.members) ng.u16(m.v);
+  write_members(ng, c.members);
   ng.u64(c.next_seqno);
   c.multicast_pkt(c.members, ng.take(), false);
 
@@ -1462,12 +1337,9 @@ Status GroupMember::leave(sim::Duration timeout) {
   }
   if (c.i_am_sequencer()) {
     c.flush_batch();
-    c.seq_assign(MsgKind::leave, c.me, 0, {});
+    c.sequence(MsgKind::leave, {{c.me, 0, {}, {}}});
   } else {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireType::leave_req));
-    w.u64(c.gid);
-    w.u32(c.incarnation);
+    Writer w = c.msg(WireType::leave_req);
     w.u16(c.me.v);
     c.send_pkt(c.sequencer, w.take(), false);
   }

@@ -40,15 +40,24 @@ namespace amoeba::group {
 using net::MachineId;
 using net::Port;
 
+/// How long JoinGroup waits for a sequencer to answer (see DESIGN.md for
+/// the kernel's other calibrated timings).
+inline constexpr sim::Duration kJoinTimeout = sim::msec(100);
+
 enum class MsgKind : std::uint8_t {
   data = 1,
   join,   // sequenced membership additions
   leave,  // sequenced departures
   view,   // synthetic: a ResetGroup installed a new view (seqno 0);
           // lets the application record the new configuration
-  batch,  // several coalesced data sends under one seqno (cfg.batching);
-          // payload = u32 n, then per sub: u16 origin, u64 msgid,
-          // bytes payload. Only delivered when the application opted in.
+  batch,  // several coalesced data sends under one seqno (cfg.batching),
+          // delivered as GroupMsg::subs. Only when the application opted in.
+};
+
+/// One data send coalesced into a batch message.
+struct GroupSub {
+  MachineId origin;
+  Buffer payload;
 };
 
 /// A message delivered by ReceiveFromGroup, in total order.
@@ -56,7 +65,9 @@ struct GroupMsg {
   std::uint64_t seqno = 0;
   MsgKind kind = MsgKind::data;
   MachineId sender;   // data: origin member; join/leave: subject member
-  Buffer payload;
+  Buffer payload;     // every kind but batch
+  /// batch: the coalesced sends not delivered before, in sequencing order.
+  std::vector<GroupSub> subs;
   /// Causal context of the send that produced this message (the hop that
   /// delivered it to this member); application apply/persist work parents
   /// under it so all members' spans join the sender's tree.
@@ -79,16 +90,7 @@ struct GroupConfig {
   std::vector<MachineId> universe;  // every machine that may ever be member
   int resilience = 2;               // r
   OrderMethod method = OrderMethod::pb;
-
-  sim::Duration heartbeat = sim::msec(50);
   int miss_limit = 4;               // heartbeats missed before failure
-  /// CPU charged per group-protocol packet handled by the kernel thread —
-  /// on the sequencer this is what bounds update throughput (Fig. 9).
-  sim::Duration kernel_cpu = sim::msec(1);
-  sim::Duration vote_window = sim::msec(8);
-  sim::Duration join_timeout = sim::msec(100);
-  sim::Duration send_retry = sim::msec(80);
-  int send_retries = 4;
   std::size_t history_limit = 8192;
   /// Sequencer update batching: REQs that arrive while earlier ones are
   /// still inside the coalescing window ride the same ACCEPT multicast
@@ -136,7 +138,7 @@ class GroupMember {
                                              GroupConfig cfg);
 
   /// JoinGroup: broadcast a join request; fails with `unreachable` if no
-  /// sequencer answers within cfg.join_timeout.
+  /// sequencer answers within kJoinTimeout.
   static Result<std::unique_ptr<GroupMember>> join(net::Machine& machine,
                                                    GroupConfig cfg);
 

@@ -143,7 +143,7 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
         go.batching = opts.batching;
         go.debug_skip_read_barrier = (i == opts.debug_stale_reads_server);
         if (opts.group_history_limit > 0) {
-          go.group_base.history_limit = opts.group_history_limit;
+          go.history_limit = opts.group_history_limit;
         }
         dir::install_group_dir_server(dir_server(i), go);
       }

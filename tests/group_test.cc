@@ -2,6 +2,7 @@
 // failure detection, ResetGroup, join/leave, and recovery interplay.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,6 +19,7 @@ struct Node {
   std::unique_ptr<GroupMember> gm;
   std::vector<std::string> delivered;    // data payloads, in delivery order
   std::vector<std::uint64_t> seqnos;     // their seqnos
+  std::vector<GroupMsg> received;        // data and batch messages
   int failures_seen = 0;
   bool auto_reset = false;
   bool stop = false;
@@ -28,6 +30,7 @@ struct GroupFixture : ::testing::Test {
   net::Cluster cluster{sim};
   std::vector<std::unique_ptr<Node>> nodes;
   int miss_limit = 4;  // loss tests raise this to avoid false positives
+  bool batching = false;
 
   GroupConfig make_cfg(int n, int r = 2) {
     GroupConfig cfg;
@@ -35,6 +38,7 @@ struct GroupFixture : ::testing::Test {
     for (int i = 0; i < n; ++i) cfg.universe.push_back(MachineId{static_cast<std::uint16_t>(i)});
     cfg.resilience = r;
     cfg.miss_limit = miss_limit;
+    cfg.batching = batching;
     return cfg;
   }
 
@@ -72,6 +76,9 @@ struct GroupFixture : ::testing::Test {
     while (!node->stop) {
       auto res = node->gm->receive();
       if (res.is_ok()) {
+        if (res->kind == MsgKind::data || res->kind == MsgKind::batch) {
+          node->received.push_back(*res);
+        }
         if (res->kind == MsgKind::data) {
           node->delivered.push_back(to_string(res->payload));
           node->seqnos.push_back(res->seqno);
@@ -439,6 +446,78 @@ TEST_F(GroupFixture, SendFailsCleanlyWhileGroupFailed) {
   });
   sim.run_until(sim::sec(3));
   EXPECT_EQ(st.code(), Errc::group_failure);
+}
+
+TEST_F(GroupFixture, BatchingCoalescesConcurrentSendsIntoOneOrder) {
+  batching = true;
+  boot(3);
+  sim.run_until(sim::msec(100));
+  // Every member sends at once, the sequencer (machine 0) included, so
+  // their sends meet inside one coalescing window; then one send alone.
+  std::vector<Status> results;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<std::string> payloads;
+    for (int k = 0; k < 4; ++k) {
+      payloads.push_back("m" + std::to_string(i) + "." + std::to_string(k));
+    }
+    send_from(i, payloads, 0, &results);
+  }
+  sim.run_until(sim::sec(2));
+  send_from(1, {"lone"}, 0, &results);
+  sim.run_until(sim::sec(3));
+
+  ASSERT_EQ(results.size(), 13u);
+  for (const auto& st : results) EXPECT_TRUE(st.is_ok()) << st.to_string();
+
+  // "seqno kind origin:payload..." per delivered message.
+  const auto describe = [](const std::vector<GroupMsg>& msgs) {
+    std::vector<std::string> out;
+    for (const auto& m : msgs) {
+      std::string d = std::to_string(m.seqno);
+      if (m.kind == MsgKind::batch) {
+        d += " batch";
+        for (const auto& sub : m.subs) {
+          d += " " + std::to_string(sub.origin.v) + ":" +
+               to_string(sub.payload);
+        }
+      } else {
+        d += " data " + std::to_string(m.sender.v) + ":" + to_string(m.payload);
+      }
+      out.push_back(d);
+    }
+    return out;
+  };
+  const std::vector<std::string> reference = describe(nodes[0]->received);
+  for (auto& node : nodes) {
+    EXPECT_EQ(describe(node->received), reference)
+        << "divergent delivery at " << node->machine->name();
+  }
+
+  // Each (origin, payload) is delivered exactly once, and some sends did
+  // share a batch.
+  std::map<std::string, int> seen;
+  int batches = 0;
+  for (const auto& m : nodes[0]->received) {
+    if (m.kind == MsgKind::batch) {
+      ++batches;
+      EXPECT_GE(m.subs.size(), 2u);
+      for (const auto& sub : m.subs) {
+        ++seen[std::to_string(sub.origin.v) + ":" + to_string(sub.payload)];
+      }
+    } else {
+      ++seen[std::to_string(m.sender.v) + ":" + to_string(m.payload)];
+    }
+  }
+  EXPECT_EQ(seen.size(), 13u);
+  for (const auto& [sub, n] : seen) EXPECT_EQ(n, 1) << sub;
+  EXPECT_GE(batches, 1);
+
+  // A lone send goes out as a plain data message.
+  ASSERT_FALSE(nodes[0]->received.empty());
+  const GroupMsg& last = nodes[0]->received.back();
+  EXPECT_EQ(last.kind, MsgKind::data);
+  EXPECT_EQ(last.sender, MachineId{1});
+  EXPECT_EQ(to_string(last.payload), "lone");
 }
 
 // ----------------------------------------------------------- BB method
