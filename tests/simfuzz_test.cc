@@ -222,11 +222,12 @@ TEST(SimFuzz, InjectedStaleReadsAreCaughtAndShrink) {
 TEST(Nemesis, ScheduleCodecRoundTripsEveryKind) {
   using K = FaultStep::Kind;
   std::vector<FaultStep> steps;
-  auto add = [&](K k, int victim, double prob) {
+  auto add = [&](K k, int victim, double prob, double factor = 1.0) {
     FaultStep s;
     s.kind = k;
     s.victim = victim;
     s.prob = prob;
+    s.factor = factor;
     s.fault = sim::msec(700);
     s.settle = sim::msec(300);
     steps.push_back(s);
@@ -236,11 +237,15 @@ TEST(Nemesis, ScheduleCodecRoundTripsEveryKind) {
   add(K::loss, 0, 0.12);
   add(K::dup, 0, 0.25);
   add(K::reorder, 0, 0.30);
-  add(K::disk_fault, 1, 0.15);  // the only two-argument token ("f1:0.15")
+  add(K::disk_fault, 1, 0.15);  // "f1:0.15"
   add(K::torn_nvram, 2, 0.0);
   add(K::storage_crash, 0, 0.0);
   add(K::crash_recovering, 1, 0.0);
   add(K::crash_recovering_storage, 2, 0.0);
+  add(K::slow_disk, 1, 0.0, 8.0);       // "D1:8.00"
+  add(K::slow_link, 2, 0.06, 29.0);     // "L2:29.00x0.06"
+  add(K::slow_replica, 0, 0.0, 11.0);   // "C0:11.00"
+  add(K::slow_nvram, 1, 0.0, 59.0);     // "N1:59.00"
   add(K::calm, 0, 0.0);
 
   const std::string text = encode_schedule(steps);
@@ -252,25 +257,28 @@ TEST(Nemesis, ScheduleCodecRoundTripsEveryKind) {
     const FaultStep& got = (*back)[i];
     EXPECT_EQ(got.kind, want.kind) << "step " << i << " in " << text;
     EXPECT_NEAR(got.prob, want.prob, 0.005) << "step " << i;
+    EXPECT_NEAR(got.factor, want.factor, 0.005) << "step " << i;
     EXPECT_EQ(got.fault, want.fault) << "step " << i;
     EXPECT_EQ(got.settle, want.settle) << "step " << i;
     switch (want.kind) {
-      case K::crash:
-      case K::partition:
-      case K::disk_fault:
-      case K::torn_nvram:
-      case K::storage_crash:
-      case K::crash_recovering:
-      case K::crash_recovering_storage:
+      case K::loss:
+      case K::dup:
+      case K::reorder:
+      case K::calm:
+        break;  // victimless
+      default:
         EXPECT_EQ(got.victim, want.victim) << "step " << i;
         break;
-      default:
-        break;  // loss/dup/reorder/calm are victimless
     }
   }
   // Encoding the decoded schedule reproduces the text byte-for-byte, so a
   // shrunk schedule printed in a failure report replays exactly.
   EXPECT_EQ(encode_schedule(*back), text);
+  EXPECT_EQ(text,
+            "c2/700/300,p1/700/300,l0.12/700/300,d0.25/700/300,"
+            "r0.30/700/300,f1:0.15/700/300,t2/700/300,s0/700/300,"
+            "j1/700/300,J2/700/300,D1:8.00/700/300,L2:29.00x0.06/700/300,"
+            "C0:11.00/700/300,N1:59.00/700/300,q/700/300");
 }
 
 TEST(Nemesis, DecodeRejectsMalformedSchedules) {
@@ -291,58 +299,46 @@ std::set<FaultStep::Kind> kinds_drawn(harness::Flavor f, bool legacy) {
 
 TEST(Nemesis, FlavorFaultMatrixIsRespected) {
   using K = FaultStep::Kind;
-  // group: full fault model, but no NVRAM to tear.
-  auto group = kinds_drawn(harness::Flavor::group, false);
-  EXPECT_TRUE(group.count(K::crash));
-  EXPECT_TRUE(group.count(K::partition));
-  EXPECT_TRUE(group.count(K::dup));
-  EXPECT_TRUE(group.count(K::reorder));
-  EXPECT_TRUE(group.count(K::disk_fault));
-  EXPECT_TRUE(group.count(K::storage_crash));
-  EXPECT_TRUE(group.count(K::crash_recovering));
-  EXPECT_TRUE(group.count(K::crash_recovering_storage));
-  EXPECT_FALSE(group.count(K::torn_nvram)) << "plain group has no NVRAM";
-
-  auto gn = kinds_drawn(harness::Flavor::group_nvram, false);
-  EXPECT_TRUE(gn.count(K::torn_nvram));
-
-  // rpc: crash-only network model — partitions and sustained loss make the
-  // two servers diverge by design, so the nemesis must not inject them.
-  auto rpc = kinds_drawn(harness::Flavor::rpc, false);
-  EXPECT_TRUE(rpc.count(K::crash));
-  EXPECT_TRUE(rpc.count(K::dup));
-  EXPECT_TRUE(rpc.count(K::reorder));
-  EXPECT_TRUE(rpc.count(K::disk_fault));
-  EXPECT_FALSE(rpc.count(K::partition));
-  EXPECT_FALSE(rpc.count(K::loss));
-  EXPECT_FALSE(rpc.count(K::storage_crash));
-  EXPECT_FALSE(rpc.count(K::crash_recovering));
-  EXPECT_FALSE(rpc.count(K::crash_recovering_storage));
-  EXPECT_FALSE(rpc.count(K::torn_nvram));
-  EXPECT_TRUE(kinds_drawn(harness::Flavor::rpc_nvram, false)
-                  .count(K::torn_nvram));
-
+  using Set = std::set<K>;
+  // group: the full fault model (paper Sec. 2-3) minus the NVRAM kinds.
+  const Set group = {K::calm,
+                     K::crash,
+                     K::partition,
+                     K::loss,
+                     K::dup,
+                     K::reorder,
+                     K::disk_fault,
+                     K::storage_crash,
+                     K::crash_recovering,
+                     K::crash_recovering_storage,
+                     K::slow_disk,
+                     K::slow_link,
+                     K::slow_replica};
+  Set group_nvram = group;
+  group_nvram.insert({K::torn_nvram, K::slow_nvram});
+  // rpc: crash-only network model. Partitions, sustained loss and a slow
+  // link or replica split the two servers by design (Sec. 1).
+  const Set rpc = {K::calm,    K::crash,      K::dup,
+                   K::reorder, K::disk_fault, K::slow_disk};
+  Set rpc_nvram = rpc;
+  rpc_nvram.insert({K::torn_nvram, K::slow_nvram});
   // nfs: a single unreplicated server; only loss and duplication are fair.
-  auto nfs = kinds_drawn(harness::Flavor::nfs, false);
-  EXPECT_TRUE(nfs.count(K::loss));
-  EXPECT_TRUE(nfs.count(K::dup));
-  for (K k : nfs) {
-    EXPECT_TRUE(k == K::loss || k == K::dup || k == K::calm)
-        << "nfs drew kind " << static_cast<int>(k);
-  }
+  const Set nfs = {K::calm, K::loss, K::dup};
+  EXPECT_EQ(kinds_drawn(harness::Flavor::group, false), group);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::group_nvram, false), group_nvram);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::rpc, false), rpc);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::rpc_nvram, false), rpc_nvram);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::nfs, false), nfs);
 
-  // --faults legacy restricts every flavor to the PR-1 kinds.
-  for (harness::Flavor f :
-       {harness::Flavor::group, harness::Flavor::group_nvram,
-        harness::Flavor::rpc, harness::Flavor::rpc_nvram,
-        harness::Flavor::nfs}) {
-    for (K k : kinds_drawn(f, true)) {
-      EXPECT_TRUE(k == K::crash || k == K::partition || k == K::loss ||
-                  k == K::calm)
-          << flavor_token(f) << " drew kind " << static_cast<int>(k)
-          << " under --faults legacy";
-    }
-  }
+  // --faults legacy restricts every flavor to the PR-1 kinds it admits.
+  const Set legacy_group = {K::calm, K::crash, K::partition, K::loss};
+  const Set legacy_rpc = {K::calm, K::crash};
+  const Set legacy_nfs = {K::calm, K::loss};
+  EXPECT_EQ(kinds_drawn(harness::Flavor::group, true), legacy_group);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::group_nvram, true), legacy_group);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::rpc, true), legacy_rpc);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::rpc_nvram, true), legacy_rpc);
+  EXPECT_EQ(kinds_drawn(harness::Flavor::nfs, true), legacy_nfs);
 }
 
 // -------------------------------------------------- shrunk regressions
