@@ -1,13 +1,92 @@
 #include "check/nemesis.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string_view>
 
 #include "common/rand.h"
 
 namespace amoeba::check {
 
 namespace {
+
+using K = FaultStep::Kind;
+using V = FaultVictim;
+
+constexpr unsigned bit(harness::Flavor f) {
+  return 1u << static_cast<unsigned>(f);
+}
+constexpr unsigned kGroup =
+    bit(harness::Flavor::group) | bit(harness::Flavor::group_nvram);
+constexpr unsigned kRpc =
+    bit(harness::Flavor::rpc) | bit(harness::Flavor::rpc_nvram);
+constexpr unsigned kNvram =
+    bit(harness::Flavor::group_nvram) | bit(harness::Flavor::rpc_nvram);
+constexpr unsigned kNfs = bit(harness::Flavor::nfs);
+
+/// Probability draw of every kind without a draw of its own (≤ 0.24). The
+/// victim kinds ignore it, but drawing it keeps their schedules stable.
+constexpr FaultKindInfo::Draw kProb{0.02, 0.02, 12};
+
+// The fault vocabulary. The generator draws from the rows a flavor admits
+// in table order, so `calm` stays last and the two crash-during-recovery
+// kinds stay adjacent: reordering rows changes every generated schedule.
+// The group flavors admit the full fault model (paper Sec. 2-3). The nfs
+// baseline is a single unreplicated server with no boot-time state reload
+// and no separate storage machine: a crash legitimately loses acknowledged
+// updates, so it sees only loss and duplicate delivery.
+//
+// Columns: kind, name, token, args, victim group, gray, both_peers,
+// legacy, flavors, prob draw, factor draw.
+constexpr FaultKindInfo kKinds[] = {
+    {K::crash, "crash", 'c', kArgVictim, V::server, false, false, true,
+     kGroup | kRpc, kProb, {}},
+    // rpc has a crash-only network fault model (Sec. 1): a partition lets
+    // both servers commit solo writes, the by-design divergence that
+    // motivated the group service.
+    {K::partition, "partition", 'p', kArgVictim, V::server, false, false,
+     true, kGroup, kProb, {}},
+    // rpc: sustained loss times out the peer link on both sides at once,
+    // the same divergence as a partition.
+    {K::loss, "loss", 'l', kArgProb, V::network, false, false, true,
+     kGroup | kNfs, kProb, {}},
+    {K::dup, "dup", 'd', kArgProb, V::network, false, false, false,
+     kGroup | kRpc | kNfs, {0.05, 0.05, 6}, {}},
+    {K::reorder, "reorder", 'r', kArgProb, V::network, false, false, false,
+     kGroup | kRpc, {0.05, 0.05, 6}, {}},
+    {K::disk_fault, "disk_fault", 'f', kArgVictim | kArgProb, V::storage,
+     false, false, false, kGroup | kRpc, {0.05, 0.05, 4}, {}},
+    {K::torn_nvram, "torn_nvram", 't', kArgVictim, V::server, false, false,
+     false, kNvram, kProb, {}},
+    {K::storage_crash, "storage_crash", 's', kArgVictim, V::storage, false,
+     false, false, kGroup, kProb, {}},
+    {K::crash_recovering, "crash_recovering", 'j', kArgVictim, V::server,
+     false, false, false, kGroup, kProb, {}},
+    {K::crash_recovering_storage, "crash_recovering_storage", 'J', kArgVictim,
+     V::server, false, false, false, kGroup, kProb, {}},
+    // Fail-slow kinds. nfs has no replica group: nothing for the
+    // differential detector to compare a slow peer against. Storage-side
+    // slowness is safe for rpc. A slow spindle inflates both the storage
+    // machine's RPCs and its server's replies (it blocks on that spindle).
+    {K::slow_disk, "slow_disk", 'D', kArgVictim | kArgFactor, V::storage,
+     true, true, false, kGroup | kRpc, {}, {3, 1, 6}},
+    // rpc: sustained one-sided slowness times out the two-server peer link
+    // just like loss does, and both halves then commit solo. The
+    // multiplier scales the ~0.9 ms wire latency, so it must be large
+    // before it shows over per-op CPU time; a degraded link also inflates
+    // the server's view of its private storage.
+    {K::slow_link, "slow_link", 'L', kArgVictim | kArgFactor | kArgProb,
+     V::server, true, true, false, kGroup, {0, 0.02, 4}, {10, 1, 20}},
+    {K::slow_replica, "slow_replica", 'C', kArgVictim | kArgFactor,
+     V::server, true, false, false, kGroup, {}, {4, 1, 8}},
+    {K::slow_nvram, "slow_nvram", 'N', kArgVictim | kArgFactor, V::server,
+     true, false, false, kNvram, {}, {20, 1, 40}},
+    {K::calm, "calm", 'q', 0, V::network, false, false, true,
+     kGroup | kRpc | kNfs, kProb, {}},
+};
 
 /// Crash `m` if it is up (idempotent across overlapping steps).
 void crash_machine(harness::Testbed& bed, net::Machine& m) {
@@ -18,231 +97,226 @@ void restart_machine(harness::Testbed& bed, net::Machine& m) {
   if (!m.up()) bed.cluster().restart(m.id());
 }
 
-}  // namespace
-
-const char* fault_kind_name(FaultStep::Kind k) {
-  switch (k) {
-    case FaultStep::Kind::calm: return "calm";
-    case FaultStep::Kind::crash: return "crash";
-    case FaultStep::Kind::partition: return "partition";
-    case FaultStep::Kind::loss: return "loss";
-    case FaultStep::Kind::dup: return "dup";
-    case FaultStep::Kind::reorder: return "reorder";
-    case FaultStep::Kind::disk_fault: return "disk_fault";
-    case FaultStep::Kind::torn_nvram: return "torn_nvram";
-    case FaultStep::Kind::storage_crash: return "storage_crash";
-    case FaultStep::Kind::crash_recovering: return "crash_recovering";
-    case FaultStep::Kind::crash_recovering_storage:
-      return "crash_recovering_storage";
-    case FaultStep::Kind::slow_disk: return "slow_disk";
-    case FaultStep::Kind::slow_link: return "slow_link";
-    case FaultStep::Kind::slow_replica: return "slow_replica";
-    case FaultStep::Kind::slow_nvram: return "slow_nvram";
-  }
-  return "unknown";
+/// Crash storage machine `i` with torn writes armed for the kill instant:
+/// a block write in flight persists only a prefix.
+void crash_storage_torn(harness::Testbed& bed, int i) {
+  disk::VirtualDisk& d = bed.vdisk(i);
+  d.set_torn_writes(true);
+  crash_machine(bed, bed.storage(i));
+  d.set_torn_writes(false);
 }
 
-NemesisOptions default_nemesis(harness::Flavor flavor, int nservers,
-                               int steps, bool legacy_only) {
-  NemesisOptions o;
-  o.steps = steps;
-  o.nservers = nservers;
-  const bool nvram = flavor == harness::Flavor::group_nvram ||
-                     flavor == harness::Flavor::rpc_nvram;
-  o.allow_torn_nvram = nvram;
-  o.allow_slow_nvram = nvram;
-  switch (flavor) {
-    case harness::Flavor::group:
-    case harness::Flavor::group_nvram:
-      // Full fault model (paper Sec. 2-3): crashes, partitions, loss,
-      // duplicate/reordered delivery, disk faults, storage-machine crashes
-      // and crashes during the recovery window itself.
+/// Turn `step`'s fault on or off. `victim` / `sto_victim` are the step's
+/// victim reduced to a server / storage index.
+void set_fault(harness::Testbed& bed, const FaultStep& step, int victim,
+               int sto_victim, bool on) {
+  net::Network& net = bed.cluster().net();
+  net::Machine& server = bed.dir_server(victim);
+  switch (step.kind) {
+    case K::crash:
+      on ? crash_machine(bed, server) : restart_machine(bed, server);
       break;
-    case harness::Flavor::rpc:
-    case harness::Flavor::rpc_nvram:
-      // Crash-only network fault model (Sec. 1): partitions — and
-      // sustained loss, which times out the peer link on both sides at
-      // once — let both servers commit solo writes, the by-design
-      // divergence that motivated the group service. Storage faults and
-      // duplicate/reordered delivery are fair game.
-      o.allow_partition = false;
-      o.allow_loss = false;
-      o.allow_storage_crash = false;
-      o.allow_crash_recovering = false;
-      // Sustained one-sided slowness times out the two-server peer link
-      // just like loss does, and both halves then commit solo — the
-      // documented divergence. Storage-side slowness is safe.
-      o.allow_slow_link = false;
-      o.allow_slow_replica = false;
+    case K::partition: {
+      if (!on) {
+        bed.cluster().heal();
+        break;
+      }
+      // Minority = the victim server plus its private storage machine;
+      // everyone else (other servers, storage, all clients) stays together.
+      std::vector<net::MachineId> big, small;
+      for (int i = 0; i < bed.num_dir_servers(); ++i) {
+        auto& side = (i == victim) ? small : big;
+        side.push_back(bed.dir_server(i).id());
+        if (bed.options().flavor != harness::Flavor::nfs) {
+          side.push_back(bed.storage(i).id());
+        }
+      }
+      for (int i = 0; i < bed.num_clients(); ++i) {
+        big.push_back(bed.client(i).id());
+      }
+      bed.cluster().partition({big, small});
       break;
-    case harness::Flavor::nfs:
-      // Single unreplicated server with no boot-time state reload: a crash
-      // legitimately loses acknowledged updates and there is no separate
-      // storage machine, so only inject loss and duplicate delivery.
-      o.allow_crash = false;
-      o.allow_partition = false;
-      o.allow_reorder = false;
-      o.allow_disk_fault = false;
-      o.allow_storage_crash = false;
-      o.allow_crash_recovering = false;
-      // No separate storage machine and no replica group: nothing for
-      // the differential detector to compare a slow peer against.
-      o.allow_slow_disk = false;
-      o.allow_slow_link = false;
-      o.allow_slow_replica = false;
+    }
+    case K::loss:
+      net.set_drop_prob(on ? std::min(0.9, step.prob) : 0.0);
       break;
+    case K::dup:
+      net.set_dup_prob(on ? std::min(0.9, step.prob) : 0.0);
+      break;
+    case K::reorder:
+      net.set_reorder_prob(on ? std::min(0.9, step.prob) : 0.0);
+      break;
+    case K::disk_fault:
+      bed.vdisk(sto_victim).set_fault_prob(on ? step.prob : 0.0);
+      break;
+    case K::torn_nvram: {
+      // Crash the victim while torn appends are armed: an append in flight
+      // at the kill instant leaves a partial tail record for the reboot to
+      // cope with. Without NVRAM the step is a plain crash.
+      if (!on) {
+        restart_machine(bed, server);
+        break;
+      }
+      nvram::Nvram* nv = bed.nvram_of(victim);
+      if (nv != nullptr) nv->set_torn_appends(true);
+      crash_machine(bed, server);
+      if (nv != nullptr) nv->set_torn_appends(false);
+      break;
+    }
+    case K::storage_crash:
+      on ? crash_storage_torn(bed, sto_victim)
+         : restart_machine(bed, bed.storage(sto_victim));
+      break;
+    case K::slow_disk:
+      // The victim's spindle serves every op `factor`x slower. Nothing
+      // fails, nothing leaves the membership — only the health layer's
+      // differential latency digests can name the victim.
+      bed.vdisk(sto_victim).set_slow_factor(on ? step.factor : 1.0);
+      break;
+    case K::slow_link:
+      // Every packet to/from the victim server takes `factor`x the normal
+      // latency and is lost with an extra `prob` (a flapping transceiver).
+      if (on) {
+        net.set_link_degrade(server.id(), step.factor,
+                             std::min(0.5, step.prob));
+      } else {
+        net.clear_link_degrade(server.id());
+      }
+      break;
+    case K::slow_replica:
+      // One slow replica dragging the group: its replies (and the group
+      // operations it sequences) lag its peers'.
+      server.cpu().set_drag(on ? step.factor : 1.0);
+      break;
+    case K::slow_nvram:
+      // Appends take `factor`x the usual 100 us: a battery controller
+      // stuck refreshing.
+      bed.nvram_of(victim)->set_slow_factor(on ? step.factor : 1.0);
+      break;
+    case K::calm:
+    case K::crash_recovering:
+    case K::crash_recovering_storage:
+      break;  // run_step sequences these itself
   }
-  if (legacy_only) {
-    o.allow_dup = false;
-    o.allow_reorder = false;
-    o.allow_disk_fault = false;
-    o.allow_torn_nvram = false;
-    o.allow_storage_crash = false;
-    o.allow_crash_recovering = false;
-    o.allow_slow_disk = false;
-    o.allow_slow_link = false;
-    o.allow_slow_replica = false;
-    o.allow_slow_nvram = false;
+}
+
+/// Cursor over one schedule token. Each read consumes exactly the text it
+/// matches and fails on anything else.
+struct TokenReader {
+  std::string_view rest;
+
+  bool lit(char c) {
+    if (rest.empty() || rest.front() != c) return false;
+    rest.remove_prefix(1);
+    return true;
   }
-  return o;
+  /// A number in [lo, hi]. It must start with a digit: from_chars would
+  /// also take a sign, "inf" and "nan".
+  template <typename T>
+  bool num(T lo, T hi, T& out) {
+    if (rest.empty() || rest.front() < '0' || rest.front() > '9') {
+      return false;
+    }
+    T v{};
+    const auto [end, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), v);
+    if (ec != std::errc() || !(v >= lo && v <= hi)) return false;
+    rest.remove_prefix(static_cast<std::size_t>(end - rest.data()));
+    out = v;
+    return true;
+  }
+};
+
+bool parse_step(std::string_view tok, FaultStep& s) {
+  const auto* row = std::find_if(
+      std::begin(kKinds), std::end(kKinds),
+      [&](const FaultKindInfo& k) { return k.token == tok.front(); });
+  if (row == std::end(kKinds)) return false;
+  s.kind = row->kind;
+  TokenReader r{tok.substr(1)};
+  const unsigned a = row->args;
+  bool ok = !(a & kArgVictim) ||
+            r.num(0, std::numeric_limits<int>::max(), s.victim);
+  if (a & kArgFactor) ok = ok && r.lit(':') && r.num(1.0, 1000.0, s.factor);
+  if (a & kArgProb) {
+    // A prob follows ':' after a bare victim and 'x' after a factor.
+    if (a & kArgVictim) ok = ok && r.lit(a & kArgFactor ? 'x' : ':');
+    ok = ok && r.num(0.0, 1.0, s.prob);
+  }
+  // Windows are capped at one simulated day.
+  constexpr long long kMaxMs = 86'400'000;
+  long long fault_ms = 0, settle_ms = 0;
+  ok = ok && r.lit('/') && r.num(0LL, kMaxMs, fault_ms) && r.lit('/') &&
+       r.num(0LL, kMaxMs, settle_ms) && r.rest.empty();
+  s.fault = sim::msec(fault_ms);
+  s.settle = sim::msec(settle_ms);
+  return ok;
+}
+
+}  // namespace
+
+const FaultKindInfo& fault_kind(FaultStep::Kind k) {
+  // Searches all rows but the last, calm, which is also the answer for a
+  // value that names no kind.
+  return *std::find_if(std::begin(kKinds), std::end(kKinds) - 1,
+                       [k](const FaultKindInfo& row) { return row.kind == k; });
 }
 
 std::vector<FaultStep> make_schedule(std::uint64_t seed,
-                                     const NemesisOptions& opts) {
+                                     harness::Flavor flavor, int nservers,
+                                     int steps, bool legacy) {
   Prng rng(seed * 0x9e3779b97f4a7c15ull + 0xbf58476d1ce4e5b9ull);
-  std::vector<FaultStep::Kind> kinds;
-  if (opts.allow_crash) kinds.push_back(FaultStep::Kind::crash);
-  if (opts.allow_partition) kinds.push_back(FaultStep::Kind::partition);
-  if (opts.allow_loss) kinds.push_back(FaultStep::Kind::loss);
-  if (opts.allow_dup) kinds.push_back(FaultStep::Kind::dup);
-  if (opts.allow_reorder) kinds.push_back(FaultStep::Kind::reorder);
-  if (opts.allow_disk_fault) kinds.push_back(FaultStep::Kind::disk_fault);
-  if (opts.allow_torn_nvram) kinds.push_back(FaultStep::Kind::torn_nvram);
-  if (opts.allow_storage_crash) {
-    kinds.push_back(FaultStep::Kind::storage_crash);
-  }
-  if (opts.allow_crash_recovering) {
-    kinds.push_back(FaultStep::Kind::crash_recovering);
-    kinds.push_back(FaultStep::Kind::crash_recovering_storage);
-  }
-  if (opts.allow_slow_disk) kinds.push_back(FaultStep::Kind::slow_disk);
-  if (opts.allow_slow_link) kinds.push_back(FaultStep::Kind::slow_link);
-  if (opts.allow_slow_replica) {
-    kinds.push_back(FaultStep::Kind::slow_replica);
-  }
-  if (opts.allow_slow_nvram) kinds.push_back(FaultStep::Kind::slow_nvram);
-  kinds.push_back(FaultStep::Kind::calm);
-
-  std::vector<FaultStep> steps;
-  steps.reserve(static_cast<std::size_t>(opts.steps));
-  for (int i = 0; i < opts.steps; ++i) {
-    FaultStep s;
-    s.kind = kinds[rng.below(kinds.size())];
-    s.victim = static_cast<int>(rng.below(
-        static_cast<std::uint64_t>(std::max(1, opts.nservers))));
-    switch (s.kind) {
-      case FaultStep::Kind::dup:
-      case FaultStep::Kind::reorder:
-        s.prob = 0.05 + 0.05 * static_cast<double>(rng.below(6));  // ≤ 0.30
-        break;
-      case FaultStep::Kind::disk_fault:
-        s.prob = 0.05 + 0.05 * static_cast<double>(rng.below(4));  // ≤ 0.20
-        break;
-      case FaultStep::Kind::slow_disk:
-        s.factor = static_cast<double>(3 + rng.below(6));  // 3x .. 8x
-        break;
-      case FaultStep::Kind::slow_link:
-        // The multiplier scales the ~0.9 ms wire latency, so it must be
-        // large before it shows over per-op CPU time.
-        s.factor = static_cast<double>(10 + rng.below(20));  // 10x .. 29x
-        s.prob = 0.02 * static_cast<double>(rng.below(4));   // loss ≤ 0.06
-        break;
-      case FaultStep::Kind::slow_replica:
-        s.factor = static_cast<double>(4 + rng.below(8));  // 4x .. 11x
-        break;
-      case FaultStep::Kind::slow_nvram:
-        s.factor = static_cast<double>(20 + rng.below(40));  // 20x .. 59x
-        break;
-      default:
-        s.prob = 0.02 + 0.02 * static_cast<double>(rng.below(12));  // ≤ 0.24
-        break;
+  std::vector<const FaultKindInfo*> kinds;
+  for (const FaultKindInfo& k : kKinds) {
+    if ((k.flavors & bit(flavor)) != 0 && (k.legacy || !legacy)) {
+      kinds.push_back(&k);
     }
+  }
+  const auto draw = [&rng](const FaultKindInfo::Draw& d, double& out) {
+    if (d.count > 0) {
+      out = d.base +
+            d.step * static_cast<double>(
+                         rng.below(static_cast<std::uint64_t>(d.count)));
+    }
+  };
+  std::vector<FaultStep> out;
+  out.reserve(static_cast<std::size_t>(std::max(0, steps)));
+  for (int i = 0; i < steps; ++i) {
+    const FaultKindInfo& k = *kinds[rng.below(kinds.size())];
+    FaultStep s;
+    s.kind = k.kind;
+    s.victim = static_cast<int>(
+        rng.below(static_cast<std::uint64_t>(std::max(1, nservers))));
+    draw(k.factor, s.factor);
+    draw(k.prob, s.prob);
     s.fault = sim::msec(static_cast<std::int64_t>(400 + rng.below(1800)));
     s.settle = sim::msec(static_cast<std::int64_t>(300 + rng.below(1200)));
-    steps.push_back(s);
+    out.push_back(s);
   }
-  return steps;
+  return out;
 }
 
 std::string encode_schedule(const std::vector<FaultStep>& steps) {
   std::string out;
-  for (const FaultStep& s : steps) {
-    if (!out.empty()) out += ',';
-    char buf[64];
-    const long fault_ms = static_cast<long>(s.fault / 1000);
-    const long settle_ms = static_cast<long>(s.settle / 1000);
-    switch (s.kind) {
-      case FaultStep::Kind::crash:
-        std::snprintf(buf, sizeof buf, "c%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::partition:
-        std::snprintf(buf, sizeof buf, "p%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::loss:
-        std::snprintf(buf, sizeof buf, "l%.2f/%ld/%ld", s.prob, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::dup:
-        std::snprintf(buf, sizeof buf, "d%.2f/%ld/%ld", s.prob, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::reorder:
-        std::snprintf(buf, sizeof buf, "r%.2f/%ld/%ld", s.prob, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::disk_fault:
-        std::snprintf(buf, sizeof buf, "f%d:%.2f/%ld/%ld", s.victim, s.prob,
-                      fault_ms, settle_ms);
-        break;
-      case FaultStep::Kind::torn_nvram:
-        std::snprintf(buf, sizeof buf, "t%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::storage_crash:
-        std::snprintf(buf, sizeof buf, "s%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::crash_recovering:
-        std::snprintf(buf, sizeof buf, "j%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::crash_recovering_storage:
-        std::snprintf(buf, sizeof buf, "J%d/%ld/%ld", s.victim, fault_ms,
-                      settle_ms);
-        break;
-      case FaultStep::Kind::slow_disk:
-        std::snprintf(buf, sizeof buf, "D%d:%.2f/%ld/%ld", s.victim,
-                      s.factor, fault_ms, settle_ms);
-        break;
-      case FaultStep::Kind::slow_link:
-        std::snprintf(buf, sizeof buf, "L%d:%.2fx%.2f/%ld/%ld", s.victim,
-                      s.factor, s.prob, fault_ms, settle_ms);
-        break;
-      case FaultStep::Kind::slow_replica:
-        std::snprintf(buf, sizeof buf, "C%d:%.2f/%ld/%ld", s.victim,
-                      s.factor, fault_ms, settle_ms);
-        break;
-      case FaultStep::Kind::slow_nvram:
-        std::snprintf(buf, sizeof buf, "N%d:%.2f/%ld/%ld", s.victim,
-                      s.factor, fault_ms, settle_ms);
-        break;
-      case FaultStep::Kind::calm:
-        std::snprintf(buf, sizeof buf, "q/%ld/%ld", fault_ms, settle_ms);
-        break;
-    }
+  const auto field = [&out](char sep, const char* fmt, auto v) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    if (sep != 0) out += sep;
     out += buf;
+  };
+  for (const FaultStep& s : steps) {
+    const FaultKindInfo& k = fault_kind(s.kind);
+    const unsigned a = k.args;
+    if (!out.empty()) out += ',';
+    out += k.token;
+    if (a & kArgVictim) field(0, "%d", s.victim);
+    if (a & kArgFactor) field(':', "%.2f", s.factor);
+    // A prob follows ':' after a bare victim and 'x' after a factor.
+    if (a & kArgProb) {
+      field(a & kArgFactor ? 'x' : a & kArgVictim ? ':' : 0, "%.2f", s.prob);
+    }
+    field('/', "%ld", static_cast<long>(s.fault / 1000));
+    field('/', "%ld", static_cast<long>(s.settle / 1000));
   }
   return out;
 }
@@ -253,94 +327,14 @@ Result<std::vector<FaultStep>> decode_schedule(const std::string& text) {
   while (pos < text.size()) {
     std::size_t end = text.find(',', pos);
     if (end == std::string::npos) end = text.size();
-    const std::string tok = text.substr(pos, end - pos);
+    const std::string_view tok(text.data() + pos, end - pos);
     pos = end + 1;
     if (tok.empty()) continue;
     FaultStep s;
-    char kind = 0;
-    double arg = 0;
-    double arg2 = 0;
-    int victim = 0;
-    long fault_ms = 0, settle_ms = 0;
-    // Explicit "<letter><victim>:<value>" forms first: the generic
-    // "%c%lf" pattern below cannot parse past the ':'.
-    if (std::sscanf(tok.c_str(), "f%d:%lf/%ld/%ld", &victim, &arg, &fault_ms,
-                    &settle_ms) == 4) {
-      s.kind = FaultStep::Kind::disk_fault;
-      s.victim = victim;
-      s.prob = arg;
-    } else if (std::sscanf(tok.c_str(), "D%d:%lf/%ld/%ld", &victim, &arg,
-                           &fault_ms, &settle_ms) == 4) {
-      s.kind = FaultStep::Kind::slow_disk;
-      s.victim = victim;
-      s.factor = arg;
-    } else if (std::sscanf(tok.c_str(), "L%d:%lfx%lf/%ld/%ld", &victim, &arg,
-                           &arg2, &fault_ms, &settle_ms) == 5) {
-      s.kind = FaultStep::Kind::slow_link;
-      s.victim = victim;
-      s.factor = arg;
-      s.prob = arg2;
-    } else if (std::sscanf(tok.c_str(), "C%d:%lf/%ld/%ld", &victim, &arg,
-                           &fault_ms, &settle_ms) == 4) {
-      s.kind = FaultStep::Kind::slow_replica;
-      s.victim = victim;
-      s.factor = arg;
-    } else if (std::sscanf(tok.c_str(), "N%d:%lf/%ld/%ld", &victim, &arg,
-                           &fault_ms, &settle_ms) == 4) {
-      s.kind = FaultStep::Kind::slow_nvram;
-      s.victim = victim;
-      s.factor = arg;
-    } else if (std::sscanf(tok.c_str(), "%c%lf/%ld/%ld", &kind, &arg,
-                           &fault_ms, &settle_ms) == 4) {
-      switch (kind) {
-        case 'c':
-          s.kind = FaultStep::Kind::crash;
-          s.victim = static_cast<int>(arg);
-          break;
-        case 'p':
-          s.kind = FaultStep::Kind::partition;
-          s.victim = static_cast<int>(arg);
-          break;
-        case 'l':
-          s.kind = FaultStep::Kind::loss;
-          s.prob = arg;
-          break;
-        case 'd':
-          s.kind = FaultStep::Kind::dup;
-          s.prob = arg;
-          break;
-        case 'r':
-          s.kind = FaultStep::Kind::reorder;
-          s.prob = arg;
-          break;
-        case 't':
-          s.kind = FaultStep::Kind::torn_nvram;
-          s.victim = static_cast<int>(arg);
-          break;
-        case 's':
-          s.kind = FaultStep::Kind::storage_crash;
-          s.victim = static_cast<int>(arg);
-          break;
-        case 'j':
-          s.kind = FaultStep::Kind::crash_recovering;
-          s.victim = static_cast<int>(arg);
-          break;
-        case 'J':
-          s.kind = FaultStep::Kind::crash_recovering_storage;
-          s.victim = static_cast<int>(arg);
-          break;
-        default:
-          return Status::error(Errc::bad_request,
-                               "bad schedule step: " + tok);
-      }
-    } else if (std::sscanf(tok.c_str(), "q/%ld/%ld", &fault_ms, &settle_ms) ==
-               2) {
-      s.kind = FaultStep::Kind::calm;
-    } else {
-      return Status::error(Errc::bad_request, "bad schedule step: " + tok);
+    if (!parse_step(tok, s)) {
+      return Status::error(Errc::bad_request,
+                           "bad schedule step: " + std::string(tok));
     }
-    s.fault = sim::msec(fault_ms);
-    s.settle = sim::msec(settle_ms);
     steps.push_back(s);
   }
   return steps;
@@ -348,241 +342,95 @@ Result<std::vector<FaultStep>> decode_schedule(const std::string& text) {
 
 void run_step(harness::Testbed& bed, const FaultStep& step) {
   sim::Simulator& sim = bed.sim();
+  const FaultKindInfo& info = fault_kind(step.kind);
   const int n = bed.num_dir_servers();
   const int victim = n > 0 ? step.victim % n : 0;
   const int nsto = bed.num_storage();
   const int sto_victim = nsto > 0 ? step.victim % nsto : -1;
-  // Fault-phase bracket: `inject` opens a phase on the availability
-  // timeline (detection/isolation/recovery marks arrive from the layers as
-  // signals); `heal` closes the injection and drops a "nemesis" span on the
-  // victim's trace lane so fault bars line up with the request spans they
-  // disturbed. Network-wide faults (loss/dup/reorder) carry victim = -1.
-  obs::Timeline& tl = bed.timeline();
-  const char* kname = fault_kind_name(step.kind);
-  sim::Time t_inject = -1;
-  std::uint32_t lane = 0;
-  auto inject = [&](std::uint32_t pid, int timeline_victim,
-                    const char* vkind = "server", bool gray = false) {
-    t_inject = sim.now();
-    lane = pid;
-    tl.fault_injected(kname, timeline_victim, t_inject, vkind, gray);
-  };
-  auto heal = [&] {
-    tl.fault_healed(sim.now());
-    bed.trace().complete(t_inject, sim.now() - t_inject, "nemesis", kname,
-                         lane, static_cast<std::uint64_t>(step.victim));
-  };
-  switch (step.kind) {
-    case FaultStep::Kind::calm:
-      sim.run_for(step.fault);
-      break;
-    case FaultStep::Kind::crash: {
-      net::Machine& m = bed.dir_server(victim);
-      inject(m.id().v, victim);
-      crash_machine(bed, m);
-      sim.run_for(step.fault);
-      restart_machine(bed, m);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::partition: {
-      // Minority = the victim server plus its private storage machine;
-      // everyone else (other servers, storage, all clients) stays together.
-      std::vector<net::MachineId> big, small;
-      for (int i = 0; i < n; ++i) {
-        auto& side = (i == victim) ? small : big;
-        side.push_back(bed.dir_server(i).id());
-        if (bed.options().flavor != harness::Flavor::nfs) {
-          side.push_back(bed.storage(i).id());
-        }
-      }
-      for (int i = 0; i < bed.num_clients(); ++i) {
-        big.push_back(bed.client(i).id());
-      }
-      inject(bed.dir_server(victim).id().v, victim);
-      bed.cluster().partition({big, small});
-      sim.run_for(step.fault);
-      bed.cluster().heal();
-      heal();
-      break;
-    }
-    case FaultStep::Kind::loss: {
-      inject(bed.dir_server(0).id().v, -1);
-      bed.cluster().net().set_drop_prob(std::min(0.9, step.prob));
-      sim.run_for(step.fault);
-      bed.cluster().net().set_drop_prob(0.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::dup: {
-      inject(bed.dir_server(0).id().v, -1);
-      bed.cluster().net().set_dup_prob(std::min(0.9, step.prob));
-      sim.run_for(step.fault);
-      bed.cluster().net().set_dup_prob(0.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::reorder: {
-      inject(bed.dir_server(0).id().v, -1);
-      bed.cluster().net().set_reorder_prob(std::min(0.9, step.prob));
-      sim.run_for(step.fault);
-      bed.cluster().net().set_reorder_prob(0.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::disk_fault: {
-      if (sto_victim < 0) {
-        sim.run_for(step.fault);
-        break;
-      }
-      disk::VirtualDisk& d = bed.vdisk(sto_victim);
-      inject(bed.storage(sto_victim).id().v, sto_victim, "storage");
-      d.set_fault_prob(step.prob);
-      sim.run_for(step.fault);
-      d.set_fault_prob(0.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::torn_nvram: {
-      // Crash the victim while torn appends are armed: an append in flight
-      // at the kill instant leaves a partial tail record for the reboot to
-      // cope with.
-      net::Machine& m = bed.dir_server(victim);
-      nvram::Nvram* nv = bed.nvram_of(victim);
-      inject(m.id().v, victim);
-      if (nv != nullptr) nv->set_torn_appends(true);
-      crash_machine(bed, m);
-      if (nv != nullptr) nv->set_torn_appends(false);
-      sim.run_for(step.fault);
-      restart_machine(bed, m);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::storage_crash: {
-      if (sto_victim < 0) {
-        sim.run_for(step.fault);
-        break;
-      }
-      // Torn writes armed for the kill window: a block write in flight
-      // persists only a prefix.
-      net::Machine& s = bed.storage(sto_victim);
-      disk::VirtualDisk& d = bed.vdisk(sto_victim);
-      inject(s.id().v, sto_victim, "storage");
-      d.set_torn_writes(true);
-      crash_machine(bed, s);
-      d.set_torn_writes(false);
-      sim.run_for(step.fault);
-      restart_machine(bed, s);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::crash_recovering: {
-      // The Sec. 3.2 headline scenario: a server dies again while it is
-      // still rejoining / state-transferring. The second kill lands
-      // `fault` after the restart, so different seeds hit different
-      // recovery phases (join, exchange, snapshot fetch, persist). One
-      // fault phase spans both kills: healed = the final restart.
-      net::Machine& m = bed.dir_server(victim);
-      inject(m.id().v, victim);
-      crash_machine(bed, m);
-      sim.run_for(sim::msec(200));
-      restart_machine(bed, m);
-      sim.run_for(step.fault);
-      crash_machine(bed, m);
-      sim.run_for(sim::msec(400));
-      restart_machine(bed, m);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::crash_recovering_storage: {
-      // Crash the storage/Bullet machine under a directory server while
-      // that server is recovering: its snapshot install / persist path
-      // sees its own disk vanish mid-flight.
-      net::Machine& m = bed.dir_server(victim);
-      inject(m.id().v, victim);
-      crash_machine(bed, m);
-      sim.run_for(sim::msec(200));
-      restart_machine(bed, m);
-      sim.run_for(step.fault / 2);
-      if (sto_victim >= 0) {
-        net::Machine& s = bed.storage(sto_victim);
-        disk::VirtualDisk& d = bed.vdisk(sto_victim);
-        d.set_torn_writes(true);
-        crash_machine(bed, s);
-        d.set_torn_writes(false);
-        sim.run_for(step.fault);
-        restart_machine(bed, s);
-      } else {
-        sim.run_for(step.fault);
-      }
-      heal();
-      break;
-    }
-    case FaultStep::Kind::slow_disk: {
-      // Fail-slow disk: the victim's spindle serves every op `factor`x
-      // slower. Nothing fails, nothing leaves the membership — only the
-      // health layer's differential latency digests can name the victim.
-      if (sto_victim < 0) {
-        sim.run_for(step.fault);
-        break;
-      }
-      disk::VirtualDisk& d = bed.vdisk(sto_victim);
-      inject(bed.storage(sto_victim).id().v, sto_victim, "storage",
-             /*gray=*/true);
-      d.set_slow_factor(step.factor);
-      sim.run_for(step.fault);
-      d.set_slow_factor(1.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::slow_link: {
-      // Fail-slow link: every packet to/from the victim server takes
-      // `factor`x the normal latency and is lost with an extra `prob`
-      // (a flapping transceiver). The victim stays reachable.
-      net::Machine& m = bed.dir_server(victim);
-      inject(m.id().v, victim, "server", /*gray=*/true);
-      bed.cluster().net().set_link_degrade(m.id(), step.factor,
-                                           std::min(0.5, step.prob));
-      sim.run_for(step.fault);
-      bed.cluster().net().clear_link_degrade(m.id());
-      heal();
-      break;
-    }
-    case FaultStep::Kind::slow_replica: {
-      // One slow replica dragging the group: the victim server's CPU
-      // serves every request `factor`x slower, so its replies (and the
-      // group operations it sequences) lag its peers'.
-      net::Machine& m = bed.dir_server(victim);
-      inject(m.id().v, victim, "server", /*gray=*/true);
-      m.cpu().set_drag(step.factor);
-      sim.run_for(step.fault);
-      m.cpu().set_drag(1.0);
-      heal();
-      break;
-    }
-    case FaultStep::Kind::slow_nvram: {
-      // Fail-slow NVRAM: the victim's appends take `factor`x the usual
-      // 100 us — a battery controller stuck refreshing. Only meaningful
-      // on the *_nvram flavors; elsewhere the step degrades to calm.
-      nvram::Nvram* nv = bed.nvram_of(victim);
-      if (nv == nullptr) {
-        sim.run_for(step.fault);
-        break;
-      }
-      inject(bed.dir_server(victim).id().v, victim, "server",
-             /*gray=*/true);
-      nv->set_slow_factor(step.factor);
-      sim.run_for(step.fault);
-      nv->set_slow_factor(1.0);
-      heal();
-      break;
-    }
+  // A storage step without storage machines (nfs) and a slow-NVRAM step
+  // without NVRAM degrade to calm: no fault phase opens.
+  if (step.kind == K::calm ||
+      (info.victim == V::storage && sto_victim < 0) ||
+      (step.kind == K::slow_nvram && bed.nvram_of(victim) == nullptr)) {
+    sim.run_for(step.fault);
+    sim.run_for(step.settle);
+    return;
   }
+  // Fault-phase bracket: open a phase on the availability timeline
+  // (detection/isolation/recovery marks arrive from the layers as
+  // signals), run the fault, then close the phase and drop a "nemesis"
+  // span on the victim's trace lane so fault bars line up with the request
+  // spans they disturbed. Network-wide faults carry timeline victim -1.
+  const bool on_storage = info.victim == V::storage;
+  const net::Machine& lane =
+      on_storage ? bed.storage(sto_victim)
+                 : bed.dir_server(info.victim == V::network ? 0 : victim);
+  const sim::Time t_inject = sim.now();
+  bed.timeline().fault_injected(
+      info.name,
+      on_storage ? sto_victim : info.victim == V::network ? -1 : victim,
+      t_inject, on_storage ? "storage" : "server", info.gray);
+  switch (step.kind) {
+    case K::crash_recovering:
+    case K::crash_recovering_storage: {
+      // The Sec. 3.2 headline scenario: a server dies again while it is
+      // still rejoining / state-transferring. One fault phase spans both
+      // kills: healed = the final restart.
+      net::Machine& m = bed.dir_server(victim);
+      crash_machine(bed, m);
+      sim.run_for(sim::msec(200));
+      restart_machine(bed, m);
+      if (step.kind == K::crash_recovering) {
+        // The second kill lands `fault` after the restart, so different
+        // seeds hit different recovery phases (join, exchange, snapshot
+        // fetch, persist).
+        sim.run_for(step.fault);
+        crash_machine(bed, m);
+        sim.run_for(sim::msec(400));
+        restart_machine(bed, m);
+        break;
+      }
+      // Crash the server's storage machine while it recovers: its
+      // snapshot install / persist path sees its own disk vanish.
+      sim.run_for(step.fault / 2);
+      if (sto_victim >= 0) crash_storage_torn(bed, sto_victim);
+      sim.run_for(step.fault);
+      if (sto_victim >= 0) restart_machine(bed, bed.storage(sto_victim));
+      break;
+    }
+    default:
+      set_fault(bed, step, victim, sto_victim, true);
+      sim.run_for(step.fault);
+      set_fault(bed, step, victim, sto_victim, false);
+      break;
+  }
+  bed.timeline().fault_healed(sim.now());
+  bed.trace().complete(t_inject, sim.now() - t_inject, "nemesis", info.name,
+                       lane.id().v, static_cast<std::uint64_t>(step.victim));
   sim.run_for(step.settle);
 }
 
 void run_schedule(harness::Testbed& bed, const std::vector<FaultStep>& steps) {
   for (const FaultStep& s : steps) run_step(bed, s);
+}
+
+void heal_all(harness::Testbed& bed) {
+  net::Network& net = bed.cluster().net();
+  bed.cluster().heal();
+  net.set_drop_prob(0.0);
+  net.set_dup_prob(0.0);
+  net.set_reorder_prob(0.0);
+  net.clear_link_degrades();
+  for (int i = 0; i < bed.num_storage(); ++i) {
+    bed.vdisk(i).set_fault_prob(0.0);
+    bed.vdisk(i).set_slow_factor(1.0);
+    restart_machine(bed, bed.storage(i));
+  }
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    if (nvram::Nvram* nv = bed.nvram_of(i)) nv->set_slow_factor(1.0);
+    bed.dir_server(i).cpu().set_drag(1.0);
+    restart_machine(bed, bed.dir_server(i));
+  }
 }
 
 }  // namespace amoeba::check

@@ -1,15 +1,18 @@
 // Seed-driven fault-schedule ("nemesis") generation and execution.
 //
 // A schedule is a flat list of steps executed from test/scheduler context
-// against a Testbed. Which fault kinds a flavor supports follows its
-// documented fault model: the group service survives crashes and partitions
-// (paper Sec. 2-3), the RPC service only crashes (partitions make it
-// diverge by design, Sec. 1), and the NFS baseline survives nothing but
-// lost packets. On top of the network faults (crash / partition / loss /
-// duplicate / reordered delivery), the nemesis shakes the storage stack
-// (transient disk I/O errors, torn disk writes under a storage-machine
-// crash, torn NVRAM appends under a server crash) and the recovery window
-// itself (a second crash while a server is rejoining / state-transferring).
+// against a Testbed. The fault vocabulary is one table in nemesis.cc, one
+// row per FaultStep::Kind: its name and token letter, how its token spells
+// its arguments, which peer group its victim belongs to, whether it is
+// gray (fail-slow), which flavors' fault models admit it, and the ranges
+// the generator draws its arguments from. The group service survives
+// crashes and partitions (paper Sec. 2-3), the RPC service only crashes
+// (partitions make it diverge by design, Sec. 1), and the NFS baseline
+// survives nothing but lost packets. On top of the network faults, the
+// nemesis shakes the storage stack (disk I/O errors, torn disk writes,
+// torn NVRAM appends), the recovery window itself (a second crash while a
+// server is rejoining) and the speed of one peer (fail-slow disk, link,
+// CPU and NVRAM). A new kind is one row plus its case in run_step.
 //
 // Schedules encode to a compact string ("c1/800/500,d0.10/900/400,...") so a
 // failing run can be shrunk and replayed exactly from the command line.
@@ -55,43 +58,61 @@ struct FaultStep {
   sim::Duration settle = sim::msec(500);  // quiet time after healing
 };
 
-struct NemesisOptions {
-  int steps = 6;
-  bool allow_crash = true;
-  bool allow_partition = true;
-  bool allow_loss = true;
-  bool allow_dup = true;
-  bool allow_reorder = true;
-  bool allow_disk_fault = true;
-  bool allow_torn_nvram = true;  // only drawn for the *_nvram flavors
-  bool allow_storage_crash = true;
-  bool allow_crash_recovering = true;
-  bool allow_slow_disk = true;
-  bool allow_slow_link = true;
-  bool allow_slow_replica = true;
-  bool allow_slow_nvram = true;  // only drawn for the *_nvram flavors
-  int nservers = 3;
+/// Argument fields a kind's token spells between its letter and the
+/// "/<fault_ms>/<settle_ms>" tail, as bits: "c1" victim, "l0.10" prob,
+/// "f1:0.10" victim:prob, "D1:8.00" victim:factor, "L1:20.00x0.06"
+/// victim:factor x prob, and "q" none.
+inline constexpr unsigned kArgVictim = 1, kArgFactor = 2, kArgProb = 4;
+
+/// The peer group a kind's victim belongs to. Network-wide kinds have no
+/// victim (timeline victim -1).
+enum class FaultVictim : std::uint8_t { server, storage, network };
+
+/// One row of the fault-kind table.
+struct FaultKindInfo {
+  FaultStep::Kind kind;
+  const char* name;  // stable label: timeline phases, trace spans, SLO rows
+  char token;        // schedule letter
+  unsigned args;      // kArg* bits
+  FaultVictim victim;
+  bool gray;          // fail-slow: degrades without failing
+  bool both_peers;    // also surfaces at the victim index's other peer group
+  bool legacy;        // one of the original crash/partition/loss kinds
+  unsigned flavors;   // bit (1 << Flavor) per flavor whose model admits it
+  struct Draw {
+    double base = 0, step = 0;
+    int count = 0;  // draws base + step * below(count); 0 = no draw
+  } prob, factor;
 };
 
+/// The table row of `k`.
+const FaultKindInfo& fault_kind(FaultStep::Kind k);
+
 /// Stable human-readable name of a fault kind ("crash", "partition", ...).
-/// Used for timeline phase labels, nemesis trace spans and SLO reports.
-const char* fault_kind_name(FaultStep::Kind k);
+inline const char* fault_kind_name(FaultStep::Kind k) {
+  return fault_kind(k).name;
+}
 
-/// The fault kinds a flavor's documented fault model supports. With
-/// `legacy_only`, restrict to the PR-1 kinds (crash/partition/loss).
-NemesisOptions default_nemesis(harness::Flavor flavor, int nservers,
-                               int steps, bool legacy_only = false);
-
-/// Deterministically generate a schedule from `seed`.
+/// Deterministically generate `steps` steps from `seed`, drawing only the
+/// kinds `flavor`'s fault model admits (with `legacy`, only the original
+/// crash/partition/loss kinds among them) against `nservers` servers.
 std::vector<FaultStep> make_schedule(std::uint64_t seed,
-                                     const NemesisOptions& opts);
+                                     harness::Flavor flavor, int nservers,
+                                     int steps, bool legacy = false);
 
 std::string encode_schedule(const std::vector<FaultStep>& steps);
+/// Parse encode_schedule's text. Treats `text` as hostile: every token must
+/// match its kind's form in full, victims and durations are non-negative,
+/// probabilities lie in [0, 1] and factors in [1, 1000].
 Result<std::vector<FaultStep>> decode_schedule(const std::string& text);
 
 /// Execute one step / a whole schedule (advances simulated time). Must be
 /// called from scheduler context, not from inside a simulated process.
 void run_step(harness::Testbed& bed, const FaultStep& step);
 void run_schedule(harness::Testbed& bed, const std::vector<FaultStep>& steps);
+
+/// Undo whatever a step can leave behind: heal the network, clear every
+/// loss/delay/slowness knob and restart every crashed machine.
+void heal_all(harness::Testbed& bed);
 
 }  // namespace amoeba::check

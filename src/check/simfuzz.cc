@@ -249,9 +249,8 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
   report.schedule_used =
       opts.schedule.empty()
-          ? make_schedule(opts.seed,
-                          default_nemesis(opts.flavor, nservers, opts.steps,
-                                          opts.legacy_faults))
+          ? make_schedule(opts.seed, opts.flavor, nservers, opts.steps,
+                          opts.legacy_faults)
           : opts.schedule;
 
   if (!bed.wait_ready()) {
@@ -378,25 +377,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   // Quiesce: stop clients, repair everything, wait out recovery. Replica
   // agreement is only meaningful once no operation is in flight.
   stop = true;
-  bed.cluster().heal();
-  bed.cluster().net().set_drop_prob(0.0);
-  bed.cluster().net().set_dup_prob(0.0);
-  bed.cluster().net().set_reorder_prob(0.0);
-  bed.cluster().net().clear_link_degrades();
-  for (int i = 0; i < bed.num_storage(); ++i) {
-    bed.vdisk(i).set_fault_prob(0.0);
-    bed.vdisk(i).set_torn_writes(false);
-    bed.vdisk(i).set_slow_factor(1.0);
-    if (!bed.storage(i).up()) bed.cluster().restart(bed.storage(i).id());
-  }
-  for (int i = 0; i < nservers; ++i) {
-    if (nvram::Nvram* nv = bed.nvram_of(i)) {
-      nv->set_torn_appends(false);
-      nv->set_slow_factor(1.0);
-    }
-    bed.dir_server(i).cpu().set_drag(1.0);
-    if (!bed.dir_server(i).up()) bed.cluster().restart(bed.dir_server(i).id());
-  }
+  heal_all(bed);
   for (int i = 0; i < 300; ++i) {
     if (std::all_of(done.begin(), done.end(), [](char d) { return d != 0; }))
       break;

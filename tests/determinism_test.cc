@@ -92,9 +92,8 @@ TEST(Determinism, ScheduleRoundTripsThroughText) {
   // Every flavor's generated schedules (which between them draw every
   // fault kind the flavor admits) must survive encode -> decode -> encode.
   for (harness::Flavor f : harness::kAllFlavors) {
-    NemesisOptions nopts = default_nemesis(f, 3, 6);
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      std::vector<FaultStep> steps = make_schedule(seed, nopts);
+      std::vector<FaultStep> steps = make_schedule(seed, f, 3, 6);
       auto back = decode_schedule(encode_schedule(steps));
       ASSERT_TRUE(back.is_ok()) << flavor_token(f) << " seed " << seed;
       EXPECT_EQ(encode_schedule(*back), encode_schedule(steps))

@@ -286,13 +286,42 @@ TEST(Nemesis, DecodeRejectsMalformedSchedules) {
   EXPECT_FALSE(decode_schedule("c1/800").is_ok());
   EXPECT_FALSE(decode_schedule("f1/800/500").is_ok());  // missing ":prob"
   EXPECT_FALSE(decode_schedule("nonsense").is_ok());
+  // Hostile text: a negative victim used to reach dir_server(-1).
+  for (const char* bad :
+       {"c-1/800/500", "c1/-800/500", "c1/800/-500", "c+1/800/500",
+        "c 1/800/500", "c1.5/800/500", "c1/800/500x", "c1/800/500/9",
+        "q1/800/500", "l1.5/800/500", "l-0.1/800/500", "lnan/800/500",
+        "linf/800/500", "f1:1.01/800/500", "f1/800/500", "D1/800/500",
+        "D1:0.5/800/500", "D1:inf/800/500", "L1:20/800/500",
+        "L1:20x/800/500", "L1:20x2/800/500", "N-1:30/800/500",
+        "c99999999999/800/500", "c1/99999999999/500"}) {
+    EXPECT_FALSE(decode_schedule(bad).is_ok()) << bad;
+  }
+  // Valid text decodes as before: bounds are inclusive, empty steps skip.
+  auto ok = decode_schedule("c0/0/0,,l1.00/1/1,f2:0/5/5,q/800/500");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(encode_schedule(*ok), "c0/0/0,l1.00/1/1,f2:0.00/5/5,q/800/500");
+}
+
+TEST(Nemesis, TableHasOneRowPerKindAndToken) {
+  std::set<char> tokens;
+  std::set<std::string> names;
+  for (int k = 0; k <= static_cast<int>(FaultStep::Kind::slow_nvram); ++k) {
+    const FaultKindInfo& row = fault_kind(static_cast<FaultStep::Kind>(k));
+    EXPECT_EQ(static_cast<int>(row.kind), k);
+    tokens.insert(row.token);
+    names.insert(row.name);
+  }
+  EXPECT_EQ(tokens.size(), 15u);
+  EXPECT_EQ(names.size(), 15u);
 }
 
 std::set<FaultStep::Kind> kinds_drawn(harness::Flavor f, bool legacy) {
-  NemesisOptions o = default_nemesis(f, 3, /*steps=*/40, legacy);
   std::set<FaultStep::Kind> out;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    for (const FaultStep& s : make_schedule(seed, o)) out.insert(s.kind);
+    for (const FaultStep& s : make_schedule(seed, f, 3, /*steps=*/40, legacy)) {
+      out.insert(s.kind);
+    }
   }
   return out;
 }

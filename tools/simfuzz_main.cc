@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/simfuzz.h"
@@ -45,7 +46,7 @@ struct CliOptions {
   bool batching = false;       // --batching: sequencer update batching
   /// --nvram-bytes N: NVRAM log size of the nvram flavors.
   std::size_t nvram_bytes = check::FuzzOptions{}.nvram_bytes;
-  std::string schedule;
+  std::vector<check::FaultStep> schedule;  // --schedule STR, decoded
   /// --watchdog MS: livelock watchdog threshold in simulated milliseconds
   /// (0 disables). Default matches FuzzOptions.
   long watchdog_ms = 10'000;
@@ -129,7 +130,12 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
     } else if (a == "--schedule") {
       const char* v = next();
       if (v == nullptr) return false;
-      cli.schedule = v;
+      auto sched = check::decode_schedule(v);
+      if (!sched.is_ok()) {
+        std::fprintf(stderr, "%s\n", sched.status().message().c_str());
+        return false;
+      }
+      cli.schedule = std::move(*sched);
     } else if (a == "--log") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -203,14 +209,7 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
   o.nvram_bytes = cli.nvram_bytes;
   o.watchdog = sim::msec(cli.watchdog_ms);
   o.debug_stall = cli.debug_stall;
-  if (!cli.schedule.empty()) {
-    auto sched = check::decode_schedule(cli.schedule);
-    if (!sched.is_ok()) {
-      std::fprintf(stderr, "%s\n", sched.status().message().c_str());
-      return false;
-    }
-    o.schedule = *sched;
-  }
+  o.schedule = cli.schedule;
 
   check::FuzzReport r = check::run_one(o);
   std::printf("%-12s seed=%-6llu events=%-5zu ok=%d neg=%d amb=%d "

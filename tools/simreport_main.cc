@@ -534,10 +534,7 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
               check::fault_kind_name(fc.kind));
       continue;
     }
-    const bool gray = fc.kind == check::FaultStep::Kind::slow_disk ||
-                      fc.kind == check::FaultStep::Kind::slow_link ||
-                      fc.kind == check::FaultStep::Kind::slow_replica ||
-                      fc.kind == check::FaultStep::Kind::slow_nvram;
+    const check::FaultKindInfo& info = check::fault_kind(fc.kind);
     check::FaultStep step;
     step.kind = fc.kind;
     step.victim = 1;
@@ -558,7 +555,7 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
               if (pick < 80) return dc.lookup(home, key).status();
               return dc.delete_row(home, key);
             },
-            /*probers=*/gray, [&] { check::run_step(bed, step); },
+            /*probers=*/info.gray, [&] { check::run_step(bed, step); },
             sim::sec(4))) {
       appendf(out, "  %s: workload setup never succeeded\n",
               check::fault_kind_name(fc.kind));
@@ -568,15 +565,11 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
     const obs::SloReport rep = obs::evaluate_slo(bed.timeline());
     print_slo(rep, out);
 
-    // Health-detector verdict for this fault. The victim of slow_disk /
-    // storage_crash lives in the "storage" peer group; every other kind
-    // names a directory server. A suspicion transition not naming the
-    // victim is a false suspicion (single-fault run).
-    const char* vgroup =
-        (fc.kind == check::FaultStep::Kind::slow_disk ||
-         fc.kind == check::FaultStep::Kind::storage_crash)
-            ? "storage"
-            : "server";
+    // Health-detector verdict for this fault, against the victim's peer
+    // group. A suspicion transition not naming the victim is a false
+    // suspicion (single-fault run).
+    const bool on_storage = info.victim == check::FaultVictim::storage;
+    const char* vgroup = on_storage ? "storage" : "server";
     const obs::HealthMonitor& hm = bed.cluster().health();
     bool detected_by_health = false;
     for (const obs::FaultScore& fs : rep.faults) {
@@ -586,19 +579,14 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
       }
     }
     const std::uint64_t suspects = hm.suspect_transitions();
-    // slow_disk and slow_link surface at both layers: a slow spindle
-    // inflates dir1's storage RPCs AND server1's own replies (it blocks
-    // on that spindle); a degraded link inflates everything crossing it,
-    // including dir1's view of its private storage. A suspicion naming
-    // either index-1 peer correctly names the fault.
+    // Some gray faults surface at both peers of the victim's index (see
+    // FaultKindInfo::both_peers); a suspicion naming either names the fault.
     std::uint64_t victim_suspects = hm.suspects_of(vgroup, step.victim);
-    if (fc.kind == check::FaultStep::Kind::slow_disk) {
-      victim_suspects += hm.suspects_of("server", step.victim);
+    if (info.both_peers) {
+      victim_suspects +=
+          hm.suspects_of(on_storage ? "server" : "storage", step.victim);
     }
-    if (fc.kind == check::FaultStep::Kind::slow_link) {
-      victim_suspects += hm.suspects_of("storage", step.victim);
-    }
-    if (gray) {
+    if (info.gray) {
       appendf(out,
               "    health: %s; %llu suspicion transitions, %llu naming the "
               "victim (%s%d)\n",
@@ -621,7 +609,7 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
                 obs::Json::str(check::fault_kind_name(fc.kind)));
       entry.set("slo", obs::slo_json(rep));
       obs::Json health = obs::Json::object();
-      health.set("gray", obs::Json::boolean(gray));
+      health.set("gray", obs::Json::boolean(info.gray));
       health.set("detected", obs::Json::boolean(detected_by_health));
       health.set("suspects", obs::Json::uinteger(suspects));
       health.set("false_suspects",
@@ -797,7 +785,8 @@ int main(int argc, char** argv) {
     Result<std::vector<check::FaultStep>> dec =
         check::decode_schedule(nemesis);
     if (!dec.is_ok()) {
-      std::fprintf(stderr, "bad --nemesis schedule '%s'\n", nemesis.c_str());
+      std::fprintf(stderr, "bad --nemesis schedule '%s': %s\n",
+                   nemesis.c_str(), dec.status().message().c_str());
       return 2;
     }
     schedule = std::move(*dec);
