@@ -192,7 +192,7 @@ class Cluster {
   obs::Timeline timeline_;
   // Differential peer-health detector; feeds suspicions back into the
   // timeline's fault phases (declared after it, constructed with it).
-  obs::HealthMonitor health_{obs::HealthConfig{}, &timeline_};
+  obs::HealthMonitor health_{&timeline_};
   Network net_;
   std::vector<std::unique_ptr<Machine>> machines_;
 };

@@ -11,6 +11,26 @@ namespace amoeba::obs {
 
 namespace {
 
+/// Decay halflife of the per-peer digests: an observation loses half its
+/// weight this long after it lands. Short enough to track a fault within a
+/// second, long enough to smooth per-op jitter.
+constexpr sim::Duration kHalflife = sim::msec(400);
+/// Detector cadence. Evaluation is driven from observe(), so a fully idle
+/// cluster is never scored (no observations = no opinions).
+constexpr sim::Duration kEvalPeriod = sim::msec(100);
+/// Minimum decayed observation weight before a digest participates — one
+/// slow RPC must not convict a peer.
+constexpr double kMinWeight = 4.0;
+/// Latency suspicion: score > baseline * ratio AND > baseline + floor.
+constexpr double kLatencyRatio = 3.0;
+constexpr double kLatencyFloorMs = 4.0;
+/// Hysteresis: a suspected/confirmed peer clears only once its score drops
+/// under baseline * kClearRatio + floor.
+constexpr double kClearRatio = 1.5;
+/// Error suspicion: decayed error rate (errors per observation) above this
+/// absolute threshold. Healthy runs sit at ~0, so no ratio term.
+constexpr double kErrorRate = 0.25;
+
 /// Median of an unsorted small vector (sorted in place). -1 when empty.
 double median(std::vector<double>& xs) {
   if (xs.empty()) return -1;
@@ -35,7 +55,7 @@ void HealthMonitor::observe(std::uint32_t observer, std::uint32_t peer,
       digests_[(static_cast<std::uint64_t>(observer) << 32) | peer];
   if (now > d.last && (d.lat_weight > 0 || d.err_weight > 0)) {
     const double decay = std::exp2(-static_cast<double>(now - d.last) /
-                                   static_cast<double>(cfg_.halflife));
+                                   static_cast<double>(kHalflife));
     d.lat_weight *= decay;
     d.err_weight *= decay;
   }
@@ -46,7 +66,7 @@ void HealthMonitor::observe(std::uint32_t observer, std::uint32_t peer,
     d.lat_weight += 1;
     d.mean_ms += (sim::to_ms(rtt) - d.mean_ms) / d.lat_weight;
   }
-  if (now - last_eval_ >= cfg_.eval_period) {
+  if (now - last_eval_ >= kEvalPeriod) {
     last_eval_ = now;
     eval(now);
   }
@@ -68,11 +88,11 @@ void HealthMonitor::eval(sim::Time now) {
       const auto peer = static_cast<std::uint32_t>(key & 0xffffffffu);
       const std::uint16_t idx = by_machine_.find(peer)->second;
       const double decay = std::exp2(-static_cast<double>(now - d.last) /
-                                     static_cast<double>(cfg_.halflife));
-      if (d.lat_weight * decay >= cfg_.min_weight) {
+                                     static_cast<double>(kHalflife));
+      if (d.lat_weight * decay >= kMinWeight) {
         lat[idx].push_back(d.mean_ms);
       }
-      if (d.err_weight * decay >= cfg_.min_weight) {
+      if (d.err_weight * decay >= kMinWeight) {
         err[idx].push_back(d.err_rate);
       }
     }
@@ -99,18 +119,18 @@ void HealthMonitor::eval(sim::Time now) {
     }
     const double baseline = median(others);
     if (lat_score[i] >= 0 && baseline >= 0) {
-      const bool over = lat_score[i] > baseline * cfg_.latency_ratio &&
-                        lat_score[i] > baseline + cfg_.latency_floor_ms;
+      const bool over = lat_score[i] > baseline * kLatencyRatio &&
+                        lat_score[i] > baseline + kLatencyFloorMs;
       const bool under_clear =
-          lat_score[i] < baseline * cfg_.clear_ratio + cfg_.latency_floor_ms;
+          lat_score[i] < baseline * kClearRatio + kLatencyFloorMs;
       transition(i, 0, over, under_clear, lat_score[i], baseline, now);
     }
     // Errors are absolute: a healthy fleet's decayed error rate is ~0,
     // so any peer persistently failing a quarter of its RPCs stands out
     // without a baseline term.
     if (err_score[i] >= 0) {
-      const bool over = err_score[i] > cfg_.error_rate;
-      const bool under_clear = err_score[i] < cfg_.error_rate / 2;
+      const bool over = err_score[i] > kErrorRate;
+      const bool under_clear = err_score[i] < kErrorRate / 2;
       transition(i, 1, over, under_clear, err_score[i], 0, now);
     }
   }

@@ -39,28 +39,6 @@ namespace amoeba::obs {
 
 class Timeline;
 
-struct HealthConfig {
-  /// Decay halflife of the per-peer digests: an observation loses half
-  /// its weight this long after it lands. Short enough to track a fault
-  /// within a second, long enough to smooth per-op jitter.
-  sim::Duration halflife = sim::msec(400);
-  /// Detector cadence. Evaluation is driven from observe(), so a fully
-  /// idle cluster is never scored (no observations = no opinions).
-  sim::Duration eval_period = sim::msec(100);
-  /// Minimum decayed observation weight before a digest participates —
-  /// one slow RPC must not convict a peer.
-  double min_weight = 4.0;
-  /// Latency suspicion: score > baseline * ratio AND > baseline + floor.
-  double latency_ratio = 3.0;
-  double latency_floor_ms = 4.0;
-  /// Hysteresis: a suspected/confirmed peer clears only once its score
-  /// drops under baseline * clear_ratio + floor.
-  double clear_ratio = 1.5;
-  /// Error suspicion: decayed error rate (errors per observation) above
-  /// this absolute threshold. Healthy runs sit at ~0, so no ratio term.
-  double error_rate = 0.25;
-};
-
 /// One observer's exponential-decay view of one peer. Latency and error
 /// keep separate weights: a timeout carries no latency information (its
 /// RTT is the timeout knob), and a success carries err=0.
@@ -92,8 +70,7 @@ struct ScoreSample {
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthConfig cfg = {}, Timeline* timeline = nullptr)
-      : cfg_(cfg), tl_(timeline) {}
+  explicit HealthMonitor(Timeline* timeline = nullptr) : tl_(timeline) {}
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
@@ -123,7 +100,6 @@ class HealthMonitor {
   [[nodiscard]] const std::vector<ScoreSample>& samples() const {
     return samples_;
   }
-  [[nodiscard]] const HealthConfig& config() const { return cfg_; }
 
   /// Suspicion counts (suspect + confirm transitions) — the scorecard's
   /// raw material. `suspects_of(group, index)` counts transitions naming
@@ -160,7 +136,6 @@ class HealthMonitor {
   void transition(std::size_t peer_idx, int dim, bool over, bool under_clear,
                   double score, double baseline, sim::Time now);
 
-  HealthConfig cfg_;
   Timeline* tl_ = nullptr;
   std::vector<PeerInfo> peers_;
   std::map<std::uint32_t, std::uint16_t> by_machine_;  // machine -> peer idx

@@ -19,7 +19,6 @@
 namespace amoeba {
 namespace {
 
-using obs::HealthConfig;
 using obs::HealthEvent;
 using obs::HealthMonitor;
 
@@ -55,10 +54,7 @@ DigestView digest_of(const HealthMonitor& hm, std::uint64_t observer,
 }
 
 TEST(HealthDigest, MeanAndWeightFollowExponentialDecay) {
-  HealthConfig cfg;
-  cfg.halflife = sim::msec(400);
-  cfg.eval_period = sim::msec(100);
-  HealthMonitor hm(cfg);
+  HealthMonitor hm;  // 400 ms digest halflife
   hm.add_peer(1, "server", 0);
   hm.add_peer(2, "server", 1);  // digests need a registered peer table
 
