@@ -9,6 +9,7 @@
 //   * the Sec. 3.2 improved recovery rule (availability after a cascade of
 //     failures).
 #include "bench_common.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "group/group.h"
 
@@ -28,7 +29,7 @@ double group_send_ms(group::OrderMethod method, std::size_t payload_bytes) {
     cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
   }
   for (int i = 0; i < 3; ++i) {
-    net::Machine& m = cluster.add_machine("g" + std::to_string(i));
+    net::Machine& m = cluster.add_machine(numbered("g", i));
     m.spawn("drv", [&sim, &ms, &m, cfg, i] {
       if (i == 0) {
         ms[0] = group::GroupMember::create(m, cfg);

@@ -23,6 +23,7 @@
 #include <new>
 
 #include "bench_common.h"
+#include "common/strings.h"
 #include "sim/waitq.h"
 
 // ---------------------------------------------------------------------
@@ -150,7 +151,7 @@ Section timer_churn(std::uint64_t seed, bool quick) {
 
   sim::Simulator s(seed);
   for (int i = 0; i < kProcs; ++i) {
-    s.spawn("t" + std::to_string(i), [&s, horizon] {
+    s.spawn(numbered("t", i), [&s, horizon] {
       while (s.now() < horizon) {
         const std::uint64_t roll = s.rng().below(10);
         // 90% in-wheel (< 4096 us), 10% overflow-heap (up to 80 ms).

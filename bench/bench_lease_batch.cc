@@ -2,14 +2,14 @@
 //
 // Part A — leases on the read path: the paper's workload is lookup-dominant
 // (Table 4: lookups outnumber updates roughly 15:1), yet every lookup costs
-// a 3-packet RPC. With GroupDirOptions::lease_caching the servers grant
+// a 3-packet RPC. With ServerOptions::lease_caching the servers grant
 // per-directory read leases and a lease-holding client answers repeats from
 // its cache in zero packets and zero simulated time, so on the 15:1 mix the
 // mean lookup latency must collapse (acceptance: >= 5x below the 3-packet
 // baseline). Updates to a leased directory invalidate through the ordered
 // update stream, so the mix keeps the cache honest.
 //
-// Part B — batching on the write path: with GroupDirOptions::batching the
+// Part B — batching on the write path: with ServerOptions::batching the
 // sequencer coalesces concurrently-arriving updates into one ordered
 // multicast (one seqno, one ACCEPT, one dir-layer dispatch) and, in the
 // NVRAM flavor, one group-commit log append. Measured as Fig. 9's
@@ -19,6 +19,7 @@
 // Deterministic: same seeds => byte-identical BENCH_lease.json.
 #include "bench_common.h"
 
+#include "common/strings.h"
 #include "dir/client.h"
 
 namespace amoeba::bench {
@@ -62,7 +63,7 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
     cap::Capability payload;
     payload.object = 9;
     for (int r = 0; r < kHotRows; ++r) {
-      (void)dc.append_row(*hot, "h" + std::to_string(r), {payload});
+      (void)dc.append_row(*hot, numbered("h", r), {payload});
     }
     ready = true;
     int cycle = 0;
@@ -77,7 +78,7 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
       }
       // ... then 15 lookups over the hot rows.
       for (int k = 0; k < 15; ++k) {
-        const std::string name = "h" + std::to_string((cycle + k) % kHotRows);
+        const std::string name = numbered("h", (cycle + k) % kHotRows);
         const sim::Time t0 = sim.now();
         auto res = dc.lookup(*hot, name);
         if (measuring && res.is_ok()) {

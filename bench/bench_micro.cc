@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cap/capability.h"
+#include "common/strings.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
 #include "nvram/nvram.h"
@@ -19,7 +20,7 @@ void BM_CodecDirectoryRoundTrip(benchmark::State& state) {
   d.columns = {"owner", "group", "other"};
   for (int i = 0; i < state.range(0); ++i) {
     dir::DirRow row;
-    row.name = "entry-" + std::to_string(i);
+    row.name = numbered("entry-", i);
     row.cols.resize(3);
     d.rows.push_back(row);
   }
@@ -67,7 +68,7 @@ void BM_NvlogTryCancelFullLog(benchmark::State& state) {
       dir::nvlog::Record rec;
       rec.seqno = seq;
       rec.secret = seq;
-      rec.request = dir::make_append_row(dcap, "row-" + std::to_string(seq),
+      rec.request = dir::make_append_row(dcap, numbered("row-", seq),
                                          {dcap});
       Buffer b = dir::nvlog::encode(rec);
       if (!nv.would_fit(b.size())) return;
@@ -109,7 +110,7 @@ void BM_DirStateApplyAppend(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    std::string name = "n" + std::to_string(i++);
+    std::string name = numbered("n", i++);
     Buffer req = dir::make_append_row(dcap, name, {});
     state.ResumeTiming();
     dir::DirState::ApplyEffect e;
@@ -128,11 +129,11 @@ void BM_DirStateLookup(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     dir::DirState::ApplyEffect e;
     (void)st.apply(
-        dir::make_append_row(dcap, "n" + std::to_string(i), {dcap}), 0,
+        dir::make_append_row(dcap, numbered("n", i), {dcap}), 0,
         static_cast<std::uint64_t>(i + 2), &e);
   }
   Buffer req = dir::make_lookup_set(
-      {{dcap, "n" + std::to_string(state.range(0) / 2)}});
+      {{dcap, numbered("n", state.range(0) / 2)}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(st.execute_read(req));
   }

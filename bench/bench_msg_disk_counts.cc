@@ -8,6 +8,7 @@
 //    The RPC implementation requires an additional disk operation to store
 //    an intentions list."
 #include "bench_common.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "group/group.h"
 
@@ -29,7 +30,7 @@ std::uint64_t group_send_packets(int r, bool from_sequencer) {
     cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
   }
   for (int i = 0; i < 3; ++i) {
-    net::Machine& m = cluster.add_machine("g" + std::to_string(i));
+    net::Machine& m = cluster.add_machine(numbered("g", i));
     m.spawn("member", [&, cfg, i] {
       if (i == 0) {
         members[0] = group::GroupMember::create(m, cfg);
@@ -90,7 +91,7 @@ DiskPerOp disk_writes_per_update(harness::Flavor f) {
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
     for (int i = 0; i < n; ++i) {
-      (void)dc.append_row(dcap, "e" + std::to_string(i), {});
+      (void)dc.append_row(dcap, numbered("e", i), {});
     }
     done = true;
   });

@@ -22,20 +22,19 @@ namespace {
 using harness::Flavor;
 using harness::Testbed;
 
-bool is_group(Flavor f) {
-  return f == Flavor::group || f == Flavor::group_nvram;
-}
-
 /// FuzzOptions::dump_prefix — the run's causal trace plus the final metric
 /// counters (and, for a stalled run, the watchdog's stall report), for
-/// post-mortem inspection of a failing schedule.
-void dump_artifacts(const FuzzOptions& opts, Testbed& bed,
-                    const std::string& stall_json = {}) {
-  if (opts.dump_prefix.empty()) return;
-  if (!stall_json.empty()) {
-    obs::write_file(opts.dump_prefix + ".stall.json", stall_json);
-  }
-  obs::write_file(opts.dump_prefix + ".trace.json", bed.chrome_json());
+/// post-mortem inspection of a failing schedule. Returns the files written.
+std::vector<std::string> dump_artifacts(const FuzzOptions& opts, Testbed& bed,
+                                        const std::string& stall_json = {}) {
+  std::vector<std::string> written;
+  if (opts.dump_prefix.empty()) return written;
+  const auto dump = [&](const char* suffix, const std::string& text) {
+    const std::string path = opts.dump_prefix + suffix;
+    if (obs::write_file(path, text)) written.push_back(path);
+  };
+  if (!stall_json.empty()) dump(".stall.json", stall_json);
+  dump(".trace.json", bed.chrome_json());
   obs::Json root = obs::Json::object();
   root.set("flavor", obs::Json::str(harness::flavor_token(opts.flavor)));
   root.set("seed", obs::Json::uinteger(opts.seed));
@@ -48,45 +47,9 @@ void dump_artifacts(const FuzzOptions& opts, Testbed& bed,
     counters.set(key, obs::Json::uinteger(value));
   }
   root.set("counters", std::move(counters));
-  obs::write_file(opts.dump_prefix + ".metrics.json", root.dump());
+  dump(".metrics.json", root.dump());
+  return written;
 }
-/// Replica state reduced to what must agree across replicas: object
-/// identity, secrets, seqnos and row layout. Bullet capabilities are
-/// excluded — each replica legitimately stores its copies under different
-/// file capabilities.
-struct Semantic {
-  struct Obj {
-    std::uint64_t secret = 0;
-    std::uint64_t seqno = 0;
-    std::vector<std::pair<std::string, std::size_t>> rows;  // name, #cols
-    bool operator==(const Obj&) const = default;
-  };
-  std::map<std::uint32_t, Obj> objs;
-  bool operator==(const Semantic&) const = default;
-
-  static Result<Semantic> from_snapshot(const Buffer& snap, net::Port port) {
-    try {
-      Semantic out;
-      dir::DirState st = dir::DirState::from_snapshot(snap, port);
-      for (const auto& [objnum, entry] : st.table()) {
-        Obj o;
-        o.secret = entry.secret;
-        o.seqno = entry.seqno;
-        if (const dir::Directory* d = st.directory(objnum)) {
-          for (const auto& row : d->rows) {
-            o.rows.emplace_back(row.name, row.cols.size());
-          }
-        }
-        out.objs[objnum] = std::move(o);
-      }
-      return out;
-    } catch (const DecodeError& e) {
-      return Status::error(Errc::bad_request,
-                           std::string("corrupt snapshot: ") + e.what());
-    }
-  }
-};
-
 /// The watchdog's structured explanation of a livelocked run: when did
 /// progress stop, what does the availability timeline's last populated
 /// window look like, what state is every server in, and which causal
@@ -137,7 +100,7 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
     js.set("name", obs::Json::str(m.name()));
     js.set("up", obs::Json::boolean(m.up()));
     js.set("boot_count", obs::Json::integer(m.boot_count()));
-    if (is_group(bed.options().flavor)) {
+    if (harness::is_group(bed.options().flavor)) {
       const dir::GroupDirStats& st = dir::group_dir_stats(m);
       js.set("in_recovery", obs::Json::boolean(st.in_recovery));
       js.set("applied_seqno", obs::Json::uinteger(st.applied_seqno));
@@ -181,33 +144,6 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
   return root.dump();
 }
 
-/// Fetch one replica's raw state snapshot over its admin/peer port.
-Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
-  Writer w;
-  if (is_group(bed.options().flavor)) {
-    w.u8(static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state));
-  } else {
-    w.u8(static_cast<std::uint8_t>(dir::RpcPeerOp::resync));
-  }
-  auto res = rpc.trans(bed.admin_port(server), w.take(),
-                       {.timeout = sim::sec(2)});
-  if (!res.is_ok()) return res.status();
-  try {
-    Reader r(*res);
-    if (static_cast<Errc>(r.u8()) != Errc::ok) {
-      return Status::error(Errc::refused, "state fetch refused");
-    }
-    (void)r.u64();  // last/applied seqno
-    if (is_group(bed.options().flavor)) {
-      (void)r.u64();  // applied
-      (void)r.u64();  // commit-block seqno
-    }
-    return r.bytes();
-  } catch (const DecodeError&) {
-    return Status::error(Errc::bad_request, "corrupt fetch reply");
-  }
-}
-
 }  // namespace
 
 std::uint64_t fnv1a(const Buffer& b, std::uint64_t h) {
@@ -240,8 +176,8 @@ FuzzReport run_one(const FuzzOptions& opts) {
     to.debug_stale_reads_server = static_cast<int>(opts.seed % 3);
   }
   to.group_history_limit = opts.group_history_limit;
-  to.lease_caching = opts.lease_caching && is_group(opts.flavor);
-  to.batching = opts.batching && is_group(opts.flavor);
+  to.lease_caching = opts.lease_caching && harness::is_group(opts.flavor);
+  to.batching = opts.batching && harness::is_group(opts.flavor);
   to.nvram_bytes = opts.nvram_bytes;
   Testbed bed(to);
   sim::Simulator& sim = bed.sim();
@@ -255,7 +191,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
   if (!bed.wait_ready()) {
     report.failure = "service never became ready";
-    dump_artifacts(opts, bed);
+    report.artifacts = dump_artifacts(opts, bed);
     return report;
   }
 
@@ -333,7 +269,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
     stop = true;
     sim.run_for(sim::sec(5));
     report.failure = "workload setup never succeeded";
-    dump_artifacts(opts, bed);
+    report.artifacts = dump_artifacts(opts, bed);
     return report;
   }
 
@@ -383,7 +319,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
       break;
     sim.run_for(sim::msec(100));
   }
-  if (is_group(opts.flavor)) {
+  if (harness::is_group(opts.flavor)) {
     const sim::Time deadline = sim.now() + sim::sec(60);
     while (sim.now() < deadline) {
       bool ready = true;
@@ -412,6 +348,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
       if (opts.flavor == Flavor::nfs) {
         // Single server, no admin protocol: digest a final listing instead.
         dir::DirClient dc(rpc, bed.dir_port());
+        bool listed = false;
         for (int attempt = 0; attempt < 20; ++attempt) {
           auto res = dc.list_dir(home);
           if (res.is_ok()) {
@@ -421,17 +358,20 @@ FuzzReport run_one(const FuzzOptions& opts) {
               w.u32(static_cast<std::uint32_t>(row.cols.size()));
             }
             snaps[0] = w.take();
+            listed = true;
             break;
           }
           rpc.flush_port_cache(bed.dir_port());
           m.sim().sleep_for(sim::msec(300));
         }
-        if (snaps[0].empty()) verify_fail = "final list_dir never succeeded";
+        // An empty final directory digests to an empty buffer, so success
+        // is its own flag.
+        if (!listed) verify_fail = "final list_dir never succeeded";
       } else {
         for (int i = 0; i < nservers; ++i) {
           bool got = false;
           for (int attempt = 0; attempt < 20 && !got; ++attempt) {
-            auto res = fetch_snapshot(bed, rpc, i);
+            auto res = harness::fetch_snapshot(bed, rpc, i);
             if (res.is_ok()) {
               snaps[static_cast<std::size_t>(i)] = *res;
               got = true;
@@ -457,10 +397,10 @@ FuzzReport run_one(const FuzzOptions& opts) {
 
     report.replicas_agree = true;
     if (opts.flavor != Flavor::nfs) {
-      Semantic first;
+      SemanticState first;
       for (int i = 0; i < nservers; ++i) {
-        auto sem = Semantic::from_snapshot(snaps[static_cast<std::size_t>(i)],
-                                           bed.dir_port());
+        auto sem = SemanticState::from_snapshot(
+            snaps[static_cast<std::size_t>(i)], bed.dir_port());
         if (!sem.is_ok()) {
           verify_fail = sem.status().message();
           break;
@@ -526,7 +466,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
   report.failure = fail;
   report.ok = fail.empty();
-  dump_artifacts(opts, bed, report.stall_report);
+  report.artifacts = dump_artifacts(opts, bed, report.stall_report);
   return report;
 }
 

@@ -15,13 +15,55 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/linearize.h"
 #include "check/nemesis.h"
+#include "dir/proto.h"
 
 namespace amoeba::check {
+
+/// Replica state reduced to what must agree across replicas: object
+/// identity, secrets, seqnos and row layout. Bullet capabilities are
+/// excluded — each replica legitimately stores its copies under different
+/// file capabilities.
+struct SemanticState {
+  struct Obj {
+    std::uint64_t secret = 0;
+    std::uint64_t seqno = 0;
+    std::vector<std::pair<std::string, std::size_t>> rows;  // name, #cols
+    bool operator==(const Obj&) const = default;
+  };
+  std::map<std::uint32_t, Obj> objs;
+  bool operator==(const SemanticState&) const = default;
+
+  /// Decode a replica's DirState snapshot (harness::fetch_snapshot).
+  static Result<SemanticState> from_snapshot(const Buffer& snap,
+                                             net::Port port) {
+    try {
+      SemanticState out;
+      dir::DirState st = dir::DirState::from_snapshot(snap, port);
+      for (const auto& [objnum, entry] : st.table()) {
+        Obj o;
+        o.secret = entry.secret;
+        o.seqno = entry.seqno;
+        if (const dir::Directory* d = st.directory(objnum)) {
+          for (const auto& row : d->rows) {
+            o.rows.emplace_back(row.name, row.cols.size());
+          }
+        }
+        out.objs[objnum] = std::move(o);
+      }
+      return out;
+    } catch (const DecodeError& e) {
+      return Status::error(Errc::bad_request,
+                           std::string("corrupt snapshot: ") + e.what());
+    }
+  }
+};
 
 struct FuzzOptions {
   harness::Flavor flavor = harness::Flavor::group;
@@ -104,6 +146,8 @@ struct FuzzReport {
   bool stalled = false;
   std::string stall_report;
   std::vector<FaultStep> schedule_used;
+  /// The files FuzzOptions::dump_prefix produced, in the order written.
+  std::vector<std::string> artifacts;
   /// The full recorded history (for debugging failures and for tests).
   std::vector<Event> history;
   std::vector<Listing> listings;

@@ -47,8 +47,9 @@ GroupDirStats& stats_of(Machine& machine) {
 /// crash unwind tears them down before this goes away.
 struct ServerCtx {
   Machine& machine;
-  GroupDirOptions opts;
+  ServerOptions opts;
   int my_index;
+  bool skip_read_barrier;  // this is ServerOptions::stale_read_server
   DirState state;
   ReplicaStore store;
   std::uint64_t my_seqno = 0;
@@ -88,14 +89,15 @@ struct ServerCtx {
   obs::Counter& mx_lease_invals;
   obs::Counter& mx_group_commits;
 
-  ServerCtx(Machine& m, GroupDirOptions o, int idx)
+  ServerCtx(Machine& m, const ServerOptions& o, int idx)
       : machine(m),
-        opts(std::move(o)),
+        opts(o),
         my_index(idx),
-        state(opts.dir_port),
+        skip_read_barrier(idx == o.stale_read_server),
+        state(kDirPort),
         store(m, state,
-              {StoreFormat::object_table, "dir.group", idx, opts.bullet_port,
-               opts.disk_port, opts.use_nvram, opts.nvram_bytes}),
+              {StoreFormat::object_table, "dir.group", idx, opts.use_nvram,
+               opts.nvram_bytes}),
         stats(stats_of(m) = GroupDirStats{}),
         applied_wq(m.sim()),
         completion_wq(m.sim()),
@@ -109,7 +111,12 @@ struct ServerCtx {
   sim::Simulator& sim() { return machine.sim(); }
   sim::Time now() { return machine.sim().now(); }
   [[nodiscard]] int nservers() const {
-    return static_cast<int>(opts.dir_servers.size());
+    return static_cast<int>(opts.servers.size());
+  }
+  /// Admin port of server `idx`.
+  [[nodiscard]] Port admin_of(int idx) const {
+    return admin_port(kGroupAdminBase,
+                      opts.servers[static_cast<std::size_t>(idx)]);
   }
   [[nodiscard]] std::uint32_t all_mask() const {
     return (1u << nservers()) - 1;
@@ -124,7 +131,7 @@ struct ServerCtx {
   [[nodiscard]] std::uint32_t members_mask() const {
     std::uint32_t mask = 0;
     for (MachineId m : gm->info().members) {
-      const int idx = server_index(opts.dir_servers, m);
+      const int idx = server_index(opts.servers, m);
       if (idx >= 0) mask |= 1u << idx;
     }
     return mask;
@@ -174,11 +181,11 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
 
 group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
   group::GroupConfig cfg;
-  cfg.port = ctx.opts.group_port;
-  cfg.universe = ctx.opts.dir_servers;
+  cfg.port = kGroupPort;
+  cfg.universe = ctx.opts.servers;
   cfg.resilience = ctx.opts.resilience;
   cfg.batching = ctx.opts.batching;
-  cfg.history_limit = ctx.opts.history_limit;
+  if (ctx.opts.history_limit > 0) cfg.history_limit = ctx.opts.history_limit;
   // If this server ends up *creating* the group (e.g. after a total group
   // collapse), the new lineage must continue the sequence numbering: peers
   // that kept state from the old lineage compare record seqnos against
@@ -226,7 +233,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       preq.u8(static_cast<std::uint8_t>(AdminOp::exchange));
       for (int idx = 0; idx < ctx.nservers(); ++idx) {
         if (idx == ctx.my_index) continue;
-        auto res = st.rpc.trans(admin_port(ctx.opts, idx), preq.view(),
+        auto res = st.rpc.trans(ctx.admin_of(idx), preq.view(),
                                 {.timeout = sim::msec(200)});
         if (!res.is_ok()) continue;
         try {
@@ -273,9 +280,9 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
   Writer req;
   req.u8(static_cast<std::uint8_t>(AdminOp::exchange));
   for (MachineId m : ctx.gm->info().members) {
-    const int idx = server_index(ctx.opts.dir_servers, m);
+    const int idx = server_index(ctx.opts.servers, m);
     if (idx < 0 || idx == ctx.my_index) continue;
-    auto res = st.rpc.trans(admin_port(ctx.opts, idx), req.view(),
+    auto res = st.rpc.trans(ctx.admin_of(idx), req.view(),
                             {.timeout = sim::msec(500)});
     if (!res.is_ok()) continue;
     try {
@@ -362,7 +369,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     bool installed = false;
     const sim::Time fetch_deadline = ctx.now() + sim::sec(2);
     do {
-      auto res = st.rpc.trans(admin_port(ctx.opts, donor), freq.view(),
+      auto res = st.rpc.trans(ctx.admin_of(donor), freq.view(),
                               {.timeout = sim::sec(5)});
       if (!res.is_ok()) break;
       try {
@@ -541,7 +548,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
                 << " applied=" << ctx.applied_seqno;
       continue;  // covered by state transfer
     }
-    if (ctx.opts.debug_skip_read_barrier) {
+    if (ctx.skip_read_barrier) {
       // The injected bug is "serve reads without waiting for buffered
       // messages". Lag the apply so the stale window is wide enough for
       // clients to actually observe it; commits elsewhere are unaffected
@@ -667,7 +674,7 @@ OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
   if (auto refused = refuse_without_majority(ctx)) return std::move(*refused);
   // Buffered-messages barrier: before reading, apply everything the
   // kernel knows exists (r = 2 makes this sufficient, Sec. 3.1).
-  if (!ctx.opts.debug_skip_read_barrier) {
+  if (!ctx.skip_read_barrier) {
     const std::uint64_t target = ctx.gm->info().known_latest;
     const sim::Time deadline = ctx.now() + kReadBarrierTimeout;
     while (ctx.applied_seqno < target && ctx.now() < deadline &&
@@ -717,14 +724,14 @@ OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
   return {std::move(reply), "write", true};
 }
 
-void service_main(Machine& machine, GroupDirOptions opts) {
-  const int my_index = server_index(opts.dir_servers, machine.id());
+void service_main(Machine& machine, const ServerOptions& opts) {
+  const int my_index = server_index(opts.servers, machine.id());
   if (my_index < 0) {
-    LOG_ERROR << machine.name() << " not in dir_servers";
+    LOG_ERROR << machine.name() << " not in the server list";
     return;
   }
 
-  ServerCtx ctx(machine, std::move(opts), my_index);
+  ServerCtx ctx(machine, opts, my_index);
   Io st(ctx.store);
   ctx.store.load(st, ctx.my_seqno);
   if (ctx.store.commit_block().recovering) {
@@ -736,8 +743,8 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   }
 
   // Admin service (recovery RPCs) — available even while recovering.
-  auto admin = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx.opts, ctx.my_index));
+  auto admin =
+      std::make_shared<rpc::RpcServer>(machine, ctx.admin_of(ctx.my_index));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("dir.admin" + std::to_string(i), [&ctx, admin] {
       while (true) {
@@ -748,7 +755,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
   }
 
   // Client-facing initiator threads.
-  auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
+  auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
   for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
       serve_ops(ctx.ops, *server, std::bind_front(serve_read, std::ref(ctx)),
@@ -766,7 +773,7 @@ void service_main(Machine& machine, GroupDirOptions opts) {
 
 }  // namespace
 
-void install_group_dir_server(Machine& machine, GroupDirOptions opts) {
+void install_group_dir_server(Machine& machine, const ServerOptions& opts) {
   machine.install_service("group_dir", [opts](Machine& m) {
     service_main(m, opts);
   });

@@ -23,7 +23,6 @@ constexpr int kServerThreads = 3;  // directory server threads
 
 struct NfsCtx {
   Machine& machine;
-  NfsDirOptions opts;
   DirState state;
   std::uint64_t seqno = 0;
   disk::VirtualDisk* disk = nullptr;
@@ -38,10 +37,9 @@ struct NfsCtx {
 
   OpSkeleton ops;
 
-  NfsCtx(Machine& m, NfsDirOptions o)
+  explicit NfsCtx(Machine& m)
       : machine(m),
-        opts(std::move(o)),
-        state(opts.dir_port),
+        state(kDirPort),
         ops(m, "dir.nfs", kCpuRead, kCpuWrite) {}
 };
 
@@ -92,7 +90,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
               ctx.machine.sim().rng().next() & cap::CheckScheme::kCheckMask;
           (*ctx.files)[obj] = NfsCtx::FileEntry{secret, std::move(data)};
           cap::Capability c;
-          c.port = ctx.opts.file_port;
+          c.port = kNfsFilePort;
           c.object = obj;
           c.rights = cap::kRightsAll;
           c.check = cap::CheckScheme::make_check(secret, cap::kRightsAll);
@@ -133,17 +131,16 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
   }
 }
 
-void service_main(Machine& machine, NfsDirOptions opts) {
-  NfsCtx ctx(machine, std::move(opts));
+void service_main(Machine& machine) {
+  NfsCtx ctx(machine);
   ctx.disk = &nfs_disk(machine);
   ctx.disk->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
   ctx.files = &machine.persistent<std::map<std::uint32_t, NfsCtx::FileEntry>>(
       "nfs.files",
       [] { return std::make_unique<std::map<std::uint32_t, NfsCtx::FileEntry>>(); });
 
-  auto dir_srv = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
-  auto file_srv =
-      std::make_shared<rpc::RpcServer>(machine, ctx.opts.file_port);
+  auto dir_srv = std::make_shared<rpc::RpcServer>(machine, kDirPort);
+  auto file_srv = std::make_shared<rpc::RpcServer>(machine, kNfsFilePort);
   for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("nfs.dir" + std::to_string(i),
                   [&ctx, dir_srv] { dir_loop(ctx, *dir_srv); });
@@ -157,9 +154,8 @@ void service_main(Machine& machine, NfsDirOptions opts) {
 
 }  // namespace
 
-void install_nfs_dir_server(Machine& machine, NfsDirOptions opts) {
-  machine.install_service("nfs_dir",
-                          [opts](Machine& m) { service_main(m, opts); });
+void install_nfs_dir_server(Machine& machine, const ServerOptions& /*opts*/) {
+  machine.install_service("nfs_dir", [](Machine& m) { service_main(m); });
 }
 
 disk::VirtualDisk& nfs_disk(Machine& machine) {

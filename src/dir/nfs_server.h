@@ -6,20 +6,16 @@
 // write-behind data and synchronous metadata).
 #pragma once
 
-#include <cstdint>
-
 #include "disk/vdisk.h"
 #include "net/cluster.h"
-#include "sim/time.h"
 
 namespace amoeba::dir {
 
-struct NfsDirOptions {
-  net::Port dir_port{3000};
-  net::Port file_port{3001};
-};
+struct ServerOptions;  // dir/serve.h
 
-void install_nfs_dir_server(net::Machine& machine, NfsDirOptions opts);
+/// Installs the server on `machine`; it answers on kDirPort and
+/// kNfsFilePort and reads none of `opts`.
+void install_nfs_dir_server(net::Machine& machine, const ServerOptions& opts);
 
 /// The server's disk; it survives crashes.
 disk::VirtualDisk& nfs_disk(net::Machine& machine);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/log.h"
+#include "dir/serve.h"
 
 namespace amoeba::dir {
 
@@ -33,6 +34,10 @@ bool put_dir_file(DirState& state, const bullet::BulletClient::Listed& f) {
 }
 
 }  // namespace
+
+ReplicaStore::Io::Io(const ReplicaStore& s)
+    : rpc(s.machine_), bullet(rpc, bullet_port(s.cfg_.index)),
+      disk(rpc, disk_port(s.cfg_.index)) {}
 
 ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
                            StoreConfig cfg)

@@ -34,9 +34,7 @@ enum class StoreFormat {
 struct StoreConfig {
   StoreFormat format;
   const char* layer;  // metrics layer of the owning service
-  int index;          // the server's position in its configuration
-  net::Port bullet_port;
-  net::Port disk_port;
+  int index;  // the server's position; names its storage machine's ports
   bool use_nvram;
   std::size_t nvram_bytes;
 };
@@ -49,9 +47,7 @@ class ReplicaStore {
     rpc::RpcClient rpc;
     bullet::BulletClient bullet;
     disk::DiskClient disk;
-    explicit Io(const ReplicaStore& s)
-        : rpc(s.machine_), bullet(rpc, s.cfg_.bullet_port),
-          disk(rpc, s.cfg_.disk_port) {}
+    explicit Io(const ReplicaStore& s);
   };
 
   /// Flush when the log has been idle this long, or is this full.

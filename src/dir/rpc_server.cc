@@ -31,9 +31,9 @@ constexpr int kServerThreads = 3;   // client-facing server threads
 
 struct RpcServerCtx {
   Machine& machine;
-  RpcDirOptions opts;
   int my_index;
   int peer_index;
+  Port peer_port;  // the peer's intent/resync port
   DirState state;
   ReplicaStore store;
   std::uint64_t last_seqno = 0;
@@ -57,15 +57,16 @@ struct RpcServerCtx {
   obs::Counter& mx_intents;
   obs::Counter& mx_conflicts;
 
-  RpcServerCtx(Machine& m, RpcDirOptions o, int idx)
+  RpcServerCtx(Machine& m, const ServerOptions& o, int idx)
       : machine(m),
-        opts(std::move(o)),
         my_index(idx),
         peer_index(1 - idx),
-        state(opts.dir_port),
+        peer_port(admin_port(kRpcPeerBase,
+                             o.servers[static_cast<std::size_t>(peer_index)])),
+        state(kDirPort),
         store(m, state,
-              {StoreFormat::self_describing, "dir.rpc", idx, opts.bullet_port,
-               opts.disk_port, opts.use_nvram, opts.nvram_bytes}),
+              {StoreFormat::self_describing, "dir.rpc", idx, o.use_nvram,
+               o.nvram_bytes}),
         lock_wq(m.sim()),
         lazy_wq(m.sim()),
         ops(m, "dir.rpc", kCpuRead, kCpuWrite, &store),
@@ -267,7 +268,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
       w.u64(secret);
       w.bytes(req.data);
       auto res = st.rpc.trans(
-          admin_port(ctx.opts, ctx.peer_index), w.take(),
+          ctx.peer_port, w.take(),
           {.timeout = kPeerTimeout}, octx);
       if (res.is_ok()) {
         peer_st = reply_status(*res);
@@ -330,7 +331,7 @@ bool sync_with_peer(RpcServerCtx& ctx, Io& st) {
   w.u8(static_cast<std::uint8_t>(PeerOp::push_state));
   w.u64(ctx.last_seqno);
   w.bytes(ctx.state.snapshot());
-  auto res = st.rpc.trans(admin_port(ctx.opts, ctx.peer_index), w.take(),
+  auto res = st.rpc.trans(ctx.peer_port, w.take(),
                           {.timeout = kPeerTimeout});
   if (!res.is_ok()) return false;
   try {
@@ -368,19 +369,19 @@ void load_and_resync(RpcServerCtx& ctx, Io& st) {
   }
 }
 
-void service_main(Machine& machine, RpcDirOptions opts) {
-  const int my_index = server_index(opts.dir_servers, machine.id());
-  if (my_index < 0 || opts.dir_servers.size() != 2) {
+void service_main(Machine& machine, const ServerOptions& opts) {
+  const int my_index = server_index(opts.servers, machine.id());
+  if (my_index < 0 || opts.servers.size() != 2) {
     LOG_ERROR << machine.name() << " rpc dir server misconfigured";
     return;
   }
 
-  RpcServerCtx ctx(machine, std::move(opts), my_index);
+  RpcServerCtx ctx(machine, opts, my_index);
 
   // Peer-facing service (intent / resync) comes up before the boot resync:
   // when both servers boot together each must be able to answer the other.
   auto peer_srv = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(ctx.opts, ctx.my_index));
+      machine, admin_port(kRpcPeerBase, machine.id()));
   for (int i = 0; i < 2; ++i) {
     machine.spawn("rdir.peer" + std::to_string(i), [&ctx, peer_srv] {
       Io pst(ctx.store);
@@ -399,7 +400,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
     machine.spawn("rdir.flusher", [&ctx] { ctx.store.run_flusher(); });
   }
 
-  auto server = std::make_shared<rpc::RpcServer>(machine, ctx.opts.dir_port);
+  auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
   for (int i = 0; i < kServerThreads; ++i) {
     machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
       Io st(ctx.store);
@@ -431,7 +432,7 @@ void service_main(Machine& machine, RpcDirOptions opts) {
 
 }  // namespace
 
-void install_rpc_dir_server(Machine& machine, RpcDirOptions opts) {
+void install_rpc_dir_server(Machine& machine, const ServerOptions& opts) {
   machine.install_service("rpc_dir",
                           [opts](Machine& m) { service_main(m, opts); });
 }

@@ -19,30 +19,15 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/cluster.h"
-#include "sim/time.h"
 
 namespace amoeba::dir {
 
-struct RpcDirOptions {
-  net::Port dir_port{2000};
-  net::Port admin_port_base{2100};  // + machine id: INTENT / RESYNC
-  net::Port bullet_port{2200};      // this server's bullet server
-  net::Port disk_port{2300};        // this server's raw partition
-  std::vector<net::MachineId> dir_servers;  // exactly two
+struct ServerOptions;  // dir/serve.h
 
-  /// The extension the paper predicts would help ("If the RPC service had
-  /// been implemented with NVRAM, one could expect similar performance
-  /// improvements", Sec. 4.1): intentions and local copies go to a 24 KB
-  /// NVRAM log; a background flusher writes the disk copies.
-  bool use_nvram = false;
-  std::size_t nvram_bytes = 24 * 1024;
-};
-
-/// Peer protocol served on `admin_port_base + machine id` (exposed so tests
-/// and tools can inspect replicas).
+/// Peer protocol served on `kRpcPeerBase + machine id` (exposed so tests and
+/// tools can inspect replicas).
 /// intent:     request = op, seqno u64, secret u64, dir-request bytes;
 ///             reply = status. `conflict` means the receiver's state is not
 ///             at seqno-1 (it missed updates); the initiator must push its
@@ -55,6 +40,12 @@ struct RpcDirOptions {
 ///             converges both sides.
 enum class RpcPeerOp : std::uint8_t { intent = 1, resync, push_state };
 
-void install_rpc_dir_server(net::Machine& machine, RpcDirOptions opts);
+/// Installs a directory server on `machine`. `opts.servers` lists exactly
+/// two machines, this one among them. With `opts.use_nvram`, the extension
+/// the paper predicts would help ("If the RPC service had been implemented
+/// with NVRAM, one could expect similar performance improvements",
+/// Sec. 4.1): intentions and local copies go to the NVRAM log, and a
+/// background flusher writes the disk copies.
+void install_rpc_dir_server(net::Machine& machine, const ServerOptions& opts);
 
 }  // namespace amoeba::dir

@@ -1,12 +1,14 @@
-// The request skeleton of the directory servers. The group, RPC and NFS
-// flavors answer clients with the same loop: take a request, decode its
-// op, open the server-side op span, charge the op's CPU, run the flavor's
-// read or update body, count the op, close the span and reply. serve_ops
-// is that loop; a flavor supplies only the two bodies. The replicated
-// flavors also share how a server finds its index and its peers' ports.
+// What the directory servers share. The group, RPC and NFS flavors differ
+// in replication protocol, not in how they are deployed: each installer
+// takes the same ServerOptions and the same port plan. They also answer
+// clients with the same loop: take a request, decode its op, open the
+// server-side op span, charge the op's CPU, run the flavor's read or update
+// body, count the op, close the span and reply. serve_ops is that loop; a
+// flavor supplies only the two bodies.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -16,19 +18,69 @@
 
 namespace amoeba::dir {
 
+/// The port plan of every deployment. Clients reach whichever directory
+/// server answers on kDirPort.
+inline constexpr net::Port kDirPort{1000};
+/// The group flavors' group-communication port.
+inline constexpr net::Port kGroupPort{1001};
+/// Per-server admin ports are a base plus the server's machine id: the
+/// group service's recovery RPCs, the RPC service's intent/resync protocol.
+inline constexpr std::uint64_t kGroupAdminBase = 1100;
+inline constexpr std::uint64_t kRpcPeerBase = 2100;
+/// Server i's storage machine runs its Bullet server on kBulletBase + i and
+/// its raw-partition disk server on kDiskBase + i.
+inline constexpr std::uint64_t kBulletBase = 1200;
+inline constexpr std::uint64_t kDiskBase = 1300;
+/// The NFS server's bullet-protocol file endpoint.
+inline constexpr net::Port kNfsFilePort{3001};
+
+inline net::Port admin_port(std::uint64_t base, net::MachineId m) {
+  return net::Port{base + m.v};
+}
+inline net::Port bullet_port(int index) {
+  return net::Port{kBulletBase + static_cast<std::uint64_t>(index)};
+}
+inline net::Port disk_port(int index) {
+  return net::Port{kDiskBase + static_cast<std::uint64_t>(index)};
+}
+
+/// What a deployment sets on its directory servers; every server of one
+/// deployment gets the same options. The testbed fills in every field.
+struct ServerOptions {
+  std::vector<net::MachineId> servers;  // all directory servers, fixed order
+  bool use_nvram;          // log updates in NVRAM (Sec. 4.1)
+  std::size_t nvram_bytes;
+  // Group flavors only.
+  int resilience;          // r of SendToGroup
+  bool improved_recovery;  // Sec. 3.2's relaxed 2-server rule
+  /// Lease caching (Gray & Cheriton): grant time-bounded read leases on
+  /// lookup replies so lease-aware clients serve repeats locally. The
+  /// granting replica invalidates holders from its ordered apply path; a
+  /// partitioned client's lease simply lapses after lease_duration of
+  /// simulated time, bounding staleness without any revocation round-trip.
+  bool lease_caching;
+  sim::Duration lease_duration;
+  /// Sequencer update batching (group layer) + NVRAM group commit: updates
+  /// coalesced into one ordered ACCEPT are applied as one delivery and
+  /// logged as ONE NVRAM append, so the per-update log-write cost is
+  /// amortised across the batch.
+  bool batching;
+  /// Sequenced records each group member keeps for retransmission; 0 keeps
+  /// GroupConfig::history_limit.
+  std::size_t history_limit;
+  /// Debug fault injection (simfuzz only): the server with this index, if
+  /// any, serves reads WITHOUT the buffered-messages barrier, so it can
+  /// return state that predates updates already acknowledged elsewhere.
+  /// Exists to prove the linearizability checker catches real ordering
+  /// bugs; -1 in every other configuration.
+  int stale_read_server;
+};
+
 /// Position of `m` in a server list, or -1 when it is not listed.
 inline int server_index(const std::vector<net::MachineId>& servers,
                         net::MachineId m) {
   const auto it = std::find(servers.begin(), servers.end(), m);
   return it == servers.end() ? -1 : static_cast<int>(it - servers.begin());
-}
-
-/// The admin port of server `index` of a replicated flavor's options:
-/// `admin_port_base` plus the server's machine id.
-template <class Options>
-net::Port admin_port(const Options& opts, int index) {
-  return net::Port{opts.admin_port_base.v +
-                   opts.dir_servers[static_cast<std::size_t>(index)].v};
 }
 
 /// What a read or update body hands back to serve_ops.

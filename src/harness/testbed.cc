@@ -4,17 +4,15 @@
 #include "disk/disk_server.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
+#include "dir/serve.h"
 
 namespace amoeba::harness {
 
 namespace {
 
-constexpr net::Port kDirPort{1000};
-constexpr net::Port kGroupPort{1001};
-constexpr net::Port kAdminBase{1100};
-constexpr net::Port kBulletBase{1200};
-constexpr net::Port kDiskBase{1300};
-constexpr net::Port kNfsFilePort{3001};
+bool uses_nvram(Flavor f) {
+  return f == Flavor::group_nvram || f == Flavor::rpc_nvram;
+}
 
 /// The Wren IV disk a storage machine's servers share.
 disk::VirtualDisk& storage_disk(net::Machine& m) {
@@ -71,85 +69,54 @@ Result<Flavor> parse_flavor(const std::string& token) {
   return Status::error(Errc::bad_request, "unknown flavor: " + token);
 }
 
-Testbed::Testbed(TestbedOptions opts) : opts_(opts), dir_port_(kDirPort) {
+bool is_group(Flavor f) {
+  return f == Flavor::group || f == Flavor::group_nvram;
+}
+
+Testbed::Testbed(TestbedOptions opts)
+    : opts_(opts), dir_port_(dir::kDirPort) {
   sim_ = std::make_unique<sim::Simulator>(opts.seed);
   net::NetConfig net_cfg;
   net_cfg.segments = opts.network_segments;
   cluster_ = std::make_unique<net::Cluster>(*sim_, net_cfg);
   cluster_->set_tracing(opts.tracing);
 
-  int replicas = opts.replicas;
-  if (replicas == 0) {
-    switch (opts.flavor) {
-      case Flavor::group:
-      case Flavor::group_nvram: replicas = 3; break;
-      case Flavor::rpc:
-      case Flavor::rpc_nvram: replicas = 2; break;
-      case Flavor::nfs: replicas = 1; break;
-    }
-  }
+  const bool nfs = opts.flavor == Flavor::nfs;
+  const bool rpc =
+      opts.flavor == Flavor::rpc || opts.flavor == Flavor::rpc_nvram;
+  int replicas = nfs ? 1 : rpc ? 2 : 3;
+  if (!nfs && opts.replicas > 0) replicas = opts.replicas;
 
-  if (opts.flavor == Flavor::nfs) {
-    net::Machine& m = cluster_->add_machine("nfs0");
-    dir_servers_.push_back(&m);
-    dir::NfsDirOptions no;
-    no.dir_port = kDirPort;
-    no.file_port = kNfsFilePort;
-    dir::install_nfs_dir_server(m, no);
-    file_port_ = kNfsFilePort;
-  } else {
-    // Directory server machines first (ids 0..n-1), then their storage
-    // machines; one private bullet+disk pair per directory server.
-    for (int i = 0; i < replicas; ++i) {
-      dir_servers_.push_back(
-          &cluster_->add_machine("dir" + std::to_string(i)));
-    }
-    for (int i = 0; i < replicas; ++i) {
-      net::Machine& s = cluster_->add_machine("sto" + std::to_string(i));
-      storage_.push_back(&s);
-      install_storage(s, net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)},
-                      net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)});
-    }
-    std::vector<net::MachineId> ids;
-    for (auto* m : dir_servers_) ids.push_back(m->id());
-
-    if (opts.flavor == Flavor::rpc || opts.flavor == Flavor::rpc_nvram) {
-      for (int i = 0; i < replicas; ++i) {
-        dir::RpcDirOptions ro;
-        ro.dir_port = kDirPort;
-        ro.admin_port_base = net::Port{2100};
-        ro.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
-        ro.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
-        ro.dir_servers = ids;
-        ro.use_nvram = (opts.flavor == Flavor::rpc_nvram);
-        ro.nvram_bytes = opts.nvram_bytes;
-        dir::install_rpc_dir_server(dir_server(i), ro);
-      }
-    } else {
-      for (int i = 0; i < replicas; ++i) {
-        dir::GroupDirOptions go;
-        go.dir_port = kDirPort;
-        go.group_port = kGroupPort;
-        go.admin_port_base = kAdminBase;
-        go.bullet_port = net::Port{kBulletBase.v + static_cast<std::uint64_t>(i)};
-        go.disk_port = net::Port{kDiskBase.v + static_cast<std::uint64_t>(i)};
-        go.dir_servers = ids;
-        go.resilience = opts.resilience;
-        go.use_nvram = (opts.flavor == Flavor::group_nvram);
-        go.nvram_bytes = opts.nvram_bytes;
-        go.improved_recovery = opts.improved_recovery;
-        go.lease_caching = opts.lease_caching;
-        go.lease_duration = opts.lease_duration;
-        go.batching = opts.batching;
-        go.debug_skip_read_barrier = (i == opts.debug_stale_reads_server);
-        if (opts.group_history_limit > 0) {
-          go.history_limit = opts.group_history_limit;
-        }
-        dir::install_group_dir_server(dir_server(i), go);
-      }
-    }
-    file_port_ = kBulletBase;  // bullet server 0
+  // Directory server machines first (ids 0..n-1), then their storage
+  // machines; one private bullet+disk pair per Amoeba directory server.
+  for (int i = 0; i < replicas; ++i) {
+    dir_servers_.push_back(&cluster_->add_machine((nfs ? "nfs" : "dir") +
+                                                  std::to_string(i)));
   }
+  for (int i = 0; i < replicas && !nfs; ++i) {
+    net::Machine& s = cluster_->add_machine("sto" + std::to_string(i));
+    storage_.push_back(&s);
+    install_storage(s, dir::bullet_port(i), dir::disk_port(i));
+  }
+  std::vector<net::MachineId> ids;
+  for (auto* m : dir_servers_) ids.push_back(m->id());
+  const dir::ServerOptions so{
+      .servers = ids,
+      .use_nvram = uses_nvram(opts.flavor),
+      .nvram_bytes = opts.nvram_bytes,
+      .resilience = opts.resilience,
+      .improved_recovery = opts.improved_recovery,
+      .lease_caching = opts.lease_caching,
+      .lease_duration = opts.lease_duration,
+      .batching = opts.batching,
+      .history_limit = opts.group_history_limit,
+      .stale_read_server = opts.debug_stale_reads_server,
+  };
+  const auto install = nfs   ? dir::install_nfs_dir_server
+                       : rpc ? dir::install_rpc_dir_server
+                             : dir::install_group_dir_server;
+  for (auto* m : dir_servers_) install(*m, so);
+  file_port_ = nfs ? dir::kNfsFilePort : dir::bullet_port(0);
 
   for (int i = 0; i < opts.clients; ++i) {
     clients_.push_back(&cluster_->add_machine("cli" + std::to_string(i)));
@@ -187,19 +154,34 @@ std::string Testbed::chrome_json() {
 disk::VirtualDisk& Testbed::vdisk(int i) { return storage_disk(storage(i)); }
 
 nvram::Nvram* Testbed::nvram_of(int i) {
-  if (opts_.flavor != Flavor::group_nvram &&
-      opts_.flavor != Flavor::rpc_nvram) {
-    return nullptr;
-  }
+  if (!uses_nvram(opts_.flavor)) return nullptr;
   return &dir::ReplicaStore::nvram_device(dir_server(i), opts_.nvram_bytes);
 }
 
-net::Port Testbed::admin_port(int i) const {
-  const bool rpc =
-      opts_.flavor == Flavor::rpc || opts_.flavor == Flavor::rpc_nvram;
-  const net::Port base = rpc ? net::Port{2100} : kAdminBase;
-  return net::Port{base.v +
-                   dir_servers_[static_cast<std::size_t>(i)]->id().v};
+Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
+  const bool group = is_group(bed.options().flavor);
+  Writer w;
+  w.u8(group ? static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state)
+             : static_cast<std::uint8_t>(dir::RpcPeerOp::resync));
+  const net::Port port =
+      dir::admin_port(group ? dir::kGroupAdminBase : dir::kRpcPeerBase,
+                      bed.dir_server(server).id());
+  auto res = rpc.trans(port, w.take(), {.timeout = sim::sec(2)});
+  if (!res.is_ok()) return res.status();
+  try {
+    Reader r(*res);
+    if (static_cast<Errc>(r.u8()) != Errc::ok) {
+      return Status::error(Errc::refused, "state fetch refused");
+    }
+    (void)r.u64();  // last/applied seqno
+    if (group) {
+      (void)r.u64();  // applied
+      (void)r.u64();  // commit-block seqno
+    }
+    return r.bytes();
+  } catch (const DecodeError&) {
+    return Status::error(Errc::bad_request, "corrupt fetch reply");
+  }
 }
 
 bool Testbed::wait_ready(sim::Duration limit) {
@@ -208,7 +190,7 @@ bool Testbed::wait_ready(sim::Duration limit) {
   while (sim_->now() < deadline) {
     sim_->run_for(sim::msec(50));
     bool ready = true;
-    if (opts_.flavor == Flavor::group || opts_.flavor == Flavor::group_nvram) {
+    if (is_group(opts_.flavor)) {
       for (auto* m : dir_servers_) {
         ready = ready && !dir::group_dir_stats(*m).in_recovery;
       }

@@ -15,6 +15,7 @@
 #include "disk/vdisk.h"
 #include "net/cluster.h"
 #include "nvram/nvram.h"
+#include "rpc/rpc.h"
 
 namespace amoeba::harness {
 
@@ -37,7 +38,12 @@ const char* flavor_name(Flavor f);
 /// parse_flavor.
 const char* flavor_token(Flavor f);
 Result<Flavor> parse_flavor(const std::string& token);
+/// The flavors that replicate with group communication.
+bool is_group(Flavor f);
 
+/// The deployment's settings. The testbed hands the directory servers the
+/// ones they read as one dir::ServerOptions (dir/serve.h), whose fields say
+/// what each does.
 struct TestbedOptions {
   Flavor flavor = Flavor::group;
   int clients = 1;
@@ -49,18 +55,17 @@ struct TestbedOptions {
   int network_segments = 1;  // >1: redundant Ethernets (paper Sec. 2)
   /// Fault injection for the simfuzz harness: when >= 0, the group dir
   /// server with this index serves reads without the buffered-messages
-  /// barrier (GroupDirOptions::debug_skip_read_barrier).
+  /// barrier (ServerOptions::stale_read_server).
   int debug_stale_reads_server = -1;
   /// When > 0, overrides GroupConfig::history_limit for the group flavors
   /// (tests use a tiny limit to force history pruning during recovery).
   std::size_t group_history_limit = 0;
   /// Lease-based client caching (group flavors): servers grant read leases
   /// on lookups; lease-aware clients (DirClient::enable_leases) answer
-  /// repeats locally. See GroupDirOptions::lease_caching.
+  /// repeats locally.
   bool lease_caching = false;
   sim::Duration lease_duration = sim::msec(500);
-  /// Sequencer update batching + NVRAM group commit (group flavors). See
-  /// GroupDirOptions::batching.
+  /// Sequencer update batching + NVRAM group commit (group flavors).
   bool batching = false;
   /// Record a per-event trace ring (Cluster::set_tracing). Defaults on so
   /// existing tests/tools see identical traces; throughput benchmarks turn
@@ -106,10 +111,6 @@ class Testbed {
   nvram::Nvram* nvram_of(int i);
 
   [[nodiscard]] net::Port dir_port() const { return dir_port_; }
-  /// Admin/peer port of directory server `i` (recovery RPCs for group
-  /// flavors, intent/resync for rpc flavors); tools use it to fetch replica
-  /// state. Not meaningful for nfs.
-  [[nodiscard]] net::Port admin_port(int i) const;
   /// A file server usable by the tmp-file workload (bullet protocol):
   /// bullet server 0 for Amoeba flavors, the NFS file endpoint for nfs.
   [[nodiscard]] net::Port file_port() const { return file_port_; }
@@ -130,5 +131,10 @@ class Testbed {
   net::Port dir_port_;
   net::Port file_port_;
 };
+
+/// Directory server `server`'s raw state snapshot (dir::DirState bytes),
+/// fetched from a process that owns `rpc` over the group admin protocol or
+/// the RPC service's peer protocol. Not for nfs, which has neither.
+Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server);
 
 }  // namespace amoeba::harness

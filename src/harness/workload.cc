@@ -6,6 +6,7 @@
 
 #include "bullet/bullet.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "dir/client.h"
 
 namespace amoeba::harness {
@@ -198,7 +199,7 @@ ThroughputResult update_throughput(Testbed& bed, sim::Duration warmup,
   return closed_loop(
       bed, /*shared=*/false, warmup, window,
       [](int i, dir::DirClient& dc, const cap::Capability& dir) {
-        const std::string name = "t" + std::to_string(i);
+        const std::string name = numbered("t", i);
         const Status a = dc.append_row(dir, name, {dummy_cap(9)});
         const Status d = dc.delete_row(dir, name);
         return a.is_ok() && d.is_ok();
@@ -214,7 +215,7 @@ ThroughputResult append_throughput(Testbed& bed, sim::Duration warmup,
                                 const cap::Capability& dir) mutable {
         const std::uint64_t k = next++;
         return dc
-            .append_row(dir, "u" + std::to_string(i) + "." + std::to_string(k),
+            .append_row(dir, numbered(numbered("u", i) + ".", k),
                         {dummy_cap(k)})
             .is_ok();
       });
@@ -289,7 +290,7 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
               }
               auto& rng = sim.rng();
               while (!load->stop) {
-                const std::string key = "k" + std::to_string(rng.below(8));
+                const std::string key = numbered("k", rng.below(8));
                 const Status st = op(dc, load->home, key, rng.below(100));
                 if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
                 sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));

@@ -15,72 +15,14 @@
 #include <map>
 #include <set>
 
+#include "check/simfuzz.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "harness/testbed.h"
 
 namespace amoeba::harness {
 namespace {
-
-struct SemanticState {
-  struct Obj {
-    std::uint64_t secret;
-    std::uint64_t seqno;
-    std::vector<std::pair<std::string, std::size_t>> rows;  // name, #cols
-  };
-  std::map<std::uint32_t, Obj> objs;
-
-  static SemanticState from_snapshot(const Buffer& snap, net::Port port) {
-    SemanticState out;
-    dir::DirState st = dir::DirState::from_snapshot(snap, port);
-    for (const auto& [objnum, entry] : st.table()) {
-      Obj o;
-      o.secret = entry.secret;
-      o.seqno = entry.seqno;
-      const dir::Directory* d =
-          const_cast<dir::DirState&>(st).directory(objnum);
-      if (d != nullptr) {
-        for (const auto& row : d->rows) {
-          o.rows.emplace_back(row.name, row.cols.size());
-        }
-      }
-      out.objs[objnum] = std::move(o);
-    }
-    return out;
-  }
-
-  bool operator==(const SemanticState& other) const {
-    if (objs.size() != other.objs.size()) return false;
-    for (const auto& [num, o] : objs) {
-      auto it = other.objs.find(num);
-      if (it == other.objs.end()) return false;
-      if (o.secret != it->second.secret || o.seqno != it->second.seqno ||
-          o.rows != it->second.rows) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-/// Fetch a replica's state via the recovery admin protocol.
-Result<SemanticState> fetch_replica(Testbed& bed, rpc::RpcClient& rpc,
-                                    int server) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state));
-  auto res = rpc.trans(net::Port{1100 + static_cast<std::uint64_t>(
-                                            bed.dir_server(server).id().v)},
-                       w.take(), {.timeout = sim::sec(2)});
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  if (static_cast<Errc>(r.u8()) != Errc::ok) {
-    return Status::error(Errc::refused, "fetch_state failed");
-  }
-  (void)r.u64();  // seqno
-  (void)r.u64();  // applied
-  (void)r.u64();  // commit seqno
-  return SemanticState::from_snapshot(r.bytes(), bed.dir_port());
-}
 
 struct ChaosParams {
   std::uint64_t seed;
@@ -129,7 +71,7 @@ TEST_P(ChaosSweep, ReplicasConvergeAndAckedOpsHold) {
     cap::Capability v;
     v.object = 1;
     while (!stop) {
-      const std::string name = "k" + std::to_string(sim.rng().below(12));
+      const std::string name = numbered("k", sim.rng().below(12));
       Key& k = model[name];
       Status st;
       if (k.present) {
@@ -205,14 +147,17 @@ TEST_P(ChaosSweep, ReplicasConvergeAndAckedOpsHold) {
   EXPECT_GT(acked, 20) << "chaos too aggressive: almost nothing committed";
 
   // Invariant 1: replica agreement.
-  std::vector<SemanticState> states(3);
+  std::vector<check::SemanticState> states(3);
   bool fetched = false;
   bed.client(1).spawn("verify", [&] {
     rpc::RpcClient rpc(bed.client(1));
     for (int i = 0; i < 3; ++i) {
-      auto res = fetch_replica(bed, rpc, i);
+      auto res = fetch_snapshot(bed, rpc, i);
       ASSERT_TRUE(res.is_ok()) << "server " << i;
-      states[static_cast<std::size_t>(i)] = *res;
+      auto sem = check::SemanticState::from_snapshot(*res, bed.dir_port());
+      ASSERT_TRUE(sem.is_ok())
+          << "server " << i << ": " << sem.status().to_string();
+      states[static_cast<std::size_t>(i)] = *sem;
     }
     fetched = true;
   });
@@ -310,7 +255,7 @@ TEST_P(RpcChaosSweep, CrashStormConvergesViaResync) {
       }
     }
     while (!stop) {
-      const std::string name = "k" + std::to_string(sim.rng().below(8));
+      const std::string name = numbered("k", sim.rng().below(8));
       Key& k = model[name];
       Status st = k.present ? dc.delete_row(home, name)
                             : dc.append_row(home, name, {});

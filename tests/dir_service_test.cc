@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bullet/bullet.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "harness/workload.h"
 
@@ -249,7 +250,7 @@ TEST(GroupDirService, ReadYourWritesAcrossServers) {
     cap::Capability payload;
     payload.object = 123;
     for (int round = 0; round < 10; ++round) {
-      std::string name = "n" + std::to_string(round);
+      std::string name = numbered("n", round);
       ASSERT_TRUE(dc.append_row(*dcap, name, {payload}).is_ok());
       dc.rpc().flush_port_cache(bed.dir_port());  // likely another server
       auto got = dc.lookup(*dcap, name);

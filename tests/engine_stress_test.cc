@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "dir/client.h"
 #include "harness/testbed.h"
 #include "obs/metrics.h"
@@ -109,7 +110,7 @@ RunResult stress_run(std::uint64_t seed) {
   };
 
   const auto spawn_worker = [&](std::size_t i) {
-    return s.spawn("w" + std::to_string(i),
+    return s.spawn(numbered("w", i),
                    [&worker_body, pi = static_cast<std::uint64_t>(i)] {
                      worker_body(pi);
                    });

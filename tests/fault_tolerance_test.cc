@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bullet/bullet.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "dir/rpc_server.h"
@@ -102,30 +103,6 @@ std::size_t bullet_files(Testbed& bed, int storage) {
       .persistent<bullet::BulletStore>(
           "bullet.store", [] { return std::make_unique<bullet::BulletStore>(); })
       .files.size();
-}
-
-/// A replica's state, fetched through the group admin protocol or the RPC
-/// service's peer protocol (from a client process).
-Result<dir::DirState> fetch_replica(Testbed& bed, rpc::RpcClient& rpc,
-                                    int server) {
-  const bool group = bed.options().flavor == Flavor::group ||
-                     bed.options().flavor == Flavor::group_nvram;
-  Writer w;
-  w.u8(group ? static_cast<std::uint8_t>(dir::GroupAdminOp::fetch_state)
-             : static_cast<std::uint8_t>(dir::RpcPeerOp::resync));
-  auto res = rpc.trans(bed.admin_port(server), w.take(),
-                       {.timeout = sim::sec(2)});
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  if (static_cast<Errc>(r.u8()) != Errc::ok) {
-    return Status::error(Errc::refused, "state fetch failed");
-  }
-  (void)r.u64();  // seqno
-  if (group) {
-    (void)r.u64();  // applied
-    (void)r.u64();  // commit seqno
-  }
-  return dir::DirState::from_snapshot(r.bytes(), bed.dir_port());
 }
 
 bool group_ready(Testbed& bed, std::initializer_list<int> servers) {
@@ -387,13 +364,14 @@ TEST(GroupFault, DirectoryDeletedWhileDownStaysDeletedAfterTotalCrash) {
 
   d.step([&] {
     for (int i = 0; i < 3; ++i) {
-      auto st = fetch_replica(bed, *d.rpc, i);
-      ASSERT_TRUE(st.is_ok()) << "server " << i << ": "
-                              << st.status().to_string();
-      EXPECT_EQ(st->table().size(), 1u) << "server " << i;
-      EXPECT_EQ(st->entry(doomed.object), nullptr)
+      auto snap = fetch_snapshot(bed, *d.rpc, i);
+      ASSERT_TRUE(snap.is_ok()) << "server " << i << ": "
+                                << snap.status().to_string();
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+      EXPECT_EQ(st.table().size(), 1u) << "server " << i;
+      EXPECT_EQ(st.entry(doomed.object), nullptr)
           << "deleted directory came back on server " << i;
-      EXPECT_NE(st->entry(keep.object), nullptr) << "server " << i;
+      EXPECT_NE(st.entry(keep.object), nullptr) << "server " << i;
     }
   });
 }
@@ -536,7 +514,7 @@ TEST(GroupFault, RecoveringFlagPreventsStaleSource) {
   bed.sim().run_for(sim::sec(1));
   d.step([&] {
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(d.append_retry(dcap, "r" + std::to_string(i)).is_ok());
+      ASSERT_TRUE(d.append_retry(dcap, numbered("r", i)).is_ok());
     }
   });
 
@@ -755,7 +733,7 @@ TEST(GroupFault, OldBulletFilesGarbageCollected) {
     ASSERT_TRUE(res.is_ok());
     dcap = *res;
     for (int i = 0; i < 15; ++i) {
-      ASSERT_TRUE(d.dc->append_row(dcap, "n" + std::to_string(i), {}).is_ok());
+      ASSERT_TRUE(d.dc->append_row(dcap, numbered("n", i), {}).is_ok());
     }
   });
   bed.sim().run_for(sim::sec(1));
@@ -861,7 +839,7 @@ TEST_P(ClientFiles, SurviveAStateTransferOnTheirStorageMachine) {
   bed.sim().run_for(sim::sec(1));
   d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "while-down").is_ok()); });
   bed.cluster().restart(bed.dir_server(0).id());
-  if (GetParam() == Flavor::group || GetParam() == Flavor::group_nvram) {
+  if (is_group(GetParam())) {
     run_until_ready(bed, {0, 1, 2});
     ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
   }
@@ -869,10 +847,11 @@ TEST_P(ClientFiles, SurviveAStateTransferOnTheirStorageMachine) {
 
   d.step([&] {
     // Server 0 holds the update it missed, so it installed a snapshot.
-    auto st = fetch_replica(bed, *d.rpc, 0);
-    ASSERT_TRUE(st.is_ok()) << st.status().to_string();
-    ASSERT_NE(st->directory(dcap.object), nullptr);
-    EXPECT_TRUE(st->directory(dcap.object)->has("while-down"));
+    auto snap = fetch_snapshot(bed, *d.rpc, 0);
+    ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
+    dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+    ASSERT_NE(st.directory(dcap.object), nullptr);
+    EXPECT_TRUE(st.directory(dcap.object)->has("while-down"));
     auto row = d.lookup_retry(dcap, "file");
     ASSERT_TRUE(row.is_ok()) << row.status().to_string();
     bullet::BulletClient fc(*d.rpc, bed.file_port());
@@ -961,9 +940,10 @@ TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
   bed.sim().run_for(sim::sec(10));
   EXPECT_TRUE(nv->empty()) << nv->record_count() << " records left";
   reader.step([&] {
-    auto st = fetch_replica(bed, *reader.rpc, 0);
-    ASSERT_TRUE(st.is_ok()) << st.status().to_string();
-    const dir::Directory* dir = st->directory(dcap.object);
+    auto snap = fetch_snapshot(bed, *reader.rpc, 0);
+    ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
+    dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+    const dir::Directory* dir = st.directory(dcap.object);
     ASSERT_NE(dir, nullptr);
     for (int i = 0; i < kRows; ++i) {
       EXPECT_TRUE(dir->has("row" + std::to_string(i))) << "row" << i;
@@ -1040,11 +1020,12 @@ void expect_on_every_replica(Testbed& bed, Driver& d,
                              const std::vector<cap::Capability>& gone = {}) {
   d.step([&] {
     for (int s = 0; s < bed.num_dir_servers(); ++s) {
-      auto st = fetch_replica(bed, *d.rpc, s);
-      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
-                              << st.status().to_string();
+      auto snap = fetch_snapshot(bed, *d.rpc, s);
+      ASSERT_TRUE(snap.is_ok()) << "server " << s << ": "
+                                << snap.status().to_string();
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
       for (const cap::Capability& dcap : dirs) {
-        const dir::Directory* dir = st->directory(dcap.object);
+        const dir::Directory* dir = st.directory(dcap.object);
         ASSERT_NE(dir, nullptr) << "server " << s << " obj " << dcap.object;
         for (const std::string& row : rows) {
           EXPECT_TRUE(dir->has(row))
@@ -1052,7 +1033,7 @@ void expect_on_every_replica(Testbed& bed, Driver& d,
         }
       }
       for (const cap::Capability& dcap : gone) {
-        EXPECT_EQ(st->directory(dcap.object), nullptr)
+        EXPECT_EQ(st.directory(dcap.object), nullptr)
             << "server " << s << ": deleted obj " << dcap.object
             << " came back";
       }
@@ -1144,14 +1125,15 @@ TEST_P(NvramFlush, ADeleteDuringTheFlushOfItsAppendStaysDeleted) {
   restart_server0(bed);
   d.step([&] {
     for (int s = 0; s < bed.num_dir_servers(); ++s) {
-      auto st = fetch_replica(bed, *d.rpc, s);
-      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
-                              << st.status().to_string();
-      ASSERT_NE(st->directory(dirs[0].object), nullptr);
-      EXPECT_FALSE(st->directory(dirs[0].object)->has("doomed"))
+      auto snap = fetch_snapshot(bed, *d.rpc, s);
+      ASSERT_TRUE(snap.is_ok()) << "server " << s << ": "
+                                << snap.status().to_string();
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+      ASSERT_NE(st.directory(dirs[0].object), nullptr);
+      EXPECT_FALSE(st.directory(dirs[0].object)->has("doomed"))
           << "server " << s << " brought the deleted row back";
-      ASSERT_NE(st->directory(dirs[1].object), nullptr);
-      EXPECT_TRUE(st->directory(dirs[1].object)->has("later"))
+      ASSERT_NE(st.directory(dirs[1].object), nullptr);
+      EXPECT_TRUE(st.directory(dirs[1].object)->has("later"))
           << "server " << s;
     }
   });
@@ -1173,7 +1155,7 @@ TEST_P(NvramFlush, UpdatesDuringAFlushSurviveACrash) {
   std::vector<std::string> rows;
   d.step([&] {
     for (int i = 0; i < kRows; ++i) {
-      rows.push_back("r" + std::to_string(i));
+      rows.push_back(numbered("r", i));
       ASSERT_TRUE(d.append_retry(dirs[0], rows.back()).is_ok());
       if (i % 3 == 2) {  // deletes too, so a lost record shows either way
         ASSERT_TRUE(d.dc->delete_row(dirs[0], rows.back()).is_ok());
@@ -1187,9 +1169,10 @@ TEST_P(NvramFlush, UpdatesDuringAFlushSurviveACrash) {
   expect_on_every_replica(bed, d, dirs, rows);
   d.step([&] {
     for (int s = 0; s < bed.num_dir_servers(); ++s) {
-      auto st = fetch_replica(bed, *d.rpc, s);
-      ASSERT_TRUE(st.is_ok());
-      EXPECT_EQ(st->directory(dirs[0].object)->rows.size(), rows.size())
+      auto snap = fetch_snapshot(bed, *d.rpc, s);
+      ASSERT_TRUE(snap.is_ok());
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+      EXPECT_EQ(st.directory(dirs[0].object)->rows.size(), rows.size())
           << "server " << s;
     }
   });
@@ -1219,13 +1202,14 @@ TEST_P(NvramFlush, ARefusedAppendCancelsNothing) {
   restart_server0(bed);
   d.step([&] {
     for (int s = 0; s < bed.num_dir_servers(); ++s) {
-      auto st = fetch_replica(bed, *d.rpc, s);
-      ASSERT_TRUE(st.is_ok()) << "server " << s << ": "
-                              << st.status().to_string();
-      ASSERT_NE(st->directory(dirs[0].object), nullptr);
-      EXPECT_FALSE(st->directory(dirs[0].object)->has("x"))
+      auto snap = fetch_snapshot(bed, *d.rpc, s);
+      ASSERT_TRUE(snap.is_ok()) << "server " << s << ": "
+                                << snap.status().to_string();
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+      ASSERT_NE(st.directory(dirs[0].object), nullptr);
+      EXPECT_FALSE(st.directory(dirs[0].object)->has("x"))
           << "server " << s << " brought the deleted row back";
-      EXPECT_TRUE(st->directory(dirs[0].object)->has("y")) << "server " << s;
+      EXPECT_TRUE(st.directory(dirs[0].object)->has("y")) << "server " << s;
     }
   });
 }

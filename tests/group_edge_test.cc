@@ -3,6 +3,7 @@
 // of a group of one.
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "group/group.h"
 #include "net/cluster.h"
 
@@ -108,7 +109,7 @@ TEST_F(EdgeFixture, LeaveUnderTrafficKeepsSurvivorsConsistent) {
   std::vector<std::vector<std::string>> got(3);
   GroupConfig cfg = cfg_for(3);
   for (int i = 0; i < 3; ++i) {
-    net::Machine& m = cluster.add_machine("m" + std::to_string(i));
+    net::Machine& m = cluster.add_machine(numbered("m", i));
     m.spawn("drv", [&, i] {
       if (i == 0) {
         ms[0] = GroupMember::create(m, cfg);
@@ -136,7 +137,7 @@ TEST_F(EdgeFixture, LeaveUnderTrafficKeepsSurvivorsConsistent) {
   // Sender on 0 streams while member 2 leaves mid-way.
   cluster.machine(MachineId{0}).spawn("send", [&] {
     for (int k = 0; k < 10; ++k) {
-      (void)ms[0]->send_to_group(to_buffer("m" + std::to_string(k)));
+      (void)ms[0]->send_to_group(to_buffer(numbered("m", k)));
       sim.sleep_for(sim::msec(15));
     }
   });
@@ -159,7 +160,7 @@ TEST_F(EdgeFixture, SequencerGracefulLeaveHandsOver) {
   std::vector<std::unique_ptr<GroupMember>> ms(3);
   GroupConfig cfg = cfg_for(3);
   for (int i = 0; i < 3; ++i) {
-    net::Machine& m = cluster.add_machine("m" + std::to_string(i));
+    net::Machine& m = cluster.add_machine(numbered("m", i));
     m.spawn("drv", [&, i] {
       if (i == 0) {
         ms[0] = GroupMember::create(m, cfg);
@@ -244,7 +245,7 @@ TEST_F(EdgeFixture, StatsCountSendsAndResets) {
   std::vector<std::unique_ptr<GroupMember>> ms(2);
   GroupConfig cfg = cfg_for(2);
   for (int i = 0; i < 2; ++i) {
-    net::Machine& m = cluster.add_machine("m" + std::to_string(i));
+    net::Machine& m = cluster.add_machine(numbered("m", i));
     m.spawn("drv", [&, i] {
       if (i == 0) {
         ms[0] = GroupMember::create(m, cfg);
@@ -324,7 +325,7 @@ TEST_F(EdgeFixture, PrunedHistoryGapEscalatesToStateTransfer) {
   m0.spawn("sender", [&] {
     sim.sleep_for(sim::msec(60));  // m2 is cut off by now
     for (int i = 0; i < 40; ++i) {
-      (void)g0->send_to_group(to_buffer("m" + std::to_string(i)));
+      (void)g0->send_to_group(to_buffer(numbered("m", i)));
     }
   });
   sim.spawn("chaos", [&] {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/strings.h"
 #include "group/group.h"
 #include "net/cluster.h"
 
@@ -48,7 +49,7 @@ struct GroupFixture : ::testing::Test {
     GroupConfig cfg = make_cfg(n, r);
     for (int i = 0; i < n; ++i) {
       auto node = std::make_unique<Node>();
-      node->machine = &cluster.add_machine("g" + std::to_string(i));
+      node->machine = &cluster.add_machine(numbered("g", i));
       nodes.push_back(std::move(node));
     }
     for (int i = 0; i < n; ++i) {
@@ -169,7 +170,7 @@ TEST_P(TotalOrderSweep, ConcurrentSendersAgreeOnOneOrder) {
   }
   for (int i = 0; i < p.members; ++i) {
     auto node = std::make_unique<Node>();
-    node->machine = &cluster.add_machine("g" + std::to_string(i));
+    node->machine = &cluster.add_machine(numbered("g", i));
     nodes.push_back(std::move(node));
   }
   for (int i = 0; i < p.members; ++i) {
@@ -201,10 +202,9 @@ TEST_P(TotalOrderSweep, ConcurrentSendersAgreeOnOneOrder) {
   const int per_sender = 8;
   for (int s = 0; s < p.senders; ++s) {
     Node* node = nodes[static_cast<std::size_t>(s % p.members)].get();
-    node->machine->spawn("sender" + std::to_string(s), [&sim, node, s] {
+    node->machine->spawn(numbered("sender", s), [&sim, node, s] {
       for (int k = 0; k < per_sender; ++k) {
-        std::string payload =
-            "s" + std::to_string(s) + "." + std::to_string(k);
+        std::string payload = numbered(numbered("s", s) + ".", k);
         (void)node->gm->send_to_group(to_buffer(payload));
         sim.sleep_for(static_cast<sim::Duration>(sim.rng().below(3000)));
       }
@@ -222,7 +222,7 @@ TEST_P(TotalOrderSweep, ConcurrentSendersAgreeOnOneOrder) {
   for (int s = 0; s < p.senders; ++s) {
     int last = -1;
     for (int k = 0; k < per_sender; ++k) {
-      auto needle = "s" + std::to_string(s) + "." + std::to_string(k);
+      auto needle = numbered(numbered("s", s) + ".", k);
       auto it = std::find(reference.begin(), reference.end(), needle);
       ASSERT_NE(it, reference.end()) << needle << " missing";
       int pos = static_cast<int>(it - reference.begin());
@@ -346,7 +346,7 @@ TEST_F(GroupFixture, PacketLossRepairedByRetransmission) {
   EXPECT_EQ(nodes[0]->delivered, nodes[2]->delivered);
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].is_ok()) {
-      auto needle = "l" + std::to_string(i + 1);
+      auto needle = numbered("l", i + 1);
       EXPECT_EQ(std::count(nodes[0]->delivered.begin(),
                            nodes[0]->delivered.end(), needle),
                 1)
@@ -458,7 +458,7 @@ TEST_F(GroupFixture, BatchingCoalescesConcurrentSendsIntoOneOrder) {
   for (int i = 0; i < 3; ++i) {
     std::vector<std::string> payloads;
     for (int k = 0; k < 4; ++k) {
-      payloads.push_back("m" + std::to_string(i) + "." + std::to_string(k));
+      payloads.push_back(numbered(numbered("m", i) + ".", k));
     }
     send_from(i, payloads, 0, &results);
   }
@@ -477,11 +477,11 @@ TEST_F(GroupFixture, BatchingCoalescesConcurrentSendsIntoOneOrder) {
       if (m.kind == MsgKind::batch) {
         d += " batch";
         for (const auto& sub : m.subs) {
-          d += " " + std::to_string(sub.origin.v) + ":" +
+          d += numbered(" ", sub.origin.v) + ":" +
                to_string(sub.payload);
         }
       } else {
-        d += " data " + std::to_string(m.sender.v) + ":" + to_string(m.payload);
+        d += numbered(" data ", m.sender.v) + ":" + to_string(m.payload);
       }
       out.push_back(d);
     }
@@ -528,7 +528,7 @@ struct BbFixture : GroupFixture {
     cfg.method = OrderMethod::bb;
     for (int i = 0; i < n; ++i) {
       auto node = std::make_unique<Node>();
-      node->machine = &cluster.add_machine("g" + std::to_string(i));
+      node->machine = &cluster.add_machine(numbered("g", i));
       nodes.push_back(std::move(node));
     }
     for (int i = 0; i < n; ++i) {
@@ -594,7 +594,7 @@ TEST_F(BbFixture, BbSurvivesPayloadLossViaRetransmission) {
   EXPECT_EQ(nodes[0]->delivered, nodes[2]->delivered);
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].is_ok()) {
-      auto needle = "p" + std::to_string(i + 1);
+      auto needle = numbered("p", i + 1);
       EXPECT_EQ(std::count(nodes[0]->delivered.begin(),
                            nodes[0]->delivered.end(), needle),
                 1);
@@ -615,7 +615,7 @@ TEST_F(GroupFixture, BbFasterThanPbForLargeMessages) {
       cfg.universe.push_back(MachineId{static_cast<std::uint16_t>(i)});
     }
     for (int i = 0; i < 3; ++i) {
-      net::Machine& m = cl.add_machine("g" + std::to_string(i));
+      net::Machine& m = cl.add_machine(numbered("g", i));
       m.spawn("drv", [&s, &ms, &m, cfg, i] {
         if (i == 0) {
           ms[0] = GroupMember::create(m, cfg);

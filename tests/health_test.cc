@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "check/nemesis.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "harness/workload.h"
 #include "obs/health.h"
@@ -210,7 +211,7 @@ std::uint64_t healthy_run_suspicions(std::uint64_t seed) {
   bool setup_ok = false;
   for (int c = 0; c < 2; ++c) {
     net::Machine& cm = bed.client(c);
-    cm.spawn("w" + std::to_string(c), [&, c, &cm2 = cm] {
+    cm.spawn(numbered("w", c), [&, c, &cm2 = cm] {
       rpc::RpcClient rpc(cm2);
       dir::DirClient dc(rpc, bed.dir_port());
       if (c == 0) {
@@ -223,7 +224,7 @@ std::uint64_t healthy_run_suspicions(std::uint64_t seed) {
       }
       auto& rng = bed.sim().rng();
       while (!stop) {
-        const std::string key = "k" + std::to_string(rng.below(6));
+        const std::string key = numbered("k", rng.below(6));
         if (rng.below(2) == 0) {
           (void)dc.append_row(home, key, {home});
         } else {

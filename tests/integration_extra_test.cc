@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bullet/bullet.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "dir/nfs_server.h"
@@ -68,7 +69,7 @@ TEST(Counters, GroupServiceTracksReadsWritesAndRefusals) {
     auto d = dc.create_dir({"c"});
     ASSERT_TRUE(d.is_ok());
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(dc.append_row(*d, "n" + std::to_string(i), {}).is_ok());
+      ASSERT_TRUE(dc.append_row(*d, numbered("n", i), {}).is_ok());
       ASSERT_TRUE(dc.list_dir(*d).is_ok());
     }
     done = true;
@@ -112,7 +113,7 @@ TEST(Counters, RpcServiceLazyReplicationCatchesUp) {
     auto d = dc.create_dir({"c"});
     ASSERT_TRUE(d.is_ok());
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(dc.append_row(*d, "n" + std::to_string(i), {}).is_ok());
+      ASSERT_TRUE(dc.append_row(*d, numbered("n", i), {}).is_ok());
     }
     done = true;
   });
@@ -204,8 +205,7 @@ TEST_P(MixedWorkload, ManyClientsMixedOpsStayCoherent) {
       cap::Capability v;
       v.object = static_cast<std::uint32_t>(c);
       for (int i = 0; i < 8; ++i) {
-        const std::string name =
-            "c" + std::to_string(c) + "." + std::to_string(i);
+        const std::string name = numbered(numbered("c", c) + ".", i);
         total += 3;
         if (!dc.append_row(shared, name, {v}).is_ok()) failures++;
         if (!dc.lookup(shared, name).is_ok()) failures++;

@@ -11,7 +11,7 @@
 // reordered invalidations), and the same-seed determinism of the hit
 // counters.
 //
-// Batching: with GroupDirOptions::batching the sequencer coalesces
+// Batching: with ServerOptions::batching the sequencer coalesces
 // concurrently-arriving updates into one ordered multicast (one seqno, one
 // ACCEPT) and — in the NVRAM flavor — one group-commit log append. The
 // tests here drive concurrent clients through the stack and check the
@@ -24,6 +24,7 @@
 
 #include "check/nemesis.h"
 #include "check/simfuzz.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "dir/nvram_log.h"
 #include "harness/workload.h"
@@ -303,7 +304,7 @@ TEST(LeaseCache, SameSeedRunsProduceIdenticalHitCounters) {
         ASSERT_TRUE(dc.append_row(*dcap, name, {payload_cap(9)}).is_ok());
       }
       for (int round = 0; round < 40; ++round) {
-        std::string name = "k" + std::to_string(round % 4);
+        std::string name = numbered("k", round % 4);
         ASSERT_TRUE(dc.lookup(*dcap, name).is_ok());
         if (round % 7 == 6) {
           ASSERT_TRUE(dc.delete_row(*dcap, name).is_ok());
@@ -387,7 +388,7 @@ void concurrent_append_load(Testbed& bed, int n, int per_client) {
         // Rounds fire on a shared absolute grid so every client's append
         // of round i hits the sequencer inside one coalescing window.
         bed.sim().sleep_until(start_at + i * sim::msec(50));
-        std::string name = "c" + std::to_string(c) + "r" + std::to_string(i);
+        std::string name = numbered(numbered("c", c) + "r", i);
         ASSERT_TRUE(
             append_until_applied(dc, bed.sim(), dcap, name, payload_cap(9))
                 .is_ok())
@@ -417,7 +418,7 @@ void concurrent_append_load(Testbed& bed, int n, int per_client) {
               static_cast<std::size_t>(n) * static_cast<std::size_t>(per_client));
     for (int c = 0; c < n; ++c) {
       for (int i = 0; i < per_client; ++i) {
-        std::string name = "c" + std::to_string(c) + "r" + std::to_string(i);
+        std::string name = numbered(numbered("c", c) + "r", i);
         EXPECT_TRUE(dc.lookup(dcap, name).is_ok()) << name;
       }
     }

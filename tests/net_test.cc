@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "net/cluster.h"
 #include "net/network.h"
 
@@ -78,7 +79,7 @@ TEST_F(NetFixture, BroadcastReachesEveryListener) {
   Machine& a = cluster.add_machine("a");
   int received = 0;
   for (int i = 0; i < 4; ++i) {
-    Machine& m = cluster.add_machine("n" + std::to_string(i));
+    Machine& m = cluster.add_machine(numbered("n", i));
     m.spawn("recv", [&received, &m] {
       Endpoint ep(m, kPort);
       if (ep.mailbox().recv_until(sim::msec(100))) received++;

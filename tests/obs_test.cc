@@ -17,6 +17,7 @@
 
 #include "alloc_probe.h"
 #include "bench_common.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "group/group.h"
 #include "harness/workload.h"
@@ -293,7 +294,7 @@ obs::Metrics::Snapshot one_group_send_delta(int r, bool from_sequencer) {
     cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
   }
   for (int i = 0; i < 3; ++i) {
-    net::Machine* m = &cluster.add_machine("g" + std::to_string(i));
+    net::Machine* m = &cluster.add_machine(numbered("g", i));
     m->spawn("member", [&, m, cfg, i] {
       if (i == 0) {
         members[0] = group::GroupMember::create(*m, cfg);
@@ -382,7 +383,7 @@ obs::Metrics::Snapshot measured_append_window(int warmup_ops, int measured_ops) 
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
     for (int i = 0; i < warmup_ops; ++i) {
-      (void)dc.append_row(dcap, "w" + std::to_string(i), {});
+      (void)dc.append_row(dcap, numbered("w", i), {});
     }
     warm_done = true;
   });
@@ -395,7 +396,7 @@ obs::Metrics::Snapshot measured_append_window(int warmup_ops, int measured_ops) 
     rpc::RpcClient rpc(cm);
     dir::DirClient dc(rpc, bed.dir_port());
     for (int i = 0; i < measured_ops; ++i) {
-      (void)dc.append_row(dcap, "m" + std::to_string(i), {});
+      (void)dc.append_row(dcap, numbered("m", i), {});
     }
     done = true;
   });
@@ -450,8 +451,8 @@ ScenarioResult run_scenario(std::uint64_t seed) {
     auto dcap = harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < 3; ++i) {
-      (void)dc.append_row(*dcap, "e" + std::to_string(i), {});
-      (void)dc.lookup(*dcap, "e" + std::to_string(i));
+      (void)dc.append_row(*dcap, numbered("e", i), {});
+      (void)dc.lookup(*dcap, numbered("e", i));
     }
     done = true;
   });

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/rand.h"
+#include "common/strings.h"
 #include "dir/proto.h"
 #include "dir/types.h"
 
@@ -41,7 +42,7 @@ TEST(DirectoryModel, SerializeRoundTrip) {
   d.columns = {"owner", "group", "other"};
   d.seqno = 42;
   for (int i = 0; i < 5; ++i) {
-    d.rows.push_back({"row" + std::to_string(i),
+    d.rows.push_back({numbered("row", i),
                       {some_cap(static_cast<std::uint32_t>(i)),
                        some_cap(static_cast<std::uint32_t>(i + 100))}});
   }
@@ -323,21 +324,21 @@ TEST_P(ReplayDeterminism, IdenticalReplicasFromIdenticalStreams) {
         break;
       case 1:
         req = make_append_row(dirs[rng.below(dirs.size())],
-                              "n" + std::to_string(rng.below(8)),
+                              numbered("n", rng.below(8)),
                               {some_cap(static_cast<std::uint32_t>(i))});
         break;
       case 2:
         req = make_delete_row(dirs[rng.below(dirs.size())],
-                              "n" + std::to_string(rng.below(8)));
+                              numbered("n", rng.below(8)));
         break;
       case 3:
         req = make_chmod_row(dirs[rng.below(dirs.size())],
-                             "n" + std::to_string(rng.below(8)), 0,
+                             numbered("n", rng.below(8)), 0,
                              static_cast<cap::Rights>(rng.below(256)));
         break;
       case 4:
         req = make_replace_set({{dirs[rng.below(dirs.size())],
-                                 "n" + std::to_string(rng.below(8)),
+                                 numbered("n", rng.below(8)),
                                  some_cap(static_cast<std::uint32_t>(i))}});
         break;
       case 5:

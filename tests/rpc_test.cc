@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "rpc/rpc.h"
 
 namespace amoeba::rpc {
@@ -184,9 +185,9 @@ TEST_F(RpcFixture, DuplicateDeliveryExecutesAtMostOnce) {
     if (rpc.trans(kEcho, to_buffer("warm")).is_ok()) ok++;
     cluster.net().set_dup_prob(1.0);
     for (int i = 0; i < kCalls; ++i) {
-      auto res = rpc.trans(kEcho, to_buffer("m" + std::to_string(i)),
+      auto res = rpc.trans(kEcho, to_buffer(numbered("m", i)),
                            {.timeout = sim::sec(2)});
-      if (res.is_ok() && to_string(*res) == "m" + std::to_string(i)) ok++;
+      if (res.is_ok() && to_string(*res) == numbered("m", i)) ok++;
     }
     cluster.net().set_dup_prob(0.0);
   });
@@ -202,7 +203,7 @@ TEST_F(RpcFixture, ManyConcurrentClients) {
   start_echo(s, sim::msec(1), 4);
   int done = 0;
   for (int i = 0; i < 6; ++i) {
-    net::Machine& c = cluster.add_machine("c" + std::to_string(i));
+    net::Machine& c = cluster.add_machine(numbered("c", i));
     c.spawn("client", [&done, &c] {
       RpcClient rpc(c);
       for (int k = 0; k < 10; ++k) {

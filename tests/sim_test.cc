@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/strings.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -87,7 +88,7 @@ TEST(SimulatorTest, DeterminismAcrossRuns) {
     Simulator s(42);
     std::vector<std::int64_t> trace;
     for (int p = 0; p < 4; ++p) {
-      s.spawn("p" + std::to_string(p), [&s, &trace] {
+      s.spawn(numbered("p", p), [&s, &trace] {
         for (int i = 0; i < 10; ++i) {
           s.sleep_for(static_cast<Duration>(s.rng().below(100)));
           trace.push_back(s.now());
@@ -246,7 +247,7 @@ TEST(WaitQueueTest, NotifyOneWakesExactlyOne) {
   WaitQueue wq(s);
   int woke = 0;
   for (int i = 0; i < 3; ++i) {
-    s.spawn("w" + std::to_string(i), [&] {
+    s.spawn(numbered("w", i), [&] {
       wq.wait();
       woke++;
     });
@@ -266,7 +267,7 @@ TEST(WaitQueueTest, QueueDestroyedBeforeBlockedWaiterUnwinds) {
   Simulator s;
   auto wq = std::make_unique<WaitQueue>(s);
   for (int i = 0; i < 3; ++i) {
-    s.spawn("w" + std::to_string(i), [&] { wq->wait(); });
+    s.spawn(numbered("w", i), [&] { wq->wait(); });
   }
   s.run_until(10);   // all three blocked
   wq.reset();        // queue dies first
@@ -279,7 +280,7 @@ TEST(WaitQueueTest, NotifyAllWakesEveryone) {
   WaitQueue wq(s);
   int woke = 0;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("w" + std::to_string(i), [&] {
+    s.spawn(numbered("w", i), [&] {
       wq.wait();
       woke++;
     });
@@ -431,7 +432,7 @@ TEST(MailboxTest, TwoReceiversEachGetOne) {
   Mailbox<int> mb(s);
   int sum = 0;
   for (int i = 0; i < 2; ++i) {
-    s.spawn("r" + std::to_string(i), [&] { sum += mb.recv(); });
+    s.spawn(numbered("r", i), [&] { sum += mb.recv(); });
   }
   s.spawn("send", [&] {
     s.sleep_for(1);
@@ -447,7 +448,7 @@ TEST(FifoResourceTest, SerializesUsers) {
   FifoResource disk(s, "disk");
   std::vector<Time> done;
   for (int i = 0; i < 3; ++i) {
-    s.spawn("u" + std::to_string(i), [&] {
+    s.spawn(numbered("u", i), [&] {
       disk.use(msec(10));
       done.push_back(s.now());
     });
@@ -463,7 +464,7 @@ TEST(FifoResourceTest, FifoOrderPreserved) {
   FifoResource r(s, "r");
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("u" + std::to_string(i), [&, i] {
+    s.spawn(numbered("u", i), [&, i] {
       s.sleep_for(i);  // arrival order 0,1,2,3
       r.use(msec(5));
       order.push_back(i);
@@ -522,7 +523,7 @@ TEST(FifoResourceTest, ContentionProducesQueueingDelay) {
   FifoResource cpu(s, "cpu");
   std::vector<Time> done;
   for (int i = 0; i < 2; ++i) {
-    s.spawn("u" + std::to_string(i), [&] {
+    s.spawn(numbered("u", i), [&] {
       cpu.use(msec(3));
       done.push_back(s.now());
     });

@@ -410,6 +410,20 @@ TEST(SimFuzz, TinyHistoryLimitStillConverges) {
   EXPECT_TRUE(r.replicas_agree);
 }
 
+TEST(SimFuzz, EmptyFinalNfsDirectoryVerifies) {
+  // `simfuzz --flavor nfs --seed 155 --faults legacy` ends with every row
+  // of the home directory deleted. The final listing then digests to an
+  // empty buffer, which the verify step used to read as "final list_dir
+  // never succeeded".
+  FuzzOptions opts;
+  opts.flavor = harness::Flavor::nfs;
+  opts.seed = 155;
+  opts.legacy_faults = true;
+  FuzzReport r = run_one(opts);
+  EXPECT_EQ(r.state_digest, fnv1a(Buffer{})) << "final directory not empty";
+  EXPECT_TRUE(r.ok) << r.failure;
+}
+
 TEST(SimFuzz, FlavorTokensRoundTrip) {
   for (harness::Flavor f : harness::kAllFlavors) {
     auto back = harness::parse_flavor(flavor_token(f));

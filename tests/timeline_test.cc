@@ -14,6 +14,7 @@
 
 #include "check/nemesis.h"
 #include "check/simfuzz.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "harness/workload.h"
 #include "obs/metrics.h"
@@ -248,7 +249,7 @@ std::string nemesis_run_timeline_json(std::uint64_t seed,
     if (!dcap.is_ok()) return;
     int i = 0;
     while (!stop) {
-      const std::string name = "e" + std::to_string(i++ % 4);
+      const std::string name = numbered("e", i++ % 4);
       (void)dc.append_row(*dcap, name, {});
       (void)dc.lookup(*dcap, name);
       bed.sim().sleep_for(sim::msec(5));

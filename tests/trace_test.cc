@@ -128,9 +128,7 @@ void check_flavor(harness::Flavor flavor, std::uint64_t seed) {
   // multicast + (N-1) acks when the sequencer initiated (3 spans), or
   // REQ + ACCEPT + 2 ACK + COMMIT (5) from an ordinary member.
   const obs::TraceTree& up = trees.at("append_row");
-  const bool is_group = flavor == harness::Flavor::group ||
-                        flavor == harness::Flavor::group_nvram;
-  if (is_group) {
+  if (harness::is_group(flavor)) {
     const std::size_t group_spans = packets_under(up, "group", "send");
     const bool member_origin = count_named(up, {"req"}) != 0;
     EXPECT_EQ(group_spans, member_origin ? 5u : 3u);

@@ -262,9 +262,11 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
     d.steps = static_cast<int>(minimal.size());
     d.dump_prefix = cli.dump_dir + "/simfuzz_" + harness::flavor_token(flavor) +
                     "_seed" + std::to_string(seed);
-    (void)check::run_one(d);
-    std::printf("failure artifacts:\n  %s.trace.json\n  %s.metrics.json\n",
-                d.dump_prefix.c_str(), d.dump_prefix.c_str());
+    const check::FuzzReport dumped = check::run_one(d);
+    if (!dumped.artifacts.empty()) std::printf("failure artifacts:\n");
+    for (const std::string& path : dumped.artifacts) {
+      std::printf("  %s\n", path.c_str());
+    }
   }
   return false;
 }

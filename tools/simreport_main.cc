@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "check/nemesis.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "harness/workload.h"
 #include "obs/critical_path.h"
@@ -144,8 +145,7 @@ bool run_ops(harness::Testbed& bed, int ops,
         harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; i < ops || (!schedule.empty() && !stop); ++i) {
-      const std::string row =
-          "e" + std::to_string(schedule.empty() ? i : i % 8);
+      const std::string row = numbered("e", schedule.empty() ? i : i % 8);
       (void)dc.append_row(*dcap, row, {});
       (void)dc.lookup(*dcap, row);
       (void)dc.delete_row(*dcap, row);
@@ -307,13 +307,13 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
     shared = harness::create_dir_retry(dc, sim, {"c"});
     if (!shared.is_ok()) return;
     for (int r = 0; r < 8; ++r) {
-      (void)dc.append_row(*shared, "h" + std::to_string(r), {});
+      (void)dc.append_row(*shared, numbered("h", r), {});
     }
     start_at = sim.now() + sim::msec(50);
     created = true;
     for (int round = 0; round < 120; ++round) {
       for (int r = 0; r < 8; ++r) {
-        (void)dc.lookup(*shared, "h" + std::to_string(r));
+        (void)dc.lookup(*shared, numbered("h", r));
       }
       sim.sleep_for(sim::msec(20));
     }
@@ -329,7 +329,7 @@ void run_lease_batch(std::uint64_t seed, std::string& out) {
       // inside one batch window.
       for (int i = 0; i < 30; ++i) {
         sim.sleep_until(start_at + i * sim::msec(50));
-        const std::string name = "w" + std::to_string(w);
+        const std::string name = numbered("w", w);
         if (i % 2 == 0) {
           (void)dc.append_row(*shared, name, {});
         } else {
@@ -409,7 +409,7 @@ void run_recovery(std::uint64_t seed, std::string& out) {
         harness::create_dir_retry(dc, bed.sim(), {"c"});
     if (!dcap.is_ok()) return;
     for (int i = 0; !stop; ++i) {
-      const std::string name = "e" + std::to_string(i);
+      const std::string name = numbered("e", i);
       if (!dc.append_row(*dcap, name, {}).is_ok()) {
         rpc.flush_port_cache(bed.dir_port());
         bed.sim().sleep_for(sim::msec(100));
