@@ -27,10 +27,7 @@ class DirClient {
  public:
   DirClient(rpc::RpcClient& rpc, net::Port service_port,
             rpc::TransOptions trans_opts = {.timeout = sim::sec(3),
-                                            .locate_timeout = sim::msec(200),
-                                            .max_failovers = 16,
-                                            .backoff_base = sim::msec(10),
-                                            .backoff_cap = sim::msec(400)})
+                                            .max_failovers = 16})
       : rpc_(rpc),
         port_(service_port),
         opts_(trans_opts),

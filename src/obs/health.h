@@ -116,14 +116,6 @@ class HealthMonitor {
   /// Timeline::chrome_counter_events.
   void chrome_counter_events(std::string& out) const;
 
-  void clear() {
-    digests_.clear();
-    states_.clear();
-    events_.clear();
-    samples_.clear();
-    last_eval_ = 0;
-  }
-
  private:
   enum class State : std::uint8_t { healthy, suspected, confirmed };
 

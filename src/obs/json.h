@@ -5,17 +5,13 @@
 // same value tree always yields the same bytes — the property the
 // BENCH_*.json determinism check in CI relies on.
 //
-// `parse()` is the inverse, just big enough to read the documents the
-// builder writes (simsweep --summary aggregates per-seed SLO JSONs):
-// strict recursive descent, no comments, \uXXXX escapes decoded only
-// for the ASCII range.
+// There is no parser: reports are built and dumped in the process that
+// measured them. The read accessors exist for tests that inspect a
+// built tree.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,13 +56,6 @@ class Json {
   Json& push(Json v);
 
   [[nodiscard]] bool is_null() const { return kind_ == Kind::null; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::object; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::array; }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::string; }
-  [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::number || kind_ == Kind::integer ||
-           kind_ == Kind::uinteger;
-  }
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(const std::string& key) const;
@@ -77,17 +66,8 @@ class Json {
   /// Array element; `i` must be < size().
   [[nodiscard]] const Json& at(std::size_t i) const { return arr_[i]; }
 
-  /// Numeric value as double; `def` when this is not a number.
-  [[nodiscard]] double as_num(double def = 0) const;
-  [[nodiscard]] std::int64_t as_int(std::int64_t def = 0) const;
-  [[nodiscard]] const std::string& as_str() const { return str_; }
-  [[nodiscard]] bool as_bool(bool def = false) const {
-    return kind_ == Kind::boolean ? bool_ : def;
-  }
-
-  /// Parse a JSON document; std::nullopt on any syntax error or
-  /// trailing garbage.
-  static std::optional<Json> parse(std::string_view text);
+  /// Numeric value as double; 0 when this is not a number.
+  [[nodiscard]] double as_num() const;
 
   /// Serialize with 2-space indentation and a trailing newline.
   [[nodiscard]] std::string dump() const;

@@ -45,12 +45,6 @@ Metrics::Snapshot Metrics::delta(const Snapshot& now, const Snapshot& before) {
   return out;
 }
 
-HistSummary Metrics::hist(const std::string& key) const {
-  auto it = hists_.find(key);
-  if (it == hists_.end()) return {};
-  return summarize_samples(it->second);
-}
-
 std::vector<double> Metrics::hist_samples(const std::string& key) const {
   auto it = hists_.find(key);
   if (it == hists_.end()) return {};

@@ -25,8 +25,7 @@
 namespace amoeba::obs {
 
 /// A pre-interned counter handle: `counter()` returns a stable reference
-/// (std::map nodes never move, and reset() zeroes values without erasing
-/// keys), so layers look their counters up once at construction and bump
+/// (std::map nodes never move), so layers look their counters up once at construction and bump
 /// through the handle on the hot path — no string concatenation per event.
 using Counter = std::uint64_t;
 
@@ -74,23 +73,11 @@ class Metrics {
     return counters_[layer + "." + name];
   }
 
-  void add(const std::string& layer, const std::string& name,
-           std::uint64_t v) {
-    counter(layer, name) += v;
-  }
-
   /// Fetch-or-create a histogram. The returned reference is stable for the
-  /// lifetime of the registry (reset() clears samples without erasing
-  /// keys), so hot paths cache it once and push samples for free.
+  /// lifetime of the registry, so hot paths cache it once and push samples
+  /// for free.
   Hist& histogram(const std::string& layer, const std::string& name) {
     return hists_[layer + "." + name];
-  }
-
-  /// Record one latency sample (milliseconds of sim time) into the
-  /// "<layer>.<name>" histogram. Cold-path convenience; per-event code
-  /// should hold a histogram() handle instead.
-  void observe(const std::string& layer, const std::string& name, double ms) {
-    histogram(layer, name).push_back(ms);
   }
 
   [[nodiscard]] Snapshot snapshot() const { return counters_; }
@@ -98,18 +85,10 @@ class Metrics {
   /// now - before, dropping keys whose delta is zero (keys only ever grow).
   static Snapshot delta(const Snapshot& now, const Snapshot& before);
 
-  [[nodiscard]] HistSummary hist(const std::string& key) const;
   [[nodiscard]] const std::map<std::string, Hist>& hists() const {
     return hists_;
   }
   [[nodiscard]] std::vector<double> hist_samples(const std::string& key) const;
-
-  void reset() {
-    // Keep the keys (cached counter/histogram references must stay
-    // valid), clear the values.
-    for (auto& [k, v] : counters_) v = 0;
-    for (auto& [k, v] : hists_) v.clear();
-  }
 
  private:
   Snapshot counters_;

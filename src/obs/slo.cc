@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "obs/metrics.h"
+
 namespace amoeba::obs {
 
 namespace {
@@ -226,6 +228,109 @@ void print_slo(const SloReport& r, std::string& out) {
                 s.name, sim::to_ms(s.begin), sim::to_ms(s.end));
       }
     }
+  }
+}
+
+void SloFleet::add(const std::string& kind, const SloReport& r,
+                   const HealthVerdict& h) {
+  bool all_complete = !r.faults.empty();
+  for (const FaultScore& f : r.faults) all_complete &= f.complete();
+  for (Kind* k : {&kinds_[kind], &fleet_}) {
+    ++k->runs;
+    if (all_complete) ++k->complete;
+    for (const FaultScore& f : r.faults) {
+      k->worst_detect_ms = std::max(k->worst_detect_ms, f.time_to_detect_ms);
+      k->worst_isolate_ms =
+          std::max(k->worst_isolate_ms, f.time_to_isolate_ms);
+      k->worst_recover_ms =
+          std::max(k->worst_recover_ms, f.time_to_recover_ms);
+      k->worst_rejoin_ms = std::max(k->worst_rejoin_ms, f.time_to_rejoin_ms);
+    }
+    k->min_availability = std::min(k->min_availability, r.availability);
+    k->p99s_ms.insert(std::upper_bound(k->p99s_ms.begin(), k->p99s_ms.end(),
+                                       r.overall_p99_ms),
+                      r.overall_p99_ms);
+    k->suspects += h.suspects;
+    k->false_suspects += h.false_suspects;
+    if (h.gray) {
+      ++k->gray_runs;
+      if (h.detected) ++k->gray_detected;
+    }
+  }
+}
+
+double SloFleet::Kind::p99_of_p99s_ms() const {
+  return p99s_ms.empty() ? -1 : percentile(p99s_ms, 99);
+}
+
+double SloFleet::Kind::false_negative_rate() const {
+  return gray_runs == 0 ? -1
+                        : 1.0 - static_cast<double>(gray_detected) /
+                                    static_cast<double>(gray_runs);
+}
+
+namespace {
+
+Json or_null(double v) { return v < 0 ? Json::null() : Json::num(v); }
+
+}  // namespace
+
+void SloFleet::add_json(Json& root) const {
+  Json by_kind = Json::object();
+  for (const auto& [name, k] : kinds_) {
+    Json j = Json::object();
+    j.set("runs", Json::uinteger(k.runs));
+    j.set("complete", Json::uinteger(k.complete));
+    j.set("worst_time_to_detect_ms", or_null(k.worst_detect_ms));
+    j.set("worst_time_to_isolate_ms", or_null(k.worst_isolate_ms));
+    j.set("worst_time_to_recover_ms", or_null(k.worst_recover_ms));
+    j.set("worst_time_to_rejoin_ms", or_null(k.worst_rejoin_ms));
+    j.set("min_availability", Json::num(k.min_availability));
+    j.set("p99_of_p99s_ms", or_null(k.p99_of_p99s_ms()));
+    j.set("suspects", Json::uinteger(k.suspects));
+    j.set("false_suspects", Json::uinteger(k.false_suspects));
+    if (k.gray_runs != 0) {
+      j.set("gray_detected", Json::uinteger(k.gray_detected));
+      j.set("suspicion_false_negative_rate",
+            Json::num(k.false_negative_rate()));
+    }
+    by_kind.set(name, std::move(j));
+  }
+  root.set("by_fault_kind", std::move(by_kind));
+
+  Json fleet = Json::object();
+  fleet.set("worst_time_to_recover_ms", or_null(fleet_.worst_recover_ms));
+  fleet.set("p99_of_p99s_ms", or_null(fleet_.p99_of_p99s_ms()));
+  // Mean false suspicion transitions per scored case (a healthy fleet
+  // sits at exactly 0), and the fraction of gray faults the differential
+  // detector failed to name.
+  fleet.set("suspicion_false_positive_rate",
+            fleet_.runs == 0
+                ? Json::null()
+                : Json::num(static_cast<double>(fleet_.false_suspects) /
+                            static_cast<double>(fleet_.runs)));
+  fleet.set("suspicion_false_negative_rate",
+            or_null(fleet_.false_negative_rate()));
+  root.set("fleet", std::move(fleet));
+}
+
+void SloFleet::print(std::string& out) const {
+  for (const auto& [name, k] : kinds_) {
+    appendf(out,
+            "  %-22s runs %4llu  complete %4llu  worst recover %8.1f ms  "
+            "min avail %5.1f%%  p99-of-p99s %7.1f ms\n",
+            name.c_str(), static_cast<unsigned long long>(k.runs),
+            static_cast<unsigned long long>(k.complete), k.worst_recover_ms,
+            k.min_availability * 100, k.p99_of_p99s_ms());
+  }
+  if (fleet_.runs != 0) {
+    appendf(out,
+            "  suspicion quality: %llu false suspicion(s) over %llu scored "
+            "case(s); %llu/%llu gray fault(s) detected\n",
+            static_cast<unsigned long long>(fleet_.false_suspects),
+            static_cast<unsigned long long>(fleet_.runs),
+            static_cast<unsigned long long>(fleet_.gray_detected),
+            static_cast<unsigned long long>(fleet_.gray_runs));
   }
 }
 

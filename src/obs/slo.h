@@ -8,8 +8,15 @@
 // not hide in a null). Availability is the good-window fraction;
 // error-budget burn is bad windows consumed over the budget the
 // availability target allows.
+//
+// SloFleet rolls many scored fault cases (one seed range of
+// simreport --slo) up per fault kind: the worst phase times, the minimum
+// availability, the p99 of the per-case p99s and the health detector's
+// suspicion quality.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -71,5 +78,57 @@ struct SloReport {
 
 /// DIR-net style human-readable scorecard appended to `out`.
 void print_slo(const SloReport& report, std::string& out);
+
+/// What the peer-health detector made of one scored fault case.
+struct HealthVerdict {
+  bool gray = false;      // the injected fault was fail-slow
+  bool detected = false;  // a fault phase was detected by "health"
+  std::uint64_t suspects = 0;        // suspicion transitions
+  std::uint64_t false_suspects = 0;  // transitions not naming the victim
+};
+
+class SloFleet {
+ public:
+  /// One fault kind's rollup. Phase times are < 0 when no case reached
+  /// the mark.
+  struct Kind {
+    std::uint64_t runs = 0;
+    std::uint64_t complete = 0;  // cases whose every fault went
+                                 // detect -> isolate -> recover
+    double worst_detect_ms = -1;
+    double worst_isolate_ms = -1;
+    double worst_recover_ms = -1;
+    double worst_rejoin_ms = -1;
+    double min_availability = 1.0;
+    std::vector<double> p99s_ms;  // each case's overall p99, sorted
+    std::uint64_t gray_runs = 0;
+    std::uint64_t gray_detected = 0;
+    std::uint64_t suspects = 0;
+    std::uint64_t false_suspects = 0;
+    /// p99 of p99s_ms; < 0 with no cases.
+    [[nodiscard]] double p99_of_p99s_ms() const;
+    /// Gray faults the detector missed over gray runs; < 0 with none.
+    [[nodiscard]] double false_negative_rate() const;
+  };
+
+  void add(const std::string& kind, const SloReport& report,
+           const HealthVerdict& health);
+
+  [[nodiscard]] const std::map<std::string, Kind>& kinds() const {
+    return kinds_;
+  }
+  /// Every case of every kind in one rollup.
+  [[nodiscard]] const Kind& fleet() const { return fleet_; }
+
+  /// Sets the `by_fault_kind` and `fleet` objects on `root`.
+  void add_json(Json& root) const;
+
+  /// One line per fault kind plus the suspicion-quality line.
+  void print(std::string& out) const;
+
+ private:
+  std::map<std::string, Kind> kinds_;  // sorted => deterministic output
+  Kind fleet_;
+};
 
 }  // namespace amoeba::obs

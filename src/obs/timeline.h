@@ -212,14 +212,6 @@ class Timeline {
   /// tracks aligned with the span lanes.
   void chrome_counter_events(std::string& out) const;
 
-  void clear() {
-    windows_.clear();
-    phases_.clear();
-    base_ = 0;
-    last_ok_ = last_any_ = 0;
-    ops_ok_ = ops_err_ = 0;
-  }
-
  private:
   TimelineWindow& window_at(sim::Time ts);
 

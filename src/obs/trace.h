@@ -121,15 +121,6 @@ class Trace {
     dropped_counter_ = counter;
   }
 
-  void clear() {
-    // Keep the ring allocation; only forget its contents.
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-    next_trace_id_ = 0;
-    next_span_id_ = 0;
-  }
-
   /// Chrome trace_event "JSON Array Format": complete ("X") and instant
   /// ("i") events plus flow events ("s"/"f") along parent links,
   /// deterministic byte-for-byte for a given event sequence.

@@ -8,6 +8,10 @@ namespace amoeba::rpc {
 
 namespace {
 
+// trans() pauses between retry rounds when no server is reachable.
+constexpr sim::Duration kBackoffBase = sim::msec(10);
+constexpr sim::Duration kBackoffCap = sim::msec(400);
+
 Buffer encode_header(MsgType type, std::uint64_t xid) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -197,17 +201,16 @@ Result<Buffer> RpcClient::trans(Port port, Buffer request, TransOptions opts,
   const sim::Time t0 = sim.now();
   int failovers = 0;
   // Capped exponential backoff with seeded jitter between retry rounds
-  // where no reachable server is known. Returns false once the overall
-  // deadline leaves no room to sleep (callers then report the last error).
+  // where no reachable server is known (a failed locate, or running out
+  // of NOTHERE candidates): kBackoffBase * 2^round, capped at
+  // kBackoffCap. Returns false once the overall deadline leaves no room
+  // to sleep (callers then report the last error).
   int retry_round = 0;
   auto backoff_retry = [&]() -> bool {
     if (sim.now() >= deadline) return false;
-    if (opts.backoff_base <= 0) return true;  // legacy fixed-interval mode
-    sim::Duration wait = opts.backoff_base;
-    for (int i = 0; i < retry_round && wait < opts.backoff_cap; ++i) {
-      wait *= 2;
-    }
-    wait = std::min(wait, std::max(opts.backoff_base, opts.backoff_cap));
+    sim::Duration wait = kBackoffBase;
+    for (int i = 0; i < retry_round && wait < kBackoffCap; ++i) wait *= 2;
+    wait = std::min(wait, kBackoffCap);
     // Jitter in [wait/2, wait): derived from the simulation seed, so a
     // same-seed run retries at identical times while distinct clients
     // still spread out instead of locating in lockstep.

@@ -99,13 +99,6 @@ struct TransOptions {
   sim::Duration timeout = sim::msec(2000);        // overall deadline
   sim::Duration locate_timeout = sim::msec(200);  // wait for first HEREIS
   int max_failovers = 8;  // NOTHERE-triggered server switches per call
-  /// Backoff between retry rounds when no server is reachable: a failed
-  /// locate (or running out of NOTHERE candidates) sleeps
-  /// backoff_base * 2^round, capped at backoff_cap, each wait jittered by
-  /// the simulator's seeded RNG so a fleet of clients never retries in
-  /// lockstep. Zero disables (the pre-backoff fixed-interval behavior).
-  sim::Duration backoff_base = sim::msec(10);
-  sim::Duration backoff_cap = sim::msec(400);
 };
 
 class RpcClient {

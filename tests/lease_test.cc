@@ -656,7 +656,7 @@ struct BackoffRun {
 /// Isolate the client for 1.5s while it tries to reach the service, then
 /// heal; count how many locate broadcasts the retry loop burned while
 /// partitioned.
-BackoffRun run_partitioned_retries(sim::Duration backoff_base) {
+BackoffRun run_partitioned_retries() {
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 71});
   EXPECT_TRUE(bed.wait_ready());
   bed.cluster().partition({service_side(bed)});
@@ -673,9 +673,7 @@ BackoffRun run_partitioned_retries(sim::Duration backoff_base) {
     DirClient dc(rpc, bed.dir_port(),
                  {.timeout = sim::sec(10),
                   .locate_timeout = sim::msec(10),
-                  .max_failovers = 64,
-                  .backoff_base = backoff_base,
-                  .backoff_cap = sim::msec(400)});
+                  .max_failovers = 64});
     out.succeeded = dc.create_dir({"c"}).is_ok();
     done = true;
   });
@@ -700,25 +698,18 @@ TEST(RetryBackoff, CappedExponentialBackoffTamesTheLocateStorm) {
   // capped exponential backoff (10ms..400ms, jittered in [w/2, w)) the
   // same window fits only a handful of rounds — and the call still
   // succeeds promptly once the partition heals.
-  const BackoffRun backoff = run_partitioned_retries(sim::msec(10));
+  const BackoffRun backoff = run_partitioned_retries();
   EXPECT_TRUE(backoff.succeeded);
   EXPECT_GE(backoff.locates_during_partition, 3u);
   EXPECT_LE(backoff.locates_during_partition, 25u)
       << "backoff did not bound the retry storm";
-
-  const BackoffRun legacy = run_partitioned_retries(0);
-  EXPECT_TRUE(legacy.succeeded);
-  EXPECT_GE(legacy.locates_during_partition, 80u)
-      << "legacy mode changed; retune this regression test";
-  EXPECT_LT(backoff.locates_during_partition,
-            legacy.locates_during_partition / 3);
 }
 
 TEST(RetryBackoff, RetryTimingIsSeedDeterministic) {
   // The jitter comes from the simulator's seeded RNG: identical runs must
   // retry at identical times (identical locate counts).
-  const BackoffRun a = run_partitioned_retries(sim::msec(10));
-  const BackoffRun b = run_partitioned_retries(sim::msec(10));
+  const BackoffRun a = run_partitioned_retries();
+  const BackoffRun b = run_partitioned_retries();
   EXPECT_EQ(a.locates_during_partition, b.locates_during_partition);
   EXPECT_EQ(a.succeeded, b.succeeded);
 }

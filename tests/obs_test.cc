@@ -35,7 +35,7 @@ TEST(Metrics, CounterRefsAreStableAndSnapshotsDelta) {
   obs::Metrics m;
   std::uint64_t& a = m.counter("net", "wire");
   a += 3;
-  m.add("net", "wire", 2);
+  m.counter("net", "wire") += 2;  // a second lookup finds the same counter
   m.counter("rpc", "packets") += 7;
   const obs::Metrics::Snapshot s1 = m.snapshot();
   EXPECT_EQ(s1.at("net.wire"), 5u);
@@ -47,28 +47,13 @@ TEST(Metrics, CounterRefsAreStableAndSnapshotsDelta) {
   EXPECT_EQ(d.at("net.wire"), 1u);
 }
 
-TEST(Metrics, ResetZeroesValuesButKeepsCachedRefs) {
-  obs::Metrics m;
-  std::uint64_t& a = m.counter("disk", "writes");
-  a = 9;
-  m.observe("disk", "write_ms", 1.5);
-  m.reset();
-  EXPECT_EQ(m.snapshot().at("disk.writes"), 0u);
-  a += 2;  // the cached reference must still point into the registry
-  EXPECT_EQ(m.snapshot().at("disk.writes"), 2u);
-  EXPECT_FALSE(m.hist("disk.write_ms").ok);
-}
-
-TEST(Metrics, HistogramHandleIsStableAcrossReset) {
+TEST(Metrics, HistogramHandleRecordsIntoRegistry) {
   obs::Metrics m;
   obs::Hist& h = m.histogram("rpc", "trans_ms");
-  m.observe("rpc", "trans_ms", 1.5);  // cold-path helper hits the same vector
-  EXPECT_EQ(h.size(), 1u);
-  m.reset();
-  EXPECT_TRUE(h.empty());  // cleared in place, node kept
-  h.push_back(2.5);        // the cached handle still records
-  EXPECT_EQ(m.hist("rpc.trans_ms").n, 1u);
-  EXPECT_DOUBLE_EQ(m.hist("rpc.trans_ms").mean, 2.5);
+  m.histogram("rpc", "other_ms").push_back(1.0);  // a new node moves nothing
+  EXPECT_EQ(&m.histogram("rpc", "trans_ms"), &h);
+  h.push_back(2.5);  // the cached handle records into the registry
+  EXPECT_EQ(m.hist_samples("rpc.trans_ms"), std::vector<double>{2.5});
 }
 
 // The steady-state recording path — an interned counter bump plus a
@@ -216,19 +201,6 @@ TEST(Trace, RecordingGateDropsEventsWhileDetached) {
   t.set_recording(true);
   t.instant(30, "group", "reset", 3);
   EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(Trace, ClearKeepsRecordingUsable) {
-  obs::Trace t(4);
-  for (int i = 0; i < 6; ++i) t.instant(i, "net", "drop_loss", 1);
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.dropped(), 2u);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-  t.instant(99, "net", "drop_loss", 1);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.events().front().ts, 99);
 }
 
 TEST(Trace, ChromeJsonShape) {

@@ -1,9 +1,10 @@
 // Windowed telemetry + SLO scoring: window boundary semantics, the
 // fault-phase state machine, LogHistogram's quantization bound against
-// the exact obs::percentile, SLO window scoring, and the integration
-// properties the tools rely on — same-seed byte-identical timeline JSON,
-// nemesis fault spans in the trace, and the simfuzz watchdog turning a
-// livelock into a structured stall report.
+// the exact obs::percentile, SLO window scoring, the fleet rollup of many
+// scorecards, and the integration properties the tools rely on —
+// same-seed byte-identical timeline JSON, nemesis fault spans in the
+// trace, and the simfuzz watchdog turning a livelock into a structured
+// stall report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,6 +227,95 @@ TEST(Slo, CleanRunHasPerfectAvailabilityAndNoFaults) {
   EXPECT_EQ(r.windows_bad, 0u);
   EXPECT_DOUBLE_EQ(r.availability, 1.0);
   EXPECT_TRUE(r.faults.empty());
+}
+
+// ------------------------------------------------------------ SLO fleet
+
+/// A one-fault scorecard with the given phase times in ms (< 0: the mark
+/// was never reached).
+obs::SloReport one_fault(double detect, double isolate, double recover,
+                         double rejoin, double availability, double p99_ms) {
+  const auto mark = [](double ms) {
+    return ms < 0 ? sim::Time{-1} : static_cast<sim::Time>(ms * 1000);
+  };
+  obs::FaultScore f;
+  f.phase.injected = 0;
+  f.phase.healed = 0;
+  f.phase.detected = mark(detect);
+  f.phase.isolated = mark(isolate);
+  f.phase.recovered = mark(recover);
+  f.phase.rejoined = mark(rejoin);
+  f.time_to_detect_ms = detect;
+  f.time_to_isolate_ms = isolate;
+  f.time_to_recover_ms = recover;
+  f.time_to_rejoin_ms = rejoin;
+  obs::SloReport r;
+  r.availability = availability;
+  r.overall_p99_ms = p99_ms;
+  r.faults.push_back(f);
+  return r;
+}
+
+TEST(SloFleet, RollsCasesUpPerKindAndFleetWide) {
+  obs::SloFleet fleet;
+  // crash: one complete case, one whose isolation never happened.
+  fleet.add("crash", one_fault(10, 20, 30, -1, 0.9, 100),
+            {.suspects = 1, .false_suspects = 1});
+  fleet.add("crash", one_fault(15, -1, 25, -1, 0.8, 200), {});
+  // slow_disk: two gray cases; the detector names the victim in one, and
+  // the other scored no fault at all, so it is not complete either.
+  fleet.add("slow_disk", one_fault(500, 500, 40, 60, 0.95, 300),
+            {.gray = true, .detected = true, .suspects = 2});
+  obs::SloReport empty;
+  empty.availability = 0.7;
+  empty.overall_p99_ms = 50;
+  fleet.add("slow_disk", empty, {.gray = true});
+
+  ASSERT_EQ(fleet.kinds().size(), 2u);
+  const obs::SloFleet::Kind& crash = fleet.kinds().at("crash");
+  EXPECT_EQ(crash.runs, 2u);
+  EXPECT_EQ(crash.complete, 1u);
+  EXPECT_EQ(crash.worst_detect_ms, 15);
+  EXPECT_EQ(crash.worst_isolate_ms, 20);
+  EXPECT_EQ(crash.worst_recover_ms, 30);
+  EXPECT_LT(crash.worst_rejoin_ms, 0);
+  EXPECT_DOUBLE_EQ(crash.min_availability, 0.8);
+  EXPECT_NEAR(crash.p99_of_p99s_ms(), 199, 1e-9);  // between 100 and 200
+  EXPECT_LT(crash.false_negative_rate(), 0);       // no gray case
+
+  const obs::SloFleet::Kind& slow = fleet.kinds().at("slow_disk");
+  EXPECT_EQ(slow.complete, 1u);
+  EXPECT_EQ(slow.worst_rejoin_ms, 60);
+  EXPECT_DOUBLE_EQ(slow.min_availability, 0.7);
+  EXPECT_EQ(slow.gray_runs, 2u);
+  EXPECT_EQ(slow.gray_detected, 1u);
+  EXPECT_DOUBLE_EQ(slow.false_negative_rate(), 0.5);
+
+  EXPECT_EQ(fleet.fleet().runs, 4u);
+  EXPECT_EQ(fleet.fleet().worst_recover_ms, 40);
+  EXPECT_NEAR(fleet.fleet().p99_of_p99s_ms(), 297, 1e-9);  // of 50..300
+
+  obs::Json root = obs::Json::object();
+  fleet.add_json(root);
+  const obs::Json* jcrash = root.find("by_fault_kind")->find("crash");
+  ASSERT_NE(jcrash, nullptr);
+  EXPECT_TRUE(jcrash->find("worst_time_to_rejoin_ms")->is_null());
+  EXPECT_EQ(jcrash->find("worst_time_to_isolate_ms")->as_num(), 20);
+  EXPECT_EQ(jcrash->find("gray_detected"), nullptr);
+  const obs::Json* jslow = root.find("by_fault_kind")->find("slow_disk");
+  EXPECT_DOUBLE_EQ(jslow->find("suspicion_false_negative_rate")->as_num(),
+                   0.5);
+  const obs::Json* jfleet = root.find("fleet");
+  EXPECT_DOUBLE_EQ(jfleet->find("suspicion_false_positive_rate")->as_num(),
+                   0.25);  // one false suspicion over four cases
+  EXPECT_DOUBLE_EQ(jfleet->find("suspicion_false_negative_rate")->as_num(),
+                   0.5);
+
+  std::string table;
+  fleet.print(table);
+  EXPECT_NE(table.find("1 false suspicion(s) over 4 scored case(s); 1/2 "
+                       "gray fault(s) detected"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------ integration

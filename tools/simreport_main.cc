@@ -5,7 +5,7 @@
 // a recovery timeline reconstructed from instant events.
 //
 //   simreport [--seed N] [--ops N] [--out PATH]
-//   simreport --slo [--slo-json PATH] [--seed N] [--out PATH]
+//   simreport --slo [--slo-json PATH] [--seed N | --seed A..B] [--out PATH]
 //   simreport --health [--seed N] [--out PATH]
 //   simreport --chrome-json PATH [--flavor group|group_nvram|rpc|rpc_nvram|nfs]
 //             [--nemesis SCHEDULE] [--seed N] [--ops N]
@@ -17,6 +17,12 @@
 // workload loops, so the export shows fault bars on the victim's lane plus
 // the phase-annotated availability counter tracks (timeline.ops_ok /
 // ops_err / p99_ms) under the event lanes.
+//
+// --slo over a seed range A..B (inclusive) prints each seed's scorecards,
+// then the fleet table: per fault kind, the worst recover time, the
+// minimum availability and the p99 of the per-case p99 latencies. Its
+// --slo-json is then the fleet summary (by_fault_kind and fleet) instead
+// of the per-seed cases.
 //
 // Every output is deterministic: same seed + ops (+ flavor + schedule) =>
 // byte-identical output (everything printed comes from sim-time stamps,
@@ -485,9 +491,11 @@ void run_recovery(std::uint64_t seed, std::string& out) {
 /// fault kind, three closed-loop clients, a 2 s healthy baseline, one
 /// injected fault, then a 2 s quiet tail — scored DIR-net style from the
 /// cluster's availability timeline (detect / isolate / recover marks fed
-/// by the protocol layers) and appended both as a human table and, when
-/// `json` is non-null, as one JSON object per fault kind.
-void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
+/// by the protocol layers), appended as a human table, added to `fleet`
+/// and, when `json` is non-null, appended as one JSON object per fault
+/// kind.
+void run_slo(std::uint64_t seed, std::string& out, obs::SloFleet& fleet,
+             obs::Json* json) {
   struct FaultCase {
     check::FaultStep::Kind kind;
     double prob;
@@ -571,14 +579,14 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
     const bool on_storage = info.victim == check::FaultVictim::storage;
     const char* vgroup = on_storage ? "storage" : "server";
     const obs::HealthMonitor& hm = bed.cluster().health();
-    bool detected_by_health = false;
+    obs::HealthVerdict verdict{.gray = info.gray,
+                               .suspects = hm.suspect_transitions()};
     for (const obs::FaultScore& fs : rep.faults) {
       if (fs.phase.detected >= 0 &&
           std::strcmp(fs.phase.detected_by, "health") == 0) {
-        detected_by_health = true;
+        verdict.detected = true;
       }
     }
-    const std::uint64_t suspects = hm.suspect_transitions();
     // Some gray faults surface at both peers of the victim's index (see
     // FaultKindInfo::both_peers); a suspicion naming either names the fault.
     std::uint64_t victim_suspects = hm.suspects_of(vgroup, step.victim);
@@ -586,13 +594,15 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
       victim_suspects +=
           hm.suspects_of(on_storage ? "server" : "storage", step.victim);
     }
+    verdict.false_suspects = verdict.suspects - victim_suspects;
+    fleet.add(check::fault_kind_name(fc.kind), rep, verdict);
     if (info.gray) {
       appendf(out,
               "    health: %s; %llu suspicion transitions, %llu naming the "
               "victim (%s%d)\n",
-              detected_by_health ? "victim named by differential detector"
-                                 : "victim NOT detected",
-              static_cast<unsigned long long>(suspects),
+              verdict.detected ? "victim named by differential detector"
+                               : "victim NOT detected",
+              static_cast<unsigned long long>(verdict.suspects),
               static_cast<unsigned long long>(victim_suspects), vgroup,
               step.victim);
       for (const obs::HealthEvent& e : hm.events()) {
@@ -609,11 +619,11 @@ void run_slo(std::uint64_t seed, std::string& out, obs::Json* json) {
                 obs::Json::str(check::fault_kind_name(fc.kind)));
       entry.set("slo", obs::slo_json(rep));
       obs::Json health = obs::Json::object();
-      health.set("gray", obs::Json::boolean(info.gray));
-      health.set("detected", obs::Json::boolean(detected_by_health));
-      health.set("suspects", obs::Json::uinteger(suspects));
+      health.set("gray", obs::Json::boolean(verdict.gray));
+      health.set("detected", obs::Json::boolean(verdict.detected));
+      health.set("suspects", obs::Json::uinteger(verdict.suspects));
       health.set("false_suspects",
-                 obs::Json::uinteger(suspects - victim_suspects));
+                 obs::Json::uinteger(verdict.false_suspects));
       health.set("events",
                  obs::Json::uinteger(hm.events().size()));
       entry.set("health", std::move(health));
@@ -728,6 +738,7 @@ int usage(const char* argv0) {
                "           --chrome-json PATH [--flavor F] [--nemesis "
                "SCHEDULE]]\n"
                "  --slo, --health and --chrome-json are exclusive modes;\n"
+               "  --slo also takes a seed range, --seed A..B;\n"
                "  F is group|group_nvram|rpc|rpc_nvram|nfs\n",
                argv0);
   return 2;
@@ -737,6 +748,7 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 1;
+  std::uint64_t seed_hi = 1;  // inclusive; > seed only for --slo A..B
   int ops = 5;
   std::string out_path;
   bool slo = false;
@@ -749,7 +761,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const char* spec = argv[++i];
+      const char* dots = std::strstr(spec, "..");
+      seed = std::strtoull(spec, nullptr, 10);
+      seed_hi = dots == nullptr ? seed : std::strtoull(dots + 2, nullptr, 10);
+      if (seed_hi < seed) return usage(argv[0]);
     } else if (s == "--ops" && i + 1 < argc) {
       ops = std::atoi(argv[++i]);
     } else if (s == "--out" && i + 1 < argc) {
@@ -779,6 +795,7 @@ int main(int argc, char** argv) {
   }
   const bool chrome = !chrome_path.empty();
   if (int{slo} + int{health} + int{chrome} > 1) return usage(argv[0]);
+  if (seed_hi != seed && !slo) return usage(argv[0]);
   if (!chrome && (flavor_set || !nemesis.empty())) return usage(argv[0]);
   std::vector<check::FaultStep> schedule;
   if (!nemesis.empty()) {
@@ -805,16 +822,32 @@ int main(int argc, char** argv) {
   } else if (slo) {
     // SLO mode stands alone: the scorecards (and their JSON) are what CI
     // diffs byte-for-byte across two same-seed runs.
-    appendf(out, "amoeba simreport --slo (seed %llu)\n\n",
-            static_cast<unsigned long long>(seed));
-    obs::Json json = obs::Json::array();
-    run_slo(seed, out, &json);
-    if (!slo_json_path.empty()) {
-      obs::Json root = obs::Json::object();
+    const bool one_seed = seed_hi == seed;
+    obs::SloFleet fleet;
+    obs::Json cases = obs::Json::array();
+    for (std::uint64_t n = seed; n <= seed_hi; ++n) {
+      appendf(out, "amoeba simreport --slo (seed %llu)\n\n",
+              static_cast<unsigned long long>(n));
+      run_slo(n, out, fleet,
+              one_seed && !slo_json_path.empty() ? &cases : nullptr);
+    }
+    obs::Json root = obs::Json::object();
+    if (one_seed) {
       root.set("seed", obs::Json::uinteger(seed));
       root.set("flavor", obs::Json::str("group_nvram"));
-      root.set("faults", std::move(json));
-      if (!obs::write_file(slo_json_path, root.dump())) return 1;
+      root.set("faults", std::move(cases));
+    } else {
+      appendf(out, "--- SLO fleet summary, seeds %llu..%llu ---\n",
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(seed_hi));
+      fleet.print(out);
+      root.set("seed_lo", obs::Json::uinteger(seed));
+      root.set("seed_hi", obs::Json::uinteger(seed_hi));
+      fleet.add_json(root);
+    }
+    if (!slo_json_path.empty() &&
+        !obs::write_file(slo_json_path, root.dump())) {
+      return 1;
     }
   } else {
     appendf(out, "amoeba simreport (seed %llu, %d ops per flavor)\n",

@@ -11,30 +11,15 @@
 // 1 otherwise, with a per-seed pass/fail summary on stdout. With
 // --logdir, each run's combined stdout+stderr lands in seed-<n>.log —
 // the first thing to read when a seed fails.
-//
-// With --summary FILE, after the sweep finishes simsweep reads the
-// per-seed SLO JSONs the driven command wrote to <logdir>/slo-<seed>.json
-// (simreport --slo --slo-json writes that shape) and aggregates them into
-// one fleet summary: per fault kind, worst-case detect/isolate/recover
-// times across all seeds, the p99 of the per-seed p99 latencies, and the
-// minimum availability. The summary is deterministic for a fixed seed
-// range and set of input files.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
-
-#include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -43,14 +28,13 @@ struct Args {
   std::uint64_t seed_hi = 10;  // inclusive
   int jobs = 4;
   std::string logdir;
-  std::string summary;  // aggregate SLO summary output path
   std::string command;  // with {seed} placeholders
 };
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds N | --seeds A..B] [--jobs N] "
-               "[--logdir DIR] [--summary FILE] -- <command with {seed}>\n",
+               "[--logdir DIR] -- <command with {seed}>\n",
                argv0);
   std::exit(2);
 }
@@ -80,18 +64,9 @@ Args parse(int argc, char** argv) {
       if (a.jobs < 1) usage(argv[0]);
     } else if (s == "--logdir" && i + 1 < argc) {
       a.logdir = argv[++i];
-    } else if (s == "--summary" && i + 1 < argc) {
-      a.summary = argv[++i];
     } else {
       usage(argv[0]);
     }
-  }
-  if (!a.summary.empty() && a.logdir.empty()) {
-    std::fprintf(stderr,
-                 "%s: --summary needs --logdir (slo-<seed>.json files are "
-                 "read from there)\n",
-                 argv[0]);
-    std::exit(2);
   }
   for (; i < argc; ++i) {
     if (!a.command.empty()) a.command += ' ';
@@ -151,225 +126,6 @@ std::string describe(int status) {
     return std::string("signal ") + std::to_string(WTERMSIG(status));
   }
   return "unknown";
-}
-
-// ------------------------------------------------------- SLO aggregation
-
-/// Per-fault-kind rollup across every seed in the sweep.
-struct KindAgg {
-  std::uint64_t runs = 0;
-  std::uint64_t complete = 0;  // runs with a full detect/isolate/recover
-  double worst_detect_ms = -1;
-  double worst_isolate_ms = -1;
-  double worst_recover_ms = -1;
-  double worst_rejoin_ms = -1;
-  double min_availability = 1.0;
-  std::vector<double> p99s_ms;  // per-seed overall p99 under this fault
-  // Health-detector suspicion bookkeeping (cases carrying a "health"
-  // section). Gray runs count toward the false-negative rate: a gray
-  // fault whose phase was never resolved by detected_by=health is a miss.
-  std::uint64_t health_runs = 0;
-  std::uint64_t gray_runs = 0;
-  std::uint64_t gray_detected = 0;
-  std::uint64_t suspects = 0;
-  std::uint64_t false_suspects = 0;
-};
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) != 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-/// Aggregate <logdir>/slo-<seed>.json across the seed range into one
-/// summary JSON at a.summary. Returns 0 when at least one per-seed file
-/// parsed, 1 otherwise.
-int write_summary(const Args& a) {
-  using amoeba::obs::Json;
-  using amoeba::obs::percentile;
-
-  std::map<std::string, KindAgg> kinds;  // sorted => deterministic output
-  std::vector<std::uint64_t> missing;
-  std::uint64_t parsed = 0;
-  for (std::uint64_t seed = a.seed_lo; seed <= a.seed_hi; ++seed) {
-    const std::string path =
-        a.logdir + "/slo-" + std::to_string(seed) + ".json";
-    const std::string text = read_file(path);
-    std::optional<Json> doc =
-        text.empty() ? std::nullopt : Json::parse(text);
-    if (!doc.has_value()) {
-      missing.push_back(seed);
-      continue;
-    }
-    ++parsed;
-    const Json* faults = doc->find("faults");
-    if (faults == nullptr) continue;
-    for (std::size_t i = 0; i < faults->size(); ++i) {
-      const Json& entry = faults->at(i);
-      const Json* kind = entry.find("fault_kind");
-      const Json* slo = entry.find("slo");
-      if (kind == nullptr || !kind->is_string() || slo == nullptr) continue;
-      KindAgg& agg = kinds[kind->as_str()];
-      ++agg.runs;
-      const Json* sf = slo->find("faults");
-      // A simreport SLO case injects one fault; loop anyway so a
-      // producer scoring several faults per case still aggregates.
-      bool all_complete = sf != nullptr && sf->size() != 0;
-      for (std::size_t j = 0; sf != nullptr && j < sf->size(); ++j) {
-        const Json& f = sf->at(j);
-        const auto worst = [&f](const char* key, double& into) {
-          const Json* v = f.find(key);
-          if (v != nullptr && v->is_number()) {
-            into = std::max(into, v->as_num());
-          }
-        };
-        const Json* c = f.find("complete");
-        if (c == nullptr || !c->as_bool()) all_complete = false;
-        worst("time_to_detect_ms", agg.worst_detect_ms);
-        worst("time_to_isolate_ms", agg.worst_isolate_ms);
-        worst("time_to_recover_ms", agg.worst_recover_ms);
-        worst("time_to_rejoin_ms", agg.worst_rejoin_ms);
-      }
-      if (all_complete) ++agg.complete;
-      if (const Json* av = slo->find("availability"); av != nullptr) {
-        agg.min_availability =
-            std::min(agg.min_availability, av->as_num(1.0));
-      }
-      if (const Json* p = slo->find("overall_p99_ms");
-          p != nullptr && p->is_number()) {
-        agg.p99s_ms.push_back(p->as_num());
-      }
-      if (const Json* h = entry.find("health"); h != nullptr) {
-        ++agg.health_runs;
-        const auto count = [&h](const char* key) -> std::uint64_t {
-          const Json* v = h->find(key);
-          return v != nullptr && v->is_number()
-                     ? static_cast<std::uint64_t>(v->as_num())
-                     : 0;
-        };
-        agg.suspects += count("suspects");
-        agg.false_suspects += count("false_suspects");
-        const Json* g = h->find("gray");
-        if (g != nullptr && g->as_bool()) {
-          ++agg.gray_runs;
-          const Json* d = h->find("detected");
-          if (d != nullptr && d->as_bool()) ++agg.gray_detected;
-        }
-      }
-    }
-  }
-
-  Json root = Json::object();
-  root.set("seed_lo", Json::uinteger(a.seed_lo));
-  root.set("seed_hi", Json::uinteger(a.seed_hi));
-  root.set("seeds_parsed", Json::uinteger(parsed));
-  Json jmissing = Json::array();
-  for (std::uint64_t s : missing) jmissing.push(Json::uinteger(s));
-  root.set("seeds_missing", std::move(jmissing));
-
-  std::printf("simsweep: SLO summary over %llu seed file(s)\n",
-              static_cast<unsigned long long>(parsed));
-  double fleet_worst_recover = -1;
-  std::vector<double> fleet_p99s;
-  std::uint64_t fleet_health_runs = 0;
-  std::uint64_t fleet_gray_runs = 0;
-  std::uint64_t fleet_gray_detected = 0;
-  std::uint64_t fleet_false_suspects = 0;
-  Json jkinds = Json::object();
-  for (auto& [name, agg] : kinds) {
-    std::sort(agg.p99s_ms.begin(), agg.p99s_ms.end());
-    const double p99_of_p99s =
-        agg.p99s_ms.empty() ? -1 : percentile(agg.p99s_ms, 99);
-    fleet_worst_recover =
-        std::max(fleet_worst_recover, agg.worst_recover_ms);
-    fleet_p99s.insert(fleet_p99s.end(), agg.p99s_ms.begin(),
-                      agg.p99s_ms.end());
-    fleet_health_runs += agg.health_runs;
-    fleet_gray_runs += agg.gray_runs;
-    fleet_gray_detected += agg.gray_detected;
-    fleet_false_suspects += agg.false_suspects;
-
-    Json jk = Json::object();
-    jk.set("runs", Json::uinteger(agg.runs));
-    jk.set("complete", Json::uinteger(agg.complete));
-    const auto ms = [](double v) {
-      return v < 0 ? Json::null() : Json::num(v);
-    };
-    jk.set("worst_time_to_detect_ms", ms(agg.worst_detect_ms));
-    jk.set("worst_time_to_isolate_ms", ms(agg.worst_isolate_ms));
-    jk.set("worst_time_to_recover_ms", ms(agg.worst_recover_ms));
-    jk.set("worst_time_to_rejoin_ms", ms(agg.worst_rejoin_ms));
-    jk.set("min_availability", Json::num(agg.min_availability));
-    jk.set("p99_of_p99s_ms", ms(p99_of_p99s));
-    if (agg.health_runs != 0) {
-      jk.set("suspects", Json::uinteger(agg.suspects));
-      jk.set("false_suspects", Json::uinteger(agg.false_suspects));
-      if (agg.gray_runs != 0) {
-        jk.set("gray_detected", Json::uinteger(agg.gray_detected));
-        jk.set("suspicion_false_negative_rate",
-               Json::num(1.0 - static_cast<double>(agg.gray_detected) /
-                                   static_cast<double>(agg.gray_runs)));
-      }
-    }
-    jkinds.set(name, std::move(jk));
-
-    std::printf(
-        "  %-22s runs %4llu  complete %4llu  worst recover %8.1f ms  "
-        "min avail %5.1f%%  p99-of-p99s %7.1f ms\n",
-        name.c_str(), static_cast<unsigned long long>(agg.runs),
-        static_cast<unsigned long long>(agg.complete),
-        agg.worst_recover_ms, agg.min_availability * 100, p99_of_p99s);
-  }
-  root.set("by_fault_kind", std::move(jkinds));
-  std::sort(fleet_p99s.begin(), fleet_p99s.end());
-  Json fleet = Json::object();
-  fleet.set("worst_time_to_recover_ms",
-            fleet_worst_recover < 0 ? Json::null()
-                                    : Json::num(fleet_worst_recover));
-  fleet.set("p99_of_p99s_ms", fleet_p99s.empty()
-                                  ? Json::null()
-                                  : Json::num(percentile(fleet_p99s, 99)));
-  // Fleet suspicion quality: mean false suspicion transitions per scored
-  // case (a healthy fleet must sit at exactly 0), and the fraction of
-  // gray faults the differential detector failed to name.
-  fleet.set("suspicion_false_positive_rate",
-            fleet_health_runs == 0
-                ? Json::null()
-                : Json::num(static_cast<double>(fleet_false_suspects) /
-                            static_cast<double>(fleet_health_runs)));
-  fleet.set("suspicion_false_negative_rate",
-            fleet_gray_runs == 0
-                ? Json::null()
-                : Json::num(1.0 -
-                            static_cast<double>(fleet_gray_detected) /
-                                static_cast<double>(fleet_gray_runs)));
-  root.set("fleet", std::move(fleet));
-  if (fleet_health_runs != 0) {
-    std::printf(
-        "  suspicion quality: %llu false suspicion(s) over %llu scored "
-        "case(s); %llu/%llu gray fault(s) detected\n",
-        static_cast<unsigned long long>(fleet_false_suspects),
-        static_cast<unsigned long long>(fleet_health_runs),
-        static_cast<unsigned long long>(fleet_gray_detected),
-        static_cast<unsigned long long>(fleet_gray_runs));
-  }
-
-  std::FILE* f = std::fopen(a.summary.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "simsweep: cannot write %s\n", a.summary.c_str());
-    return 1;
-  }
-  const std::string text = root.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::printf("simsweep: SLO summary -> %s (%zu seed file(s) missing)\n",
-              a.summary.c_str(), missing.size());
-  return parsed != 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -434,6 +190,5 @@ int main(int argc, char** argv) {
     }
     rc = 1;
   }
-  if (!a.summary.empty() && write_summary(a) != 0) rc = 1;
   return rc;
 }
