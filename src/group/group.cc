@@ -269,13 +269,12 @@ struct GroupMember::Ctx {
     w.bytes(rec.payload);
     return w.take();
   }
-  /// Asks `to` for every record from next_buffer on. The reset
-  /// coordinator's sync request is not counted as a retransmission.
-  void send_retrans_req(MachineId to, bool counted = true) {
+  /// Asks `to` for every record from next_buffer on.
+  void send_retrans_req(MachineId to) {
     Writer w = hdr(WireType::retrans_req);
     w.u64(next_buffer);
     send_pkt(to, w.take(), false);
-    if (counted) (*mx_retrans)++;
+    (*mx_retrans)++;
   }
   /// Repairs known gaps: asks the sequencer for records below known_latest.
   void repair_gap() {
@@ -1286,7 +1285,7 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
     }
   }
   if (target > c.watermark() && source != c.me) {
-    c.send_retrans_req(source, /*counted=*/false);
+    c.send_retrans_req(source);
     const sim::Time sync_end = std::min(deadline, c.now() + sim::msec(50));
     while (c.watermark() < target && c.now() < sync_end) {
       c.recv_wq.wait_until(sync_end);
