@@ -19,6 +19,9 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+/// `v`, or null when it is < 0: a mark never reached, a rate over no runs.
+Json or_null(double v) { return v < 0 ? Json::null() : Json::num(v); }
+
 /// True when `ts` falls inside some fault's outstanding interval
 /// [injected, recovered) — or [injected, inf) for a never-recovered one.
 bool fault_outstanding(const std::vector<FaultPhase>& phases, sim::Time ts) {
@@ -152,13 +155,10 @@ Json slo_json(const SloReport& r) {
     jf.set("fault", Json::str(f.phase.fault));
     jf.set("victim", Json::integer(f.phase.victim));
     jf.set("complete", Json::boolean(f.complete()));
-    const auto ms = [](double v) {
-      return v < 0 ? Json::null() : Json::num(v);
-    };
-    jf.set("time_to_detect_ms", ms(f.time_to_detect_ms));
-    jf.set("time_to_isolate_ms", ms(f.time_to_isolate_ms));
-    jf.set("time_to_recover_ms", ms(f.time_to_recover_ms));
-    jf.set("time_to_rejoin_ms", ms(f.time_to_rejoin_ms));
+    jf.set("time_to_detect_ms", or_null(f.time_to_detect_ms));
+    jf.set("time_to_isolate_ms", or_null(f.time_to_isolate_ms));
+    jf.set("time_to_recover_ms", or_null(f.time_to_recover_ms));
+    jf.set("time_to_rejoin_ms", or_null(f.time_to_rejoin_ms));
     jf.set("detected_by", Json::str(f.phase.detected_by));
     Json slices = Json::array();
     for (const PhaseSlice& s : f.slices) {
@@ -268,12 +268,6 @@ double SloFleet::Kind::false_negative_rate() const {
                         : 1.0 - static_cast<double>(gray_detected) /
                                     static_cast<double>(gray_runs);
 }
-
-namespace {
-
-Json or_null(double v) { return v < 0 ? Json::null() : Json::num(v); }
-
-}  // namespace
 
 void SloFleet::add_json(Json& root) const {
   Json by_kind = Json::object();
