@@ -74,3 +74,7 @@ for f in group group_nvram; do
   "$bin/tools/simfuzz" --flavor "$f" --seeds 5 --leases --batching \
     --dump-dir none >"$out/simfuzz_${f}_batching.txt"
 done
+# Batched sequencing on a small NVRAM: batch log records, flushes,
+# cancellation and replay under faults.
+"$bin/tools/simfuzz" --flavor group_nvram --seeds 5 --batching \
+  --nvram-bytes 2048 --dump-dir none >"$out/simfuzz_group_nvram_batching_2k.txt"
