@@ -176,7 +176,7 @@ void ablate_improved_recovery() {
     sim::Time recovered_at = -1;
     for (int i = 0; i < 300; ++i) {
       bed.sim().run_for(sim::msec(100));
-      if (!dir::group_dir_stats(bed.dir_server(0)).in_recovery) {
+      if (bed.group_server_ready(0)) {
         recovered_at = bed.sim().now();
         break;
       }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -56,6 +57,7 @@ struct BenchArgs {
   bool quick = false;     // --quick: fewer seeds/points (CI smoke run)
 };
 
+/// Exits 2 on an unknown argument or a flag missing its value.
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs a;
   for (int i = 1; i < argc; ++i) {
@@ -66,6 +68,7 @@ inline BenchArgs parse_args(int argc, char** argv) {
       a.quick = true;
     } else {
       std::fprintf(stderr, "usage: %s [--json <path>] [--quick]\n", argv[0]);
+      std::exit(2);
     }
   }
   return a;

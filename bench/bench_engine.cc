@@ -23,6 +23,7 @@
 #include <new>
 
 #include "bench_common.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "sim/waitq.h"
 
@@ -75,17 +76,10 @@ EngineArgs parse_engine_args(int argc, char** argv) {
                    "usage: %s [--json <path>] [--digest <path>] "
                    "[--baseline <file>] [--quick]\n",
                    argv[0]);
+      std::exit(2);
     }
   }
   return a;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::uint64_t fnv1a_snapshot(std::uint64_t h, const obs::Metrics::Snapshot& s) {
@@ -165,7 +159,7 @@ Section timer_churn(std::uint64_t seed, bool quick) {
   }
   s.run_until(sim::msec(500));  // warmup: pools and wheel reach plateau
   measure(out, s, [&] { s.run_until(horizon); });
-  out.digest = fnv1a_u64(fnv1a_u64(0xcbf29ce484222325ULL, out.events),
+  out.digest = fnv1a_u64(fnv1a_u64(kFnvOffset, out.events),
                          static_cast<std::uint64_t>(s.now()));
   return out;
 }
@@ -216,7 +210,7 @@ Section waitq_storm(std::uint64_t seed, bool quick) {
   s.run_until(sim::msec(500));
   measure(out, s, [&] { s.run_until(horizon); });
   out.digest = fnv1a_u64(
-      fnv1a_u64(fnv1a_u64(0xcbf29ce484222325ULL, out.events), notified),
+      fnv1a_u64(fnv1a_u64(kFnvOffset, out.events), notified),
       timed_out);
   return out;
 }
@@ -244,7 +238,7 @@ Section mixed_flavor(harness::Flavor f, std::uint64_t seed, bool quick) {
     out.layer_mix[key.substr(0, key.find('.'))] += value;
   }
   out.digest = fnv1a_u64(
-      fnv1a_snapshot(fnv1a_u64(0xcbf29ce484222325ULL, r.completed), delta),
+      fnv1a_snapshot(fnv1a_u64(kFnvOffset, r.completed), delta),
       static_cast<std::uint64_t>(bed.sim().now()));
   return out;
 }
@@ -283,7 +277,7 @@ int run(const EngineArgs& args) {
   std::printf("%-18s %12s %10s %14s %14s  %s\n", "section", "events",
               "wall_ms", "events/sec", "allocs/event", "digest");
   double min_eps = -1;
-  std::uint64_t combined = 0xcbf29ce484222325ULL;
+  std::uint64_t combined = kFnvOffset;
   for (const Section& s : sections) {
     std::printf("%-18s %12llu %10.1f %14.0f %14.3f  %s\n", s.name.c_str(),
                 static_cast<unsigned long long>(s.events), s.wall_ms,

@@ -65,12 +65,10 @@ void BM_NvlogTryCancelFullLog(benchmark::State& state) {
   dcap.rights = cap::kRightsAll;
   s.spawn("fill", [&] {
     for (std::uint64_t seq = 1;; ++seq) {
-      dir::nvlog::Record rec;
-      rec.seqno = seq;
-      rec.secret = seq;
-      rec.request = dir::make_append_row(dcap, numbered("row-", seq),
-                                         {dcap});
-      Buffer b = dir::nvlog::encode(rec);
+      const Buffer request =
+          dir::make_append_row(dcap, numbered("row-", seq), {dcap});
+      const dir::nvlog::SubView sub{seq, seq, 0, request};
+      Buffer b = dir::nvlog::encode(seq, {&sub, 1});
       if (!nv.would_fit(b.size())) return;
       (void)nv.append(1, std::move(b));
     }

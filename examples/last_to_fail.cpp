@@ -84,10 +84,7 @@ int main() {
   bed.cluster().restart(bed.dir_server(1).id());
   for (int i = 0; i < 200; ++i) {
     bed.sim().run_for(sim::msec(100));
-    if (!dir::group_dir_stats(bed.dir_server(0)).in_recovery &&
-        !dir::group_dir_stats(bed.dir_server(1)).in_recovery) {
-      break;
-    }
+    if (bed.group_server_ready(0) && bed.group_server_ready(1)) break;
   }
   show(bed, "dir1 (in the last set) returns: recovery completes");
 

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/hash.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "dir/rpc_server.h"
@@ -145,14 +146,6 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const Buffer& b, std::uint64_t h) {
-  for (std::uint8_t byte : b) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 FuzzReport run_one(const FuzzOptions& opts) {
   FuzzReport report;
@@ -321,12 +314,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
   if (harness::is_group(opts.flavor)) {
     const sim::Time deadline = sim.now() + sim::sec(60);
-    while (sim.now() < deadline) {
-      bool ready = true;
-      for (int i = 0; i < nservers; ++i) {
-        ready = ready && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-      }
-      if (ready) break;
+    while (sim.now() < deadline && !bed.group_ready()) {
       sim.run_for(sim::msec(100));
     }
   }
@@ -438,7 +426,9 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
 
   report.state_digest = kFnvOffset;
-  for (const Buffer& s : snaps) report.state_digest = fnv1a(s, report.state_digest);
+  for (const Buffer& s : snaps) {
+    report.state_digest = fnv1a(report.state_digest, s.data(), s.size());
+  }
   report.wire_packets = bed.metrics().counter("net", "wire_packets");
   report.end_time = sim.now();
   report.events = history.size();

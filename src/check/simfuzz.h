@@ -164,8 +164,4 @@ std::vector<FaultStep> shrink(const FuzzOptions& failing,
 std::string repro_command(const FuzzOptions& opts,
                           const std::vector<FaultStep>& schedule);
 
-/// FNV-1a 64-bit, used for replica-state digests.
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-std::uint64_t fnv1a(const Buffer& b, std::uint64_t h = kFnvOffset);
-
 }  // namespace amoeba::check

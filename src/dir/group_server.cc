@@ -530,8 +530,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
     }
 
     group::GroupMsg msg = std::move(*res);
-    if (msg.kind != group::MsgKind::data &&
-        msg.kind != group::MsgKind::batch) {
+    if (msg.kind != group::MsgKind::data) {
       // Membership change: record the new configuration vector.
       ctx.machine.trace().instant(ctx.now(), "dir.group", "view_change",
                                   ctx.machine.id().v, msg.seqno);
@@ -556,10 +555,9 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       ctx.sim().sleep_for(sim::msec(150));
     }
 
-    // Decode into one or more (opid, secret, request) updates: a plain
-    // data message carries one; a batch message (sequencer coalescing)
-    // carries several, each tagged with its origin member so only the
-    // initiating server completes it.
+    // Decode each send into an (opid, secret, request) update. Several
+    // share the seqno when the sequencer coalesced them; only the origin
+    // member of each completes it.
     struct Sub {
       std::uint64_t opid = 0;
       std::uint64_t secret = 0;
@@ -568,19 +566,14 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       bool mine = false;
     };
     std::vector<Sub> subs;
-    const auto read_sub = [&](net::MachineId origin, const Buffer& body) {
-      Reader r(body);
-      Sub& s = subs.emplace_back();
-      s.opid = r.u64();
-      s.secret = r.u64();
-      s.request = r.bytes();
-      s.mine = origin == ctx.machine.id();
-    };
     try {
-      if (msg.kind == group::MsgKind::batch) {
-        for (const auto& sub : msg.subs) read_sub(sub.origin, sub.payload);
-      } else {
-        read_sub(msg.sender, msg.payload);
+      for (const group::GroupSub& gs : msg.subs) {
+        Reader r(gs.payload);
+        Sub& s = subs.emplace_back();
+        s.opid = r.u64();
+        s.secret = r.u64();
+        s.request = r.bytes();
+        s.mine = gs.origin == ctx.machine.id();
       }
     } catch (const DecodeError&) {
       ctx.applied_seqno = msg.seqno;
@@ -616,7 +609,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
                   << (effect.touched.empty() ? 0 : effect.touched.front())
                   << " deleted="
                   << (effect.deleted.empty() ? 0 : effect.deleted.front())
-                  << " sender=" << msg.sender.v << " mine=" << sub.mine;
+                  << " mine=" << sub.mine;
       }
       ctx.my_seqno = std::max(ctx.my_seqno, msg.seqno);
       // Invalidate before persistence (which yields): holders should learn

@@ -8,53 +8,20 @@
 
 namespace amoeba::dir::nvlog {
 
-Buffer encode(const Record& rec) {
+Buffer encode(std::uint64_t seqno, std::span<const SubView> subs) {
   Writer w;
-  w.u64(rec.seqno);
-  w.u64(rec.secret);
-  w.u32(rec.objhint);
-  w.bytes(rec.request);
-  return w.take();
-}
-
-Record decode(const Buffer& b) {
-  Reader r(b);
-  Record rec;
-  rec.seqno = r.u64();
-  if ((rec.seqno & kBatchFlag) != 0) {
-    throw DecodeError("batch record: use decode_any");
+  if (subs.size() == 1) {
+    w.u64(seqno);
+  } else {
+    w.u64(kBatchFlag | seqno);
+    w.u32(static_cast<std::uint32_t>(subs.size()));
   }
-  rec.secret = r.u64();
-  rec.objhint = r.u32();
-  rec.request = r.bytes();
-  return rec;
-}
-
-Buffer encode_batch(std::uint64_t seqno, const std::vector<Record>& subs) {
-  Writer w;
-  w.u64(kBatchFlag | seqno);
-  w.u32(static_cast<std::uint32_t>(subs.size()));
-  for (const auto& s : subs) {
+  for (const SubView& s : subs) {
     w.u64(s.secret);
     w.u32(s.objhint);
-    w.bytes(s.request);
+    w.bytes(s.request.data(), s.request.size());
   }
   return w.take();
-}
-
-bool is_batch(ByteSpan b) {
-  return b.size() >= 8 && (b[7] & 0x80) != 0;  // kBatchFlag, little-endian
-}
-
-std::vector<Record> decode_any(const Buffer& b) {
-  std::vector<Record> out;
-  if (!for_each_sub(b, [&out](const SubView& s) {
-        out.push_back({s.seqno, s.secret, s.objhint,
-                       Buffer(s.request.begin(), s.request.end())});
-      })) {
-    throw DecodeError("undecodable NVRAM record");
-  }
-  return out;
 }
 
 bool well_formed(ByteSpan rec) {
@@ -97,6 +64,10 @@ std::string_view request_row(ByteSpan request) {
 namespace {
 bool has_op(ByteSpan request, DirOp op) {
   return !request.empty() && request[0] == static_cast<std::uint8_t>(op);
+}
+
+bool is_batch(ByteSpan rec) {
+  return rec.size() >= 8 && (rec[7] & 0x80) != 0;  // kBatchFlag, LE
 }
 }  // namespace
 
@@ -185,34 +156,32 @@ std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
 
 void replay(DirState& state, const nvram::Nvram& nv) {
   for (const auto& rec : nv.records()) {
-    std::vector<Record> ds;
-    try {
-      ds = decode_any(rec.data);
-    } catch (const DecodeError&) {
-      break;  // torn tail record: the log cleanly ends here
-    }
     // All subs of one batch carry the batch's seqno: an earlier sub raises
     // the entry seqno to it, which must not suppress later subs of the
     // same batch (disk copies either predate the whole batch or cover all
     // of it, so the per-record skip decision is still sound).
     std::set<std::uint32_t> applied_now;
-    for (const Record& d : ds) {
-      auto op = peek_op(d.request);
-      if (!op.is_ok()) continue;
-      std::uint32_t obj = 0;
-      if (*op == DirOp::create_dir) {
-        obj = d.objhint;
-        if (d.objhint == 0 || state.entry(d.objhint) != nullptr) continue;
-      } else {
-        obj = request_target(d.request);
-        ObjectEntry* e = state.entry(obj);
-        if (e != nullptr && e->seqno >= d.seqno && !applied_now.contains(obj)) {
-          continue;  // already on disk
-        }
-      }
-      DirState::ApplyEffect effect;
-      (void)state.apply(d.request, d.secret, d.seqno, &effect, d.objhint);
-      applied_now.insert(obj);
+    if (!for_each_sub(rec.data, [&state, &applied_now](const SubView& d) {
+          const Buffer request(d.request.begin(), d.request.end());
+          auto op = peek_op(request);
+          if (!op.is_ok()) return;
+          std::uint32_t obj = 0;
+          if (*op == DirOp::create_dir) {
+            obj = d.objhint;
+            if (d.objhint == 0 || state.entry(d.objhint) != nullptr) return;
+          } else {
+            obj = request_target(request);
+            ObjectEntry* e = state.entry(obj);
+            if (e != nullptr && e->seqno >= d.seqno &&
+                !applied_now.contains(obj)) {
+              return;  // already on disk
+            }
+          }
+          DirState::ApplyEffect effect;
+          (void)state.apply(request, d.secret, d.seqno, &effect, d.objhint);
+          applied_now.insert(obj);
+        })) {
+      break;  // torn tail record: the log cleanly ends here
     }
   }
 }

@@ -8,6 +8,11 @@
 // of the disk state. Used by both the group service and the RPC service's
 // NVRAM mode.
 //
+// A record holds the updates delivered under one seqno as a list of subs:
+// encode() is the only encoder and for_each_sub() the only decoder. One sub
+// takes the plain layout and several the batch layout (group commit: one
+// NVRAM append per sequenced message, not per update); see encode().
+//
 // Scans never copy a record. Every delete on every replica scans the whole
 // log for a cancellable append (try_cancel), and every flush walks it for
 // the objects to write; with a full 24 KiB log that is over a hundred
@@ -15,21 +20,18 @@
 // a record where it lies and yields non-owning SubViews whose `request`
 // points into the NVRAM bytes; request_target() and request_row() then
 // read those bytes in place, and a scan that matches nothing allocates
-// nothing. Only replay(), on the boot path, copies records out (through
-// decode_any(), which is built on the same visitor).
+// nothing. Only replay(), on the boot path, copies requests out.
 //
-// The visitor is exact. It applies the format rules the copying decoder
-// always applied: the kBatchFlag test, the count<u32>(16) guard on a
-// batch's sub count, and trailing bytes allowed. It yields the same subs
-// in the same order, and calls its callback only once the whole record is
-// known to parse, so a torn record contributes nothing, as when a decode
-// threw. Scans built on it therefore cancel, flush and replay the same
-// records in the same order as the decode-every-record scans they
-// replaced; tests/nvlog_test.cc checks that against a verbatim copy of
-// those scans on generated logs with torn records.
+// The visitor is exact. It applies the kBatchFlag test, the count<u32>(16)
+// guard on a batch's sub count, and allows trailing bytes. It calls its
+// callback only once the whole record is known to parse, so a torn record
+// contributes nothing. tests/nvlog_test.cc checks the scans against a
+// verbatim copy of the decode-every-record scans they replaced, on
+// generated logs with torn records.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -39,41 +41,27 @@
 
 namespace amoeba::dir::nvlog {
 
-struct Record {
-  std::uint64_t seqno = 0;
-  std::uint64_t secret = 0;
-  std::uint32_t objhint = 0;  // create_dir: the allocated object number
-  Buffer request;
-};
-
-Buffer encode(const Record& rec);
-Record decode(const Buffer& b);
-
-/// Group commit (sequencer batching): every update of one ordered batch is
-/// logged as a single NVRAM append — one log write per ACCEPT, not per op.
-/// A batch record is distinguished from a plain one by the top bit of the
-/// leading seqno field; decode() refuses it, decode_any() handles both.
+/// Marks the batch layout: the top bit of the leading seqno field.
 inline constexpr std::uint64_t kBatchFlag = 1ULL << 63;
 
-/// Encode one record covering all of `subs` (their `seqno` fields are
-/// ignored — the whole batch carries `seqno`).
-Buffer encode_batch(std::uint64_t seqno, const std::vector<Record>& subs);
-[[nodiscard]] bool is_batch(ByteSpan b);
-/// Decode either format: a plain record yields one entry, a batch record
-/// one entry per sub (each stamped with the batch seqno).
-std::vector<Record> decode_any(const Buffer& b);
-
-/// One logged update as a view into its record: `request` points into the
-/// record's bytes, which must outlive the view.
+/// One logged update as a view: `request` points into bytes that must
+/// outlive the view (the record's, when for_each_sub() yields it).
 struct SubView {
-  std::uint64_t seqno = 0;  // a batch's subs all carry the batch seqno
+  std::uint64_t seqno = 0;  // every sub of a record carries its seqno
   std::uint64_t secret = 0;
-  std::uint32_t objhint = 0;
+  std::uint32_t objhint = 0;  // create_dir: the allocated object number
   ByteSpan request;
 };
 
-/// True iff `rec` parses as a plain or batch record (what decode_any()
-/// accepts); a torn record does not.
+/// The record of `seqno` covering `subs` (their own `seqno` fields are
+/// ignored). One sub takes the plain layout: u64 seqno, u64 secret, u32
+/// objhint, bytes request. Any other count takes the batch layout: u64
+/// kBatchFlag | seqno, u32 count, then per sub u64 secret, u32 objhint,
+/// bytes request.
+Buffer encode(std::uint64_t seqno, std::span<const SubView> subs);
+
+/// True iff `rec` parses as a plain or batch record; a torn record does
+/// not.
 [[nodiscard]] bool well_formed(ByteSpan rec);
 
 namespace detail {
@@ -84,16 +72,10 @@ void parse(ByteSpan rec, Fn& fn) {
   Reader r(rec);
   SubView s;
   const std::uint64_t head = r.u64();
-  if ((head & kBatchFlag) == 0) {
-    s.seqno = head;
-    s.secret = r.u64();
-    s.objhint = r.u32();
-    s.request = r.view();
-    fn(s);
-    return;
-  }
   s.seqno = head & ~kBatchFlag;
-  const auto n = r.count<std::uint32_t>(8 + 4 + 4);  // secret, hint, request
+  const std::uint32_t n = (head & kBatchFlag) == 0
+                              ? 1
+                              : r.count<std::uint32_t>(8 + 4 + 4);
   for (std::uint32_t i = 0; i < n; ++i) {
     s.secret = r.u64();
     s.objhint = r.u32();

@@ -296,25 +296,24 @@ void ReplicaStore::log(std::vector<Update> updates, std::uint64_t seqno,
       return;
     }
   }
-  std::vector<nvlog::Record> recs;
-  for (Update& u : updates) {
+  std::vector<nvlog::SubView> subs;
+  for (const Update& u : updates) {
     auto op = peek_op(u.request);
-    nvlog::Record rec{seqno, u.secret, 0, std::move(u.request)};
+    nvlog::SubView sub{seqno, u.secret, 0, u.request};
     if (op.is_ok() && *op == DirOp::create_dir && !u.effect.touched.empty()) {
-      rec.objhint = u.effect.touched.front();
+      sub.objhint = u.effect.touched.front();
     }
     if (op.is_ok() && *op == DirOp::delete_dir && object_table()) {
       // Deletion of an on-disk directory: remember the commit-block seqno
       // obligation for the next flush (Fig. 4).
       pending_commit_seqno_ = std::max(pending_commit_seqno_, seqno);
     }
-    recs.push_back(std::move(rec));
+    subs.push_back(sub);
   }
-  const nvlog::Record& first = recs.front();
+  const nvlog::SubView& first = subs.front();
   const std::uint32_t tag =
       first.objhint != 0 ? first.objhint : nvlog::request_target(first.request);
-  Buffer encoded = recs.size() == 1 ? nvlog::encode(first)
-                                    : nvlog::encode_batch(seqno, recs);
+  Buffer encoded = nvlog::encode(seqno, subs);
   if (!nv_->would_fit(encoded.size())) {
     // NVRAM full in the critical path: the update stalls until the flusher
     // retires enough records. This is the visible cost of a small NVRAM

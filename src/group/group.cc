@@ -48,10 +48,14 @@ enum class WireType : std::uint8_t {
                 // app-level state transfer (rejoin).
 };
 
+/// A sequenced record's wire kind: MsgKind's data/join/leave values, plus
+/// `batch` (several data sends), which only the record codec below knows.
+enum class RecKind : std::uint8_t { data = 1, join, leave, batch = 5 };
+
 struct AcceptRecord {
   std::uint64_t seqno = 0;
-  MsgKind kind = MsgKind::data;
-  MachineId origin;             // data: sender; join/leave: subject
+  RecKind kind = RecKind::data;
+  MachineId origin;  // data: sender; join/leave: subject; batch: sequencer
   std::uint64_t origin_msgid = 0;
   Buffer payload;
   /// Causal context of the hop that carried this record here (in-memory
@@ -68,9 +72,20 @@ struct Sub {
   obs::TraceContext ctx;
 };
 
-/// A batch record's payload: u32 n, then per sub u16 origin, u64 msgid,
-/// bytes payload. Only this file knows the layout.
-Buffer encode_batch(const std::vector<Sub>& subs) {
+/// The record codec: one sub travels as a plain record of `kind`; several
+/// (data only) as a batch record from `author` whose payload is u32 n, then
+/// per sub u16 origin, u64 msgid, bytes payload. Consumes the payloads.
+void pack(AcceptRecord& rec, MsgKind kind, std::vector<Sub>& subs,
+          MachineId author) {
+  if (subs.size() == 1) {
+    rec.kind = static_cast<RecKind>(kind);  // same values
+    rec.origin = subs.front().origin;
+    rec.origin_msgid = subs.front().msgid;
+    rec.payload = std::move(subs.front().payload);
+    return;
+  }
+  rec.kind = RecKind::batch;
+  rec.origin = author;
   Writer w;
   w.u32(static_cast<std::uint32_t>(subs.size()));
   for (const auto& s : subs) {
@@ -78,7 +93,24 @@ Buffer encode_batch(const std::vector<Sub>& subs) {
     w.u64(s.msgid);
     w.bytes(s.payload);
   }
-  return w.take();
+  rec.payload = w.take();
+}
+
+/// Calls fn(origin, msgid, payload view) for each send of a data or batch
+/// record, in sequencing order.
+template <typename Fn>
+void unpack_data(const AcceptRecord& rec, Fn&& fn) {
+  if (rec.kind == RecKind::data) {
+    fn(rec.origin, rec.origin_msgid, ByteSpan(rec.payload));
+    return;
+  }
+  Reader r(rec.payload);
+  const auto n = r.count<std::uint32_t>(2 + 8 + 4);  // origin, id, payload
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const MachineId origin{r.u16()};
+    const std::uint64_t msgid = r.u64();
+    fn(origin, msgid, r.view());
+  }
 }
 
 void write_members(Writer& w, const std::vector<MachineId>& members) {
@@ -97,7 +129,7 @@ std::vector<MachineId> read_members(Reader& r) {
 AcceptRecord decode_accept_body(Reader& r) {
   AcceptRecord rec;
   rec.seqno = r.u64();
-  rec.kind = static_cast<MsgKind>(r.u8());
+  rec.kind = static_cast<RecKind>(r.u8());
   rec.origin = MachineId{r.u16()};
   rec.origin_msgid = r.u64();
   rec.payload = r.bytes();
@@ -300,10 +332,10 @@ struct GroupMember::Ctx {
   void drop_sequencer_state();
   void buffer_accept(const AcceptRecord& rec, MachineId from);
   void process_in_order(const AcceptRecord& rec);
-  /// Assigns the next seqno to one record, multicasts it and self-delivers
-  /// it. One sub is a plain record of `kind`; several (data only) are a
-  /// batch record. announce_bb: the members hold the payload already
-  /// (bb_data), so only the ordering goes out.
+  /// Assigns the next seqno to one record of `kind` carrying `subs`
+  /// (several: data only), multicasts it and self-delivers it.
+  /// announce_bb: the members hold the payload already (bb_data), so only
+  /// the ordering goes out.
   std::uint64_t sequence(MsgKind kind, std::vector<Sub> subs,
                          bool announce_bb = false);
   /// Sequences a data message now, or parks it for the next batch.
@@ -398,7 +430,7 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
   prune();
   GroupMsg out;
   switch (rec.kind) {
-    case MsgKind::join: {
+    case RecKind::join: {
       if (!is_member(rec.origin)) {
         members.push_back(rec.origin);
         std::sort(members.begin(), members.end());
@@ -408,9 +440,11 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
         forget_origin(rec.origin.v);
       }
       if (i_am_sequencer()) member_alive[rec.origin.v] = now();
+      out.kind = MsgKind::join;
+      out.sender = rec.origin;
       break;
     }
-    case MsgKind::leave: {
+    case RecKind::leave: {
       std::erase(members, rec.origin);
       member_alive.erase(rec.origin.v);
       if (rec.origin == me) {
@@ -424,40 +458,29 @@ void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {
           install_member_alive();
         }
       }
+      out.kind = MsgKind::leave;
+      out.sender = rec.origin;
       break;
     }
-    case MsgKind::data:
-      if (!first_delivery(rec.origin, rec.origin_msgid)) {
-        return;  // sequencer-failover dup
-      }
-      break;
-    case MsgKind::view:
-      // Synthetic view notes are enqueued directly on NEWGROUP install;
-      // they never travel as sequenced records.
-      return;
-    case MsgKind::batch: {
-      // Unpack the coalesced subs; drop any already delivered solo (a
-      // pre-failover sequencer may have sequenced a sub on its own before a
-      // retry landed in a successor's batch). The survivors go to the
-      // application as ONE message, in batch order.
-      Reader br(rec.payload);
-      const auto n = br.count<std::uint32_t>(2 + 8 + 4);  // origin, id, sub
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const MachineId origin{br.u16()};
-        const std::uint64_t msgid = br.u64();
-        Buffer sub = br.bytes();
+    case RecKind::data:
+    case RecKind::batch:
+      // Drop each send already delivered: a sequencer-failover dup, or a
+      // send a pre-failover sequencer ordered alone before a retry landed
+      // in a successor's batch. The rest go to the application as ONE
+      // message, in sequencing order.
+      unpack_data(rec, [this, &out](MachineId origin, std::uint64_t msgid,
+                                    ByteSpan payload) {
         if (first_delivery(origin, msgid)) {
-          out.subs.push_back({origin, std::move(sub)});
+          out.subs.push_back({origin, Buffer(payload.begin(), payload.end())});
         }
-      }
+      });
       if (out.subs.empty()) return;  // all dups; history entry kept
+      out.kind = MsgKind::data;
       break;
-    }
+    default:
+      return;  // no other kind travels as a sequenced record
   }
   out.seqno = rec.seqno;
-  out.kind = rec.kind;
-  out.sender = rec.origin;
-  if (rec.kind != MsgKind::batch) out.payload = rec.payload;
   out.ctx = rec.ctx;
   ready.push_back(std::move(out));
   recv_wq.notify_all();
@@ -498,7 +521,6 @@ std::uint64_t GroupMember::Ctx::sequence(MsgKind kind, std::vector<Sub> subs,
                                          bool announce_bb) {
   AcceptRecord rec;
   rec.seqno = next_seqno++;
-  rec.kind = kind;
   rec.ctx = subs.front().ctx;
   PendingCommit pc;
   pc.needed = needed_acks();
@@ -508,17 +530,7 @@ std::uint64_t GroupMember::Ctx::sequence(MsgKind kind, std::vector<Sub> subs,
     if (s.msgid != 0) pc.waiters.emplace_back(s.origin, s.msgid);
   }
   commits[rec.seqno] = std::move(pc);
-  if (subs.size() == 1) {
-    rec.origin = subs.front().origin;
-    rec.origin_msgid = subs.front().msgid;
-    rec.payload = std::move(subs.front().payload);
-  } else {
-    // The batch as a record is sequencer-authored; per-sub identity rides
-    // inside the payload.
-    rec.kind = MsgKind::batch;
-    rec.origin = me;
-    rec.payload = encode_batch(subs);
-  }
+  pack(rec, kind, subs, me);
 
   Buffer pkt;
   if (announce_bb) {
@@ -574,8 +586,6 @@ void GroupMember::Ctx::flush_batch() {
     return;
   }
   mx_batch_size->push_back(static_cast<double>(subs.size()));
-  // A lone op goes out as a plain data ACCEPT: wire format identical to
-  // batching off, so mixed-version members interoperate.
   sequence(MsgKind::data, std::move(subs));
 }
 
@@ -760,7 +770,7 @@ void GroupMember::Ctx::on_packet(const net::Packet& pkt) {
       const std::uint32_t inc = r.u32();
       AcceptRecord rec;
       rec.seqno = r.u64();
-      rec.kind = MsgKind::data;
+      rec.kind = RecKind::data;
       rec.origin = MachineId{r.u16()};
       rec.origin_msgid = r.u64();
       if (!current_view(inc, "bb_order")) return;

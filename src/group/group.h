@@ -45,16 +45,14 @@ using net::Port;
 inline constexpr sim::Duration kJoinTimeout = sim::msec(100);
 
 enum class MsgKind : std::uint8_t {
-  data = 1,
-  join,   // sequenced membership additions
-  leave,  // sequenced departures
-  view,   // synthetic: a ResetGroup installed a new view (seqno 0);
-          // lets the application record the new configuration
-  batch,  // several coalesced data sends under one seqno (cfg.batching),
-          // delivered as GroupMsg::subs. Only when the application opted in.
+  data = 1,  // one or more sends under one seqno, in GroupMsg::subs
+  join,      // sequenced membership additions
+  leave,     // sequenced departures
+  view,      // synthetic: a ResetGroup installed a new view (seqno 0);
+             // lets the application record the new configuration
 };
 
-/// One data send coalesced into a batch message.
+/// One data send: who sent it and what.
 struct GroupSub {
   MachineId origin;
   Buffer payload;
@@ -64,9 +62,10 @@ struct GroupSub {
 struct GroupMsg {
   std::uint64_t seqno = 0;
   MsgKind kind = MsgKind::data;
-  MachineId sender;   // data: origin member; join/leave: subject member
-  Buffer payload;     // every kind but batch
-  /// batch: the coalesced sends not delivered before, in sequencing order.
+  MachineId sender;  // join/leave: subject member; view: new sequencer
+  /// data: the sends ordered under `seqno` and not delivered before, in
+  /// sequencing order. One for a lone send; several when the sequencer
+  /// coalesced concurrent sends (cfg.batching).
   std::vector<GroupSub> subs;
   /// Causal context of the send that produced this message (the hop that
   /// delivered it to this member); application apply/persist work parents

@@ -189,15 +189,21 @@ bool Testbed::wait_ready(sim::Duration limit) {
   sim_->run_for(sim::msec(300));  // boot scans, locate, group formation
   while (sim_->now() < deadline) {
     sim_->run_for(sim::msec(50));
-    bool ready = true;
-    if (is_group(opts_.flavor)) {
-      for (auto* m : dir_servers_) {
-        ready = ready && !dir::group_dir_stats(*m).in_recovery;
-      }
-    }
-    if (ready) return true;
+    if (!is_group(opts_.flavor) || group_ready()) return true;
   }
   return false;
+}
+
+bool Testbed::group_server_ready(int i) {
+  net::Machine& m = dir_server(i);
+  return m.up() && !dir::group_dir_stats(m).in_recovery;
+}
+
+bool Testbed::group_ready() {
+  for (int i = 0; i < num_dir_servers(); ++i) {
+    if (!group_server_ready(i)) return false;
+  }
+  return true;
 }
 
 }  // namespace amoeba::harness

@@ -120,6 +120,10 @@ class Testbed {
   /// Run the simulation until every directory server reports it finished
   /// recovery (service ready). Returns false if it never became ready.
   bool wait_ready(sim::Duration limit = sim::sec(30));
+  /// Group directory server `i` is up and out of recovery.
+  [[nodiscard]] bool group_server_ready(int i);
+  /// Every group directory server is up and out of recovery.
+  [[nodiscard]] bool group_ready();
 
  private:
   TestbedOptions opts_;

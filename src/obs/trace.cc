@@ -6,24 +6,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
+
 namespace amoeba::obs {
-
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-
-}  // namespace
 
 const char* leg_name(Leg leg) {
   switch (leg) {
@@ -111,7 +96,7 @@ std::string Trace::to_chrome_json() const {
 }
 
 std::uint64_t Trace::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffset;
   h = fnv1a_u64(h, dropped_);
   for_each([&h](const TraceEvent& ev) {
     h = fnv1a_u64(h, static_cast<std::uint64_t>(ev.ts));

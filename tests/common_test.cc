@@ -6,7 +6,9 @@
 
 #include "cap/capability.h"
 #include "common/buffer.h"
+#include "common/hash.h"
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/pool.h"
 #include "common/rand.h"
 #include "common/status.h"
@@ -352,6 +354,36 @@ TEST(LogTest, SinkReceivesMessagesAtOrAboveLevel) {
   log::set_sink(nullptr);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("visible 42"), std::string::npos);
+}
+
+TEST(ParseTest, WholeNumbersAndRangesOnly) {
+  using Range = std::pair<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_range("7"), Range(7, 7));
+  EXPECT_EQ(parse_range("1..50"), Range(1, 50));
+  EXPECT_EQ(parse_range("3..3"), Range(3, 3));
+  for (const char* bad :
+       {"", "abc", "5x", "-1", "+1", " 1", "1 ", "18446744073709551616",
+        "99999999999999999999999"}) {
+    EXPECT_EQ(parse_u64(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parse_range(bad), std::nullopt) << "'" << bad << "'";
+  }
+  for (const char* bad : {"1..5x", "5..1", "..", "..5", "1..", "1...5",
+                          "x..5", "1..18446744073709551616"}) {
+    EXPECT_EQ(parse_range(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(HashTest, Fnv1aMatchesTheReferenceVectors) {
+  EXPECT_EQ(fnv1a(kFnvOffset, "", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(kFnvOffset, "a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(kFnvOffset, "foobar", 6), 0x85944171f73967e8ULL);
+  // A u64 folds as its eight little-endian bytes.
+  const std::uint8_t le[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(fnv1a_u64(kFnvOffset, 0x0102030405060708ULL),
+            fnv1a(kFnvOffset, le, sizeof(le)));
 }
 
 }  // namespace

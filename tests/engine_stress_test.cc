@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "dir/client.h"
 #include "harness/testbed.h"
@@ -29,16 +30,8 @@
 namespace amoeba::sim {
 namespace {
 
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 struct RunResult {
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = kFnvOffset;
   std::uint64_t events = 0;
   std::uint64_t wakes = 0;
   std::uint64_t kills = 0;

@@ -106,11 +106,8 @@ std::size_t bullet_files(Testbed& bed, int storage) {
 }
 
 bool group_ready(Testbed& bed, std::initializer_list<int> servers) {
-  for (int i : servers) {
-    if (!bed.dir_server(i).up()) return false;
-    if (dir::group_dir_stats(bed.dir_server(i)).in_recovery) return false;
-  }
-  return true;
+  return std::all_of(servers.begin(), servers.end(),
+                     [&bed](int i) { return bed.group_server_ready(i); });
 }
 
 void run_until_ready(Testbed& bed, std::initializer_list<int> servers,

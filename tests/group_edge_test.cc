@@ -68,7 +68,8 @@ TEST_F(EdgeFixture, SingletonGroupDeliversToItself) {
     ASSERT_TRUE(gm->send_to_group(to_buffer("self")).is_ok());
     auto msg = gm->receive();
     ASSERT_TRUE(msg.is_ok());
-    got.push_back(to_string(msg->payload));
+    ASSERT_EQ(msg->subs.size(), 1u);
+    got.push_back(to_string(msg->subs.front().payload));
     GroupInfo gi = gm->info();
     EXPECT_EQ(gi.members.size(), 1u);
     EXPECT_EQ(gi.sequencer, m.id());
@@ -127,8 +128,8 @@ TEST_F(EdgeFixture, LeaveUnderTrafficKeepsSurvivorsConsistent) {
       while (true) {
         auto msg = ms[static_cast<std::size_t>(i)]->receive();
         if (!msg.is_ok()) break;
-        if (msg->kind == MsgKind::data) {
-          got[static_cast<std::size_t>(i)].push_back(to_string(msg->payload));
+        for (const GroupSub& sub : msg->subs) {
+          got[static_cast<std::size_t>(i)].push_back(to_string(sub.payload));
         }
       }
     });
@@ -208,7 +209,7 @@ TEST_F(EdgeFixture, LargePayloadRoundTrips) {
     while (true) {
       auto msg = g0->receive();
       if (!msg.is_ok()) break;
-      if (msg->kind == MsgKind::data) got = msg->payload;
+      if (msg->kind == MsgKind::data) got = msg->subs.at(0).payload;
     }
   });
   m1.spawn("joiner", [&] {
@@ -235,7 +236,8 @@ TEST_F(EdgeFixture, TryReceiveIsNonBlocking) {
     ASSERT_TRUE(gm->send_to_group(to_buffer("x")).is_ok());
     auto msg = gm->try_receive();
     ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(to_string(msg->payload), "x");
+    ASSERT_EQ(msg->subs.size(), 1u);
+    EXPECT_EQ(to_string(msg->subs.front().payload), "x");
     EXPECT_FALSE(gm->try_receive().has_value());
   });
   sim.run_for(sim::sec(1));

@@ -77,11 +77,9 @@ struct GroupFixture : ::testing::Test {
     while (!node->stop) {
       auto res = node->gm->receive();
       if (res.is_ok()) {
-        if (res->kind == MsgKind::data || res->kind == MsgKind::batch) {
-          node->received.push_back(*res);
-        }
-        if (res->kind == MsgKind::data) {
-          node->delivered.push_back(to_string(res->payload));
+        if (res->kind == MsgKind::data) node->received.push_back(*res);
+        for (const GroupSub& sub : res->subs) {
+          node->delivered.push_back(to_string(sub.payload));
           node->seqnos.push_back(res->seqno);
         }
         continue;
@@ -192,8 +190,8 @@ TEST_P(TotalOrderSweep, ConcurrentSendersAgreeOnOneOrder) {
       while (true) {
         auto res = node->gm->receive();
         if (!res.is_ok()) break;
-        if (res->kind == MsgKind::data) {
-          node->delivered.push_back(to_string(res->payload));
+        for (const GroupSub& sub : res->subs) {
+          node->delivered.push_back(to_string(sub.payload));
         }
       }
     });
@@ -469,19 +467,13 @@ TEST_F(GroupFixture, BatchingCoalescesConcurrentSendsIntoOneOrder) {
   ASSERT_EQ(results.size(), 13u);
   for (const auto& st : results) EXPECT_TRUE(st.is_ok()) << st.to_string();
 
-  // "seqno kind origin:payload..." per delivered message.
+  // "seqno origin:payload..." per delivered message.
   const auto describe = [](const std::vector<GroupMsg>& msgs) {
     std::vector<std::string> out;
     for (const auto& m : msgs) {
       std::string d = std::to_string(m.seqno);
-      if (m.kind == MsgKind::batch) {
-        d += " batch";
-        for (const auto& sub : m.subs) {
-          d += numbered(" ", sub.origin.v) + ":" +
-               to_string(sub.payload);
-        }
-      } else {
-        d += numbered(" data ", m.sender.v) + ":" + to_string(m.payload);
+      for (const auto& sub : m.subs) {
+        d += numbered(" ", sub.origin.v) + ":" + to_string(sub.payload);
       }
       out.push_back(d);
     }
@@ -498,26 +490,23 @@ TEST_F(GroupFixture, BatchingCoalescesConcurrentSendsIntoOneOrder) {
   std::map<std::string, int> seen;
   int batches = 0;
   for (const auto& m : nodes[0]->received) {
-    if (m.kind == MsgKind::batch) {
-      ++batches;
-      EXPECT_GE(m.subs.size(), 2u);
-      for (const auto& sub : m.subs) {
-        ++seen[std::to_string(sub.origin.v) + ":" + to_string(sub.payload)];
-      }
-    } else {
-      ++seen[std::to_string(m.sender.v) + ":" + to_string(m.payload)];
+    ASSERT_FALSE(m.subs.empty());
+    if (m.subs.size() >= 2) ++batches;
+    for (const auto& sub : m.subs) {
+      ++seen[std::to_string(sub.origin.v) + ":" + to_string(sub.payload)];
     }
   }
   EXPECT_EQ(seen.size(), 13u);
   for (const auto& [sub, n] : seen) EXPECT_EQ(n, 1) << sub;
   EXPECT_GE(batches, 1);
 
-  // A lone send goes out as a plain data message.
+  // A lone send is delivered as a data message of one sub.
   ASSERT_FALSE(nodes[0]->received.empty());
   const GroupMsg& last = nodes[0]->received.back();
   EXPECT_EQ(last.kind, MsgKind::data);
-  EXPECT_EQ(last.sender, MachineId{1});
-  EXPECT_EQ(to_string(last.payload), "lone");
+  ASSERT_EQ(last.subs.size(), 1u);
+  EXPECT_EQ(last.subs.front().origin, MachineId{1});
+  EXPECT_EQ(to_string(last.subs.front().payload), "lone");
 }
 
 // ----------------------------------------------------------- BB method

@@ -300,7 +300,7 @@ TEST(LeaseCache, SameSeedRunsProduceIdenticalHitCounters) {
       auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
       ASSERT_TRUE(dcap.is_ok());
       for (int i = 0; i < 4; ++i) {
-        std::string name = "k" + std::to_string(i);
+        std::string name = numbered("k", i);
         ASSERT_TRUE(dc.append_row(*dcap, name, {payload_cap(9)}).is_ok());
       }
       for (int round = 0; round < 40; ++round) {
@@ -494,31 +494,43 @@ cap::Capability create_dir_in(dir::DirState& st, std::uint64_t secret,
   return cap::Capability::decode(r);
 }
 
+/// Every sub `rec` holds, in log order; none for a torn record.
+std::vector<dir::nvlog::SubView> subs_of(const Buffer& rec) {
+  std::vector<dir::nvlog::SubView> out;
+  if (!dir::nvlog::for_each_sub(
+          rec, [&out](const dir::nvlog::SubView& s) { out.push_back(s); })) {
+    out.clear();
+  }
+  return out;
+}
+
 TEST(NvlogBatch, EncodeDecodeRoundTripAndPlainDecodeRefusal) {
-  std::vector<dir::nvlog::Record> subs(2);
-  subs[0].secret = 111;
-  subs[0].objhint = 7;
-  subs[0].request = to_buffer("first");
-  subs[1].secret = 222;
-  subs[1].request = to_buffer("second");
+  const Buffer first = to_buffer("first");
+  const Buffer second = to_buffer("second");
+  const dir::nvlog::SubView subs[] = {{0, 111, 7, first}, {0, 222, 0, second}};
 
-  const Buffer b = dir::nvlog::encode_batch(42, subs);
-  EXPECT_TRUE(dir::nvlog::is_batch(b));
-  EXPECT_THROW((void)dir::nvlog::decode(b), DecodeError);
+  const Buffer b = dir::nvlog::encode(42, subs);
+  // Two subs take the batch layout: its leading seqno field carries
+  // kBatchFlag, so the record cannot be read as a plain one.
+  Reader head(b);
+  EXPECT_EQ(head.u64(), dir::nvlog::kBatchFlag | 42);
 
-  const auto out = dir::nvlog::decode_any(b);
+  const auto out = subs_of(b);
   ASSERT_EQ(out.size(), 2u);
   for (const auto& d : out) EXPECT_EQ(d.seqno, 42u);  // batch seqno stamped
   EXPECT_EQ(out[0].secret, 111u);
   EXPECT_EQ(out[0].objhint, 7u);
   EXPECT_EQ(out[1].secret, 222u);
-  EXPECT_EQ(to_string(out[1].request), "second");
+  EXPECT_EQ(to_string(Buffer(out[1].request.begin(), out[1].request.end())),
+            "second");
 
-  // A plain record still round-trips through decode_any as one entry.
-  dir::nvlog::Record plain;
-  plain.seqno = 9;
-  plain.request = to_buffer("plain");
-  const auto one = dir::nvlog::decode_any(dir::nvlog::encode(plain));
+  // One sub takes the plain layout and round-trips as one entry.
+  const Buffer plain_req = to_buffer("plain");
+  const dir::nvlog::SubView plain{0, 0, 0, plain_req};
+  const Buffer p = dir::nvlog::encode(9, {&plain, 1});
+  Reader plain_head(p);
+  EXPECT_EQ(plain_head.u64(), 9u);
+  const auto one = subs_of(p);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].seqno, 9u);
 }
@@ -533,18 +545,15 @@ TEST(NvlogBatch, ReplayAppliesEverySubOfASharedSeqno) {
     dir::DirState live(net::Port{1});
     const cap::Capability dcap = create_dir_in(live, 1000, 1);
 
-    dir::nvlog::Record create;
-    create.seqno = 1;
-    create.secret = 1000;
-    create.objhint = dcap.object;
-    create.request = dir::make_create_dir({"c"});
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(create)).is_ok());
-
-    std::vector<dir::nvlog::Record> subs(2);
-    subs[0].request = dir::make_append_row(dcap, "a", {payload_cap(1)});
-    subs[1].request = dir::make_append_row(dcap, "b", {payload_cap(2)});
+    const Buffer create_req = dir::make_create_dir({"c"});
+    const dir::nvlog::SubView create{0, 1000, dcap.object, create_req};
     ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode_batch(2, subs)).is_ok());
+        nv.append(dcap.object, dir::nvlog::encode(1, {&create, 1})).is_ok());
+
+    const Buffer a = dir::make_append_row(dcap, "a", {payload_cap(1)});
+    const Buffer b = dir::make_append_row(dcap, "b", {payload_cap(2)});
+    const dir::nvlog::SubView subs[] = {{0, 0, 0, a}, {0, 0, 0, b}};
+    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(2, subs)).is_ok());
 
     dir::DirState replayed(net::Port{1});
     dir::nvlog::replay(replayed, nv);
@@ -571,16 +580,18 @@ TEST(NvlogBatch, TryCancelRefusesToReorderAroundABatch) {
 
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
-    dir::nvlog::Record arec;
-    arec.seqno = 2;
-    arec.request = append;
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(arec)).is_ok());
-
-    std::vector<dir::nvlog::Record> subs(1);
-    subs[0].request = dir::make_append_row(dcap, "other", {payload_cap(2)});
-    apply_ok(st, subs[0].request, 0, 3);
+    const dir::nvlog::SubView arec{0, 0, 0, append};
     ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode_batch(3, subs)).is_ok());
+        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
+
+    // A batch record (two subs) on the same object.
+    const Buffer other = dir::make_append_row(dcap, "other", {payload_cap(2)});
+    const Buffer other2 =
+        dir::make_append_row(dcap, "other2", {payload_cap(3)});
+    apply_ok(st, other, 0, 3);
+    apply_ok(st, other2, 0, 3);
+    const dir::nvlog::SubView subs[] = {{0, 0, 0, other}, {0, 0, 0, other2}};
+    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(3, subs)).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 4);
@@ -602,10 +613,9 @@ TEST(NvlogBatch, TryCancelStillElidesWhenNoBatchIntervenes) {
     const cap::Capability dcap = create_dir_in(st, 1000, 1);
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
-    dir::nvlog::Record arec;
-    arec.seqno = 2;
-    arec.request = append;
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(arec)).is_ok());
+    const dir::nvlog::SubView arec{0, 0, 0, append};
+    ASSERT_TRUE(
+        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 3);
@@ -629,10 +639,9 @@ TEST(NvlogBatch, TryCancelLeavesAnAppendADiskCopyMayHold) {
     const cap::Capability dcap = create_dir_in(st, 1000, 1);
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
-    dir::nvlog::Record arec;
-    arec.seqno = 2;
-    arec.request = append;
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(arec)).is_ok());
+    const dir::nvlog::SubView arec{0, 0, 0, append};
+    ASSERT_TRUE(
+        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 3);

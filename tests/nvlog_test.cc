@@ -17,6 +17,7 @@
 #include "alloc_probe.h"
 #include "cap/capability.h"
 #include "common/rand.h"
+#include "common/strings.h"
 #include "dir/nvram_log.h"
 #include "net/cluster.h"
 #include "nvram/nvram.h"
@@ -26,12 +27,9 @@ namespace amoeba::dir::nvlog {
 namespace {
 
 Buffer make_record(std::uint64_t seqno, const std::string& request) {
-  Record rec;
-  rec.seqno = seqno;
-  rec.secret = 0xfeedface00ull + seqno;
-  rec.objhint = 0;
-  rec.request = to_buffer(request);
-  return encode(rec);
+  const Buffer req = to_buffer(request);
+  const SubView sub{seqno, 0xfeedface00ull + seqno, 0, req};
+  return encode(seqno, {&sub, 1});
 }
 
 TEST(NvlogTorn, EveryBytePrefixOfTailIsDroppedCleanly) {
@@ -50,7 +48,7 @@ TEST(NvlogTorn, EveryBytePrefixOfTailIsDroppedCleanly) {
 
       EXPECT_EQ(truncate_torn(nv), 1u) << "cut=" << cut;
       ASSERT_EQ(nv.record_count(), 1u) << "cut=" << cut;
-      EXPECT_EQ(decode(nv.records().front().data).seqno, 6u);
+      EXPECT_EQ(nv.records().front().data, make_record(6, "first update"));
       EXPECT_EQ(max_seqno(nv), 6u);
       checked = true;
     });
@@ -132,11 +130,56 @@ TEST(NvlogTorn, TornAppendFaultInjectionLeavesPartialTail) {
 
 // ------------------------------------------- oracle: the decoding scans
 //
+// The two record layouts as separate encoders and a copying decoder, as
+// they were before encode() and for_each_sub() became the only codec; and
 // try_cancel, truncate_torn, max_seqno and the flush object-collection loop
 // as they were before the scans parsed records in place: each record fully
 // decoded (owning copies of every request), request_row as a std::string.
-// Kept verbatim as the reference for the differential test below.
+// Kept verbatim as the reference for the layout and differential tests
+// below. The encoders also write the shapes encode() never does (a batch
+// record of one sub or none), which the decoder must still read.
 namespace oracle {
+
+struct Record {
+  std::uint64_t seqno = 0;
+  std::uint64_t secret = 0;
+  std::uint32_t objhint = 0;
+  Buffer request;
+};
+
+Buffer encode(const Record& rec) {
+  Writer w;
+  w.u64(rec.seqno);
+  w.u64(rec.secret);
+  w.u32(rec.objhint);
+  w.bytes(rec.request);
+  return w.take();
+}
+
+Record decode(const Buffer& b) {
+  Reader r(b);
+  Record rec;
+  rec.seqno = r.u64();
+  if ((rec.seqno & kBatchFlag) != 0) {
+    throw DecodeError("batch record: use decode_any");
+  }
+  rec.secret = r.u64();
+  rec.objhint = r.u32();
+  rec.request = r.bytes();
+  return rec;
+}
+
+Buffer encode_batch(std::uint64_t seqno, const std::vector<Record>& subs) {
+  Writer w;
+  w.u64(kBatchFlag | seqno);
+  w.u32(static_cast<std::uint32_t>(subs.size()));
+  for (const auto& s : subs) {
+    w.u64(s.secret);
+    w.u32(s.objhint);
+    w.bytes(s.request);
+  }
+  return w.take();
+}
 
 bool is_batch(const Buffer& b) {
   if (b.size() < 8) return false;
@@ -366,8 +409,8 @@ Buffer random_request(Prng& rng) {
   }
 }
 
-Record random_sub(Prng& rng) {
-  Record rec;
+oracle::Record random_sub(Prng& rng) {
+  oracle::Record rec;
   rec.secret = rng.next();
   rec.request = random_request(rng);
   // create_dir logs the object it allocated; now and then a log names one
@@ -383,13 +426,14 @@ Record random_sub(Prng& rng) {
 
 Buffer random_record(Prng& rng, std::uint64_t seqno) {
   if (rng.below(5) == 0) {
-    std::vector<Record> subs(rng.below(4));  // empty batches included
+    // Batch records of every size, one sub and none included.
+    std::vector<oracle::Record> subs(rng.below(4));
     for (auto& s : subs) s = random_sub(rng);
-    return encode_batch(seqno, subs);
+    return oracle::encode_batch(seqno, subs);
   }
-  Record rec = random_sub(rng);
+  oracle::Record rec = random_sub(rng);
   rec.seqno = seqno;
-  return encode(rec);
+  return oracle::encode(rec);
 }
 
 /// The operation whose cancellation is tried: usually a delete_row or
@@ -477,7 +521,7 @@ void expect_same_flush_set(const nvram::Nvram& a, const nvram::Nvram& b,
         [&r](const nvram::Record& x) { return x.id == r.id; });
     ASSERT_NE(rec, b.records().end()) << where;
     std::vector<std::uint32_t> want;  // positions of its objects in objs
-    for (const Record& d : decode_any(rec->data)) {
+    for (const oracle::Record& d : oracle::decode_any(rec->data)) {
       const std::uint32_t obj =
           d.objhint != 0 ? d.objhint : request_target(d.request);
       if (obj == 0) continue;
@@ -516,6 +560,59 @@ int compare_scans(nvram::Nvram& a, nvram::Nvram& b, const Probe& p1,
   EXPECT_EQ(ids_of(a), ids_of(b)) << where;
   EXPECT_EQ(oracle::max_seqno(a), max_seqno(b)) << where;
   return (c1 > 0 ? 1 : 0) + (c2 > 0 ? 1 : 0);
+}
+
+// ------------------------------------------------------------- layouts
+
+TEST(NvlogLayout, OneSubIsThePlainRecordAndSeveralTheBatchRecord) {
+  const Buffer ab = to_buffer("ab");
+  const Buffer c = to_buffer("c");
+  const SubView subs[] = {{0, 3, 4, ab}, {0, 5, 0, c}};
+  EXPECT_EQ(encode(0x0102, {subs, 1}),
+            Buffer({0x02, 0x01, 0, 0, 0, 0, 0, 0,  // seqno
+                   0x03, 0, 0, 0, 0, 0, 0, 0,     // secret
+                   0x04, 0, 0, 0,                 // objhint
+                   0x02, 0, 0, 0, 'a', 'b'}));    // request
+  EXPECT_EQ(encode(0x0102, subs),
+            Buffer({0x02, 0x01, 0, 0, 0, 0, 0, 0x80,  // kBatchFlag | seqno
+                   0x02, 0, 0, 0,                    // count
+                   0x03, 0, 0, 0, 0, 0, 0, 0,        // secret
+                   0x04, 0, 0, 0,                    // objhint
+                   0x02, 0, 0, 0, 'a', 'b',          // request
+                   0x05, 0, 0, 0, 0, 0, 0, 0,        // secret
+                   0, 0, 0, 0,                       // objhint
+                   0x01, 0, 0, 0, 'c'}));            // request
+
+  // On random subs: byte for byte the record the two layout encoders
+  // wrote, and for_each_sub yields the subs back in order.
+  Prng rng(mix64(0x1a7011));
+  for (int round = 0; round < 500; ++round) {
+    const std::uint64_t seqno = rng.next() & ~kBatchFlag;
+    std::vector<oracle::Record> recs(rng.below(5));
+    std::vector<SubView> views;
+    for (auto& r : recs) r = random_sub(rng);
+    for (const auto& r : recs) views.push_back({0, r.secret, r.objhint, r.request});
+    Buffer want;
+    if (recs.size() == 1) {
+      oracle::Record plain = recs.front();
+      plain.seqno = seqno;
+      want = oracle::encode(plain);
+    } else {
+      want = oracle::encode_batch(seqno, recs);
+    }
+    const Buffer got = encode(seqno, views);
+    ASSERT_EQ(got, want) << "round " << round;
+    std::size_t i = 0;
+    EXPECT_TRUE(for_each_sub(got, [&](const SubView& s) {
+      ASSERT_LT(i, recs.size());
+      EXPECT_EQ(s.seqno, seqno);
+      EXPECT_EQ(s.secret, recs[i].secret);
+      EXPECT_EQ(s.objhint, recs[i].objhint);
+      EXPECT_EQ(Buffer(s.request.begin(), s.request.end()), recs[i].request);
+      ++i;
+    }));
+    EXPECT_EQ(i, recs.size());
+  }
 }
 
 TEST(NvlogScan, InPlaceScansMatchDecodingScansOnRandomLogs) {
@@ -587,12 +684,11 @@ TEST(NvlogScan, ScansOfAFullLogDoNotAllocate) {
     const cap::Capability d = dir_cap(kDirBase);
     std::uint64_t seqno = 0;
     while (true) {
-      Record rec;
-      rec.seqno = ++seqno;
-      rec.secret = seqno;
-      rec.request = make_append_row(
-          d, "row-" + std::to_string(seqno), {dir_cap(7)});
-      Buffer b = encode(rec);
+      ++seqno;
+      const Buffer request =
+          make_append_row(d, numbered("row-", seqno), {dir_cap(7)});
+      const SubView sub{seqno, seqno, 0, request};
+      Buffer b = encode(seqno, {&sub, 1});
       if (!nv.would_fit(b.size())) break;
       ASSERT_TRUE(nv.append(1, std::move(b)).is_ok());
     }

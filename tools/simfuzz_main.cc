@@ -19,12 +19,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "check/simfuzz.h"
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -45,7 +49,7 @@ struct CliOptions {
   bool leases = false;         // --leases: lease caching (group flavors)
   bool batching = false;       // --batching: sequencer update batching
   /// --nvram-bytes N: NVRAM log size of the nvram flavors.
-  std::size_t nvram_bytes = check::FuzzOptions{}.nvram_bytes;
+  std::uint64_t nvram_bytes = check::FuzzOptions{}.nvram_bytes;
   std::vector<check::FaultStep> schedule;  // --schedule STR, decoded
   /// --watchdog MS: livelock watchdog threshold in simulated milliseconds
   /// (0 disables). Default matches FuzzOptions.
@@ -76,6 +80,21 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // The next argument as a whole decimal number of at least `min` that
+    // fits `out`.
+    auto number = [&](auto& out, std::uint64_t min) {
+      using T = std::remove_reference_t<decltype(out)>;
+      const char* v = next();
+      const auto n = v == nullptr ? std::nullopt : parse_u64(v);
+      if (!n || *n < min ||
+          *n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        std::fprintf(stderr, "%s takes a number of at least %llu\n",
+                     a.c_str(), static_cast<unsigned long long>(min));
+        return false;
+      }
+      out = static_cast<T>(*n);
+      return true;
+    };
     if (a == "--flavor") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -91,42 +110,27 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
         cli.flavors = {*f};
       }
     } else if (a == "--seeds") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.seeds = std::strtoull(v, nullptr, 10);
-      if (cli.seeds == 0) {
-        std::fprintf(stderr, "--seeds must be at least 1\n");
-        return false;
-      }
+      if (!number(cli.seeds, 1)) return false;
     } else if (a == "--seed-base") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.seed_base = std::strtoull(v, nullptr, 10);
+      if (!number(cli.seed_base, 0)) return false;
     } else if (a == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.seed = std::strtoull(v, nullptr, 10);
+      if (!number(cli.seed, 0)) return false;
       cli.single_seed = true;
     } else if (a == "--clients") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.clients = std::atoi(v);
+      if (!number(cli.clients, 0)) return false;
     } else if (a == "--keys") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.keys = std::atoi(v);
+      if (!number(cli.keys, 0)) return false;
     } else if (a == "--zipf") {
       const char* v = next();
       if (v == nullptr) return false;
-      cli.zipf = std::strtod(v, nullptr);
-      if (cli.zipf < 0) {
+      char* end = nullptr;
+      cli.zipf = std::strtod(v, &end);
+      if (end == v || *end != '\0' || cli.zipf < 0) {
         std::fprintf(stderr, "--zipf takes a nonnegative exponent\n");
         return false;
       }
     } else if (a == "--steps" || a == "--rounds") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.steps = std::atoi(v);
+      if (!number(cli.steps, 0)) return false;
     } else if (a == "--schedule") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -162,23 +166,13 @@ bool parse_args(int argc, char** argv, CliOptions& cli) {
     } else if (a == "--batching") {
       cli.batching = true;
     } else if (a == "--nvram-bytes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.nvram_bytes = std::strtoull(v, nullptr, 10);
-      if (cli.nvram_bytes == 0) {
-        std::fprintf(stderr, "--nvram-bytes must be at least 1\n");
-        return false;
-      }
+      if (!number(cli.nvram_bytes, 1)) return false;
     } else if (a == "--watchdog") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.watchdog_ms = std::atol(v);
+      if (!number(cli.watchdog_ms, 0)) return false;
     } else if (a == "--debug-stall") {
       cli.debug_stall = true;
     } else if (a == "--shrink-runs") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      cli.shrink_runs = std::atoi(v);
+      if (!number(cli.shrink_runs, 0)) return false;
     } else if (a == "--dump-dir") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -32,11 +32,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "check/nemesis.h"
+#include "common/parse.h"
 #include "common/strings.h"
 #include "dir/client.h"
 #include "harness/workload.h"
@@ -434,12 +436,7 @@ void run_recovery(std::uint64_t seed, std::string& out) {
   bed.sim().run_for(sim::sec(1));
   for (int i = 0; i < 3; ++i) bed.cluster().restart(bed.dir_server(i).id());
   const sim::Time deadline = bed.sim().now() + sim::sec(120);
-  while (bed.sim().now() < deadline) {
-    bool all = true;
-    for (int i = 0; i < 3; ++i) {
-      all = all && !dir::group_dir_stats(bed.dir_server(i)).in_recovery;
-    }
-    if (all) break;
+  while (bed.sim().now() < deadline && !bed.group_ready()) {
     bed.sim().run_for(sim::msec(200));
   }
   bed.sim().run_for(sim::sec(5));  // let the client land the first op
@@ -761,13 +758,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s == "--seed" && i + 1 < argc) {
-      const char* spec = argv[++i];
-      const char* dots = std::strstr(spec, "..");
-      seed = std::strtoull(spec, nullptr, 10);
-      seed_hi = dots == nullptr ? seed : std::strtoull(dots + 2, nullptr, 10);
-      if (seed_hi < seed) return usage(argv[0]);
+      const auto range = parse_range(argv[++i]);
+      if (!range) return usage(argv[0]);
+      seed = range->first;
+      seed_hi = range->second;
     } else if (s == "--ops" && i + 1 < argc) {
-      ops = std::atoi(argv[++i]);
+      const auto n = parse_u64(argv[++i]);
+      if (!n || *n > std::numeric_limits<int>::max()) return usage(argv[0]);
+      ops = static_cast<int>(*n);
     } else if (s == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (s == "--slo") {

@@ -18,8 +18,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
+#include <string_view>
+
+#include "common/parse.h"
 
 namespace {
 
@@ -49,19 +53,19 @@ Args parse(int argc, char** argv) {
       break;
     }
     if (s == "--seeds" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t dots = spec.find("..");
-      if (dots == std::string::npos) {
-        a.seed_lo = 1;
-        a.seed_hi = std::strtoull(spec.c_str(), nullptr, 10);
-      } else {
-        a.seed_lo = std::strtoull(spec.substr(0, dots).c_str(), nullptr, 10);
-        a.seed_hi = std::strtoull(spec.c_str() + dots + 2, nullptr, 10);
-      }
+      const std::string_view spec = argv[++i];
+      const auto range = amoeba::parse_range(spec);
+      if (!range) usage(argv[0]);
+      // A lone N means seeds 1..N.
+      a.seed_lo = spec.find("..") == std::string_view::npos ? 1 : range->first;
+      a.seed_hi = range->second;
       if (a.seed_hi < a.seed_lo) usage(argv[0]);
     } else if (s == "--jobs" && i + 1 < argc) {
-      a.jobs = std::atoi(argv[++i]);
-      if (a.jobs < 1) usage(argv[0]);
+      const auto n = amoeba::parse_u64(argv[++i]);
+      if (!n || *n < 1 || *n > std::numeric_limits<int>::max()) {
+        usage(argv[0]);
+      }
+      a.jobs = static_cast<int>(*n);
     } else if (s == "--logdir" && i + 1 < argc) {
       a.logdir = argv[++i];
     } else {
