@@ -138,7 +138,7 @@ void ablate_nvram_size() {
               "     (unique names) do, exposing the flush stalls.\n");
   std::printf("     bytes     append-only ops/sec   append-delete pairs/sec\n");
   for (std::size_t bytes : {std::size_t{1} * 1024, std::size_t{4} * 1024,
-                            std::size_t{24} * 1024, std::size_t{96} * 1024}) {
+                            nvram::kCapacityBytes, std::size_t{96} * 1024}) {
     harness::TestbedOptions o;
     o.flavor = harness::Flavor::group_nvram;
     o.clients = 2;
@@ -153,7 +153,7 @@ void ablate_nvram_size() {
     }
     std::printf("     %6zuK   %19.1f   %23.1f%s\n", bytes / 1024, appends,
                 update_pairs_per_sec(o),
-                bytes == 24 * 1024 ? "   <- paper" : "");
+                bytes == nvram::kCapacityBytes ? "   <- paper" : "");
   }
 }
 

@@ -17,7 +17,6 @@ using net::Machine;
 
 constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
 constexpr sim::Duration kCpuWrite = sim::msec(3);
-constexpr sim::Duration kDirWriteDisk = sim::msec(40);
 constexpr sim::Duration kFileCreateDisk = sim::msec(12);  // sync inode only
 constexpr int kServerThreads = 3;  // directory server threads
 
@@ -160,9 +159,8 @@ void install_nfs_dir_server(Machine& machine, const ServerOptions& /*opts*/) {
 
 disk::VirtualDisk& nfs_disk(Machine& machine) {
   return machine.persistent<disk::VirtualDisk>("nfs.disk", [&machine] {
-    disk::DiskConfig cfg;
-    cfg.write_latency = kDirWriteDisk;  // synchronous metadata
-    return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk", cfg);
+    return std::make_unique<disk::VirtualDisk>(  // synchronous metadata
+        machine.sim(), "nfs.disk", disk::kBlockWriteLatency);
   });
 }
 

@@ -57,9 +57,7 @@ ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
 nvram::Nvram& ReplicaStore::nvram_device(net::Machine& machine,
                                          std::size_t capacity) {
   return machine.persistent<nvram::Nvram>("dir.nvram", [&machine, capacity] {
-    nvram::NvramConfig cfg;
-    cfg.capacity_bytes = capacity;
-    return std::make_unique<nvram::Nvram>(machine.sim(), cfg);
+    return std::make_unique<nvram::Nvram>(machine.sim(), capacity);
   });
 }
 

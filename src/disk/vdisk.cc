@@ -3,11 +3,12 @@
 
 namespace amoeba::disk {
 
-VirtualDisk::VirtualDisk(sim::Simulator& sim, std::string name, DiskConfig cfg)
+VirtualDisk::VirtualDisk(sim::Simulator& sim, std::string name,
+                         sim::Duration write_latency)
     : sim_(sim),
-      cfg_(cfg),
+      write_latency_(write_latency),
       spindle_(sim, name + ".spindle"),
-      blocks_(cfg.num_blocks) {}
+      blocks_(kNumBlocks) {}
 
 bool VirtualDisk::transient_fault() {
   return fault_prob_ > 0 && sim_.rng().uniform() < fault_prob_;
@@ -27,7 +28,7 @@ Status VirtualDisk::write_block(std::uint32_t block, const Buffer& data,
                                 obs::TraceContext ctx) {
   const sim::Time t0 = sim_.now();
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  if (block >= cfg_.num_blocks) {
+  if (block >= kNumBlocks) {
     return Status::error(Errc::io_error, "block out of range");
   }
   if (data.size() > kBlockSize) {
@@ -38,7 +39,7 @@ Status VirtualDisk::write_block(std::uint32_t block, const Buffer& data,
   }
   if (torn_writes_ && !data.empty()) {
     try {
-      spindle_.use(slowed(cfg_.write_latency));
+      spindle_.use(slowed(write_latency_));
     } catch (const sim::ProcessKilled&) {
       // The machine died while the head was writing: a prefix of the new
       // data is on the platter, the rest is whatever was there before the
@@ -52,7 +53,7 @@ Status VirtualDisk::write_block(std::uint32_t block, const Buffer& data,
       throw;
     }
   } else {
-    spindle_.use(slowed(cfg_.write_latency));
+    spindle_.use(slowed(write_latency_));
   }
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   // Commit point: after the latency, atomically. A killed writer never
@@ -67,10 +68,10 @@ Result<Buffer> VirtualDisk::read_block(std::uint32_t block,
                                        obs::TraceContext ctx) {
   const sim::Time t0 = sim_.now();
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  if (block >= cfg_.num_blocks) {
+  if (block >= kNumBlocks) {
     return Status::error(Errc::io_error, "block out of range");
   }
-  spindle_.use(slowed(cfg_.read_latency));
+  spindle_.use(slowed(kReadLatency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   note_io("read", t0, false, ctx);
   if (!blocks_[block]) {
@@ -82,7 +83,7 @@ Result<Buffer> VirtualDisk::read_block(std::uint32_t block,
 Status VirtualDisk::data_write(obs::TraceContext ctx) {
   const sim::Time t0 = sim_.now();
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  spindle_.use(slowed(cfg_.data_write_latency));
+  spindle_.use(slowed(kDataWriteLatency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   note_io("data_write", t0, true, ctx);
   return Status::ok();
@@ -91,7 +92,7 @@ Status VirtualDisk::data_write(obs::TraceContext ctx) {
 Status VirtualDisk::data_read(obs::TraceContext ctx) {
   const sim::Time t0 = sim_.now();
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  spindle_.use(slowed(cfg_.read_latency));
+  spindle_.use(slowed(kReadLatency));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   note_io("data_read", t0, false, ctx);
   return Status::ok();
@@ -100,11 +101,11 @@ Status VirtualDisk::data_read(obs::TraceContext ctx) {
 Result<std::vector<std::pair<std::uint32_t, Buffer>>> VirtualDisk::scan(
     std::uint32_t lo, std::uint32_t hi, obs::TraceContext ctx) {
   if (failed_) return Status::error(Errc::io_error, "disk failed");
-  hi = std::min<std::uint32_t>(hi, static_cast<std::uint32_t>(cfg_.num_blocks));
+  hi = std::min<std::uint32_t>(hi, static_cast<std::uint32_t>(kNumBlocks));
   // One seek + sequential streaming: ~32 blocks per rotation-equivalent.
   const std::uint32_t span = hi > lo ? hi - lo : 0;
   const sim::Time t0 = sim_.now();
-  spindle_.use(slowed(cfg_.read_latency * (1 + span / 32)));
+  spindle_.use(slowed(kReadLatency * (1 + span / 32)));
   if (failed_) return Status::error(Errc::io_error, "disk failed");
   note_io("scan", t0, false, ctx);
   std::vector<std::pair<std::uint32_t, Buffer>> out;
@@ -115,7 +116,7 @@ Result<std::vector<std::pair<std::uint32_t, Buffer>>> VirtualDisk::scan(
 }
 
 std::optional<Buffer> VirtualDisk::peek(std::uint32_t block) const {
-  if (block >= cfg_.num_blocks) return std::nullopt;
+  if (block >= kNumBlocks) return std::nullopt;
   return blocks_[block];
 }
 

@@ -23,19 +23,24 @@ namespace amoeba::disk {
 
 inline constexpr std::size_t kBlockSize = 1024;
 
-struct DiskConfig {
-  std::size_t num_blocks = 4096;
-  sim::Duration write_latency = sim::msec(40);  // seek + rotation + write
-  sim::Duration read_latency = sim::msec(25);
-  /// File-data writes (bullet creates) batch with write-behind and land in
-  /// the contiguous data area, so they cost less than a raw-partition
-  /// block write with its forced seek.
-  sim::Duration data_write_latency = sim::msec(24);
-};
+/// The disk's calibrated timings (DESIGN.md §1) and size.
+inline constexpr std::size_t kNumBlocks = 4096;
+inline constexpr sim::Duration kReadLatency = sim::msec(25);
+/// File-data writes (bullet creates) batch with write-behind and land in
+/// the contiguous data area, so they cost less than a block write with its
+/// forced seek.
+inline constexpr sim::Duration kDataWriteLatency = sim::msec(24);
+/// Block writes (seek + rotation + write) cost one of two latencies: the
+/// NFS server's synchronous metadata writes take kBlockWriteLatency, the
+/// storage machines' raw-partition writes (commit and directory blocks)
+/// the slower kRawPartitionWriteLatency.
+inline constexpr sim::Duration kBlockWriteLatency = sim::msec(40);
+inline constexpr sim::Duration kRawPartitionWriteLatency = sim::msec(48);
 
 class VirtualDisk {
  public:
-  VirtualDisk(sim::Simulator& sim, std::string name, DiskConfig cfg = {});
+  VirtualDisk(sim::Simulator& sim, std::string name,
+              sim::Duration write_latency = kBlockWriteLatency);
   VirtualDisk(const VirtualDisk&) = delete;
   VirtualDisk& operator=(const VirtualDisk&) = delete;
 
@@ -87,8 +92,6 @@ class VirtualDisk {
   /// in tests (not used by services).
   [[nodiscard]] std::optional<Buffer> peek(std::uint32_t block) const;
 
-  [[nodiscard]] std::size_t num_blocks() const { return cfg_.num_blocks; }
-
   /// Hook the disk into the cluster-wide observability layer: every op
   /// counts in the "disk" counters and records an I/O span against
   /// machine `pid`. Disks are built by Machine::persistent factories that
@@ -120,7 +123,7 @@ class VirtualDisk {
   }
 
   sim::Simulator& sim_;
-  DiskConfig cfg_;
+  sim::Duration write_latency_;
   sim::FifoResource spindle_;
   std::vector<std::optional<Buffer>> blocks_;
   bool failed_ = false;

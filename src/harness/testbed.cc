@@ -17,10 +17,8 @@ bool uses_nvram(Flavor f) {
 /// The Wren IV disk a storage machine's servers share.
 disk::VirtualDisk& storage_disk(net::Machine& m) {
   return m.persistent<disk::VirtualDisk>("disk", [&m] {
-    disk::DiskConfig cfg;
-    cfg.write_latency = sim::msec(48);  // raw partition: seek + write
-    return std::make_unique<disk::VirtualDisk>(m.sim(), m.name() + ".disk",
-                                               cfg);
+    return std::make_unique<disk::VirtualDisk>(
+        m.sim(), m.name() + ".disk", disk::kRawPartitionWriteLatency);
   });
 }
 
@@ -76,9 +74,7 @@ bool is_group(Flavor f) {
 Testbed::Testbed(TestbedOptions opts)
     : opts_(opts), dir_port_(dir::kDirPort) {
   sim_ = std::make_unique<sim::Simulator>(opts.seed);
-  net::NetConfig net_cfg;
-  net_cfg.segments = opts.network_segments;
-  cluster_ = std::make_unique<net::Cluster>(*sim_, net_cfg);
+  cluster_ = std::make_unique<net::Cluster>(*sim_, opts.network_segments);
   cluster_->set_tracing(opts.tracing);
 
   const bool nfs = opts.flavor == Flavor::nfs;

@@ -51,7 +51,7 @@ struct TestbedOptions {
   bool improved_recovery = false;
   int resilience = 2;
   int replicas = 0;  // 0 => flavor default (3 group / 2 rpc / 1 nfs)
-  std::size_t nvram_bytes = 24 * 1024;
+  std::size_t nvram_bytes = nvram::kCapacityBytes;
   int network_segments = 1;  // >1: redundant Ethernets (paper Sec. 2)
   /// Fault injection for the simfuzz harness: when >= 0, the group dir
   /// server with this index serves reads without the buffered-messages

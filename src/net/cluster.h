@@ -147,7 +147,8 @@ class Machine {
 
 class Cluster {
  public:
-  explicit Cluster(sim::Simulator& sim, NetConfig cfg = {});
+  /// `segments`: redundant network segments (Network's constructor).
+  explicit Cluster(sim::Simulator& sim, int segments = 1);
   /// Unwinds all simulated processes (via Simulator::shutdown) before the
   /// machines they reference are destroyed.
   ~Cluster();

@@ -9,12 +9,10 @@
 namespace amoeba::net {
 
 sim::Duration Network::latency(std::uint32_t size_bytes) {
-  const double bytes_us =
-      cfg_.per_byte_us * static_cast<double>(size_bytes);
-  const double jitter = cfg_.jitter_frac *
-                        static_cast<double>(cfg_.base_latency) *
-                        sim_.rng().uniform();
-  return cfg_.base_latency + static_cast<sim::Duration>(bytes_us + jitter);
+  const double bytes_us = kPerByteUs * static_cast<double>(size_bytes);
+  const double jitter =
+      kJitterFrac * static_cast<double>(kBaseLatency) * sim_.rng().uniform();
+  return kBaseLatency + static_cast<sim::Duration>(bytes_us + jitter);
 }
 
 bool Network::segment_connected(int segment, MachineId a, MachineId b) const {
@@ -123,7 +121,7 @@ void Network::clear_link_degrade(MachineId m) { degraded_.erase(m.v); }
 void Network::deliver_one(MachineId src, MachineId dst, Port port,
                           Buffer payload, std::uint32_t size,
                           obs::TraceContext pkt_ctx, std::uint64_t wire) {
-  if (cfg_.drop_prob > 0 && sim_.rng().uniform() < cfg_.drop_prob) {
+  if (drop_prob_ > 0 && sim_.rng().uniform() < drop_prob_) {
     ++mx_dropped_loss_;
     if (tr_ != nullptr) tr_->instant(sim_.now(), "net", "drop_loss", dst.v);
     return;
@@ -151,16 +149,16 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
   }
   // Reordering: hold this delivery back several base-latencies so later
   // packets on the same path overtake it.
-  if (cfg_.reorder_prob > 0 && sim_.rng().uniform() < cfg_.reorder_prob) {
-    lat += cfg_.base_latency *
+  if (reorder_prob_ > 0 && sim_.rng().uniform() < reorder_prob_) {
+    lat += kBaseLatency *
            static_cast<sim::Duration>(2 + sim_.rng().below(5));
     ++mx_reordered_;
   }
   // Duplicate delivery: the datalink layer retransmitted after a lost ack;
   // the second copy trails the first by its own (usually longer) latency.
-  if (cfg_.dup_prob > 0 && sim_.rng().uniform() < cfg_.dup_prob) {
+  if (dup_prob_ > 0 && sim_.rng().uniform() < dup_prob_) {
     ++mx_duplicated_;
-    sim::Duration dup_lat = latency(size) + cfg_.base_latency * 3;
+    sim::Duration dup_lat = latency(size) + kBaseLatency * 3;
     if (lat_mult != 1.0) {
       dup_lat =
           static_cast<sim::Duration>(static_cast<double>(dup_lat) * lat_mult);

@@ -20,28 +20,24 @@ namespace amoeba::net {
 
 class Cluster;
 
-struct NetConfig {
-  sim::Duration base_latency = sim::usec(900);  // media + protocol stack
-  double per_byte_us = 0.8;                     // 10 Mbit/s
-  double jitter_frac = 0.2;   // uniform extra latency, fraction of base
-  double drop_prob = 0.0;     // per-destination independent loss
-  double dup_prob = 0.0;      // per-destination duplicate delivery
-  double reorder_prob = 0.0;  // per-destination extra-latency reordering
-  /// Redundant network segments (paper Sec. 2: the directory servers
-  /// "should be connected by multiple, redundant networks"). A packet gets
-  /// through if ANY segment connects source and destination, so a partition
-  /// or failure of one segment is masked by the others.
-  int segments = 1;
-};
+/// The segment's calibrated timings (DESIGN.md §1). A packet of n bytes
+/// takes kBaseLatency + n * kPerByteUs, plus a uniform jitter of up to
+/// kJitterFrac * kBaseLatency.
+inline constexpr sim::Duration kBaseLatency = sim::usec(900);  // media + stack
+inline constexpr double kPerByteUs = 0.8;                      // 10 Mbit/s
+inline constexpr double kJitterFrac = 0.2;
 
 class Network {
  public:
-  Network(sim::Simulator& sim, Cluster& cluster, NetConfig cfg,
+  /// `segments` redundant network segments (paper Sec. 2: the directory
+  /// servers "should be connected by multiple, redundant networks"). A
+  /// packet gets through if ANY segment connects source and destination,
+  /// so a partition or failure of one segment is masked by the others.
+  Network(sim::Simulator& sim, Cluster& cluster, int segments,
           obs::Metrics& metrics, obs::Trace* trace = nullptr)
       : sim_(sim),
         cluster_(cluster),
-        cfg_(cfg),
-        seg_groups_(static_cast<std::size_t>(std::max(1, cfg.segments))),
+        seg_groups_(static_cast<std::size_t>(std::max(1, segments))),
         tr_(trace),
         mx_wire_(metrics.counter("net", "wire_packets")),
         mx_unicasts_(metrics.counter("net", "unicasts")),
@@ -83,7 +79,6 @@ class Network {
   void fail_segment(int segment) { set_partition({{}}, segment); }
   [[nodiscard]] bool connected(MachineId a, MachineId b) const;
   [[nodiscard]] bool partitioned() const;
-  [[nodiscard]] int segments() const { return cfg_.segments; }
 
   /// Attach or detach tracing mid-run. Detaching (nullptr) drops every
   /// in-flight wire span: their delivery closures still resolve via
@@ -95,15 +90,16 @@ class Network {
   }
   [[nodiscard]] obs::Trace* trace() const { return tr_; }
 
-  [[nodiscard]] const NetConfig& config() const { return cfg_; }
-  void set_drop_prob(double p) { cfg_.drop_prob = p; }
+  /// Loss: each destination independently misses the packet with
+  /// probability p.
+  void set_drop_prob(double p) { drop_prob_ = p; }
   /// Duplicate delivery: with probability p a destination receives a second
   /// copy of the packet a little later (retransmit-after-lost-ack at the
   /// datalink layer). Stresses at-most-once RPC and sequencer dedup.
-  void set_dup_prob(double p) { cfg_.dup_prob = p; }
+  void set_dup_prob(double p) { dup_prob_ = p; }
   /// Reordering: with probability p a delivery is held back several
   /// base-latencies, so packets sent later overtake it.
-  void set_reorder_prob(double p) { cfg_.reorder_prob = p; }
+  void set_reorder_prob(double p) { reorder_prob_ = p; }
 
   /// Fail-slow injection: degrade every link touching `m` — packets to or
   /// from it take `latency_mult` times the normal latency and are
@@ -159,7 +155,11 @@ class Network {
 
   sim::Simulator& sim_;
   Cluster& cluster_;
-  NetConfig cfg_;
+  /// Fault injection (set_drop_prob and friends): per-destination loss,
+  /// duplicate delivery and reordering. All 0 in healthy runs.
+  double drop_prob_ = 0.0;
+  double dup_prob_ = 0.0;
+  double reorder_prob_ = 0.0;
   /// Per-segment partition state; empty outer vector entry = no partition.
   std::vector<std::vector<std::vector<MachineId>>> seg_groups_;
   /// Degraded machines (fail-slow). Empty in healthy runs, so the hot

@@ -5,7 +5,7 @@
 namespace amoeba::nvram {
 
 bool Nvram::would_fit(std::size_t data_size) const {
-  return used_ + footprint(data_size) <= cfg_.capacity_bytes;
+  return used_ + footprint(data_size) <= capacity_;
 }
 
 Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
@@ -17,9 +17,9 @@ Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
   }
   const sim::Duration lat =
       slow_factor_ == 1.0
-          ? cfg_.write_latency
+          ? kWriteLatency
           : static_cast<sim::Duration>(
-                static_cast<double>(cfg_.write_latency) * slow_factor_);
+                static_cast<double>(kWriteLatency) * slow_factor_);
   if (torn_appends_ && !data.empty()) {
     try {
       sim_.sleep_for(lat);

@@ -17,10 +17,8 @@
 
 namespace amoeba::nvram {
 
-struct NvramConfig {
-  std::size_t capacity_bytes = 24 * 1024;     // 24 KB, as in the paper
-  sim::Duration write_latency = sim::usec(100);  // per record
-};
+inline constexpr std::size_t kCapacityBytes = 24 * 1024;  // as in the paper
+inline constexpr sim::Duration kWriteLatency = sim::usec(100);  // per record
 
 /// A log record in NVRAM. `tag` lets the owner cancel matched records
 /// (e.g. an append whose delete arrives before the flush — the /tmp
@@ -33,7 +31,9 @@ struct Record {
 
 class Nvram {
  public:
-  Nvram(sim::Simulator& sim, NvramConfig cfg = {}) : sim_(sim), cfg_(cfg) {}
+  explicit Nvram(sim::Simulator& sim,
+                 std::size_t capacity_bytes = kCapacityBytes)
+      : sim_(sim), capacity_(capacity_bytes) {}
   Nvram(const Nvram&) = delete;
   Nvram& operator=(const Nvram&) = delete;
 
@@ -50,7 +50,7 @@ class Nvram {
   void set_torn_appends(bool on) { torn_appends_ = on; }
   [[nodiscard]] std::uint64_t torn_append_count() const { return torn_; }
 
-  /// Fail-slow injection: appends take `f` times the configured latency
+  /// Fail-slow injection: appends take `f` times kWriteLatency
   /// (a battery controller in a refresh loop). 1.0 = healthy.
   void set_slow_factor(double f) { slow_factor_ = f <= 0 ? 1.0 : f; }
   [[nodiscard]] double slow_factor() const { return slow_factor_; }
@@ -72,7 +72,7 @@ class Nvram {
   [[nodiscard]] bool empty() const { return log_.empty(); }
   [[nodiscard]] std::size_t record_count() const { return log_.size(); }
   [[nodiscard]] std::size_t used_bytes() const { return used_; }
-  [[nodiscard]] std::size_t capacity() const { return cfg_.capacity_bytes; }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool would_fit(std::size_t data_size) const;
 
   /// All records, oldest first (crash-recovery replay).
@@ -96,7 +96,7 @@ class Nvram {
   }
 
   sim::Simulator& sim_;
-  NvramConfig cfg_;
+  std::size_t capacity_;
   std::deque<Record> log_;
   std::size_t used_ = 0;
   bool torn_appends_ = false;

@@ -270,9 +270,7 @@ TEST_F(NetFixture, RedundantSegmentsMaskOnePartition) {
   // Paper Sec. 2: with multiple redundant networks, one partitioned (or
   // failed) segment does not cut connectivity.
   sim::Simulator s(9);
-  NetConfig cfg;
-  cfg.segments = 2;
-  Cluster cl(s, cfg);
+  Cluster cl(s, /*segments=*/2);
   Machine& a = cl.add_machine("a");
   Machine& b = cl.add_machine("b");
   cl.partition({{a.id()}, {b.id()}}, /*segment=*/0);
@@ -285,9 +283,7 @@ TEST_F(NetFixture, RedundantSegmentsMaskOnePartition) {
 
 TEST_F(NetFixture, SegmentFailureMaskedDeliveryStillWorks) {
   sim::Simulator s(10);
-  NetConfig cfg;
-  cfg.segments = 2;
-  Cluster cl(s, cfg);
+  Cluster cl(s, /*segments=*/2);
   Machine& a = cl.add_machine("a");
   Machine& b = cl.add_machine("b");
   cl.net().fail_segment(0);  // whole first Ethernet down

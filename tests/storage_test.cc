@@ -2,9 +2,14 @@
 // server, and NVRAM.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "bullet/bullet.h"
+#include "dir/client.h"
 #include "disk/disk_server.h"
 #include "disk/vdisk.h"
+#include "harness/workload.h"
 #include "nvram/nvram.h"
 
 namespace amoeba {
@@ -349,9 +354,7 @@ TEST_F(StorageFixture, NvramFullReportsError) {
   Machine& m = cluster.add_machine("m");
   Status st = Status::ok();
   m.spawn("p", [&] {
-    nvram::NvramConfig cfg;
-    cfg.capacity_bytes = 256;
-    nvram::Nvram nv(sim, cfg);
+    nvram::Nvram nv(sim, /*capacity_bytes=*/256);
     Buffer big(100, 0);
     ASSERT_TRUE(nv.append(1, big).is_ok());
     ASSERT_TRUE(nv.append(2, big).is_ok());
@@ -410,6 +413,69 @@ TEST_F(StorageFixture, NvramFifoConsumption) {
   });
   sim.run_until(sim::sec(1));
   EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
+}
+
+/// Durations of the `cat`/`name` spans the testbed traced from `t0` on.
+std::vector<sim::Duration> span_durations(harness::Testbed& bed, sim::Time t0,
+                                          const char* cat, const char* name) {
+  std::vector<sim::Duration> out;
+  for (const obs::TraceEvent& ev : bed.trace().events()) {
+    if (ev.ts >= t0 && std::strcmp(ev.cat, cat) == 0 &&
+        std::strcmp(ev.name, name) == 0) {
+      out.push_back(ev.dur);
+    }
+  }
+  return out;
+}
+
+/// Creates a directory on a ready testbed, then appends one row to it and
+/// lets the replicas finish persisting it. Returns when the append started.
+sim::Time one_traced_append(harness::Testbed& bed) {
+  EXPECT_TRUE(bed.wait_ready());
+  const auto dcap = harness::setup_dir(bed, sim::sec(2));
+  const sim::Time t0 = bed.sim().now();
+  EXPECT_TRUE(dcap.is_ok());
+  if (!dcap.is_ok()) return t0;
+  bool done = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("append", [&] {
+    rpc::RpcClient rpc(cm);
+    dir::DirClient dc(rpc, bed.dir_port());
+    EXPECT_TRUE(dc.append_row(*dcap, "e0", {*dcap}).is_ok());
+    done = true;
+  });
+  bed.sim().run_for(sim::sec(2));
+  EXPECT_TRUE(done);
+  return t0;
+}
+
+/// Every `cat`/`name` span from `t0` on lasts exactly `want`, and at least
+/// one such span exists.
+void expect_spans_last(harness::Testbed& bed, sim::Time t0, const char* cat,
+                       const char* name, sim::Duration want) {
+  const auto durs = span_durations(bed, t0, cat, name);
+  EXPECT_FALSE(durs.empty()) << cat << "/" << name;
+  for (const sim::Duration d : durs) EXPECT_EQ(d, want) << cat << "/" << name;
+}
+
+TEST(DeployedDevices, EachChargesItsNamedConstant) {
+  {
+    harness::Testbed bed({.flavor = harness::Flavor::group});
+    const sim::Time t0 = one_traced_append(bed);
+    expect_spans_last(bed, t0, "disk", "write",
+                      disk::kRawPartitionWriteLatency);
+    expect_spans_last(bed, t0, "disk", "data_write", disk::kDataWriteLatency);
+  }
+  {
+    harness::Testbed bed({.flavor = harness::Flavor::group_nvram});
+    const sim::Time t0 = one_traced_append(bed);
+    expect_spans_last(bed, t0, "nvram", "append", nvram::kWriteLatency);
+  }
+  {
+    harness::Testbed bed({.flavor = harness::Flavor::nfs});
+    const sim::Time t0 = one_traced_append(bed);
+    expect_spans_last(bed, t0, "disk", "write", disk::kBlockWriteLatency);
+  }
 }
 
 }  // namespace

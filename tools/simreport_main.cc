@@ -41,7 +41,10 @@
 #include "common/parse.h"
 #include "common/strings.h"
 #include "dir/client.h"
+#include "disk/vdisk.h"
 #include "harness/workload.h"
+#include "net/network.h"
+#include "nvram/nvram.h"
 #include "obs/critical_path.h"
 #include "obs/slo.h"
 
@@ -75,12 +78,15 @@ struct OpAgg {
 };
 
 /// Device service time the Sec. 3.1 cost model charges for one disk span,
-/// keyed by the span's name (vdisk.h defaults).
-sim::Duration disk_service(const char* name) {
-  if (std::strcmp(name, "write") == 0) return sim::msec(40);
-  if (std::strcmp(name, "torn_write") == 0) return sim::msec(40);
-  if (std::strcmp(name, "data_write") == 0) return sim::msec(24);
-  return sim::msec(25);  // read / data_read / scan
+/// keyed by the span's name. Block writes go to the storage machines' raw
+/// partition, except in the NFS flavor, which writes its local disk.
+sim::Duration disk_service(harness::Flavor f, const char* name) {
+  if (std::strcmp(name, "write") == 0 || std::strcmp(name, "torn_write") == 0) {
+    return f == harness::Flavor::nfs ? disk::kBlockWriteLatency
+                                     : disk::kRawPartitionWriteLatency;
+  }
+  if (std::strcmp(name, "data_write") == 0) return disk::kDataWriteLatency;
+  return disk::kReadLatency;  // read / data_read / scan
 }
 
 void note_dropped(std::string& out, const obs::Trace& trace) {
@@ -204,11 +210,11 @@ void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
           break;
         case obs::Leg::disk:
           ++agg.disk_ops;
-          agg.disk_derived += disk_service(ev.name);
+          agg.disk_derived += disk_service(flavor, ev.name);
           break;
         case obs::Leg::nvram:
           ++agg.nvram_ops;
-          agg.nvram_derived += sim::usec(100);
+          agg.nvram_derived += nvram::kWriteLatency;
           break;
         default:
           break;
@@ -851,8 +857,12 @@ int main(int argc, char** argv) {
     appendf(out, "amoeba simreport (seed %llu, %d ops per flavor)\n",
             static_cast<unsigned long long>(seed), ops);
     appendf(out,
-            "cost model: disk write 40 ms / read 25 ms / data write 24 ms, "
-            "nvram append 0.10 ms\n\n");
+            "cost model: disk write %.0f ms raw partition / %.0f ms nfs / "
+            "read %.0f ms / data write %.0f ms, nvram append %.2f ms, "
+            "packet %.2f ms + %.1f us/byte\n\n",
+            ms(disk::kRawPartitionWriteLatency), ms(disk::kBlockWriteLatency),
+            ms(disk::kReadLatency), ms(disk::kDataWriteLatency),
+            ms(nvram::kWriteLatency), ms(net::kBaseLatency), net::kPerByteUs);
     for (harness::Flavor f : harness::kAllFlavors) {
       run_flavor(f, seed, ops, out);
     }
