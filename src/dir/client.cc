@@ -38,26 +38,23 @@ obs::TimelineOp timeline_op(DirOp op) {
   return obs::TimelineOp::other;
 }
 
-/// SLO classification: "error" means the service failed the client
-/// (timeout, lost quorum, crash, device failure). Semantic negatives —
-/// not_found, exists, conflict, a refused precondition — are successful
-/// service: the request was executed and answered.
-bool slo_error(const Status& st) {
+}  // namespace
+
+bool service_failed(const Status& st) {
   switch (st.code()) {
     case Errc::timeout:
-    case Errc::no_majority:
-    case Errc::io_error:
     case Errc::unreachable:
+    case Errc::refused:
+    case Errc::no_majority:
     case Errc::group_failure:
+    case Errc::io_error:
     case Errc::aborted:
-    case Errc::full:
     case Errc::internal:
       return true;
     default:
       return false;
   }
 }
-}  // namespace
 
 Result<Buffer> DirClient::call(Buffer request) {
   // Each client-visible directory operation is one trace: the root "dir"
@@ -77,7 +74,7 @@ Result<Buffer> DirClient::call(Buffer request) {
   // service failed (not by whether the answer was a positive hit).
   const Status st = res.is_ok() ? reply_status(*res) : res.status();
   tl_->record(op.is_ok() ? timeline_op(*op) : obs::TimelineOp::other, t0,
-              sim.now(), !slo_error(st));
+              sim.now(), !service_failed(st));
   if (!res.is_ok()) return res.status();
   if (!st.is_ok()) return st;
   Buffer payload(res->begin() + 1, res->end());

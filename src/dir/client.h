@@ -23,6 +23,15 @@
 
 namespace amoeba::dir {
 
+/// True when a client-visible status means the service failed the client:
+/// a timeout, a lost quorum, a crashed or unreachable server, a device
+/// failure, or a request it could not serve (`refused`: a read-barrier
+/// timeout, exhausted update retries, every located server answering
+/// NOTHERE). Semantic negatives — not_found, exists, conflict, a full
+/// object table — are service: the request was executed and answered. The
+/// availability timeline and the harness's fault drills count by it.
+bool service_failed(const Status& st);
+
 class DirClient {
  public:
   DirClient(rpc::RpcClient& rpc, net::Port service_port,

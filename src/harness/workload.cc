@@ -24,25 +24,6 @@ cap::Capability dummy_cap(std::uint64_t n) {
 
 const std::vector<std::string> kColumns = {"owner", "group", "other"};
 
-/// True when a client-visible failure indicates sick infrastructure rather
-/// than a semantic negative (not_found on a random key is successful
-/// service).
-bool infra_failure(const Status& st) {
-  switch (st.code()) {
-    case Errc::timeout:
-    case Errc::unreachable:
-    case Errc::refused:
-    case Errc::no_majority:
-    case Errc::group_failure:
-    case Errc::io_error:
-    case Errc::aborted:
-    case Errc::internal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// One closed-loop op by client `client` on directory `dir`; true when it
 /// succeeded.
 using LoopOp = std::function<bool(int client, dir::DirClient& dc,
@@ -292,7 +273,7 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
               while (!load->stop) {
                 const std::string key = numbered("k", rng.below(8));
                 const Status st = op(dc, load->home, key, rng.below(100));
-                if (infra_failure(st)) rpc.flush_port_cache(bed.dir_port());
+                if (dir::service_failed(st)) rpc.flush_port_cache(bed.dir_port());
                 sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
               }
             });

@@ -33,6 +33,27 @@ void run_client(Testbed& bed, int client_idx,
       << bed.sim().process_errors().front();
 }
 
+TEST(ServiceFailed, ClassifiesEveryErrorCode) {
+  // Every Errc, in declaration order (internal is the last), with whether
+  // the service failed the client when it answers that code.
+  const std::pair<Errc, bool> table[] = {
+      {Errc::ok, false},           {Errc::timeout, true},
+      {Errc::not_found, false},    {Errc::exists, false},
+      {Errc::no_majority, true},   {Errc::refused, true},
+      {Errc::io_error, true},      {Errc::bad_capability, false},
+      {Errc::bad_request, false},  {Errc::conflict, false},
+      {Errc::unreachable, true},   {Errc::group_failure, true},
+      {Errc::aborted, true},       {Errc::full, false},
+      {Errc::internal, true},
+  };
+  ASSERT_EQ(std::size(table), static_cast<std::size_t>(Errc::internal) + 1);
+  for (std::size_t i = 0; i < std::size(table); ++i) {
+    const auto [code, failed] = table[i];
+    ASSERT_EQ(static_cast<std::size_t>(code), i);
+    EXPECT_EQ(dir::service_failed(Status(code, {})), failed) << errc_name(code);
+  }
+}
+
 class AllFlavors : public ::testing::TestWithParam<Flavor> {};
 
 TEST_P(AllFlavors, CrudLifecycle) {
