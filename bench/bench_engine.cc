@@ -183,7 +183,7 @@ Section waitq_storm(std::uint64_t seed, bool quick) {
   std::uint64_t notified = 0;
   std::uint64_t timed_out = 0;
   for (int i = 0; i < kWaiters; ++i) {
-    s.spawn("wait" + std::to_string(i), [&, horizon] {
+    s.spawn(numbered("wait", i), [&, horizon] {
       while (s.now() < horizon) {
         sim::WaitQueue& wq = *wqs[s.rng().below(kQueues)];
         if (wq.wait_for(static_cast<sim::Duration>(1 + s.rng().below(2000)))) {
@@ -195,7 +195,7 @@ Section waitq_storm(std::uint64_t seed, bool quick) {
     });
   }
   for (int i = 0; i < kNotifiers; ++i) {
-    s.spawn("ring" + std::to_string(i), [&, horizon] {
+    s.spawn(numbered("ring", i), [&, horizon] {
       while (s.now() < horizon) {
         sim::WaitQueue& wq = *wqs[s.rng().below(kQueues)];
         if (s.rng().below(4) == 0) {

@@ -1,6 +1,7 @@
 #include "bullet/bullet.h"
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace amoeba::bullet {
 
@@ -34,7 +35,7 @@ BulletServer::BulletServer(net::Machine& machine, net::Port port,
       mx_deletes_(machine.metrics().counter("bullet", "deletes")),
       server_(machine, port) {
   for (int i = 0; i < threads; ++i) {
-    machine_.spawn("bullet.t" + std::to_string(i), [this] { serve(); });
+    machine_.spawn(numbered("bullet.t", i), [this] { serve(); });
   }
 }
 

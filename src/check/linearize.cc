@@ -6,6 +6,8 @@
 #include <string_view>
 #include <utility>
 
+#include "common/strings.h"
+
 namespace amoeba::check {
 
 namespace {
@@ -304,7 +306,7 @@ std::string CheckResult::summary() const {
   if (!ok) {
     s = "NOT linearizable:";
     for (const auto& v : violations) {
-      s += " [obj " + std::to_string(v.dir_obj) +
+      s += numbered(" [obj ", v.dir_obj) +
            (v.name.empty() ? std::string(" <dir>") : " '" + v.name + "'") +
            ": " + v.detail + "]";
     }
@@ -406,8 +408,9 @@ CheckResult check_linearizable(const std::vector<Event>& events,
       for (const auto& op : ops) ambiguous += op.definite() ? 0 : 1;
       out.violations.push_back(
           {dir, std::string(name),
-           "no valid linearization (" + std::to_string(ops.size()) + " ops, " +
-               std::to_string(ambiguous) + " ambiguous)",
+           numbered(numbered("no valid linearization (", ops.size()) + " ops, ",
+                    ambiguous) +
+               " ambiguous)",
            ops.size()});
     }
   }

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
 #include "dir/rpc_server.h"
@@ -22,6 +23,9 @@ namespace {
 
 using harness::Flavor;
 using harness::Testbed;
+
+/// Client time after the fault storm (stretched by the watchdog).
+constexpr sim::Duration kWorkloadTail = sim::sec(3);
 
 /// FuzzOptions::dump_prefix — the run's causal trace plus the final metric
 /// counters (and, for a stalled run, the watchdog's stall report), for
@@ -189,7 +193,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
 
   for (int c = 0; c < nclients; ++c) {
-    bed.client(c).spawn("fuzz" + std::to_string(c), [&, c] {
+    bed.client(c).spawn(numbered("fuzz", c), [&, c] {
       net::Machine& m = bed.client(c);
       rpc::RpcClient rpc(m);
       dir::DirClient dc(rpc, bed.dir_port());
@@ -217,12 +221,11 @@ FuzzReport run_one(const FuzzOptions& opts) {
         // Rows always carry exactly one capability column: DirClient::lookup
         // reports a present-but-empty row as not_found, which would look
         // like a false absence to the checker.
-        const std::string key =
-            "k" + std::to_string(
-                      opts.zipf > 0
-                          ? zipf.pick(rng)
-                          : static_cast<int>(rng.below(static_cast<std::uint64_t>(
-                                std::max(1, opts.keys)))));
+        const std::string key = numbered(
+            "k", opts.zipf > 0
+                     ? zipf.pick(rng)
+                     : static_cast<int>(rng.below(
+                           static_cast<std::uint64_t>(std::max(1, opts.keys)))));
         const std::uint64_t pick = rng.below(100);
         bool failed = false;
         if (pick < 34) {
@@ -239,7 +242,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
           // number cannot orphan a "present" register.
           auto cd = rec.create_dir({"c"});
           if (cd.is_ok()) {
-            const std::string nm = "s" + std::to_string(c);
+            const std::string nm = numbered("s", c);
             (void)rec.append_row(*cd, nm, {home});
             (void)rec.lookup(*cd, nm);
             (void)rec.delete_row(*cd, nm);
@@ -282,12 +285,12 @@ FuzzReport run_one(const FuzzOptions& opts) {
   // structured stall report instead of silently burning the tail (and, in
   // a real hang, instead of never terminating).
   if (opts.watchdog <= 0) {
-    sim.run_for(opts.workload_tail);
+    sim.run_for(kWorkloadTail);
   } else {
     const sim::Time watch_start = sim.now();
     const sim::Time tail_end =
         sim.now() +
-        std::max(opts.workload_tail, opts.watchdog + sim::sec(1));
+        std::max(kWorkloadTail, opts.watchdog + sim::sec(1));
     while (sim.now() < tail_end) {
       sim.run_for(std::min<sim::Duration>(sim::msec(100),
                                           tail_end - sim.now()));
@@ -369,7 +372,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
           }
           if (!got) {
             verify_fail =
-                "could not fetch state of server " + std::to_string(i);
+                numbered("could not fetch state of server ", i);
           }
         }
       }
@@ -501,7 +504,7 @@ std::string repro_command(const FuzzOptions& opts,
   if (opts.lease_caching) cmd += " --leases";
   if (opts.batching) cmd += " --batching";
   if (opts.nvram_bytes != FuzzOptions{}.nvram_bytes) {
-    cmd += " --nvram-bytes " + std::to_string(opts.nvram_bytes);
+    cmd += numbered(" --nvram-bytes ", opts.nvram_bytes);
   }
   if (opts.debug_stall) cmd += " --debug-stall";
   if (schedule.empty()) {

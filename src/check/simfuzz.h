@@ -98,14 +98,13 @@ struct FuzzOptions {
   /// updates, so flushes and full-log stalls interleave with the faults.
   std::size_t nvram_bytes = harness::TestbedOptions{}.nvram_bytes;
   std::vector<FaultStep> schedule;  // empty => make_schedule(seed)
-  sim::Duration workload_tail = sim::sec(3);  // client time after the storm
   /// Online progress watchdog: while the nemesis is quiet (the post-storm
   /// tail), if no client completes a *successful* operation for this much
   /// simulated time the run is declared stalled and a structured stall
   /// report (last timeline window, per-server state, in-flight traces)
   /// replaces the silent hang. The watched tail is stretched to at least
   /// watchdog + 1s so the detector always has room to fire. 0 disables
-  /// (and restores the plain `workload_tail`).
+  /// (and restores the plain 3 s client tail after the storm).
   sim::Duration watchdog = sim::sec(10);
   /// Test hook: crash every directory server right after the fault storm
   /// and leave them down, so the tail makes no progress and the watchdog

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/log.h"
+#include "common/strings.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
@@ -739,7 +740,7 @@ void service_main(Machine& machine, const ServerOptions& opts) {
   auto admin =
       std::make_shared<rpc::RpcServer>(machine, ctx.admin_of(ctx.my_index));
   for (int i = 0; i < 2; ++i) {
-    machine.spawn("dir.admin" + std::to_string(i), [&ctx, admin] {
+    machine.spawn(numbered("dir.admin", i), [&ctx, admin] {
       while (true) {
         rpc::IncomingRequest req = admin->get_request();
         admin->put_reply(req, handle_admin(ctx, req.data));
@@ -750,7 +751,7 @@ void service_main(Machine& machine, const ServerOptions& opts) {
   // Client-facing initiator threads.
   auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
   for (int i = 0; i < kServerThreads; ++i) {
-    machine.spawn("dir.svr" + std::to_string(i), [&ctx, server] {
+    machine.spawn(numbered("dir.svr", i), [&ctx, server] {
       serve_ops(ctx.ops, *server, std::bind_front(serve_read, std::ref(ctx)),
                 std::bind_front(serve_update, std::ref(ctx)));
     });

@@ -4,6 +4,7 @@
 
 #include "bullet/bullet.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "dir/proto.h"
 #include "dir/serve.h"
 #include "disk/vdisk.h"
@@ -141,11 +142,11 @@ void service_main(Machine& machine) {
   auto dir_srv = std::make_shared<rpc::RpcServer>(machine, kDirPort);
   auto file_srv = std::make_shared<rpc::RpcServer>(machine, kNfsFilePort);
   for (int i = 0; i < kServerThreads; ++i) {
-    machine.spawn("nfs.dir" + std::to_string(i),
+    machine.spawn(numbered("nfs.dir", i),
                   [&ctx, dir_srv] { dir_loop(ctx, *dir_srv); });
   }
   for (int i = 0; i < 2; ++i) {
-    machine.spawn("nfs.file" + std::to_string(i),
+    machine.spawn(numbered("nfs.file", i),
                   [&ctx, file_srv] { file_loop(ctx, *file_srv); });
   }
   machine.sim().sleep_for(sim::kTimeMax / 2);  // keep the ctx frame alive

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/log.h"
+#include "common/strings.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "dir/serve.h"
@@ -383,7 +384,7 @@ void service_main(Machine& machine, const ServerOptions& opts) {
   auto peer_srv = std::make_shared<rpc::RpcServer>(
       machine, admin_port(kRpcPeerBase, machine.id()));
   for (int i = 0; i < 2; ++i) {
-    machine.spawn("rdir.peer" + std::to_string(i), [&ctx, peer_srv] {
+    machine.spawn(numbered("rdir.peer", i), [&ctx, peer_srv] {
       Io pst(ctx.store);
       while (true) {
         rpc::IncomingRequest req = peer_srv->get_request();
@@ -402,7 +403,7 @@ void service_main(Machine& machine, const ServerOptions& opts) {
 
   auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
   for (int i = 0; i < kServerThreads; ++i) {
-    machine.spawn("rdir.svr" + std::to_string(i), [&ctx, server] {
+    machine.spawn(numbered("rdir.svr", i), [&ctx, server] {
       Io st(ctx.store);
       serve_ops(
           ctx.ops, *server,

@@ -1,6 +1,8 @@
 #include "disk/disk_server.h"
 #include <algorithm>
 
+#include "common/strings.h"
+
 namespace amoeba::disk {
 
 DiskServer::DiskServer(net::Machine& machine, net::Port port,
@@ -12,7 +14,7 @@ DiskServer::DiskServer(net::Machine& machine, net::Port port,
       partition_blocks_(partition_blocks),
       server_(machine, port) {
   for (int i = 0; i < threads; ++i) {
-    machine_.spawn("disksvr.t" + std::to_string(i), [this] { serve(); });
+    machine_.spawn(numbered("disksvr.t", i), [this] { serve(); });
   }
 }
 

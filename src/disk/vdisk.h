@@ -30,10 +30,9 @@ inline constexpr sim::Duration kReadLatency = sim::msec(25);
 /// the contiguous data area, so they cost less than a block write with its
 /// forced seek.
 inline constexpr sim::Duration kDataWriteLatency = sim::msec(24);
-/// Block writes (seek + rotation + write) cost one of two latencies: the
-/// NFS server's synchronous metadata writes take kBlockWriteLatency, the
-/// storage machines' raw-partition writes (commit and directory blocks)
-/// the slower kRawPartitionWriteLatency.
+/// Block writes (seek + rotation + write): the NFS server's metadata disk
+/// takes kBlockWriteLatency, the storage machines' raw partition the
+/// slower kRawPartitionWriteLatency.
 inline constexpr sim::Duration kBlockWriteLatency = sim::msec(40);
 inline constexpr sim::Duration kRawPartitionWriteLatency = sim::msec(48);
 
@@ -67,13 +66,11 @@ class VirtualDisk {
   /// Fault injection: after this call every op fails with io_error
   /// (a "head crash", paper Sec. 3.1's administrator-escape scenario).
   void fail_permanently() { failed_ = true; }
-  [[nodiscard]] bool failed() const { return failed_; }
 
   /// Fault injection: each op independently fails with io_error with this
   /// probability (transient media errors / controller resets). Draws from
   /// the simulator's RNG, so runs stay deterministic.
   void set_fault_prob(double p) { fault_prob_ = p; }
-  [[nodiscard]] double fault_prob() const { return fault_prob_; }
 
   /// Fault injection: when enabled, a writer killed mid-transfer (machine
   /// crash during write_block) leaves an RNG-chosen prefix of the new data
@@ -86,7 +83,6 @@ class VirtualDisk {
   /// bearing, SMART remapping storms). 1.0 = healthy. Ops still succeed,
   /// so nothing fail-stop ever fires; only latency tells the story.
   void set_slow_factor(double f) { slow_factor_ = f <= 0 ? 1.0 : f; }
-  [[nodiscard]] double slow_factor() const { return slow_factor_; }
 
   /// Instant, non-time-consuming access for recovery bootstrap inspection
   /// in tests (not used by services).

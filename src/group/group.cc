@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace amoeba::group {
 
@@ -700,7 +701,7 @@ void GroupMember::Ctx::do_tick() {
       if (m == me) continue;
       auto it = member_alive.find(m.v);
       if (it == member_alive.end() || now() - it->second > limit) {
-        go_failed("member m" + std::to_string(m.v) + " silent");
+        go_failed(numbered("member m", m.v) + " silent");
         return;
       }
     }

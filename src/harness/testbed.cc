@@ -1,6 +1,7 @@
 #include "harness/testbed.h"
 
 #include "bullet/bullet.h"
+#include "common/strings.h"
 #include "disk/disk_server.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
@@ -86,11 +87,11 @@ Testbed::Testbed(TestbedOptions opts)
   // Directory server machines first (ids 0..n-1), then their storage
   // machines; one private bullet+disk pair per Amoeba directory server.
   for (int i = 0; i < replicas; ++i) {
-    dir_servers_.push_back(&cluster_->add_machine((nfs ? "nfs" : "dir") +
-                                                  std::to_string(i)));
+    dir_servers_.push_back(
+        &cluster_->add_machine(numbered(nfs ? "nfs" : "dir", i)));
   }
   for (int i = 0; i < replicas && !nfs; ++i) {
-    net::Machine& s = cluster_->add_machine("sto" + std::to_string(i));
+    net::Machine& s = cluster_->add_machine(numbered("sto", i));
     storage_.push_back(&s);
     install_storage(s, dir::bullet_port(i), dir::disk_port(i));
   }
@@ -115,7 +116,7 @@ Testbed::Testbed(TestbedOptions opts)
   file_port_ = nfs ? dir::kNfsFilePort : dir::bullet_port(0);
 
   for (int i = 0; i < opts.clients; ++i) {
-    clients_.push_back(&cluster_->add_machine("cli" + std::to_string(i)));
+    clients_.push_back(&cluster_->add_machine(numbered("cli", i)));
   }
 
   // Health-detector peer groups: directory servers are scored against

@@ -254,7 +254,7 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
   };
   for (int c = 0; c < bed.num_clients(); ++c) {
     net::Machine& m = bed.client(c);
-    m.spawn("observer" + std::to_string(c),
+    m.spawn(numbered("observer", c),
             [&bed, &sim, &m, load, pinned = vantage(c), c, op] {
               rpc::RpcClient rpc(m);
               rpc.prefer_server(bed.dir_port(), pinned);
@@ -281,7 +281,7 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
   for (int c = 0; probers && c < bed.num_clients(); ++c) {
     net::Machine& m = bed.client(c);
     for (int pr = 0; pr < 2; ++pr) {
-      m.spawn("probe" + std::to_string(c) + "_" + std::to_string(pr),
+      m.spawn(numbered(numbered("probe", c) + "_", pr),
               [&bed, &sim, &m, load, pinned = vantage(c)] {
                 rpc::RpcClient prpc(m);
                 dir::DirClient pdc(prpc, bed.dir_port());

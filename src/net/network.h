@@ -90,8 +90,6 @@ class Network {
   }
   [[nodiscard]] obs::Trace* trace() const { return tr_; }
 
-  /// Loss: each destination independently misses the packet with
-  /// probability p.
   void set_drop_prob(double p) { drop_prob_ = p; }
   /// Duplicate delivery: with probability p a destination receives a second
   /// copy of the packet a little later (retransmit-after-lost-ack at the
@@ -110,7 +108,6 @@ class Network {
   void set_link_degrade(MachineId m, double latency_mult, double extra_drop);
   void clear_link_degrade(MachineId m);
   void clear_link_degrades() { degraded_.clear(); }
-  [[nodiscard]] bool link_degraded() const { return !degraded_.empty(); }
 
  private:
   /// Per-machine link degradation (fail-slow injection).
@@ -155,8 +152,7 @@ class Network {
 
   sim::Simulator& sim_;
   Cluster& cluster_;
-  /// Fault injection (set_drop_prob and friends): per-destination loss,
-  /// duplicate delivery and reordering. All 0 in healthy runs.
+  /// Per-destination fault injection (set_drop_prob and friends).
   double drop_prob_ = 0.0;
   double dup_prob_ = 0.0;
   double reorder_prob_ = 0.0;

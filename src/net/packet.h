@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/buffer.h"
+#include "common/strings.h"
 #include "obs/trace.h"
 
 namespace amoeba::net {
@@ -17,7 +18,7 @@ struct MachineId {
   auto operator<=>(const MachineId&) const = default;
 };
 
-inline std::string to_string(MachineId m) { return "m" + std::to_string(m.v); }
+inline std::string to_string(MachineId m) { return numbered("m", m.v); }
 
 /// FLIP-like service port: a flat 48-bit name a service listens on.
 /// Anyone knowing the port can send to the service; location is resolved by

@@ -53,7 +53,6 @@ class Nvram {
   /// Fail-slow injection: appends take `f` times kWriteLatency
   /// (a battery controller in a refresh loop). 1.0 = healthy.
   void set_slow_factor(double f) { slow_factor_ = f <= 0 ? 1.0 : f; }
-  [[nodiscard]] double slow_factor() const { return slow_factor_; }
 
   /// Fault injection / test hook: truncate the newest record's payload to
   /// `keep_bytes`, as a crash mid-append would. No-op on an empty log or

@@ -288,7 +288,7 @@ TEST_P(RpcChaosSweep, CrashStormConvergesViaResync) {
     bed.cluster().crash(bed.dir_server(1 - only).id());
     sim.run_for(sim::msec(300));
     bool checked = false;
-    cm.spawn("verify" + std::to_string(only), [&] {
+    cm.spawn(numbered("verify", only), [&] {
       rpc::RpcClient rpc(cm);
       dir::DirClient dc(rpc, bed.dir_port());
       for (const auto& [name, key] : model) {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "check/simfuzz.h"
+#include "common/strings.h"
 
 namespace amoeba::check {
 namespace {
@@ -82,10 +83,12 @@ TEST(Determinism, DistinctSeedsDiverge) {
   // Different seeds must actually change the run, or the "seed sweep"
   // explores a single point: the nemesis schedule and the workload both
   // derive from the seed.
-  EXPECT_NE(encode_schedule(a.schedule_used) + "/" +
-                std::to_string(a.events) + "/" + std::to_string(a.end_time),
-            encode_schedule(b.schedule_used) + "/" +
-                std::to_string(b.events) + "/" + std::to_string(b.end_time));
+  const auto fingerprint = [](const FuzzReport& r) {
+    return numbered(
+        numbered(encode_schedule(r.schedule_used) + "/", r.events) + "/",
+        r.end_time);
+  };
+  EXPECT_NE(fingerprint(a), fingerprint(b));
 }
 
 TEST(Determinism, ScheduleRoundTripsThroughText) {

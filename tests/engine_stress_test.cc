@@ -239,7 +239,7 @@ TEST(EngineRegression, SixteenConcurrentAppendersPreloadGroupNvram) {
         const auto& d = dirs[static_cast<std::size_t>(i % kDirs)];
         // Busy servers refuse; retry, and take `exists` after a retry as
         // the earlier attempt having landed.
-        const std::string name = "name-" + std::to_string(i);
+        const std::string name = numbered("name-", i);
         Status st = dc.append_row(d, name, {d});
         for (int tries = 0; !st.is_ok() && tries < 50; ++tries) {
           cm.sim().sleep_for(msec(20));

@@ -917,7 +917,7 @@ TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
   int appended = 0;
   bed.client(0).spawn("appender", [&] {
     for (int i = 0; i < kRows; ++i) {
-      if (d.append_retry(dcap, "row" + std::to_string(i)).is_ok()) ++appended;
+      if (d.append_retry(dcap, numbered("row", i)).is_ok()) ++appended;
     }
   });
   bed.sim().run_for(sim::sec(20));
@@ -929,7 +929,7 @@ TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
   EXPECT_EQ(appended, kRows);
   Driver reader(bed, 1);
   reader.step([&] {
-    auto res = reader.lookup_retry(dcap, "row" + std::to_string(kRows - 1));
+    auto res = reader.lookup_retry(dcap, numbered("row", kRows - 1));
     EXPECT_TRUE(res.is_ok()) << res.status().to_string();
   });
 
@@ -943,7 +943,7 @@ TEST_P(NvramFlush, AFullLogWaitsForItsStorageToReturn) {
     const dir::Directory* dir = st.directory(dcap.object);
     ASSERT_NE(dir, nullptr);
     for (int i = 0; i < kRows; ++i) {
-      EXPECT_TRUE(dir->has("row" + std::to_string(i))) << "row" << i;
+      EXPECT_TRUE(dir->has(numbered("row", i))) << "row" << i;
     }
   });
 }

@@ -19,6 +19,7 @@
 
 #include "check/linearize.h"
 #include "common/rand.h"
+#include "common/strings.h"
 
 namespace amoeba::check {
 namespace {
@@ -236,8 +237,9 @@ CheckResult check(const std::vector<Event>& events,
       for (const auto& op : ops) ambiguous += op.definite() ? 0 : 1;
       out.violations.push_back(
           {key.first, key.second,
-           "no valid linearization (" + std::to_string(ops.size()) + " ops, " +
-               std::to_string(ambiguous) + " ambiguous)",
+           numbered(numbered("no valid linearization (", ops.size()) + " ops, ",
+                    ambiguous) +
+               " ambiguous)",
            ops.size()});
     }
   }
@@ -401,7 +403,7 @@ TEST(LinearizeOracle, MatchesReferenceOnRandomHistories) {
     const std::vector<Listing> listings = h.listings();
     const CheckResult want = reference::check(h.events, listings, opts);
     const CheckResult got = check_linearizable(h.events, listings, opts);
-    expect_same(want, got, "trial " + std::to_string(trial));
+    expect_same(want, got, numbered("trial ", trial));
     if (::testing::Test::HasFailure()) return;
     failed += want.ok ? 0 : 1;
     capped += want.complete ? 0 : 1;
@@ -428,7 +430,7 @@ TEST(LinearizeOracle, MatchesReferenceOnCrowdedWindows) {
     const std::vector<Listing> listings = h.listings();
     const CheckResult want = reference::check(h.events, listings, {});
     const CheckResult got = check_linearizable(h.events, listings);
-    expect_same(want, got, "trial " + std::to_string(trial));
+    expect_same(want, got, numbered("trial ", trial));
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -490,7 +492,7 @@ TEST(LinearizeOracle, MatchesMapBasedCheckOnMultiKeyHistories) {
     const std::vector<Listing> listings = h.listings();
     const CheckResult want = reference::check(h.events, listings, opts);
     const CheckResult got = check_linearizable(h.events, listings, opts);
-    expect_same(want, got, "trial " + std::to_string(trial));
+    expect_same(want, got, numbered("trial ", trial));
     if (::testing::Test::HasFailure()) return;
     failed += want.ok ? 0 : 1;
     several += want.violations.size() > 1 ? 1 : 0;

@@ -372,7 +372,7 @@ std::uint32_t any_dir(Prng& rng) {
 }
 
 std::string any_name(Prng& rng) {
-  return "name" + std::to_string(rng.below(kNames));
+  return numbered("name", rng.below(kNames));
 }
 
 /// A random update request: every op the log can hold, repeated names over
@@ -658,7 +658,7 @@ TEST(NvlogScan, InPlaceScansMatchDecodingScansOnRandomLogs) {
         build(a, spec);
         build(b, spec);
         cancelled += compare_scans(a, b, p1, p2,
-                                   "seed=" + std::to_string(seed) + " cut=" +
+                                   numbered("seed=", seed) + " cut=" +
                                        (cut ? std::to_string(*cut) : "none"));
         ++logs_checked;
         if (::testing::Test::HasFailure()) return;

@@ -13,7 +13,7 @@ void start_echo(net::Machine& m, sim::Duration service_time, int threads) {
   m.install_service("echo", [service_time, threads](net::Machine& mm) {
     auto server = std::make_shared<RpcServer>(mm, kEcho);
     for (int i = 0; i < threads; ++i) {
-      mm.spawn("echo.t" + std::to_string(i), [server, service_time, &mm] {
+      mm.spawn(numbered("echo.t", i), [server, service_time, &mm] {
         while (true) {
           IncomingRequest req = server->get_request();
           if (service_time > 0) mm.cpu().use(service_time);

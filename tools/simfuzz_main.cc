@@ -29,6 +29,7 @@
 #include "check/simfuzz.h"
 #include "common/log.h"
 #include "common/parse.h"
+#include "common/strings.h"
 
 namespace {
 
@@ -254,8 +255,9 @@ bool run_and_report(const CliOptions& cli, harness::Flavor flavor,
     check::FuzzOptions d = o;
     d.schedule = minimal;
     d.steps = static_cast<int>(minimal.size());
-    d.dump_prefix = cli.dump_dir + "/simfuzz_" + harness::flavor_token(flavor) +
-                    "_seed" + std::to_string(seed);
+    d.dump_prefix = numbered(cli.dump_dir + "/simfuzz_" +
+                                 harness::flavor_token(flavor) + "_seed",
+                             seed);
     const check::FuzzReport dumped = check::run_one(d);
     if (!dumped.artifacts.empty()) std::printf("failure artifacts:\n");
     for (const std::string& path : dumped.artifacts) {

@@ -24,6 +24,7 @@
 #include <string_view>
 
 #include "common/parse.h"
+#include "common/strings.h"
 
 namespace {
 
@@ -105,7 +106,7 @@ pid_t launch(const Args& a, std::uint64_t seed) {
   if (pid == 0) {
     if (!a.logdir.empty()) {
       const std::string log =
-          a.logdir + "/seed-" + std::to_string(seed) + ".log";
+          amoeba::numbered(a.logdir + "/seed-", seed) + ".log";
       const int fd = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
       if (fd >= 0) {
         dup2(fd, STDOUT_FILENO);
@@ -124,10 +125,10 @@ pid_t launch(const Args& a, std::uint64_t seed) {
 std::string describe(int status) {
   if (WIFEXITED(status)) {
     const int code = WEXITSTATUS(status);
-    return code == 0 ? "ok" : "exit " + std::to_string(code);
+    return code == 0 ? "ok" : amoeba::numbered("exit ", code);
   }
   if (WIFSIGNALED(status)) {
-    return std::string("signal ") + std::to_string(WTERMSIG(status));
+    return amoeba::numbered("signal ", WTERMSIG(status));
   }
   return "unknown";
 }
