@@ -224,8 +224,8 @@ FuzzReport run_one(const FuzzOptions& opts) {
         const std::string key = numbered(
             "k", opts.zipf > 0
                      ? zipf.pick(rng)
-                     : static_cast<int>(rng.below(
-                           static_cast<std::uint64_t>(std::max(1, opts.keys)))));
+                     : static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                           std::max(1, opts.keys)))));
         const std::uint64_t pick = rng.below(100);
         bool failed = false;
         if (pick < 34) {

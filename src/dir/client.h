@@ -23,13 +23,12 @@
 
 namespace amoeba::dir {
 
-/// True when a client-visible status means the service failed the client:
-/// a timeout, a lost quorum, a crashed or unreachable server, a device
-/// failure, or a request it could not serve (`refused`: a read-barrier
-/// timeout, exhausted update retries, every located server answering
-/// NOTHERE). Semantic negatives — not_found, exists, conflict, a full
-/// object table — are service: the request was executed and answered. The
-/// availability timeline and the harness's fault drills count by it.
+/// True when a status means the service failed the client (a timeout, lost
+/// quorum, crash, device or group failure), `refused` included: it comes
+/// only from a read-barrier timeout, exhausted update retries or NOTHERE
+/// from every located server. Semantic negatives (not_found, exists,
+/// conflict, a full object table) are answers. The availability timeline
+/// and the fault drills count by it.
 bool service_failed(const Status& st);
 
 class DirClient {

@@ -273,7 +273,9 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
               while (!load->stop) {
                 const std::string key = numbered("k", rng.below(8));
                 const Status st = op(dc, load->home, key, rng.below(100));
-                if (dir::service_failed(st)) rpc.flush_port_cache(bed.dir_port());
+                if (dir::service_failed(st)) {
+                  rpc.flush_port_cache(bed.dir_port());
+                }
                 sim.sleep_for(static_cast<sim::Duration>(rng.below(20'000)));
               }
             });

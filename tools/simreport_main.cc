@@ -77,9 +77,8 @@ struct OpAgg {
   sim::Duration nvram_derived = 0;
 };
 
-/// Device service time the Sec. 3.1 cost model charges for one disk span,
-/// keyed by the span's name. Block writes go to the storage machines' raw
-/// partition, except in the NFS flavor, which writes its local disk.
+/// Device service time the Sec. 3.1 cost model charges for one disk span.
+/// NFS writes blocks to its local disk, the others to the raw partition.
 sim::Duration disk_service(harness::Flavor f, const char* name) {
   if (std::strcmp(name, "write") == 0 || std::strcmp(name, "torn_write") == 0) {
     return f == harness::Flavor::nfs ? disk::kBlockWriteLatency
