@@ -54,36 +54,56 @@ void BM_CapabilityEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_CapabilityEncode);
 
-void BM_NvlogTryCancelFullLog(benchmark::State& state) {
-  // A delete whose append was flushed long ago: try_cancel scans the whole
-  // 24 KiB log, newest first, and finds nothing (the write_heavy case).
-  sim::Simulator s;
-  nvram::Nvram nv(s);
-  cap::Capability dcap;
-  dcap.port = net::Port{1};
-  dcap.object = 40;
-  dcap.rights = cap::kRightsAll;
-  s.spawn("fill", [&] {
+/// Fill `nv`, a device of `s`, with plain append_row records, round-robin
+/// over `dirs` directories (objects 40, 41, ...), until one does not fit.
+void fill_log(sim::Simulator& s, nvram::Nvram& nv, std::uint32_t dirs) {
+  s.spawn("fill", [&nv, dirs] {
+    cap::Capability dcap;
+    dcap.port = net::Port{1};
+    dcap.rights = cap::kRightsAll;
     for (std::uint64_t seq = 1;; ++seq) {
+      dcap.object = 40 + static_cast<std::uint32_t>(seq % dirs);
       const Buffer request =
           dir::make_append_row(dcap, numbered("row-", seq), {dcap});
       const dir::nvlog::SubView sub{seq, seq, 0, request};
       Buffer b = dir::nvlog::encode(seq, {&sub, 1});
       if (!nv.would_fit(b.size())) return;
-      (void)nv.append(1, std::move(b));
+      (void)nv.append(std::move(b));
     }
   });
   s.run();
+}
+
+/// A delete on directory 40 whose append was flushed long ago, against a
+/// full 24 KiB log of `dirs` directories' appends: try_cancel finds nothing.
+void try_cancel_miss(benchmark::State& state, std::uint32_t dirs) {
+  sim::Simulator s;
+  nvram::Nvram nv(s);
+  fill_log(s, nv, dirs);
+  dir::nvlog::Log log(nv);
+  cap::Capability dcap;
+  dcap.port = net::Port{1};
+  dcap.object = 40;
+  dcap.rights = cap::kRightsAll;
   const Buffer del = dir::make_delete_row(dcap, "row-flushed-long-ago");
   const dir::DirState::ApplyEffect effect;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dir::nvlog::try_cancel(nv, del, effect));
+    benchmark::DoNotOptimize(log.try_cancel(del, effect));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(nv.record_count()));
   state.counters["records"] = static_cast<double>(nv.record_count());
 }
-BENCHMARK(BM_NvlogTryCancelFullLog)->Unit(benchmark::kMicrosecond);
+
+void BM_NvlogTryCancelFullLog(benchmark::State& state) {
+  // The same-directory miss: every record is on directory 40.
+  try_cancel_miss(state, 1);
+}
+BENCHMARK(BM_NvlogTryCancelFullLog)->Unit(benchmark::kNanosecond);
+
+void BM_NvlogTryCancelOtherDirs(benchmark::State& state) {
+  // The write_heavy shape: 8 clients' directories share the log.
+  try_cancel_miss(state, 8);
+}
+BENCHMARK(BM_NvlogTryCancelOtherDirs)->Unit(benchmark::kNanosecond);
 
 void BM_CapabilityVerify(benchmark::State& state) {
   const std::uint64_t secret = 0x123456789abcULL;

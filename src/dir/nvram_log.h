@@ -13,24 +13,39 @@
 // takes the plain layout and several the batch layout (group commit: one
 // NVRAM append per sequenced message, not per update); see encode().
 //
-// Scans never copy a record. Every delete on every replica scans the whole
-// log for a cancellable append (try_cancel), and every flush walks it for
-// the objects to write; with a full 24 KiB log that is over a hundred
-// records per update. So all scans go through for_each_sub(), which parses
-// a record where it lies and yields non-owning SubViews whose `request`
-// points into the NVRAM bytes; request_target() and request_row() then
-// read those bytes in place, and a scan that matches nothing allocates
-// nothing. Only replay(), on the boot path, copies requests out.
+// A delete finds its cancellable append through an index, not a scan. The
+// log's one owner (ReplicaStore) holds it as a Log, which keeps an
+// in-memory index of the live records next to the NVRAM device: per
+// directory, its plain append_row records with a hash of each row name,
+// the plain records on it, and the batch records that mention it. The
+// index lives in RAM and dies with the server. It is brought up to date
+// when a delete needs it: the delete first indexes the records appended
+// since the last one (after a boot, every record the device kept), so a
+// record that retires before any delete looks for it is never indexed. A
+// state transfer clears the index with the log. So a delete on a replica
+// looks at its own directory's appends only, where it used to parse every
+// record of a full 24 KiB log (over a hundred) on every replica.
+//
+// Scans never copy a record. Every flush walks the log for the objects to
+// write, and the index parses each record as it is added and removed. So
+// all scans go through for_each_sub(), which parses a record where it lies
+// and yields non-owning SubViews whose `request` points into the NVRAM
+// bytes; request_target() and request_row() then read those bytes in
+// place, and a scan that matches nothing allocates nothing. Only replay(),
+// on the boot path, copies requests out.
 //
 // The visitor is exact. It applies the kBatchFlag test, the count<u32>(16)
 // guard on a batch's sub count, and allows trailing bytes. It calls its
 // callback only once the whole record is known to parse, so a torn record
-// contributes nothing. tests/nvlog_test.cc checks the scans against a
-// verbatim copy of the decode-every-record scans they replaced, on
-// generated logs with torn records.
+// contributes nothing, and the index never holds one. tests/nvlog_test.cc
+// checks the scans against a verbatim copy of the decode-every-record
+// scans they replaced, and the indexed cancellation against a verbatim
+// copy of the whole-log scan it replaced, on generated logs with torn
+// records.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -65,6 +80,10 @@ Buffer encode(std::uint64_t seqno, std::span<const SubView> subs);
 [[nodiscard]] bool well_formed(ByteSpan rec);
 
 namespace detail {
+/// Parses `rec` if it takes the plain layout: true with its one sub in
+/// `out`, or false for a batch record. Throws DecodeError on a torn record.
+bool parse_plain(ByteSpan rec, SubView& out);
+
 /// Yields each sub of `rec` in log order; throws DecodeError on a record
 /// that is not well_formed (possibly after yielding some subs).
 template <typename Fn>
@@ -91,6 +110,17 @@ void parse(ByteSpan rec, Fn& fn) {
 /// Allocates nothing for a well-formed record.
 template <typename Fn>
 bool for_each_sub(ByteSpan rec, Fn&& fn) {
+  SubView plain;
+  bool is_plain = false;
+  try {
+    is_plain = detail::parse_plain(rec, plain);
+  } catch (const DecodeError&) {
+    return false;
+  }
+  if (is_plain) {  // parsed in one pass: the common case
+    fn(plain);
+    return true;
+  }
   if (!well_formed(rec)) return false;
   detail::parse(rec, fn);  // cannot throw: checked above
   return true;
@@ -103,18 +133,79 @@ std::uint32_t request_target(ByteSpan request);
 /// view into `request`.
 std::string_view request_row(ByteSpan request);
 
-/// The Sec. 4.1 cancellation: if `request` is a delete whose matching
-/// append (or created directory) still sits in the log, remove the matched
-/// records and report how many operations were elided (the delete itself
-/// included). Returns 0 when the caller should log the request instead.
-/// `on_disk` is the highest seqno that a disk copy of the target
-/// directory holds or is being written with (0: none). An append at or
-/// below it, or a created directory with any disk copy, may be on disk
-/// already, and cancelling it would bring the row or directory back after
-/// a crash; the delete is logged instead.
-std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
-                       const DirState::ApplyEffect& effect,
-                       std::uint64_t on_disk = 0);
+/// The NVRAM log of one server: the device and an index of its live
+/// records. Every change to the records goes through it. (Test hooks that
+/// tear a record, such as Nvram::corrupt_tail, run before the Log is made;
+/// nvlog::truncate_torn() may run on the device under a Log, since the
+/// records it drops were never indexed.)
+class Log {
+ public:
+  /// The records `nv` holds are indexed when try_cancel first needs them.
+  explicit Log(nvram::Nvram& nv);
+  Log(const Log&) = delete;
+  Log& operator=(const Log&) = delete;
+
+  [[nodiscard]] const nvram::Nvram& device() const { return nv_; }
+
+  /// Nvram::append. The record is indexed by the next try_cancel of a
+  /// delete.
+  Result<std::uint64_t> append(Buffer rec, obs::TraceContext ctx = {});
+  /// Nvram::cancel, unindexing the record.
+  bool cancel(std::uint64_t id);
+  /// Drop every record (a state transfer replaced them).
+  void clear();
+  /// nvlog::truncate_torn() on the device (boot, before replay). It drops
+  /// only torn records, which the index never holds.
+  std::size_t truncate_torn();
+
+  /// The Sec. 4.1 cancellation: if `request` is a delete whose matching
+  /// append (or created directory) still sits in the log, remove the
+  /// matched records and report how many operations were elided (the
+  /// delete itself included). Returns 0 when the caller should log the
+  /// request instead. `on_disk` is the highest seqno that a disk copy of
+  /// the target directory holds or is being written with (0: none). An
+  /// append at or below it, or a created directory with any disk copy, may
+  /// be on disk already, and cancelling it would bring the row or
+  /// directory back after a crash; the delete is logged instead. So is a
+  /// delete of a directory that a batch record mentions, or of a row with
+  /// a batch record on its directory newer than the row's append: a batch
+  /// record cannot be cancelled piecemeal, and cancelling a plain record
+  /// ordered before batch ops on the same object would reorder replay.
+  std::size_t try_cancel(const Buffer& request,
+                         const DirState::ApplyEffect& effect,
+                         std::uint64_t on_disk = 0);
+
+ private:
+  /// A plain append_row record: its row is known by the FNV-1a hash of
+  /// the name, and a match is confirmed against the record's bytes.
+  struct Append {
+    std::uint64_t id;
+    std::uint64_t seqno;
+    std::uint64_t row;
+  };
+  /// The live records on one object, each list oldest first.
+  struct Obj {
+    /// Plain records whose object (create_dir's objhint, else the
+    /// request's target) is this one.
+    std::vector<std::uint64_t> plain;
+    /// Batch records with a sub whose objhint or target is this one.
+    std::vector<std::uint64_t> batch;
+    /// Plain append_row records targeting it.
+    std::vector<Append> appends;
+  };
+
+  /// Index the records appended since the last call.
+  void catch_up();
+  void index(const nvram::Record& rec);
+  void unindex(const nvram::Record& rec);
+
+  nvram::Nvram& nv_;
+  /// An entry stays when its lists empty, so a directory's next records
+  /// reuse them. Object numbers are below kMaxObjects, which bounds the map.
+  std::map<std::uint32_t, Obj> objs_;
+  /// The index holds every live record with an id up to this one.
+  std::uint64_t indexed_ = 0;
+};
 
 /// A crash mid-append leaves a truncated tail record. Treat it as a clean
 /// log end: drop undecodable records from the tail. Servers call this at

@@ -48,8 +48,9 @@ ReplicaStore::ReplicaStore(net::Machine& machine, DirState& state,
       flush_wq_(machine.sim()),
       mx_flushes_(machine.metrics().counter(cfg.layer, "flushes")) {
   if (cfg_.use_nvram) {
-    nv_ = &nvram_device(machine, cfg_.nvram_bytes);
-    nv_->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
+    nvram::Nvram& nv = nvram_device(machine, cfg_.nvram_bytes);
+    nv.attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
+    log_.emplace(nv);
     mx_full_rejects_ = &machine.metrics().counter("nvram", "full_rejects");
   }
 }
@@ -84,16 +85,16 @@ void ReplicaStore::load(Io& io, std::uint64_t& seqno) {
   } else {
     load_self_describing(io, seqno);
   }
-  if (nv_ != nullptr) {
+  if (log_) {
     for (const auto& [obj, e] : state_.table()) on_disk_seqno_[obj] = e.seqno;
     // A crash mid-append leaves a torn tail record; drop it before replay.
-    const std::size_t torn = nvlog::truncate_torn(*nv_);
+    const std::size_t torn = log_->truncate_torn();
     if (torn > 0) {
       LOG_WARN << machine_.name() << " dropped " << torn
                << " torn nvram tail record(s)";
     }
-    nvlog::replay(state_, *nv_);
-    seqno = std::max(seqno, nvlog::max_seqno(*nv_));
+    nvlog::replay(state_, nv());
+    seqno = std::max(seqno, nvlog::max_seqno(nv()));
   }
   if (!object_table()) replay_intent(io, seqno);
 }
@@ -242,7 +243,7 @@ std::vector<cap::Capability> ReplicaStore::persist(Io& io,
                                                    std::uint64_t seqno,
                                                    obs::TraceContext tctx) {
   std::vector<cap::Capability> old_files;
-  if (nv_ != nullptr) {
+  if (log_) {
     // The log holds a deletion; the directory's file goes like any
     // superseded one (a stale table block naming it is skipped at boot).
     for (const Update& u : updates) {
@@ -285,14 +286,10 @@ void ReplicaStore::log(std::vector<Update> updates, std::uint64_t seqno,
   std::erase_if(updates, [](const Update& u) { return !u.effect.any_change; });
   if (updates.empty()) return;
   if (updates.size() == 1) {
-    const auto it =
-        on_disk_seqno_.find(nvlog::request_target(updates[0].request));
-    const std::uint64_t on_disk =
-        it == on_disk_seqno_.end() ? 0 : it->second;
-    if (nvlog::try_cancel(*nv_, updates[0].request, updates[0].effect,
-                          on_disk) > 0) {
-      return;
-    }
+    const Update& u = updates[0];
+    const auto it = on_disk_seqno_.find(nvlog::request_target(u.request));
+    const std::uint64_t on_disk = it == on_disk_seqno_.end() ? 0 : it->second;
+    if (log_->try_cancel(u.request, u.effect, on_disk) > 0) return;
   }
   std::vector<nvlog::SubView> subs;
   for (const Update& u : updates) {
@@ -308,30 +305,27 @@ void ReplicaStore::log(std::vector<Update> updates, std::uint64_t seqno,
     }
     subs.push_back(sub);
   }
-  const nvlog::SubView& first = subs.front();
-  const std::uint32_t tag =
-      first.objhint != 0 ? first.objhint : nvlog::request_target(first.request);
   Buffer encoded = nvlog::encode(seqno, subs);
-  if (!nv_->would_fit(encoded.size())) {
+  if (!nv().would_fit(encoded.size())) {
     // NVRAM full in the critical path: the update stalls until the flusher
     // retires enough records. This is the visible cost of a small NVRAM
     // (ablated in the benchmarks), and lasts while the storage machine is
     // down.
     ++*mx_full_rejects_;
-    while (!nv_->would_fit(encoded.size())) {
+    while (!nv().would_fit(encoded.size())) {
       flusher_wq_.notify_one();  // start a flush now if none is running
       flush_wq_.wait();
     }
   }
-  (void)nv_->append(tag, std::move(encoded), tctx);
+  (void)log_->append(std::move(encoded), tctx);
 }
 
 void ReplicaStore::flush(Io& io) {
-  if (nv_->empty() && pending_commit_seqno_ == 0) return;
+  if (nv().empty() && pending_commit_seqno_ == 0) return;
   // One walk of the log gives the objects to write and where each record
   // retires; anything appended during the disk writes below stays in the
   // log for the next flush.
-  const nvlog::FlushSet fs = nvlog::flush_set(*nv_);
+  const nvlog::FlushSet fs = nvlog::flush_set(nv());
   std::vector<bool> failed(fs.objs.size());
   std::vector<bool> deleted(fs.objs.size());  // object_table: block cleared
   std::vector<std::uint64_t> after_commit;
@@ -353,7 +347,7 @@ void ReplicaStore::flush(Io& io) {
       if (defer) {
         after_commit.push_back(next->id);
       } else {
-        retired = nv_->cancel(next->id) || retired;
+        retired = log_->cancel(next->id) || retired;
       }
     }
     if (retired) flush_wq_.notify_all();
@@ -376,7 +370,7 @@ void ReplicaStore::flush(Io& io) {
     cblock_.seqno = std::max(cblock_.seqno, pending_commit_seqno_);
     pending_commit_seqno_ = 0;
     if (write_commit_block(io).is_ok()) {
-      for (std::uint64_t id : after_commit) (void)nv_->cancel(id);
+      for (std::uint64_t id : after_commit) (void)log_->cancel(id);
       if (!after_commit.empty()) flush_wq_.notify_all();
     } else {
       written = false;
@@ -390,9 +384,9 @@ void ReplicaStore::run_flusher() {
   Io io(*this);
   while (true) {
     (void)flusher_wq_.wait_for(kFlushIdle / 2);
-    if (nv_->empty() && pending_commit_seqno_ == 0) continue;
-    const bool full = static_cast<double>(nv_->used_bytes()) >
-                      kFlushHighWater * static_cast<double>(nv_->capacity());
+    if (nv().empty() && pending_commit_seqno_ == 0) continue;
+    const bool full = static_cast<double>(nv().used_bytes()) >
+                      kFlushHighWater * static_cast<double>(nv().capacity());
     const bool idle = machine_.sim().now() - last_activity_ >= kFlushIdle;
     const bool stalled = flush_wq_.waiter_count() > 0;
     if (full || idle || stalled) flush(io);
@@ -416,8 +410,8 @@ Status ReplicaStore::install(Io& io, const Buffer& snap,
       own.push_back(e.bullet);
       held.insert(obj);
     }
-    if (nv_ != nullptr) {
-      for (std::uint32_t obj : nvlog::flush_set(*nv_).objs) held.insert(obj);
+    if (log_) {
+      for (std::uint32_t obj : nvlog::flush_set(nv()).objs) held.insert(obj);
     }
   } else if (auto files = io.bullet.list(); files.is_ok()) {
     DirState listed(state_.port());  // what load() would read back
@@ -429,9 +423,9 @@ Status ReplicaStore::install(Io& io, const Buffer& snap,
   state_ = DirState::from_snapshot(snap, state_.port());
   cblock_.seqno = commit_seqno;
   adopted();
-  if (nv_ != nullptr) {
+  if (log_) {
     // The snapshot supersedes anything logged locally.
-    while (!nv_->empty()) nv_->pop_front();
+    log_->clear();
     pending_commit_seqno_ = 0;
     flush_wq_.notify_all();
   }

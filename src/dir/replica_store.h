@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "bullet/bullet.h"
@@ -61,7 +62,7 @@ class ReplicaStore {
   static nvram::Nvram& nvram_device(net::Machine& machine,
                                     std::size_t capacity);
 
-  [[nodiscard]] bool uses_nvram() const { return nv_ != nullptr; }
+  [[nodiscard]] bool uses_nvram() const { return log_.has_value(); }
   /// object_table: the Fig. 4 commit block, as last read or written.
   [[nodiscard]] const CommitBlock& commit_block() const { return cblock_; }
   /// object_table: write the commit block with the recovering flag set
@@ -147,11 +148,14 @@ class ReplicaStore {
   /// it returns. Runs only on the flusher process, so at most one flush
   /// runs at a time.
   void flush(Io& io);
+  [[nodiscard]] const nvram::Nvram& nv() const { return log_->device(); }
 
   net::Machine& machine_;
   DirState& state_;
   StoreConfig cfg_;
-  nvram::Nvram* nv_ = nullptr;
+  /// With NVRAM: the log. The store is made at each boot, so the log's
+  /// index starts empty and is built from the records the device kept.
+  std::optional<nvlog::Log> log_;
   CommitBlock cblock_;
   std::uint64_t pending_commit_seqno_ = 0;  // delete-dir seqno awaiting flush
   /// Per directory, the highest seqno a disk copy of it holds or is being

@@ -8,8 +8,7 @@ bool Nvram::would_fit(std::size_t data_size) const {
   return used_ + footprint(data_size) <= capacity_;
 }
 
-Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
-                                    obs::TraceContext ctx) {
+Result<std::uint64_t> Nvram::append(Buffer data, obs::TraceContext ctx) {
   const sim::Time t0 = sim_.now();
   if (!would_fit(data.size())) {
     if (mx_full_rejects_ != nullptr) (*mx_full_rejects_)++;
@@ -28,7 +27,6 @@ Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
       const auto keep = static_cast<std::size_t>(sim_.rng().below(data.size()));
       Record rec;
       rec.id = next_id_++;
-      rec.tag = tag;
       rec.data = Buffer(data.begin(),
                         data.begin() + static_cast<std::ptrdiff_t>(keep));
       used_ += footprint(rec.data.size());
@@ -41,7 +39,6 @@ Result<std::uint64_t> Nvram::append(std::uint64_t tag, Buffer data,
   }
   Record rec;
   rec.id = next_id_++;
-  rec.tag = tag;
   used_ += footprint(data.size());
   rec.data = std::move(data);
   log_.push_back(std::move(rec));
@@ -66,32 +63,15 @@ bool Nvram::corrupt_tail(std::size_t keep_bytes) {
 }
 
 bool Nvram::cancel(std::uint64_t id) {
-  auto it = std::find_if(log_.begin(), log_.end(),
-                         [id](const Record& r) { return r.id == id; });
-  if (it == log_.end()) return false;
+  // Ids ascend in log order.
+  auto it = std::lower_bound(
+      log_.begin(), log_.end(), id,
+      [](const Record& r, std::uint64_t v) { return r.id < v; });
+  if (it == log_.end() || it->id != id) return false;
   used_ -= footprint(it->data.size());
   log_.erase(it);
   if (mx_cancels_ != nullptr) (*mx_cancels_)++;
   return true;
-}
-
-std::size_t Nvram::cancel_tag(std::uint64_t tag) {
-  std::size_t n = 0;
-  for (auto it = log_.begin(); it != log_.end();) {
-    if (it->tag == tag) {
-      used_ -= footprint(it->data.size());
-      it = log_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  if (mx_cancels_ != nullptr) *mx_cancels_ += n;
-  return n;
-}
-
-const Record* Nvram::front() const {
-  return log_.empty() ? nullptr : &log_.front();
 }
 
 void Nvram::pop_front() {

@@ -20,12 +20,10 @@ namespace amoeba::nvram {
 inline constexpr std::size_t kCapacityBytes = 24 * 1024;  // as in the paper
 inline constexpr sim::Duration kWriteLatency = sim::usec(100);  // per record
 
-/// A log record in NVRAM. `tag` lets the owner cancel matched records
-/// (e.g. an append whose delete arrives before the flush — the /tmp
-/// optimisation in Sec. 4.1).
+/// A log record in NVRAM. Ids ascend in log order. What the bytes mean is
+/// the owner's business (dir/nvram_log.h).
 struct Record {
   std::uint64_t id = 0;
-  std::uint64_t tag = 0;
   Buffer data;
 };
 
@@ -42,8 +40,7 @@ class Nvram {
   /// during the write leaves a truncated tail record behind (the battery
   /// keeps the partial bytes; the crash interrupts the copy). `ctx`
   /// parents the recorded nvram span into a causal tree.
-  Result<std::uint64_t> append(std::uint64_t tag, Buffer data,
-                               obs::TraceContext ctx = {});
+  Result<std::uint64_t> append(Buffer data, obs::TraceContext ctx = {});
 
   /// Fault injection: model a crash mid-append as a partial tail record
   /// instead of the default all-or-nothing semantics.
@@ -60,12 +57,9 @@ class Nvram {
   bool corrupt_tail(std::size_t keep_bytes);
 
   /// Remove a not-yet-flushed record by id (no time cost: NVRAM is RAM).
+  /// False when no record has that id.
   bool cancel(std::uint64_t id);
-  /// Remove all records with `tag`; returns how many were cancelled.
-  std::size_t cancel_tag(std::uint64_t tag);
-
-  /// Oldest record, if any (the flusher consumes front-to-back).
-  [[nodiscard]] const Record* front() const;
+  /// Remove the oldest record, if any.
   void pop_front();
 
   [[nodiscard]] bool empty() const { return log_.empty(); }

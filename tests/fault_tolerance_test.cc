@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "dir/client.h"
 #include "dir/group_server.h"
+#include "dir/nvram_log.h"
 #include "dir/rpc_server.h"
 #include "dir/proto.h"
 #include "dir/types.h"
@@ -1207,6 +1208,154 @@ TEST_P(NvramFlush, ARefusedAppendCancelsNothing) {
       EXPECT_FALSE(st.directory(dirs[0].object)->has("x"))
           << "server " << s << " brought the deleted row back";
       EXPECT_TRUE(st.directory(dirs[0].object)->has("y")) << "server " << s;
+    }
+  });
+}
+
+/// True when `nv` holds a logged `op` (append_row or delete_row) of `row`.
+bool logs(const nvram::Nvram& nv, dir::DirOp op, const std::string& row) {
+  bool hit = false;
+  for (const auto& rec : nv.records()) {
+    dir::nvlog::for_each_sub(rec.data, [&](const dir::nvlog::SubView& s) {
+      hit = hit || (!s.request.empty() &&
+                    s.request[0] == static_cast<std::uint8_t>(op) &&
+                    dir::nvlog::request_row(s.request) == row);
+    });
+  }
+  return hit;
+}
+
+/// Leave a torn record at the tail of `nv`, as a crash mid-append does.
+void tear_tail(Testbed& bed, nvram::Nvram& nv) {
+  ASSERT_FALSE(nv.empty());
+  bool torn = false;
+  bed.client(0).spawn("tear", [&nv, &torn] {
+    const Buffer rec = nv.records().back().data;
+    torn = nv.append(rec).is_ok() && nv.corrupt_tail(rec.size() / 2);
+  });
+  bed.sim().run_for(sim::msec(1));
+  ASSERT_TRUE(torn);
+}
+
+/// Restart dir server 0 and cut it off from its storage machine as soon as
+/// it has loaded its state, before its flusher first runs. Each disk write
+/// then fails after the RPC timeout (2 s), and the flush writes the
+/// directories the log mentions in the order first mentioned. So a
+/// directory mentioned after a few others stays unwritten, and its logged
+/// appends cancellable, for several seconds.
+void restart_server0_without_storage(Testbed& bed) {
+  net::Machine& server = bed.dir_server(0);
+  bed.cluster().restart(server.id());
+  // The client port opens right after load() and the flusher's spawn.
+  for (int ms = 0; ms < 5000 && !server.listening_on(bed.dir_port()); ++ms) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  ASSERT_TRUE(server.listening_on(bed.dir_port()));
+  std::vector<net::MachineId> rest;  // all but storage machine 0
+  for (int i = 0; i < bed.num_dir_servers(); ++i) {
+    rest.push_back(bed.dir_server(i).id());
+  }
+  for (int i = 1; i < bed.num_storage(); ++i) {
+    rest.push_back(bed.storage(i).id());
+  }
+  for (int i = 0; i < bed.num_clients(); ++i) {
+    rest.push_back(bed.client(i).id());
+  }
+  bed.cluster().partition({rest});
+  if (bed.options().flavor == Flavor::group_nvram) {
+    run_until_ready(bed, {0, 1, 2});
+    ASSERT_TRUE(group_ready(bed, {0, 1, 2}));
+  }
+}
+
+TEST_P(NvramFlush, TheCancelIndexIsRebuiltAtBootAndClearedByAStateTransfer) {
+  // The log's index lives in RAM. Boot rebuilds it from the records the
+  // NVRAM kept, and a state transfer clears it with the log. Crash server 0
+  // with appends logged and a torn record at the tail. After the restart
+  // a delete still finds its append in the log and cancels it, and the
+  // row stays deleted through another crash and replay. Then let server 0
+  // fall behind while it is down, so that its restart installs a
+  // snapshot: a delete right after must be logged, for the snapshot
+  // replaced the append it would have cancelled.
+
+  // The directories the flush tries to write before the one under test.
+  constexpr std::size_t kFirst = 8;
+  Testbed bed({.flavor = GetParam(), .clients = 1, .seed = 40});
+  ASSERT_TRUE(bed.wait_ready());
+  Driver d(bed);
+  const std::vector<cap::Capability> dirs =
+      create_dirs(bed, d, static_cast<int>(kFirst) + 1);
+  const cap::Capability dcap = dirs.back();
+  nvram::Nvram* nv = bed.nvram_of(0);
+  ASSERT_NE(nv, nullptr);
+  ASSERT_TRUE(nv->empty());
+  const std::uint64_t& cancels = bed.metrics().counter("nvram", "cancels");
+  using dir::DirOp;
+
+  d.step([&] {
+    for (std::size_t i = 0; i < kFirst; ++i) {
+      ASSERT_TRUE(d.append_retry(dirs[i], "a").is_ok());
+    }
+    ASSERT_TRUE(d.append_retry(dcap, "r0").is_ok());
+    ASSERT_TRUE(d.append_retry(dcap, "r1").is_ok());
+  });
+  bed.cluster().crash(bed.dir_server(0).id());  // before the idle flush
+  ASSERT_TRUE(logs(*nv, DirOp::append_row, "r0"));
+  tear_tail(bed, *nv);
+  bed.sim().run_for(sim::sec(1));
+  restart_server0_without_storage(bed);
+  ASSERT_TRUE(logs(*nv, DirOp::append_row, "r0"));
+  const std::uint64_t cancels0 = cancels;
+  d.step([&] {
+    Status st = d.dc->delete_row(dcap, "r0");
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    ASSERT_TRUE(d.append_retry(dcap, "r2").is_ok());
+  });
+  // Server 0 applies the updates once its group thread is past the disk
+  // writes that time out.
+  for (int ms = 0; ms < 20000 && !logs(*nv, DirOp::append_row, "r2"); ++ms) {
+    bed.sim().run_for(sim::msec(1));
+  }
+  EXPECT_GT(cancels, cancels0);
+  EXPECT_FALSE(logs(*nv, DirOp::append_row, "r0"));
+  EXPECT_FALSE(logs(*nv, DirOp::delete_row, "r0"))
+      << "the delete was logged, not cancelled against its append";
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.cluster().heal();
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  expect_on_every_replica(bed, d, {dcap}, {"r1", "r2"});
+  d.step([&] {
+    auto snap = fetch_snapshot(bed, *d.rpc, 0);
+    ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
+    dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+    EXPECT_FALSE(st.directory(dcap.object)->has("r0"))
+        << "server 0 brought the deleted row back";
+  });
+
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "s0").is_ok()); });
+  bed.cluster().crash(bed.dir_server(0).id());
+  ASSERT_TRUE(logs(*nv, DirOp::append_row, "s0"));
+  d.step([&] { ASSERT_TRUE(d.append_retry(dcap, "s1").is_ok()); });
+  restart_server0(bed);
+  EXPECT_FALSE(logs(*nv, DirOp::append_row, "s0"));
+  d.step([&] {
+    Status st = d.dc->delete_row(dcap, "s0");
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    ASSERT_TRUE(d.append_retry(dcap, "s2").is_ok());
+  });
+  EXPECT_TRUE(logs(*nv, DirOp::delete_row, "s0"))
+      << "a delete cancelled an append the snapshot replaced";
+  bed.cluster().crash(bed.dir_server(0).id());
+  bed.sim().run_for(sim::sec(1));
+  restart_server0(bed);
+  expect_on_every_replica(bed, d, {dcap}, {"r1", "r2", "s1", "s2"});
+  d.step([&] {
+    for (int s = 0; s < bed.num_dir_servers(); ++s) {
+      auto snap = fetch_snapshot(bed, *d.rpc, s);
+      ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
+      dir::DirState st = dir::DirState::from_snapshot(*snap, bed.dir_port());
+      EXPECT_FALSE(st.directory(dcap.object)->has("s0")) << "server " << s;
     }
   });
 }

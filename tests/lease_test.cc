@@ -547,13 +547,12 @@ TEST(NvlogBatch, ReplayAppliesEverySubOfASharedSeqno) {
 
     const Buffer create_req = dir::make_create_dir({"c"});
     const dir::nvlog::SubView create{0, 1000, dcap.object, create_req};
-    ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode(1, {&create, 1})).is_ok());
+    ASSERT_TRUE(nv.append(dir::nvlog::encode(1, {&create, 1})).is_ok());
 
     const Buffer a = dir::make_append_row(dcap, "a", {payload_cap(1)});
     const Buffer b = dir::make_append_row(dcap, "b", {payload_cap(2)});
     const dir::nvlog::SubView subs[] = {{0, 0, 0, a}, {0, 0, 0, b}};
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(2, subs)).is_ok());
+    ASSERT_TRUE(nv.append(dir::nvlog::encode(2, subs)).is_ok());
 
     dir::DirState replayed(net::Port{1});
     dir::nvlog::replay(replayed, nv);
@@ -577,12 +576,12 @@ TEST(NvlogBatch, TryCancelRefusesToReorderAroundABatch) {
   sim.spawn("t", [&] {
     dir::DirState st(net::Port{1});
     const cap::Capability dcap = create_dir_in(st, 1000, 1);
+    dir::nvlog::Log log(nv);
 
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
     const dir::nvlog::SubView arec{0, 0, 0, append};
-    ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
+    ASSERT_TRUE(log.append(dir::nvlog::encode(2, {&arec, 1})).is_ok());
 
     // A batch record (two subs) on the same object.
     const Buffer other = dir::make_append_row(dcap, "other", {payload_cap(2)});
@@ -591,11 +590,11 @@ TEST(NvlogBatch, TryCancelRefusesToReorderAroundABatch) {
     apply_ok(st, other, 0, 3);
     apply_ok(st, other2, 0, 3);
     const dir::nvlog::SubView subs[] = {{0, 0, 0, other}, {0, 0, 0, other2}};
-    ASSERT_TRUE(nv.append(dcap.object, dir::nvlog::encode(3, subs)).is_ok());
+    ASSERT_TRUE(log.append(dir::nvlog::encode(3, subs)).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 4);
-    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff), 0u)
+    EXPECT_EQ(log.try_cancel(del, eff), 0u)
         << "cancelled an append ordered before a batch on the same object";
     EXPECT_EQ(nv.record_count(), 2u);
     checked = true;
@@ -611,15 +610,15 @@ TEST(NvlogBatch, TryCancelStillElidesWhenNoBatchIntervenes) {
   sim.spawn("t", [&] {
     dir::DirState st(net::Port{1});
     const cap::Capability dcap = create_dir_in(st, 1000, 1);
+    dir::nvlog::Log log(nv);
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
     const dir::nvlog::SubView arec{0, 0, 0, append};
-    ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
+    ASSERT_TRUE(log.append(dir::nvlog::encode(2, {&arec, 1})).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 3);
-    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff), 2u);
+    EXPECT_EQ(log.try_cancel(del, eff), 2u);
     EXPECT_EQ(nv.record_count(), 0u);
     checked = true;
   });
@@ -637,17 +636,17 @@ TEST(NvlogBatch, TryCancelLeavesAnAppendADiskCopyMayHold) {
   sim.spawn("t", [&] {
     dir::DirState st(net::Port{1});
     const cap::Capability dcap = create_dir_in(st, 1000, 1);
+    dir::nvlog::Log log(nv);
     const Buffer append = dir::make_append_row(dcap, "k", {payload_cap(1)});
     apply_ok(st, append, 0, 2);
     const dir::nvlog::SubView arec{0, 0, 0, append};
-    ASSERT_TRUE(
-        nv.append(dcap.object, dir::nvlog::encode(2, {&arec, 1})).is_ok());
+    ASSERT_TRUE(log.append(dir::nvlog::encode(2, {&arec, 1})).is_ok());
 
     const Buffer del = dir::make_delete_row(dcap, "k");
     const auto eff = apply_ok(st, del, 0, 3);
-    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff, 2), 0u);
+    EXPECT_EQ(log.try_cancel(del, eff, 2), 0u);
     EXPECT_EQ(nv.record_count(), 1u);
-    EXPECT_EQ(dir::nvlog::try_cancel(nv, del, eff, 1), 2u);
+    EXPECT_EQ(log.try_cancel(del, eff, 1), 2u);
     EXPECT_EQ(nv.record_count(), 0u);
     checked = true;
   });

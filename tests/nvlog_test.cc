@@ -5,8 +5,9 @@
 // defensive replay/max_seqno/try_cancel paths.
 //
 // The second half checks the in-place scans against the decode-based ones
-// they replaced (kept below as an oracle) on generated logs, and that a
-// scan of a full log does not allocate.
+// they replaced, and the indexed cancellation against the whole-log scan
+// it replaced (both kept below as oracles), on generated logs; and that a
+// scan of a full log, or a miss through its index, does not allocate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,8 +43,8 @@ TEST(NvlogTorn, EveryBytePrefixOfTailIsDroppedCleanly) {
     nvram::Nvram nv(sim);
     bool checked = false;
     sim.spawn("t", [&] {
-      ASSERT_TRUE(nv.append(1, make_record(6, "first update")).is_ok());
-      ASSERT_TRUE(nv.append(2, full).is_ok());
+      ASSERT_TRUE(nv.append(make_record(6, "first update")).is_ok());
+      ASSERT_TRUE(nv.append(full).is_ok());
       ASSERT_TRUE(nv.corrupt_tail(cut)) << "cut=" << cut;
 
       EXPECT_EQ(truncate_torn(nv), 1u) << "cut=" << cut;
@@ -62,8 +63,8 @@ TEST(NvlogTorn, IntactLogIsLeftAlone) {
   nvram::Nvram nv(sim);
   bool checked = false;
   sim.spawn("t", [&] {
-    ASSERT_TRUE(nv.append(1, make_record(1, "a")).is_ok());
-    ASSERT_TRUE(nv.append(2, make_record(2, "b")).is_ok());
+    ASSERT_TRUE(nv.append(make_record(1, "a")).is_ok());
+    ASSERT_TRUE(nv.append(make_record(2, "b")).is_ok());
     EXPECT_EQ(truncate_torn(nv), 0u);
     EXPECT_EQ(nv.record_count(), 2u);
     EXPECT_EQ(max_seqno(nv), 2u);
@@ -81,8 +82,8 @@ TEST(NvlogTorn, MaxSeqnoStopsAtTornRecordWithoutTruncation) {
   nvram::Nvram nv(sim);
   bool checked = false;
   sim.spawn("t", [&] {
-    ASSERT_TRUE(nv.append(1, make_record(9, "kept")).is_ok());
-    ASSERT_TRUE(nv.append(2, make_record(10, "torn")).is_ok());
+    ASSERT_TRUE(nv.append(make_record(9, "kept")).is_ok());
+    ASSERT_TRUE(nv.append(make_record(10, "torn")).is_ok());
     ASSERT_TRUE(nv.corrupt_tail(5));
     EXPECT_EQ(max_seqno(nv), 9u);
     checked = true;
@@ -101,9 +102,9 @@ TEST(NvlogTorn, TornAppendFaultInjectionLeavesPartialTail) {
   auto make = [&] { return std::make_unique<nvram::Nvram>(sim); };
   m.spawn("p", [&] {
     auto& nv = m.persistent<nvram::Nvram>("nv", make);
-    (void)nv.append(1, make_record(2, "intact"));
+    (void)nv.append(make_record(2, "intact"));
     nv.set_torn_appends(true);
-    (void)nv.append(2, full);  // killed mid-write
+    (void)nv.append(full);  // killed mid-write
   });
   sim.spawn("chaos", [&] {
     sim.sleep_for(sim::usec(150));  // inside the second append's latency
@@ -352,6 +353,98 @@ FlushSet flush_set(const nvram::Nvram& nv) {
 
 }  // namespace oracle
 
+// --------------------------------------- oracle: the whole-log scan
+//
+// try_cancel as it was before the log kept an index: every delete scanned
+// the whole log, newest record first, parsing records in place. Kept
+// verbatim (with the two helpers it used) as the reference for the indexed
+// cancellation.
+namespace scan {
+
+bool has_op(ByteSpan request, DirOp op) {
+  return !request.empty() && request[0] == static_cast<std::uint8_t>(op);
+}
+
+bool is_batch(ByteSpan rec) {
+  return rec.size() >= 8 && (rec[7] & 0x80) != 0;  // kBatchFlag, LE
+}
+
+// Both branches refuse (return 0) once a batch record has a sub on the
+// object: a batch record cannot be cancelled piecemeal, and cancelling a
+// plain record ordered before batch ops on the same object would reorder
+// replay. Torn records are skipped: they are not cancellable.
+std::size_t try_cancel(nvram::Nvram& nv, const Buffer& request,
+                       const DirState::ApplyEffect& effect,
+                       std::uint64_t on_disk) {
+  auto op_res = peek_op(request);
+  if (!op_res.is_ok()) return 0;
+
+  if (*op_res == DirOp::delete_row) {
+    const std::uint32_t obj = request_target(request);
+    const std::string_view name = request_row(request);
+    const auto& recs = nv.records();
+    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+      const bool batch = is_batch(it->data);
+      bool refuse = false;
+      bool match = false;
+      if (!for_each_sub(it->data, [&](const SubView& s) {
+            if (batch) {
+              refuse = refuse || s.objhint == obj ||
+                       request_target(s.request) == obj;
+            } else {
+              match = has_op(s.request, DirOp::append_row) &&
+                      request_target(s.request) == obj &&
+                      request_row(s.request) == name;
+              refuse = match && s.seqno <= on_disk;
+            }
+          })) {
+        continue;
+      }
+      if (refuse) return 0;
+      if (match) {
+        nv.cancel(it->id);
+        return 2;  // the append and the delete both elided
+      }
+    }
+    return 0;
+  }
+
+  if (*op_res == DirOp::delete_dir && !effect.deleted.empty()) {
+    // Cancel every plain record on the directory, but only if the
+    // directory was created inside the log.
+    const std::uint32_t obj = effect.deleted.front();
+    bool born_in_nvram = false;
+    std::vector<std::uint64_t> to_cancel;
+    for (const auto& rec : nv.records()) {
+      const bool batch = is_batch(rec.data);
+      bool refuse = false;
+      if (!for_each_sub(rec.data, [&](const SubView& s) {
+            if (batch) {
+              refuse = refuse || s.objhint == obj ||
+                       request_target(s.request) == obj;
+              return;
+            }
+            if (has_op(s.request, DirOp::create_dir) && s.objhint == obj) {
+              born_in_nvram = true;
+            }
+            const std::uint32_t target =
+                s.objhint != 0 ? s.objhint : request_target(s.request);
+            if (target == obj) to_cancel.push_back(rec.id);
+          })) {
+        continue;
+      }
+      if (refuse) return 0;
+    }
+    if (!born_in_nvram || on_disk > 0) return 0;
+    for (auto id : to_cancel) nv.cancel(id);
+    return to_cancel.size() + 1;
+  }
+
+  return 0;
+}
+
+}  // namespace scan
+
 // ------------------------------------------------------ log generation
 
 constexpr std::uint32_t kDirBase = 40;  // directory objects 40..42
@@ -473,11 +566,11 @@ struct LogSpec {
 };
 
 void build(nvram::Nvram& nv, const LogSpec& spec) {
-  for (const Buffer& b : spec.head) ASSERT_TRUE(nv.append(1, b).is_ok());
+  for (const Buffer& b : spec.head) ASSERT_TRUE(nv.append(b).is_ok());
   if (spec.cut) {
     ASSERT_TRUE(nv.corrupt_tail(*spec.cut));
   }
-  for (const Buffer& b : spec.after) ASSERT_TRUE(nv.append(1, b).is_ok());
+  for (const Buffer& b : spec.after) ASSERT_TRUE(nv.append(b).is_ok());
 }
 
 std::vector<std::uint64_t> ids_of(const nvram::Nvram& nv) {
@@ -546,17 +639,18 @@ void expect_same_flush_set(const nvram::Nvram& a, const nvram::Nvram& b,
 /// Returns how many of the two probes the oracle cancelled.
 int compare_scans(nvram::Nvram& a, nvram::Nvram& b, const Probe& p1,
                   const Probe& p2, const std::string& where) {
+  Log log(b);
   EXPECT_EQ(oracle::max_seqno(a), max_seqno(b)) << where;
   expect_same_flush_set(a, b, where);
   const std::size_t c1 = oracle::try_cancel(a, p1.request, p1.effect);
-  EXPECT_EQ(c1, try_cancel(b, p1.request, p1.effect)) << where;
+  EXPECT_EQ(c1, log.try_cancel(p1.request, p1.effect)) << where;
   EXPECT_EQ(ids_of(a), ids_of(b)) << where;
   EXPECT_EQ(oracle::truncate_torn(a), truncate_torn(b)) << where;
   EXPECT_EQ(ids_of(a), ids_of(b)) << where;
   // After boot truncation only mid-log torn records remain.
   expect_same_flush_set(a, b, where);
   const std::size_t c2 = oracle::try_cancel(a, p2.request, p2.effect);
-  EXPECT_EQ(c2, try_cancel(b, p2.request, p2.effect)) << where;
+  EXPECT_EQ(c2, log.try_cancel(p2.request, p2.effect)) << where;
   EXPECT_EQ(ids_of(a), ids_of(b)) << where;
   EXPECT_EQ(oracle::max_seqno(a), max_seqno(b)) << where;
   return (c1 > 0 ? 1 : 0) + (c2 > 0 ? 1 : 0);
@@ -672,11 +766,106 @@ TEST(NvlogScan, InPlaceScansMatchDecodingScansOnRandomLogs) {
   EXPECT_GT(cancelled, logs_checked / 20);
 }
 
+TEST(NvlogIndex, IndexedCancelMatchesTheWholeLogScanOnRandomLogs) {
+  // A Log over each generated log (batch records, torn records at the tail
+  // and mid-log, rows appended more than once, created directories), then
+  // a random run of what a server does to it: cancellation probes under
+  // random on_disk bounds, appends through the index, flush retirements
+  // and now and then a state transfer's clear. The whole-log scan runs on
+  // a copy of the log; every step must agree on the result and on the
+  // surviving record ids.
+  constexpr int kLogs = 2000;
+  constexpr int kSteps = 16;
+  sim::Simulator sim(7);
+  std::size_t probes = 0;
+  std::size_t row_cancels = 0;
+  std::size_t dir_cancels = 0;
+  std::size_t bounded = 0;  // probes with an on_disk bound that refused
+  sim.spawn("t", [&] {
+    for (int seed = 0; seed < kLogs; ++seed) {
+      Prng rng(mix64(0x1d3e + static_cast<std::uint64_t>(seed)));
+      LogSpec spec;
+      std::uint64_t seqno = 1;
+      for (std::size_t i = rng.below(16); i > 0; --i) {
+        seqno += rng.below(3);
+        spec.head.push_back(random_record(rng, seqno));
+      }
+      if (!spec.head.empty() && rng.below(3) == 0) {
+        spec.cut = rng.below(spec.head.back().size());
+      }
+      for (std::size_t i = rng.below(3); i > 0; --i) {
+        spec.after.push_back(random_record(rng, ++seqno));
+      }
+      nvram::Nvram a(sim);
+      nvram::Nvram b(sim);
+      build(a, spec);
+      build(b, spec);
+      Log log(b);
+      for (int step = 0; step < kSteps; ++step) {
+        const std::string where =
+            numbered("seed=", seed) + numbered(" step=", step);
+        switch (rng.below(10)) {
+          case 0:
+          case 1: {
+            seqno += rng.below(3);
+            const Buffer rec = random_record(rng, seqno);
+            EXPECT_EQ(a.append(rec).is_ok(), log.append(rec).is_ok())
+                << where;
+            break;
+          }
+          case 2:
+            if (!a.empty()) {  // a flush retires any record it covers
+              const std::uint64_t id =
+                  a.records()[rng.below(a.record_count())].id;
+              EXPECT_EQ(a.cancel(id), log.cancel(id)) << where;
+            }
+            break;
+          case 3:
+            if (rng.below(4) == 0) {
+              while (!a.empty()) a.pop_front();
+              log.clear();
+            }
+            break;
+          default: {
+            const Probe p = random_probe(rng);
+            const std::uint64_t on_disk =
+                rng.below(2) == 0 ? 0 : rng.below(seqno + 2);
+            const std::size_t want =
+                scan::try_cancel(a, p.request, p.effect, on_disk);
+            EXPECT_EQ(log.try_cancel(p.request, p.effect, on_disk), want)
+                << where;
+            ++probes;
+            const auto op = peek_op(p.request);
+            if (want > 0 && op.is_ok() && *op == DirOp::delete_row) {
+              ++row_cancels;
+            }
+            if (want > 0 && op.is_ok() && *op == DirOp::delete_dir) {
+              ++dir_cancels;
+            }
+            if (want == 0 && on_disk > 0) ++bounded;
+            break;
+          }
+        }
+        EXPECT_EQ(ids_of(a), ids_of(b)) << where;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  });
+  sim.run();
+  std::printf("probes %zu row cancels %zu dir cancels %zu bounded %zu\n",
+              probes, row_cancels, dir_cancels, bounded);
+  // The generator must exercise both cancelling branches.
+  EXPECT_GT(row_cancels, probes / 40);
+  EXPECT_GT(dir_cancels, probes / 400);
+  EXPECT_GT(bounded, probes / 20);
+}
+
 // ---------------------------------------------------- allocation probe
 
 TEST(NvlogScan, ScansOfAFullLogDoNotAllocate) {
   // The write_heavy steady state: the deleted row's append was flushed
-  // long ago, so try_cancel scans the whole 24 KiB log and finds nothing.
+  // long ago, so try_cancel finds no append of it in the up-to-date index
+  // of a full 24 KiB log.
   sim::Simulator sim(6);
   nvram::Nvram nv(sim);
   bool checked = false;
@@ -690,15 +879,17 @@ TEST(NvlogScan, ScansOfAFullLogDoNotAllocate) {
       const SubView sub{seqno, seqno, 0, request};
       Buffer b = encode(seqno, {&sub, 1});
       if (!nv.would_fit(b.size())) break;
-      ASSERT_TRUE(nv.append(1, std::move(b)).is_ok());
+      ASSERT_TRUE(nv.append(std::move(b)).is_ok());
     }
     ASSERT_GT(nv.record_count(), 100u);
     const Buffer del = make_delete_row(d, "row-flushed-long-ago");
     const DirState::ApplyEffect effect;
+    Log log(nv);
+    ASSERT_EQ(log.try_cancel(del, effect), 0u);  // indexes the log
 
     g_alloc_count = 0;
     g_count_allocs = true;
-    const std::size_t elided = try_cancel(nv, del, effect);
+    const std::size_t elided = log.try_cancel(del, effect);
     const std::uint64_t top = max_seqno(nv);
     const std::size_t dropped = truncate_torn(nv);
     g_count_allocs = false;

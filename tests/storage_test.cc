@@ -318,8 +318,8 @@ TEST_F(StorageFixture, NvramAppendAndReplay) {
   m.spawn("p", [&] {
     auto& nv = m.persistent<nvram::Nvram>(
         "nv", [&] { return std::make_unique<nvram::Nvram>(sim); });
-    (void)nv.append(1, to_buffer("rec1"));
-    (void)nv.append(2, to_buffer("rec2"));
+    (void)nv.append(to_buffer("rec1"));
+    (void)nv.append(to_buffer("rec2"));
     for (const auto& rec : nv.records()) {
       replayed.push_back(to_string(rec.data));
     }
@@ -332,7 +332,7 @@ TEST_F(StorageFixture, NvramSurvivesCrash) {
   Machine& m = cluster.add_machine("m");
   auto make = [&] { return std::make_unique<nvram::Nvram>(sim); };
   m.spawn("p", [&] {
-    (void)m.persistent<nvram::Nvram>("nv", make).append(7, to_buffer("keep"));
+    (void)m.persistent<nvram::Nvram>("nv", make).append(to_buffer("keep"));
   });
   sim.run_until(sim::msec(10));
   cluster.crash(m.id());
@@ -355,30 +355,41 @@ TEST_F(StorageFixture, NvramFullReportsError) {
   m.spawn("p", [&] {
     nvram::Nvram nv(sim, /*capacity_bytes=*/256);
     Buffer big(100, 0);
-    ASSERT_TRUE(nv.append(1, big).is_ok());
-    ASSERT_TRUE(nv.append(2, big).is_ok());
-    st = nv.append(3, big).status();  // 3*116 > 256
+    ASSERT_TRUE(nv.append(big).is_ok());
+    ASSERT_TRUE(nv.append(big).is_ok());
+    st = nv.append(big).status();  // 3*116 > 256
   });
   sim.run_until(sim::sec(1));
   EXPECT_EQ(st.code(), Errc::full);
 }
 
-TEST_F(StorageFixture, NvramCancelByIdAndTag) {
+TEST_F(StorageFixture, NvramCancelById) {
+  // Cancel finds its record by binary search over the ascending ids: the
+  // first, a middle and the last record, then ids that are gone or were
+  // never issued.
   Machine& m = cluster.add_machine("m");
   m.spawn("p", [&] {
     nvram::Nvram nv(sim);
     nv.attach_obs(cluster.metrics(), nullptr, m.id().v);
-    auto id1 = nv.append(10, to_buffer("a"));
-    (void)nv.append(10, to_buffer("b"));
-    (void)nv.append(11, to_buffer("c"));
-    ASSERT_TRUE(id1.is_ok());
-    EXPECT_TRUE(nv.cancel(*id1));
-    EXPECT_FALSE(nv.cancel(*id1));  // already gone
-    EXPECT_EQ(nv.cancel_tag(10), 1u);
-    EXPECT_EQ(nv.record_count(), 1u);
-    EXPECT_EQ(to_string(nv.front()->data), "c");
+    std::vector<std::uint64_t> ids;
+    for (const char* data : {"a", "b", "c", "d", "e"}) {
+      auto id = nv.append(to_buffer(data));
+      ASSERT_TRUE(id.is_ok());
+      ids.push_back(*id);
+    }
+    const std::size_t full = nv.used_bytes();
+    EXPECT_TRUE(nv.cancel(ids[0]));
+    EXPECT_TRUE(nv.cancel(ids[2]));
+    EXPECT_TRUE(nv.cancel(ids[4]));
+    EXPECT_FALSE(nv.cancel(ids[2]));  // already gone
+    EXPECT_FALSE(nv.cancel(0));
+    EXPECT_FALSE(nv.cancel(ids[4] + 1));
+    std::vector<std::string> left;
+    for (const auto& rec : nv.records()) left.push_back(to_string(rec.data));
+    EXPECT_EQ(left, (std::vector<std::string>{"b", "d"}));
     // Cancelling frees space.
-    EXPECT_EQ(cluster.metrics().counter("nvram", "cancels"), 2u);
+    EXPECT_LT(nv.used_bytes(), full);
+    EXPECT_EQ(cluster.metrics().counter("nvram", "cancels"), 3u);
   });
   sim.run_until(sim::sec(1));
 }
@@ -389,7 +400,7 @@ TEST_F(StorageFixture, NvramWritesAreFast) {
   m.spawn("p", [&] {
     nvram::Nvram nv(sim);
     sim::Time t0 = sim.now();
-    (void)nv.append(1, to_buffer("x"));
+    (void)nv.append(to_buffer("x"));
     took = sim.now() - t0;
   });
   sim.run_until(sim::sec(1));
@@ -401,10 +412,10 @@ TEST_F(StorageFixture, NvramFifoConsumption) {
   std::vector<std::string> order;
   m.spawn("p", [&] {
     nvram::Nvram nv(sim);
-    (void)nv.append(1, to_buffer("first"));
-    (void)nv.append(2, to_buffer("second"));
-    while (const auto* rec = nv.front()) {
-      order.push_back(to_string(rec->data));
+    (void)nv.append(to_buffer("first"));
+    (void)nv.append(to_buffer("second"));
+    while (!nv.empty()) {
+      order.push_back(to_string(nv.records().front().data));
       nv.pop_front();
     }
     EXPECT_TRUE(nv.empty());
