@@ -34,7 +34,7 @@ bool service_failed(const Status& st);
 class DirClient {
  public:
   DirClient(rpc::RpcClient& rpc, net::Port service_port,
-            rpc::TransOptions trans_opts = {.timeout = sim::sec(3),
+            rpc::TransOptions trans_opts = {.timeout = kClientDeadline,
                                             .max_failovers = 16})
       : rpc_(rpc),
         port_(service_port),
@@ -89,8 +89,6 @@ class DirClient {
   [[nodiscard]] sim::Time last_hit_fill_invoke() const {
     return last_hit_fill_invoke_;
   }
-  [[nodiscard]] std::size_t cached_dirs() const { return cache_.size(); }
-  void drop_cache() { cache_.clear(); }
 
   [[nodiscard]] net::Port port() const { return port_; }
   [[nodiscard]] rpc::RpcClient& rpc() { return rpc_; }

@@ -33,10 +33,20 @@ constexpr sim::Duration kCpuApply = sim::msec(4);
 // Client-facing initiator threads per server.
 constexpr int kServerThreads = 3;
 
-// Recovery pacing.
+// Recovery pacing, and the recovery RPCs' and the group thread's waits
+// (DESIGN.md §1, "Protocol waits"). A majority wait may take one ResetGroup.
 constexpr sim::Duration kMajorityWait = sim::msec(500);
 constexpr sim::Duration kRecoveryBackoff = sim::msec(150);
-constexpr sim::Duration kReadBarrierTimeout = sim::msec(1000);
+constexpr sim::Duration kRecoveryPoll = sim::msec(20);
+constexpr sim::Duration kLastSetRetry = sim::msec(40);
+constexpr sim::Duration kLeaveTimeout = sim::msec(200);
+constexpr sim::Duration kCreateProbeTimeout = sim::msec(200);
+constexpr sim::Duration kExchangeTimeout = sim::msec(500);
+constexpr sim::Duration kFetchDeadline = sim::sec(2);
+constexpr sim::Duration kFetchTimeout = sim::sec(5);
+constexpr sim::Duration kResetTimeout = sim::sec(2);
+constexpr sim::Duration kStaleApplyLag = sim::msec(150);  // stale_read_server
+static_assert(kRecoveryPoll < kMajorityWait);
 
 GroupDirStats& stats_of(Machine& machine) {
   return machine.persistent<GroupDirStats>(
@@ -180,6 +190,22 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
 
 // --------------------------------------------------------- recovery (Fig 6)
 
+/// Leave the group and drop the kernel; the next recovery pass rejoins.
+void drop_group(ServerCtx& ctx) {
+  (void)ctx.gm->leave(kLeaveTimeout);
+  ctx.gm.reset();
+}
+
+/// Give up this recovery pass: leave and back off kRecoveryBackoff, or
+/// up to twice that when `jittered`.
+bool give_up(ServerCtx& ctx, bool jittered) {
+  drop_group(ctx);
+  ctx.sim().sleep_for(jittered ? ctx.sim().rng().range(
+                                     kRecoveryBackoff, 2 * kRecoveryBackoff - 1)
+                               : kRecoveryBackoff);
+  return false;
+}
+
 group::GroupConfig make_group_cfg(const ServerCtx& ctx) {
   group::GroupConfig cfg;
   cfg.port = kGroupPort;
@@ -204,10 +230,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
   // its delivery cursor sits below everything any peer can retransmit.
   // Drop it and rejoin from scratch (the join cutoff + snapshot fetch
   // below covers the gap).
-  if (ctx.gm && ctx.gm->info().needs_state_transfer) {
-    (void)ctx.gm->leave(sim::msec(200));
-    ctx.gm.reset();
-  }
+  if (ctx.gm && ctx.gm->info().needs_state_transfer) drop_group(ctx);
 
   // "re-join server group or create it". Creation is staggered by server
   // index: everyone first tries to join, but only the lowest index falls
@@ -235,7 +258,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       for (int idx = 0; idx < ctx.nservers(); ++idx) {
         if (idx == ctx.my_index) continue;
         auto res = st.rpc.trans(ctx.admin_of(idx), preq.view(),
-                                {.timeout = sim::msec(200)});
+                                {.timeout = kCreateProbeTimeout});
         if (!res.is_ok()) continue;
         try {
           Reader r(*res);
@@ -251,26 +274,17 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
 
   // "while (minority && !timeout) wait"
   const sim::Time deadline =
-      ctx.now() + kMajorityWait +
-      static_cast<sim::Duration>(sim.rng().below(
-          static_cast<std::uint64_t>(kRecoveryBackoff)));
+      ctx.now() + sim.rng().range(kMajorityWait,
+                                  kMajorityWait + kRecoveryBackoff - 1);
   while (ctx.now() < deadline) {
-    group::GroupInfo gi = ctx.gm->info();
-    if (gi.state == group::MemberState::failed) {
-      (void)ctx.gm->reset_group(sim::msec(500));
+    if (ctx.gm->info().state == group::MemberState::failed) {
+      (void)ctx.gm->reset_group(kMajorityWait);
     }
     if (ctx.majority()) break;
-    sim.sleep_for(sim::msec(20));
+    sim.sleep_for(kRecoveryPoll);
   }
-  if (!ctx.majority()) {
-    // "if (minority) try again (leave group and retry)"
-    (void)ctx.gm->leave(sim::msec(200));
-    ctx.gm.reset();
-    sim.sleep_for(kRecoveryBackoff +
-                  static_cast<sim::Duration>(sim.rng().below(
-                      static_cast<std::uint64_t>(kRecoveryBackoff))));
-    return false;
-  }
+  // "if (minority) try again (leave group and retry)"
+  if (!ctx.majority()) return give_up(ctx, true);
 
   // Skeen's algorithm over the group members.
   std::uint32_t newgroup = 1u << ctx.my_index;
@@ -284,7 +298,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     const int idx = server_index(ctx.opts.servers, m);
     if (idx < 0 || idx == ctx.my_index) continue;
     auto res = st.rpc.trans(ctx.admin_of(idx), req.view(),
-                            {.timeout = sim::msec(500)});
+                            {.timeout = kExchangeTimeout});
     if (!res.is_ok()) continue;
     try {
       Reader r(*res);
@@ -328,9 +342,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       // make every recovering server cycle join -> exchange -> leave, so
       // that no exchange ever observes the full last-set in the view at
       // once and the whole cluster livelocks with all servers recovering.
-      sim.sleep_for(sim::msec(40) + static_cast<sim::Duration>(sim.rng().below(
-                                        static_cast<std::uint64_t>(
-                                            sim::msec(40)))));
+      sim.sleep_for(sim.rng().range(kLastSetRetry, 2 * kLastSetRetry - 1));
       return false;
     }
   }
@@ -355,23 +367,18 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
   }
   const bool behind_peer = best != ctx.my_index && seqnos[best] > ctx.my_seqno;
   const bool behind_group = cutoff > std::max(ctx.my_seqno, ctx.applied_seqno);
-  if ((behind_peer || behind_group) && donor < 0) {
-    // We need a snapshot but nobody answered the exchange; retry the loop.
-    (void)ctx.gm->leave(sim::msec(200));
-    ctx.gm.reset();
-    sim.sleep_for(kRecoveryBackoff);
-    return false;
-  }
+  // We need a snapshot but nobody answered the exchange; retry the loop.
+  if ((behind_peer || behind_group) && donor < 0) return give_up(ctx, false);
   if (behind_peer || behind_group) {
     (void)ctx.store.mark_recovering(st);
 
     Writer freq;
     freq.u8(static_cast<std::uint8_t>(AdminOp::fetch_state));
     bool installed = false;
-    const sim::Time fetch_deadline = ctx.now() + sim::sec(2);
+    const sim::Time fetch_deadline = ctx.now() + kFetchDeadline;
     do {
       auto res = st.rpc.trans(ctx.admin_of(donor), freq.view(),
-                              {.timeout = sim::sec(5)});
+                              {.timeout = kFetchTimeout});
       if (!res.is_ok()) break;
       try {
         Reader r(*res);
@@ -383,7 +390,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
         if (peer_applied < cutoff) {
           // Donor is still applying the stream below our cutoff; poll
           // until its snapshot covers the gap.
-          sim.sleep_for(sim::msec(20));
+          sim.sleep_for(kRecoveryPoll);
           continue;
         }
         Status ps = ctx.store.install(st, snap, peer_commit_seqno, [&] {
@@ -401,14 +408,9 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
         break;
       }
     } while (!installed && ctx.now() < fetch_deadline);
-    if (!installed) {
-      // recovering flag stays set: if we die now, the next boot zeroes our
-      // seqno (paper Sec. 3).
-      (void)ctx.gm->leave(sim::msec(200));
-      ctx.gm.reset();
-      sim.sleep_for(kRecoveryBackoff);
-      return false;
-    }
+    // If not installed, the recovering flag stays set: if we die now, the
+    // next boot zeroes our seqno (paper Sec. 3).
+    if (!installed) return give_up(ctx, false);
   }
 
   // "write commit block (store configuration vector); enter normal op".
@@ -457,7 +459,7 @@ void grant_leases(ServerCtx& ctx, const rpc::IncomingRequest& req,
   if (reply.empty() || static_cast<Errc>(reply[0]) != Errc::ok) return;
   auto parsed = parse_lookup_set(req.data);
   if (!parsed.is_ok() || !parsed->lease_port.has_value()) return;
-  const sim::Time expiry = ctx.now() + ctx.opts.lease_duration;
+  const sim::Time expiry = ctx.now() + kLeaseDuration;
   std::vector<LeaseGrant> grants;
   for (const auto& t : parsed->targets) {
     const std::uint32_t obj = t.dir.object;
@@ -515,13 +517,12 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
         // snapshot instead.
         LOG_INFO << ctx.machine.name()
                  << " history gap unrepairable: rejoining with state transfer";
-        (void)ctx.gm->leave(sim::msec(200));
-        ctx.gm.reset();
+        drop_group(ctx);
         ctx.in_recovery = true;
         continue;
       }
       // "rebuild majority of group (call ResetGroup)" — Fig. 5.
-      Status rst = ctx.gm->reset_group(sim::sec(2));
+      Status rst = ctx.gm->reset_group(kResetTimeout);
       if (rst.is_ok() && ctx.majority()) {
         update_config_from_group(ctx, st);
         continue;
@@ -553,7 +554,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       // messages". Lag the apply so the stale window is wide enough for
       // clients to actually observe it; commits elsewhere are unaffected
       // (the kernel ACKs independently of the application thread).
-      ctx.sim().sleep_for(sim::msec(150));
+      ctx.sim().sleep_for(kStaleApplyLag);
     }
 
     // Decode each send into an (opid, secret, request) update. Several
@@ -704,7 +705,7 @@ OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
                                                          : st.code()),
             "write", false};
   }
-  const sim::Time deadline = ctx.now() + sim::sec(3);
+  const sim::Time deadline = ctx.now() + kClientDeadline;
   while (!ctx.completions.contains(opid) && ctx.now() < deadline) {
     ctx.completion_wq.wait_until(deadline);
   }

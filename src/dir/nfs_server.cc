@@ -18,6 +18,7 @@ using net::Machine;
 
 constexpr sim::Duration kCpuRead = sim::msec(4);  // lookup 6 ms in the paper
 constexpr sim::Duration kCpuWrite = sim::msec(3);
+constexpr sim::Duration kCpuFile = sim::msec(1);  // per file-server request
 constexpr sim::Duration kFileCreateDisk = sim::msec(12);  // sync inode only
 constexpr int kServerThreads = 3;  // directory server threads
 
@@ -83,7 +84,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
           Buffer data = r.bytes();
           // Data is write-behind; only the inode/indirect block is
           // synchronous — hence the smaller cost than a full disk write.
-          ctx.machine.cpu().use(sim::msec(1));
+          ctx.machine.cpu().use(kCpuFile);
           ctx.machine.sim().sleep_for(kFileCreateDisk);
           const std::uint32_t obj = ctx.next_file++;
           const std::uint64_t secret =
@@ -100,7 +101,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
         }
         case bullet::BulletOp::read: {
           cap::Capability c = cap::Capability::decode(r);
-          ctx.machine.cpu().use(sim::msec(1));
+          ctx.machine.cpu().use(kCpuFile);
           auto it = ctx.files->find(c.object);
           if (it == ctx.files->end()) {
             w.u8(static_cast<std::uint8_t>(Errc::not_found));
@@ -114,7 +115,7 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
         }
         case bullet::BulletOp::del: {
           cap::Capability c = cap::Capability::decode(r);
-          ctx.machine.cpu().use(sim::msec(1));
+          ctx.machine.cpu().use(kCpuFile);
           ctx.files->erase(c.object);
           w.u8(static_cast<std::uint8_t>(Errc::ok));
           break;
@@ -133,7 +134,11 @@ void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
 
 void service_main(Machine& machine) {
   NfsCtx ctx(machine);
-  ctx.disk = &nfs_disk(machine);
+  // The server's disk (synchronous metadata); it survives crashes.
+  ctx.disk = &machine.persistent<disk::VirtualDisk>("nfs.disk", [&machine] {
+    return std::make_unique<disk::VirtualDisk>(machine.sim(), "nfs.disk",
+                                               disk::kBlockWriteLatency);
+  });
   ctx.disk->attach_obs(machine.metrics(), &machine.trace(), machine.id().v);
   ctx.files = &machine.persistent<std::map<std::uint32_t, NfsCtx::FileEntry>>(
       "nfs.files",
@@ -156,13 +161,6 @@ void service_main(Machine& machine) {
 
 void install_nfs_dir_server(Machine& machine, const ServerOptions& /*opts*/) {
   machine.install_service("nfs_dir", [](Machine& m) { service_main(m); });
-}
-
-disk::VirtualDisk& nfs_disk(Machine& machine) {
-  return machine.persistent<disk::VirtualDisk>("nfs.disk", [&machine] {
-    return std::make_unique<disk::VirtualDisk>(  // synchronous metadata
-        machine.sim(), "nfs.disk", disk::kBlockWriteLatency);
-  });
 }
 
 }  // namespace amoeba::dir

@@ -6,7 +6,6 @@
 // write-behind data and synchronous metadata).
 #pragma once
 
-#include "disk/vdisk.h"
 #include "net/cluster.h"
 
 namespace amoeba::dir {
@@ -16,8 +15,5 @@ struct ServerOptions;  // dir/serve.h
 /// Installs the server on `machine`; it answers on kDirPort and
 /// kNfsFilePort and reads none of `opts`.
 void install_nfs_dir_server(net::Machine& machine, const ServerOptions& opts);
-
-/// The server's disk; it survives crashes.
-disk::VirtualDisk& nfs_disk(net::Machine& machine);
 
 }  // namespace amoeba::dir

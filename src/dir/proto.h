@@ -29,6 +29,9 @@ namespace amoeba::dir {
 /// (block 0 is the commit block), so object numbers stay below this bound.
 inline constexpr std::uint32_t kMaxObjects = 128;
 
+/// A DirClient's deadline for one call, failovers included.
+inline constexpr sim::Duration kClientDeadline = sim::sec(3);
+
 enum class DirOp : std::uint8_t {
   create_dir = 1,
   delete_dir,

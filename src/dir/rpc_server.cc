@@ -26,7 +26,15 @@ using Io = ReplicaStore::Io;
 constexpr sim::Duration kCpuRead = sim::msec(3);
 constexpr sim::Duration kCpuWrite = sim::msec(5);  // includes intentions
 constexpr sim::Duration kCpuApply = sim::msec(6);  // peer-side intent handling
+// The service's waits (DESIGN.md §1, "Protocol waits"). A refused
+// initiator backs off kConflictBackoff plus a kConflictStagger per index.
 constexpr sim::Duration kPeerTimeout = sim::msec(400);
+constexpr sim::Duration kPeerLockWait = sim::msec(120);
+constexpr sim::Duration kConflictBackoff = sim::msec(4);
+constexpr sim::Duration kConflictStagger = sim::msec(8);
+constexpr sim::Duration kResyncRetry = sim::msec(200);  // boot resync
+constexpr sim::Duration kPeerProbe = sim::msec(500);    // liveness period
+static_assert(kPeerLockWait < kPeerTimeout && kPeerTimeout < kClientDeadline);
 constexpr int kUpdateRetries = 60;  // on conflicting-update refusals
 constexpr int kServerThreads = 3;   // client-facing server threads
 
@@ -113,7 +121,7 @@ struct RpcServerCtx {
   /// refusal unwinds the cycle). Returns false on refusal.
   bool lock_for_peer(obs::TraceContext parent = {}) {
     const sim::Time t0 = now();
-    const sim::Time deadline = t0 + (my_index == 0 ? 0 : sim::msec(120));
+    const sim::Time deadline = t0 + (my_index == 0 ? 0 : kPeerLockWait);
     while (update_lock) {
       if (now() >= deadline) return false;
       lock_wq.wait_until(deadline);
@@ -284,9 +292,9 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
       // Asymmetric backoff (higher-indexed server defers longer) breaks
       // the livelock when both servers initiate simultaneously.
       ctx.unlock();
-      ctx.sim().sleep_for(
-          sim::msec(4) + sim::msec(8) * ctx.my_index +
-          static_cast<sim::Duration>(ctx.sim().rng().below(8000)));
+      ctx.sim().sleep_for(kConflictBackoff + kConflictStagger * ctx.my_index +
+                          static_cast<sim::Duration>(ctx.sim().rng().below(
+                              static_cast<std::uint64_t>(kConflictStagger))));
       continue;
     }
     if (!peer_st.is_ok() && peer_st.code() == Errc::conflict) {
@@ -363,11 +371,10 @@ void load_and_resync(RpcServerCtx& ctx, Io& st) {
     ctx.lock();
     synced = sync_with_peer(ctx, st);
     ctx.unlock();
-    if (!synced) ctx.sim().sleep_for(sim::msec(200));
+    if (!synced) ctx.sim().sleep_for(kResyncRetry);
   }
-  if (!synced) {
-    ctx.peer_down = true;  // start alone; the peer resyncs when it returns
-  }
+  // If not synced, start alone; the peer resyncs when it returns.
+  if (!synced) ctx.peer_down = true;
 }
 
 void service_main(Machine& machine, const ServerOptions& opts) {
@@ -421,7 +428,7 @@ void service_main(Machine& machine, const ServerOptions& opts) {
   // remaining gap) instead of silently staying local.
   Io probe(ctx.store);
   while (true) {
-    machine.sim().sleep_for(sim::msec(500));
+    machine.sim().sleep_for(kPeerProbe);
     if (ctx.peer_down) {
       ctx.lock();
       ctx.peer_down = false;

@@ -34,6 +34,13 @@ inline constexpr std::uint64_t kDiskBase = 1300;
 /// The NFS server's bullet-protocol file endpoint.
 inline constexpr net::Port kNfsFilePort{3001};
 
+/// A lease lapses this long after its grant. A read waits at most
+/// kReadBarrierTimeout for the updates its replica knows of to apply, then
+/// is refused: inside the client's deadline, so the client hears it.
+inline constexpr sim::Duration kLeaseDuration = sim::msec(500);
+inline constexpr sim::Duration kReadBarrierTimeout = sim::sec(1);
+static_assert(kReadBarrierTimeout < kClientDeadline);
+
 inline net::Port admin_port(std::uint64_t base, net::MachineId m) {
   return net::Port{base + m.v};
 }
@@ -56,10 +63,9 @@ struct ServerOptions {
   /// Lease caching (Gray & Cheriton): grant time-bounded read leases on
   /// lookup replies so lease-aware clients serve repeats locally. The
   /// granting replica invalidates holders from its ordered apply path; a
-  /// partitioned client's lease simply lapses after lease_duration of
+  /// partitioned client's lease simply lapses after kLeaseDuration of
   /// simulated time, bounding staleness without any revocation round-trip.
   bool lease_caching;
-  sim::Duration lease_duration;
   /// Sequencer update batching (group layer) + NVRAM group commit: updates
   /// coalesced into one ordered ACCEPT are applied as one delivery and
   /// logged as ONE NVRAM append, so the per-update log-write cost is

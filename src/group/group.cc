@@ -10,7 +10,7 @@ namespace amoeba::group {
 
 namespace {
 
-// Calibrated protocol timing (DESIGN.md lists the table).
+// Calibrated protocol timing (DESIGN.md §1, "Protocol waits").
 constexpr sim::Duration kHeartbeat = sim::msec(50);
 /// CPU charged per group-protocol packet handled by the kernel thread — on
 /// the sequencer this is what bounds update throughput (Fig. 9).
@@ -18,11 +18,15 @@ constexpr sim::Duration kKernelCpu = sim::msec(1);
 constexpr sim::Duration kVoteWindow = sim::msec(8);
 constexpr sim::Duration kSendRetry = sim::msec(80);
 constexpr int kSendRetries = 4;
+constexpr sim::Duration kJoinRound = kJoinTimeout / 5;  // join_req rebroadcast
+constexpr sim::Duration kResetSync = sim::msec(50);  // coordinator catch-up
+constexpr sim::Duration kUnbindPoll = sim::msec(1);
 
 // Sequencer batching (GroupConfig::batching): the coalescing window and
 // the batch size that flushes at once.
 constexpr sim::Duration kBatchWindow = sim::msec(2);
 constexpr std::size_t kBatchMax = 8;
+static_assert(kBatchWindow < kSendRetry);
 
 enum class WireType : std::uint8_t {
   req = 1,      // sender -> sequencer: please order this message (PB)
@@ -1039,7 +1043,7 @@ std::shared_ptr<GroupMember::Ctx> GroupMember::make_ctx(net::Machine& machine,
   // Wait for a previous incarnation's kernel (same port) to finish
   // unbinding — happens when recovery leaves and re-joins quickly.
   while (machine.listening_on(cfg.port)) {
-    machine.sim().sleep_for(sim::msec(1));
+    machine.sim().sleep_for(kUnbindPoll);
   }
   auto ctx = std::make_shared<Ctx>(machine, std::move(cfg));
   ctx->endpoint.emplace(machine, ctx->cfg.port);
@@ -1086,8 +1090,7 @@ Result<std::unique_ptr<GroupMember>> GroupMember::join(net::Machine& machine,
   while (sim.now() < deadline && !installed) {
     (*ctx->mx_ctrl)++;
     machine.net().broadcast(ctx->me, ctx->cfg.port, join_req);
-    const sim::Time round_end =
-        std::min(deadline, sim.now() + sim::msec(20));
+    const sim::Time round_end = std::min(deadline, sim.now() + kJoinRound);
     while (sim.now() < round_end) {
       auto pkt = ctx->endpoint->mailbox().recv_until(round_end);
       if (!pkt || pkt->payload.empty()) continue;
@@ -1297,7 +1300,7 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   }
   if (target > c.watermark() && source != c.me) {
     c.send_retrans_req(source);
-    const sim::Time sync_end = std::min(deadline, c.now() + sim::msec(50));
+    const sim::Time sync_end = std::min(deadline, c.now() + kResetSync);
     while (c.watermark() < target && c.now() < sync_end) {
       c.recv_wq.wait_until(sync_end);
       if (c.voted_attempt > c.my_attempt) {

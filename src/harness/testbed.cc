@@ -104,7 +104,6 @@ Testbed::Testbed(TestbedOptions opts)
       .resilience = opts.resilience,
       .improved_recovery = opts.improved_recovery,
       .lease_caching = opts.lease_caching,
-      .lease_duration = opts.lease_duration,
       .batching = opts.batching,
       .history_limit = opts.group_history_limit,
       .stale_read_server = opts.debug_stale_reads_server,
@@ -163,7 +162,7 @@ Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
   const net::Port port =
       dir::admin_port(group ? dir::kGroupAdminBase : dir::kRpcPeerBase,
                       bed.dir_server(server).id());
-  auto res = rpc.trans(port, w.take(), {.timeout = sim::sec(2)});
+  auto res = rpc.trans(port, w.take());
   if (!res.is_ok()) return res.status();
   try {
     Reader r(*res);

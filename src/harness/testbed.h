@@ -53,19 +53,9 @@ struct TestbedOptions {
   int replicas = 0;  // 0 => flavor default (3 group / 2 rpc / 1 nfs)
   std::size_t nvram_bytes = nvram::kCapacityBytes;
   int network_segments = 1;  // >1: redundant Ethernets (paper Sec. 2)
-  /// Fault injection for the simfuzz harness: when >= 0, the group dir
-  /// server with this index serves reads without the buffered-messages
-  /// barrier (ServerOptions::stale_read_server).
-  int debug_stale_reads_server = -1;
-  /// When > 0, overrides GroupConfig::history_limit for the group flavors
-  /// (tests use a tiny limit to force history pruning during recovery).
-  std::size_t group_history_limit = 0;
-  /// Lease-based client caching (group flavors): servers grant read leases
-  /// on lookups; lease-aware clients (DirClient::enable_leases) answer
-  /// repeats locally.
+  int debug_stale_reads_server = -1;  // ServerOptions::stale_read_server
+  std::size_t group_history_limit = 0;  // ServerOptions::history_limit
   bool lease_caching = false;
-  sim::Duration lease_duration = sim::msec(500);
-  /// Sequencer update batching + NVRAM group commit (group flavors).
   bool batching = false;
   /// Record a per-event trace ring (Cluster::set_tracing). Defaults on so
   /// existing tests/tools see identical traces; throughput benchmarks turn

@@ -8,10 +8,6 @@ namespace amoeba::rpc {
 
 namespace {
 
-// trans() pauses between retry rounds when no server is reachable.
-constexpr sim::Duration kBackoffBase = sim::msec(10);
-constexpr sim::Duration kBackoffCap = sim::msec(400);
-
 Buffer encode_header(MsgType type, std::uint64_t xid) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -19,11 +15,12 @@ Buffer encode_header(MsgType type, std::uint64_t xid) {
   return w.take();
 }
 
-}  // namespace
-
+/// A client-unique reply port (top bit set: clear of service ports).
 Port make_reply_port(MachineId m, std::uint32_t salt) {
   return Port{(1ULL << 47) | (static_cast<std::uint64_t>(m.v) << 24) | salt};
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------- RpcServer
 

@@ -95,9 +95,16 @@ class RpcServer {
   net::PortBinding binding_;  // last member: handler sees initialized state
 };
 
+/// The layer's waits (DESIGN.md §1, "Protocol waits").
+inline constexpr sim::Duration kTransTimeout = sim::sec(2);
+inline constexpr sim::Duration kLocateTimeout = sim::msec(200);
+inline constexpr sim::Duration kBackoffBase = sim::msec(10);
+inline constexpr sim::Duration kBackoffCap = sim::msec(400);
+static_assert(kLocateTimeout < kTransTimeout && kBackoffCap < kTransTimeout);
+
 struct TransOptions {
-  sim::Duration timeout = sim::msec(2000);        // overall deadline
-  sim::Duration locate_timeout = sim::msec(200);  // wait for first HEREIS
+  sim::Duration timeout = kTransTimeout;          // overall deadline
+  sim::Duration locate_timeout = kLocateTimeout;  // wait for first HEREIS
   int max_failovers = 8;  // NOTHERE-triggered server switches per call
 };
 
@@ -154,9 +161,5 @@ class RpcClient {
   obs::Counter& mx_transactions_;
   obs::Hist& mx_trans_ms_;
 };
-
-/// Derives a client-unique reply port (top bit set to stay clear of
-/// service ports).
-Port make_reply_port(MachineId m, std::uint32_t salt);
 
 }  // namespace amoeba::rpc

@@ -5,6 +5,7 @@
 #include "bullet/bullet.h"
 #include "common/strings.h"
 #include "dir/client.h"
+#include "dir/serve.h"
 #include "harness/workload.h"
 
 namespace amoeba::harness {
@@ -282,6 +283,51 @@ TEST(GroupDirService, ReadYourWritesAcrossServers) {
       EXPECT_EQ(dc.lookup(*dcap, name).code(), Errc::not_found)
           << "stale read after delete, round " << round;
     }
+  });
+}
+
+TEST(GroupDirService, ALaggingReplicaRefusesAReadAfterTheReadBarrier) {
+  // A replica that has buffered an update but not yet applied it holds a
+  // read for at most kReadBarrierTimeout, then refuses it. Slow server 2's
+  // storage so that applying one update there takes longer than that, and
+  // read through server 2 right after an update committed through server 0.
+  // The refusal must reach the client inside its deadline.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 41});
+  ASSERT_TRUE(bed.wait_ready());
+  run_client(bed, 0, [&](DirClient& dc) {
+    const net::Port port = bed.dir_port();
+    auto pin = [&](int server) {
+      dc.rpc().flush_port_cache(port);
+      dc.rpc().prefer_server(port, bed.dir_server(server).id());
+    };
+    pin(0);
+    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
+    ASSERT_TRUE(dcap.is_ok());
+    cap::Capability payload;
+    payload.object = 7;
+    ASSERT_TRUE(dc.append_row(*dcap, "warm", {payload}).is_ok());
+    bed.sim().sleep_for(sim::sec(1));  // every replica has applied it
+
+    // A table-block write on storage 2 now takes 25 x 48 ms = 1.2 s.
+    bed.vdisk(2).set_slow_factor(25);
+    ASSERT_TRUE(dc.append_row(*dcap, "x", {payload}).is_ok());
+    pin(2);
+    const sim::Time sent = bed.sim().now();
+    EXPECT_EQ(dc.lookup(*dcap, "x").code(), Errc::refused);
+    const sim::Duration waited = bed.sim().now() - sent;
+    EXPECT_EQ(dc.rpc().current_server(port), bed.dir_server(2).id());
+    EXPECT_GE(waited, dir::kReadBarrierTimeout) << waited << " us";
+    EXPECT_LT(waited, dir::kReadBarrierTimeout + sim::msec(50))
+        << waited << " us";
+    EXPECT_LT(waited, dir::kClientDeadline);
+
+    // Once its apply catches up, the replica serves the row.
+    bed.vdisk(2).set_slow_factor(1);
+    bed.sim().sleep_for(sim::sec(3));
+    pin(2);
+    auto got = dc.lookup(*dcap, "x");
+    EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(dc.rpc().current_server(port), bed.dir_server(2).id());
   });
 }
 

@@ -27,6 +27,7 @@
 #include "common/strings.h"
 #include "dir/client.h"
 #include "dir/nvram_log.h"
+#include "dir/serve.h"
 #include "harness/workload.h"
 
 namespace amoeba::harness {
@@ -200,12 +201,11 @@ TEST(LeaseCache, UpdateByAnotherClientInvalidatesTheLease) {
 }
 
 TEST(LeaseCache, ExpiryExactlyAtTheSimTimeBoundary) {
-  const sim::Duration kLease = sim::msec(500);
+  const sim::Duration kLease = dir::kLeaseDuration;
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
                .seed = 34,
-               .lease_caching = true,
-               .lease_duration = kLease});
+               .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
@@ -250,12 +250,11 @@ TEST(LeaseCache, PartitionBoundsStalenessToTheLeaseDuration) {
   // A partitioned holder can neither renew nor be invalidated; the lease
   // keeps serving (that is the point of leases — bounded staleness without
   // server round-trips) and dies by simulated time alone.
-  const sim::Duration kLease = sim::msec(500);
+  const sim::Duration kLease = dir::kLeaseDuration;
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
                .seed = 35,
-               .lease_caching = true,
-               .lease_duration = kLease});
+               .lease_caching = true});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
