@@ -151,6 +151,123 @@ std::string stall_report(Testbed& bed, sim::Time watch_start) {
 
 }  // namespace
 
+std::string verify_final_state(Testbed& bed, const cap::Capability& home,
+                               FuzzReport& report) {
+  sim::Simulator& sim = bed.sim();
+  const int nservers = bed.num_dir_servers();
+  const bool nfs = bed.options().flavor == Flavor::nfs;
+  // Harvest replica state. A fetch observes each replica at a slightly
+  // different instant, so background convergence (rpc peer sync, group
+  // recovery tails) gets a couple of settle-and-retry rounds before a
+  // disagreement counts.
+  std::vector<Buffer> snaps(static_cast<std::size_t>(nservers));
+  std::string verify_fail;
+  for (int round = 0; round < 3; ++round) {
+    std::fill(snaps.begin(), snaps.end(), Buffer{});
+    verify_fail.clear();
+    bool verify_done = false;
+    bed.client(0).spawn("fuzz-verify", [&] {
+      net::Machine& m = bed.client(0);
+      rpc::RpcClient rpc(m);
+      if (nfs) {
+        // Single server, no admin protocol: digest a final listing instead.
+        dir::DirClient dc(rpc, bed.dir_port());
+        bool listed = false;
+        for (int attempt = 0; attempt < 20; ++attempt) {
+          auto res = dc.list_dir(home);
+          if (res.is_ok()) {
+            Writer w;
+            for (const auto& row : res->rows) {
+              w.str(row.name);
+              w.u32(static_cast<std::uint32_t>(row.cols.size()));
+            }
+            snaps[0] = w.take();
+            listed = true;
+            break;
+          }
+          rpc.flush_port_cache(bed.dir_port());
+          m.sim().sleep_for(sim::msec(300));
+        }
+        // An empty final directory digests to an empty buffer, so success
+        // is its own flag.
+        if (!listed) verify_fail = "final list_dir never succeeded";
+      } else {
+        for (int i = 0; i < nservers; ++i) {
+          bool got = false;
+          for (int attempt = 0; attempt < 20 && !got; ++attempt) {
+            auto res = harness::fetch_snapshot(bed, rpc, i);
+            if (res.is_ok()) {
+              snaps[static_cast<std::size_t>(i)] = *res;
+              got = true;
+            } else {
+              m.sim().sleep_for(sim::msec(300));
+            }
+          }
+          if (!got) {
+            verify_fail =
+                numbered("could not fetch state of server ", i);
+          }
+        }
+      }
+      verify_done = true;
+    });
+    const sim::Time vdeadline = sim.now() + sim::sec(30);
+    while (!verify_done && sim.now() < vdeadline) sim.run_for(sim::msec(100));
+    if (!verify_done) {
+      verify_fail = "state verification timed out";
+      break;
+    }
+    if (!verify_fail.empty()) break;
+
+    report.replicas_agree = true;
+    if (!nfs) {
+      SemanticState first;
+      for (int i = 0; i < nservers; ++i) {
+        auto sem = SemanticState::from_snapshot(
+            snaps[static_cast<std::size_t>(i)], bed.dir_port());
+        if (!sem.is_ok()) {
+          verify_fail = sem.status().message();
+          break;
+        }
+        if (i == 0) {
+          first = *sem;
+        } else if (!(*sem == first)) {
+          report.replicas_agree = false;
+          // Say which objects disagree: invaluable when a fuzz run fails.
+          for (const auto& [objnum, o] : first.objs) {
+            auto it = sem->objs.find(objnum);
+            if (it == sem->objs.end()) {
+              LOG_WARN << "replica divergence: obj " << objnum
+                       << " exists only on server 0";
+            } else if (!(it->second == o)) {
+              LOG_WARN << "replica divergence: obj " << objnum
+                       << " server0{secret=" << o.secret << " seqno="
+                       << o.seqno << " rows=" << o.rows.size()
+                       << "} server" << i << "{secret=" << it->second.secret
+                       << " seqno=" << it->second.seqno << " rows="
+                       << it->second.rows.size() << "}";
+            }
+          }
+          for (const auto& [objnum, o] : sem->objs) {
+            if (!first.objs.contains(objnum)) {
+              LOG_WARN << "replica divergence: obj " << objnum
+                       << " exists only on server " << i;
+            }
+          }
+        }
+      }
+    }
+    if (!verify_fail.empty() || report.replicas_agree) break;
+    sim.run_for(sim::sec(2));  // not yet converged: settle and retry
+  }
+
+  report.state_digest = kFnvOffset;
+  for (const Buffer& s : snaps) {
+    report.state_digest = fnv1a(report.state_digest, s.data(), s.size());
+  }
+  return verify_fail;
+}
+
 FuzzReport run_one(const FuzzOptions& opts) {
   FuzzReport report;
 
@@ -323,115 +440,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
   }
   sim.run_for(sim::sec(2));
 
-  // Harvest replica state. A fetch observes each replica at a slightly
-  // different instant, so background convergence (rpc peer sync, group
-  // recovery tails) gets a couple of settle-and-retry rounds before a
-  // disagreement counts.
-  std::vector<Buffer> snaps(static_cast<std::size_t>(nservers));
-  std::string verify_fail;
-  for (int round = 0; round < 3; ++round) {
-    std::fill(snaps.begin(), snaps.end(), Buffer{});
-    verify_fail.clear();
-    bool verify_done = false;
-    bed.client(0).spawn("fuzz-verify", [&] {
-      net::Machine& m = bed.client(0);
-      rpc::RpcClient rpc(m);
-      if (opts.flavor == Flavor::nfs) {
-        // Single server, no admin protocol: digest a final listing instead.
-        dir::DirClient dc(rpc, bed.dir_port());
-        bool listed = false;
-        for (int attempt = 0; attempt < 20; ++attempt) {
-          auto res = dc.list_dir(home);
-          if (res.is_ok()) {
-            Writer w;
-            for (const auto& row : res->rows) {
-              w.str(row.name);
-              w.u32(static_cast<std::uint32_t>(row.cols.size()));
-            }
-            snaps[0] = w.take();
-            listed = true;
-            break;
-          }
-          rpc.flush_port_cache(bed.dir_port());
-          m.sim().sleep_for(sim::msec(300));
-        }
-        // An empty final directory digests to an empty buffer, so success
-        // is its own flag.
-        if (!listed) verify_fail = "final list_dir never succeeded";
-      } else {
-        for (int i = 0; i < nservers; ++i) {
-          bool got = false;
-          for (int attempt = 0; attempt < 20 && !got; ++attempt) {
-            auto res = harness::fetch_snapshot(bed, rpc, i);
-            if (res.is_ok()) {
-              snaps[static_cast<std::size_t>(i)] = *res;
-              got = true;
-            } else {
-              m.sim().sleep_for(sim::msec(300));
-            }
-          }
-          if (!got) {
-            verify_fail =
-                numbered("could not fetch state of server ", i);
-          }
-        }
-      }
-      verify_done = true;
-    });
-    const sim::Time vdeadline = sim.now() + sim::sec(30);
-    while (!verify_done && sim.now() < vdeadline) sim.run_for(sim::msec(100));
-    if (!verify_done) {
-      verify_fail = "state verification timed out";
-      break;
-    }
-    if (!verify_fail.empty()) break;
-
-    report.replicas_agree = true;
-    if (opts.flavor != Flavor::nfs) {
-      SemanticState first;
-      for (int i = 0; i < nservers; ++i) {
-        auto sem = SemanticState::from_snapshot(
-            snaps[static_cast<std::size_t>(i)], bed.dir_port());
-        if (!sem.is_ok()) {
-          verify_fail = sem.status().message();
-          break;
-        }
-        if (i == 0) {
-          first = *sem;
-        } else if (!(*sem == first)) {
-          report.replicas_agree = false;
-          // Say which objects disagree: invaluable when a fuzz run fails.
-          for (const auto& [objnum, o] : first.objs) {
-            auto it = sem->objs.find(objnum);
-            if (it == sem->objs.end()) {
-              LOG_WARN << "replica divergence: obj " << objnum
-                       << " exists only on server 0";
-            } else if (!(it->second == o)) {
-              LOG_WARN << "replica divergence: obj " << objnum
-                       << " server0{secret=" << o.secret << " seqno="
-                       << o.seqno << " rows=" << o.rows.size()
-                       << "} server" << i << "{secret=" << it->second.secret
-                       << " seqno=" << it->second.seqno << " rows="
-                       << it->second.rows.size() << "}";
-            }
-          }
-          for (const auto& [objnum, o] : sem->objs) {
-            if (!first.objs.contains(objnum)) {
-              LOG_WARN << "replica divergence: obj " << objnum
-                       << " exists only on server " << i;
-            }
-          }
-        }
-      }
-    }
-    if (!verify_fail.empty() || report.replicas_agree) break;
-    sim.run_for(sim::sec(2));  // not yet converged: settle and retry
-  }
-
-  report.state_digest = kFnvOffset;
-  for (const Buffer& s : snaps) {
-    report.state_digest = fnv1a(report.state_digest, s.data(), s.size());
-  }
+  const std::string verify_fail = verify_final_state(bed, home, report);
   report.wire_packets = bed.metrics().counter("net", "wire_packets");
   report.end_time = sim.now();
   report.events = history.size();

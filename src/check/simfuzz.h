@@ -154,6 +154,15 @@ struct FuzzReport {
 
 FuzzReport run_one(const FuzzOptions& opts);
 
+/// run_one's verify step, once the clients have stopped and the service has
+/// healed: harvest every replica's state (for NFS, a final listing of
+/// `home`) into report.state_digest and report.replicas_agree, settling
+/// and retrying while the replicas converge. Returns what failed, empty
+/// when nothing did.
+std::string verify_final_state(harness::Testbed& bed,
+                               const cap::Capability& home,
+                               FuzzReport& report);
+
 /// Greedily drop schedule steps while the run still fails; returns the
 /// minimal failing schedule (and never more than `max_runs` re-runs).
 std::vector<FaultStep> shrink(const FuzzOptions& failing,

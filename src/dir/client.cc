@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dir/serve.h"
 #include "net/cluster.h"
 
 namespace amoeba::dir {
@@ -56,7 +57,7 @@ bool service_failed(const Status& st) {
   }
 }
 
-Result<Buffer> DirClient::call(Buffer request) {
+Result<Buffer> DirClient::call(const Buffer& request) {
   // Each client-visible directory operation is one trace: the root "dir"
   // span covers the whole stub call, and everything below — wire packets,
   // server work, group protocol, disk/NVRAM — parents under it.
@@ -65,7 +66,23 @@ Result<Buffer> DirClient::call(Buffer request) {
   const auto op = peek_op(request);
   const obs::TraceContext root{tr.start_trace().trace, tr.new_span_id()};
   const sim::Time t0 = sim.now();
-  auto res = rpc_.trans(port_, std::move(request), opts_, root);
+  // A read has no side effect, so when a transaction fails (its server
+  // timed out, none was located, or every located one said NOTHERE) it is
+  // sent again, to the next cached server or a re-located one, in bounded
+  // attempts within the one deadline. An update is sent once: a second
+  // execution elsewhere would break at-most-once. A server's answer, even
+  // `refused` or `no_majority`, goes to the caller.
+  const sim::Time deadline = t0 + opts_.timeout;
+  const bool read = op.is_ok() && is_read_op(*op);
+  rpc::TransOptions attempt = opts_;
+  auto send = [&] {
+    const sim::Duration left = deadline - sim.now();
+    attempt.timeout = read ? std::min(left, kReadAttemptTimeout) : left;
+    attempt.cut_short = attempt.timeout < left;
+    return rpc_.trans(port_, request, attempt, root);
+  };
+  auto res = send();
+  while (read && !res.is_ok() && sim.now() < deadline) res = send();
   tr.complete(t0, sim.now() - t0, "dir",
               op.is_ok() ? op_name(*op) : "malformed", rpc_.machine().id().v,
               root.trace, root.trace, root.span, 0);
@@ -251,7 +268,7 @@ Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
   Buffer req = make_lookup_set(targets);
   if (leases_enabled()) append_lease_request(req, lease_port_);
   const sim::Time fill_invoke = rpc_.machine().sim().now();
-  auto res = call(std::move(req));
+  auto res = call(req);
   if (!res.is_ok()) return res.status();
   try {
     Reader r(*res);

@@ -106,7 +106,7 @@ class DirClient {
     std::map<std::string, std::vector<cap::Capability>> rows;
   };
 
-  Result<Buffer> call(Buffer request);
+  Result<Buffer> call(const Buffer& request);
   void on_inval(net::Packet pkt);
   /// Read-your-writes: forget the cached copy of a directory this client
   /// just (maybe) updated; called regardless of the update's outcome since

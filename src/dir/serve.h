@@ -36,10 +36,16 @@ inline constexpr net::Port kNfsFilePort{3001};
 
 /// A lease lapses this long after its grant. A read waits at most
 /// kReadBarrierTimeout for the updates its replica knows of to apply, then
-/// is refused: inside the client's deadline, so the client hears it.
+/// is refused: inside the client's deadline, so the client hears it. A
+/// client gives one replica kReadAttemptTimeout to answer a read, then
+/// tries another: two attempts and their locates fit in the deadline.
 inline constexpr sim::Duration kLeaseDuration = sim::msec(500);
 inline constexpr sim::Duration kReadBarrierTimeout = sim::sec(1);
+inline constexpr sim::Duration kReadAttemptTimeout = kReadBarrierTimeout / 2;
 static_assert(kReadBarrierTimeout < kClientDeadline);
+static_assert(kReadAttemptTimeout < kReadBarrierTimeout &&
+              2 * (kReadAttemptTimeout + rpc::kLocateTimeout) <=
+                  kClientDeadline);
 
 inline net::Port admin_port(std::uint64_t base, net::MachineId m) {
   return net::Port{base + m.v};

@@ -9,8 +9,9 @@
 //
 // Each machine therefore keeps an exponential-decay latency/error digest
 // per peer, fed from its own RPC observations (rpc::RpcClient::trans
-// reports every reply's attempt round-trip and every timeout). On a
-// fixed evaluation cadence the monitor scores each peer — the median of
+// reports every reply's attempt round-trip and every timeout of an
+// attempt the caller did not cut short). On a fixed evaluation cadence
+// the monitor scores each peer — the median of
 // its observers' decayed means — against the fleet baseline — the median
 // of the *other* peers in the same peer group — and raises
 // `suspect(peer, dimension)` when a peer is both a configurable ratio

@@ -191,7 +191,8 @@ Status RpcClient::locate(Port port, sim::Time deadline) {
   return Status::error(Errc::unreachable, "no server answered locate");
 }
 
-Result<Buffer> RpcClient::trans(Port port, Buffer request, TransOptions opts,
+Result<Buffer> RpcClient::trans(Port port, const Buffer& request,
+                                TransOptions opts,
                                 obs::TraceContext ctx) {
   sim::Simulator& sim = machine_.sim();
   const sim::Time deadline = sim.now() + opts.timeout;
@@ -267,11 +268,14 @@ Result<Buffer> RpcClient::trans(Port port, Buffer request, TransOptions opts,
         ++mx_timeouts_;
         // First failure symptom a client can observe: counts as fault
         // detection on the availability timeline, and as an error
-        // observation in this server's health digest.
+        // observation in this server's health digest unless the caller
+        // cut the attempt short (TransOptions::cut_short).
         machine().timeline().signal(obs::Signal::rpc_timeout,
                                     machine().sim().now());
-        machine().health().observe(machine_.id().v, server.v, 0,
-                                   /*ok=*/false, sim.now());
+        if (!opts.cut_short) {
+          machine().health().observe(machine_.id().v, server.v, 0,
+                                     /*ok=*/false, sim.now());
+        }
         return Status::error(Errc::timeout, "rpc timeout");
       }
       try {
@@ -285,11 +289,8 @@ Result<Buffer> RpcClient::trans(Port port, Buffer request, TransOptions opts,
         if (rxid != xid) continue;  // stale reply from an older transaction
         if (type == MsgType::nothere) {
           // Safe to fail over: the request was never queued server-side.
-          // A refusal is still health evidence -- a server whose threads
-          // are all busy is degraded even though it answers promptly, so
-          // feed it to the error digest before moving on.
-          machine().health().observe(machine_.id().v, server.v, 0,
-                                     /*ok=*/false, sim.now());
+          // Not health evidence: busy threads show load, and the load of
+          // reads failing over from a slow replica lands on healthy ones.
           drop_server(port, server);
           ++mx_failovers_;
           if (++failovers > opts.max_failovers) {

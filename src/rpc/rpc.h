@@ -106,6 +106,10 @@ struct TransOptions {
   sim::Duration timeout = kTransTimeout;          // overall deadline
   sim::Duration locate_timeout = kLocateTimeout;  // wait for first HEREIS
   int max_failovers = 8;  // NOTHERE-triggered server switches per call
+  /// The caller cut this attempt short of its own deadline and retries
+  /// elsewhere on a timeout. Such a timeout is not reported to peer
+  /// health: the attempt measured neither a latency nor a failure.
+  bool cut_short = false;
 };
 
 class RpcClient {
@@ -114,11 +118,13 @@ class RpcClient {
 
   /// Perform a remote operation against whichever server serves `port`.
   /// Error codes: unreachable (no server located), timeout (server located
-  /// but no reply), refused (all located servers said NOTHERE repeatedly).
+  /// but no reply; it is dropped from the port cache), refused (all located
+  /// servers said NOTHERE repeatedly).
   /// `ctx`, when active, is the causal parent: trans() records an
   /// "rpc.trans" span under it and the 3 Amoeba packets (request, reply,
   /// piggybacked ack) appear as network spans in the tree.
-  Result<Buffer> trans(Port port, Buffer request, TransOptions opts = {},
+  Result<Buffer> trans(Port port, const Buffer& request,
+                       TransOptions opts = {},
                        obs::TraceContext ctx = {});
 
   /// Forget everything learned about `port` (tests / failover experiments).

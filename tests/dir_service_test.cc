@@ -286,35 +286,49 @@ TEST(GroupDirService, ReadYourWritesAcrossServers) {
   });
 }
 
+/// Flush the client's port cache and make directory server `server` its
+/// first choice.
+void pin(Testbed& bed, DirClient& dc, int server) {
+  dc.rpc().flush_port_cache(bed.dir_port());
+  dc.rpc().prefer_server(bed.dir_port(), bed.dir_server(server).id());
+}
+
+/// Commit row "x" of a new directory through server 0 while server 2's
+/// storage is slowed, so that applying it there takes longer than
+/// kReadBarrierTimeout, then pin the client at server 2.
+void lag_server_2(Testbed& bed, DirClient& dc, cap::Capability* dir) {
+  pin(bed, dc, 0);
+  auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
+  ASSERT_TRUE(dcap.is_ok());
+  *dir = *dcap;
+  cap::Capability payload;
+  payload.object = 7;
+  ASSERT_TRUE(dc.append_row(*dir, "warm", {payload}).is_ok());
+  bed.sim().sleep_for(sim::sec(1));  // every replica has applied it
+
+  // A table-block write on storage 2 now takes 25 x 48 ms = 1.2 s.
+  bed.vdisk(2).set_slow_factor(25);
+  ASSERT_TRUE(dc.append_row(*dir, "x", {payload}).is_ok());
+  pin(bed, dc, 2);
+}
+
 TEST(GroupDirService, ALaggingReplicaRefusesAReadAfterTheReadBarrier) {
   // A replica that has buffered an update but not yet applied it holds a
-  // read for at most kReadBarrierTimeout, then refuses it. Slow server 2's
-  // storage so that applying one update there takes longer than that, and
-  // read through server 2 right after an update committed through server 0.
-  // The refusal must reach the client inside its deadline.
+  // read for at most kReadBarrierTimeout, then refuses it. A transaction
+  // given the whole client deadline hears that refusal.
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 41});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
+    cap::Capability dir;
+    lag_server_2(bed, dc, &dir);
+    if (::testing::Test::HasFatalFailure()) return;
     const net::Port port = bed.dir_port();
-    auto pin = [&](int server) {
-      dc.rpc().flush_port_cache(port);
-      dc.rpc().prefer_server(port, bed.dir_server(server).id());
-    };
-    pin(0);
-    auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
-    ASSERT_TRUE(dcap.is_ok());
-    cap::Capability payload;
-    payload.object = 7;
-    ASSERT_TRUE(dc.append_row(*dcap, "warm", {payload}).is_ok());
-    bed.sim().sleep_for(sim::sec(1));  // every replica has applied it
-
-    // A table-block write on storage 2 now takes 25 x 48 ms = 1.2 s.
-    bed.vdisk(2).set_slow_factor(25);
-    ASSERT_TRUE(dc.append_row(*dcap, "x", {payload}).is_ok());
-    pin(2);
     const sim::Time sent = bed.sim().now();
-    EXPECT_EQ(dc.lookup(*dcap, "x").code(), Errc::refused);
+    auto res = dc.rpc().trans(port, dir::make_lookup_set({{dir, "x"}}),
+                              {.timeout = dir::kClientDeadline});
     const sim::Duration waited = bed.sim().now() - sent;
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    EXPECT_EQ(dir::reply_status(*res).code(), Errc::refused);
     EXPECT_EQ(dc.rpc().current_server(port), bed.dir_server(2).id());
     EXPECT_GE(waited, dir::kReadBarrierTimeout) << waited << " us";
     EXPECT_LT(waited, dir::kReadBarrierTimeout + sim::msec(50))
@@ -324,10 +338,83 @@ TEST(GroupDirService, ALaggingReplicaRefusesAReadAfterTheReadBarrier) {
     // Once its apply catches up, the replica serves the row.
     bed.vdisk(2).set_slow_factor(1);
     bed.sim().sleep_for(sim::sec(3));
-    pin(2);
-    auto got = dc.lookup(*dcap, "x");
+    pin(bed, dc, 2);
+    auto got = dc.lookup(dir, "x");
     EXPECT_TRUE(got.is_ok()) << got.status().to_string();
     EXPECT_EQ(dc.rpc().current_server(port), bed.dir_server(2).id());
+  });
+}
+
+TEST(GroupDirService, ALookupAtALaggingReplicaIsServedByACurrentOne) {
+  // DirClient gives the lagging replica one kReadAttemptTimeout, shorter
+  // than its read barrier, then reads from the next server it knows of.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 41});
+  ASSERT_TRUE(bed.wait_ready());
+  run_client(bed, 0, [&](DirClient& dc) {
+    cap::Capability dir;
+    lag_server_2(bed, dc, &dir);
+    if (::testing::Test::HasFatalFailure()) return;
+    // The client knows every replica and prefers server 2.
+    dc.rpc().prefer_server(bed.dir_port(), bed.dir_server(0).id());
+    dc.rpc().prefer_server(bed.dir_port(), bed.dir_server(1).id());
+    const sim::Time sent = bed.sim().now();
+    auto got = dc.lookup(dir, "x");
+    const sim::Duration waited = bed.sim().now() - sent;
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got->object, 7u);
+    EXPECT_NE(dc.rpc().current_server(bed.dir_port()),
+              bed.dir_server(2).id());
+    EXPECT_GE(waited, dir::kReadAttemptTimeout) << waited << " us";
+    EXPECT_LT(waited, dir::kReadAttemptTimeout + rpc::kLocateTimeout)
+        << waited << " us";
+  });
+}
+
+TEST(GroupDirService, AReadFailsOverFromACrashedReplicaAndAnUpdateDoesNot) {
+  // A lookup whose pinned replica crashed times out once, after
+  // kReadAttemptTimeout, and is served by another replica. An update keeps
+  // at-most-once: one attempt that times out at the client deadline and is
+  // not re-issued elsewhere.
+  Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 43});
+  ASSERT_TRUE(bed.wait_ready());
+  run_client(bed, 0, [&](DirClient& dc) {
+    pin(bed, dc, 0);
+    auto dir = harness::create_dir_retry(dc, bed.sim(), {"owner"});
+    ASSERT_TRUE(dir.is_ok());
+    cap::Capability payload;
+    payload.object = 9;
+    ASSERT_TRUE(dc.append_row(*dir, "k", {payload}).is_ok());
+    bed.sim().sleep_for(sim::sec(1));  // every replica has applied it
+    const std::uint64_t& timeouts = bed.metrics().counter("rpc", "timeouts");
+    const net::MachineId victim = bed.dir_server(1).id();
+
+    pin(bed, dc, 1);
+    bed.cluster().crash(victim);
+    std::uint64_t before = timeouts;
+    sim::Time sent = bed.sim().now();
+    auto got = dc.lookup(*dir, "k");
+    sim::Duration waited = bed.sim().now() - sent;
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got->object, 9u);
+    EXPECT_GE(waited, dir::kReadAttemptTimeout) << waited << " us";
+    EXPECT_LT(waited,
+              dir::kReadAttemptTimeout + rpc::kLocateTimeout + sim::msec(50))
+        << waited << " us";
+    EXPECT_EQ(timeouts, before + 1);
+
+    // Bring the replica back, then crash it again under an update.
+    bed.cluster().restart(victim);
+    while (!bed.group_ready()) bed.sim().sleep_for(sim::msec(100));
+    pin(bed, dc, 1);
+    bed.cluster().crash(victim);
+    before = timeouts;
+    sent = bed.sim().now();
+    EXPECT_EQ(dc.append_row(*dir, "once", {payload}).code(), Errc::timeout);
+    waited = bed.sim().now() - sent;
+    EXPECT_EQ(waited, dir::kClientDeadline) << waited << " us";
+    EXPECT_EQ(timeouts, before + 1);
+    // It reached no live replica, so it never executed.
+    EXPECT_EQ(dc.lookup(*dir, "once").code(), Errc::not_found);
   });
 }
 

@@ -317,5 +317,33 @@ TEST(HealthEndToEnd, SameSeedRunsSerializeByteIdenticalJson) {
   EXPECT_EQ(a, b);
 }
 
+TEST(HealthEndToEnd, ASlowDiskGetsNoHealthyServerSuspected) {
+  // simreport --slo seed 1's slow_disk case: storage 1's disk runs 8x
+  // slower under the group flavor, with vantage probers. Reads that the
+  // lagging replica holds past a client's attempt timeout fail over to the
+  // other replicas; neither the cut-short attempts nor the load they move
+  // may get a healthy server suspected.
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::group, .clients = 3, .seed = 1});
+  ASSERT_TRUE(bed.wait_ready());
+  const check::FaultStep slow{.kind = check::FaultStep::Kind::slow_disk,
+                              .victim = 1,
+                              .factor = 8.0,
+                              .fault = sim::msec(2500)};
+  ASSERT_TRUE(harness::run_observed_fault(
+      bed,
+      [](dir::DirClient& dc, const cap::Capability& home,
+         const std::string& key, std::uint64_t pick) {
+        if (pick < 40) return dc.append_row(home, key, {home});
+        if (pick < 80) return dc.lookup(home, key).status();
+        return dc.delete_row(home, key);
+      },
+      /*probers=*/true, [&] { check::run_step(bed, slow); }, sim::sec(4)));
+  const obs::HealthMonitor& hm = bed.cluster().health();
+  EXPECT_GT(hm.suspects_of("storage", 1), 0u);
+  EXPECT_EQ(hm.suspects_of("server", 0), 0u);
+  EXPECT_EQ(hm.suspects_of("server", 2), 0u);
+}
+
 }  // namespace
 }  // namespace amoeba

@@ -13,6 +13,9 @@
 
 #include "check/simfuzz.h"
 #include "common/hash.h"
+#include "common/strings.h"
+#include "dir/client.h"
+#include "harness/workload.h"
 
 namespace amoeba::check {
 namespace {
@@ -412,15 +415,34 @@ TEST(SimFuzz, TinyHistoryLimitStillConverges) {
 }
 
 TEST(SimFuzz, EmptyFinalNfsDirectoryVerifies) {
-  // `simfuzz --flavor nfs --seed 155 --faults legacy` ends with every row
-  // of the home directory deleted. The final listing then digests to an
-  // empty buffer, which the verify step used to read as "final list_dir
-  // never succeeded".
-  FuzzOptions opts;
-  opts.flavor = harness::Flavor::nfs;
-  opts.seed = 155;
-  opts.legacy_faults = true;
-  FuzzReport r = run_one(opts);
+  // An NFS run whose home directory ends with every row deleted: the final
+  // listing then digests to an empty buffer, which the verify step used to
+  // read as "final list_dir never succeeded". Build that end state: append
+  // rows, delete each one, then verify.
+  harness::Testbed bed(
+      {.flavor = harness::Flavor::nfs, .clients = 1, .seed = 155});
+  ASSERT_TRUE(bed.wait_ready());
+  cap::Capability home;
+  bool emptied = false;
+  bed.client(0).spawn("empty-home", [&] {
+    rpc::RpcClient rpc(bed.client(0));
+    dir::DirClient dc(rpc, bed.dir_port());
+    auto res = harness::create_dir_retry(dc, bed.sim(), {"c"});
+    if (!res.is_ok()) return;
+    home = *res;
+    for (int i = 0; i < 4; ++i) {
+      if (!dc.append_row(home, numbered("k", i), {home}).is_ok()) return;
+    }
+    for (int i = 0; i < 4; ++i) {
+      if (!dc.delete_row(home, numbered("k", i)).is_ok()) return;
+    }
+    emptied = true;
+  });
+  bed.sim().run_for(sim::sec(10));
+  ASSERT_TRUE(emptied);
+  FuzzReport r;
+  r.failure = verify_final_state(bed, home, r);
+  r.ok = r.failure.empty();
   EXPECT_EQ(r.state_digest, kFnvOffset) << "final directory not empty";
   EXPECT_TRUE(r.ok) << r.failure;
 }
