@@ -1,4 +1,4 @@
-// Engine microbenchmark: raw event-loop throughput of the calendar-queue
+// Engine microbenchmark: raw event-loop throughput of the radix-heap
 // scheduler plus whole-stack mixed-flavor runs with tracing detached.
 //
 // Reports, per section:
@@ -17,7 +17,11 @@
 // `--baseline <file>` compares min events/sec across sections against the
 // committed bench/engine_baseline.json and exits nonzero on a >20%
 // regression. Baseline values are deliberately conservative (about a third
-// of a dev-box measurement) so CI-machine variance does not trip it.
+// of a dev-box measurement) so CI-machine variance does not trip it. With
+// --quick it also compares the combined digest with the committed
+// "quick_digest" and exits nonzero when they differ: a change that reorders
+// event dispatch fails on its own commit. A change that means to alter the
+// simulated behavior commits the new digest with it.
 #include <chrono>
 #include <cstdlib>
 #include <new>
@@ -134,8 +138,9 @@ void measure(Section& out, sim::Simulator& s, F&& body) {
 
 // ------------------------------------------------------------- sections
 
-/// Pure timer churn: processes sleeping across the wheel window and the
-/// overflow heap. After warmup the hot loop is pop -> context switch ->
+/// Pure timer churn: processes sleeping both near (microseconds) and far
+/// (tens of milliseconds) ahead, so the event queue holds low and high
+/// buckets at once. After warmup the hot loop is pop -> context switch ->
 /// re-arm, the engine's tightest cycle; it must not allocate at all.
 Section timer_churn(std::uint64_t seed, bool quick) {
   Section out;
@@ -148,7 +153,7 @@ Section timer_churn(std::uint64_t seed, bool quick) {
     s.spawn(numbered("t", i), [&s, horizon] {
       while (s.now() < horizon) {
         const std::uint64_t roll = s.rng().below(10);
-        // 90% in-wheel (< 4096 us), 10% overflow-heap (up to 80 ms).
+        // 90% near (1-3500 us), 10% far (1-80 ms).
         const sim::Duration d =
             roll < 9 ? static_cast<sim::Duration>(1 + s.rng().below(3500))
                      : static_cast<sim::Duration>(
@@ -157,7 +162,7 @@ Section timer_churn(std::uint64_t seed, bool quick) {
       }
     });
   }
-  s.run_until(sim::msec(500));  // warmup: pools and wheel reach plateau
+  s.run_until(sim::msec(500));  // warmup: pools and slabs reach plateau
   measure(out, s, [&] { s.run_until(horizon); });
   out.digest = fnv1a_u64(fnv1a_u64(kFnvOffset, out.events),
                          static_cast<std::uint64_t>(s.now()));
@@ -245,20 +250,36 @@ Section mixed_flavor(harness::Flavor f, std::uint64_t seed, bool quick) {
 
 // ------------------------------------------------------------- baseline
 
-/// Extract `"events_per_sec_min": <num>` from a baseline JSON with a
-/// deliberately crude scanner — the file is ours, one known key.
-double baseline_events_per_sec(const std::string& path) {
+struct Baseline {
+  double events_per_sec_min = -1;
+  std::string quick_digest;  // combined digest of a --quick run
+};
+
+/// Read `"events_per_sec_min": <num>` and `"quick_digest": "<hex>"` from a
+/// baseline JSON with a deliberately crude scanner — the file is ours, two
+/// known keys. A missing key leaves its field at the default.
+Baseline read_baseline(const std::string& path) {
+  Baseline b;
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
+  if (f == nullptr) return b;
   std::string text;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
-  const char* key = "\"events_per_sec_min\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1;
-  return std::strtod(text.c_str() + at + std::strlen(key), nullptr);
+  const auto value_at = [&text](const char* key) {
+    const std::size_t at = text.find(key);
+    return at == std::string::npos ? std::string::npos : at + std::strlen(key);
+  };
+  if (const std::size_t v = value_at("\"events_per_sec_min\":");
+      v != std::string::npos) {
+    b.events_per_sec_min = std::strtod(text.c_str() + v, nullptr);
+  }
+  if (const std::size_t v = value_at("\"quick_digest\": \"");
+      v != std::string::npos) {
+    b.quick_digest = text.substr(v, text.find('"', v) - v);
+  }
+  return b;
 }
 
 int run(const EngineArgs& args) {
@@ -329,20 +350,32 @@ int run(const EngineArgs& args) {
   }
 
   if (!args.baseline_path.empty()) {
-    const double base = baseline_events_per_sec(args.baseline_path);
-    if (base <= 0) {
+    const Baseline base = read_baseline(args.baseline_path);
+    if (base.events_per_sec_min <= 0 || base.quick_digest.empty()) {
       std::fprintf(stderr, "engine: cannot read baseline %s\n",
                    args.baseline_path.c_str());
       return 2;
     }
-    if (min_eps < 0.8 * base) {
+    if (min_eps < 0.8 * base.events_per_sec_min) {
       std::fprintf(stderr,
                    "engine: REGRESSION — events_per_sec_min %.0f is more "
                    "than 20%% below baseline %.0f\n",
-                   min_eps, base);
+                   min_eps, base.events_per_sec_min);
       return 1;
     }
-    std::printf("baseline check: %.0f >= 0.8 * %.0f  OK\n", min_eps, base);
+    std::printf("baseline check: %.0f >= 0.8 * %.0f  OK\n", min_eps,
+                base.events_per_sec_min);
+    // Only the --quick digest is committed; a full run has no reference.
+    if (args.quick) {
+      if (hex64(combined) != base.quick_digest) {
+        std::fprintf(stderr,
+                     "engine: DIGEST MISMATCH — combined digest %s, baseline "
+                     "%s: the simulation dispatched events differently\n",
+                     hex64(combined).c_str(), base.quick_digest.c_str());
+        return 1;
+      }
+      std::printf("digest check: %s  OK\n", hex64(combined).c_str());
+    }
   }
   return 0;
 }

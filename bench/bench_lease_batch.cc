@@ -2,11 +2,11 @@
 //
 // Part A — leases on the read path: the paper's workload is lookup-dominant
 // (Table 4: lookups outnumber updates roughly 15:1), yet every lookup costs
-// a 3-packet RPC. With ServerOptions::lease_caching the servers grant
-// per-directory read leases and a lease-holding client answers repeats from
-// its cache in zero packets and zero simulated time, so on the 15:1 mix the
-// mean lookup latency must collapse (acceptance: >= 5x below the 3-packet
-// baseline). Updates to a leased directory invalidate through the ordered
+// a 3-packet RPC. A client that calls DirClient::enable_leases() asks for
+// per-directory read leases on its lookups, the group servers grant them,
+// and the client answers repeats from its cache in zero packets and zero
+// simulated time, so on the 15:1 mix the mean lookup latency must collapse
+// (acceptance: >= 5x below the 3-packet baseline). Updates to a leased directory invalidate through the ordered
 // update stream, so the mix keeps the cache honest.
 //
 // Part B — batching on the write path: with ServerOptions::batching the
@@ -43,7 +43,6 @@ MixResult run_table4_mix(bool leases, std::uint64_t seed,
   harness::Testbed bed({.flavor = harness::Flavor::group,
                         .clients = 1,
                         .seed = seed,
-                        .lease_caching = leases,
                         .tracing = false});
   if (!bed.wait_ready()) return out;
   sim::Simulator& sim = bed.sim();

@@ -10,55 +10,15 @@
 #include "bench_common.h"
 #include "common/strings.h"
 #include "dir/client.h"
-#include "group/group.h"
 
 namespace amoeba::bench {
 namespace {
 
-/// Measure wire packets for one committed SendToGroup in a 3-member group
-/// with resilience r, from a sequencer / non-sequencer member. The counter
-/// snapshot is taken after group formation, so join/heartbeat warmup
-/// traffic is excluded from the per-send count.
+/// Wire packets of one committed SendToGroup in a 3-member group with
+/// resilience r, from a sequencer / non-sequencer member.
 std::uint64_t group_send_packets(int r, bool from_sequencer) {
-  sim::Simulator sim(7);
-  net::Cluster cluster(sim);
-  std::vector<std::unique_ptr<group::GroupMember>> members(3);
-  group::GroupConfig cfg;
-  cfg.port = net::Port{900};
-  cfg.resilience = r;
-  for (int i = 0; i < 3; ++i) {
-    cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
-  }
-  for (int i = 0; i < 3; ++i) {
-    net::Machine& m = cluster.add_machine(numbered("g", i));
-    m.spawn("member", [&, cfg, i] {
-      if (i == 0) {
-        members[0] = group::GroupMember::create(m, cfg);
-      } else {
-        sim.sleep_for(sim::msec(5 * i));
-        while (!members[static_cast<std::size_t>(i)]) {
-          auto res = group::GroupMember::join(m, cfg);
-          if (res.is_ok()) {
-            members[static_cast<std::size_t>(i)] = std::move(*res);
-          } else {
-            sim.sleep_for(sim::msec(10));
-          }
-        }
-      }
-      while (true) (void)members[static_cast<std::size_t>(i)]->receive();
-    });
-  }
-  sim.run_for(sim::msec(200));
-  const obs::Metrics::Snapshot before = cluster.metrics().snapshot();
-  const int sender = from_sequencer ? 0 : 1;
-  cluster.machine(net::MachineId{static_cast<std::uint16_t>(sender)})
-      .spawn("send", [&, sender] {
-        (void)members[static_cast<std::size_t>(sender)]->send_to_group(
-            to_buffer("x"));
-      });
-  sim.run_for(sim::msec(300));
   const obs::Metrics::Snapshot delta =
-      obs::Metrics::delta(cluster.metrics().snapshot(), before);
+      harness::one_group_send_delta(r, from_sequencer);
   const auto it = delta.find("group.data_packets");
   return it == delta.end() ? 0 : it->second;
 }

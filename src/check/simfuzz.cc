@@ -290,9 +290,10 @@ FuzzReport run_one(const FuzzOptions& opts) {
     to.debug_stale_reads_server = static_cast<int>(opts.seed % 3);
   }
   to.group_history_limit = opts.group_history_limit;
-  to.lease_caching = opts.lease_caching && harness::is_group(opts.flavor);
   to.batching = opts.batching && harness::is_group(opts.flavor);
   to.nvram_bytes = opts.nvram_bytes;
+  // Only group servers grant leases, to any lookup that asks for one.
+  const bool leases = opts.lease_caching && harness::is_group(opts.flavor);
   Testbed bed(to);
   sim::Simulator& sim = bed.sim();
   const int nservers = bed.num_dir_servers();
@@ -314,7 +315,7 @@ FuzzReport run_one(const FuzzOptions& opts) {
       net::Machine& m = bed.client(c);
       rpc::RpcClient rpc(m);
       dir::DirClient dc(rpc, bed.dir_port());
-      if (to.lease_caching) dc.enable_leases();
+      if (leases) dc.enable_leases();
       RecordingDirClient rec(dc, history, c);
       auto& rng = m.sim().rng();
       const harness::ZipfPicker zipf(std::max(1, opts.keys), opts.zipf);

@@ -450,14 +450,21 @@ void update_config_from_group(ServerCtx& ctx, Io& st) {
 
 // --------------------------------------------------------- leases
 
-/// Grant a lease per distinct directory a successful lookup touched,
-/// versioned by the directory's current seqno, and remember the holder.
-/// Runs atomically with execute_read (nothing yields in between), so the
-/// grant describes exactly the version the reply carries.
+/// Lease caching (Gray & Cheriton): when a successful lookup asks for a
+/// lease, grant one per distinct directory it touched, versioned by the
+/// directory's current seqno, and remember the holder. Runs atomically
+/// with execute_read (nothing yields in between), so the grant describes
+/// exactly the version the reply carries. The granting replica
+/// invalidates holders from its ordered apply path; a partitioned
+/// client's lease simply lapses after kLeaseDuration of simulated time.
 void grant_leases(ServerCtx& ctx, const rpc::IncomingRequest& req,
                   Buffer& reply) {
   if (reply.empty() || static_cast<Errc>(reply[0]) != Errc::ok) return;
-  auto parsed = parse_lookup_set(req.data);
+  // A lease request is a 9-byte trailer (tag, port). Most lookups carry
+  // none; look for its tag before decoding the whole request again.
+  const Buffer& q = req.data;
+  if (q.size() < 9 || q[q.size() - 9] != kLeaseRequestTag) return;
+  auto parsed = parse_lookup_set(q);
   if (!parsed.is_ok() || !parsed->lease_port.has_value()) return;
   const sim::Time expiry = ctx.now() + kLeaseDuration;
   std::vector<LeaseGrant> grants;
@@ -616,10 +623,8 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
       ctx.my_seqno = std::max(ctx.my_seqno, msg.seqno);
       // Invalidate before persistence (which yields): holders should learn
       // of the change as soon as the ordered stream delivers it here.
-      if (ctx.opts.lease_caching && effect.any_change) {
-        invalidate_leases(ctx, effect, msg.seqno, actx);
-      }
       if (effect.any_change) {
+        invalidate_leases(ctx, effect, msg.seqno, actx);
         changed.push_back({sub.request, sub.secret, std::move(effect)});
       }
     }
@@ -681,9 +686,7 @@ OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
     }
   }
   Buffer reply = ctx.state.execute_read(req.data);
-  if (ctx.opts.lease_caching && op == DirOp::lookup_set) {
-    grant_leases(ctx, req, reply);
-  }
+  if (op == DirOp::lookup_set) grant_leases(ctx, req, reply);
   note_served(ctx, octx);
   return {std::move(reply), "read", true};
 }

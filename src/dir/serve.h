@@ -66,12 +66,6 @@ struct ServerOptions {
   // Group flavors only.
   int resilience;          // r of SendToGroup
   bool improved_recovery;  // Sec. 3.2's relaxed 2-server rule
-  /// Lease caching (Gray & Cheriton): grant time-bounded read leases on
-  /// lookup replies so lease-aware clients serve repeats locally. The
-  /// granting replica invalidates holders from its ordered apply path; a
-  /// partitioned client's lease simply lapses after kLeaseDuration of
-  /// simulated time, bounding staleness without any revocation round-trip.
-  bool lease_caching;
   /// Sequencer update batching (group layer) + NVRAM group commit: updates
   /// coalesced into one ordered ACCEPT are applied as one delivery and
   /// logged as ONE NVRAM append, so the per-update log-write cost is

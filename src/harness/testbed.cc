@@ -103,7 +103,6 @@ Testbed::Testbed(TestbedOptions opts)
       .nvram_bytes = opts.nvram_bytes,
       .resilience = opts.resilience,
       .improved_recovery = opts.improved_recovery,
-      .lease_caching = opts.lease_caching,
       .batching = opts.batching,
       .history_limit = opts.group_history_limit,
       .stale_read_server = opts.debug_stale_reads_server,

@@ -55,7 +55,6 @@ struct TestbedOptions {
   int network_segments = 1;  // >1: redundant Ethernets (paper Sec. 2)
   int debug_stale_reads_server = -1;  // ServerOptions::stale_read_server
   std::size_t group_history_limit = 0;  // ServerOptions::history_limit
-  bool lease_caching = false;
   bool batching = false;
   /// Record a per-event trace ring (Cluster::set_tracing). Defaults on so
   /// existing tests/tools see identical traces; throughput benchmarks turn

@@ -8,6 +8,7 @@
 #include "common/log.h"
 #include "common/strings.h"
 #include "dir/client.h"
+#include "group/group.h"
 
 namespace amoeba::harness {
 
@@ -310,6 +311,48 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
   load->stop = true;
   sim.run_for(sim::msec(200));
   return true;
+}
+
+obs::Metrics::Snapshot one_group_send_delta(int r, bool from_sequencer) {
+  sim::Simulator sim(7);
+  net::Cluster cluster(sim);
+  std::vector<std::unique_ptr<group::GroupMember>> members(3);
+  group::GroupConfig cfg;
+  cfg.port = net::Port{900};
+  cfg.resilience = r;
+  for (int i = 0; i < 3; ++i) {
+    cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
+  }
+  for (int i = 0; i < 3; ++i) {
+    net::Machine* m = &cluster.add_machine(numbered("g", i));
+    m->spawn("member", [&, m, cfg, i] {
+      auto& me = members[static_cast<std::size_t>(i)];
+      if (i == 0) {
+        me = group::GroupMember::create(*m, cfg);
+      } else {
+        sim.sleep_for(sim::msec(5 * i));
+        while (!me) {
+          auto res = group::GroupMember::join(*m, cfg);
+          if (res.is_ok()) {
+            me = std::move(*res);
+          } else {
+            sim.sleep_for(sim::msec(10));
+          }
+        }
+      }
+      while (true) (void)me->receive();
+    });
+  }
+  sim.run_for(sim::msec(200));  // formation + joins = warmup, excluded
+  const obs::Metrics::Snapshot before = cluster.metrics().snapshot();
+  const int sender = from_sequencer ? 0 : 1;
+  cluster.machine(net::MachineId{static_cast<std::uint16_t>(sender)})
+      .spawn("send", [&, sender] {
+        (void)members[static_cast<std::size_t>(sender)]->send_to_group(
+            to_buffer("x"));
+      });
+  sim.run_for(sim::msec(300));
+  return obs::Metrics::delta(cluster.metrics().snapshot(), before);
 }
 
 }  // namespace amoeba::harness

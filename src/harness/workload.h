@@ -154,6 +154,13 @@ bool run_observed_fault(Testbed& bed, const ObserverOp& op, bool probers,
                         const std::function<void()>& fault,
                         sim::Duration tail);
 
+/// Sec. 3.1's packet count for one SendToGroup: a 3-member group on port
+/// 900 (seed 7; member i joins 5*i ms after the start) forms for 200 ms,
+/// then member 0 (`from_sequencer`) or member 1 sends "x" with resilience
+/// `r`, and the run goes on for 300 ms. Returns the counter delta of those
+/// 300 ms, so formation traffic is excluded.
+obs::Metrics::Snapshot one_group_send_delta(int r, bool from_sequencer);
+
 /// Summary statistics over a sample vector — an alias for the shared
 /// obs::HistSummary, so the harness, the bench binaries and the timeline
 /// layer all agree on one implementation of mean/stddev/percentile math.

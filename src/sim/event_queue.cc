@@ -9,14 +9,13 @@ static_assert(sizeof(Event) >= sizeof(void*), "freelist reuses event slots");
 
 EventQueue::~EventQueue() {
   // Destroy any events still queued (undrained run, shutdown mid-flight).
-  for (Slot& s : slots_) {
-    for (Event* e = s.head; e != nullptr;) {
+  for (Bucket& b : buckets_) {
+    for (Event* e = b.head; e != nullptr;) {
       Event* n = e->next;
       e->~Event();
       e = n;
     }
   }
-  for (Event* e : overflow_) e->~Event();
   // Freelist nodes hold already-destroyed events; arena_ frees the slabs.
 }
 
@@ -47,100 +46,59 @@ void EventQueue::release(Event* e) {
   free_ = n;
 }
 
-void EventQueue::mark_slot(std::size_t idx) {
-  occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  summary_ |= std::uint64_t{1} << (idx >> 6);
-}
-
-void EventQueue::clear_slot_mark(std::size_t idx) {
-  const std::size_t w = idx >> 6;
-  occupied_[w] &= ~(std::uint64_t{1} << (idx & 63));
-  if (occupied_[w] == 0) summary_ &= ~(std::uint64_t{1} << w);
-}
-
-std::size_t EventQueue::find_next_slot(std::size_t idx) const {
-  std::size_t w = idx >> 6;
-  const std::uint64_t first = occupied_[w] & (~std::uint64_t{0} << (idx & 63));
-  if (first != 0) {
-    return (w << 6) + static_cast<std::size_t>(std::countr_zero(first));
-  }
-  if (w + 1 >= occupied_.size()) return kWheelSlots;
-  const std::uint64_t rest = summary_ & (~std::uint64_t{0} << (w + 1));
-  if (rest == 0) return kWheelSlots;
-  w = static_cast<std::size_t>(std::countr_zero(rest));
-  return (w << 6) +
-         static_cast<std::size_t>(std::countr_zero(occupied_[w]));
-}
-
-void EventQueue::wheel_insert(Event* e) {
-  const auto idx =
-      static_cast<std::size_t>(static_cast<std::uint64_t>(e->time) & kMask);
-  Slot& s = slots_[idx];
+void EventQueue::append(Event* e) {
+  const auto diff = static_cast<std::uint64_t>(e->time ^ cur_);
+  const auto idx = static_cast<std::size_t>(64 - std::countl_zero(diff));
+  assert(idx < kBuckets && "event times are non-negative");
+  Bucket& b = buckets_[idx];
   e->next = nullptr;
-  if (s.tail != nullptr) {
-    s.tail->next = e;
-    s.tail = e;
+  if (b.tail != nullptr) {
+    b.tail->next = e;
   } else {
-    s.head = s.tail = e;
-    mark_slot(idx);
+    b.head = e;
+    nonempty_ |= std::uint64_t{1} << idx;
   }
-  ++wheel_count_;
+  b.tail = e;
 }
 
 void EventQueue::insert(Event* e) {
   assert(e->time >= cur_ && "event scheduled into the queue's past");
   ++size_;
-  if (e->time < wheel_base_ + static_cast<Time>(kWheelSlots)) {
-    wheel_insert(e);
-  } else {
-    overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-  }
-}
-
-void EventQueue::migrate_overflow() {
-  const Time window_end = wheel_base_ + static_cast<Time>(kWheelSlots);
-  while (!overflow_.empty() && overflow_.front()->time < window_end) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    Event* e = overflow_.back();
-    overflow_.pop_back();
-    wheel_insert(e);
-  }
+  append(e);
 }
 
 Event* EventQueue::pop_at_or_before(Time limit) {
-  while (size_ != 0) {
-    if (wheel_count_ == 0) {
-      // Everything lives in the overflow heap: jump the window straight
-      // to its minimum instead of sweeping empty slots.
-      Event* top = overflow_.front();
-      if (top->time > limit) return nullptr;
-      wheel_base_ = top->time & ~static_cast<Time>(kMask);
-      cur_ = top->time;
-      migrate_overflow();
-      continue;
+  if ((nonempty_ & 1) == 0) {
+    if (nonempty_ == 0) return nullptr;
+    // Bucket 0 is empty: the minimum sits in the lowest non-empty bucket.
+    const auto idx = static_cast<std::size_t>(std::countr_zero(nonempty_));
+    Event* e = buckets_[idx].head;
+    Time t = e->time;
+    for (Event* s = e->next; s != nullptr; s = s->next) {
+      t = std::min(t, s->time);
     }
-    const auto base_idx =
-        static_cast<std::size_t>(static_cast<std::uint64_t>(cur_) & kMask);
-    const std::size_t idx = find_next_slot(base_idx);
-    // wheel_count_ > 0 and every wheel event has time >= cur_, so the next
-    // occupied slot is always at or after the cursor within this window.
-    assert(idx < kWheelSlots);
-    const Time t = wheel_base_ + static_cast<Time>(idx);
     if (t > limit) return nullptr;  // cursor stays <= limit
     cur_ = t;
-    Slot& s = slots_[idx];
-    Event* e = s.head;
-    s.head = e->next;
-    if (s.head == nullptr) {
-      s.tail = nullptr;
-      clear_slot_mark(idx);
+    buckets_[idx] = Bucket{};
+    nonempty_ &= ~(std::uint64_t{1} << idx);
+    // Re-append in list order; every event lands in a bucket below idx.
+    while (e != nullptr) {
+      Event* n = e->next;
+      append(e);
+      e = n;
     }
-    --wheel_count_;
-    --size_;
-    return e;
+  } else if (cur_ > limit) {
+    return nullptr;
   }
-  return nullptr;
+  Bucket& zero = buckets_[0];
+  Event* e = zero.head;
+  zero.head = e->next;
+  if (zero.head == nullptr) {
+    zero.tail = nullptr;
+    nonempty_ &= ~std::uint64_t{1};
+  }
+  --size_;
+  return e;
 }
 
 }  // namespace amoeba::sim

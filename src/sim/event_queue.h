@@ -1,33 +1,44 @@
-// Two-level calendar queue (timer wheel + overflow heap) for simulator
-// events, keyed on (time, seq).
+// Monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, "Faster Algorithms
+// for the Shortest Path Problem", JACM 1990) for simulator events, keyed on
+// (time, seq).
 //
-// The old engine kept events in a std::priority_queue<Event>, paying a
-// log-n comparison cascade plus a std::function deep copy on every push
-// and every top-and-pop. Event times in this system are dense — network
-// latencies and disk services are tens-to-thousands of microseconds — so
-// a calendar queue makes both operations O(1):
+// Simulated time never goes backwards — the engine only posts events at
+// now or later — so a monotone queue is enough, and a radix heap gives one
+// with no comparisons on insert:
 //
-//   - A 4096-slot wheel covers the window [wheel_base_, wheel_base_+4096)
-//     of 1 µs slots; wheel_base_ is always 4096-aligned, so slot index is
-//     simply time & 4095 and a window never wraps onto itself. Each slot
-//     is an intrusive FIFO list: same-time events append at the tail,
-//     which preserves (time, seq) order because seq grows monotonically.
-//     A 64x64-bit occupancy bitmap finds the next non-empty slot in O(1).
+//   - The cursor cur_ is the time of the latest minimum. Bucket 0 holds
+//     the events at exactly cur_; bucket b >= 1 holds the events whose
+//     highest bit that differs from cur_ is bit b-1. Each bucket is an
+//     intrusive FIFO list threaded through Event::next, and one 64-bit
+//     word marks the non-empty buckets. Insert is one countl_zero and a
+//     tail append.
 //
-//   - Events beyond the window go to a min-heap on (time, seq). When the
-//     wheel drains, the window jumps straight to the heap's minimum and
-//     events inside the new window migrate to slots — popped from the
-//     heap in (time, seq) order, so FIFO appends keep ties ordered even
-//     against later same-time inserts (which always carry larger seqs).
+//   - Pop takes the head of bucket 0. When bucket 0 is empty, the lowest
+//     non-empty bucket b holds the minimum: pop scans it for the minimum
+//     time, moves the cursor there and re-appends the bucket's events in
+//     list order. Each of them lands in a bucket below b. Every bucket
+//     above b keeps its events, because the new cursor agrees with the old
+//     one on every bit above b-1. So an event moves at most 63 times over
+//     its life.
+//
+// Why dispatch stays FIFO on (time, seq): an event's bucket depends only
+// on its time and the cursor, so all events of one time always share a
+// bucket. Inserts append in seq order (seq grows monotonically), and a
+// re-append walks the old bucket in list order into buckets that were
+// empty, so events of equal time never change their relative order.
+// Bucket 0 is therefore exactly the events at cur_, in seq order.
+//
+// Bucket 64 would hold times that differ from the cursor in bit 63; Time
+// is a non-negative int64, so none do, and 64 buckets fill the one word.
 //
 // Event nodes are freelist-recycled from slab arenas: the steady state
 // allocates nothing, and the same few cache-hot nodes cycle through the
 // dispatch loop.
 //
-// The only mutating read is pop_at_or_before(limit): the scan cursor
-// never advances past `limit`, so the engine invariant "inserts happen at
-// time >= now" keeps every insert ahead of the cursor and nothing can be
-// scheduled into the queue's past.
+// The only mutating read is pop_at_or_before(limit): the cursor never
+// advances past `limit`, so the engine invariant "inserts happen at
+// time >= now" keeps every insert at or ahead of the cursor and nothing
+// can be scheduled into the queue's past.
 #pragma once
 
 #include <array>
@@ -48,7 +59,7 @@ class Process;
 struct Event {
   Time time = 0;
   std::uint64_t seq = 0;
-  Event* next = nullptr;  // intrusive slot-list link
+  Event* next = nullptr;  // intrusive bucket-list link
   Process* p = nullptr;
   std::uint64_t epoch = 0;
   InlineFn fn;
@@ -80,41 +91,24 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  static constexpr std::size_t kWheelBits = 12;
-  static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
-  static constexpr std::uint64_t kMask = kWheelSlots - 1;
+  static constexpr std::size_t kBuckets = 64;
   static constexpr std::size_t kArenaBlock = 256;  // events per slab
 
-  struct Slot {
+  struct Bucket {
     Event* head = nullptr;
     Event* tail = nullptr;
   };
   struct FreeNode {
     FreeNode* next;
   };
-  struct HeapLater {  // min-heap on (time, seq) via std::push_heap
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->seq > b->seq;
-    }
-  };
 
-  void wheel_insert(Event* e);
-  void migrate_overflow();
-  [[nodiscard]] std::size_t find_next_slot(std::size_t idx) const;
-  void mark_slot(std::size_t idx);
-  void clear_slot_mark(std::size_t idx);
+  /// Tail-append `e` to the bucket its time falls in relative to cur_.
+  void append(Event* e);
 
-  std::array<Slot, kWheelSlots> slots_{};
-  std::array<std::uint64_t, kWheelSlots / 64> occupied_{};
-  std::uint64_t summary_ = 0;  // bit w set <=> occupied_[w] != 0
-
-  Time wheel_base_ = 0;  // always kWheelSlots-aligned
-  Time cur_ = 0;         // scan cursor; inserts satisfy time >= cur_
-  std::size_t wheel_count_ = 0;
+  std::array<Bucket, kBuckets> buckets_{};
+  std::uint64_t nonempty_ = 0;  // bit b set <=> buckets_[b] holds events
+  Time cur_ = 0;                // cursor; inserts satisfy time >= cur_
   std::size_t size_ = 0;
-
-  std::vector<Event*> overflow_;  // heap, HeapLater
 
   FreeNode* free_ = nullptr;
   std::vector<std::unique_ptr<std::byte[]>> arena_;

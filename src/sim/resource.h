@@ -23,12 +23,6 @@ class FifoResource {
   /// holder releases its slot.
   void use(Duration d);
 
-  /// True while some process occupies the resource. The RPC layer uses this
-  /// ("no thread listening") indirectly via server-thread accounting, not
-  /// this flag; it exists for tests and stats.
-  [[nodiscard]] bool busy() const { return busy_; }
-  [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
-
   [[nodiscard]] std::uint64_t ops() const { return ops_; }
   [[nodiscard]] Duration busy_time() const { return busy_time_; }
 
@@ -37,7 +31,6 @@ class FifoResource {
   /// spindle with a dying bearing). 1.0 = healthy. The slowdown applies
   /// at grant time, so already-queued waiters feel it too.
   void set_drag(double factor) { drag_ = factor <= 0 ? 1.0 : factor; }
-  [[nodiscard]] double drag() const { return drag_; }
 
  private:
   struct Ticket {

@@ -46,7 +46,6 @@ class Process {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint64_t pid() const { return pid_; }
   [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] bool kill_requested() const { return kill_; }
   [[nodiscard]] Simulator& simulator() const { return sim_; }
 
  private:

@@ -1,12 +1,12 @@
 // Engine stress + determinism: a few hundred processes hammering the
-// calendar queue, wait queues and kill paths for over a million events,
+// event queue, wait queues and kill paths for over a million events,
 // twice with the same seed — the runs must behave identically down to an
 // FNV digest of every observable step.
 //
-// The workload is deliberately adversarial for the timer wheel and the
-// fiber scheduler:
-//   * timers spanning the in-wheel window AND the overflow heap (delays
-//     from 0 to far beyond the wheel horizon),
+// The workload is deliberately adversarial for the radix-heap event queue
+// and the fiber scheduler:
+//   * timers from 0 to 200 ms ahead, so the queue holds events in many
+//     buckets at once and each cursor move re-appends a mixed bucket,
 //   * same-instant notify+kill+timeout collisions on shared WaitQueues,
 //   * processes killed mid-wait and respawned, so wake epochs go stale
 //     while their events are still queued,
@@ -64,8 +64,8 @@ RunResult stress_run(std::uint64_t seed) {
     while (s.now() < kHorizon) {
       const std::uint64_t roll = s.rng().below(100);
       if (roll < 40) {
-        // Sleep across a mix of horizons: mostly inside the 4096 µs
-        // wheel window, with a tail that lands in the overflow heap.
+        // Sleep across a mix of horizons: mostly under 3 ms, with a tail
+        // of up to 200 ms that lands in the queue's high buckets.
         const Duration d = roll < 36
                                ? static_cast<Duration>(s.rng().below(3000))
                                : static_cast<Duration>(
@@ -113,7 +113,7 @@ RunResult stress_run(std::uint64_t seed) {
   }
 
   // The reaper: kills random workers, usually mid-wait, so their queued
-  // wake events go stale while still sitting in the wheel.
+  // wake events go stale while still sitting in the queue.
   s.spawn("reaper", [&] {
     while (s.now() < kHorizon) {
       s.sleep_for(msec(20) + static_cast<Duration>(s.rng().below(msec(30))));
@@ -142,7 +142,7 @@ TEST(EngineStress, MillionEventChurnIsDeterministic) {
   const RunResult a = stress_run(0xfeedULL);
   const RunResult b = stress_run(0xfeedULL);
   // Scale gate: this is a real stress run, not a toy.
-  EXPECT_GE(a.events, 1'000'000u) << "workload too small to stress the wheel";
+  EXPECT_GE(a.events, 1'000'000u) << "workload too small to stress the queue";
   EXPECT_GE(a.kills, 100u);
   // Determinism gate: every observable step matched, in order.
   EXPECT_EQ(a.digest, b.digest);

@@ -98,8 +98,7 @@ cap::Capability payload_cap(std::uint32_t obj) {
 TEST(LeaseCache, RepeatLookupIsAZeroPacketCacheHit) {
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
-               .seed = 31,
-               .lease_caching = true});
+               .seed = 31});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
@@ -129,8 +128,7 @@ TEST(LeaseCache, OwnUpdateForgetsTheCachedCopy) {
   // lease, even though no invalidation round-trip happened yet.
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
-               .seed = 32,
-               .lease_caching = true});
+               .seed = 32});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});
@@ -150,8 +148,7 @@ TEST(LeaseCache, OwnUpdateForgetsTheCachedCopy) {
 TEST(LeaseCache, UpdateByAnotherClientInvalidatesTheLease) {
   Testbed bed({.flavor = Flavor::group,
                .clients = 2,
-               .seed = 33,
-               .lease_caching = true});
+               .seed = 33});
   ASSERT_TRUE(bed.wait_ready());
 
   cap::Capability dcap;
@@ -204,8 +201,7 @@ TEST(LeaseCache, ExpiryExactlyAtTheSimTimeBoundary) {
   const sim::Duration kLease = dir::kLeaseDuration;
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
-               .seed = 34,
-               .lease_caching = true});
+               .seed = 34});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
@@ -253,8 +249,7 @@ TEST(LeaseCache, PartitionBoundsStalenessToTheLeaseDuration) {
   const sim::Duration kLease = dir::kLeaseDuration;
   Testbed bed({.flavor = Flavor::group,
                .clients = 1,
-               .seed = 35,
-               .lease_caching = true});
+               .seed = 35});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
     sim::Simulator& sim = bed.sim();
@@ -292,8 +287,7 @@ TEST(LeaseCache, SameSeedRunsProduceIdenticalHitCounters) {
   auto run = [](std::uint64_t seed) {
     Testbed bed({.flavor = Flavor::group,
                  .clients = 1,
-                 .seed = seed,
-                 .lease_caching = true});
+                 .seed = seed});
     EXPECT_TRUE(bed.wait_ready());
     run_client(bed, 0, [&](DirClient& dc) {
       auto dcap = harness::create_dir_retry(dc, bed.sim(), {"owner"});

@@ -19,7 +19,6 @@
 #include "bench_common.h"
 #include "common/strings.h"
 #include "dir/client.h"
-#include "group/group.h"
 #include "harness/workload.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -255,49 +254,8 @@ TEST(CostModel, QuietNetworkRpcIsThreePackets) {
   EXPECT_EQ(d.count("rpc.timeouts"), 0u);
 }
 
-obs::Metrics::Snapshot one_group_send_delta(int r, bool from_sequencer) {
-  sim::Simulator sim(7);
-  net::Cluster cluster(sim);
-  std::vector<std::unique_ptr<group::GroupMember>> members(3);
-  group::GroupConfig cfg;
-  cfg.port = net::Port{900};
-  cfg.resilience = r;
-  for (int i = 0; i < 3; ++i) {
-    cfg.universe.push_back(net::MachineId{static_cast<std::uint16_t>(i)});
-  }
-  for (int i = 0; i < 3; ++i) {
-    net::Machine* m = &cluster.add_machine(numbered("g", i));
-    m->spawn("member", [&, m, cfg, i] {
-      if (i == 0) {
-        members[0] = group::GroupMember::create(*m, cfg);
-      } else {
-        sim.sleep_for(sim::msec(5 * i));
-        while (!members[static_cast<std::size_t>(i)]) {
-          auto res = group::GroupMember::join(*m, cfg);
-          if (res.is_ok()) {
-            members[static_cast<std::size_t>(i)] = std::move(*res);
-          } else {
-            sim.sleep_for(sim::msec(10));
-          }
-        }
-      }
-      while (true) (void)members[static_cast<std::size_t>(i)]->receive();
-    });
-  }
-  sim.run_for(sim::msec(200));  // formation + joins = warmup, excluded
-  const obs::Metrics::Snapshot before = cluster.metrics().snapshot();
-  const int sender = from_sequencer ? 0 : 1;
-  cluster.machine(net::MachineId{static_cast<std::uint16_t>(sender)})
-      .spawn("send", [&, sender] {
-        (void)members[static_cast<std::size_t>(sender)]->send_to_group(
-            to_buffer("x"));
-      });
-  sim.run_for(sim::msec(300));
-  return obs::Metrics::delta(cluster.metrics().snapshot(), before);
-}
-
 TEST(CostModel, GroupSendFromSequencerIsOneMulticastPlusAcks) {
-  const obs::Metrics::Snapshot d = one_group_send_delta(2, true);
+  const obs::Metrics::Snapshot d = harness::one_group_send_delta(2, true);
   // Sequencer-origin send: 1 ACCEPT multicast + (N-1) = 2 member acks.
   EXPECT_EQ(d.at("group.data_packets"), 3u);
   EXPECT_EQ(d.at("group.data_multicasts"), 1u);
@@ -305,7 +263,7 @@ TEST(CostModel, GroupSendFromSequencerIsOneMulticastPlusAcks) {
 }
 
 TEST(CostModel, GroupSendFromMemberIsFivePackets) {
-  const obs::Metrics::Snapshot d = one_group_send_delta(2, false);
+  const obs::Metrics::Snapshot d = harness::one_group_send_delta(2, false);
   // Paper Sec. 3.1: "A SendToGroup with r = 2 requires 5 messages".
   EXPECT_EQ(d.at("group.data_packets"), 5u);
   EXPECT_EQ(d.at("group.sends"), 1u);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
+#include "common/rand.h"
 #include "common/strings.h"
+#include "sim/event_queue.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -530,6 +536,135 @@ TEST(FifoResourceTest, ContentionProducesQueueingDelay) {
   }
   s.run();
   EXPECT_EQ(done, (std::vector<Time>{msec(3), msec(6)}));
+}
+
+// ------------------------------------------------------------ EventQueue
+
+/// EventQueue next to a reference std::priority_queue on (time, seq),
+/// driven the way the engine drives it: inserts at or after `now`, pops
+/// bounded by a limit, and `now` moving up to the limit when nothing is due
+/// (Simulator::run_until). Records the first disagreement.
+class QueueVsReference {
+ public:
+  void insert(Time t) {
+    Event* e = q_.acquire();
+    e->time = t;
+    e->seq = next_seq_++;
+    q_.insert(e);
+    ref_.emplace(t, e->seq);
+  }
+
+  /// One pop_at_or_before(limit); true when an event came out.
+  bool pop(Time limit) {
+    Event* e = q_.pop_at_or_before(limit);
+    const bool due = !ref_.empty() && ref_.top().first <= limit;
+    if (!due) {
+      if (e != nullptr) {
+        fail("popped (" + std::to_string(e->time) + ", " +
+             std::to_string(e->seq) + ") past limit " +
+             std::to_string(limit));
+        q_.release(e);
+      }
+      now_ = std::max(now_, limit);
+      return false;
+    }
+    const auto [t, seq] = ref_.top();
+    ref_.pop();
+    if (e == nullptr) {
+      fail("nothing popped; expected (" + std::to_string(t) + ", " +
+           std::to_string(seq) + ")");
+      return false;
+    }
+    if (e->time != t || e->seq != seq) {
+      fail("popped (" + std::to_string(e->time) + ", " +
+           std::to_string(e->seq) + "), expected (" + std::to_string(t) +
+           ", " + std::to_string(seq) + ")");
+    }
+    now_ = e->time;
+    q_.release(e);
+    if (q_.size() != ref_.size()) fail("size disagrees");
+    return true;
+  }
+
+  void drain() {
+    while (pop(kTimeMax)) {
+    }
+    if (!q_.empty()) fail("queue not empty after a full drain");
+  }
+
+  [[nodiscard]] Time now() const { return now_; }
+  [[nodiscard]] std::size_t size() const { return ref_.size(); }
+  [[nodiscard]] const std::string& first_error() const { return error_; }
+
+ private:
+  void fail(const std::string& what) {
+    if (error_.empty()) error_ = what;
+  }
+
+  using Key = std::pair<Time, std::uint64_t>;
+  EventQueue q_;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> ref_;
+  std::uint64_t next_seq_ = 0;
+  Time now_ = 0;
+  std::string error_;
+};
+
+TEST(EventQueueTest, BoundedPopThenInsertsBeforeTheNextEvent) {
+  QueueVsReference q;
+  q.insert(1000);
+  q.insert(1000);
+  q.insert(5000);
+  q.insert(Time{1} << 33);
+  EXPECT_FALSE(q.pop(999));  // nothing due: the cursor stays at or below 999
+  // Between the limit and the next event, and ties with a pending time.
+  q.insert(999);
+  q.insert(999);
+  q.insert(1000);
+  q.insert(4999);
+  EXPECT_TRUE(q.pop(999));
+  EXPECT_TRUE(q.pop(999));
+  EXPECT_FALSE(q.pop(999));
+  q.drain();
+  EXPECT_EQ(q.first_error(), "");
+}
+
+TEST(EventQueueTest, MatchesAReferenceQueueOnTimeAndSeq) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Prng rng(seed);
+    QueueVsReference q;
+    std::vector<Time> recent;  // reused times make many equal-time ties
+    // How far ahead of `now` an insert or a pop limit lands: 0 to 2^40 us.
+    const auto ahead = [&rng]() -> Time {
+      switch (rng.below(5)) {
+        case 0: return 0;
+        case 1: return static_cast<Time>(rng.below(16));
+        case 2: return static_cast<Time>(rng.below(4096));
+        case 3: return static_cast<Time>(rng.below(1 << 20));
+        default: return static_cast<Time>(rng.below(std::uint64_t{1} << 40));
+      }
+    };
+    for (int step = 0; step < 20'000 && q.first_error().empty(); ++step) {
+      const std::uint64_t roll = rng.below(10);
+      if (roll < 3 && !recent.empty()) {
+        const Time t = recent[rng.below(recent.size())];
+        q.insert(std::max(t, q.now()));
+      } else if (roll < 6 || q.size() == 0) {
+        const Time t = q.now() + ahead();
+        q.insert(t);
+        if (recent.size() < 8) {
+          recent.push_back(t);
+        } else {
+          recent[rng.below(recent.size())] = t;
+        }
+      } else {
+        // A limit that often falls before the next event, as run_until's
+        // does; the inserts that follow then land between the two.
+        (void)q.pop(rng.below(8) == 0 ? kTimeMax : q.now() + ahead());
+      }
+    }
+    q.drain();
+    EXPECT_EQ(q.first_error(), "") << "seed " << seed;
+  }
 }
 
 }  // namespace

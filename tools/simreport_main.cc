@@ -289,16 +289,15 @@ void run_flavor(harness::Flavor flavor, std::uint64_t seed, int ops,
 }
 
 /// Lease caching + sequencer batching observability: run the group+NVRAM
-/// flavor with both opt-in flags, a lookup-heavy reader next to grid-synced
-/// writers into the same directory, and print the client-side cache
-/// counters, the servers' grant/invalidation counters, and the sequencer's
+/// flavor with batching on, a lease-holding lookup-heavy reader next to
+/// grid-synced writers into the same directory, and print the client-side
+/// cache counters, the servers' grant/invalidation counters, and the sequencer's
 /// batch-size distribution.
 void run_lease_batch(std::uint64_t seed, std::string& out) {
   harness::TestbedOptions topts;
   topts.flavor = harness::Flavor::group_nvram;
   topts.clients = 4;
   topts.seed = seed;
-  topts.lease_caching = true;
   topts.batching = true;
   harness::Testbed bed(topts);
   if (!bed.wait_ready()) {
