@@ -70,11 +70,14 @@ Result<Buffer> DirClient::call(const Buffer& request) {
   // timed out, none was located, or every located one said NOTHERE) it is
   // sent again, to the next cached server or a re-located one, in bounded
   // attempts within the one deadline. An update is sent once: a second
-  // execution elsewhere would break at-most-once. A server's answer, even
+  // execution elsewhere would break at-most-once. It enquires instead
+  // (rpc.h), so a silent server fails it after rpc::kSilenceLimit while a
+  // slow but live one keeps the whole deadline. A server's answer, even
   // `refused` or `no_majority`, goes to the caller.
   const sim::Time deadline = t0 + opts_.timeout;
   const bool read = op.is_ok() && is_read_op(*op);
   rpc::TransOptions attempt = opts_;
+  attempt.enquire = !read;
   auto send = [&] {
     const sim::Duration left = deadline - sim.now();
     attempt.timeout = read ? std::min(left, kReadAttemptTimeout) : left;

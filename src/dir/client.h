@@ -106,6 +106,10 @@ class DirClient {
     std::map<std::string, std::vector<cap::Capability>> rows;
   };
 
+  /// One transaction within the client deadline: a read in attempts of
+  /// kReadAttemptTimeout, re-sent after a failed transaction; an update
+  /// once, enquiring (rpc.h), so a silent server fails it after
+  /// rpc::kSilenceLimit and a live one keeps the whole deadline.
   Result<Buffer> call(const Buffer& request);
   void on_inval(net::Packet pkt);
   /// Read-your-writes: forget the cached copy of a directory this client

@@ -132,11 +132,15 @@ struct ServerCtx {
   [[nodiscard]] std::uint32_t all_mask() const {
     return (1u << nservers()) - 1;
   }
+  /// The smallest view that serves: a majority of the configured servers.
+  [[nodiscard]] std::size_t quorum() const {
+    return opts.servers.size() / 2 + 1;
+  }
   [[nodiscard]] bool majority() const {
     if (!gm) return false;
     group::GroupInfo gi = gm->info();
     return gi.state == group::MemberState::normal &&
-           2 * static_cast<int>(gi.members.size()) > nservers();
+           gi.members.size() >= quorum();
   }
   /// The configured servers in the current group view, as a bitmask.
   [[nodiscard]] std::uint32_t members_mask() const {
@@ -278,7 +282,7 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
                                   kMajorityWait + kRecoveryBackoff - 1);
   while (ctx.now() < deadline) {
     if (ctx.gm->info().state == group::MemberState::failed) {
-      (void)ctx.gm->reset_group(kMajorityWait);
+      (void)ctx.gm->reset_group(kMajorityWait, ctx.quorum());
     }
     if (ctx.majority()) break;
     sim.sleep_for(kRecoveryPoll);
@@ -529,7 +533,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
         continue;
       }
       // "rebuild majority of group (call ResetGroup)" — Fig. 5.
-      Status rst = ctx.gm->reset_group(kResetTimeout);
+      Status rst = ctx.gm->reset_group(kResetTimeout, ctx.quorum());
       if (rst.is_ok() && ctx.majority()) {
         update_config_from_group(ctx, st);
         continue;

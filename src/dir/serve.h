@@ -46,6 +46,8 @@ static_assert(kReadBarrierTimeout < kClientDeadline);
 static_assert(kReadAttemptTimeout < kReadBarrierTimeout &&
               2 * (kReadAttemptTimeout + rpc::kLocateTimeout) <=
                   kClientDeadline);
+/// An update at a silent server fails well inside the client's deadline.
+static_assert(rpc::kSilenceLimit < kClientDeadline);
 
 inline net::Port admin_port(std::uint64_t base, net::MachineId m) {
   return net::Port{base + m.v};

@@ -16,10 +16,16 @@ constexpr sim::Duration kHeartbeat = sim::msec(50);
 /// the sequencer this is what bounds update throughput (Fig. 9).
 constexpr sim::Duration kKernelCpu = sim::msec(1);
 constexpr sim::Duration kVoteWindow = sim::msec(8);
+/// A coordinator still short of its quorum keeps the round open up to here.
+constexpr sim::Duration kQuorumWindow = 4 * kVoteWindow;
 constexpr sim::Duration kSendRetry = sim::msec(80);
 constexpr int kSendRetries = 4;
 constexpr sim::Duration kJoinRound = kJoinTimeout / 5;  // join_req rebroadcast
 constexpr sim::Duration kResetSync = sim::msec(50);  // coordinator catch-up
+/// A member that voted for another coordinator gives it this long, its
+/// longest round plus its catch-up, to announce the new view.
+constexpr sim::Duration kNewgroupWait = kQuorumWindow + kResetSync;
+static_assert(kNewgroupWait < kHeartbeat * kMissLimit);  // before "stalled"
 constexpr sim::Duration kUnbindPoll = sim::msec(1);
 
 // Sequencer batching (GroupConfig::batching): the coalescing window and
@@ -1240,7 +1246,7 @@ GroupInfo GroupMember::info() const {
   return gi;
 }
 
-Status GroupMember::reset_group(sim::Duration timeout) {
+Status GroupMember::reset_group(sim::Duration timeout, std::size_t quorum) {
   Ctx& c = *ctx_;
   const sim::Time deadline = c.now() + timeout;
   while (c.now() < deadline) {
@@ -1248,22 +1254,25 @@ Status GroupMember::reset_group(sim::Duration timeout) {
     if (c.state == MemberState::left) {
       return Status::error(Errc::aborted, "left the group");
     }
-    // If we recently voted for someone else's attempt, give their NEWGROUP
-    // a chance before competing.
-    if (c.voted_attempt > c.my_attempt && c.voted_coord != c.me) {
-      c.reset_wq.wait_until(
-          std::min(deadline, c.now() + 4 * kVoteWindow));
+    // A vote for another coordinator's attempt newer than our view: give
+    // its NEWGROUP the whole wait before competing. A vote from the round
+    // that formed our current view promises nothing.
+    if (c.voted_coord != c.me && c.voted_attempt > c.incarnation) {
+      const sim::Time until = std::min(deadline, c.now() + kNewgroupWait);
+      while (c.state != MemberState::normal && c.now() < until) {
+        c.reset_wq.wait_until(until);
+      }
       if (c.state == MemberState::normal) return Status::ok();
       // Their reset stalled; compete from here on.
       if (c.now() >= deadline) break;
     }
-    Status st = coordinate_reset(deadline);
+    Status st = coordinate_reset(deadline, quorum);
     if (st.is_ok()) return st;
   }
   return Status::error(Errc::group_failure, "reset timed out");
 }
 
-Status GroupMember::coordinate_reset(sim::Time deadline) {
+Status GroupMember::coordinate_reset(sim::Time deadline, std::size_t quorum) {
   Ctx& c = *ctx_;
   c.my_attempt = std::max(c.max_attempt_seen, c.incarnation) + 1;
   c.max_attempt_seen = c.my_attempt;
@@ -1278,7 +1287,18 @@ Status GroupMember::coordinate_reset(sim::Time deadline) {
   w.u16(c.me.v);
   c.multicast_pkt(c.cfg.universe, w.take(), false);
 
+  // The round lasts one kVoteWindow, and up to kQuorumWindow while fewer
+  // than `quorum` members (this one included) have voted.
+  const sim::Time round_end = std::min(deadline, c.now() + kQuorumWindow);
   c.sim().sleep_for(kVoteWindow);
+  auto still_mine = [&c] {
+    return c.state != MemberState::normal && c.voted_coord == c.me &&
+           c.voted_attempt == c.my_attempt &&
+           c.max_attempt_seen == c.my_attempt;
+  };
+  while (c.votes.size() < quorum && still_mine() && c.now() < round_end) {
+    c.reset_wq.wait_until(round_end);
+  }
   if (c.state == MemberState::normal) return Status::ok();  // lost, installed
   if (c.voted_attempt > c.my_attempt ||
       (c.voted_attempt == c.my_attempt && c.voted_coord != c.me)) {

@@ -43,6 +43,9 @@ using net::Port;
 /// How long JoinGroup waits for a sequencer to answer (see DESIGN.md for
 /// the kernel's other calibrated timings).
 inline constexpr sim::Duration kJoinTimeout = sim::msec(100);
+/// Heartbeats a member may miss before it declares a failure (the default
+/// of GroupConfig::miss_limit).
+inline constexpr int kMissLimit = 4;
 
 enum class MsgKind : std::uint8_t {
   data = 1,  // one or more sends under one seqno, in GroupMsg::subs
@@ -89,7 +92,7 @@ struct GroupConfig {
   std::vector<MachineId> universe;  // every machine that may ever be member
   int resilience = 2;               // r
   OrderMethod method = OrderMethod::pb;
-  int miss_limit = 4;               // heartbeats missed before failure
+  int miss_limit = kMissLimit;      // heartbeats missed before failure
   std::size_t history_limit = 8192;
   /// Sequencer update batching: REQs that arrive while earlier ones are
   /// still inside the coalescing window ride the same ACCEPT multicast
@@ -163,9 +166,13 @@ class GroupMember {
   /// GetInfoGroup.
   [[nodiscard]] GroupInfo info() const;
 
-  /// ResetGroup: rebuild the group from reachable members. On success the
-  /// member is in `normal` state in the new (possibly smaller) group.
-  Status reset_group(sim::Duration timeout);
+  /// ResetGroup: rebuild the group from reachable members. `quorum` is the
+  /// smallest view the caller can use: a coordinator keeps its invitation
+  /// round open, for a bounded time, until that many members (itself
+  /// included) have voted, then installs the view of those that did. On
+  /// success the member is in `normal` state in the new (possibly smaller)
+  /// group.
+  Status reset_group(sim::Duration timeout, std::size_t quorum);
 
   /// LeaveGroup.
   Status leave(sim::Duration timeout);
@@ -177,7 +184,7 @@ class GroupMember {
   explicit GroupMember(std::shared_ptr<Ctx> ctx) : ctx_(std::move(ctx)) {}
 
   static std::shared_ptr<Ctx> make_ctx(net::Machine& machine, GroupConfig cfg);
-  Status coordinate_reset(sim::Time deadline);
+  Status coordinate_reset(sim::Time deadline, std::size_t quorum);
 
   std::shared_ptr<Ctx> ctx_;
 };

@@ -53,14 +53,8 @@ void RpcServer::on_packet(Packet pkt) {
         // "never queued", fail over, and re-issue the operation against
         // another server.
         const DedupKey key{pkt.src.v, reply_port.v, xid};
-        if (auto it = done_.find(key); it != done_.end()) {
+        if (resend_reply(key, pkt)) {
           ++mx_dups_;
-          Writer w;
-          w.u8(static_cast<std::uint8_t>(MsgType::reply));
-          w.u64(xid);
-          w.raw(it->second);
-          machine_.net().unicast(machine_.id(), pkt.src, reply_port,
-                                 w.take(), pkt.ctx, "reply");
           return;
         }
         if (in_flight_.count(key) != 0) {
@@ -85,12 +79,37 @@ void RpcServer::on_packet(Packet pkt) {
         }
         return;
       }
+      case MsgType::enquiry: {
+        // ALIVE while the request is queued or being served; its reply
+        // again once it was answered; silence when it never arrived here.
+        Port reply_port{r.u64()};
+        const DedupKey key{pkt.src.v, reply_port.v, xid};
+        if (resend_reply(key, pkt)) return;
+        if (in_flight_.count(key) != 0) {
+          machine_.net().unicast(machine_.id(), pkt.src, reply_port,
+                                 encode_header(MsgType::alive, xid), pkt.ctx,
+                                 "alive");
+        }
+        return;
+      }
       default:
         LOG_WARN << machine_.name() << " rpc server: unexpected msg type";
     }
   } catch (const DecodeError& e) {
     LOG_WARN << machine_.name() << " rpc server: bad packet: " << e.what();
   }
+}
+
+bool RpcServer::resend_reply(const DedupKey& key, const Packet& pkt) {
+  auto it = done_.find(key);
+  if (it == done_.end()) return false;
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(MsgType::reply));
+  w.u64(std::get<2>(key));
+  w.raw(it->second);
+  machine_.net().unicast(machine_.id(), pkt.src, Port{std::get<1>(key)},
+                         w.take(), pkt.ctx, "reply");
+  return true;
 }
 
 IncomingRequest RpcServer::get_request() {
@@ -257,13 +276,33 @@ Result<Buffer> RpcClient::trans(Port port, const Buffer& request,
     // round-trip, not the transaction total with its locate/backoff legs.
     const sim::Time t_send = sim.now();
 
-    // 3. Wait for the reply (or NOTHERE / timeout).
+    // 3. Wait for the reply (or NOTHERE / timeout). With opts.enquire, a
+    // silence of kEnquiryAfter is followed by up to kEnquiries enquiries,
+    // kEnquiryTimeout apart; an ALIVE restarts the silence.
+    sim::Time enquire_at = opts.enquire ? t_send + kEnquiryAfter : deadline;
+    int unanswered = 0;
     while (true) {
-      auto pkt = endpoint_.mailbox().recv_until(deadline);
+      auto pkt = endpoint_.mailbox().recv_until(std::min(deadline, enquire_at));
+      if (!pkt && sim.now() < deadline && unanswered < kEnquiries) {
+        Writer e;
+        e.u8(static_cast<std::uint8_t>(MsgType::enquiry));
+        e.u64(xid);
+        e.u64(reply_port_.v);
+        machine_.net().unicast(machine_.id(), server, port, e.take(), tctx,
+                               "enquiry");
+        if (mx_enquiries_ == nullptr) {
+          mx_enquiries_ = &machine_.metrics().counter("rpc", "enquiries");
+        }
+        ++*mx_enquiries_;
+        ++unanswered;
+        enquire_at = sim.now() + kEnquiryTimeout;
+        continue;
+      }
       if (!pkt) {
-        // The server was located but never answered: it crashed or is
-        // partitioned away. Do not retry blindly (at-most-once semantics);
-        // report the failure and let the caller decide.
+        // The server was located but never answered: it crashed, is
+        // partitioned away or lost the request. Do not retry blindly
+        // (at-most-once semantics); report the failure and let the caller
+        // decide.
         drop_server(port, server);
         ++mx_timeouts_;
         // First failure symptom a client can observe: counts as fault
@@ -287,6 +326,11 @@ Result<Buffer> RpcClient::trans(Port port, const Buffer& request,
           continue;  // background locate answer
         }
         if (rxid != xid) continue;  // stale reply from an older transaction
+        if (type == MsgType::alive) {
+          unanswered = 0;
+          enquire_at = sim.now() + kEnquiryAfter;
+          continue;
+        }
         if (type == MsgType::nothere) {
           // Safe to fail over: the request was never queued server-side.
           // Not health evidence: busy threads show load, and the load of

@@ -13,6 +13,15 @@
 //
 // An Amoeba RPC costs 3 packets (request, reply, piggybacked ack); we send
 // request + reply and count the ack in the latency constants.
+//
+// A transaction that asks for it (`TransOptions::enquire`) does not wait out
+// its whole deadline on a silent server. After kEnquiryAfter without an
+// answer it sends the server's kernel an ENQUIRY. The kernel answers ALIVE
+// while the request is queued or being served, re-sends the reply it
+// already sent, and says nothing otherwise: after a crash, a restart that
+// lost the request, or a partition. kEnquiries unanswered enquiries, each
+// given kEnquiryTimeout, end the attempt as a `timeout`. The request itself
+// is never re-sent, so at-most-once holds.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +51,8 @@ enum class MsgType : std::uint8_t {
   nothere,     // server kernel -> client: no thread listening here
   request,     // client -> server
   reply,       // server -> client
+  enquiry,     // client -> server kernel: still working on my request?
+  alive,       // server kernel -> client: yes, it is queued or being served
 };
 
 /// A request as seen by a service thread.
@@ -79,6 +90,9 @@ class RpcServer {
   static constexpr std::size_t kDoneCacheSize = 128;
 
   void on_packet(Packet pkt);
+  /// Re-send the reply cached for `key` to its client; false when the
+  /// request was never answered here (or its reply left the cache).
+  bool resend_reply(const DedupKey& key, const Packet& pkt);
 
   Machine& machine_;
   Port port_;
@@ -101,6 +115,12 @@ inline constexpr sim::Duration kLocateTimeout = sim::msec(200);
 inline constexpr sim::Duration kBackoffBase = sim::msec(10);
 inline constexpr sim::Duration kBackoffCap = sim::msec(400);
 static_assert(kLocateTimeout < kTransTimeout && kBackoffCap < kTransTimeout);
+inline constexpr sim::Duration kEnquiryAfter = sim::msec(500);
+inline constexpr sim::Duration kEnquiryTimeout = sim::msec(50);
+inline constexpr int kEnquiries = 3;
+/// How long an enquiring transaction waits on a server that went silent.
+inline constexpr sim::Duration kSilenceLimit =
+    kEnquiryAfter + kEnquiries * kEnquiryTimeout;
 
 struct TransOptions {
   sim::Duration timeout = kTransTimeout;          // overall deadline
@@ -110,6 +130,10 @@ struct TransOptions {
   /// elsewhere on a timeout. Such a timeout is not reported to peer
   /// health: the attempt measured neither a latency nor a failure.
   bool cut_short = false;
+  /// Enquire after kEnquiryAfter of silence and fail the attempt when
+  /// kEnquiries enquiries go unanswered (file comment). Off by default: a
+  /// storage or peer RPC keeps its whole timeout.
+  bool enquire = false;
 };
 
 class RpcClient {
@@ -118,7 +142,8 @@ class RpcClient {
 
   /// Perform a remote operation against whichever server serves `port`.
   /// Error codes: unreachable (no server located), timeout (server located
-  /// but no reply; it is dropped from the port cache), refused (all located
+  /// but no reply by the deadline, or none to kEnquiries enquiries with
+  /// opts.enquire; it is dropped from the port cache), refused (all located
   /// servers said NOTHERE repeatedly).
   /// `ctx`, when active, is the causal parent: trans() records an
   /// "rpc.trans" span under it and the 3 Amoeba packets (request, reply,
@@ -166,6 +191,7 @@ class RpcClient {
   obs::Counter& mx_failovers_;
   obs::Counter& mx_transactions_;
   obs::Hist& mx_trans_ms_;
+  obs::Counter* mx_enquiries_ = nullptr;  // registered at the first enquiry
 };
 
 }  // namespace amoeba::rpc

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "check/simfuzz.h"
 #include "common/strings.h"
@@ -29,7 +30,11 @@ struct ChaosParams {
   int rounds;
   bool use_nvram;
   bool with_partitions;
+  // gtest names a test by its parameter's object bytes: filling what would
+  // be padding keeps the name the same in every build.
+  char zero[2] = {};
 };
+static_assert(std::has_unique_object_representations_v<ChaosParams>);
 
 class ChaosSweep : public ::testing::TestWithParam<ChaosParams> {};
 
@@ -209,7 +214,9 @@ struct RpcChaosParams {
   std::uint64_t seed;
   int rounds;
   bool use_nvram;
+  char zero[3] = {};  // as in ChaosParams
 };
+static_assert(std::has_unique_object_representations_v<RpcChaosParams>);
 
 class RpcChaosSweep : public ::testing::TestWithParam<RpcChaosParams> {};
 

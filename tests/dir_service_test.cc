@@ -373,8 +373,9 @@ TEST(GroupDirService, ALookupAtALaggingReplicaIsServedByACurrentOne) {
 TEST(GroupDirService, AReadFailsOverFromACrashedReplicaAndAnUpdateDoesNot) {
   // A lookup whose pinned replica crashed times out once, after
   // kReadAttemptTimeout, and is served by another replica. An update keeps
-  // at-most-once: one attempt that times out at the client deadline and is
-  // not re-issued elsewhere.
+  // at-most-once: one attempt that times out when its enquiries go
+  // unanswered, rpc::kSilenceLimit after it was sent, and is not re-issued
+  // elsewhere.
   Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 43});
   ASSERT_TRUE(bed.wait_ready());
   run_client(bed, 0, [&](DirClient& dc) {
@@ -386,6 +387,8 @@ TEST(GroupDirService, AReadFailsOverFromACrashedReplicaAndAnUpdateDoesNot) {
     ASSERT_TRUE(dc.append_row(*dir, "k", {payload}).is_ok());
     bed.sim().sleep_for(sim::sec(1));  // every replica has applied it
     const std::uint64_t& timeouts = bed.metrics().counter("rpc", "timeouts");
+    const std::uint64_t& enquiries =
+        bed.metrics().counter("rpc", "enquiries");
     const net::MachineId victim = bed.dir_server(1).id();
 
     pin(bed, dc, 1);
@@ -401,6 +404,7 @@ TEST(GroupDirService, AReadFailsOverFromACrashedReplicaAndAnUpdateDoesNot) {
               dir::kReadAttemptTimeout + rpc::kLocateTimeout + sim::msec(50))
         << waited << " us";
     EXPECT_EQ(timeouts, before + 1);
+    EXPECT_EQ(enquiries, 0u);  // a read never enquires
 
     // Bring the replica back, then crash it again under an update.
     bed.cluster().restart(victim);
@@ -411,8 +415,9 @@ TEST(GroupDirService, AReadFailsOverFromACrashedReplicaAndAnUpdateDoesNot) {
     sent = bed.sim().now();
     EXPECT_EQ(dc.append_row(*dir, "once", {payload}).code(), Errc::timeout);
     waited = bed.sim().now() - sent;
-    EXPECT_EQ(waited, dir::kClientDeadline) << waited << " us";
+    EXPECT_EQ(waited, rpc::kSilenceLimit) << waited << " us";
     EXPECT_EQ(timeouts, before + 1);
+    EXPECT_EQ(enquiries, static_cast<std::uint64_t>(rpc::kEnquiries));
     // It reached no live replica, so it never executed.
     EXPECT_EQ(dc.lookup(*dir, "once").code(), Errc::not_found);
   });

@@ -3,6 +3,8 @@
 // of a group of one.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/strings.h"
 #include "group/group.h"
 #include "net/cluster.h"
@@ -265,7 +267,7 @@ TEST_F(EdgeFixture, StatsCountSendsAndResets) {
       while (true) {
         auto res = ms[static_cast<std::size_t>(i)]->receive();
         if (!res.is_ok()) {
-          (void)ms[static_cast<std::size_t>(i)]->reset_group(sim::sec(1));
+          (void)ms[static_cast<std::size_t>(i)]->reset_group(sim::sec(1), 1);
         }
       }
     });
@@ -282,6 +284,71 @@ TEST_F(EdgeFixture, StatsCountSendsAndResets) {
   cluster.crash(MachineId{0});
   sim.run_for(sim::sec(2));
   EXPECT_GE(mx.counter("group", "resets"), 1u);
+}
+
+TEST_F(EdgeFixture, ALateVoteStillJoinsTheQuorumView) {
+  // Regression: the sequencer of three crashes and one survivor's link is
+  // slow enough that its vote reaches the other's invitation only after one
+  // kVoteWindow. The coordinator used to install a view of itself alone,
+  // and the slow member, woken by that invitation from its wait on a vote
+  // of the previous round, started a rival attempt that it too won alone:
+  // two singleton views. With a quorum of two the round stays open for the
+  // late vote, so one view of both survivors forms.
+  std::vector<std::unique_ptr<GroupMember>> ms(3);
+  // The size of every view each survivor installed after the crash.
+  std::vector<std::map<std::uint32_t, std::size_t>> views(3);
+  bool crashed = false;
+  GroupConfig cfg = cfg_for(3);
+  for (int i = 0; i < 3; ++i) {
+    net::Machine& m = cluster.add_machine(numbered("m", i));
+    m.spawn("drv", [&, i] {
+      auto& me = ms[static_cast<std::size_t>(i)];
+      if (i == 0) {
+        me = GroupMember::create(m, cfg);
+      } else {
+        sim.sleep_for(sim::msec(5 * i));
+        while (!me) {
+          auto r = GroupMember::join(m, cfg);
+          if (r.is_ok()) {
+            me = std::move(*r);
+          } else {
+            sim.sleep_for(sim::msec(10));
+          }
+        }
+      }
+      while (true) {
+        auto res = me->receive();
+        if (res.is_ok() && res->kind != MsgKind::view) continue;
+        if (!res.is_ok()) (void)me->reset_group(sim::sec(1), 2);
+        const GroupInfo gi = me->info();
+        if (crashed && gi.state == MemberState::normal) {
+          views[static_cast<std::size_t>(i)][gi.incarnation] =
+              gi.members.size();
+        }
+      }
+    });
+  }
+  sim.run_for(sim::msec(200));
+  for (const auto& m : ms) ASSERT_EQ(m->info().members.size(), 3u);
+  // An 8x slower link stretches m2's round trip, about 2 x 0.9 ms at the
+  // base latency, past one 8 ms vote window.
+  cluster.net().set_link_degrade(MachineId{2}, 8.0, 0.0);
+  crashed = true;
+  cluster.crash(MachineId{0});
+  sim.run_for(sim::sec(2));
+  for (int i : {1, 2}) {
+    const GroupInfo gi = ms[static_cast<std::size_t>(i)]->info();
+    EXPECT_EQ(gi.state, MemberState::normal) << "m" << i;
+    EXPECT_EQ(gi.members, (std::vector<MachineId>{MachineId{1}, MachineId{2}}))
+        << "m" << i;
+    const auto& seen = views[static_cast<std::size_t>(i)];
+    EXPECT_FALSE(seen.empty()) << "m" << i;
+    for (const auto& [inc, size] : seen) {
+      EXPECT_EQ(size, 2u) << "m" << i << " installed view " << inc
+                          << " without the other survivor";
+    }
+  }
+  EXPECT_EQ(ms[1]->info().incarnation, ms[2]->info().incarnation);
 }
 
 TEST_F(EdgeFixture, PrunedHistoryGapEscalatesToStateTransfer) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/strings.h"
@@ -86,7 +87,7 @@ struct GroupFixture : ::testing::Test {
       }
       node->failures_seen++;
       if (node->auto_reset) {
-        (void)node->gm->reset_group(sim::msec(1000));
+        (void)node->gm->reset_group(sim::msec(1000), 1);
       } else {
         sim.sleep_for(sim::msec(20));
       }
@@ -152,6 +153,9 @@ struct OrderParams {
   int senders;
   std::uint64_t seed;
 };
+// gtest names a test by its parameter's object bytes: without padding the
+// name is the same in every build.
+static_assert(std::has_unique_object_representations_v<OrderParams>);
 
 class TotalOrderSweep : public ::testing::TestWithParam<OrderParams> {};
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "common/rand.h"
 #include "common/strings.h"
@@ -302,7 +303,11 @@ TEST_F(StateFixture, ObjectTableCapacityEnforced) {
 struct ReplayParams {
   std::uint64_t seed;
   int ops;
+  // gtest names a test by its parameter's object bytes: filling what would
+  // be padding keeps the name the same in every build.
+  char zero[4] = {};
 };
+static_assert(std::has_unique_object_representations_v<ReplayParams>);
 
 class ReplayDeterminism : public ::testing::TestWithParam<ReplayParams> {};
 

@@ -256,5 +256,116 @@ TEST_F(RpcFixture, RepliesOutliveStaleXids) {
   EXPECT_EQ(to_string(*second), "second");
 }
 
+// ------------------------------------------------------------- enquiries
+
+/// Client `c` sends one warm-up call (so the server is located), then a
+/// transaction with `opts`; returns its status and how long it took from
+/// the request being sent.
+struct Timed {
+  Status st = Status::error(Errc::internal, "unset");
+  std::string reply;
+  sim::Duration took = -1;
+};
+void timed_call(net::Machine& c, TransOptions opts, Timed& out,
+                const std::string& payload = "x") {
+  c.spawn("client", [&c, opts, &out, payload] {
+    RpcClient rpc(c);
+    ASSERT_TRUE(
+        rpc.trans(kEcho, to_buffer("warm"), {.timeout = sim::sec(5)}).is_ok());
+    const sim::Time t0 = c.sim().now();
+    auto res = rpc.trans(kEcho, to_buffer(payload), opts);
+    out.took = c.sim().now() - t0;
+    out.st = res.status();
+    if (res.is_ok()) out.reply = to_string(*res);
+  });
+}
+
+TEST_F(RpcFixture, AnEnquiringCallLeavesACrashedServerAfterItsSilenceLimit) {
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  start_echo(s, sim::msec(100), 1);
+  const std::uint64_t& enquiries =
+      cluster.metrics().counter("rpc", "enquiries");
+  Timed out;
+  timed_call(c, {.timeout = sim::sec(3), .enquire = true}, out);
+  sim.run_until(sim::msec(120));  // the warm-up is done, "x" is in service
+  cluster.crash(s.id());
+  sim.run_until(sim::sec(5));
+  EXPECT_EQ(out.st.code(), Errc::timeout);
+  EXPECT_EQ(out.took, kSilenceLimit);
+  EXPECT_EQ(enquiries, static_cast<std::uint64_t>(kEnquiries));
+  EXPECT_EQ(cluster.metrics().counter("rpc", "timeouts"), 1u);
+}
+
+TEST_F(RpcFixture, ALiveSlowServerKeepsAnEnquiringCallToItsDeadline) {
+  // The handler runs 2 s of the call's 3 s: every enquiry is answered
+  // ALIVE, so the call waits for the reply.
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  start_echo(s, sim::sec(2), 1);
+  const std::uint64_t& enquiries =
+      cluster.metrics().counter("rpc", "enquiries");
+  Timed out;
+  timed_call(c, {.timeout = sim::sec(3), .enquire = true}, out);
+  sim.run_until(sim::sec(10));
+  ASSERT_TRUE(out.st.is_ok()) << out.st.to_string();
+  EXPECT_EQ(out.reply, "x");
+  EXPECT_GE(out.took, sim::sec(2));
+  EXPECT_LT(out.took, sim::sec(2) + sim::msec(10));
+  // One enquiry per kEnquiryAfter of silence, each answered: at about 0.5,
+  // 1.0 and 1.5 s.
+  static_assert(kEnquiryAfter == sim::msec(500));
+  EXPECT_EQ(enquiries, 3u);
+}
+
+TEST_F(RpcFixture, ARestartedServerThatLostTheRequestFailsAnEnquiringCallFast) {
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  start_echo(s, sim::msec(100), 1);
+  Timed out;
+  timed_call(c, {.timeout = sim::sec(3), .enquire = true}, out);
+  sim.run_until(sim::msec(120));
+  cluster.crash(s.id());
+  cluster.restart(s.id());  // serving again, without the request
+  sim.run_until(sim::sec(5));
+  EXPECT_EQ(out.st.code(), Errc::timeout);
+  EXPECT_EQ(out.took, kSilenceLimit);
+}
+
+TEST_F(RpcFixture, AReplyLostOnTheWireComesBackThroughAnEnquiry) {
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  start_echo(s, sim::msec(100), 1);
+  const std::uint64_t& served =
+      cluster.metrics().counter("rpc", "requests_served");
+  Timed out;
+  timed_call(c, {.timeout = sim::sec(3), .enquire = true}, out, "once");
+  sim.run_until(sim::msec(120));  // "once" is in service
+  cluster.net().set_drop_prob(1.0);  // its reply is lost
+  sim.run_until(sim::msec(300));
+  cluster.net().set_drop_prob(0.0);
+  sim.run_until(sim::sec(5));
+  ASSERT_TRUE(out.st.is_ok()) << out.st.to_string();
+  EXPECT_EQ(out.reply, "once");
+  EXPECT_GE(out.took, kEnquiryAfter);
+  EXPECT_LT(out.took, kEnquiryAfter + kEnquiryTimeout);
+  EXPECT_EQ(served, 2u);  // the warm-up and "once": never executed again
+}
+
+TEST_F(RpcFixture, ACallWithoutEnquiriesWaitsItsWholeTimeout) {
+  // The default, which storage and peer RPCs use.
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  start_echo(s, sim::msec(100), 1);
+  Timed out;
+  timed_call(c, {.timeout = sim::sec(2)}, out);
+  sim.run_until(sim::msec(120));
+  cluster.crash(s.id());
+  sim.run_until(sim::sec(5));
+  EXPECT_EQ(out.st.code(), Errc::timeout);
+  EXPECT_EQ(out.took, sim::sec(2));
+  EXPECT_EQ(cluster.metrics().counter("rpc", "enquiries"), 0u);
+}
+
 }  // namespace
 }  // namespace amoeba::rpc

@@ -205,9 +205,15 @@ TEST(SimFuzz, CappedSearchFailsTheRun) {
 }
 
 TEST(SimFuzz, InjectedStaleReadsAreCaughtAndShrink) {
+  // The seed is the first in 1..10 that catches the canary both with and
+  // without enquiring updates (rpc.h). Seed 2 catches it only without: with
+  // them its stale replica serves a lookup of k4 from 16 records back,
+  // after an acknowledged append, but two ambiguous deletes of k4 may take
+  // effect after that append, so the history the clients saw is
+  // linearizable.
   FuzzOptions opts;
   opts.flavor = harness::Flavor::group;
-  opts.seed = 2;
+  opts.seed = 1;
   opts.inject_stale_reads = true;
   FuzzReport r = run_one(opts);
   ASSERT_FALSE(r.ok) << "the checker missed a deliberately injected bug";

@@ -186,6 +186,36 @@ TEST_F(StorageFixture, DiskServerRemoteReadWrite) {
   EXPECT_EQ(to_string(*got), "remote");
 }
 
+TEST_F(StorageFixture, ADiskWriteToACrashedServerSendsNoEnquiry) {
+  // Storage RPCs keep their whole rpc::kTransTimeout: a storage machine
+  // that is slow but up must not be given up early.
+  Machine& storage = cluster.add_machine("storage");
+  Machine& client = cluster.add_machine("client");
+  storage.install_service("disk", [&](Machine& mm) {
+    auto& d = mm.persistent<VirtualDisk>("d", [&mm] {
+      return std::make_unique<VirtualDisk>(mm.sim(), "d");
+    });
+    disk::DiskServer server(mm, kDiskPort, d, 64);
+    mm.sim().sleep_for(sim::kTimeMax / 2);
+  });
+  Status wst = Status::ok();
+  sim::Duration took = 0;
+  client.spawn("c", [&] {
+    rpc::RpcClient rpc(client);
+    disk::DiskClient dc(rpc, kDiskPort);
+    ASSERT_TRUE(dc.write_block(1, to_buffer("warm")).is_ok());
+    const sim::Time t0 = sim.now();
+    wst = dc.write_block(5, to_buffer("lost"));
+    took = sim.now() - t0;
+  });
+  sim.run_until(sim::msec(60));  // the second write is in service
+  cluster.crash(storage.id());
+  sim.run_until(sim::sec(5));
+  EXPECT_EQ(wst.code(), Errc::timeout);
+  EXPECT_EQ(took, rpc::kTransTimeout);
+  EXPECT_EQ(cluster.metrics().counter("rpc", "enquiries"), 0u);
+}
+
 TEST_F(StorageFixture, DiskServerRejectsOutOfPartition) {
   Machine& storage = cluster.add_machine("storage");
   Machine& client = cluster.add_machine("client");
