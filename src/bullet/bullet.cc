@@ -2,26 +2,9 @@
 
 #include "common/log.h"
 #include "common/strings.h"
+#include "rpc/reply.h"
 
 namespace amoeba::bullet {
-
-namespace {
-
-// Reply framing: u8 errc, then payload on success.
-Buffer ok_reply(const Buffer& payload = {}) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(Errc::ok));
-  w.raw(payload);
-  return w.take();
-}
-
-Buffer err_reply(Errc code) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(code));
-  return w.take();
-}
-
-}  // namespace
 
 BulletServer::BulletServer(net::Machine& machine, net::Port port,
                            disk::VirtualDisk& disk, int threads)
@@ -55,31 +38,31 @@ Buffer BulletServer::handle(const Buffer& request, obs::TraceContext ctx) {
       case BulletOp::create: {
         Buffer data = r.bytes();
         auto res = do_create(std::move(data), ctx);
-        if (!res.is_ok()) return err_reply(res.code());
+        if (!res.is_ok()) return rpc::reply_error(res.code());
         Writer w;
         res->encode(w);
-        return ok_reply(w.take());
+        return rpc::reply_ok(w.take());
       }
       case BulletOp::read: {
         cap::Capability c = cap::Capability::decode(r);
         auto res = do_read(c);
-        if (!res.is_ok()) return err_reply(res.code());
+        if (!res.is_ok()) return rpc::reply_error(res.code());
         Writer w;
         w.bytes(*res);
-        return ok_reply(w.take());
+        return rpc::reply_ok(w.take());
       }
       case BulletOp::del: {
         cap::Capability c = cap::Capability::decode(r);
         Status st = do_delete(c);
-        if (!st.is_ok()) return err_reply(st.code());
-        return ok_reply();
+        if (!st.is_ok()) return rpc::reply_error(st.code());
+        return rpc::reply_ok();
       }
       case BulletOp::list:
-        return ok_reply(do_list());
+        return rpc::reply_ok(do_list());
     }
-    return err_reply(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   } catch (const DecodeError&) {
-    return err_reply(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 
@@ -162,12 +145,8 @@ Result<cap::Capability> BulletClient::create(Buffer data,
   Writer w;
   w.u8(static_cast<std::uint8_t>(BulletOp::create));
   w.bytes(data);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "bullet create failed");
-  return cap::Capability::decode(r);
+  return rpc::decode_reply(rpc_.trans(port_, w.take(), {}, ctx),
+                           cap::Capability::decode);
 }
 
 Result<Buffer> BulletClient::read(const cap::Capability& c,
@@ -175,44 +154,32 @@ Result<Buffer> BulletClient::read(const cap::Capability& c,
   Writer w;
   w.u8(static_cast<std::uint8_t>(BulletOp::read));
   c.encode(w);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "bullet read failed");
-  return r.bytes();
+  return rpc::decode_reply(rpc_.trans(port_, w.take(), {}, ctx),
+                           [](Reader& r) { return r.bytes(); });
 }
 
 Result<std::vector<BulletClient::Listed>> BulletClient::list() {
   Writer w;
   w.u8(static_cast<std::uint8_t>(BulletOp::list));
-  auto res = rpc_.trans(port_, w.take());
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "bullet list failed");
-  const auto n = r.count<std::uint32_t>(cap::Capability::kEncodedSize + 4);
-  std::vector<Listed> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Listed item;
-    item.cap = cap::Capability::decode(r);
-    item.data = r.bytes();
-    out.push_back(std::move(item));
-  }
-  return out;
+  return rpc::decode_reply(rpc_.trans(port_, w.take()), [](Reader& r) {
+    const auto n = r.count<std::uint32_t>(cap::Capability::kEncodedSize + 4);
+    std::vector<Listed> out;
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      Listed item;
+      item.cap = cap::Capability::decode(r);
+      item.data = r.bytes();
+      out.push_back(std::move(item));
+    }
+    return out;
+  });
 }
 
 Status BulletClient::del(const cap::Capability& c, obs::TraceContext ctx) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(BulletOp::del));
   c.encode(w);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "bullet delete failed");
-  return Status::ok();
+  return rpc::reply_status(rpc_.trans(port_, w.take(), {}, ctx));
 }
 
 }  // namespace amoeba::bullet

@@ -29,6 +29,8 @@ enum class Errc {
   full,             // device out of space (NVRAM, object table)
   internal,         // invariant violation that was turned into an error
 };
+/// The highest code; a reply's status byte above it is malformed.
+inline constexpr Errc kLastErrc = Errc::internal;
 
 /// Human-readable name of an error code ("timeout", "no_majority", ...).
 std::string_view errc_name(Errc c);

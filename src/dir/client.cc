@@ -5,24 +5,11 @@
 
 #include "dir/serve.h"
 #include "net/cluster.h"
+#include "rpc/reply.h"
 
 namespace amoeba::dir {
 
 namespace {
-const char* op_name(DirOp op) {
-  switch (op) {
-    case DirOp::create_dir: return "create_dir";
-    case DirOp::delete_dir: return "delete_dir";
-    case DirOp::list_dir: return "list_dir";
-    case DirOp::append_row: return "append_row";
-    case DirOp::chmod_row: return "chmod_row";
-    case DirOp::delete_row: return "delete_row";
-    case DirOp::lookup_set: return "lookup_set";
-    case DirOp::replace_set: return "replace_set";
-  }
-  return "unknown";
-}
-
 std::uint32_t g_lease_salt = 0;  // distinct invalidation port per client
 
 obs::TimelineOp timeline_op(DirOp op) {
@@ -86,19 +73,16 @@ Result<Buffer> DirClient::call(const Buffer& request) {
   };
   auto res = send();
   while (read && !res.is_ok() && sim.now() < deadline) res = send();
+  const obs::TimelineOp top =
+      op.is_ok() ? timeline_op(*op) : obs::TimelineOp::other;
   tr.complete(t0, sim.now() - t0, "dir",
-              op.is_ok() ? op_name(*op) : "malformed", rpc_.machine().id().v,
-              root.trace, root.trace, root.span, 0);
+              op.is_ok() ? obs::timeline_op_name(top) : "malformed",
+              rpc_.machine().id().v, root.trace, root.trace, root.span, 0);
   // Availability timeline: every client-visible completion lands in the
   // window of its completion instant, errors classified by whether the
   // service failed (not by whether the answer was a positive hit).
-  const Status st = res.is_ok() ? reply_status(*res) : res.status();
-  tl_->record(op.is_ok() ? timeline_op(*op) : obs::TimelineOp::other, t0,
-              sim.now(), !service_failed(st));
-  if (!res.is_ok()) return res.status();
-  if (!st.is_ok()) return st;
-  Buffer payload(res->begin() + 1, res->end());
-  return payload;
+  tl_->record(top, t0, sim.now(), !service_failed(rpc::reply_status(res)));
+  return res;
 }
 
 // ------------------------------------------------------------------ leases
@@ -192,50 +176,36 @@ void DirClient::install_grants(
 
 Result<cap::Capability> DirClient::create_dir(
     const std::vector<std::string>& columns) {
-  auto res = call(make_create_dir(columns));
-  if (!res.is_ok()) return res.status();
-  try {
-    Reader r(*res);
-    cap::Capability c = cap::Capability::decode(r);
-    return c;
-  } catch (const DecodeError&) {
-    return Status::error(Errc::bad_request, "malformed create reply");
-  }
+  return rpc::decode_reply(call(make_create_dir(columns)),
+                           cap::Capability::decode);
 }
 
 Status DirClient::delete_dir(const cap::Capability& dir) {
   forget(dir.object);
-  return call(make_delete_dir(dir)).status();
+  return rpc::reply_status(call(make_delete_dir(dir)));
 }
 
 Result<Directory> DirClient::list_dir(const cap::Capability& dir) {
-  auto res = call(make_list_dir(dir));
-  if (!res.is_ok()) return res.status();
-  try {
-    Reader r(*res);
-    return Directory::decode(r);
-  } catch (const DecodeError&) {
-    return Status::error(Errc::bad_request, "malformed list reply");
-  }
+  return rpc::decode_reply(call(make_list_dir(dir)), Directory::decode);
 }
 
 Status DirClient::append_row(const cap::Capability& dir,
                              const std::string& name,
                              const std::vector<cap::Capability>& cols) {
   forget(dir.object);
-  return call(make_append_row(dir, name, cols)).status();
+  return rpc::reply_status(call(make_append_row(dir, name, cols)));
 }
 
 Status DirClient::chmod_row(const cap::Capability& dir, const std::string& name,
                             std::uint16_t column, cap::Rights mask) {
   forget(dir.object);
-  return call(make_chmod_row(dir, name, column, mask)).status();
+  return rpc::reply_status(call(make_chmod_row(dir, name, column, mask)));
 }
 
 Status DirClient::delete_row(const cap::Capability& dir,
                              const std::string& name) {
   forget(dir.object);
-  return call(make_delete_row(dir, name)).status();
+  return rpc::reply_status(call(make_delete_row(dir, name)));
 }
 
 Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
@@ -271,10 +241,7 @@ Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
   Buffer req = make_lookup_set(targets);
   if (leases_enabled()) append_lease_request(req, lease_port_);
   const sim::Time fill_invoke = rpc_.machine().sim().now();
-  auto res = call(req);
-  if (!res.is_ok()) return res.status();
-  try {
-    Reader r(*res);
+  return rpc::decode_reply(call(req), [&](Reader& r) {
     const auto n = r.count<std::uint16_t>(2);  // column count
     std::vector<std::vector<cap::Capability>> out;
     out.reserve(n);
@@ -292,9 +259,7 @@ Result<std::vector<std::vector<cap::Capability>>> DirClient::lookup_set(
       if (!grants.empty()) install_grants(targets, out, grants, fill_invoke);
     }
     return out;
-  } catch (const DecodeError&) {
-    return Status::error(Errc::bad_request, "malformed lookup reply");
-  }
+  });
 }
 
 Result<cap::Capability> DirClient::lookup(const cap::Capability& dir,
@@ -310,7 +275,7 @@ Result<cap::Capability> DirClient::lookup(const cap::Capability& dir,
 
 Status DirClient::replace_set(const std::vector<ReplaceTarget>& targets) {
   for (const auto& t : targets) forget(t.dir.object);
-  return call(make_replace_set(targets)).status();
+  return rpc::reply_status(call(make_replace_set(targets)));
 }
 
 }  // namespace amoeba::dir

@@ -109,7 +109,8 @@ class DirClient {
   /// One transaction within the client deadline: a read in attempts of
   /// kReadAttemptTimeout, re-sent after a failed transaction; an update
   /// once, enquiring (rpc.h), so a silent server fails it after
-  /// rpc::kSilenceLimit and a live one keeps the whole deadline.
+  /// rpc::kSilenceLimit and a live one keeps the whole deadline. Returns
+  /// trans()'s result for the op's decoder (rpc/reply.h).
   Result<Buffer> call(const Buffer& request);
   void on_inval(net::Packet pkt);
   /// Read-your-writes: forget the cached copy of a directory this client

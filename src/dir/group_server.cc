@@ -11,6 +11,7 @@
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "dir/serve.h"
+#include "rpc/reply.h"
 #include "rpc/rpc.h"
 #include "sim/waitq.h"
 
@@ -70,7 +71,9 @@ struct ServerCtx {
   std::unique_ptr<group::GroupMember> gm;
   std::uint64_t& applied_seqno = stats.applied_seqno;
   sim::WaitQueue applied_wq;
-  std::map<std::uint64_t, Buffer> completions;
+  /// Update replies by opid, one slot per initiator still waiting; the
+  /// initiator inserts its slot before it sends and erases it on return.
+  std::map<std::uint64_t, std::optional<Buffer>> completions;
   sim::WaitQueue completion_wq;
   std::uint64_t next_opid = 1;
   bool continuously_up = false;
@@ -160,35 +163,26 @@ Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
     Reader r(request);
     auto op = static_cast<AdminOp>(r.u8());
     switch (op) {
-      case AdminOp::exchange: {
+      case AdminOp::exchange:
         // Peer sends nothing we need beyond the op; reply with our mourned
         // set (complement of our last-majority config), recovery seqno and
         // the continuously-up flag for the Sec. 3.2 rule.
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(Errc::ok));
-        w.u32(~ctx.store.commit_block().config & ctx.all_mask());
-        w.u64(ctx.my_seqno);
-        w.boolean(ctx.continuously_up);
-        return w.take();
-      }
-      case AdminOp::fetch_state: {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(Errc::ok));
-        w.u64(ctx.my_seqno);
+        return encode_exchange_reply(
+            {~ctx.store.commit_block().config & ctx.all_mask(), ctx.my_seqno,
+             ctx.continuously_up});
+      case AdminOp::fetch_state:
         // The group thread bumps applied_seqno only after the (yielding)
         // persistence step, so mid-persist the in-memory state already
         // holds updates beyond applied_seqno. my_seqno tracks apply
         // instantly; report the max so a joiner installing this snapshot
         // skips everything the snapshot already contains.
-        w.u64(std::max(ctx.my_seqno, ctx.applied_seqno));
-        w.u64(ctx.store.commit_block().seqno);
-        w.bytes(ctx.state.snapshot());
-        return w.take();
-      }
+        return encode_fetch_state_reply(
+            {ctx.my_seqno, std::max(ctx.my_seqno, ctx.applied_seqno),
+             ctx.store.commit_block().seqno, ctx.state.snapshot()});
     }
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   } catch (const DecodeError&) {
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 
@@ -261,15 +255,10 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
       preq.u8(static_cast<std::uint8_t>(AdminOp::exchange));
       for (int idx = 0; idx < ctx.nservers(); ++idx) {
         if (idx == ctx.my_index) continue;
-        auto res = st.rpc.trans(ctx.admin_of(idx), preq.view(),
-                                {.timeout = kCreateProbeTimeout});
-        if (!res.is_ok()) continue;
-        try {
-          Reader r(*res);
-          if (static_cast<Errc>(r.u8()) != Errc::ok) continue;
-          (void)r.u32();  // mourned set, unused here
-          cfg.initial_seqno = std::max(cfg.initial_seqno, r.u64());
-        } catch (const DecodeError&) {
+        auto x = decode_exchange_reply(st.rpc.trans(
+            ctx.admin_of(idx), preq.view(), {.timeout = kCreateProbeTimeout}));
+        if (x.is_ok()) {
+          cfg.initial_seqno = std::max(cfg.initial_seqno, x->seqno);
         }
       }
       ctx.gm = group::GroupMember::create(ctx.machine, cfg);
@@ -301,22 +290,13 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
   for (MachineId m : ctx.gm->info().members) {
     const int idx = server_index(ctx.opts.servers, m);
     if (idx < 0 || idx == ctx.my_index) continue;
-    auto res = st.rpc.trans(ctx.admin_of(idx), req.view(),
-                            {.timeout = kExchangeTimeout});
-    if (!res.is_ok()) continue;
-    try {
-      Reader r(*res);
-      if (static_cast<Errc>(r.u8()) != Errc::ok) continue;
-      const std::uint32_t their_mourned = r.u32();
-      const std::uint64_t their_seqno = r.u64();
-      const bool their_cont = r.boolean();
-      newgroup |= (1u << idx);
-      mourned |= their_mourned;
-      seqnos[idx] = their_seqno;
-      cont_up[idx] = their_cont;
-    } catch (const DecodeError&) {
-      continue;
-    }
+    auto x = decode_exchange_reply(st.rpc.trans(
+        ctx.admin_of(idx), req.view(), {.timeout = kExchangeTimeout}));
+    if (!x.is_ok()) continue;
+    newgroup |= (1u << idx);
+    mourned |= x->mourned;
+    seqnos[idx] = x->seqno;
+    cont_up[idx] = x->continuously_up;
   }
   mourned &= ~newgroup;  // members we just spoke to are plainly alive
 
@@ -381,36 +361,25 @@ bool try_recover_once(ServerCtx& ctx, Io& st) {
     bool installed = false;
     const sim::Time fetch_deadline = ctx.now() + kFetchDeadline;
     do {
-      auto res = st.rpc.trans(ctx.admin_of(donor), freq.view(),
-                              {.timeout = kFetchTimeout});
+      auto res = decode_fetch_state_reply(st.rpc.trans(
+          ctx.admin_of(donor), freq.view(), {.timeout = kFetchTimeout}));
       if (!res.is_ok()) break;
-      try {
-        Reader r(*res);
-        if (static_cast<Errc>(r.u8()) != Errc::ok) break;
-        const std::uint64_t peer_seqno = r.u64();
-        const std::uint64_t peer_applied = r.u64();
-        const std::uint64_t peer_commit_seqno = r.u64();
-        Buffer snap = r.bytes();
-        if (peer_applied < cutoff) {
-          // Donor is still applying the stream below our cutoff; poll
-          // until its snapshot covers the gap.
-          sim.sleep_for(kRecoveryPoll);
-          continue;
-        }
-        Status ps = ctx.store.install(st, snap, peer_commit_seqno, [&] {
-          ctx.machine.trace().instant(ctx.now(), "dir.group",
-                                      "state_transfer", ctx.machine.id().v,
-                                      snap.size());
-          LOG_DEBUG << ctx.machine.name() << " installed snapshot from dir"
-                    << donor << ": applied=" << peer_applied
-                    << " cutoff=" << cutoff;
-          ctx.my_seqno = std::max(peer_seqno, ctx.my_seqno);
-          ctx.applied_seqno = std::max(ctx.applied_seqno, peer_applied);
-        });
-        installed = ps.is_ok();
-      } catch (const DecodeError&) {
-        break;
+      if (res->applied < cutoff) {
+        // Donor is still applying the stream below our cutoff; poll
+        // until its snapshot covers the gap.
+        sim.sleep_for(kRecoveryPoll);
+        continue;
       }
+      Status ps = ctx.store.install(st, res->snapshot, res->commit_seqno, [&] {
+        ctx.machine.trace().instant(ctx.now(), "dir.group", "state_transfer",
+                                    ctx.machine.id().v, res->snapshot.size());
+        LOG_DEBUG << ctx.machine.name() << " installed snapshot from dir"
+                  << donor << ": applied=" << res->applied
+                  << " cutoff=" << cutoff;
+        ctx.my_seqno = std::max(res->seqno, ctx.my_seqno);
+        ctx.applied_seqno = std::max(ctx.applied_seqno, res->applied);
+      });
+      installed = ps.is_ok();
     } while (!installed && ctx.now() < fetch_deadline);
     // If not installed, the recovering flag stays set: if we die now, the
     // next boot zeroes our seqno (paper Sec. 3).
@@ -463,11 +432,11 @@ void update_config_from_group(ServerCtx& ctx, Io& st) {
 /// client's lease simply lapses after kLeaseDuration of simulated time.
 void grant_leases(ServerCtx& ctx, const rpc::IncomingRequest& req,
                   Buffer& reply) {
-  if (reply.empty() || static_cast<Errc>(reply[0]) != Errc::ok) return;
   // A lease request is a 9-byte trailer (tag, port). Most lookups carry
   // none; look for its tag before decoding the whole request again.
   const Buffer& q = req.data;
   if (q.size() < 9 || q[q.size() - 9] != kLeaseRequestTag) return;
+  if (!rpc::reply_status(reply).is_ok()) return;
   auto parsed = parse_lookup_set(q);
   if (!parsed.is_ok() || !parsed->lease_port.has_value()) return;
   const sim::Time expiry = ctx.now() + kLeaseDuration;
@@ -648,7 +617,9 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
     bool completed = false;
     for (Sub& sub : subs) {
       if (!sub.mine) continue;
-      ctx.completions[sub.opid] = std::move(sub.reply);
+      // An initiator that timed out left no slot: its reply is dropped.
+      auto slot = ctx.completions.find(sub.opid);
+      if (slot != ctx.completions.end()) slot->second = std::move(sub.reply);
       completed = true;
     }
     if (completed) ctx.completion_wq.notify_all();
@@ -661,7 +632,7 @@ void group_thread_loop(ServerCtx& ctx, Io& st) {
 std::optional<OpOutcome> refuse_without_majority(ServerCtx& ctx) {
   if (!ctx.in_recovery && ctx.majority()) return std::nullopt;
   ++ctx.mx_refused;
-  return OpOutcome{reply_error(Errc::no_majority), "refused", false};
+  return OpOutcome{rpc::reply_error(Errc::no_majority), "refused", false};
 }
 
 /// See served_since_recovery.
@@ -686,7 +657,7 @@ OpOutcome serve_read(ServerCtx& ctx, const rpc::IncomingRequest& req,
       ctx.applied_wq.wait_until(deadline);
     }
     if (ctx.applied_seqno < target) {
-      return {reply_error(Errc::refused), "read", false};
+      return {rpc::reply_error(Errc::refused), "read", false};
     }
   }
   Buffer reply = ctx.state.execute_read(req.data);
@@ -706,24 +677,23 @@ OpOutcome serve_update(ServerCtx& ctx, const rpc::IncomingRequest& req,
   w.u64(opid);
   w.u64(secret);
   w.bytes(req.data);
-  Status st = ctx.gm->send_to_group(w.take(), octx);
-  if (!st.is_ok()) {
-    return {reply_error(st.code() == Errc::group_failure ? Errc::no_majority
-                                                         : st.code()),
-            "write", false};
-  }
+  const auto slot = ctx.completions.emplace(opid, std::nullopt).first;
+  const Status st = ctx.gm->send_to_group(w.take(), octx);
   const sim::Time deadline = ctx.now() + kClientDeadline;
-  while (!ctx.completions.contains(opid) && ctx.now() < deadline) {
+  while (st.is_ok() && !slot->second && ctx.now() < deadline) {
     ctx.completion_wq.wait_until(deadline);
   }
-  auto it = ctx.completions.find(opid);
-  if (it == ctx.completions.end()) {
-    return {reply_error(Errc::timeout), "write", false};
+  std::optional<Buffer> reply = std::move(slot->second);
+  ctx.completions.erase(slot);
+  if (!st.is_ok()) {
+    return {rpc::reply_error(st.code() == Errc::group_failure
+                                 ? Errc::no_majority
+                                 : st.code()),
+            "write", false};
   }
-  Buffer reply = std::move(it->second);
-  ctx.completions.erase(it);
+  if (!reply) return {rpc::reply_error(Errc::timeout), "write", false};
   note_served(ctx, octx);
-  return {std::move(reply), "write", true};
+  return {std::move(*reply), "write", true};
 }
 
 void service_main(Machine& machine, const ServerOptions& opts) {
@@ -783,6 +753,44 @@ void install_group_dir_server(Machine& machine, const ServerOptions& opts) {
 
 const GroupDirStats& group_dir_stats(net::Machine& machine) {
   return stats_of(machine);
+}
+
+Buffer encode_exchange_reply(const ExchangeReply& x) {
+  Writer w;
+  w.u32(x.mourned);
+  w.u64(x.seqno);
+  w.boolean(x.continuously_up);
+  return rpc::reply_ok(w.take());
+}
+
+Result<ExchangeReply> decode_exchange_reply(const Result<Buffer>& reply) {
+  return rpc::decode_reply(reply, [](Reader& r) {
+    ExchangeReply x;
+    x.mourned = r.u32();
+    x.seqno = r.u64();
+    x.continuously_up = r.boolean();
+    return x;
+  });
+}
+
+Buffer encode_fetch_state_reply(const FetchStateReply& x) {
+  Writer w;
+  w.u64(x.seqno);
+  w.u64(x.applied);
+  w.u64(x.commit_seqno);
+  w.bytes(x.snapshot);
+  return rpc::reply_ok(w.take());
+}
+
+Result<FetchStateReply> decode_fetch_state_reply(const Result<Buffer>& reply) {
+  return rpc::decode_reply(reply, [](Reader& r) {
+    FetchStateReply x;
+    x.seqno = r.u64();
+    x.applied = r.u64();
+    x.commit_seqno = r.u64();
+    x.snapshot = r.bytes();
+    return x;
+  });
 }
 
 }  // namespace amoeba::dir

@@ -22,6 +22,8 @@
 
 #include <cstdint>
 
+#include "common/buffer.h"
+#include "common/status.h"
 #include "group/group.h"
 #include "net/cluster.h"
 
@@ -31,10 +33,32 @@ struct ServerOptions;  // dir/serve.h
 
 /// Admin protocol served on `kGroupAdminBase + machine id` (used by the
 /// recovery protocol; exposed so tests and tools can inspect replicas).
-/// exchange: reply = errc, mourned bitmask u32, seqno u64, continuously_up.
-/// fetch_state: reply = errc, seqno u64, applied u64, commit-seqno u64,
-///              DirState snapshot bytes.
+/// A request is the op alone; an ok reply's payload (rpc/reply.h) is
+/// exchange: mourned bitmask u32, seqno u64, continuously_up
+///           (decode_exchange_reply);
+/// fetch_state: seqno u64, applied u64, commit-seqno u64, DirState
+///              snapshot bytes (decode_fetch_state_reply).
 enum class GroupAdminOp : std::uint8_t { exchange = 1, fetch_state };
+
+/// A server's answer to `exchange`: its mourned set, its recovery seqno
+/// and whether it stayed up since its last recovery (Sec. 3.2's rule).
+struct ExchangeReply {
+  std::uint32_t mourned = 0;  // bitmask over server indices
+  std::uint64_t seqno = 0;
+  bool continuously_up = false;
+};
+Buffer encode_exchange_reply(const ExchangeReply& x);
+Result<ExchangeReply> decode_exchange_reply(const Result<Buffer>& reply);
+
+/// A donor's answer to `fetch_state`: the seqnos its snapshot reflects.
+struct FetchStateReply {
+  std::uint64_t seqno = 0;
+  std::uint64_t applied = 0;
+  std::uint64_t commit_seqno = 0;
+  Buffer snapshot;  // DirState::snapshot()
+};
+Buffer encode_fetch_state_reply(const FetchStateReply& x);
+Result<FetchStateReply> decode_fetch_state_reply(const Result<Buffer>& reply);
 
 /// Installs a directory server on `machine` (runs at boot and after every
 /// restart). The machine must appear in `opts.servers`.

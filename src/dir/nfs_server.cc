@@ -8,6 +8,7 @@
 #include "dir/proto.h"
 #include "dir/serve.h"
 #include "disk/vdisk.h"
+#include "rpc/reply.h"
 #include "rpc/rpc.h"
 
 namespace amoeba::dir {
@@ -69,65 +70,62 @@ void dir_loop(NfsCtx& ctx, rpc::RpcServer& server) {
       });
 }
 
+/// One bullet-protocol request against the server's file table.
+Buffer handle_file(NfsCtx& ctx, const Buffer& request) {
+  try {
+    Reader r(request);
+    switch (static_cast<bullet::BulletOp>(r.u8())) {
+      case bullet::BulletOp::create: {
+        Buffer data = r.bytes();
+        // Data is write-behind; only the inode/indirect block is
+        // synchronous — hence the smaller cost than a full disk write.
+        ctx.machine.cpu().use(kCpuFile);
+        ctx.machine.sim().sleep_for(kFileCreateDisk);
+        const std::uint32_t obj = ctx.next_file++;
+        const std::uint64_t secret =
+            ctx.machine.sim().rng().next() & cap::CheckScheme::kCheckMask;
+        (*ctx.files)[obj] = NfsCtx::FileEntry{secret, std::move(data)};
+        cap::Capability c;
+        c.port = kNfsFilePort;
+        c.object = obj;
+        c.rights = cap::kRightsAll;
+        c.check = cap::CheckScheme::make_check(secret, cap::kRightsAll);
+        Writer w;
+        c.encode(w);
+        return rpc::reply_ok(w.take());
+      }
+      case bullet::BulletOp::read: {
+        cap::Capability c = cap::Capability::decode(r);
+        ctx.machine.cpu().use(kCpuFile);
+        auto it = ctx.files->find(c.object);
+        if (it == ctx.files->end()) return rpc::reply_error(Errc::not_found);
+        if (!cap::CheckScheme::verify(c, it->second.secret)) {
+          return rpc::reply_error(Errc::bad_capability);
+        }
+        Writer w;
+        w.bytes(it->second.data);
+        return rpc::reply_ok(w.take());
+      }
+      case bullet::BulletOp::del: {
+        cap::Capability c = cap::Capability::decode(r);
+        ctx.machine.cpu().use(kCpuFile);
+        ctx.files->erase(c.object);
+        return rpc::reply_ok();
+      }
+      default:
+        return rpc::reply_error(Errc::bad_request);
+    }
+  } catch (const DecodeError&) {
+    return rpc::reply_error(Errc::bad_request);
+  }
+}
+
 void file_loop(NfsCtx& ctx, rpc::RpcServer& server) {
   obs::Counter& mx_file_ops =
       ctx.machine.metrics().counter("dir.nfs", "file_ops");
   while (true) {
     rpc::IncomingRequest req = server.get_request();
-    Buffer reply;
-    try {
-      Reader r(req.data);
-      auto op = static_cast<bullet::BulletOp>(r.u8());
-      Writer w;
-      switch (op) {
-        case bullet::BulletOp::create: {
-          Buffer data = r.bytes();
-          // Data is write-behind; only the inode/indirect block is
-          // synchronous — hence the smaller cost than a full disk write.
-          ctx.machine.cpu().use(kCpuFile);
-          ctx.machine.sim().sleep_for(kFileCreateDisk);
-          const std::uint32_t obj = ctx.next_file++;
-          const std::uint64_t secret =
-              ctx.machine.sim().rng().next() & cap::CheckScheme::kCheckMask;
-          (*ctx.files)[obj] = NfsCtx::FileEntry{secret, std::move(data)};
-          cap::Capability c;
-          c.port = kNfsFilePort;
-          c.object = obj;
-          c.rights = cap::kRightsAll;
-          c.check = cap::CheckScheme::make_check(secret, cap::kRightsAll);
-          w.u8(static_cast<std::uint8_t>(Errc::ok));
-          c.encode(w);
-          break;
-        }
-        case bullet::BulletOp::read: {
-          cap::Capability c = cap::Capability::decode(r);
-          ctx.machine.cpu().use(kCpuFile);
-          auto it = ctx.files->find(c.object);
-          if (it == ctx.files->end()) {
-            w.u8(static_cast<std::uint8_t>(Errc::not_found));
-          } else if (!cap::CheckScheme::verify(c, it->second.secret)) {
-            w.u8(static_cast<std::uint8_t>(Errc::bad_capability));
-          } else {
-            w.u8(static_cast<std::uint8_t>(Errc::ok));
-            w.bytes(it->second.data);
-          }
-          break;
-        }
-        case bullet::BulletOp::del: {
-          cap::Capability c = cap::Capability::decode(r);
-          ctx.machine.cpu().use(kCpuFile);
-          ctx.files->erase(c.object);
-          w.u8(static_cast<std::uint8_t>(Errc::ok));
-          break;
-        }
-        default:
-          w.u8(static_cast<std::uint8_t>(Errc::bad_request));
-      }
-      reply = w.take();
-    } catch (const DecodeError&) {
-      reply = reply_error(Errc::bad_request);
-    }
-    server.put_reply(req, std::move(reply));
+    server.put_reply(req, handle_file(ctx, req.data));
     ++mx_file_ops;
   }
 }

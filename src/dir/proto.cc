@@ -1,6 +1,8 @@
 #include "dir/proto.h"
 
 #include "common/log.h"
+#include "rpc/reply.h"
+#include "rpc/reply.h"
 
 #include <algorithm>
 
@@ -183,26 +185,6 @@ std::optional<LeaseGrant> parse_lease_inval(const Buffer& b) {
   }
 }
 
-Buffer reply_error(Errc code) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(code));
-  return w.take();
-}
-
-Buffer reply_ok(const Buffer& payload) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(Errc::ok));
-  w.raw(payload);
-  return w.take();
-}
-
-Status reply_status(const Buffer& reply) {
-  if (reply.empty()) return Status::error(Errc::bad_request, "empty reply");
-  auto code = static_cast<Errc>(reply[0]);
-  if (code == Errc::ok) return Status::ok();
-  return Status::error(code, "server error");
-}
-
 // ---------------------------------------------------------------- DirState
 
 ObjectEntry* DirState::entry(std::uint32_t objnum) {
@@ -272,7 +254,7 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
         d.seqno = seqno;
         const std::uint32_t objnum =
             forced_objnum != 0 ? forced_objnum : alloc_objnum();
-        if (objnum >= kMaxObjects) return reply_error(Errc::full);
+        if (objnum >= kMaxObjects) return rpc::reply_error(Errc::full);
         ObjectEntry e;
         e.in_use = true;
         e.secret = secret & cap::CheckScheme::kCheckMask;
@@ -288,24 +270,24 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
         c.check = cap::CheckScheme::make_check(e.secret, cap::kRightsAll);
         Writer w;
         c.encode(w);
-        return reply_ok(w.take());
+        return rpc::reply_ok(w.take());
       }
 
       case DirOp::delete_dir: {
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightDelete);
-        if (!obj.is_ok()) return reply_error(obj.code());
+        if (!obj.is_ok()) return rpc::reply_error(obj.code());
         effect->deleted_file = entry(*obj)->bullet;
         erase(*obj);
         effect->deleted.push_back(*obj);
         effect->any_change = true;
-        return reply_ok();
+        return rpc::reply_ok();
       }
 
       case DirOp::append_row: {
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightWrite);
-        if (!obj.is_ok()) return reply_error(obj.code());
+        if (!obj.is_ok()) return rpc::reply_error(obj.code());
         std::string name = r.str();
         const std::uint16_t nc = r.u16();
         DirRow row;
@@ -314,26 +296,28 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
           row.cols.push_back(cap::Capability::decode(r));
         }
         Directory& d = dirs_[*obj];
-        if (d.has(row.name)) return reply_error(Errc::exists);
+        if (d.has(row.name)) return rpc::reply_error(Errc::exists);
         d.rows.push_back(std::move(row));
         d.seqno = seqno;
         table_[*obj].seqno = seqno;
         effect->touched.push_back(*obj);
         effect->any_change = true;
-        return reply_ok();
+        return rpc::reply_ok();
       }
 
       case DirOp::chmod_row: {
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightAdmin);
-        if (!obj.is_ok()) return reply_error(obj.code());
+        if (!obj.is_ok()) return rpc::reply_error(obj.code());
         const std::string name = r.str();
         const std::uint16_t column = r.u16();
         const cap::Rights mask = r.u8();
         Directory& d = dirs_[*obj];
         DirRow* row = d.find(name);
-        if (row == nullptr) return reply_error(Errc::not_found);
-        if (column >= row->cols.size()) return reply_error(Errc::bad_request);
+        if (row == nullptr) return rpc::reply_error(Errc::not_found);
+        if (column >= row->cols.size()) {
+          return rpc::reply_error(Errc::bad_request);
+        }
         cap::Capability& target = row->cols[column];
         // The stored capability is the full-rights one; the server can
         // restrict it because it knows the object's secret when the target
@@ -348,22 +332,22 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
         table_[*obj].seqno = seqno;
         effect->touched.push_back(*obj);
         effect->any_change = true;
-        return reply_ok();
+        return rpc::reply_ok();
       }
 
       case DirOp::delete_row: {
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightWrite);
-        if (!obj.is_ok()) return reply_error(obj.code());
+        if (!obj.is_ok()) return rpc::reply_error(obj.code());
         const std::string name = r.str();
         Directory& d = dirs_[*obj];
-        if (!d.has(name)) return reply_error(Errc::not_found);
+        if (!d.has(name)) return rpc::reply_error(Errc::not_found);
         std::erase_if(d.rows, [&](const DirRow& x) { return x.name == name; });
         d.seqno = seqno;
         table_[*obj].seqno = seqno;
         effect->touched.push_back(*obj);
         effect->any_change = true;
-        return reply_ok();
+        return rpc::reply_ok();
       }
 
       case DirOp::replace_set: {
@@ -379,8 +363,8 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
           std::string name = r.str();
           cap::Capability replacement = cap::Capability::decode(r);
           auto obj = check_dir_cap(c, cap::kRightWrite);
-          if (!obj.is_ok()) return reply_error(obj.code());
-          if (!dirs_[*obj].has(name)) return reply_error(Errc::conflict);
+          if (!obj.is_ok()) return rpc::reply_error(obj.code());
+          if (!dirs_[*obj].has(name)) return rpc::reply_error(Errc::conflict);
           items.push_back({*obj, std::move(name), replacement});
         }
         // All targets verified: apply atomically.
@@ -397,16 +381,17 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
           effect->touched.push_back(item.obj);
         }
         effect->any_change = !items.empty();
-        return reply_ok();
+        return rpc::reply_ok();
       }
 
       case DirOp::list_dir:
       case DirOp::lookup_set:
-        return reply_error(Errc::bad_request);  // reads must not reach apply
+        // Reads must not reach apply.
+        return rpc::reply_error(Errc::bad_request);
     }
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   } catch (const DecodeError&) {
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 
@@ -418,10 +403,10 @@ Buffer DirState::execute_read(const Buffer& request) const {
       case DirOp::list_dir: {
         const cap::Capability c = cap::Capability::decode(r);
         auto obj = check_dir_cap(c, cap::kRightRead);
-        if (!obj.is_ok()) return reply_error(obj.code());
+        if (!obj.is_ok()) return rpc::reply_error(obj.code());
         Writer w;
         dirs_.at(*obj).encode(w);
-        return reply_ok(w.take());
+        return rpc::reply_ok(w.take());
       }
       case DirOp::lookup_set: {
         const std::uint16_t n = r.u16();
@@ -431,19 +416,19 @@ Buffer DirState::execute_read(const Buffer& request) const {
           const cap::Capability c = cap::Capability::decode(r);
           const std::string name = r.str();
           auto obj = check_dir_cap(c, cap::kRightRead);
-          if (!obj.is_ok()) return reply_error(obj.code());
+          if (!obj.is_ok()) return rpc::reply_error(obj.code());
           const DirRow* row = dirs_.at(*obj).find(name);
-          if (row == nullptr) return reply_error(Errc::not_found);
+          if (row == nullptr) return rpc::reply_error(Errc::not_found);
           w.u16(static_cast<std::uint16_t>(row->cols.size()));
           for (const auto& rc : row->cols) rc.encode(w);
         }
-        return reply_ok(w.take());
+        return rpc::reply_ok(w.take());
       }
       default:
-        return reply_error(Errc::bad_request);
+        return rpc::reply_error(Errc::bad_request);
     }
   } catch (const DecodeError&) {
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 

@@ -3,7 +3,7 @@
 // implementations (group, RPC, NFS-like) execute.
 //
 // Request framing:  u8 op | op-specific body.
-// Reply framing:    u8 errc | op-specific body on success.
+// Reply framing:    u8 errc | op-specific body on success (rpc/reply.h).
 //
 // Update requests are replayed verbatim by replicas (the group service
 // broadcasts the request plus the initiator-generated secret), so apply()
@@ -114,12 +114,6 @@ std::vector<LeaseGrant> read_lease_grants(Reader& r);
 /// Standalone invalidation packet, unicast to a lease holder's port.
 Buffer make_lease_inval(std::uint32_t obj, std::uint64_t seqno);
 std::optional<LeaseGrant> parse_lease_inval(const Buffer& b);
-
-// --- reply builders / parsers ----------------------------------------------
-Buffer reply_error(Errc code);
-Buffer reply_ok(const Buffer& payload = {});
-/// Splits a reply into (status, payload reader position just after errc).
-Status reply_status(const Buffer& reply);
 
 /// The in-memory directory database shared by every implementation: the
 /// object table plus the cached directory contents. Persistence is layered

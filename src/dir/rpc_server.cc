@@ -9,6 +9,7 @@
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "dir/serve.h"
+#include "rpc/reply.h"
 #include "rpc/rpc.h"
 #include "sim/waitq.h"
 
@@ -188,7 +189,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
         };
         if (!ctx.lock_for_peer(ictx)) {
           ++ctx.mx_conflicts;
-          return close(reply_error(Errc::refused));
+          return close(rpc::reply_error(Errc::refused));
         }
         RpcServerCtx::Unlock unlock{&ctx};
         ctx.peer_down = false;  // peer traffic proves the peer is alive
@@ -196,7 +197,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
           // We missed updates (we restarted, or the initiator wrote while we
           // were unreachable): a delta on the wrong baseline would corrupt
           // our state. Refuse; the initiator pushes its full state first.
-          return close(reply_error(Errc::conflict));
+          return close(rpc::reply_error(Errc::conflict));
         }
         ++ctx.mx_intents;
         ctx.machine.use_cpu(kCpuApply, ictx);
@@ -205,7 +206,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
         if (!ctx.store.uses_nvram()) {
           Status ds = ctx.store.write_intent(st, seqno, secret, dir_request,
                                              ictx);
-          if (!ds.is_ok()) return close(reply_error(ds.code()));
+          if (!ds.is_ok()) return close(rpc::reply_error(ds.code()));
         }
         DirState::ApplyEffect effect;
         (void)ctx.state.apply(dir_request, secret, seqno, &effect);
@@ -214,7 +215,7 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
           // NVRAM intentions double as the deferred local copy.
           ctx.store.log({{dir_request, secret, effect}}, seqno, ictx);
           ctx.store.drop(st, effect.deleted_file);
-          return close(reply_ok());
+          return close(rpc::reply_ok());
         }
         for (std::uint32_t obj : effect.touched) {
           ctx.lazy_q.push_back({obj, cap::kNullCap});
@@ -223,19 +224,14 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
           ctx.lazy_q.push_back({0, effect.deleted_file});
         }
         ctx.lazy_wq.notify_one();
-        return close(reply_ok());
+        return close(rpc::reply_ok());
       }
-      case PeerOp::resync: {
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(Errc::ok));
-        w.u64(ctx.last_seqno);
-        w.bytes(ctx.state.snapshot());
-        return w.take();
-      }
+      case PeerOp::resync:
+        return encode_peer_state({ctx.last_seqno, ctx.state.snapshot()});
       case PeerOp::push_state: {
         const std::uint64_t seqno = r.u64();
         Buffer snap = r.bytes();
-        if (!ctx.lock_for_peer()) return reply_error(Errc::refused);
+        if (!ctx.lock_for_peer()) return rpc::reply_error(Errc::refused);
         RpcServerCtx::Unlock unlock{&ctx};
         // The pushing peer is alive and, once this exchange completes, up to
         // date — so updates must re-engage it via intents from here on.
@@ -243,16 +239,14 @@ Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
         // rebooted peer would otherwise have while we kept writing solo.
         ctx.peer_down = false;
         if (seqno > ctx.last_seqno) install_snapshot(ctx, st, snap, seqno);
-        Writer w;
-        w.u8(static_cast<std::uint8_t>(Errc::ok));
-        w.u64(ctx.last_seqno);
-        w.bytes(ctx.last_seqno > seqno ? ctx.state.snapshot() : Buffer{});
-        return w.take();
+        return encode_peer_state(
+            {ctx.last_seqno,
+             ctx.last_seqno > seqno ? ctx.state.snapshot() : Buffer{}});
       }
     }
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   } catch (const DecodeError&) {
-    return reply_error(Errc::bad_request);
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 
@@ -280,7 +274,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
           ctx.peer_port, w.take(),
           {.timeout = kPeerTimeout}, octx);
       if (res.is_ok()) {
-        peer_st = reply_status(*res);
+        peer_st = rpc::reply_status(res);
       } else {
         // Peer unreachable: carry on alone (no partition tolerance).
         ctx.peer_down = true;
@@ -306,7 +300,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
     }
     if (!peer_st.is_ok()) {
       ctx.unlock();
-      return {reply_error(peer_st.code()), "write", false};
+      return {rpc::reply_error(peer_st.code()), "write", false};
     }
 
     // Peer committed the intentions: perform the update.
@@ -325,7 +319,7 @@ OpOutcome serve_update(RpcServerCtx& ctx, Io& st,
     ctx.unlock();
     return {std::move(reply), "write", true};
   }
-  return {reply_error(Errc::refused), "write", false};
+  return {rpc::reply_error(Errc::refused), "write", false};
 }
 
 // ------------------------------------------------------------- boot/resync
@@ -340,21 +334,13 @@ bool sync_with_peer(RpcServerCtx& ctx, Io& st) {
   w.u8(static_cast<std::uint8_t>(PeerOp::push_state));
   w.u64(ctx.last_seqno);
   w.bytes(ctx.state.snapshot());
-  auto res = st.rpc.trans(ctx.peer_port, w.take(),
-                          {.timeout = kPeerTimeout});
-  if (!res.is_ok()) return false;
-  try {
-    Reader r(*res);
-    if (static_cast<Errc>(r.u8()) != Errc::ok) return false;
-    const std::uint64_t peer_seqno = r.u64();
-    Buffer snap = r.bytes();
-    if (peer_seqno > ctx.last_seqno && !snap.empty()) {
-      install_snapshot(ctx, st, snap, peer_seqno);
-    }
-    return true;
-  } catch (const DecodeError&) {
-    return false;
+  auto peer = decode_peer_state(
+      st.rpc.trans(ctx.peer_port, w.take(), {.timeout = kPeerTimeout}));
+  if (!peer.is_ok()) return false;
+  if (peer->seqno > ctx.last_seqno && !peer->snapshot.empty()) {
+    install_snapshot(ctx, st, peer->snapshot, peer->seqno);
   }
+  return true;
 }
 
 void load_and_resync(RpcServerCtx& ctx, Io& st) {
@@ -443,6 +429,22 @@ void service_main(Machine& machine, const ServerOptions& opts) {
 void install_rpc_dir_server(Machine& machine, const ServerOptions& opts) {
   machine.install_service("rpc_dir",
                           [opts](Machine& m) { service_main(m, opts); });
+}
+
+Buffer encode_peer_state(const PeerState& p) {
+  Writer w;
+  w.u64(p.seqno);
+  w.bytes(p.snapshot);
+  return rpc::reply_ok(w.take());
+}
+
+Result<PeerState> decode_peer_state(const Result<Buffer>& reply) {
+  return rpc::decode_reply(reply, [](Reader& r) {
+    PeerState p;
+    p.seqno = r.u64();
+    p.snapshot = r.bytes();
+    return p;
+  });
 }
 
 }  // namespace amoeba::dir

@@ -20,6 +20,8 @@
 
 #include <cstdint>
 
+#include "common/buffer.h"
+#include "common/status.h"
 #include "net/cluster.h"
 
 namespace amoeba::dir {
@@ -32,13 +34,23 @@ struct ServerOptions;  // dir/serve.h
 ///             reply = status. `conflict` means the receiver's state is not
 ///             at seqno-1 (it missed updates); the initiator must push its
 ///             state before retrying.
-/// resync:     reply = errc, last-seqno u64, DirState snapshot bytes.
+/// resync:     reply = PeerState: last-seqno u64, DirState snapshot bytes.
 /// push_state: request = op, seqno u64, snapshot bytes; the receiver
-///             installs the snapshot iff it is behind. reply = errc,
+///             installs the snapshot iff it is behind. reply = PeerState:
 ///             receiver's last-seqno u64, receiver's snapshot bytes iff the
 ///             receiver is *ahead* (empty otherwise), so one exchange
 ///             converges both sides.
+/// Each reply is a status and, when ok, that payload (rpc/reply.h); both
+/// PeerState replies decode with decode_peer_state.
 enum class RpcPeerOp : std::uint8_t { intent = 1, resync, push_state };
+
+/// A server's state as its peer sees it: its last seqno and a snapshot.
+struct PeerState {
+  std::uint64_t seqno = 0;
+  Buffer snapshot;  // DirState::snapshot(), or empty (push_state)
+};
+Buffer encode_peer_state(const PeerState& p);
+Result<PeerState> decode_peer_state(const Result<Buffer>& reply);
 
 /// Installs a directory server on `machine`. `opts.servers` lists exactly
 /// two machines, this one among them. With `opts.use_nvram`, the extension

@@ -14,6 +14,7 @@
 
 #include "dir/proto.h"
 #include "dir/replica_store.h"
+#include "rpc/reply.h"
 #include "rpc/rpc.h"
 
 namespace amoeba::dir {
@@ -136,7 +137,7 @@ template <class Read, class Update>
     const sim::Time t0 = m.sim().now();
     const Result<DirOp> op = peek_op(req.data);
     if (!op.is_ok()) {
-      server.put_reply(req, reply_error(Errc::bad_request));
+      server.put_reply(req, rpc::reply_error(Errc::bad_request));
       continue;
     }
     // Server-side op span: parents under the request's wire span so the

@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "rpc/reply.h"
 
 namespace amoeba::disk {
 
@@ -27,49 +28,42 @@ void DiskServer::serve() {
 }
 
 Buffer DiskServer::handle(const Buffer& request, obs::TraceContext ctx) {
-  Writer w;
   try {
     Reader r(request);
     auto op = static_cast<DiskOp>(r.u8());
     std::uint32_t block = r.u32();
-    if (block >= partition_blocks_) {
-      w.u8(static_cast<std::uint8_t>(Errc::io_error));
-      return w.take();
-    }
+    if (block >= partition_blocks_) return rpc::reply_error(Errc::io_error);
     switch (op) {
       case DiskOp::write: {
         Buffer data = r.bytes();
         Status st = disk_.write_block(block, data, ctx);
-        w.u8(static_cast<std::uint8_t>(st.code()));
-        return w.take();
+        if (!st.is_ok()) return rpc::reply_error(st.code());
+        return rpc::reply_ok();
       }
       case DiskOp::read: {
         auto res = disk_.read_block(block, ctx);
-        w.u8(static_cast<std::uint8_t>(res.code()));
-        if (res.is_ok()) w.bytes(*res);
-        return w.take();
+        if (!res.is_ok()) return rpc::reply_error(res.code());
+        Writer w;
+        w.bytes(*res);
+        return rpc::reply_ok(w.take());
       }
       case DiskOp::scan: {
         const std::uint32_t hi =
             std::min(r.u32(), partition_blocks_);
         auto res = disk_.scan(block, hi, ctx);
-        w.u8(static_cast<std::uint8_t>(res.code()));
-        if (res.is_ok()) {
-          w.u32(static_cast<std::uint32_t>(res->size()));
-          for (const auto& [b, data] : *res) {
-            w.u32(b);
-            w.bytes(data);
-          }
+        if (!res.is_ok()) return rpc::reply_error(res.code());
+        Writer w;
+        w.u32(static_cast<std::uint32_t>(res->size()));
+        for (const auto& [b, data] : *res) {
+          w.u32(b);
+          w.bytes(data);
         }
-        return w.take();
+        return rpc::reply_ok(w.take());
       }
     }
-    w.u8(static_cast<std::uint8_t>(Errc::bad_request));
-    return w.take();
+    return rpc::reply_error(Errc::bad_request);
   } catch (const DecodeError&) {
-    Writer e;
-    e.u8(static_cast<std::uint8_t>(Errc::bad_request));
-    return e.take();
+    return rpc::reply_error(Errc::bad_request);
   }
 }
 
@@ -79,19 +73,16 @@ Result<std::vector<std::pair<std::uint32_t, Buffer>>> DiskClient::scan(
   w.u8(static_cast<std::uint8_t>(DiskOp::scan));
   w.u32(lo);
   w.u32(hi);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "remote scan failed");
-  const auto n = r.count<std::uint32_t>(4 + 4);  // block number, data
-  std::vector<std::pair<std::uint32_t, Buffer>> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t b = r.u32();
-    out.emplace_back(b, r.bytes());
-  }
-  return out;
+  return rpc::decode_reply(rpc_.trans(port_, w.take(), {}, ctx), [](Reader& r) {
+    const auto n = r.count<std::uint32_t>(4 + 4);  // block number, data
+    std::vector<std::pair<std::uint32_t, Buffer>> out;
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t b = r.u32();
+      out.emplace_back(b, r.bytes());
+    }
+    return out;
+  });
 }
 
 Status DiskClient::write_block(std::uint32_t block, const Buffer& data,
@@ -100,12 +91,7 @@ Status DiskClient::write_block(std::uint32_t block, const Buffer& data,
   w.u8(static_cast<std::uint8_t>(DiskOp::write));
   w.u32(block);
   w.bytes(data);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "remote disk write failed");
-  return Status::ok();
+  return rpc::reply_status(rpc_.trans(port_, w.take(), {}, ctx));
 }
 
 Result<Buffer> DiskClient::read_block(std::uint32_t block,
@@ -113,12 +99,8 @@ Result<Buffer> DiskClient::read_block(std::uint32_t block,
   Writer w;
   w.u8(static_cast<std::uint8_t>(DiskOp::read));
   w.u32(block);
-  auto res = rpc_.trans(port_, w.take(), {}, ctx);
-  if (!res.is_ok()) return res.status();
-  Reader r(*res);
-  auto code = static_cast<Errc>(r.u8());
-  if (code != Errc::ok) return Status::error(code, "remote disk read failed");
-  return r.bytes();
+  return rpc::decode_reply(rpc_.trans(port_, w.take(), {}, ctx),
+                           [](Reader& r) { return r.bytes(); });
 }
 
 }  // namespace amoeba::disk

@@ -433,7 +433,24 @@ void GroupMember::Ctx::forget_origin(std::uint16_t ov) {
 }
 
 void GroupMember::Ctx::prune() {
-  while (history.size() > cfg.history_limit) history.erase(history.begin());
+  while (history.size() > cfg.history_limit) {
+    const AcceptRecord& old = history.begin()->second;
+    // A sender retries within kSendRetry * kSendRetries, long before its
+    // record leaves the history: the sequencer's dedup entry for it can go.
+    if (old.kind == RecKind::data || old.kind == RecKind::batch) {
+      try {
+        unpack_data(old, [&](MachineId origin, std::uint64_t msgid, ByteSpan) {
+          auto it = req_dedup.find({origin.v, msgid});
+          if (it != req_dedup.end() && it->second == old.seqno) {
+            req_dedup.erase(it);
+          }
+        });
+      } catch (const DecodeError&) {
+        // Not a record this member packed, so it holds no dedup entries.
+      }
+    }
+    history.erase(history.begin());
+  }
 }
 
 void GroupMember::Ctx::process_in_order(const AcceptRecord& rec) {

@@ -162,21 +162,14 @@ Result<Buffer> fetch_snapshot(Testbed& bed, rpc::RpcClient& rpc, int server) {
       dir::admin_port(group ? dir::kGroupAdminBase : dir::kRpcPeerBase,
                       bed.dir_server(server).id());
   auto res = rpc.trans(port, w.take());
-  if (!res.is_ok()) return res.status();
-  try {
-    Reader r(*res);
-    if (static_cast<Errc>(r.u8()) != Errc::ok) {
-      return Status::error(Errc::refused, "state fetch refused");
-    }
-    (void)r.u64();  // last/applied seqno
-    if (group) {
-      (void)r.u64();  // applied
-      (void)r.u64();  // commit-block seqno
-    }
-    return r.bytes();
-  } catch (const DecodeError&) {
-    return Status::error(Errc::bad_request, "corrupt fetch reply");
+  if (group) {
+    auto x = dir::decode_fetch_state_reply(res);
+    if (!x.is_ok()) return x.status();
+    return std::move(x->snapshot);
   }
+  auto x = dir::decode_peer_state(res);
+  if (!x.is_ok()) return x.status();
+  return std::move(x->snapshot);
 }
 
 bool Testbed::wait_ready(sim::Duration limit) {

@@ -110,7 +110,7 @@ const PacketHandler* Machine::handler_for(Port port) const {
 // ---------------------------------------------------------------- Cluster
 
 Cluster::Cluster(sim::Simulator& sim, int segments)
-    : sim_(sim), net_(sim, *this, segments, metrics_, &trace_) {
+    : sim_(sim), net_(sim, *this, segments, metrics_, trace_) {
   // Ring overflow is silent at the Trace level; mirror it into a counter
   // so tools can warn before computing breakdowns from truncated trees.
   trace_.set_dropped_counter(&metrics_.counter("obs", "trace.dropped"));

@@ -62,8 +62,8 @@ void Network::heal_partition(int segment) {
 std::uint64_t Network::open_wire_span(MachineId src, obs::TraceContext ctx,
                                       const char* what, const char* fallback,
                                       std::uint32_t size) {
-  if (tr_ == nullptr || !ctx.active()) return 0;
-  const std::uint64_t id = tr_->new_span_id();
+  if (!ctx.active()) return 0;
+  const std::uint64_t id = tr_.new_span_id();
   WireSpan w;
   w.t0 = sim_.now();
   w.last = sim_.now();  // dur 0 if every copy is dropped at send
@@ -81,14 +81,8 @@ void Network::finalize_wire(std::uint64_t wire) {
   auto it = wire_spans_.find(wire);
   if (it == wire_spans_.end()) return;
   const WireSpan& w = it->second;
-  // tr_ can be null here even though the span exists: set_trace(nullptr)
-  // clears wire_spans_, but a delivery closure captured before the detach
-  // may still resolve a span id that was re-opened afterwards. Guard —
-  // recording into a detached trace was a crash.
-  if (tr_ != nullptr) {
-    tr_->complete(w.t0, w.last - w.t0, "net", w.name, w.pid, w.bytes, w.trace,
-                  w.span, w.parent, obs::Leg::network);
-  }
+  tr_.complete(w.t0, w.last - w.t0, "net", w.name, w.pid, w.bytes, w.trace,
+               w.span, w.parent, obs::Leg::network);
   wire_spans_.erase(it);
 }
 
@@ -123,7 +117,7 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
                           obs::TraceContext pkt_ctx, std::uint64_t wire) {
   if (drop_prob_ > 0 && sim_.rng().uniform() < drop_prob_) {
     ++mx_dropped_loss_;
-    if (tr_ != nullptr) tr_->instant(sim_.now(), "net", "drop_loss", dst.v);
+    tr_.instant(sim_.now(), "net", "drop_loss", dst.v);
     return;
   }
   // Fail-slow link degradation: the worse endpoint's multiplier and loss
@@ -139,7 +133,7 @@ void Network::deliver_one(MachineId src, MachineId dst, Port port,
     }
     if (extra_drop > 0 && sim_.rng().uniform() < extra_drop) {
       ++mx_dropped_loss_;
-      if (tr_ != nullptr) tr_->instant(sim_.now(), "net", "drop_loss", dst.v);
+      tr_.instant(sim_.now(), "net", "drop_loss", dst.v);
       return;
     }
   }
@@ -196,13 +190,11 @@ void Network::schedule_delivery(MachineId src, MachineId dst, Port port,
       return;
     }
     ++mx_deliveries_;
-    if (tr_ != nullptr) {
-      // arg = payload bytes, not the port: client reply ports embed a
-      // process-global salt, which would make traces differ across two
-      // same-seed runs inside one process.
-      tr_->complete(sent_at, sim_.now() - sent_at, "net", "deliver", dst.v,
-                    payload.size());
-    }
+    // arg = payload bytes, not the port: client reply ports embed a
+    // process-global salt, which would make traces differ across two
+    // same-seed runs inside one process.
+    tr_.complete(sent_at, sim_.now() - sent_at, "net", "deliver", dst.v,
+                 payload.size());
     Packet pkt;
     pkt.src = src;
     pkt.dst = dst;

@@ -34,7 +34,7 @@ class Network {
   /// packet gets through if ANY segment connects source and destination,
   /// so a partition or failure of one segment is masked by the others.
   Network(sim::Simulator& sim, Cluster& cluster, int segments,
-          obs::Metrics& metrics, obs::Trace* trace = nullptr)
+          obs::Metrics& metrics, obs::Trace& trace)
       : sim_(sim),
         cluster_(cluster),
         seg_groups_(static_cast<std::size_t>(std::max(1, segments))),
@@ -79,16 +79,6 @@ class Network {
   void fail_segment(int segment) { set_partition({{}}, segment); }
   [[nodiscard]] bool connected(MachineId a, MachineId b) const;
   [[nodiscard]] bool partitioned() const;
-
-  /// Attach or detach tracing mid-run. Detaching (nullptr) drops every
-  /// in-flight wire span: their delivery closures still resolve via
-  /// resolve_wire()/finalize_wire(), which must not touch a trace that is
-  /// no longer there.
-  void set_trace(obs::Trace* trace) {
-    tr_ = trace;
-    if (tr_ == nullptr) wire_spans_.clear();
-  }
-  [[nodiscard]] obs::Trace* trace() const { return tr_; }
 
   void set_drop_prob(double p) { drop_prob_ = p; }
   /// Duplicate delivery: with probability p a destination receives a second
@@ -161,8 +151,9 @@ class Network {
   /// Degraded machines (fail-slow). Empty in healthy runs, so the hot
   /// delivery path pays one branch and no RNG draws.
   std::unordered_map<std::uint32_t, LinkDegrade> degraded_;
-  /// Cluster-wide tracing (owned by the Cluster); null while detached.
-  obs::Trace* tr_ = nullptr;
+  /// Cluster-wide tracing (owned by the Cluster; Trace::set_recording
+  /// switches it off).
+  obs::Trace& tr_;
   /// Traced wire packets in flight, keyed by their span id. Pooled nodes:
   /// spans open and close on every traced wire packet.
   std::unordered_map<

@@ -8,10 +8,25 @@ namespace amoeba::rpc {
 
 namespace {
 
-Buffer encode_header(MsgType type, std::uint64_t xid) {
+// The transport frames. Every frame starts u8 type, u64 xid. A server's
+// frame (hereis, nothere, alive, reply) ends with its body, a reply's
+// bytes; a client's (locate, request, enquiry) first names its reply port.
+
+Buffer encode_frame(MsgType type, std::uint64_t xid, const Buffer& body = {}) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(xid);
+  w.raw(body);
+  return w.take();
+}
+
+Buffer encode_call(MsgType type, std::uint64_t xid, Port reply_port,
+                   const Buffer& body = {}) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(xid);
+  w.u64(reply_port.v);
+  w.raw(body);
   return w.take();
 }
 
@@ -37,23 +52,22 @@ void RpcServer::on_packet(Packet pkt) {
   // Kernel-level handling: runs in scheduler context, never blocks.
   try {
     Reader r(pkt.payload);
+    // Every frame a server receives is a client's (encode_call).
     auto type = static_cast<MsgType>(r.u8());
     std::uint64_t xid = r.u64();
+    const Port reply_port{r.u64()};
+    const DedupKey key{pkt.src.v, reply_port.v, xid};
     switch (type) {
-      case MsgType::locate: {
-        Port reply_port{r.u64()};
+      case MsgType::locate:
         machine_.net().unicast(machine_.id(), pkt.src, reply_port,
-                               encode_header(MsgType::hereis, xid));
+                               encode_frame(MsgType::hereis, xid));
         return;
-      }
       case MsgType::request: {
-        Port reply_port{r.u64()};
         // At-most-once: a duplicated request must not execute twice, and
         // must never be answered NOTHERE — the client would treat that as
         // "never queued", fail over, and re-issue the operation against
         // another server.
-        const DedupKey key{pkt.src.v, reply_port.v, xid};
-        if (resend_reply(key, pkt)) {
+        if (resend_reply(key, pkt.ctx)) {
           ++mx_dups_;
           return;
         }
@@ -74,24 +88,21 @@ void RpcServer::on_packet(Packet pkt) {
         } else {
           ++mx_nothere_;
           machine_.net().unicast(machine_.id(), pkt.src, reply_port,
-                                 encode_header(MsgType::nothere, xid),
+                                 encode_frame(MsgType::nothere, xid),
                                  pkt.ctx, "nothere");
         }
         return;
       }
-      case MsgType::enquiry: {
+      case MsgType::enquiry:
         // ALIVE while the request is queued or being served; its reply
         // again once it was answered; silence when it never arrived here.
-        Port reply_port{r.u64()};
-        const DedupKey key{pkt.src.v, reply_port.v, xid};
-        if (resend_reply(key, pkt)) return;
+        if (resend_reply(key, pkt.ctx)) return;
         if (in_flight_.count(key) != 0) {
           machine_.net().unicast(machine_.id(), pkt.src, reply_port,
-                                 encode_header(MsgType::alive, xid), pkt.ctx,
+                                 encode_frame(MsgType::alive, xid), pkt.ctx,
                                  "alive");
         }
         return;
-      }
       default:
         LOG_WARN << machine_.name() << " rpc server: unexpected msg type";
     }
@@ -100,15 +111,14 @@ void RpcServer::on_packet(Packet pkt) {
   }
 }
 
-bool RpcServer::resend_reply(const DedupKey& key, const Packet& pkt) {
+bool RpcServer::resend_reply(const DedupKey& key, obs::TraceContext ctx) {
   auto it = done_.find(key);
   if (it == done_.end()) return false;
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::reply));
-  w.u64(std::get<2>(key));
-  w.raw(it->second);
-  machine_.net().unicast(machine_.id(), pkt.src, Port{std::get<1>(key)},
-                         w.take(), pkt.ctx, "reply");
+  const auto& [client, reply_port, xid] = key;
+  machine_.net().unicast(
+      machine_.id(), MachineId{static_cast<std::uint16_t>(client)},
+      Port{reply_port}, encode_frame(MsgType::reply, xid, it->second), ctx,
+      "reply");
   return true;
 }
 
@@ -127,19 +137,16 @@ void RpcServer::put_reply(const IncomingRequest& req, Buffer reply,
                           obs::TraceContext ctx) {
   const DedupKey key{req.client.v, req.reply_port.v, req.xid};
   in_flight_.erase(key);
-  if (done_.emplace(key, reply).second) {
+  auto [it, fresh] = done_.try_emplace(key);
+  it->second = std::move(reply);
+  if (fresh) {
     done_order_.push_back(key);
     while (done_order_.size() > kDoneCacheSize) {
       done_.erase(done_order_.front());
       done_order_.pop_front();
     }
   }
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::reply));
-  w.u64(req.xid);
-  w.raw(reply);
-  machine_.net().unicast(machine_.id(), req.client, req.reply_port, w.take(),
-                         ctx.active() ? ctx : req.ctx, "reply");
+  resend_reply(key, ctx.active() ? ctx : req.ctx);
 }
 
 // ---------------------------------------------------------------- RpcClient
@@ -183,11 +190,8 @@ std::optional<MachineId> RpcClient::current_server(Port port) const {
 Status RpcClient::locate(Port port, sim::Time deadline) {
   std::uint64_t xid = next_xid_++;
   ++mx_locates_;
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::locate));
-  w.u64(xid);
-  w.u64(reply_port_.v);
-  machine_.net().broadcast(machine_.id(), port, w.take());
+  machine_.net().broadcast(machine_.id(), port,
+                           encode_call(MsgType::locate, xid, reply_port_));
 
   // Wait for the first HEREIS; later answers are appended to the cache as
   // they arrive (drained here or during future waits).
@@ -262,16 +266,13 @@ Result<Buffer> RpcClient::trans(Port port, const Buffer& request,
 
     // 2. Send the request.
     std::uint64_t xid = next_xid_++;
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(MsgType::request));
-    w.u64(xid);
-    w.u64(reply_port_.v);
-    w.raw(request);
     // One Amoeba RPC = 3 packets (rpc.h): the request now, the reply and
     // its piggybacked ack counted at reply receipt.
     ++mx_packets_;
-    machine_.net().unicast(machine_.id(), server, port, w.take(), tctx,
-                           "request");
+    machine_.net().unicast(machine_.id(), server, port,
+                           encode_call(MsgType::request, xid, reply_port_,
+                                       request),
+                           tctx, "request");
     // Per-attempt send time: the health digests want this server's
     // round-trip, not the transaction total with its locate/backoff legs.
     const sim::Time t_send = sim.now();
@@ -284,12 +285,9 @@ Result<Buffer> RpcClient::trans(Port port, const Buffer& request,
     while (true) {
       auto pkt = endpoint_.mailbox().recv_until(std::min(deadline, enquire_at));
       if (!pkt && sim.now() < deadline && unanswered < kEnquiries) {
-        Writer e;
-        e.u8(static_cast<std::uint8_t>(MsgType::enquiry));
-        e.u64(xid);
-        e.u64(reply_port_.v);
-        machine_.net().unicast(machine_.id(), server, port, e.take(), tctx,
-                               "enquiry");
+        machine_.net().unicast(machine_.id(), server, port,
+                               encode_call(MsgType::enquiry, xid, reply_port_),
+                               tctx, "enquiry");
         if (mx_enquiries_ == nullptr) {
           mx_enquiries_ = &machine_.metrics().counter("rpc", "enquiries");
         }

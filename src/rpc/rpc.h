@@ -90,9 +90,9 @@ class RpcServer {
   static constexpr std::size_t kDoneCacheSize = 128;
 
   void on_packet(Packet pkt);
-  /// Re-send the reply cached for `key` to its client; false when the
+  /// Send the reply cached for `key` to its client; false when the
   /// request was never answered here (or its reply left the cache).
-  bool resend_reply(const DedupKey& key, const Packet& pkt);
+  bool resend_reply(const DedupKey& key, obs::TraceContext ctx);
 
   Machine& machine_;
   Port port_;

@@ -7,6 +7,7 @@
 #include "dir/client.h"
 #include "dir/serve.h"
 #include "harness/workload.h"
+#include "rpc/reply.h"
 
 namespace amoeba::harness {
 namespace {
@@ -217,8 +218,9 @@ TEST_P(AllFlavors, MalformedRequestsGetBadRequest) {
         harness::create_dir_retry(dc, bed.sim(), {"owner", "group", "other"});
     ASSERT_TRUE(dcap.is_ok()) << dcap.status().to_string();
     const auto send = [&](Buffer request) {
-      auto res = dc.rpc().trans(bed.dir_port(), std::move(request));
-      return res.is_ok() ? dir::reply_status(*res).code() : res.code();
+      return rpc::reply_status(
+                 dc.rpc().trans(bed.dir_port(), std::move(request)))
+          .code();
     };
 
     const std::vector<std::size_t> before = counts();
@@ -328,7 +330,7 @@ TEST(GroupDirService, ALaggingReplicaRefusesAReadAfterTheReadBarrier) {
                               {.timeout = dir::kClientDeadline});
     const sim::Duration waited = bed.sim().now() - sent;
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
-    EXPECT_EQ(dir::reply_status(*res).code(), Errc::refused);
+    EXPECT_EQ(rpc::reply_status(*res).code(), Errc::refused);
     EXPECT_EQ(dc.rpc().current_server(port), bed.dir_server(2).id());
     EXPECT_GE(waited, dir::kReadBarrierTimeout) << waited << " us";
     EXPECT_LT(waited, dir::kReadBarrierTimeout + sim::msec(50))

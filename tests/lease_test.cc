@@ -29,6 +29,7 @@
 #include "dir/nvram_log.h"
 #include "dir/serve.h"
 #include "harness/workload.h"
+#include "rpc/reply.h"
 
 namespace amoeba::harness {
 namespace {
@@ -473,7 +474,7 @@ dir::DirState::ApplyEffect apply_ok(dir::DirState& st, const Buffer& req,
                                     std::uint32_t forced_objnum = 0) {
   dir::DirState::ApplyEffect eff;
   Buffer reply = st.apply(req, secret, seqno, &eff, forced_objnum);
-  EXPECT_TRUE(dir::reply_status(reply).is_ok());
+  EXPECT_TRUE(rpc::reply_status(reply).is_ok());
   return eff;
 }
 
@@ -481,7 +482,7 @@ cap::Capability create_dir_in(dir::DirState& st, std::uint64_t secret,
                               std::uint64_t seqno) {
   dir::DirState::ApplyEffect eff;
   Buffer reply = st.apply(dir::make_create_dir({"c"}), secret, seqno, &eff);
-  EXPECT_TRUE(dir::reply_status(reply).is_ok());
+  EXPECT_TRUE(rpc::reply_status(reply).is_ok());
   Buffer payload(reply.begin() + 1, reply.end());
   Reader r(payload);
   return cap::Capability::decode(r);

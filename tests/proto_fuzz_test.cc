@@ -1,16 +1,21 @@
-// Property and robustness tests of the wire codecs in dir/proto.cc: every
-// request builder must round-trip through peek_op/apply, and no truncated,
-// corrupted or random buffer may do worse than a clean rejection — a
-// bad_request reply from the request decoders, a DecodeError from the
-// state codecs — because servers feed network bytes straight into them.
+// Property and robustness tests of the wire codecs in dir/proto.cc and of
+// the servers' admin and peer replies: every request builder must
+// round-trip through peek_op/apply, and no truncated, corrupted or random
+// buffer may do worse than a clean rejection — a bad_request reply from
+// the request decoders, a bad_request status from the reply decoders, a
+// DecodeError from the state codecs — because servers and their peers
+// feed network bytes straight into them.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/rand.h"
+#include "dir/group_server.h"
 #include "dir/proto.h"
+#include "dir/rpc_server.h"
 #include "dir/types.h"
+#include "rpc/reply.h"
 
 namespace amoeba::dir {
 namespace {
@@ -40,7 +45,7 @@ struct Fixture {
     dir = cap::Capability::decode(r);
     eff = {};
     Buffer a = st.apply(make_append_row(dir, "row", {some_cap(9)}), 0, 2, &eff);
-    EXPECT_TRUE(reply_status(a).is_ok());
+    EXPECT_TRUE(rpc::reply_status(a).is_ok());
   }
 };
 
@@ -72,7 +77,7 @@ void must_reject_cleanly(const Buffer& request) {
     reply = f.st.apply(request, /*secret=*/7, /*seqno=*/3, &eff);
   }
   ASSERT_FALSE(reply.empty());
-  (void)reply_status(reply);  // must parse without throwing
+  (void)rpc::reply_status(reply);  // must parse without throwing
   // The state must remain serializable after the attempt.
   Buffer snap = f.st.snapshot();
   DirState again = DirState::from_snapshot(snap, kPort);
@@ -113,7 +118,7 @@ TEST(ProtoFuzz, EveryWellFormedRequestExecutes) {
       reply = f.st.apply(req, 55, 9, &eff);
       EXPECT_TRUE(eff.any_change) << "op " << i;
     }
-    EXPECT_TRUE(reply_status(reply).is_ok()) << "op " << i;
+    EXPECT_TRUE(rpc::reply_status(reply).is_ok()) << "op " << i;
   }
 }
 
@@ -137,6 +142,60 @@ TEST(ProtoFuzz, EveryTruncationOfEveryRequestRejectsCleanly) {
       must_reject_cleanly(cut);
     }
   }
+}
+
+/// Every proper prefix of `reply`, each decoded by `decode`, must be a
+/// bad_request status; the whole reply must decode.
+template <class Decode>
+void every_truncation_is_bad_request(const Buffer& reply, Decode decode) {
+  ASSERT_TRUE(decode(Result<Buffer>(reply)).is_ok());
+  for (std::size_t len = 0; len < reply.size(); ++len) {
+    Buffer cut(reply.begin(), reply.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_EQ(decode(Result<Buffer>(cut)).code(), Errc::bad_request) << len;
+  }
+}
+
+TEST(ProtoFuzz, EveryTruncationOfEveryAdminAndPeerReplyIsAStatus) {
+  Fixture f;
+  const Buffer snap = f.st.snapshot();
+  const Buffer exchange = encode_exchange_reply({0b101, 42, true});
+  every_truncation_is_bad_request(exchange, decode_exchange_reply);
+  const auto x = decode_exchange_reply(exchange);
+  ASSERT_TRUE(x.is_ok());
+  EXPECT_EQ(x->mourned, 0b101u);
+  EXPECT_EQ(x->seqno, 42u);
+  EXPECT_TRUE(x->continuously_up);
+
+  const Buffer fetch = encode_fetch_state_reply({7, 8, 6, snap});
+  every_truncation_is_bad_request(fetch, decode_fetch_state_reply);
+  const auto fs = decode_fetch_state_reply(fetch);
+  ASSERT_TRUE(fs.is_ok());
+  EXPECT_EQ(fs->seqno, 7u);
+  EXPECT_EQ(fs->applied, 8u);
+  EXPECT_EQ(fs->commit_seqno, 6u);
+  EXPECT_EQ(fs->snapshot, snap);
+
+  // resync answers with a snapshot; push_state with one or, when the
+  // receiver is not ahead, an empty one.
+  for (const Buffer& s : {snap, Buffer{}}) {
+    const Buffer peer = encode_peer_state({9, s});
+    every_truncation_is_bad_request(peer, decode_peer_state);
+    const auto ps = decode_peer_state(peer);
+    ASSERT_TRUE(ps.is_ok());
+    EXPECT_EQ(ps->seqno, 9u);
+    EXPECT_EQ(ps->snapshot, s);
+  }
+}
+
+TEST(ProtoFuzz, AdminAndPeerErrorsAndTransportFailuresPassThrough) {
+  const Buffer refused = rpc::reply_error(Errc::refused);
+  EXPECT_EQ(decode_exchange_reply(refused).code(), Errc::refused);
+  EXPECT_EQ(decode_fetch_state_reply(refused).code(), Errc::refused);
+  EXPECT_EQ(decode_peer_state(refused).code(), Errc::refused);
+  const Result<Buffer> lost = Status::error(Errc::timeout, "rpc timeout");
+  EXPECT_EQ(decode_exchange_reply(lost).code(), Errc::timeout);
+  EXPECT_EQ(decode_fetch_state_reply(lost).code(), Errc::timeout);
+  EXPECT_EQ(decode_peer_state(lost).code(), Errc::timeout);
 }
 
 TEST(ProtoFuzz, TruncatedDirectoryThrowsDecodeError) {
@@ -228,7 +287,7 @@ TEST(ProtoFuzz, EmptyAndUnknownOpsAreBadRequests) {
     EXPECT_FALSE(peek_op(w.view()).is_ok()) << int(op);
     DirState::ApplyEffect eff;
     Buffer reply = f.st.apply(w.view(), 0, 1, &eff);
-    EXPECT_EQ(reply_status(reply).code(), Errc::bad_request) << int(op);
+    EXPECT_EQ(rpc::reply_status(reply).code(), Errc::bad_request) << int(op);
     EXPECT_FALSE(eff.any_change);
   }
 }

@@ -10,6 +10,7 @@
 #include "common/strings.h"
 #include "dir/proto.h"
 #include "dir/types.h"
+#include "rpc/reply.h"
 
 namespace amoeba::dir {
 namespace {
@@ -115,10 +116,12 @@ TEST(WireProtocol, PeekOpClassification) {
 }
 
 TEST(WireProtocol, ReplyHelpers) {
-  EXPECT_TRUE(reply_status(reply_ok()).is_ok());
-  EXPECT_EQ(reply_status(reply_error(Errc::no_majority)).code(),
+  EXPECT_TRUE(rpc::reply_status(rpc::reply_ok()).is_ok());
+  EXPECT_EQ(rpc::reply_status(rpc::reply_error(Errc::no_majority)).code(),
             Errc::no_majority);
-  EXPECT_FALSE(reply_status(Buffer{}).is_ok());
+  EXPECT_FALSE(rpc::reply_status(Buffer{}).is_ok());
+  // A status byte naming no Errc is a malformed reply, not a status.
+  EXPECT_EQ(rpc::reply_status(Buffer{0xee}).code(), Errc::bad_request);
 }
 
 // --------------------------------------------------------------- DirState
@@ -142,7 +145,7 @@ struct StateFixture : ::testing::Test {
     const std::uint64_t secret = mix64(seq);
     ++seq;
     Buffer reply = st.apply(req, secret, seq, eff ? eff : &local);
-    return reply_status(reply);
+    return rpc::reply_status(reply);
   }
 };
 
@@ -174,7 +177,7 @@ TEST_F(StateFixture, CapabilityChecksOnEveryOp) {
             Errc::bad_capability);
   EXPECT_EQ(apply(make_delete_row(bad, "x")).code(), Errc::bad_capability);
   EXPECT_EQ(apply(make_delete_dir(bad)).code(), Errc::bad_capability);
-  EXPECT_EQ(reply_status(st.execute_read(make_list_dir(bad))).code(),
+  EXPECT_EQ(rpc::reply_status(st.execute_read(make_list_dir(bad))).code(),
             Errc::bad_capability);
 }
 
@@ -183,7 +186,7 @@ TEST_F(StateFixture, RightsEnforced) {
   // Strip rights using the secret (as the server would).
   cap::Capability ro =
       cap::CheckScheme::restrict(dcap, cap::kRightRead, st.entry(1)->secret);
-  EXPECT_TRUE(reply_status(st.execute_read(make_list_dir(ro))).is_ok());
+  EXPECT_TRUE(rpc::reply_status(st.execute_read(make_list_dir(ro))).is_ok());
   EXPECT_EQ(apply(make_append_row(ro, "x", {})).code(), Errc::bad_capability);
   EXPECT_EQ(apply(make_delete_dir(ro)).code(), Errc::bad_capability);
   // chmod requires admin rights.
@@ -248,16 +251,16 @@ TEST_F(StateFixture, ChmodRehashesOwnServiceCaps) {
 TEST_F(StateFixture, ReadsRejectedByApply) {
   DirState::ApplyEffect e;
   Buffer reply = st.apply(make_list_dir(some_cap(1)), 0, ++seq, &e);
-  EXPECT_EQ(reply_status(reply).code(), Errc::bad_request);
+  EXPECT_EQ(rpc::reply_status(reply).code(), Errc::bad_request);
   EXPECT_FALSE(e.any_change);
 }
 
 TEST_F(StateFixture, MalformedRequestsAreErrorsNotCrashes) {
   DirState::ApplyEffect e;
   Buffer junk{0x01, 0xff};  // create_dir with truncated body
-  EXPECT_EQ(reply_status(st.apply(junk, 0, ++seq, &e)).code(),
+  EXPECT_EQ(rpc::reply_status(st.apply(junk, 0, ++seq, &e)).code(),
             Errc::bad_request);
-  EXPECT_EQ(reply_status(st.execute_read(Buffer{0x03})).code(),
+  EXPECT_EQ(rpc::reply_status(st.execute_read(Buffer{0x03})).code(),
             Errc::bad_request);
 }
 
@@ -272,7 +275,7 @@ TEST_F(StateFixture, SnapshotRoundTripPreservesEverything) {
   EXPECT_EQ(clone.directory(d1.object)->find("x")->cols.size(), 2u);
   EXPECT_EQ(clone.directory(d2.object)->rows.size(), 1u);
   // Reads against the clone behave identically.
-  EXPECT_TRUE(reply_status(clone.execute_read(make_list_dir(d1))).is_ok());
+  EXPECT_TRUE(rpc::reply_status(clone.execute_read(make_list_dir(d1))).is_ok());
 }
 
 TEST_F(StateFixture, EffectReportsTouchedAndDeleted) {
@@ -290,10 +293,10 @@ TEST_F(StateFixture, ObjectTableCapacityEnforced) {
   for (std::uint32_t i = 1; i < kMaxObjects; ++i) {
     DirState::ApplyEffect e;
     Buffer reply = st.apply(make_create_dir({"c"}), 1, ++seq, &e);
-    ASSERT_TRUE(reply_status(reply).is_ok()) << "at " << i;
+    ASSERT_TRUE(rpc::reply_status(reply).is_ok()) << "at " << i;
   }
   DirState::ApplyEffect e;
-  EXPECT_EQ(reply_status(st.apply(make_create_dir({"c"}), 1, ++seq, &e))
+  EXPECT_EQ(rpc::reply_status(st.apply(make_create_dir({"c"}), 1, ++seq, &e))
                 .code(),
             Errc::full);
 }
@@ -358,14 +361,14 @@ TEST_P(ReplayDeterminism, IdenticalReplicasFromIdenticalStreams) {
     ASSERT_EQ(ea.touched, eb.touched);
     ASSERT_EQ(ea.deleted, eb.deleted);
     // Track created dirs so later ops hit real objects.
-    if (reply_status(ra).is_ok() && !ra.empty() &&
+    if (rpc::reply_status(ra).is_ok() && !ra.empty() &&
         peek_op(req).is_ok() && *peek_op(req) == DirOp::create_dir) {
       Reader r(ra);
       (void)r.u8();
       dirs.push_back(cap::Capability::decode(r));
     }
     if (peek_op(req).is_ok() && *peek_op(req) == DirOp::delete_dir &&
-        reply_status(ra).is_ok()) {
+        rpc::reply_status(ra).is_ok()) {
       std::erase_if(dirs, [&](const cap::Capability& c) {
         return !ea.deleted.empty() && c.object == ea.deleted.front();
       });

@@ -236,6 +236,60 @@ TEST_F(StorageFixture, DiskServerRejectsOutOfPartition) {
   EXPECT_EQ(st.code(), Errc::io_error);
 }
 
+// A storage reply comes off the network. One that is empty, cut short or
+// names no status must come back from the client call as bad_request,
+// never as an exception that ends the calling process (in the service, a
+// directory server's).
+TEST_F(StorageFixture, MalformedStorageRepliesBecomeBadRequest) {
+  Machine& fake = cluster.add_machine("fake");
+  Machine& client = cluster.add_machine("client");
+  Buffer canned;  // the fake server's answer to every request
+  fake.install_service("fake", [&canned](Machine& mm) {
+    rpc::RpcServer server(mm, kDiskPort);
+    while (true) {
+      rpc::IncomingRequest req = server.get_request();
+      server.put_reply(req, canned);
+    }
+  });
+  bool done = false;
+  client.spawn("c", [&] {
+    rpc::RpcClient rpc(client);
+    bullet::BulletClient bc(rpc, kDiskPort);
+    disk::DiskClient dc(rpc, kDiskPort);
+    const cap::Capability some{kDiskPort, 1, cap::kRightsAll, 0};
+    const auto expect_bad = [](const Status& st, const char* call, int i) {
+      EXPECT_EQ(st.code(), Errc::bad_request) << call << ", reply " << i;
+    };
+    // Malformed for every call with a payload: empty, the ok status
+    // alone, and ok followed by a length or count of 5 over one byte.
+    const std::vector<Buffer> short_replies = {
+        Buffer{}, Buffer{0}, Buffer{0, 5, 0, 0, 0, 'a'}};
+    for (int i = 0; i < static_cast<int>(short_replies.size()); ++i) {
+      canned = short_replies[static_cast<std::size_t>(i)];
+      expect_bad(bc.create(to_buffer("x")).status(), "bullet create", i);
+      expect_bad(bc.read(some).status(), "bullet read", i);
+      expect_bad(bc.list().status(), "bullet list", i);
+      expect_bad(dc.read_block(1).status(), "disk read_block", i);
+      expect_bad(dc.scan(0, 8).status(), "disk scan", i);
+    }
+    // A status-only call's whole reply is its status byte: malformed when
+    // missing or naming no Errc, an answer when it is the lone ok byte.
+    const std::vector<Buffer> bad_status = {Buffer{}, Buffer{0xee}};
+    for (int i = 0; i < static_cast<int>(bad_status.size()); ++i) {
+      canned = bad_status[static_cast<std::size_t>(i)];
+      expect_bad(bc.del(some), "bullet del", i);
+      expect_bad(dc.write_block(1, to_buffer("x")), "disk write_block", i);
+    }
+    canned = Buffer{0};
+    EXPECT_TRUE(bc.del(some).is_ok());
+    EXPECT_TRUE(dc.write_block(1, to_buffer("x")).is_ok());
+    done = true;
+  });
+  sim.run_until(sim::sec(5));
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(sim.process_errors().empty()) << sim.process_errors().front();
+}
+
 // ------------------------------------------------------------------ Bullet
 
 void start_bullet(Machine& m, Port port = kBulletPort) {
