@@ -1,13 +1,47 @@
 #include "bullet/bullet.h"
 
-#include "common/log.h"
-#include "common/strings.h"
 #include "rpc/reply.h"
 
 namespace amoeba::bullet {
 
+// -------------------------------------------------------------- BulletStore
+
+cap::Capability BulletStore::create(net::Port port, Buffer data, Prng& rng) {
+  const std::uint32_t object = next_object++;
+  const std::uint64_t secret = rng.next() & cap::CheckScheme::kCheckMask;
+  files[object] = FileEntry{secret, std::move(data)};
+  return cap::CheckScheme::owner(port, object, secret);
+}
+
+Result<const BulletStore::FileEntry*> BulletStore::find(
+    const cap::Capability& c, cap::Rights need) const {
+  auto it = files.find(c.object);
+  if (it == files.end()) {
+    return Status::error(Errc::not_found, "no such file");
+  }
+  if (!cap::CheckScheme::verify(c, it->second.secret) ||
+      (c.rights & need) == 0) {
+    return Status::error(Errc::bad_capability, "bad check field");
+  }
+  return &it->second;
+}
+
+Result<Buffer> BulletStore::read(const cap::Capability& c) const {
+  auto f = find(c, cap::kRightRead);
+  if (!f.is_ok()) return f.status();
+  return (*f)->data;
+}
+
+Status BulletStore::del(const cap::Capability& c) {
+  Status st = find(c, cap::kRightDelete).status();
+  if (st.is_ok()) files.erase(c.object);
+  return st;
+}
+
+// ------------------------------------------------------------- BulletServer
+
 BulletServer::BulletServer(net::Machine& machine, net::Port port,
-                           disk::VirtualDisk& disk, int threads)
+                           disk::VirtualDisk& disk)
     : machine_(machine),
       port_(port),
       disk_(disk),
@@ -17,53 +51,47 @@ BulletServer::BulletServer(net::Machine& machine, net::Port port,
       mx_reads_(machine.metrics().counter("bullet", "reads")),
       mx_deletes_(machine.metrics().counter("bullet", "deletes")),
       server_(machine, port) {
-  for (int i = 0; i < threads; ++i) {
-    machine_.spawn(numbered("bullet.t", i), [this] { serve(); });
-  }
-}
-
-void BulletServer::serve() {
-  while (true) {
-    rpc::IncomingRequest req = server_.get_request();
-    Buffer reply = handle(req.data, req.ctx);
-    server_.put_reply(req, std::move(reply));
-  }
+  server_.serve(rpc::kAuxThreads, "bullet.t",
+                [this](const rpc::IncomingRequest& req) {
+                  return handle(req.data, req.ctx);
+                });
 }
 
 Buffer BulletServer::handle(const Buffer& request, obs::TraceContext ctx) {
-  try {
-    Reader r(request);
-    auto op = static_cast<BulletOp>(r.u8());
-    switch (op) {
-      case BulletOp::create: {
-        Buffer data = r.bytes();
-        auto res = do_create(std::move(data), ctx);
-        if (!res.is_ok()) return rpc::reply_error(res.code());
-        Writer w;
-        res->encode(w);
-        return rpc::reply_ok(w.take());
-      }
-      case BulletOp::read: {
-        cap::Capability c = cap::Capability::decode(r);
-        auto res = do_read(c);
-        if (!res.is_ok()) return rpc::reply_error(res.code());
-        Writer w;
-        w.bytes(*res);
-        return rpc::reply_ok(w.take());
-      }
-      case BulletOp::del: {
-        cap::Capability c = cap::Capability::decode(r);
-        Status st = do_delete(c);
-        if (!st.is_ok()) return rpc::reply_error(st.code());
-        return rpc::reply_ok();
-      }
-      case BulletOp::list:
-        return rpc::reply_ok(do_list());
+  Reader r(request);
+  auto op = static_cast<BulletOp>(r.u8());
+  switch (op) {
+    case BulletOp::create: {
+      Buffer data = r.bytes();
+      auto res = do_create(std::move(data), ctx);
+      if (!res.is_ok()) return rpc::reply_error(res.code());
+      Writer w;
+      res->encode(w);
+      return rpc::reply_ok(w.take());
     }
-    return rpc::reply_error(Errc::bad_request);
-  } catch (const DecodeError&) {
-    return rpc::reply_error(Errc::bad_request);
+    case BulletOp::read: {
+      cap::Capability c = cap::Capability::decode(r);
+      ++mx_reads_;
+      // Served from the RAM cache: no disk op (paper: cached reads).
+      auto res = store_.read(c);
+      if (!res.is_ok()) return rpc::reply_error(res.code());
+      Writer w;
+      w.bytes(*res);
+      return rpc::reply_ok(w.take());
+    }
+    case BulletOp::del: {
+      cap::Capability c = cap::Capability::decode(r);
+      ++mx_deletes_;
+      // Frees blocks; metadata update is folded into the next create's
+      // write (bullet batches frees), so deletion itself costs no disk op.
+      Status st = store_.del(c);
+      if (!st.is_ok()) return rpc::reply_error(st.code());
+      return rpc::reply_ok();
+    }
+    case BulletOp::list:
+      return rpc::reply_ok(do_list());
   }
+  return rpc::reply_error(Errc::bad_request);
 }
 
 Result<cap::Capability> BulletServer::do_create(Buffer data,
@@ -78,46 +106,7 @@ Result<cap::Capability> BulletServer::do_create(Buffer data,
     if (!st.is_ok()) return st;
   }
   // Commit point (after the disk writes succeeded).
-  const std::uint32_t object = store_.next_object++;
-  const std::uint64_t secret =
-      machine_.sim().rng().next() & cap::CheckScheme::kCheckMask;
-  store_.files[object] = BulletStore::FileEntry{secret, std::move(data)};
-  cap::Capability c;
-  c.port = port_;
-  c.object = object;
-  c.rights = cap::kRightsAll;
-  c.check = cap::CheckScheme::make_check(secret, cap::kRightsAll);
-  return c;
-}
-
-Result<Buffer> BulletServer::do_read(const cap::Capability& c) {
-  ++mx_reads_;
-  auto it = store_.files.find(c.object);
-  if (it == store_.files.end()) {
-    return Status::error(Errc::not_found, "no such file");
-  }
-  if (!cap::CheckScheme::verify(c, it->second.secret) ||
-      (c.rights & cap::kRightRead) == 0) {
-    return Status::error(Errc::bad_capability, "bad check field");
-  }
-  // Served from the RAM cache: no disk op (paper: cached reads).
-  return it->second.data;
-}
-
-Status BulletServer::do_delete(const cap::Capability& c) {
-  ++mx_deletes_;
-  auto it = store_.files.find(c.object);
-  if (it == store_.files.end()) {
-    return Status::error(Errc::not_found, "no such file");
-  }
-  if (!cap::CheckScheme::verify(c, it->second.secret) ||
-      (c.rights & cap::kRightDelete) == 0) {
-    return Status::error(Errc::bad_capability, "bad check field");
-  }
-  // Frees blocks; metadata update is folded into the next create's write
-  // (bullet batches frees), so deletion itself costs no disk op.
-  store_.files.erase(it);
-  return Status::ok();
+  return store_.create(port_, std::move(data), machine_.sim().rng());
 }
 
 Buffer BulletServer::do_list() {
@@ -127,12 +116,7 @@ Buffer BulletServer::do_list() {
   Writer w;
   w.u32(static_cast<std::uint32_t>(store_.files.size()));
   for (const auto& [obj, f] : store_.files) {
-    cap::Capability c;
-    c.port = port_;
-    c.object = obj;
-    c.rights = cap::kRightsAll;
-    c.check = cap::CheckScheme::make_check(f.secret, cap::kRightsAll);
-    c.encode(w);
+    cap::CheckScheme::owner(port_, obj, f.secret).encode(w);
     w.bytes(f.data);
   }
   return w.take();

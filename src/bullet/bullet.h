@@ -14,6 +14,7 @@
 
 #include "cap/capability.h"
 #include "common/buffer.h"
+#include "common/rand.h"
 #include "common/status.h"
 #include "disk/vdisk.h"
 #include "net/cluster.h"
@@ -21,8 +22,11 @@
 
 namespace amoeba::bullet {
 
-/// Persistent state of a bullet server: survives crashes of the hosting
-/// machine (it models what has reached the disk surface).
+/// A Bullet file table: the files, their object numbers and the check
+/// fields of their capabilities. A server keeps its table persistent, so it
+/// survives crashes of the hosting machine (it models what has reached the
+/// disk surface). The Bullet server and the NFS baseline's file endpoint
+/// each own one and charge their own costs around its calls.
 struct BulletStore {
   struct FileEntry {
     std::uint64_t secret = 0;  // check-field secret for this file
@@ -30,6 +34,19 @@ struct BulletStore {
   };
   std::map<std::uint32_t, FileEntry> files;
   std::uint32_t next_object = 1;
+
+  /// Commits `data` as the next object, its secret the next draw of `rng`.
+  /// Returns the file's owner capability, which names `port`.
+  cap::Capability create(net::Port port, Buffer data, Prng& rng);
+  /// The contents of the file `c` names: not_found when there is none,
+  /// bad_capability when `c` is forged or lacks the read right.
+  Result<Buffer> read(const cap::Capability& c) const;
+  /// Erases the file `c` names; fails as read() does, for the delete right.
+  Status del(const cap::Capability& c);
+
+ private:
+  [[nodiscard]] Result<const FileEntry*> find(const cap::Capability& c,
+                                              cap::Rights need) const;
 };
 
 /// Wire operations of the bullet protocol.
@@ -37,20 +54,17 @@ enum class BulletOp : std::uint8_t { create = 1, read, del, list };
 
 class BulletServer {
  public:
-  /// Starts `threads` service threads on `machine`, storing data on `disk`
-  /// (shared with the machine's disk server). Call from a service main.
-  BulletServer(net::Machine& machine, net::Port port, disk::VirtualDisk& disk,
-               int threads = 2);
+  /// Starts rpc::kAuxThreads service threads on `machine`, storing data on
+  /// `disk` (shared with the machine's disk server). Call from a service
+  /// main.
+  BulletServer(net::Machine& machine, net::Port port, disk::VirtualDisk& disk);
 
   [[nodiscard]] net::Port port() const { return port_; }
 
  private:
-  void serve();
   Buffer handle(const Buffer& request, obs::TraceContext ctx);
 
   Result<cap::Capability> do_create(Buffer data, obs::TraceContext ctx);
-  Result<Buffer> do_read(const cap::Capability& c);
-  Status do_delete(const cap::Capability& c);
   Buffer do_list();
 
   net::Machine& machine_;

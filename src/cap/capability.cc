@@ -32,6 +32,11 @@ std::uint64_t CheckScheme::make_check(std::uint64_t secret, Rights rights) {
   return mix64(secret ^ (0x5137ULL * rights)) & kCheckMask;
 }
 
+Capability CheckScheme::owner(net::Port port, std::uint32_t object,
+                              std::uint64_t secret) {
+  return {port, object, kRightsAll, make_check(secret, kRightsAll)};
+}
+
 bool CheckScheme::verify(const Capability& c, std::uint64_t secret) {
   return c.check == make_check(secret, c.rights);
 }

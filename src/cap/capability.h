@@ -54,6 +54,10 @@ class CheckScheme {
   /// Check field for a capability with the given rights.
   static std::uint64_t make_check(std::uint64_t secret, Rights rights);
 
+  /// The all-rights capability for `object` of the service on `port`.
+  static Capability owner(net::Port port, std::uint32_t object,
+                          std::uint64_t secret);
+
   /// Validate a capability against the object's secret.
   static bool verify(const Capability& c, std::uint64_t secret);
 

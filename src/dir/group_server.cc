@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/log.h"
-#include "common/strings.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
@@ -30,9 +29,6 @@ using Io = ReplicaStore::Io;
 constexpr sim::Duration kCpuRead = sim::msec(3);
 constexpr sim::Duration kCpuWrite = sim::msec(3);
 constexpr sim::Duration kCpuApply = sim::msec(4);
-
-// Client-facing initiator threads per server.
-constexpr int kServerThreads = 3;
 
 // Recovery pacing, and the recovery RPCs' and the group thread's waits
 // (DESIGN.md §1, "Protocol waits"). A majority wait may take one ResetGroup.
@@ -159,31 +155,27 @@ struct ServerCtx {
 // --------------------------------------------------------- admin service
 
 Buffer handle_admin(ServerCtx& ctx, const Buffer& request) {
-  try {
-    Reader r(request);
-    auto op = static_cast<AdminOp>(r.u8());
-    switch (op) {
-      case AdminOp::exchange:
-        // Peer sends nothing we need beyond the op; reply with our mourned
-        // set (complement of our last-majority config), recovery seqno and
-        // the continuously-up flag for the Sec. 3.2 rule.
-        return encode_exchange_reply(
-            {~ctx.store.commit_block().config & ctx.all_mask(), ctx.my_seqno,
-             ctx.continuously_up});
-      case AdminOp::fetch_state:
-        // The group thread bumps applied_seqno only after the (yielding)
-        // persistence step, so mid-persist the in-memory state already
-        // holds updates beyond applied_seqno. my_seqno tracks apply
-        // instantly; report the max so a joiner installing this snapshot
-        // skips everything the snapshot already contains.
-        return encode_fetch_state_reply(
-            {ctx.my_seqno, std::max(ctx.my_seqno, ctx.applied_seqno),
-             ctx.store.commit_block().seqno, ctx.state.snapshot()});
-    }
-    return rpc::reply_error(Errc::bad_request);
-  } catch (const DecodeError&) {
-    return rpc::reply_error(Errc::bad_request);
+  Reader r(request);
+  auto op = static_cast<AdminOp>(r.u8());
+  switch (op) {
+    case AdminOp::exchange:
+      // Peer sends nothing we need beyond the op; reply with our mourned
+      // set (complement of our last-majority config), recovery seqno and
+      // the continuously-up flag for the Sec. 3.2 rule.
+      return encode_exchange_reply(
+          {~ctx.store.commit_block().config & ctx.all_mask(), ctx.my_seqno,
+           ctx.continuously_up});
+    case AdminOp::fetch_state:
+      // The group thread bumps applied_seqno only after the (yielding)
+      // persistence step, so mid-persist the in-memory state already holds
+      // updates beyond applied_seqno. my_seqno tracks apply instantly;
+      // report the max so a joiner installing this snapshot skips
+      // everything the snapshot already contains.
+      return encode_fetch_state_reply(
+          {ctx.my_seqno, std::max(ctx.my_seqno, ctx.applied_seqno),
+           ctx.store.commit_block().seqno, ctx.state.snapshot()});
   }
+  return rpc::reply_error(Errc::bad_request);
 }
 
 // --------------------------------------------------------- recovery (Fig 6)
@@ -715,25 +707,17 @@ void service_main(Machine& machine, const ServerOptions& opts) {
   }
 
   // Admin service (recovery RPCs) — available even while recovering.
-  auto admin =
-      std::make_shared<rpc::RpcServer>(machine, ctx.admin_of(ctx.my_index));
-  for (int i = 0; i < 2; ++i) {
-    machine.spawn(numbered("dir.admin", i), [&ctx, admin] {
-      while (true) {
-        rpc::IncomingRequest req = admin->get_request();
-        admin->put_reply(req, handle_admin(ctx, req.data));
-      }
-    });
-  }
+  rpc::RpcServer admin(machine, ctx.admin_of(ctx.my_index));
+  admin.serve(rpc::kAuxThreads, "dir.admin",
+              [&ctx](const rpc::IncomingRequest& req) {
+                return handle_admin(ctx, req.data);
+              });
 
   // Client-facing initiator threads.
-  auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
-  for (int i = 0; i < kServerThreads; ++i) {
-    machine.spawn(numbered("dir.svr", i), [&ctx, server] {
-      serve_ops(ctx.ops, *server, std::bind_front(serve_read, std::ref(ctx)),
-                std::bind_front(serve_update, std::ref(ctx)));
-    });
-  }
+  rpc::RpcServer server(machine, kDirPort);
+  server.serve(kDirThreads, "dir.svr",
+               dir_handler(ctx.ops, std::bind_front(serve_read, std::ref(ctx)),
+                           std::bind_front(serve_update, std::ref(ctx))));
 
   if (ctx.store.uses_nvram()) {
     machine.spawn("dir.flusher", [&ctx] { ctx.store.run_flusher(); });

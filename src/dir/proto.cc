@@ -263,13 +263,8 @@ Buffer DirState::apply(const Buffer& request, std::uint64_t secret,
         dirs_[objnum] = std::move(d);
         effect->touched.push_back(objnum);
         effect->any_change = true;
-        cap::Capability c;
-        c.port = port_;
-        c.object = objnum;
-        c.rights = cap::kRightsAll;
-        c.check = cap::CheckScheme::make_check(e.secret, cap::kRightsAll);
         Writer w;
-        c.encode(w);
+        cap::CheckScheme::owner(port_, objnum, e.secret).encode(w);
         return rpc::reply_ok(w.take());
       }
 

@@ -1,11 +1,9 @@
 #include "dir/rpc_server.h"
 
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "common/log.h"
-#include "common/strings.h"
 #include "dir/proto.h"
 #include "dir/replica_store.h"
 #include "dir/serve.h"
@@ -37,7 +35,6 @@ constexpr sim::Duration kResyncRetry = sim::msec(200);  // boot resync
 constexpr sim::Duration kPeerProbe = sim::msec(500);    // liveness period
 static_assert(kPeerLockWait < kPeerTimeout && kPeerTimeout < kClientDeadline);
 constexpr int kUpdateRetries = 60;  // on conflicting-update refusals
-constexpr int kServerThreads = 3;   // client-facing server threads
 
 struct RpcServerCtx {
   Machine& machine;
@@ -164,90 +161,86 @@ void install_snapshot(RpcServerCtx& ctx, Io& st, const Buffer& snap,
 }
 
 Buffer handle_peer(RpcServerCtx& ctx, Io& st, const Buffer& request,
-                   obs::TraceContext tctx = {}) {
-  try {
-    Reader r(request);
-    auto op = static_cast<PeerOp>(r.u8());
-    switch (op) {
-      case PeerOp::intent: {
-        const std::uint64_t seqno = r.u64();
-        const std::uint64_t secret = r.u64();
-        Buffer dir_request = r.bytes();
-        // Peer-side residence span: child of the intent request's wire
-        // span; lock wait, apply CPU and the intentions write nest under
-        // it, so the initiator's tree shows where the peer spent the time.
-        obs::Trace& tr = ctx.machine.trace();
-        const sim::Time t0 = ctx.now();
-        const std::uint64_t sp = tctx.active() ? tr.new_span_id() : 0;
-        const obs::TraceContext ictx{tctx.trace, sp};
-        const auto close = [&](Buffer reply) {
-          if (sp != 0) {
-            tr.complete(t0, ctx.now() - t0, "dir.rpc", "intent",
-                        ctx.machine.id().v, seqno, ictx.trace, sp, tctx.span);
-          }
-          return reply;
-        };
-        if (!ctx.lock_for_peer(ictx)) {
-          ++ctx.mx_conflicts;
-          return close(rpc::reply_error(Errc::refused));
+                   obs::TraceContext tctx) {
+  Reader r(request);
+  auto op = static_cast<PeerOp>(r.u8());
+  switch (op) {
+    case PeerOp::intent: {
+      const std::uint64_t seqno = r.u64();
+      const std::uint64_t secret = r.u64();
+      Buffer dir_request = r.bytes();
+      // Peer-side residence span: child of the intent request's wire
+      // span; lock wait, apply CPU and the intentions write nest under
+      // it, so the initiator's tree shows where the peer spent the time.
+      obs::Trace& tr = ctx.machine.trace();
+      const sim::Time t0 = ctx.now();
+      const std::uint64_t sp = tctx.active() ? tr.new_span_id() : 0;
+      const obs::TraceContext ictx{tctx.trace, sp};
+      const auto close = [&](Buffer reply) {
+        if (sp != 0) {
+          tr.complete(t0, ctx.now() - t0, "dir.rpc", "intent",
+                      ctx.machine.id().v, seqno, ictx.trace, sp, tctx.span);
         }
-        RpcServerCtx::Unlock unlock{&ctx};
-        ctx.peer_down = false;  // peer traffic proves the peer is alive
-        if (seqno != ctx.last_seqno + 1) {
-          // We missed updates (we restarted, or the initiator wrote while we
-          // were unreachable): a delta on the wrong baseline would corrupt
-          // our state. Refuse; the initiator pushes its full state first.
-          return close(rpc::reply_error(Errc::conflict));
-        }
-        ++ctx.mx_intents;
-        ctx.machine.use_cpu(kCpuApply, ictx);
-        // Store the intentions (update + new seqno) durably, then apply to
-        // the RAM state; the disk copy of the directory follows lazily.
-        if (!ctx.store.uses_nvram()) {
-          Status ds = ctx.store.write_intent(st, seqno, secret, dir_request,
-                                             ictx);
-          if (!ds.is_ok()) return close(rpc::reply_error(ds.code()));
-        }
-        DirState::ApplyEffect effect;
-        (void)ctx.state.apply(dir_request, secret, seqno, &effect);
-        ctx.last_seqno = std::max(ctx.last_seqno, seqno);
-        if (ctx.store.uses_nvram()) {
-          // NVRAM intentions double as the deferred local copy.
-          ctx.store.log({{dir_request, secret, effect}}, seqno, ictx);
-          ctx.store.drop(st, effect.deleted_file);
-          return close(rpc::reply_ok());
-        }
-        for (std::uint32_t obj : effect.touched) {
-          ctx.lazy_q.push_back({obj, cap::kNullCap});
-        }
-        if (!effect.deleted_file.is_null()) {
-          ctx.lazy_q.push_back({0, effect.deleted_file});
-        }
-        ctx.lazy_wq.notify_one();
+        return reply;
+      };
+      if (!ctx.lock_for_peer(ictx)) {
+        ++ctx.mx_conflicts;
+        return close(rpc::reply_error(Errc::refused));
+      }
+      RpcServerCtx::Unlock unlock{&ctx};
+      ctx.peer_down = false;  // peer traffic proves the peer is alive
+      if (seqno != ctx.last_seqno + 1) {
+        // We missed updates (we restarted, or the initiator wrote while we
+        // were unreachable): a delta on the wrong baseline would corrupt
+        // our state. Refuse; the initiator pushes its full state first.
+        return close(rpc::reply_error(Errc::conflict));
+      }
+      ++ctx.mx_intents;
+      ctx.machine.use_cpu(kCpuApply, ictx);
+      // Store the intentions (update + new seqno) durably, then apply to
+      // the RAM state; the disk copy of the directory follows lazily.
+      if (!ctx.store.uses_nvram()) {
+        Status ds = ctx.store.write_intent(st, seqno, secret, dir_request,
+                                           ictx);
+        if (!ds.is_ok()) return close(rpc::reply_error(ds.code()));
+      }
+      DirState::ApplyEffect effect;
+      (void)ctx.state.apply(dir_request, secret, seqno, &effect);
+      ctx.last_seqno = std::max(ctx.last_seqno, seqno);
+      if (ctx.store.uses_nvram()) {
+        // NVRAM intentions double as the deferred local copy.
+        ctx.store.log({{dir_request, secret, effect}}, seqno, ictx);
+        ctx.store.drop(st, effect.deleted_file);
         return close(rpc::reply_ok());
       }
-      case PeerOp::resync:
-        return encode_peer_state({ctx.last_seqno, ctx.state.snapshot()});
-      case PeerOp::push_state: {
-        const std::uint64_t seqno = r.u64();
-        Buffer snap = r.bytes();
-        if (!ctx.lock_for_peer()) return rpc::reply_error(Errc::refused);
-        RpcServerCtx::Unlock unlock{&ctx};
-        // The pushing peer is alive and, once this exchange completes, up to
-        // date — so updates must re-engage it via intents from here on.
-        // Clearing the flag under the lock closes the stale-read window a
-        // rebooted peer would otherwise have while we kept writing solo.
-        ctx.peer_down = false;
-        if (seqno > ctx.last_seqno) install_snapshot(ctx, st, snap, seqno);
-        return encode_peer_state(
-            {ctx.last_seqno,
-             ctx.last_seqno > seqno ? ctx.state.snapshot() : Buffer{}});
+      for (std::uint32_t obj : effect.touched) {
+        ctx.lazy_q.push_back({obj, cap::kNullCap});
       }
+      if (!effect.deleted_file.is_null()) {
+        ctx.lazy_q.push_back({0, effect.deleted_file});
+      }
+      ctx.lazy_wq.notify_one();
+      return close(rpc::reply_ok());
     }
-    return rpc::reply_error(Errc::bad_request);
-  } catch (const DecodeError&) {
-    return rpc::reply_error(Errc::bad_request);
+    case PeerOp::resync:
+      return encode_peer_state({ctx.last_seqno, ctx.state.snapshot()});
+    case PeerOp::push_state: {
+      const std::uint64_t seqno = r.u64();
+      Buffer snap = r.bytes();
+      if (!ctx.lock_for_peer()) return rpc::reply_error(Errc::refused);
+      RpcServerCtx::Unlock unlock{&ctx};
+      // The pushing peer is alive and, once this exchange completes, up to
+      // date — so updates must re-engage it via intents from here on.
+      // Clearing the flag under the lock closes the stale-read window a
+      // rebooted peer would otherwise have while we kept writing solo.
+      ctx.peer_down = false;
+      if (seqno > ctx.last_seqno) install_snapshot(ctx, st, snap, seqno);
+      return encode_peer_state(
+          {ctx.last_seqno,
+           ctx.last_seqno > seqno ? ctx.state.snapshot() : Buffer{}});
+    }
   }
+  return rpc::reply_error(Errc::bad_request);
 }
 
 // ------------------------------------------------------------- initiators
@@ -374,17 +367,13 @@ void service_main(Machine& machine, const ServerOptions& opts) {
 
   // Peer-facing service (intent / resync) comes up before the boot resync:
   // when both servers boot together each must be able to answer the other.
-  auto peer_srv = std::make_shared<rpc::RpcServer>(
-      machine, admin_port(kRpcPeerBase, machine.id()));
-  for (int i = 0; i < 2; ++i) {
-    machine.spawn(numbered("rdir.peer", i), [&ctx, peer_srv] {
-      Io pst(ctx.store);
-      while (true) {
-        rpc::IncomingRequest req = peer_srv->get_request();
-        peer_srv->put_reply(req, handle_peer(ctx, pst, req.data, req.ctx));
-      }
-    });
-  }
+  rpc::RpcServer peer_srv(machine, admin_port(kRpcPeerBase, machine.id()));
+  peer_srv.serve(rpc::kAuxThreads, "rdir.peer", [&ctx]() -> rpc::Handler {
+    auto pst = std::make_shared<Io>(ctx.store);
+    return [&ctx, pst](const rpc::IncomingRequest& req) {
+      return handle_peer(ctx, *pst, req.data, req.ctx);
+    };
+  });
 
   Io st(ctx.store);
   load_and_resync(ctx, st);
@@ -394,18 +383,19 @@ void service_main(Machine& machine, const ServerOptions& opts) {
     machine.spawn("rdir.flusher", [&ctx] { ctx.store.run_flusher(); });
   }
 
-  auto server = std::make_shared<rpc::RpcServer>(machine, kDirPort);
-  for (int i = 0; i < kServerThreads; ++i) {
-    machine.spawn(numbered("rdir.svr", i), [&ctx, server] {
-      Io st(ctx.store);
-      serve_ops(
-          ctx.ops, *server,
-          [&](const rpc::IncomingRequest& req, DirOp, obs::TraceContext) {
-            return OpOutcome{ctx.state.execute_read(req.data), "read", true};
-          },
-          std::bind_front(serve_update, std::ref(ctx), std::ref(st)));
-    });
-  }
+  rpc::RpcServer server(machine, kDirPort);
+  server.serve(kDirThreads, "rdir.svr", [&ctx] {
+    auto st = std::make_shared<Io>(ctx.store);
+    return dir_handler(
+        ctx.ops,
+        [&ctx](const rpc::IncomingRequest& req, DirOp, obs::TraceContext) {
+          return OpOutcome{ctx.state.execute_read(req.data), "read", true};
+        },
+        [&ctx, st](const rpc::IncomingRequest& req, DirOp op,
+                   obs::TraceContext octx) {
+          return serve_update(ctx, *st, req, op, octx);
+        });
+  });
 
   // Peer liveness probe: when the peer returns, converge state and
   // re-engage intents. peer_down is cleared under the lock *before* the

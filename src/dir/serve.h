@@ -1,10 +1,10 @@
 // What the directory servers share. The group, RPC and NFS flavors differ
 // in replication protocol, not in how they are deployed: each installer
 // takes the same ServerOptions and the same port plan. They also answer
-// clients with the same loop: take a request, decode its op, open the
-// server-side op span, charge the op's CPU, run the flavor's read or update
-// body, count the op, close the span and reply. serve_ops is that loop; a
-// flavor supplies only the two bodies.
+// clients with the same handler on rpc::RpcServer::serve's loop: decode the
+// request's op, open the server-side op span, charge the op's CPU, run the
+// flavor's read or update body, count the op and close the span. dir_handler
+// is that handler; a flavor supplies only the two bodies.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +34,9 @@ inline constexpr std::uint64_t kBulletBase = 1200;
 inline constexpr std::uint64_t kDiskBase = 1300;
 /// The NFS server's bullet-protocol file endpoint.
 inline constexpr net::Port kNfsFilePort{3001};
+
+/// Service threads of every flavor's client-facing kDirPort endpoint.
+inline constexpr int kDirThreads = 3;
 
 /// A lease lapses this long after its grant. A read waits at most
 /// kReadBarrierTimeout for the updates its replica knows of to apply, then
@@ -92,19 +95,20 @@ inline int server_index(const std::vector<net::MachineId>& servers,
   return it == servers.end() ? -1 : static_cast<int>(it - servers.begin());
 }
 
-/// What a read or update body hands back to serve_ops.
+/// What a read or update body hands back to dir_handler.
 struct OpOutcome {
   Buffer reply;
   const char* span;  // op span name: "read", "write" or "refused"
   bool served;       // counts in <cat>.reads/writes and read_ms/write_ms
 };
 
-/// One flavor's constants for serve_ops and its registry handles. Built
+/// One flavor's constants for dir_handler and its registry handles. Built
 /// at server boot, so the metric keys exist before the first request.
 struct OpSkeleton {
   OpSkeleton(net::Machine& m, const char* category, sim::Duration read_cost,
              sim::Duration write_cost, ReplicaStore* replica = nullptr)
-      : cat(category),
+      : machine(m),
+        cat(category),
         cpu_read(read_cost),
         cpu_write(write_cost),
         store(replica),
@@ -113,6 +117,7 @@ struct OpSkeleton {
         read_ms(m.metrics().histogram(category, "read_ms")),
         write_ms(m.metrics().histogram(category, "write_ms")) {}
 
+  net::Machine& machine;
   const char* cat;  // "dir.group", "dir.rpc" or "dir.nfs"
   sim::Duration cpu_read;
   sim::Duration cpu_write;
@@ -123,26 +128,21 @@ struct OpSkeleton {
   obs::Hist& write_ms;
 };
 
-/// Serve `server` until the process is killed. A malformed request gets
-/// bad_request and counts nowhere. Otherwise `read` (for read ops) or
-/// `update` runs as `OpOutcome body(const rpc::IncomingRequest&, DirOp,
-/// obs::TraceContext op_span)` after the op's CPU charge.
+/// The directory request handler. A malformed request gets bad_request and
+/// counts nowhere. Otherwise `read` (for read ops) or `update` runs as
+/// `OpOutcome body(const rpc::IncomingRequest&, DirOp, obs::TraceContext
+/// op_span)` after the op's CPU charge.
 template <class Read, class Update>
-[[noreturn]] void serve_ops(OpSkeleton& sk, rpc::RpcServer& server, Read read,
-                            Update update) {
-  net::Machine& m = server.machine();
-  obs::Trace& tr = m.trace();
-  while (true) {
-    rpc::IncomingRequest req = server.get_request();
+rpc::Handler dir_handler(OpSkeleton& sk, Read read, Update update) {
+  return [&sk, read, update](const rpc::IncomingRequest& req) -> rpc::Reply {
+    net::Machine& m = sk.machine;
+    obs::Trace& tr = m.trace();
     const sim::Time t0 = m.sim().now();
     const Result<DirOp> op = peek_op(req.data);
-    if (!op.is_ok()) {
-      server.put_reply(req, rpc::reply_error(Errc::bad_request));
-      continue;
-    }
+    if (!op.is_ok()) return rpc::reply_error(Errc::bad_request);
     // Server-side op span: parents under the request's wire span so the
-    // whole server residence joins the client's tree; put_reply threads it
-    // on to the reply wire span.
+    // whole server residence joins the client's tree; the reply's wire span
+    // parents under it.
     const std::uint64_t sp = req.ctx.active() ? tr.new_span_id() : 0;
     const obs::TraceContext octx{req.ctx.trace, sp};
     const bool rd = is_read_op(*op);
@@ -158,8 +158,8 @@ template <class Read, class Update>
       tr.complete(t0, took, sk.cat, out.span, m.id().v, 0, octx.trace, sp,
                   req.ctx.span);
     }
-    server.put_reply(req, std::move(out.reply), octx);
-  }
+    return {std::move(out.reply), octx};
+  };
 }
 
 }  // namespace amoeba::dir

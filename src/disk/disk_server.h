@@ -15,17 +15,16 @@ enum class DiskOp : std::uint8_t { read = 1, write, scan };
 
 class DiskServer {
  public:
-  /// Exposes blocks [0, partition_blocks) of `disk` on `port`.
+  /// Exposes blocks [0, partition_blocks) of `disk` on `port`, served by
+  /// rpc::kAuxThreads threads.
   DiskServer(net::Machine& machine, net::Port port, VirtualDisk& disk,
-             std::uint32_t partition_blocks, int threads = 2);
+             std::uint32_t partition_blocks);
 
   [[nodiscard]] net::Port port() const { return port_; }
 
  private:
-  void serve();
   Buffer handle(const Buffer& request, obs::TraceContext ctx);
 
-  net::Machine& machine_;
   net::Port port_;
   VirtualDisk& disk_;
   std::uint32_t partition_blocks_;

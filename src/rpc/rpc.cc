@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/strings.h"
+#include "rpc/reply.h"
 
 namespace amoeba::rpc {
 
@@ -147,6 +149,31 @@ void RpcServer::put_reply(const IncomingRequest& req, Buffer reply,
     }
   }
   resend_reply(key, ctx.active() ? ctx : req.ctx);
+}
+
+void RpcServer::serve(int threads, std::string_view name,
+                      const std::function<Handler()>& make_handler) {
+  for (int i = 0; i < threads; ++i) {
+    machine_.spawn(numbered(name, i), [this, make_handler] {
+      const Handler handle = make_handler();
+      while (true) {
+        IncomingRequest req = get_request();
+        Reply reply = [&]() -> Reply {
+          try {
+            return handle(req);
+          } catch (const DecodeError&) {
+            return reply_error(Errc::bad_request);
+          }
+        }();
+        put_reply(req, std::move(reply.data), reply.ctx);
+      }
+    });
+  }
+}
+
+void RpcServer::serve(int threads, std::string_view name,
+                      const Handler& handler) {
+  serve(threads, name, [handler] { return handler; });
 }
 
 // ---------------------------------------------------------------- RpcClient

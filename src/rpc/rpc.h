@@ -10,6 +10,10 @@
 // Server side (`RpcServer`): service threads block in get_request() and
 // answer with put_reply(). LOCATE/NOTHERE handling happens at "kernel" level
 // (a non-blocking packet handler), so a busy server still answers locates.
+// `RpcServer::serve` is the one serving loop: every server in the tree
+// (Bullet, disk, the directory flavors and their admin, peer and file
+// endpoints) hands it a request handler and a thread count, and its idle
+// threads are what the NOTHERE rule counts.
 //
 // An Amoeba RPC costs 3 packets (request, reply, piggybacked ack); we send
 // request + reply and count the ack in the latency constants.
@@ -26,10 +30,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -66,6 +72,23 @@ struct IncomingRequest {
   obs::TraceContext ctx;
 };
 
+/// What a request handler hands back to the serving loop: the reply and
+/// the context its wire span parents under (inactive: the request's own).
+struct Reply {
+  Reply(Buffer d, obs::TraceContext c = {})  // NOLINT(google-explicit-constructor)
+      : data(std::move(d)), ctx(c) {}
+  Buffer data;
+  obs::TraceContext ctx;
+};
+
+/// Answers one request. A DecodeError it throws is answered bad_request.
+using Handler = std::function<Reply(const IncomingRequest&)>;
+
+/// Service threads of a server that is not a directory endpoint (Bullet,
+/// disk, group admin, RPC peer, NFS file); a directory endpoint runs
+/// dir::kDirThreads.
+inline constexpr int kAuxThreads = 2;
+
 class RpcServer {
  public:
   /// Starts answering locates for `port` on `machine` immediately.
@@ -80,7 +103,14 @@ class RpcServer {
   void put_reply(const IncomingRequest& req, Buffer reply,
                  obs::TraceContext ctx = {});
 
-  [[nodiscard]] Machine& machine() const { return machine_; }
+  /// Spawns `threads` service processes named `name`0, `name`1, ... Each
+  /// builds its handler with `make_handler` once, then until it is killed
+  /// takes a request, runs the handler and puts its reply. The server must
+  /// outlive the processes.
+  void serve(int threads, std::string_view name,
+             const std::function<Handler()>& make_handler);
+  /// serve() with one handler, copied into every process.
+  void serve(int threads, std::string_view name, const Handler& handler);
 
  private:
   /// At-most-once identity of a transaction: (client machine, reply port,

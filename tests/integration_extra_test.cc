@@ -9,7 +9,10 @@
 #include "dir/group_server.h"
 #include "dir/nfs_server.h"
 #include "dir/rpc_server.h"
+#include "dir/serve.h"
+#include "disk/disk_server.h"
 #include "harness/workload.h"
+#include "rpc/reply.h"
 
 namespace amoeba::harness {
 namespace {
@@ -256,12 +259,120 @@ TEST(NfsFileEndpoint, SpeaksBulletProtocol) {
     cap::Capability forged = *cap;
     forged.check ^= 1;
     EXPECT_EQ(files.read(forged).code(), Errc::bad_capability);
+    // A forged delete is refused and leaves the file in place.
+    EXPECT_EQ(files.del(forged).code(), Errc::bad_capability);
+    EXPECT_TRUE(files.read(*cap).is_ok());
+    // A genuine capability without the read right cannot read. An owner
+    // capability's check field is the file's secret, so the client can
+    // derive the restricted one itself.
+    const cap::Capability no_read =
+        cap::CheckScheme::restrict(*cap, cap::kRightDelete, cap->check);
+    EXPECT_EQ(files.read(no_read).code(), Errc::bad_capability);
     EXPECT_TRUE(files.del(*cap).is_ok());
     EXPECT_EQ(files.read(*cap).code(), Errc::not_found);
     done = true;
   });
   bed.sim().run_for(sim::sec(10));
   EXPECT_TRUE(done);
+}
+
+/// One endpoint's malformed requests and a well-formed one that must still
+/// be served after them.
+struct Endpoint {
+  const char* name;
+  net::Port port;
+  std::vector<Buffer> malformed;
+  std::function<Status(rpc::RpcClient&)> well_formed;
+};
+
+template <class Op>
+std::uint8_t op(Op o) {
+  return static_cast<std::uint8_t>(o);
+}
+
+/// Sends every endpoint its malformed requests (each must be answered
+/// bad_request) and then its well-formed one (which must succeed).
+void expect_bad_request_then_service(Testbed& bed,
+                                     const std::vector<Endpoint>& endpoints) {
+  ASSERT_TRUE(bed.wait_ready());
+  bool done = false;
+  net::Machine& cm = bed.client(0);
+  cm.spawn("malformed", [&] {
+    rpc::RpcClient rpc(cm);
+    for (const Endpoint& e : endpoints) {
+      for (const Buffer& request : e.malformed) {
+        EXPECT_EQ(rpc::reply_status(rpc.trans(e.port, request)).code(),
+                  Errc::bad_request)
+            << e.name << ": " << request.size() << "-byte request";
+      }
+      const Status st = e.well_formed(rpc);
+      EXPECT_TRUE(st.is_ok()) << e.name << ": " << st.to_string();
+    }
+    done = true;
+  });
+  bed.sim().run_for(sim::sec(30));
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(bed.sim().process_errors().empty())
+      << bed.sim().process_errors().front();
+}
+
+TEST(ServingLoop, EveryAuxiliaryEndpointAnswersMalformedRequestsBadRequest) {
+  // Each endpoint gets an empty request and one cut inside its first field
+  // (an admin op has no field: an op byte that names no op instead).
+  using bullet::BulletOp;
+  {
+    Testbed bed({.flavor = Flavor::group, .clients = 1, .seed = 21});
+    const net::MachineId server = bed.dir_server(0).id();
+    expect_bad_request_then_service(
+        bed,
+        {{"bullet", dir::bullet_port(0), {{}, {op(BulletOp::create), 5, 0}},
+          [](rpc::RpcClient& rpc) {
+            return bullet::BulletClient(rpc, dir::bullet_port(0))
+                .create(to_buffer("x"))
+                .status();
+          }},
+         {"disk", dir::disk_port(0), {{}, {op(disk::DiskOp::read), 0, 0}},
+          [](rpc::RpcClient& rpc) {
+            return disk::DiskClient(rpc, dir::disk_port(0))
+                .read_block(0)
+                .status();
+          }},
+         {"group admin", dir::admin_port(dir::kGroupAdminBase, server),
+          {{}, {0x7f}},
+          [server](rpc::RpcClient& rpc) {
+            Writer w;
+            w.u8(op(dir::GroupAdminOp::exchange));
+            return dir::decode_exchange_reply(
+                       rpc.trans(dir::admin_port(dir::kGroupAdminBase, server),
+                                 w.take()))
+                .status();
+          }}});
+  }
+  {
+    Testbed bed({.flavor = Flavor::rpc, .clients = 1, .seed = 21});
+    const net::Port peer = dir::admin_port(dir::kRpcPeerBase,
+                                           bed.dir_server(0).id());
+    expect_bad_request_then_service(
+        bed, {{"rpc peer", peer,
+               {{}, {op(dir::RpcPeerOp::intent), 1, 2, 3}},
+               [peer](rpc::RpcClient& rpc) {
+                 Writer w;
+                 w.u8(op(dir::RpcPeerOp::resync));
+                 return dir::decode_peer_state(rpc.trans(peer, w.take()))
+                     .status();
+               }}});
+  }
+  {
+    Testbed bed({.flavor = Flavor::nfs, .clients = 1, .seed = 21});
+    expect_bad_request_then_service(
+        bed, {{"nfs file", bed.file_port(),
+               {{}, {op(BulletOp::create), 5, 0}},
+               [&bed](rpc::RpcClient& rpc) {
+                 return bullet::BulletClient(rpc, bed.file_port())
+                     .create(to_buffer("x"))
+                     .status();
+               }}});
+  }
 }
 
 }  // namespace
