@@ -8,7 +8,9 @@
 #include "common/strings.h"
 #include "dir/nvram_log.h"
 #include "dir/proto.h"
+#include "net/cluster.h"
 #include "nvram/nvram.h"
+#include "rpc/rpc.h"
 #include "sim/mailbox.h"
 #include "sim/simulator.h"
 
@@ -183,6 +185,61 @@ void BM_SimulatorContextSwitch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorContextSwitch)->Unit(benchmark::kMicrosecond);
+
+/// One echo RpcServer with a thread per client, and `clients` client
+/// machines that each run `calls` transactions back to back against it.
+/// Clients are seeded with the server, so no call locates.
+struct EchoRpcWorld {
+  static constexpr net::Port kPort{100};
+  sim::Simulator sim{1};
+  net::Cluster cluster{sim};
+
+  EchoRpcWorld(int clients, int calls) {
+    net::Machine& server = cluster.add_machine("server");
+    server.install_service("echo", [clients](net::Machine& m) {
+      rpc::RpcServer rpc(m, kPort);
+      rpc.serve(clients, "echo", [](const rpc::IncomingRequest& req) {
+        return rpc::Reply(req.data);
+      });
+      m.sim().sleep_for(sim::kTimeMax / 2);  // keep the server alive
+    });
+    for (int c = 0; c < clients; ++c) {
+      net::Machine& m = cluster.add_machine(numbered("client", c));
+      m.spawn("client", [&m, id = server.id(), calls] {
+        rpc::RpcClient rpc(m);
+        rpc.prefer_server(kPort, id);
+        const Buffer request = to_buffer("ping");
+        for (int i = 0; i < calls; ++i) (void)rpc.trans(kPort, request);
+      });
+    }
+  }
+};
+
+void BM_RpcTransaction(benchmark::State& state) {
+  // The RPC kernel on both ends of a 3-message transaction: request frame,
+  // the server's at-most-once slot, service thread hand-off, reply frame.
+  // Building and destroying the simulator are not timed.
+  constexpr int kTransactions = 3200;
+  const auto clients = static_cast<int>(state.range(0));
+  std::uint64_t done = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world =
+        std::make_unique<EchoRpcWorld>(clients, kTransactions / clients);
+    state.ResumeTiming();
+    world->sim.run_until(sim::kTimeMax / 4);
+    state.PauseTiming();
+    done += world->cluster.metrics().counter("rpc", "transactions");
+    world.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(done));
+  // Host time per transaction, printed as e.g. "650ns".
+  state.counters["per_trans"] = benchmark::Counter(
+      static_cast<double>(done),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RpcTransaction)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_Mix64(benchmark::State& state) {
   std::uint64_t x = 1;

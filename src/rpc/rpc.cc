@@ -58,7 +58,7 @@ void RpcServer::on_packet(Packet pkt) {
     auto type = static_cast<MsgType>(r.u8());
     std::uint64_t xid = r.u64();
     const Port reply_port{r.u64()};
-    const DedupKey key{pkt.src.v, reply_port.v, xid};
+    const ClientKey key{pkt.src.v, reply_port.v};
     switch (type) {
       case MsgType::locate:
         machine_.net().unicast(machine_.id(), pkt.src, reply_port,
@@ -68,18 +68,27 @@ void RpcServer::on_packet(Packet pkt) {
         // At-most-once: a duplicated request must not execute twice, and
         // must never be answered NOTHERE — the client would treat that as
         // "never queued", fail over, and re-issue the operation against
-        // another server.
-        if (resend_reply(key, pkt.ctx)) {
+        // another server. A client has one call outstanding and its xids
+        // grow, so a request older than its slot's is stale, and one equal
+        // to it is a duplicate: absorbed while in flight, answered from the
+        // slot once done.
+        auto it = slots_.find(key);
+        if (it != slots_.end() && xid <= it->second.xid) {
           ++mx_dups_;
-          return;
-        }
-        if (in_flight_.count(key) != 0) {
-          ++mx_dups_;  // queued or being served: its reply is on the way
+          const Slot& slot = it->second;
+          if (xid == slot.xid && slot.answered) {
+            send_reply(key, xid, slot.reply, pkt.ctx);
+          }
           return;
         }
         // NOTHERE when every service thread is busy (paper Sec. 4.2).
         if (idle_threads_ > static_cast<int>(pending_.size())) {
-          in_flight_.insert(key);
+          // The newer call takes the slot: the client has received the
+          // previous reply (the paper's piggybacked ack), so it is freed.
+          Slot& slot = it != slots_.end() ? it->second : slots_[key];
+          slot.xid = xid;
+          slot.answered = false;
+          slot.reply = Buffer{};
           IncomingRequest req;
           req.client = pkt.src;
           req.reply_port = reply_port;
@@ -95,16 +104,21 @@ void RpcServer::on_packet(Packet pkt) {
         }
         return;
       }
-      case MsgType::enquiry:
+      case MsgType::enquiry: {
         // ALIVE while the request is queued or being served; its reply
         // again once it was answered; silence when it never arrived here.
-        if (resend_reply(key, pkt.ctx)) return;
-        if (in_flight_.count(key) != 0) {
+        auto it = slots_.find(key);
+        if (it == slots_.end() || it->second.xid != xid) return;
+        const Slot& slot = it->second;
+        if (slot.answered) {
+          send_reply(key, xid, slot.reply, pkt.ctx);
+        } else {
           machine_.net().unicast(machine_.id(), pkt.src, reply_port,
                                  encode_frame(MsgType::alive, xid), pkt.ctx,
                                  "alive");
         }
         return;
+      }
       default:
         LOG_WARN << machine_.name() << " rpc server: unexpected msg type";
     }
@@ -113,15 +127,12 @@ void RpcServer::on_packet(Packet pkt) {
   }
 }
 
-bool RpcServer::resend_reply(const DedupKey& key, obs::TraceContext ctx) {
-  auto it = done_.find(key);
-  if (it == done_.end()) return false;
-  const auto& [client, reply_port, xid] = key;
-  machine_.net().unicast(
-      machine_.id(), MachineId{static_cast<std::uint16_t>(client)},
-      Port{reply_port}, encode_frame(MsgType::reply, xid, it->second), ctx,
-      "reply");
-  return true;
+void RpcServer::send_reply(const ClientKey& key, std::uint64_t xid,
+                           const Buffer& reply, obs::TraceContext ctx) {
+  machine_.net().unicast(machine_.id(), MachineId{key.machine},
+                         Port{key.reply_port},
+                         encode_frame(MsgType::reply, xid, reply), ctx,
+                         "reply");
 }
 
 IncomingRequest RpcServer::get_request() {
@@ -137,18 +148,18 @@ IncomingRequest RpcServer::get_request() {
 
 void RpcServer::put_reply(const IncomingRequest& req, Buffer reply,
                           obs::TraceContext ctx) {
-  const DedupKey key{req.client.v, req.reply_port.v, req.xid};
-  in_flight_.erase(key);
-  auto [it, fresh] = done_.try_emplace(key);
-  it->second = std::move(reply);
-  if (fresh) {
-    done_order_.push_back(key);
-    while (done_order_.size() > kDoneCacheSize) {
-      done_.erase(done_order_.front());
-      done_order_.pop_front();
-    }
+  const ClientKey key{req.client.v, req.reply_port.v};
+  if (!ctx.active()) ctx = req.ctx;
+  auto it = slots_.find(key);
+  if (it == slots_.end() || it->second.xid != req.xid) {
+    // The client has moved on to a newer call: nothing will ask again.
+    send_reply(key, req.xid, reply, ctx);
+    return;
   }
-  resend_reply(key, ctx.active() ? ctx : req.ctx);
+  Slot& slot = it->second;
+  slot.answered = true;
+  slot.reply = std::move(reply);
+  send_reply(key, req.xid, slot.reply, ctx);
 }
 
 void RpcServer::serve(int threads, std::string_view name,

@@ -18,25 +18,33 @@
 // An Amoeba RPC costs 3 packets (request, reply, piggybacked ack); we send
 // request + reply and count the ack in the latency constants.
 //
+// At-most-once: a client has one transaction outstanding and its xids grow,
+// so the server kernel keeps one slot per client object (machine, reply
+// port): the latest xid it queued, whether that call is answered, and its
+// reply. The client's next request is the paper's piggybacked ack: it
+// takes the slot and frees the previous reply. A duplicate of the slot's
+// xid is absorbed while in flight and answered from the slot once done; an
+// older xid is stale and dropped. `rpc.duplicates_filtered` counts both.
+// The memory bound is one reply per client object that reached this
+// server incarnation.
+//
 // A transaction that asks for it (`TransOptions::enquire`) does not wait out
 // its whole deadline on a silent server. After kEnquiryAfter without an
-// answer it sends the server's kernel an ENQUIRY. The kernel answers ALIVE
-// while the request is queued or being served, re-sends the reply it
-// already sent, and says nothing otherwise: after a crash, a restart that
-// lost the request, or a partition. kEnquiries unanswered enquiries, each
-// given kEnquiryTimeout, end the attempt as a `timeout`. The request itself
-// is never re-sent, so at-most-once holds.
+// answer it sends the server's kernel an ENQUIRY. The kernel decides from
+// the client's slot: ALIVE while the request is queued or being served,
+// the reply it already sent, and nothing otherwise: after a crash, a
+// restart that lost the request, or a partition. kEnquiries unanswered
+// enquiries, each given kEnquiryTimeout, end the attempt as a `timeout`.
+// The request itself is never re-sent, so at-most-once holds.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -113,16 +121,30 @@ class RpcServer {
   void serve(int threads, std::string_view name, const Handler& handler);
 
  private:
-  /// At-most-once identity of a transaction: (client machine, reply port,
-  /// xid). The reply port is per-client-object, so two clients on one
-  /// machine never collide.
-  using DedupKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-  static constexpr std::size_t kDoneCacheSize = 128;
+  /// A client object: its machine and its reply port. The reply port is
+  /// per-client-object, so two clients on one machine never collide.
+  struct ClientKey {
+    std::uint16_t machine;
+    std::uint64_t reply_port;
+    bool operator==(const ClientKey&) const = default;
+  };
+  struct ClientKeyHash {
+    std::size_t operator()(const ClientKey& k) const noexcept {
+      return (k.reply_port * 0x9e3779b97f4a7c15ULL) ^ k.machine;
+    }
+  };
+  /// A client's at-most-once state: its latest queued call and, once
+  /// answered, that call's reply.
+  struct Slot {
+    std::uint64_t xid = 0;
+    bool answered = false;
+    Buffer reply;
+  };
 
   void on_packet(Packet pkt);
-  /// Send the reply cached for `key` to its client; false when the
-  /// request was never answered here (or its reply left the cache).
-  bool resend_reply(const DedupKey& key, obs::TraceContext ctx);
+  /// Send the reply frame of `xid` to the client `key`.
+  void send_reply(const ClientKey& key, std::uint64_t xid,
+                  const Buffer& reply, obs::TraceContext ctx);
 
   Machine& machine_;
   Port port_;
@@ -130,12 +152,10 @@ class RpcServer {
   int idle_threads_ = 0;
   // Pre-interned counter handles: the packet handler and get_request are
   // hot paths, so string lookups are done once at construction.
-  obs::Counter& mx_dups_;  // absorbed by the at-most-once filter
+  obs::Counter& mx_dups_;  // absorbed or dropped by the at-most-once filter
   obs::Counter& mx_nothere_;
   obs::Counter& mx_served_;
-  std::set<DedupKey> in_flight_;       // queued or being served
-  std::map<DedupKey, Buffer> done_;    // replied: resend on duplicate
-  std::deque<DedupKey> done_order_;    // FIFO pruning of done_
+  std::unordered_map<ClientKey, Slot, ClientKeyHash> slots_;
   net::PortBinding binding_;  // last member: handler sees initialized state
 };
 

@@ -158,10 +158,11 @@ TEST_F(RpcFixture, BusySingleThreadServerSaysNothere) {
 
 TEST_F(RpcFixture, DuplicateDeliveryExecutesAtMostOnce) {
   // Force the network to duplicate every packet: the server must execute
-  // each transaction once (dedupe by client/port/xid) and answer the
-  // duplicate from its done-cache instead of re-running the handler — a
-  // re-run of a non-idempotent update would corrupt state, and a NOTHERE
-  // would make the client fail over and re-execute elsewhere.
+  // each transaction once (dedupe by client/port/xid), answer a duplicate
+  // of the client's latest call from that client's slot and drop an older
+  // one instead of re-running the handler — a re-run of a non-idempotent
+  // update would corrupt state, and a NOTHERE would make the client fail
+  // over and re-execute elsewhere.
   net::Machine& s = cluster.add_machine("server");
   net::Machine& c = cluster.add_machine("client");
   int executions = 0;
@@ -196,6 +197,135 @@ TEST_F(RpcFixture, DuplicateDeliveryExecutesAtMostOnce) {
   EXPECT_EQ(executions, kCalls + 1);
   ASSERT_NE(srv, nullptr);
   EXPECT_GT(cluster.metrics().counter("rpc", "duplicates_filtered"), 0u);
+}
+
+// ------------------------------------------------------ at-most-once slots
+
+/// One-thread echo server that counts its handler's executions.
+void start_counting_echo(net::Machine& m, int* executions) {
+  m.install_service("count", [executions](net::Machine& mm) {
+    RpcServer server(mm, kEcho);
+    server.serve(1, "count.t", [executions](const IncomingRequest& req) {
+      ++*executions;
+      return Reply(req.data);
+    });
+    mm.sim().sleep_for(sim::kTimeMax / 2);
+  });
+}
+
+/// A client that writes its frames by hand (u8 type, u64 xid, u64 reply
+/// port, body), so a test chooses the xids and can repeat one.
+class RawClient {
+ public:
+  RawClient(net::Machine& m, net::MachineId server)
+      : m_(m), server_(server), ep_(m, kReplyPort) {}
+
+  void send(std::uint64_t xid, std::string_view body,
+            MsgType type = MsgType::request) {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(type));
+    w.u64(xid);
+    w.u64(kReplyPort.v);
+    w.raw(to_buffer(body));
+    m_.net().unicast(m_.id(), server_, kEcho, w.take());
+  }
+
+  /// The body of the first reply frame for `xid` within 100 ms.
+  std::optional<std::string> reply(std::uint64_t xid) {
+    const sim::Time deadline = m_.sim().now() + sim::msec(100);
+    while (auto pkt = ep_.mailbox().recv_until(deadline)) {
+      Reader r(pkt->payload);
+      const auto type = static_cast<MsgType>(r.u8());
+      if (type == MsgType::reply && r.u64() == xid) return to_string(r.rest());
+    }
+    return std::nullopt;
+  }
+
+  std::optional<std::string> call(std::uint64_t xid, std::string_view body) {
+    send(xid, body);
+    return reply(xid);
+  }
+
+ private:
+  static constexpr Port kReplyPort{555};
+  net::Machine& m_;
+  net::MachineId server_;
+  net::Endpoint ep_;
+};
+
+TEST_F(RpcFixture, ADuplicateAfterManyLaterCallsIsNotExecutedAgain) {
+  // The server keeps one slot per client, not a window of recent replies:
+  // xid 1 stays stale however many of the client's calls came after it.
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  int executions = 0;
+  start_counting_echo(s, &executions);
+  const int kLater = 129;
+  int answered = 0;
+  std::optional<std::string> dup_reply = "unset";
+  c.spawn("client", [&] {
+    RawClient raw(c, s.id());
+    for (int xid = 1; xid <= 1 + kLater; ++xid) {
+      if (raw.call(xid, numbered("m", xid)) == numbered("m", xid)) ++answered;
+    }
+    raw.send(1, "m1");
+    dup_reply = raw.reply(1);
+  });
+  sim.run_until(sim::sec(20));
+  EXPECT_EQ(answered, 1 + kLater);
+  EXPECT_EQ(executions, 1 + kLater);
+  EXPECT_EQ(dup_reply, std::nullopt);
+  EXPECT_EQ(cluster.metrics().counter("rpc", "duplicates_filtered"), 1u);
+}
+
+TEST_F(RpcFixture, ADuplicateOfTheAnsweredLatestCallGetsTheCachedReply) {
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  int executions = 0;
+  start_counting_echo(s, &executions);
+  std::optional<std::string> first, again, enquired;
+  c.spawn("client", [&] {
+    RawClient raw(c, s.id());
+    first = raw.call(1, "a");
+    raw.send(1, "a");
+    again = raw.reply(1);
+    // An enquiry about an answered call is answered from the same slot.
+    raw.send(1, "", MsgType::enquiry);
+    enquired = raw.reply(1);
+  });
+  sim.run_until(sim::sec(2));
+  EXPECT_EQ(first, "a");
+  EXPECT_EQ(again, "a");
+  EXPECT_EQ(enquired, "a");
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(cluster.metrics().counter("rpc", "duplicates_filtered"), 1u);
+}
+
+TEST_F(RpcFixture, AStaleDuplicateAfterTheNextRequestIsDroppedAndCounted) {
+  // The client's next request is its ack of the previous reply: from then
+  // on, a request or enquiry carrying the older xid gets nothing.
+  net::Machine& s = cluster.add_machine("server");
+  net::Machine& c = cluster.add_machine("client");
+  int executions = 0;
+  start_counting_echo(s, &executions);
+  std::optional<std::string> first, second;
+  std::optional<std::string> stale = "unset", enquired = "unset";
+  c.spawn("client", [&] {
+    RawClient raw(c, s.id());
+    first = raw.call(1, "a");
+    second = raw.call(2, "b");
+    raw.send(1, "a");
+    stale = raw.reply(1);
+    raw.send(1, "", MsgType::enquiry);
+    enquired = raw.reply(1);
+  });
+  sim.run_until(sim::sec(2));
+  EXPECT_EQ(first, "a");
+  EXPECT_EQ(second, "b");
+  EXPECT_EQ(stale, std::nullopt);
+  EXPECT_EQ(enquired, std::nullopt);
+  EXPECT_EQ(executions, 2);
+  EXPECT_EQ(cluster.metrics().counter("rpc", "duplicates_filtered"), 1u);
 }
 
 TEST_F(RpcFixture, ManyConcurrentClients) {
